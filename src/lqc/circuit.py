@@ -11,6 +11,10 @@ zero-based bit indices):
     defgate   := "DEFGATE" IDENT INT NEWLINE matrixrows
     bitref    := ("q"|"h") INT
 
+GATENAME is a DEFGATE name or a builtin of `gates.BUILTIN_ARITY`, the one
+gate list the parser and the serializer share; it also gives the target
+count of each builtin (CZ takes two, the rest one).
+
 Controls trigger on bit value 1. As an extension, a control may be written
 with a "!" prefix ("CTRL !q0 : Z q1") to trigger on 0; the parser expands
 qubit 0-controls into X conjugation at parse time, so instructions are
@@ -30,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_ISO, BitKind, GuardError, LqcError, RegisterLayout
+from .core import EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout
 from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual, local_metric
 
-GRAMMAR_GATES = ("H", "T", "TAU", "X", "Y", "Z", "SZ", "SZD", "BOOST", "PHASE")
 KEYWORDS = {"QUBITS", "HYBITS", "CTRL", "DEFGATE"}
 _BITREF_RE = re.compile(r"^(!?)([qh])(\d+)$", re.IGNORECASE)
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -129,7 +132,7 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
     resid = isometry_residual(mat, eta)
     if resid > EPS_ISO:
         kinds = "".join(layout.kinds[r.position(layout)].value for r in instr.targets)
-        raise LqcError(
+        raise IsometryError(
             f"gate {instr.gate} is not metric-preserving on target kind(s) "
             f"{kinds!r} (residual {resid:.3g})"
         )
@@ -219,9 +222,9 @@ def parse(text: str) -> Circuit:
     def parse_simple(lineno: int, toks: list[tuple[int, str]], controls, negated):
         col0, name_tok = toks[0]
         name = name_tok.upper()
-        if name in GRAMMAR_GATES:
+        if name in BUILTIN_ARITY:
             matrix = None
-            arity = 1
+            arity = BUILTIN_ARITY[name]
         elif name in defs:
             arity, matrix = defs[name]
         else:
@@ -274,7 +277,7 @@ def parse(text: str) -> Circuit:
             return
         (_, _), (ncol, name_tok), (acol, arity_tok) = toks
         name = name_tok.upper()
-        if not _IDENT_RE.match(name_tok) or name in KEYWORDS or name in GRAMMAR_GATES \
+        if not _IDENT_RE.match(name_tok) or name in KEYWORDS or name in BUILTIN_ARITY \
                 or _BITREF_RE.match(name_tok):
             err(lineno, ncol, f"invalid gate name {name_tok!r}")
             return

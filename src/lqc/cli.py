@@ -38,6 +38,7 @@ from .gates import MatrixTextError, isometry_residual, parse_matrix_text
 from .search import MAX_K_CHI, SearchSpec, choose_k, predicted_success, run_search
 from .simulator import (
     ZeroObservableMassError,
+    format_counts,
     format_distribution,
     observe,
     run,
@@ -65,7 +66,6 @@ class RunReport:
     instruction_count: int
     wall_time_s: float
     observable_mass: float
-    distribution: str
 
     def format(self) -> str:
         return (
@@ -73,7 +73,6 @@ class RunReport:
             f"instructions = {self.instruction_count}\n"
             f"wall_time_s = {self.wall_time_s:.17g}\n"
             f"observable_mass = {self.observable_mass:.17g}\n"
-            f"distribution = {self.distribution}\n"
         )
 
 
@@ -125,9 +124,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     state = run(circuit, initial)
     dist = observe(state)
     wall = time.perf_counter() - t0
-    report = RunReport(
-        args.file, len(circuit.instructions), wall, dist.observable_mass, "inline"
-    )
+    report = RunReport(args.file, len(circuit.instructions), wall, dist.observable_mass)
     sys.stderr.write(report.format())
     sys.stdout.write(format_distribution(dist))
     return EXIT_NO_MASS if dist.observable_mass == 0.0 else EXIT_OK
@@ -137,8 +134,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     circuit = _parse_circuit(args.file)
     state = run(circuit)
     result = sample(state, args.shots, args.seed)
-    for key in sorted(result.counts):
-        sys.stdout.write(f"{key}\t{result.counts[key]}\n")
+    sys.stdout.write(format_counts(result))
     return EXIT_OK
 
 
@@ -217,7 +213,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = SearchSpec(args.n, args.x, args.chi, k)
     predicted = predicted_success(N, args.chi, k)
     dist = run_search(spec)
-    simulated = dist.probabilities.get(args.x, 0.0)
+    simulated = float(dist.probs[int(args.x, 2)])
     sys.stdout.write(f"k = {k}\n")
     sys.stdout.write(f"predicted_success = {predicted:.17g}\n")
     sys.stdout.write(f"simulated = {simulated:.17g}\n")

@@ -7,6 +7,7 @@ iff G^dagger eta G = eta for the tensor-product metric eta of those bits.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -45,22 +46,27 @@ def phase_gate(phi: float) -> np.ndarray:
     return np.diag([1.0 + 0j, np.exp(1j * phi)])
 
 
+@functools.lru_cache(maxsize=1024)
 def builtin(name: str, param: float | None = None) -> np.ndarray:
-    """Matrix of a named builtin gate. BOOST and PHASE require a parameter."""
+    """Matrix of a named builtin gate. BOOST and PHASE require a parameter.
+    Built once per (name, param) and shared, so the array is read-only."""
     key = name.upper()
     if key not in BUILTIN_ARITY:
         raise LqcError(f"unknown gate name {name!r}")
     if key in PARAMETRIC:
         if param is None:
             raise LqcError(f"gate {key} requires a parameter")
-        return boost(param) if key == "BOOST" else phase_gate(param)
-    if param is not None:
+        mat = boost(param) if key == "BOOST" else phase_gate(param)
+    elif param is not None:
         raise LqcError(f"gate {key} takes no parameter")
-    fixed = {
-        "H": _H, "T": _T, "TAU": _TAU, "X": _X, "Y": _Y, "Z": _Z,
-        "SZ": _SZ, "SZD": _SZD, "CZ": _CZ,
-    }
-    return fixed[key].copy()
+    else:
+        fixed = {
+            "H": _H, "T": _T, "TAU": _TAU, "X": _X, "Y": _Y, "Z": _Z,
+            "SZ": _SZ, "SZD": _SZD, "CZ": _CZ,
+        }
+        mat = fixed[key].copy()
+    mat.setflags(write=False)
+    return mat
 
 
 def metric_for_kinds(kinds: Sequence[BitKind]) -> np.ndarray:

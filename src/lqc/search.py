@@ -99,7 +99,7 @@ def q_circuit(spec: SearchSpec) -> Circuit:
 
 def run_search(spec: SearchSpec) -> OutcomeDistribution:
     """Prepare the uniform superposition, apply Q^k, hyper-postselect, and
-    marginalize out the oracle qubit. Keys are n-bit search strings."""
+    marginalize out the oracle qubit. Outcomes are the n-bit search strings."""
     layout = search_layout(spec.n)
     prep = Circuit(
         layout,
@@ -110,10 +110,8 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
     for _ in range(spec.k):
         state = run(q, state)
     full = observe(state)
-    merged: dict[str, float] = {}
-    for key, p in full.probabilities.items():
-        merged[key[: spec.n]] = merged.get(key[: spec.n], 0.0) + p
-    return OutcomeDistribution(merged, full.observable_mass)
+    # the oracle qubit is the last qubit, so the least significant index bit
+    return OutcomeDistribution(full.probs.reshape(-1, 2).sum(axis=1), full.observable_mass)
 
 
 def predicted_success(N: int, chi: float, k: int) -> float:

@@ -1,12 +1,18 @@
 """Shared fuzz helpers: random layouts and random valid circuits."""
 
 import numpy as np
+from hypothesis import settings
 
 from lqc.circuit import BitRef, Circuit, Instruction
 from lqc.core import BitKind, RegisterLayout
 
 QUBIT_GATES = ("H", "T", "X", "Y", "Z", "SZ", "SZD", "PHASE")
 HYBIT_GATES = ("T", "TAU", "Z", "SZ", "SZD", "BOOST", "PHASE")
+
+# property tests draw the same examples on every run; tests that set their
+# own max_examples keep it
+settings.register_profile("lqc", derandomize=True, max_examples=300, deadline=None)
+settings.load_profile("lqc")
 
 
 def random_layout(rng, max_bits=10, min_bits=1):

@@ -11,8 +11,8 @@ from lqc.circuit import (
     serialize,
     to_matrix,
 )
-from lqc.core import BitKind, GuardError, LqcError, RegisterLayout
-from lqc.gates import builtin, controlled, isometry_residual, metric_for_kinds
+from lqc.core import BitKind, GuardError, IsometryError, LqcError, RegisterLayout
+from lqc.gates import BUILTIN_ARITY, builtin, controlled, isometry_residual, metric_for_kinds
 
 Q0 = BitRef(BitKind.QUBIT, 0)
 Q1 = BitRef(BitKind.QUBIT, 1)
@@ -198,6 +198,33 @@ class TestSerialize:
         again = parse(serialize(c))
         assert again == c
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ARITY))
+    def test_every_builtin_roundtrips(self, name):
+        # targets on whichever bit kind the gate preserves, then a controlled copy
+        layout = RegisterLayout.of(3, 2)
+        param = 0.375 if name in ("BOOST", "PHASE") else None
+        arity = BUILTIN_ARITY[name]
+        for kind in (BitKind.QUBIT, BitKind.HYBIT):
+            eta = metric_for_kinds([kind] * arity)
+            if isometry_residual(builtin(name, param), eta) <= 1e-10:
+                break
+        targets = tuple(BitRef(kind, i) for i in range(arity))
+        control = (BitRef(BitKind.QUBIT, 2),)
+        c = Circuit(
+            layout,
+            (Instruction(name, targets, (), param), Instruction(name, targets, control, param)),
+        )
+        assert parse(serialize(c)) == c
+
+    def test_cz_parses_with_two_targets(self):
+        c = parse("qubits 2\nhybits 1\nCZ q0 h0\nCTRL q1 : CZ q0 h0\n")
+        assert [len(i.targets) for i in c.instructions] == [2, 2]
+        # the second CZ undoes the first where q1 is 1, leaving |q0 q1 h0> = |101>
+        assert np.array_equal(to_matrix(c), np.diag([1, 1, 1, 1, 1, -1, 1, 1]))
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 2\nCZ q0\n")
+        assert "expects 2 target(s)" in str(exc.value)
+
 
 class TestToMatrix:
     def test_empty_is_identity(self):
@@ -249,6 +276,10 @@ class TestToMatrix:
 
 
 class TestInstructionValidation:
+    def test_non_isometric_raises_isometry_error(self):
+        with pytest.raises(IsometryError):
+            Circuit(RegisterLayout.of(0, 1), (Instruction("X", (H0,)),))
+
     def test_overlapping_control_target(self):
         with pytest.raises(LqcError):
             Circuit(

@@ -54,6 +54,15 @@ class TestRun:
         assert code == 0
         assert "0\t1\n" in out
 
+    def test_off_metric_gate_exit_1(self, tmp_path, capsys):
+        # an off-metric gate read from a file is a diagnostic with a line
+        # number, not a synthesis failure
+        f = put(tmp_path, "c.lqc", "hybits 1\nX h0\n")
+        code, _, err = cli(capsys, "run", f)
+        assert code == 1
+        assert err.startswith("error: line 2, col 1:")
+        assert "not metric-preserving" in err
+
     def test_init_length_mismatch(self, tmp_path, capsys):
         f = put(tmp_path, "c.lqc", "qubits 1\n")
         code, _, err = cli(capsys, "run", f, "--init", "01")
@@ -209,6 +218,24 @@ class TestSynth:
         code, _, _ = cli(capsys, "synth", f, "--qubits", "1", "--hybits", "0")
         assert code == 3
 
+    def test_emitted_gate_off_metric_exit_3(self, tmp_path, capsys, monkeypatch):
+        # compile's own Circuit refuses an emitted gate whose residual is
+        # above EPS_ISO; that is a synthesis failure, not a parse error
+        from lqc import cli as cli_module
+        from lqc.circuit import BitRef, Circuit, Instruction
+        from lqc.core import BitKind
+
+        def emit_off_metric(A, layout, tol=None):
+            gate = builtin("BOOST", 0.5) + 1e-9
+            return Circuit(layout, (Instruction("U0", (BitRef(BitKind.HYBIT, 0),), matrix=gate),))
+
+        monkeypatch.setattr(cli_module, "synth_compile", emit_off_metric)
+        f = put(tmp_path, "i.mat", "dim 1 1\n1,0 0,0\n0,0 1,0\n")
+        code, out, err = cli(capsys, "synth", f, "--qubits", "0", "--hybits", "1")
+        assert code == 3
+        assert out == ""
+        assert "not metric-preserving" in err
+
 
 class TestSearch:
     def test_explicit_k_digits(self, capsys):
@@ -224,6 +251,26 @@ class TestSearch:
         mantissa = lines["predicted_success"].replace(".", "").lstrip("0")
         assert len(mantissa) >= 12
         assert abs(float(lines["difference"])) <= 1e-9
+
+    def test_simulated_is_oracle_marginal(self, capsys):
+        from lqc.circuit import BitRef, Circuit, Instruction
+        from lqc.core import BitKind
+        from lqc.search import SearchSpec, q_circuit, search_layout
+        from lqc.simulator import observe, run
+
+        n, x, chi, k = 5, "01101", 0.8, 3
+        argv = ["search", "--n", str(n), "--x", x, "--chi", str(chi), "--k", str(k)]
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        lines = dict(ln.split(" = ") for ln in out.strip().splitlines())
+        prep = Circuit(
+            search_layout(n), tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(n))
+        )
+        state = run(prep)
+        for _ in range(k):
+            state = run(q_circuit(SearchSpec(n, x, chi, k)), state)
+        full = observe(state).probabilities
+        assert float(lines["simulated"]) == full.get(x + "0", 0.0) + full.get(x + "1", 0.0)
 
     def test_k0_uniform(self, capsys):
         code, out, _ = cli(

@@ -1,0 +1,193 @@
+"""Simulator kernel passes against an independent dense reference.
+
+The reference writes the operator of one instruction on the whole register
+as I + P_C (G_T - I): a sum of Kronecker products of one-bit factors, with
+the projector |1><1| on every control, the matrix units of G on the targets
+and the identity on every other bit. It shares no code with
+`apply_to_tensor` or `to_matrix`. Every case runs through both dense
+kernels: the slice update and the matmul on the stacked slice pair.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import bit_ref
+from lqc.circuit import BitRef, Circuit, Instruction
+from lqc.core import BitKind, RegisterLayout
+from lqc.gates import BUILTIN_ARITY
+from lqc import simulator
+from lqc.simulator import apply_to_tensor, observe, run
+
+TOL = 1e-12
+MAX_BITS = 6
+# BLAS_DENSE_MAX settings that force each dense kernel
+DENSE_KERNELS = {"slices": 0, "matmul": np.inf}
+
+# random metric-preserving DEFGATEs by the kernel class their entries select
+DEFGATES = ("DIAG", "ANTI", "DENSE", "DENSE2")
+GATES = tuple(sorted(BUILTIN_ARITY)) + DEFGATES
+ARITY = {**BUILTIN_ARITY, "DIAG": 1, "ANTI": 1, "DENSE": 1, "DENSE2": 2}
+# gates that preserve the metric of one bit kind only
+ONLY_ON = {"H": "q", "X": "q", "Y": "q", "ANTI": "q", "TAU": "h", "BOOST": "h"}
+
+P1 = np.diag([0.0, 1.0])
+I2 = np.eye(2)
+
+
+def _unit(i, j):
+    m = np.zeros((2, 2))
+    m[i, j] = 1.0
+    return m
+
+
+def reference_operator(nbits, gate, targets, controls, sparse=False):
+    """I + P_C (G_T - I) over bit positions (bit 0 most significant)."""
+    if sparse:
+        kron = functools.partial(scipy.sparse.kron, format="csr")
+        total = scipy.sparse.identity(1 << nbits, dtype=complex, format="csr")
+    else:
+        kron = np.kron
+        total = np.eye(1 << nbits, dtype=complex)
+    d = len(targets)
+    for i in range(1 << d):
+        for j in range(1 << d):
+            coeff = gate[i, j] - (i == j)
+            if coeff == 0:
+                continue
+            factors = []
+            for b in range(nbits):
+                if b in controls:
+                    factors.append(P1)
+                elif b in targets:
+                    shift = d - 1 - targets.index(b)
+                    factors.append(_unit((i >> shift) & 1, (j >> shift) & 1))
+                else:
+                    factors.append(I2)
+            total = total + coeff * functools.reduce(kron, factors)
+    return total
+
+
+def _dense(kind, alpha, beta, phi, theta):
+    """U(2) on a qubit, U(1,1) on a hybit: [[a, b], [s e^{i phi} conj(b), e^{i phi} conj(a)]]."""
+    if kind == "q":
+        a, b, s = np.cos(theta * np.pi / 2), np.sin(theta * np.pi / 2), -1.0
+    else:
+        a, b, s = np.cosh(1.5 * theta), np.sinh(1.5 * theta), 1.0
+    a, b, w = a * np.exp(1j * alpha), b * np.exp(1j * beta), np.exp(1j * phi)
+    return np.array([[a, b], [s * w * np.conj(b), w * np.conj(a)]])
+
+
+def _phase(u):
+    # below 0.3 the factor is exactly 1, which the kernel skips
+    return 1.0 + 0j if u < 0.3 else np.exp(2j * np.pi * u)
+
+
+def make_gate(name, kinds, u):
+    """(matrix or None, param) for gate `name` on targets of `kinds`; u holds
+    four numbers in [0, 1] that fix the angles."""
+    alpha, beta, phi = 2 * np.pi * u[0], 2 * np.pi * u[1], 2 * np.pi * u[2]
+    if name in BUILTIN_ARITY:
+        param = {"BOOST": 3.0 * u[3] - 1.5, "PHASE": alpha}.get(name)
+        return None, param
+    if name == "DIAG":
+        return np.diag([_phase(u[0]), _phase(u[1])]), None
+    if name == "ANTI":
+        return np.array([[0, _phase(u[0])], [_phase(u[1]), 0]]), None
+    if name == "DENSE":
+        return _dense(kinds[0], alpha, beta, phi, u[3]), None
+    # DENSE2: a product of one-bit gates entangled by diagonal phases
+    phases = np.exp(2j * np.pi * np.array([0.0, u[0], u[1], u[2]]))
+    first = _dense(kinds[0], alpha, beta, phi, u[3])
+    second = _dense(kinds[1], beta, phi, alpha, 1 - u[3])
+    return phases[:, None] * np.kron(first, second), None
+
+
+def make_instruction(layout, name, targets, controls, u):
+    kinds = [layout.kinds[p].value for p in targets]
+    matrix, param = make_gate(name, kinds, u)
+    instr = Instruction(
+        name,
+        tuple(bit_ref(layout, p) for p in targets),
+        tuple(bit_ref(layout, p) for p in controls),
+        param,
+        matrix,
+    )
+    Circuit(layout, (instr,))  # refuses a gate that does not preserve the metric
+    return instr
+
+
+@st.composite
+def kernel_cases(draw):
+    name = draw(st.sampled_from(GATES))
+    arity = ARITY[name]
+    kinds = draw(st.lists(st.sampled_from("qh"), min_size=arity, max_size=MAX_BITS))
+    order = draw(st.permutations(range(len(kinds))))
+    targets = list(order[:arity])
+    ncontrols = draw(st.integers(0, min(3, len(kinds) - arity)))
+    controls = list(order[arity:arity + ncontrols])
+    for p in targets:
+        kinds[p] = ONLY_ON.get(name, kinds[p])
+    layout = RegisterLayout(tuple(kinds))
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    batch = draw(st.sampled_from([None, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    instr = make_instruction(layout, name, targets, controls, u)
+    return layout, instr, targets, controls, batch, seed
+
+
+@given(kernel_cases())
+def test_pass_matches_reference(case):
+    layout, instr, targets, controls, batch, seed = case
+    rng = np.random.default_rng(seed)
+    shape = (layout.dimension,) if batch is None else (layout.dimension, batch)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = reference_operator(layout.num_bits, instr.gate_matrix(), targets, controls) @ amps
+    for limit in DENSE_KERNELS.values():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "BLAS_DENSE_MAX", limit)
+            tensor = amps.copy().reshape([2] * layout.num_bits + list(shape[1:]))
+            apply_to_tensor(layout, tensor, instr)
+        assert np.max(np.abs(tensor.reshape(shape) - want)) <= TOL
+
+
+def _sim_style_circuit(rng, layout, gates):
+    """An H layer on every qubit, then gates of every class with 0-3 controls."""
+    instrs = [Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(layout.num_qubits)]
+    for _ in range(gates):
+        name = str(rng.choice(GATES))
+        arity = ARITY[name]
+        while True:
+            order = [int(p) for p in rng.permutation(layout.num_bits)]
+            targets = order[:arity]
+            kinds = [layout.kinds[p].value for p in targets]
+            if all(kind == ONLY_ON.get(name, kind) for kind in kinds):
+                break
+        controls = order[arity:arity + int(rng.integers(0, 4))]
+        instrs.append(make_instruction(layout, name, targets, controls, rng.random(4)))
+    return instrs
+
+
+@pytest.mark.parametrize("limit", DENSE_KERNELS.values(), ids=DENSE_KERNELS.keys())
+def test_sim_style_circuit_distribution(limit, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    layout = RegisterLayout.of(10, 2)
+    rng = np.random.default_rng(12)
+    instrs = _sim_style_circuit(rng, layout, 60)
+    psi = np.zeros(layout.dimension, dtype=complex)
+    psi[0] = 1.0
+    for instr in instrs:
+        pos = [r.position(layout) for r in instr.targets]
+        ctl = [r.position(layout) for r in instr.controls]
+        psi = reference_operator(layout.num_bits, instr.gate_matrix(), pos, ctl, sparse=True) @ psi
+    # the two hybits are the least significant index bits
+    visible = np.abs(psi.reshape(-1, 4)[:, 0]) ** 2
+    mass = visible.sum()
+
+    dist = observe(run(Circuit(layout, tuple(instrs))))
+    assert abs(dist.observable_mass - mass) <= TOL * mass
+    assert np.max(np.abs(dist.probs - visible / mass)) <= TOL

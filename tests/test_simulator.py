@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from lqc.core import (
 from lqc.simulator import (
     NegligibleMassWarning,
     OutcomeDistribution,
+    SampleResult,
     ZeroObservableMassError,
     apply,
+    format_counts,
     format_distribution,
     observe,
     run,
@@ -190,9 +194,60 @@ class TestSample:
         assert res.rng_algorithm == "Philox"
 
 
+def sorted_dict_sample(probabilities, shots, seed):
+    """The former sampler: inverse CDF over the sorted list of outcomes."""
+    outcomes = sorted(probabilities)
+    cdf = np.cumsum([probabilities[o] for o in outcomes])
+    cdf[-1] = 1.0
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = np.searchsorted(cdf, rng.random(shots), side="right")
+    return Counter(outcomes[i] for i in draws)
+
+
+class TestSampleDraws:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counts_match_sorted_dict_sampler(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        layout = random_layout(rng, max_bits=8)
+        amps = random_state_amps(rng, layout.dimension)
+        amps[rng.random(layout.dimension) < 0.4] = 0.0
+        amps[0] = 1.0  # keeps some observable mass
+        state = StateVector(layout, amps)
+        want = sorted_dict_sample(observe(state).probabilities, 5000, seed)
+        assert sample(state, 5000, seed).counts == want
+
+    def test_zero_probability_never_drawn(self):
+        # the last qubit stays 0, so every odd index, the last one included,
+        # has probability zero
+        state = run(parse("qubits 3\nH q0\nH q1\n"))
+        res = sample(state, 20000, seed=3)
+        assert set(res.counts) == {"000", "010", "100", "110"}
+        assert res.histogram[1::2].sum() == 0
+
+    def test_extreme_draws_stay_on_possible_outcomes(self, monkeypatch):
+        # outcomes 3..12 have probability 0.1 each, whose sum is
+        # 0.9999999999999999 in doubles; the draws 0 and 1 - 2^-53 must land
+        # on the first and the last of them, not on a zero-probability
+        # outcome before or after
+        amps = np.zeros(16)
+        amps[3:13] = 1.0
+        state = StateVector(RegisterLayout.of(4, 0), amps)
+        assert np.cumsum(observe(state).probs)[12] < 1.0
+
+        class ExtremeDraws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, n):
+                return np.resize([0.0, np.nextafter(1.0, 0.0)], n)
+
+        monkeypatch.setattr(np.random, "Generator", ExtremeDraws)
+        assert sample(state, 4, seed=0).counts == {"0011": 2, "1100": 2}
+
+
 class TestDistributionFormat:
     def test_layout(self):
-        dist = OutcomeDistribution({"0": 0.25, "1": 0.75}, 0.5)
+        dist = OutcomeDistribution(np.array([0.25, 0.75]), 0.5)
         text = format_distribution(dist)
         lines = text.splitlines()
         assert lines[0] == "# observable_mass = 0.5"
@@ -200,10 +255,25 @@ class TestDistributionFormat:
         assert lines[2] == "1\t0.75"
 
     def test_sorted_keys(self):
-        dist = OutcomeDistribution({"11": 0.5, "00": 0.5}, 1.0)
+        dist = OutcomeDistribution(np.array([0.5, 0.0, 0.0, 0.5]), 1.0)
         lines = format_distribution(dist).splitlines()
         assert lines[1].startswith("00") and lines[2].startswith("11")
+        assert len(lines) == 3  # zero-probability outcomes are not printed
+
+    def test_many_outcomes_match_line_by_line(self):
+        # more outcomes than one formatting block, some of them zero
+        rng = np.random.default_rng(4)
+        probs = rng.random(1 << 15)
+        probs[rng.random(1 << 15) < 0.3] = 0.0
+        probs /= probs.sum()
+        lines = ["# observable_mass = 2.5"]
+        lines += [f"{j:015b}\t{p:.17g}" for j, p in enumerate(probs) if p]
+        assert format_distribution(OutcomeDistribution(probs, 2.5)) == "\n".join(lines) + "\n"
+
+        hist = rng.integers(0, 3, 1 << 15)
+        want = "".join(f"{j:015b}\t{n}\n" for j, n in enumerate(hist) if n)
+        assert format_counts(SampleResult(hist, int(hist.sum()), 0)) == want
 
     def test_probability_check(self):
         with pytest.raises(LqcError):
-            OutcomeDistribution({"0": 0.4}, 1.0)
+            OutcomeDistribution(np.array([0.4, 0.0]), 1.0)
