@@ -7,19 +7,22 @@ zero-based bit indices):
     decl      := "qubits" INT | "hybits" INT     each at most once, default 0
     stmt      := simple | ctrl | defgate
     simple    := GATENAME param? bitref+
-    ctrl      := "CTRL" bitref+ ":" simple
+    ctrl      := "CTRL" ctrlref+ ":" simple
     defgate   := "DEFGATE" IDENT INT NEWLINE matrixrows
     bitref    := ("q"|"h") INT
+    ctrlref   := "!"? bitref                    "!" triggers on 0
 
 GATENAME is a DEFGATE name or a builtin of `gates.BUILTIN_ARITY`, the one
 gate list the parser and the serializer share; it also gives the target
 count of each builtin (CZ takes two, the rest one).
 
-Controls trigger on bit value 1. As an extension, a control may be written
-with a "!" prefix ("CTRL !q0 : Z q1") to trigger on 0; the parser expands
-qubit 0-controls into X conjugation at parse time, so instructions are
-always polarity-free. Hybits admit no metric-preserving NOT, so "!h<i>" is
-rejected. The serializer never emits "!".
+Controls trigger on bit value 1. A control written with a "!" prefix
+("CTRL !q0 : Z q1") triggers on 0 instead, on qubits and hybits alike.
+Each instruction stores the trigger value of every control (its
+`ctrl_state`), and the serializer writes 0-controls back with "!". A
+control projector is diagonal, so it commutes with the metric, and the
+controlled gate I + P_C (U - I) preserves the metric whenever U does on
+its targets, whatever the trigger values.
 
 Every instruction is checked at parse time: its gate matrix must preserve
 the local metric of its target bits (the same DEFGATE may be legal on one
@@ -68,6 +71,12 @@ class Instruction:
     param: float | None = None
     # resolved matrix for DEFGATE gates; builtins resolve through gates.builtin
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # trigger value (0 or 1) of each control; left out, every control is 1
+    ctrl_state: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        state = (1,) * len(self.controls) if self.ctrl_state is None else tuple(self.ctrl_state)
+        object.__setattr__(self, "ctrl_state", state)
 
     def gate_matrix(self) -> np.ndarray:
         if self.matrix is not None:
@@ -119,6 +128,13 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
         raise LqcError(f"duplicate bit in instruction {instr.gate}")
     if not instr.targets:
         raise LqcError("instruction needs at least one target")
+    if len(instr.ctrl_state) != len(instr.controls):
+        raise LqcError(
+            f"instruction {instr.gate} has {len(instr.controls)} control(s) "
+            f"but {len(instr.ctrl_state)} trigger value(s)"
+        )
+    if any(v not in (0, 1) for v in instr.ctrl_state):
+        raise LqcError(f"control trigger values must be 0 or 1, got {instr.ctrl_state}")
     positions = [r.position(layout) for r in refs]
     del positions
     mat = instr.gate_matrix()
@@ -208,18 +224,15 @@ def parse(text: str) -> Circuit:
         if bang and not allow_bang:
             err(lineno, col, "'!' polarity is only allowed on controls")
             return None
-        if bang and kind == "h":
-            err(lineno, col, "hybit 0-control: hybits admit no metric-preserving NOT")
-            return None
         ref = BitRef(BitKind(kind), idx)
         try:
             ref.position(get_layout())
         except LqcError:
             err(lineno, col, f"bit {ref} out of range for declared register")
             return None
-        return (ref, bool(bang))
+        return (ref, 0 if bang else 1)
 
-    def parse_simple(lineno: int, toks: list[tuple[int, str]], controls, negated):
+    def parse_simple(lineno: int, toks: list[tuple[int, str]], controls, ctrl_state):
         col0, name_tok = toks[0]
         name = name_tok.upper()
         if name in BUILTIN_ARITY:
@@ -258,18 +271,14 @@ def parse(text: str) -> Circuit:
             targets.append(got[0])
         instr = Instruction(
             gate=name, targets=tuple(targets), controls=tuple(controls),
-            param=param, matrix=matrix,
+            param=param, matrix=matrix, ctrl_state=tuple(ctrl_state),
         )
         try:
             validate_instruction(get_layout(), instr)
         except LqcError as exc:
             err(lineno, col0, str(exc))
             return
-        # qubit 0-controls expand to X conjugation around the instruction
-        pre = [Instruction("X", (ref,)) for ref in negated]
-        instructions.extend(pre)
         instructions.append(instr)
-        instructions.extend(reversed(pre))
 
     def parse_defgate(lineno: int, toks: list[tuple[int, str]]):
         if len(toks) != 3:
@@ -362,22 +371,20 @@ def parse(text: str) -> Circuit:
             if split == 1:
                 err(lineno, col0, "CTRL needs at least one control bit")
                 continue
-            controls, negated, bad = [], [], False
+            controls, ctrl_state, bad = [], [], False
             for col, tok in toks[1:split]:
                 got = parse_bitref(lineno, col, tok, allow_bang=True)
                 if got is None:
                     bad = True
                     continue
-                ref, neg = got
-                controls.append(ref)
-                if neg:
-                    negated.append(ref)
+                controls.append(got[0])
+                ctrl_state.append(got[1])
             if bad:
                 continue
             if split + 1 >= len(toks):
                 err(lineno, toks[split][0], "missing gate after ':'")
                 continue
-            parse_simple(lineno, toks[split + 1:], controls, negated)
+            parse_simple(lineno, toks[split + 1:], controls, ctrl_state)
         else:
             parse_simple(lineno, toks, [], [])
 
@@ -410,7 +417,9 @@ def serialize(circuit: Circuit) -> str:
             head += f" {_fmt_float(instr.param)}"
         tail = " ".join(str(t) for t in instr.targets)
         if instr.controls:
-            ctl = " ".join(str(c) for c in instr.controls)
+            ctl = " ".join(
+                f"{'' if v else '!'}{c}" for c, v in zip(instr.controls, instr.ctrl_state)
+            )
             out.append(f"CTRL {ctl} : {head} {tail}")
         else:
             out.append(f"{head} {tail}")

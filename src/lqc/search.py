@@ -64,19 +64,15 @@ def search_layout(n: int) -> RegisterLayout:
 
 
 def oracle_circuit(spec: SearchSpec) -> Circuit:
-    """O: flip the oracle qubit exactly on |target_x>. Zero bits of x are
-    handled by conjugating the all-ones control with X, so O^2 = I."""
-    layout = search_layout(spec.n)
-    oracle = BitRef(BitKind.QUBIT, spec.n)
-    flips = tuple(
-        Instruction("X", (BitRef(BitKind.QUBIT, i),))
-        for i, bit in enumerate(spec.target_x)
-        if bit == "0"
-    )
+    """O: flip the oracle qubit exactly on |target_x>, as one X controlled on
+    every search qubit with target_x as the trigger values, so O^2 = I."""
     marked = Instruction(
-        "X", (oracle,), controls=tuple(BitRef(BitKind.QUBIT, i) for i in range(spec.n))
+        "X",
+        (BitRef(BitKind.QUBIT, spec.n),),
+        controls=tuple(BitRef(BitKind.QUBIT, i) for i in range(spec.n)),
+        ctrl_state=tuple(int(bit) for bit in spec.target_x),
     )
-    return Circuit(layout, flips + (marked,) + flips)
+    return Circuit(search_layout(spec.n), (marked,))
 
 
 def q_circuit(spec: SearchSpec) -> Circuit:

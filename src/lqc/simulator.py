@@ -2,7 +2,10 @@
 
 Gates touch amplitudes through axis views of the state tensor, so one
 instruction costs O(2^N * 2^arity) regardless of register size; the full
-register matrix is never materialized. Controls fix their axes at 1.
+register matrix is never materialized. Each control fixes its axis at its
+trigger value (1, or 0 for a "!" control), so only the control block where
+every control holds its value is touched; a 0-control costs what a
+1-control costs.
 
 A single-target gate [[a, b], [c, d]] updates the two target slices x0
 (target bit 0) and x1 (target bit 1) of the control block in place,
@@ -69,14 +72,15 @@ class NegligibleMassWarning(UserWarning):
 
 def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instruction) -> None:
     """Apply one instruction in place to a state tensor of shape [2]*num_bits
-    (optionally with trailing batch axes). Controls fix their axes at 1, so
-    only the all-ones control block is touched. One target updates its two
-    slices in place; more targets move to the front for a matmul."""
+    (optionally with trailing batch axes). Each control fixes its axis at its
+    trigger value, so only the control block where every control holds its
+    value is touched. One target updates its two slices in place; more
+    targets move to the front for a matmul."""
     gate = instr.gate_matrix()
     cpos = [r.position(layout) for r in instr.controls]
     idx: list = [slice(None)] * tensor.ndim
-    for c in cpos:
-        idx[c] = 1
+    for c, value in zip(cpos, instr.ctrl_state):
+        idx[c] = value
     if len(instr.targets) == 1:
         t = instr.targets[0].position(layout)
         # the trailing Ellipsis keeps a view even when every axis is indexed

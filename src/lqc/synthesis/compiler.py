@@ -6,6 +6,12 @@ as a generator word ({H,T} on qubits, {TAU,T} on hybits) found by
 word_search; controlled gates are kept, since words are products of bare
 generators. The final comparison is projective because words only match
 their targets up to a global phase.
+
+Lowering a register of two or more bits emits only controlled gates: each
+gate is controlled on every other bit, with trigger values 0 or 1. So on
+those registers approximate mode substitutes no word and returns the exact
+circuit, whose error is float rounding only; word search runs only for
+1-bit registers.
 """
 from __future__ import annotations
 

@@ -291,17 +291,20 @@ class _Emitter:
             self.defs[name] = (1, M.astype(complex))
         return self._by_key[key], None
 
-    def emit(self, controls: list[int], target: int, M: np.ndarray) -> list[Instruction]:
+    def emit(self, pattern: dict[int, int], target: int, M: np.ndarray) -> list[Instruction]:
+        """M on `target` where every position of `pattern` holds its value."""
         if np.max(np.abs(M - _I2)) < 1e-14:
             return []
         name, param = self._gate_name(M)
+        controls = sorted(pattern)
         return [
             Instruction(
                 gate=name,
                 targets=(self._ref(target),),
-                controls=tuple(self._ref(c) for c in sorted(controls)),
+                controls=tuple(self._ref(c) for c in controls),
                 param=param,
                 matrix=self.defs[name][1] if name in self.defs else None,
+                ctrl_state=tuple(pattern[c] for c in controls),
             )
         ]
 
@@ -310,15 +313,15 @@ def _lambda_rec(em: _Emitter, controls: list[int], target: int, V: np.ndarray) -
     if np.max(np.abs(V - _I2)) < 1e-14:
         return []
     if len(controls) == 1:
-        return em.emit(controls, target, V)
+        return em.emit(dict.fromkeys(controls, 1), target, V)
     kind = em.layout.kinds[target]
 
     # involutions with det -1 conjugate to a plain controlled Z
     basis = _involution_basis(V, kind)
     if basis is not None and np.max(np.abs(basis - _I2)) > 1e-12:
-        out = em.emit([], target, np.linalg.inv(basis))
+        out = em.emit({}, target, np.linalg.inv(basis))
         out += _lambda_rec(em, controls, target, builtin("Z"))
-        out += em.emit([], target, basis)
+        out += em.emit({}, target, basis)
         return out
 
     G = controls[:-2]

@@ -8,7 +8,8 @@ clears the remaining cross-block entry, and leftover diagonal phases are
 absorbed into the factors.
 
 Lowering a factor to gates splits on the Hamming distance between i and j.
-Distance 1 is a multi-controlled single-bit gate directly. Larger distances
+Distance 1 is one single-bit gate controlled on every other bit, with the
+bits that i and j share as the trigger values. Larger distances
 route through an intermediate index k one bit-flip from i: conjugating by
 b_{j,k}(sigma_x) relabels k to j whenever sigma_x is legal on the (j,k)
 pair, i.e. when the two indices carry equal metric signs. When i and j have
@@ -18,7 +19,6 @@ instead, whose factors are U(1,1) elements on the (i,k) and (j,k) pairs.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,26 +217,6 @@ def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
 # Lowering to multi-controlled instructions
 
 
-def _pattern_instructions(
-    em: _Emitter, pattern: dict[int, int], target: int, W: np.ndarray
-) -> list[Instruction]:
-    """Instructions for W on `target` exactly when each pattern position
-    holds its stated bit. Zero-valued positions expand by inclusion-
-    exclusion over alternating powers of W; with no zeros this is a single
-    instruction."""
-    ones = sorted(p for p, v in pattern.items() if v == 1)
-    zeros = sorted(p for p, v in pattern.items() if v == 0)
-    kind = em.layout.kinds[target]
-    eta = kind.metric_diag()
-    W_inv = _pair_inverse(W, eta)
-    out: list[Instruction] = []
-    for size in range(len(zeros) + 1):
-        for S in itertools.combinations(zeros, size):
-            gate = W if size % 2 == 0 else W_inv
-            out += em.emit(ones + list(S), target, gate)
-    return out
-
-
 def controlled_on_pattern(
     layout: RegisterLayout, pattern: dict[int, int], target: int, W: np.ndarray
 ) -> Circuit:
@@ -244,7 +224,7 @@ def controlled_on_pattern(
     if target in pattern:
         raise LqcError("target cannot be part of the control pattern")
     em = _Emitter(layout)
-    instrs = _pattern_instructions(em, dict(pattern), target, np.asarray(W, complex))
+    instrs = em.emit(dict(pattern), target, np.asarray(W, complex))
     return Circuit(layout, tuple(instrs), em.defs)
 
 
@@ -254,7 +234,7 @@ def _bit_at(layout: RegisterLayout, index: int, pos: int) -> int:
 
 def _direct_pair(em: _Emitter, x: int, y: int, W: np.ndarray) -> list[Instruction]:
     """b_{x,y}(W) for Hamming-distance-1 indices; W's first slot belongs
-    to x. Emits the pattern-controlled instruction(s)."""
+    to x. One instruction, controlled on the bits that x and y share."""
     layout = em.layout
     diff = x ^ y
     p = layout.num_bits - diff.bit_length()  # position of the single set bit
@@ -263,11 +243,12 @@ def _direct_pair(em: _Emitter, x: int, y: int, W: np.ndarray) -> list[Instructio
     pattern = {
         q: _bit_at(layout, x, q) for q in range(layout.num_bits) if q != p
     }
-    return _pattern_instructions(em, pattern, p, W)
+    return em.emit(pattern, p, W)
 
 
 def _basis_phase(em: _Emitter, index: int, phase: complex) -> list[Instruction]:
-    """Multiply basis state |index> by a unit phase."""
+    """Multiply basis state |index> by a unit phase: one diagonal gate on
+    a bit of the index, controlled on the other bits' values."""
     if abs(phase - 1) <= 1e-14:
         return []
     layout = em.layout
@@ -280,7 +261,7 @@ def _basis_phase(em: _Emitter, index: int, phase: complex) -> list[Instruction]:
         target = nbits - 1
         gate = np.diag([phase, 1.0]).astype(complex)
     pattern = {q: _bit_at(layout, index, q) for q in range(nbits) if q != target}
-    return _pattern_instructions(em, pattern, target, gate)
+    return em.emit(pattern, target, gate)
 
 
 def _first_diff_of_kind(layout: RegisterLayout, diff_positions, kind: BitKind):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_circuit, random_layout
+from conftest import HYBIT_GATES, QUBIT_GATES, bit_ref, random_circuit, random_layout
 from lqc.circuit import (
     BitRef,
     Circuit,
@@ -11,7 +13,7 @@ from lqc.circuit import (
     serialize,
     to_matrix,
 )
-from lqc.core import BitKind, GuardError, IsometryError, LqcError, RegisterLayout
+from lqc.core import EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout
 from lqc.gates import BUILTIN_ARITY, builtin, controlled, isometry_residual, metric_for_kinds
 
 Q0 = BitRef(BitKind.QUBIT, 0)
@@ -97,25 +99,53 @@ class TestParse:
 
 
 class TestPolarity:
-    def test_qubit_zero_control_expands(self):
+    def test_qubit_zero_control_is_native(self):
         c = parse("qubits 2\nCTRL !q0 : Z q1\n")
-        assert [i.gate for i in c.instructions] == ["X", "Z", "X"]
+        assert c.instructions == (Instruction("Z", (Q1,), (Q0,), ctrl_state=(0,)),)
         # equals Z on q1 iff q0 is 0
         expected = np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)
         assert np.allclose(to_matrix(c), expected, atol=0)
 
-    def test_hybit_zero_control_rejected(self):
-        with pytest.raises(ParseError) as exc:
-            parse("qubits 1\nhybits 1\nCTRL !h0 : Z q0\n")
-        assert "hybit 0-control" in str(exc.value)
+    def test_hybit_zero_control_accepted(self):
+        z = parse("qubits 1\nhybits 1\nCTRL !h0 : Z q0\n")
+        # Z on q0 where h0 is 0: |q0 h0> = |10> flips sign
+        assert np.array_equal(to_matrix(z), np.diag([1, 1, -1, 1]))
+        c = parse("qubits 1\nhybits 2\nCTRL !h0 q0 : BOOST 0.7 h1\nCTRL !h1 : TAU h0\n")
+        assert [i.ctrl_state for i in c.instructions] == [(0, 1), (0,)]
+        eta = metric_for_kinds(c.layout.kinds)
+        assert isometry_residual(to_matrix(c), eta) <= EPS_ISO
 
     def test_bang_on_target_rejected(self):
         with pytest.raises(ParseError):
             parse("qubits 1\nX !q0\n")
 
-    def test_serializer_never_emits_bang(self):
-        c = parse("qubits 2\nCTRL !q0 : Z q1\n")
-        assert "!" not in serialize(c)
+    def test_serializer_writes_bang(self):
+        src = "qubits 2\nhybits 1\nCTRL !q0 !h0 : Z q1\nCTRL q0 !h0 : X q1\n"
+        c = parse(src)
+        assert serialize(c) == src
+        assert parse(serialize(c)) == c
+
+    def test_polarity_distinguishes_instructions(self):
+        zero = parse("qubits 2\nCTRL !q0 : Z q1\n")
+        one = parse("qubits 2\nCTRL q0 : Z q1\n")
+        assert zero != one
+        assert zero.instructions[0] != one.instructions[0]
+
+    def test_left_out_polarity_means_all_ones(self):
+        plain = Instruction("Z", (Q1,), (Q0,))
+        explicit = Instruction("Z", (Q1,), (Q0,), ctrl_state=(1,))
+        assert plain.ctrl_state == (1,)
+        assert plain == explicit and hash(plain) == hash(explicit)
+
+    def test_polarity_length_mismatch_rejected(self):
+        instr = Instruction("Z", (Q1,), (Q0,), ctrl_state=(0, 1))
+        with pytest.raises(LqcError, match="trigger value"):
+            Circuit(RegisterLayout.of(2, 0), (instr,))
+
+    def test_polarity_value_rejected(self):
+        instr = Instruction("Z", (Q1,), (Q0,), ctrl_state=(2,))
+        with pytest.raises(LqcError, match="0 or 1"):
+            Circuit(RegisterLayout.of(2, 0), (instr,))
 
 
 class TestDefgate:
@@ -186,6 +216,33 @@ class TestSerialize:
             nq = 1
         layout = RegisterLayout.of(nq, nh)
         c = random_circuit(rng, layout, int(rng.integers(0, 12)))
+        assert parse(serialize(c)) == c
+
+    @given(st.data())
+    def test_roundtrip_with_polarity(self, data):
+        # the file format holds canonical layouts: qubits first
+        nq = data.draw(st.integers(0, 5))
+        layout = RegisterLayout.of(nq, data.draw(st.integers(1 if nq == 0 else 0, 5 - nq)))
+        kinds = [k.value for k in layout.kinds]
+        instrs = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            order = data.draw(st.permutations(range(len(kinds))))
+            pool = QUBIT_GATES if kinds[order[0]] == "q" else HYBIT_GATES
+            name = data.draw(st.sampled_from(pool + ("CZ",) if len(kinds) > 1 else pool))
+            arity = BUILTIN_ARITY[name]
+            ncontrols = data.draw(st.integers(0, len(kinds) - arity))
+            controls = order[arity:arity + ncontrols]
+            param = None
+            if name in ("BOOST", "PHASE"):
+                param = data.draw(st.floats(-3.0, 3.0, allow_subnormal=False))
+            instrs.append(Instruction(
+                name,
+                tuple(bit_ref(layout, p) for p in order[:arity]),
+                tuple(bit_ref(layout, p) for p in controls),
+                param,
+                ctrl_state=tuple(data.draw(st.integers(0, 1)) for _ in controls),
+            ))
+        c = Circuit(layout, tuple(instrs))
         assert parse(serialize(c)) == c
 
     def test_idempotent_after_one_pass(self):

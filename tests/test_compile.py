@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from lqc.circuit import to_matrix
-from lqc.core import IsometryError, LqcError, RegisterLayout, metric_vector
-from lqc.gates import builtin, controlled, random_isometry_for_signs
-from lqc.synthesis import compile, format_report, projective_distance
+from lqc.core import (
+    EPS_ISO,
+    EPS_RECON,
+    BitKind,
+    IsometryError,
+    LqcError,
+    RegisterLayout,
+    metric_vector,
+)
+from lqc.gates import builtin, controlled, isometry_residual, random_isometry_for_signs
+from lqc.synthesis import compile, compiler, format_report, projective_distance
+from lqc.synthesis.words import word_search
 
 
 class TestExactMode:
@@ -33,6 +42,30 @@ class TestExactMode:
             assert res.total_error < 1e-6
             assert res.budget_met
             assert np.max(np.abs(to_matrix(res.circuit) - A)) < 1e-6
+
+    # 4- and 5-bit registers with hybits: compile, reconstruct within
+    # EPS_RECON and pass the `lqc verify` metric check on the full register
+    @pytest.mark.parametrize("seed", [600, 601])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            "qqqh",
+            "qhhh",
+            "qqqqh",
+            # these compile, but their residuals reach 2.8e-10 to 1.0e-8 over
+            # 5k-9k emitted gates (ROADMAP item 2)
+            pytest.param("qqqhh", marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
+            pytest.param("qqhhh", marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
+            pytest.param("hhhhh", marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
+        ],
+    )
+    def test_hybit_registers_pass_verify(self, kinds, seed):
+        layout = RegisterLayout(kinds)
+        s = metric_vector(layout).astype(float)
+        A = random_isometry_for_signs(s, seed)
+        M = to_matrix(compile(A, layout).circuit)
+        assert np.max(np.abs(M - A)) <= EPS_RECON
+        assert isometry_residual(M, s) <= EPS_ISO
 
     def test_2q1h_spec_example(self):
         layout = RegisterLayout("qqh")
@@ -88,6 +121,29 @@ class TestApproxMode:
         assert res.total_error < 1e-10
         gates = [i.gate for i in res.circuit.instructions]
         assert set(gates) <= {"T", "TAU"}
+
+    def test_words_only_for_one_bit_registers(self, monkeypatch):
+        # lowering a register of two or more bits emits only controlled
+        # gates, so approximate mode has nothing to substitute there
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return word_search(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "word_search", counting)
+        layout = RegisterLayout.of(2, 0)
+        A = random_isometry_for_signs(metric_vector(layout).astype(float), 5)
+        res = compile(A, layout, tol=0.05)
+        assert calls == []
+        assert res.circuit == compile(A, layout).circuit
+        assert all(instr.controls for instr in res.circuit.instructions)
+        assert res.stages[-1].max_error == 0.0
+        assert res.total_error <= 1e-12 and res.budget_met
+
+        res = compile(builtin("T") @ builtin("TAU"), RegisterLayout("h"), tol=0.01)
+        assert calls == [BitKind.HYBIT]
+        assert {i.gate for i in res.circuit.instructions} <= {"T", "TAU"}
 
 
 class TestReport:

@@ -2,8 +2,8 @@
 
 The reference writes the operator of one instruction on the whole register
 as I + P_C (G_T - I): a sum of Kronecker products of one-bit factors, with
-the projector |1><1| on every control, the matrix units of G on the targets
-and the identity on every other bit. It shares no code with
+the projector |v><v| on every control of trigger value v, the matrix units
+of G on the targets and the identity on every other bit. It shares no code with
 `apply_to_tensor` or `to_matrix`. Every case runs through both dense
 kernels: the slice update and the matmul on the stacked slice pair.
 """
@@ -17,9 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bit_ref
-from lqc.circuit import BitRef, Circuit, Instruction
-from lqc.core import BitKind, RegisterLayout
-from lqc.gates import BUILTIN_ARITY
+from lqc.circuit import BitRef, Circuit, Instruction, parse, to_matrix
+from lqc.core import EPS_ISO, BitKind, RegisterLayout
+from lqc.gates import BUILTIN_ARITY, isometry_residual, metric_for_kinds
 from lqc import simulator
 from lqc.simulator import apply_to_tensor, observe, run
 
@@ -35,7 +35,7 @@ ARITY = {**BUILTIN_ARITY, "DIAG": 1, "ANTI": 1, "DENSE": 1, "DENSE2": 2}
 # gates that preserve the metric of one bit kind only
 ONLY_ON = {"H": "q", "X": "q", "Y": "q", "ANTI": "q", "TAU": "h", "BOOST": "h"}
 
-P1 = np.diag([0.0, 1.0])
+PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 I2 = np.eye(2)
 
 
@@ -45,8 +45,9 @@ def _unit(i, j):
     return m
 
 
-def reference_operator(nbits, gate, targets, controls, sparse=False):
-    """I + P_C (G_T - I) over bit positions (bit 0 most significant)."""
+def reference_operator(nbits, gate, targets, controls, ctrl_state, sparse=False):
+    """I + P_C (G_T - I) over bit positions (bit 0 most significant), where
+    control controls[k] triggers on value ctrl_state[k]."""
     if sparse:
         kron = functools.partial(scipy.sparse.kron, format="csr")
         total = scipy.sparse.identity(1 << nbits, dtype=complex, format="csr")
@@ -62,7 +63,7 @@ def reference_operator(nbits, gate, targets, controls, sparse=False):
             factors = []
             for b in range(nbits):
                 if b in controls:
-                    factors.append(P1)
+                    factors.append(PROJECTORS[ctrl_state[controls.index(b)]])
                 elif b in targets:
                     shift = d - 1 - targets.index(b)
                     factors.append(_unit((i >> shift) & 1, (j >> shift) & 1))
@@ -107,7 +108,7 @@ def make_gate(name, kinds, u):
     return phases[:, None] * np.kron(first, second), None
 
 
-def make_instruction(layout, name, targets, controls, u):
+def make_instruction(layout, name, targets, controls, ctrl_state, u):
     kinds = [layout.kinds[p].value for p in targets]
     matrix, param = make_gate(name, kinds, u)
     instr = Instruction(
@@ -116,6 +117,7 @@ def make_instruction(layout, name, targets, controls, u):
         tuple(bit_ref(layout, p) for p in controls),
         param,
         matrix,
+        tuple(ctrl_state),
     )
     Circuit(layout, (instr,))  # refuses a gate that does not preserve the metric
     return instr
@@ -130,23 +132,26 @@ def kernel_cases(draw):
     targets = list(order[:arity])
     ncontrols = draw(st.integers(0, min(3, len(kinds) - arity)))
     controls = list(order[arity:arity + ncontrols])
+    ctrl_state = draw(st.lists(st.integers(0, 1), min_size=ncontrols, max_size=ncontrols))
     for p in targets:
         kinds[p] = ONLY_ON.get(name, kinds[p])
     layout = RegisterLayout(tuple(kinds))
     u = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     batch = draw(st.sampled_from([None, 3]))
     seed = draw(st.integers(0, 2**32 - 1))
-    instr = make_instruction(layout, name, targets, controls, u)
+    instr = make_instruction(layout, name, targets, controls, ctrl_state, u)
     return layout, instr, targets, controls, batch, seed
 
 
-@given(kernel_cases())
-def test_pass_matches_reference(case):
-    layout, instr, targets, controls, batch, seed = case
+def check_pass(layout, instr, targets, controls, batch, seed):
+    """One pass of `instr` through each dense kernel against the reference."""
     rng = np.random.default_rng(seed)
     shape = (layout.dimension,) if batch is None else (layout.dimension, batch)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    want = reference_operator(layout.num_bits, instr.gate_matrix(), targets, controls) @ amps
+    op = reference_operator(
+        layout.num_bits, instr.gate_matrix(), targets, controls, instr.ctrl_state
+    )
+    want = op @ amps
     for limit in DENSE_KERNELS.values():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "BLAS_DENSE_MAX", limit)
@@ -155,8 +160,34 @@ def test_pass_matches_reference(case):
         assert np.max(np.abs(tensor.reshape(shape) - want)) <= TOL
 
 
+@given(kernel_cases())
+def test_pass_matches_reference(case):
+    check_pass(*case)
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["vector", "batch"])
+@pytest.mark.parametrize("ctrl_state", [(0, 0), (0, 1)], ids=["00", "01"])
+@pytest.mark.parametrize("name", ["DENSE", "DENSE2"])
+@pytest.mark.parametrize("zero_kind", ["q", "h"])
+def test_zero_control_pass(zero_kind, name, ctrl_state, batch):
+    # a 0-control on bit 0 of kind zero_kind, a second control of the other kind
+    other = "h" if zero_kind == "q" else "q"
+    layout = RegisterLayout((zero_kind, "q", "h", other))
+    targets = [2] if name == "DENSE" else [1, 2]
+    controls = [0, 3]
+    instr = make_instruction(layout, name, targets, controls, ctrl_state, [0.1, 0.7, 0.4, 0.6])
+    check_pass(layout, instr, targets, controls, batch, 5)
+
+
+@pytest.mark.parametrize("gate", ["BOOST 0.9", "TAU"])
+def test_hybit_zero_control_preserves_metric(gate):
+    c = parse(f"qubits 1\nhybits 2\nCTRL !h0 : {gate} h1\nCTRL q0 !h1 : {gate} h0\n")
+    assert isometry_residual(to_matrix(c), metric_for_kinds(c.layout.kinds)) <= EPS_ISO
+
+
 def _sim_style_circuit(rng, layout, gates):
-    """An H layer on every qubit, then gates of every class with 0-3 controls."""
+    """An H layer on every qubit, then gates of every class with 0-3 controls
+    of random trigger values."""
     instrs = [Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(layout.num_qubits)]
     for _ in range(gates):
         name = str(rng.choice(GATES))
@@ -168,7 +199,8 @@ def _sim_style_circuit(rng, layout, gates):
             if all(kind == ONLY_ON.get(name, kind) for kind in kinds):
                 break
         controls = order[arity:arity + int(rng.integers(0, 4))]
-        instrs.append(make_instruction(layout, name, targets, controls, rng.random(4)))
+        ctrl_state = rng.integers(0, 2, size=len(controls)).tolist()
+        instrs.append(make_instruction(layout, name, targets, controls, ctrl_state, rng.random(4)))
     return instrs
 
 
@@ -183,7 +215,10 @@ def test_sim_style_circuit_distribution(limit, monkeypatch):
     for instr in instrs:
         pos = [r.position(layout) for r in instr.targets]
         ctl = [r.position(layout) for r in instr.controls]
-        psi = reference_operator(layout.num_bits, instr.gate_matrix(), pos, ctl, sparse=True) @ psi
+        op = reference_operator(
+            layout.num_bits, instr.gate_matrix(), pos, ctl, instr.ctrl_state, sparse=True
+        )
+        psi = op @ psi
     # the two hybits are the least significant index bits
     visible = np.abs(psi.reshape(-1, 4)[:, 0]) ** 2
     mass = visible.sum()

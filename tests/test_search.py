@@ -50,6 +50,12 @@ class TestOracle:
         (instr,) = circ.instructions
         assert instr.gate == "X" and len(instr.controls) == 3
 
+    def test_zero_bits_are_trigger_values(self):
+        spec = SearchSpec(4, "0110", 0.5, 1)
+        (instr,) = oracle_circuit(spec).instructions
+        assert instr.gate == "X" and instr.ctrl_state == (0, 1, 1, 0)
+        assert [i.gate for i in q_circuit(spec).instructions] == ["X", "BOOST", "X"]
+
     def test_flips_oracle_exactly_on_target(self):
         spec = SearchSpec(3, "010", 0.7, 1)
         circ = oracle_circuit(spec)

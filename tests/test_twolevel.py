@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqc.circuit import to_matrix
+from lqc.circuit import serialize, to_matrix
 from lqc.core import EPS_RECON, IsometryError, LqcError, RegisterLayout, metric_vector
 from lqc.gates import builtin, random_lorentz
 from lqc.synthesis.twolevel import (
@@ -124,6 +124,7 @@ class TestPatternControl:
         layout = RegisterLayout.of(3, 0)
         V = random_su2_form(7)
         circ = controlled_on_pattern(layout, {0: 0, 1: 1}, 2, V)
+        assert [i.ctrl_state for i in circ.instructions] == [(0, 1)]
         got = to_matrix(circ)
         want = np.eye(8, dtype=complex)
         want[np.ix_((2, 3), (2, 3))] = V  # bits (0,1) = (0,1), target varies
@@ -170,13 +171,12 @@ class TestLowering:
         assert len(circ.instructions[0].controls) == 2
 
     def test_spec_two_qubit_sigma_z(self):
-        # i=|00>, j=|01>, V=sigma_z lowers to CTRL(Z) times a bare Z
+        # i=|00>, j=|01>, V=sigma_z lowers to one Z on q1 triggered by q0 = 0
         layout = RegisterLayout.of(2, 0)
         circ = check_lowering(layout, 0, 1, np.diag([1.0, -1.0]).astype(complex), 1e-12)
-        assert len(circ.instructions) == 2
-        kinds = sorted(len(i.controls) for i in circ.instructions)
-        assert kinds == [0, 1]
-        assert all(i.gate == "Z" for i in circ.instructions)
+        (instr,) = circ.instructions
+        assert instr.gate == "Z" and instr.ctrl_state == (0,)
+        assert serialize(circ).splitlines()[-1] == "CTRL !q0 : Z q1"
 
     def test_hamming1_mixed_pair(self):
         # qubit+hybit register, indices differing in the hybit
