@@ -14,7 +14,6 @@ from .core import (
     metric_sign,
     metric_vector,
     normalize,
-    observable_mask,
     pseudo_norm,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "metric_sign",
     "metric_vector",
     "normalize",
-    "observable_mask",
     "pseudo_norm",
 ]
 

@@ -35,7 +35,14 @@ from .core import (
     metric_vector,
 )
 from .gates import MatrixTextError, isometry_residual, parse_matrix_text
-from .search import MAX_K_CHI, SearchSpec, choose_k, predicted_success, run_search
+from .search import (
+    MAX_K_CHI,
+    SearchSpec,
+    choose_k,
+    predicted_success,
+    run_search,
+    search_layout,
+)
 from .simulator import (
     ZeroObservableMassError,
     format_counts,
@@ -54,7 +61,6 @@ EXIT_ISOMETRY = 3
 EXIT_GUARD = 4
 
 MAX_AMPLITUDES = 2**24
-MAX_SEARCH_QUBITS = 24
 
 
 @dataclass
@@ -198,8 +204,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.n < 1 or args.n > MAX_SEARCH_QUBITS:
-        raise GuardError(f"search register must have 1..{MAX_SEARCH_QUBITS} qubits")
+    if args.n < 1:
+        raise GuardError("search register must have at least 1 qubit")
+    _check_memory(search_layout(args.n))
     N = 2**args.n
     if args.k is not None:
         k = args.k

@@ -162,14 +162,6 @@ def basis_state(layout: RegisterLayout, bitstring: Sequence[int] | str) -> State
     return StateVector(layout, amps)
 
 
-def observable_mask(layout: RegisterLayout) -> set[int]:
-    """Basis indices with every hybit in state 0; only these survive
-    hyper-postselection."""
-    idx = np.arange(layout.dimension, dtype=np.uint64)
-    keep = idx[(idx & np.uint64(layout.hybit_index_mask)) == 0]
-    return {int(i) for i in keep}
-
-
 def normalize(state: StateVector) -> StateVector:
     """Scale to pseudo-norm +1. States with pseudo-norm <= 0 are not
     physically preparable and are rejected."""

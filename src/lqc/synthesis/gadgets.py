@@ -34,16 +34,6 @@ _I2 = np.eye(2, dtype=complex)
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _ETA_H = np.diag([1.0, -1.0]).astype(complex)
 
-# fixed generic element used to split pathological W arguments in two
-_SPLIT_P = None
-
-
-def _split_element() -> np.ndarray:
-    global _SPLIT_P
-    if _SPLIT_P is None:
-        _SPLIT_P = builtin("BOOST", 0.6) @ np.diag(np.exp([0.35j, -0.35j]))
-    return _SPLIT_P
-
 
 def _det2(M: np.ndarray) -> complex:
     return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -215,7 +205,7 @@ def _w_factor_sets(U: np.ndarray, kind: BitKind) -> list[tuple]:
             sets = [direct]
         else:
             # pathological argument: split through a fixed generic element
-            P = _split_element()
+            P = builtin("BOOST", 0.6) @ np.diag(np.exp([0.35j, -0.35j]))
             first = _su11_w_factors(P)
             second = _su11_w_factors(U @ np.linalg.inv(P))
             if first is None or second is None:

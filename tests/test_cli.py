@@ -298,6 +298,12 @@ class TestSearch:
         code, _, _ = cli(capsys, "search", "--n", "25", "--x", "1" * 25, "--k", "1")
         assert code == 4
 
+    def test_register_guard_counts_oracle_and_hybit(self, capsys):
+        # 23 search qubits plus the oracle qubit and the hybit: 2^25 amplitudes
+        code, _, err = cli(capsys, "search", "--n", "23", "--x", "1" * 23, "--k", "1")
+        assert code == 4
+        assert "25 bits" in err
+
     def test_bad_target(self, capsys):
         code, _, _ = cli(capsys, "search", "--n", "2", "--x", "12", "--k", "1")
         assert code == 1

@@ -14,7 +14,6 @@ from lqc.core import (
     metric_sign,
     metric_vector,
     normalize,
-    observable_mask,
     pseudo_norm,
 )
 
@@ -121,29 +120,6 @@ class TestBasisState:
         idx = encode_bits(layout, bits)
         assert pseudo_norm(state) == float(metric_sign(layout, idx))
         assert decode_index(layout, idx) == tuple(bits)
-
-
-class TestObservableMask:
-    def test_one_qubit_one_hybit(self):
-        layout = RegisterLayout.of(1, 1)
-        assert observable_mask(layout) == {0, 2}
-
-    def test_all_qubits(self):
-        layout = RegisterLayout.of(3, 0)
-        assert observable_mask(layout) == set(range(8))
-
-    def test_two_hybits(self):
-        layout = RegisterLayout.of(0, 2)
-        assert observable_mask(layout) == {0}
-
-    @given(layouts_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_subset_of_positive_signs(self, layout):
-        mask = observable_mask(layout)
-        positive = {j for j in range(layout.dimension) if metric_sign(layout, j) == 1}
-        assert mask <= positive
-        # equality characterizes registers with at most one hybit
-        assert (mask == positive) == (layout.num_hybits <= 1)
 
 
 class TestNormalize:

@@ -6,9 +6,15 @@ the projector |v><v| on every control of trigger value v, the matrix units
 of G on the targets and the identity on every other bit. It shares no code with
 `apply_to_tensor` or `to_matrix`. Every case runs through both dense
 kernels: the slice update and the matmul on the stacked slice pair.
+
+The slice update runs in tiles. Single-target passes are also checked bit
+for bit against the same update without tiles, written out below, at the
+real tile size and at tile sizes small enough that registers of a few bits
+cross every tile shape.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +33,13 @@ TOL = 1e-12
 MAX_BITS = 6
 # BLAS_DENSE_MAX settings that force each dense kernel
 DENSE_KERNELS = {"slices": 0, "matmul": np.inf}
+# TILE settings: the real size, and sizes at which <= 6-bit cases cross every
+# tile shape: a piece of a run updated in place, a copied block of runs,
+# runs of one strided amplitude, and partial last tiles (6 divides no power
+# of two; 4 cuts the batch runs of 6 into 4 + 2). Neither small size leaves
+# a tile of one amplitude, which numpy multiplies in place with different
+# rounding.
+TILES = {"real": simulator.TILE, "4": 4, "6": 6}
 
 # random metric-preserving DEFGATEs by the kernel class their entries select
 DEFGATES = ("DIAG", "ANTI", "DENSE", "DENSE2")
@@ -143,21 +156,75 @@ def kernel_cases(draw):
     return layout, instr, targets, controls, batch, seed
 
 
-def check_pass(layout, instr, targets, controls, batch, seed):
-    """One pass of `instr` through each dense kernel against the reference."""
+def untiled_pass(layout, tensor, instr):
+    """The single-target slice update without tiles: each op runs once over
+    the whole slices x0 and x1, skipping factors of exactly 1."""
+    (a, b), (c, d) = instr.gate_matrix().tolist()
+    idx = [slice(None)] * tensor.ndim
+    for ref, value in zip(instr.controls, instr.ctrl_state):
+        idx[ref.position(layout)] = value
+    t = instr.targets[0].position(layout)
+    idx[t] = 0
+    x0 = tensor[(*idx, ...)]
+    idx[t] = 1
+    x1 = tensor[(*idx, ...)]
+    if b == 0 and c == 0:
+        if a != 1:
+            x0 *= a
+        if d != 1:
+            x1 *= d
+    elif a == 0 and d == 0:
+        tmp = x0.copy() if c == 1 else x0 * c
+        if b == 1:
+            x0[...] = x1
+        else:
+            np.multiply(x1, b, out=x0)
+        x1[...] = tmp
+    else:
+        tmp = x0 * c
+        if a != 1:
+            x0 *= a
+        x0 += x1 * b
+        if d != 1:
+            x1 *= d
+        x1 += tmp
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def random_tensor(layout, batch, seed):
     rng = np.random.default_rng(seed)
     shape = (layout.dimension,) if batch is None else (layout.dimension, batch)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps.reshape([2] * layout.num_bits + list(shape[1:]))
+
+
+def check_pass(layout, instr, targets, controls, batch, seed):
+    """One pass of `instr` through each dense kernel and tile size against
+    the reference; a single-target pass through the slice update also bit
+    for bit against the untiled update."""
+    start = random_tensor(layout, batch, seed)
+    amps = start.reshape(layout.dimension, -1)
     op = reference_operator(
         layout.num_bits, instr.gate_matrix(), targets, controls, instr.ctrl_state
     )
     want = op @ amps
-    for limit in DENSE_KERNELS.values():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "BLAS_DENSE_MAX", limit)
-            tensor = amps.copy().reshape([2] * layout.num_bits + list(shape[1:]))
-            apply_to_tensor(layout, tensor, instr)
-        assert np.max(np.abs(tensor.reshape(shape) - want)) <= TOL
+    untiled = None
+    if len(targets) == 1:
+        untiled = start.copy()
+        untiled_pass(layout, untiled, instr)
+    for kernel, limit in DENSE_KERNELS.items():
+        for tile in TILES.values():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulator, "BLAS_DENSE_MAX", limit)
+                mp.setattr(simulator, "TILE", tile)
+                tensor = start.copy()
+                apply_to_tensor(layout, tensor, instr)
+            assert np.max(np.abs(tensor.reshape(amps.shape) - want)) <= TOL
+            if untiled is not None and kernel == "slices":
+                assert_same_bits(tensor, untiled)
 
 
 @given(kernel_cases())
@@ -177,6 +244,18 @@ def test_zero_control_pass(zero_kind, name, ctrl_state, batch):
     controls = [0, 3]
     instr = make_instruction(layout, name, targets, controls, ctrl_state, [0.1, 0.7, 0.4, 0.6])
     check_pass(layout, instr, targets, controls, batch, 5)
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["vector", "batch"])
+@pytest.mark.parametrize("name", ["DENSE", "ANTI"])
+def test_every_tile_shape(name, batch):
+    # every target position of 6 bits: at the small tile sizes, runs of 1 to
+    # 32 (3 to 96 with the batch) give in-place pieces, copied blocks and
+    # strided runs, each whole and partial
+    layout = RegisterLayout.of(6, 0)
+    for t in range(6):
+        instr = make_instruction(layout, name, [t], [], [], [0.2, 0.9, 0.3, 0.5])
+        check_pass(layout, instr, [t], [], batch, t)
 
 
 @pytest.mark.parametrize("gate", ["BOOST 0.9", "TAU"])
@@ -226,3 +305,36 @@ def test_sim_style_circuit_distribution(limit, monkeypatch):
     dist = observe(run(Circuit(layout, tuple(instrs))))
     assert abs(dist.observable_mass - mass) <= TOL * mass
     assert np.max(np.abs(dist.probs - visible / mass)) <= TOL
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["vector", "batch"])
+@pytest.mark.parametrize("name", ["H", "DENSE", "X", "ANTI", "DIAG"])
+def test_tiled_pass_is_bit_identical(name, batch):
+    # 16 bits at the real tile size: every target position, with no control,
+    # one 0-control, and a 1- and a 0-control, which between them land on
+    # every position including the last bit
+    layout = RegisterLayout.of(16, 0)
+    for t in range(16):
+        for controls, ctrl_state in (([], []), ([(t + 9) % 16], [0]),
+                                     ([(t + 3) % 16, (t + 13) % 16], [1, 0])):
+            instr = make_instruction(layout, name, [t], controls, ctrl_state, [0.1, 0.7, 0.4, 0.6])
+            start = random_tensor(layout, batch, t)
+            want = start.copy()
+            untiled_pass(layout, want, instr)
+            apply_to_tensor(layout, start, instr)
+            assert_same_bits(start, want)
+
+
+@pytest.mark.parametrize("target", [0, 9, 17], ids=["long-run", "copied", "strided"])
+def test_dense_pass_temporaries_are_tiles(target):
+    # the untiled update allocated two half-state temporaries (2 x 2 MiB here)
+    layout = RegisterLayout.of(18, 0)
+    tensor = random_tensor(layout, None, 0)
+    instr = Instruction("H", (BitRef(BitKind.QUBIT, target),))
+    tracemalloc.start()
+    try:
+        apply_to_tensor(layout, tensor, instr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * simulator.TILE * tensor.itemsize
