@@ -24,9 +24,11 @@ control projector is diagonal, so it commutes with the metric, and the
 controlled gate I + P_C (U - I) preserves the metric whenever U does on
 its targets, whatever the trigger values.
 
-Every instruction is checked at parse time: its gate matrix must preserve
-the local metric of its target bits (the same DEFGATE may be legal on one
-bit-kind combination and illegal on another).
+Each instruction is checked once, by `validate_instruction`, where it
+enters a `Circuit`: its gate matrix must preserve the metric of its target
+bits (the same DEFGATE may be legal on one bit-kind combination and
+illegal on another). `parse` checks each statement as it reads it, for a
+per-line diagnostic; it and `concat` return circuits without a second check.
 """
 
 from __future__ import annotations
@@ -37,8 +39,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout
-from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual, local_metric
+from .core import (
+    EPS_ISO,
+    BitKind,
+    GuardError,
+    IsometryError,
+    LqcError,
+    RegisterLayout,
+    metric_for_kinds,
+)
+from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual
 
 KEYWORDS = {"QUBITS", "HYBITS", "CTRL", "DEFGATE"}
 _BITREF_RE = re.compile(r"^(!?)([qh])(\d+)$", re.IGNORECASE)
@@ -58,7 +68,7 @@ class BitRef:
     def position(self, layout: RegisterLayout) -> int:
         """Absolute bit position of this reference within the layout."""
         places = layout.positions(self.kind)
-        if self.index >= len(places):
+        if not 0 <= self.index < len(places):
             raise LqcError(f"bit {self} out of range")
         return places[self.index]
 
@@ -119,10 +129,20 @@ class Circuit:
             if name in defs and not (defs[name][0] == arity and np.array_equal(defs[name][1], mat)):
                 raise LqcError(f"conflicting DEFGATE {name}")
             defs[name] = (arity, mat)
-        return Circuit(self.layout, self.instructions + other.instructions, defs)
+        return _checked(self.layout, self.instructions + other.instructions, defs)
+
+
+def _checked(layout: RegisterLayout, instructions, defs) -> Circuit:
+    """Circuit(...) for instructions already validated on this layout."""
+    circuit = object.__new__(Circuit)
+    circuit.layout, circuit.instructions, circuit.defs = layout, tuple(instructions), defs
+    return circuit
 
 
 def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
+    """Raise unless the instruction is well formed on the layout, and
+    IsometryError unless its gate preserves the metric of its targets.
+    Where it runs is in the module docstring."""
     refs = instr.all_refs()
     if len(set(refs)) != len(refs):
         raise LqcError(f"duplicate bit in instruction {instr.gate}")
@@ -135,8 +155,8 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
         )
     if any(v not in (0, 1) for v in instr.ctrl_state):
         raise LqcError(f"control trigger values must be 0 or 1, got {instr.ctrl_state}")
-    positions = [r.position(layout) for r in refs]
-    del positions
+    for r in refs:
+        r.position(layout)  # raises when the bit is not in the register
     mat = instr.gate_matrix()
     arity = len(instr.targets)
     if mat.shape != (1 << arity, 1 << arity):
@@ -144,10 +164,9 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
             f"gate {instr.gate} has dimension {mat.shape[0]}, "
             f"but {arity} target(s) were given"
         )
-    eta = local_metric(layout, [r.position(layout) for r in instr.targets])
-    resid = isometry_residual(mat, eta)
+    kinds = "".join(r.kind.value for r in instr.targets)
+    resid = isometry_residual(mat, metric_for_kinds(kinds))
     if resid > EPS_ISO:
-        kinds = "".join(layout.kinds[r.position(layout)].value for r in instr.targets)
         raise IsometryError(
             f"gate {instr.gate} is not metric-preserving on target kind(s) "
             f"{kinds!r} (residual {resid:.3g})"
@@ -390,7 +409,8 @@ def parse(text: str) -> Circuit:
 
     if errors:
         raise ParseError(errors)
-    return Circuit(get_layout(), tuple(instructions), defs)
+    # parse_simple has validated every instruction
+    return _checked(get_layout(), instructions, defs)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .core import (
     basis_state,
     metric_vector,
 )
-from .gates import MatrixTextError, isometry_residual, parse_matrix_text
+from .gates import MatrixTextError, block_metric, isometry_residual, parse_matrix_text
 from .search import (
     MAX_K_CHI,
     SearchSpec,
@@ -52,7 +52,7 @@ from .simulator import (
     sample,
 )
 from .synthesis import compile as synth_compile
-from .synthesis import format_report, projective_distance, word_search
+from .synthesis import format_report, word_search
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -162,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise CliUsageError(
                     f"--metric {m} {n} does not fit a {G.shape[0]}-dimensional matrix"
                 )
-        eta = np.array([1.0] * m + [-1.0] * n)
+        eta = block_metric(m, n)
     else:
         circuit = parse(text)
         _check_memory(circuit.layout)
@@ -190,14 +190,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     tol = args.approx if args.approx is not None else None
     result = synth_compile(A, layout, tol=tol)
-    R = to_matrix(result.circuit)
-    if tol is None:
-        resim = float(np.max(np.abs(R - A)))
-    else:
-        resim = projective_distance(A, R)
     sys.stdout.write(serialize(result.circuit))
     sys.stderr.write(format_report(result))
-    sys.stderr.write(f"reconstruction_error = {resim:.17g}\n")
+    # compile's own error; up to a global phase in approx mode
+    sys.stderr.write(f"reconstruction_error = {result.total_error:.17g}\n")
     if tol is not None:
         sys.stderr.write(f"budget_met = {'true' if result.budget_met else 'false'}\n")
     return EXIT_OK

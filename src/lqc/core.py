@@ -41,21 +41,24 @@ class BitKind(str, Enum):
     QUBIT = "q"
     HYBIT = "h"
 
-    def metric_diag(self) -> np.ndarray:
-        if self is BitKind.QUBIT:
-            return np.array([1.0, 1.0])
-        return np.array([1.0, -1.0])
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered bit kinds. Canonical layouts put all qubits before all hybits,
-    but nothing below depends on that ordering."""
+    but nothing below depends on that ordering.
+
+    Where each bit sits is worked out once, at construction: the positions
+    of each kind, and the index of each position within its kind. Equality,
+    hashing and repr depend on `kinds` alone."""
 
     kinds: tuple[BitKind, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", tuple(BitKind(k) for k in self.kinds))
+        kinds = tuple(BitKind(k) for k in self.kinds)
+        places = {kind: tuple(p for p, k in enumerate(kinds) if k is kind) for kind in BitKind}
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "_places", places)
+        object.__setattr__(self, "_rank", tuple(places[k].index(p) for p, k in enumerate(kinds)))
 
     @classmethod
     def of(cls, num_qubits: int, num_hybits: int) -> "RegisterLayout":
@@ -69,28 +72,23 @@ class RegisterLayout:
 
     @property
     def num_qubits(self) -> int:
-        return sum(1 for k in self.kinds if k is BitKind.QUBIT)
+        return len(self._places[BitKind.QUBIT])
 
     @property
     def num_hybits(self) -> int:
-        return sum(1 for k in self.kinds if k is BitKind.HYBIT)
+        return len(self._places[BitKind.HYBIT])
 
     @property
     def dimension(self) -> int:
         return 1 << self.num_bits
 
-    @property
-    def is_canonical(self) -> bool:
-        seen_hybit = False
-        for k in self.kinds:
-            if k is BitKind.HYBIT:
-                seen_hybit = True
-            elif seen_hybit:
-                return False
-        return True
-
     def positions(self, kind: BitKind) -> tuple[int, ...]:
-        return tuple(p for p, k in enumerate(self.kinds) if k is kind)
+        """Register positions of the bits of one kind, in order."""
+        return self._places[kind]
+
+    def index_in_kind(self, position: int) -> int:
+        """Index of register bit `position` among the bits of its kind."""
+        return self._rank[position]
 
     def bit_weight(self, position: int) -> int:
         """Integer weight of register bit `position` (bit 0 is the MSB)."""
@@ -100,10 +98,19 @@ class RegisterLayout:
 
     @property
     def hybit_index_mask(self) -> int:
-        mask = 0
-        for p in self.positions(BitKind.HYBIT):
-            mask |= self.bit_weight(p)
-        return mask
+        return sum(1 << (self.num_bits - 1 - p) for p in self._places[BitKind.HYBIT])
+
+
+def metric_for_kinds(kinds: Iterable[BitKind | str]) -> np.ndarray:
+    """Metric of an ordered list of bit kinds: the Kronecker product of the
+    per-bit metrics, as a +-1 int8 array of length 2^len(kinds). The entry
+    at an index is -1 iff an odd number of hybits are in state 1 there."""
+    kinds = [BitKind(k) for k in kinds]
+    n = len(kinds)
+    mask = sum(1 << (n - 1 - p) for p, k in enumerate(kinds) if k is BitKind.HYBIT)
+    idx = np.arange(1 << n, dtype=np.uint64)
+    parity = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.int8)
+    return (1 - 2 * parity).astype(np.int8)
 
 
 def metric_sign(layout: RegisterLayout, index: int) -> int:
@@ -118,9 +125,7 @@ def metric_sign(layout: RegisterLayout, index: int) -> int:
 def metric_vector(layout: RegisterLayout) -> np.ndarray:
     """All diagonal metric entries at once, as a +-1 int8 array of length
     layout.dimension. Computed, never stored per-state."""
-    idx = np.arange(layout.dimension, dtype=np.uint64)
-    parity = (np.bitwise_count(idx & np.uint64(layout.hybit_index_mask)) & 1).astype(np.int8)
-    return (1 - 2 * parity).astype(np.int8)
+    return metric_for_kinds(layout.kinds)
 
 
 @dataclass
@@ -153,12 +158,8 @@ def basis_state(layout: RegisterLayout, bitstring: Sequence[int] | str) -> State
         raise ValueError(f"bitstring length {len(bits)} != register size {layout.num_bits}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bitstring entries must be 0 or 1")
-    index = 0
-    for p, b in enumerate(bits):
-        if b:
-            index |= layout.bit_weight(p)
     amps = np.zeros(layout.dimension, dtype=np.complex128)
-    amps[index] = 1.0
+    amps[encode_bits(layout, bits)] = 1.0
     return StateVector(layout, amps)
 
 
@@ -178,8 +179,3 @@ def encode_bits(layout: RegisterLayout, bits: Iterable[int]) -> int:
         if b:
             index |= layout.bit_weight(p)
     return index
-
-
-def decode_index(layout: RegisterLayout, index: int) -> tuple[int, ...]:
-    """Inverse of encode_bits."""
-    return tuple((index >> (layout.num_bits - 1 - p)) & 1 for p in range(layout.num_bits))

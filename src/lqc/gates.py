@@ -1,8 +1,9 @@
-"""Builtin gate matrices, local metrics, isometry checks, and controlled lifts.
+"""Builtin gate matrices, isometry checks, and controlled lifts.
 
 Gate matrices are plain complex numpy arrays of shape (2^arity, 2^arity);
-local metrics are +-1 sign vectors. A gate G is admissible on a set of bits
-iff G^dagger eta G = eta for the tensor-product metric eta of those bits.
+metrics are +-1 sign vectors (see `core.metric_for_kinds`). A gate G is
+admissible on a set of bits iff G^dagger eta G = eta for the tensor-product
+metric eta of those bits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .core import EPS_ISO, BitKind, LqcError, RegisterLayout
+from .core import EPS_ISO, LqcError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -69,24 +70,6 @@ def builtin(name: str, param: float | None = None) -> np.ndarray:
     return mat
 
 
-def metric_for_kinds(kinds: Sequence[BitKind]) -> np.ndarray:
-    """Tensor-product metric sign vector for an ordered list of bit kinds."""
-    eta = np.array([1.0])
-    for kind in kinds:
-        eta = np.kron(eta, BitKind(kind).metric_diag())
-    return eta
-
-
-def local_metric(layout: RegisterLayout, bits: Sequence[int]) -> np.ndarray:
-    """Metric of the listed bit positions, in the listed order."""
-    if len(set(bits)) != len(bits):
-        raise LqcError(f"duplicate bit position in {list(bits)}")
-    for b in bits:
-        if not 0 <= b < layout.num_bits:
-            raise LqcError(f"bit position {b} out of range")
-    return metric_for_kinds([layout.kinds[b] for b in bits])
-
-
 def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float:
     """Max-norm of G^dagger eta G - eta; eta given as a sign vector or diagonal matrix."""
     G = np.asarray(G, dtype=complex)
@@ -132,10 +115,11 @@ def random_lorentz(m: int, n: int, seed: int) -> np.ndarray:
     """Random element of U(m, n) for the block metric diag(+1 x m, -1 x n)."""
     if m + n < 1:
         raise LqcError("need at least one dimension")
-    return random_isometry_for_signs([1.0] * m + [-1.0] * n, seed)
+    return random_isometry_for_signs(block_metric(m, n), seed)
 
 
 def block_metric(m: int, n: int) -> np.ndarray:
+    """Sign vector of the block metric diag(+1 x m, -1 x n)."""
     return np.concatenate([np.ones(m), -np.ones(n)])
 
 

@@ -69,7 +69,7 @@ from .core import (
     RegisterLayout,
     StateVector,
     basis_state,
-    metric_vector,
+    metric_for_kinds,
 )
 
 RNG_ALGORITHM = "Philox"
@@ -341,7 +341,7 @@ def observe(state: StateVector) -> OutcomeDistribution:
 
     # mass per hybit pattern; the positive patterns have even parity
     per_pattern = mag2.sum(axis=layout.positions(BitKind.QUBIT)).reshape(-1)
-    signs = metric_vector(RegisterLayout.of(0, len(hybits)))
+    signs = metric_for_kinds([BitKind.HYBIT] * len(hybits))
     positive_mass = float(per_pattern[signs > 0].sum())
     if mass < NEGLIGIBLE_MASS_RATIO * positive_mass:
         warnings.warn(

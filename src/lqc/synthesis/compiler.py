@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import EPS_RECON, IsometryError, LqcError, RegisterLayout, metric_vector
+from ..core import EPS_RECON, LqcError, RegisterLayout, metric_vector
 from ..circuit import Circuit, Instruction, to_matrix
 from .gadgets import _Emitter
 from .twolevel import embed, two_level_factorize, _lower_factor
@@ -72,7 +72,8 @@ def compile(
     for f in reversed(factors):
         instrs += _lower_factor(em, f.i, f.j, f.V)
     circuit = Circuit(layout, tuple(instrs), em.defs)
-    lower_err = float(np.max(np.abs(to_matrix(circuit) - A)))
+    R = to_matrix(circuit)
+    lower_err = float(np.max(np.abs(R - A)))
     stage_lower = CompileStage("lower", len(circuit.instructions), lower_err)
 
     if tol is None:
@@ -87,7 +88,9 @@ def compile(
     if tol <= 0:
         raise LqcError("approximation tolerance must be positive")
     circuit, word_errs = _substitute_words(circuit, tol, word_depth)
-    total = float(projective_distance(to_matrix(circuit), A))
+    if word_errs:
+        R = to_matrix(circuit)
+    total = float(projective_distance(R, A))
     stage_words = CompileStage(
         "words", len(circuit.instructions), max(word_errs, default=0.0)
     )

@@ -26,13 +26,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ..core import BitKind, IsometryError, LqcError, RegisterLayout
-from ..gates import builtin, isometry_residual, metric_for_kinds
+from ..core import BitKind, IsometryError, LqcError, RegisterLayout, metric_for_kinds
+from ..gates import builtin, isometry_residual
 from ..circuit import BitRef, Circuit, Instruction
 
 _I2 = np.eye(2, dtype=complex)
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_ETA_H = np.diag([1.0, -1.0]).astype(complex)
+_ETA_H = metric_for_kinds("h")
 
 
 def _det2(M: np.ndarray) -> complex:
@@ -72,7 +71,7 @@ def isometric_sqrt(V: np.ndarray) -> np.ndarray:
 def _unitary_w_factors(U: np.ndarray):
     """Factors (A,B,C,D,psi) for a unitary U via an eigenbasis swap."""
     T, Q = scipy.linalg.schur(U, output="complex")
-    swap = Q @ _SIGMA_X @ Q.conj().T
+    swap = Q @ builtin("X") @ Q.conj().T
     A = _I2
     B = swap
     C = U
@@ -135,7 +134,7 @@ def _isotropic_conjugator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         vecs = vecs[:, order]
         v1 = vecs[:, 0]
         v2 = vecs[:, 1]
-        cross = v1.conj() @ (_ETA_H @ v2)
+        cross = v1.conj() @ (_ETA_H * v2)
         if abs(cross) < 1e-12:
             raise LqcError("degenerate eigenvector pairing")
         return vals, np.stack([v1, v2 / cross], axis=1)
@@ -228,8 +227,8 @@ def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
         v1 = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
         v2 = vecs[:, 1] / np.linalg.norm(vecs[:, 1])
         return np.stack([v1, v2], axis=1)
-    n1 = (vecs[:, 0].conj() @ (_ETA_H @ vecs[:, 0])).real
-    n2 = (vecs[:, 1].conj() @ (_ETA_H @ vecs[:, 1])).real
+    n1 = (vecs[:, 0].conj() @ (_ETA_H * vecs[:, 0])).real
+    n2 = (vecs[:, 1].conj() @ (_ETA_H * vecs[:, 1])).real
     if n1 <= 1e-12 or n2 >= -1e-12:
         # the +1 eigenvector must carry the positive metric norm for the
         # sandwich to stay in U(1,1); otherwise fall back to the gadget
@@ -255,9 +254,7 @@ class _Emitter:
         self._counter = 0
 
     def _ref(self, position: int) -> BitRef:
-        kind = self.layout.kinds[position]
-        index = self.layout.positions(kind).index(position)
-        return BitRef(kind, index)
+        return BitRef(self.layout.kinds[position], self.layout.index_in_kind(position))
 
     def _gate_name(self, M: np.ndarray) -> tuple[str, float | None]:
         for name in self._RECOGNIZED:

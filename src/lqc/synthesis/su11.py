@@ -4,7 +4,8 @@ A traceless generator is parametrized by a real axis n = (nx, ny, nz):
 
     A(n) = i*nx*sigma_x + i*ny*sigma_y + nz*sigma_z,   A^2 = s*I,
 
-with discriminant s = -nx^2 - ny^2 + nz^2. exp(i*theta*A) then falls into
+where sigma_x, sigma_y, sigma_z are the builtin gates X, Y, Z, with
+discriminant s = -nx^2 - ny^2 + nz^2. exp(i*theta*A) then falls into
 three conjugacy families: space rotations (s=+1, cos/sin), lightlike
 rotations (s=0, linear), and pseudo rotations (s=-1, cosh/sinh). All of
 them preserve the hybit metric diag(1,-1).
@@ -19,12 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core import LqcError
-from ..gates import boost, builtin
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-SIGMA_Z = np.diag([1.0 + 0j, -1.0])
-ETA_H = np.array([1.0, -1.0])
+from ..gates import builtin
 
 _NORMALIZATION_TOL = 1e-9
 
@@ -40,7 +36,8 @@ class AxisVector:
         return -self.n_x**2 - self.n_y**2 + self.n_z**2
 
     def generator(self) -> np.ndarray:
-        return 1j * self.n_x * SIGMA_X + 1j * self.n_y * SIGMA_Y + self.n_z * SIGMA_Z
+        x, y, z = builtin("X"), builtin("Y"), builtin("Z")
+        return 1j * self.n_x * x + 1j * self.n_y * y + self.n_z * z
 
     def components(self) -> np.ndarray:
         return np.array([self.n_x, self.n_y, self.n_z])
@@ -107,9 +104,9 @@ def decompose_su11(U: np.ndarray, tol: float = 1e-9) -> Su11Decomposition:
         family, theta = "pseudo", math.acosh(c)
         a = (U0 - c * eye) / (1j * math.sinh(theta))
 
-    n_x = complex(np.trace(a @ SIGMA_X)) / 2j
-    n_y = complex(np.trace(a @ SIGMA_Y)) / 2j
-    n_z = complex(np.trace(a @ SIGMA_Z)) / 2
+    n_x = complex(np.trace(a @ builtin("X"))) / 2j
+    n_y = complex(np.trace(a @ builtin("Y"))) / 2j
+    n_z = complex(np.trace(a @ builtin("Z"))) / 2
     comps = np.array([n_x, n_y, n_z])
     if np.max(np.abs(comps.imag)) > 1e-7:
         raise LqcError("axis extraction produced complex components")
@@ -255,7 +252,7 @@ def trotter_word(alphas: tuple[float, float, float], ell: int) -> np.ndarray:
 
 def boost_generator(chi: float) -> np.ndarray:
     """Hermitian H0 with exp(i*eta*H0) equal to the boost of rapidity chi."""
-    return chi * SIGMA_Y
+    return chi * builtin("Y")
 
 
 class ControlledRotationSeed(NamedTuple):
@@ -283,9 +280,9 @@ def controlled_rotation_product(
         raise LqcError("parameters violate sinh(alpha)*cosh(beta) < 1")
 
     blocks = (
-        SIGMA_Z,
-        cha * SIGMA_Z + 1j * sha * SIGMA_Y,
-        chb * SIGMA_Z + 1j * shb * SIGMA_X,
+        builtin("Z"),
+        cha * builtin("Z") + 1j * sha * builtin("Y"),
+        chb * builtin("Z") + 1j * shb * builtin("X"),
     )
     factors = []
     for blk in blocks:

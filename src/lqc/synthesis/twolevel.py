@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import (
-    EPS_ISO,
     EPS_RECON,
     BitKind,
     IsometryError,
@@ -32,11 +31,9 @@ from ..core import (
     RegisterLayout,
     metric_sign,
 )
-from ..gates import builtin, is_isometry, isometry_residual
+from ..gates import block_metric, builtin, is_isometry, isometry_residual
 from ..circuit import Circuit, Instruction
 from .gadgets import _Emitter, isometric_sqrt
-
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ def _metric_signs(metric, dim: int) -> np.ndarray:
         m, n = metric
         if m + n != dim:
             raise LqcError(f"metric ({m},{n}) does not match dimension {dim}")
-        return np.concatenate([np.ones(m), -np.ones(n)])
+        return block_metric(m, n)
     s = np.asarray(metric, dtype=float)
     if s.ndim == 2:
         s = np.diagonal(s)
@@ -201,7 +198,7 @@ def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
     for x, y, M in raw:
         if x > y:
             x, y = y, x
-            M = _SIGMA_X @ M @ _SIGMA_X
+            M = builtin("X") @ M @ builtin("X")
         factors.append(TwoLevelFactor(x, y, M, (int(s[x]), int(s[y]))))
 
     recon = np.eye(d, dtype=complex)
@@ -239,7 +236,7 @@ def _direct_pair(em: _Emitter, x: int, y: int, W: np.ndarray) -> list[Instructio
     diff = x ^ y
     p = layout.num_bits - diff.bit_length()  # position of the single set bit
     if _bit_at(layout, x, p) == 1:
-        W = _SIGMA_X @ W @ _SIGMA_X
+        W = builtin("X") @ W @ builtin("X")
     pattern = {
         q: _bit_at(layout, x, q) for q in range(layout.num_bits) if q != p
     }
@@ -288,12 +285,12 @@ def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instructi
     def conjugated(k: int) -> list[Instruction]:
         # b_{i,j}(V) = b_{j,k}(X) b_{i,k}(V) b_{j,k}(X)
         a, b = min(j, k), max(j, k)
-        t_part = _lower_factor(em, a, b, _SIGMA_X)
+        t_part = _lower_factor(em, a, b, builtin("X"))
         if (i ^ k).bit_count() == 1:
             mid = _direct_pair(em, i, k, V)
         else:
             a2, b2 = min(i, k), max(i, k)
-            W = V if i < k else _SIGMA_X @ V @ _SIGMA_X
+            W = V if i < k else builtin("X") @ V @ builtin("X")
             mid = _lower_factor(em, a2, b2, W)
         return t_part + mid + t_part
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import BitKind, IsometryError
-from ..gates import builtin, isometry_residual, metric_for_kinds
+from ..core import BitKind, IsometryError, metric_for_kinds
+from ..gates import builtin, isometry_residual
 
 QUBIT_GENERATORS = ("H", "T")
 HYBIT_GENERATORS = ("T", "TAU")

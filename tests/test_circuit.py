@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import HYBIT_GATES, QUBIT_GATES, bit_ref, random_circuit, random_layout
+from lqc import circuit as circuit_module
 from lqc.circuit import (
     BitRef,
     Circuit,
@@ -13,8 +14,16 @@ from lqc.circuit import (
     serialize,
     to_matrix,
 )
-from lqc.core import EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout
-from lqc.gates import BUILTIN_ARITY, builtin, controlled, isometry_residual, metric_for_kinds
+from lqc.core import (
+    EPS_ISO,
+    BitKind,
+    GuardError,
+    IsometryError,
+    LqcError,
+    RegisterLayout,
+    metric_for_kinds,
+)
+from lqc.gates import BUILTIN_ARITY, builtin, controlled, isometry_residual
 
 Q0 = BitRef(BitKind.QUBIT, 0)
 Q1 = BitRef(BitKind.QUBIT, 1)
@@ -35,6 +44,15 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("qubits 1\nZ q1\n")
         assert "out of range" in str(exc.value)
+
+    def test_bit_out_of_range_is_a_diagnostic_per_bit(self):
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 2\nhybits 1\nCTRL q2 : Z h0\nH q1\nCTRL q0 : Z h1\n")
+        got = [(d.line, d.column, d.message) for d in exc.value.diagnostics]
+        assert got == [
+            (3, 6, "bit q2 out of range for declared register"),
+            (5, 13, "bit h1 out of range for declared register"),
+        ]
 
     def test_case_insensitive_keywords(self):
         c = parse("QUBITS 1\nhybits 1\nctrl Q0 : z H0\n")
@@ -344,9 +362,67 @@ class TestInstructionValidation:
                 (Instruction("Z", (Q0,), (Q0,)),),
             )
 
+    def test_negative_bit_index(self):
+        # would otherwise resolve to the last qubit and serialize as "q-1"
+        with pytest.raises(LqcError, match="out of range"):
+            Circuit(RegisterLayout.of(2, 0), (Instruction("X", (BitRef(BitKind.QUBIT, -1),)),))
+
     def test_gate_arity_mismatch(self):
         with pytest.raises(LqcError):
             Circuit(
                 RegisterLayout.of(2, 0),
                 (Instruction("H", (Q0, Q1)),),
             )
+
+
+class TestValidateOnce:
+    """Each instruction passes validate_instruction once, where it enters a
+    Circuit."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        original = circuit_module.validate_instruction
+
+        def counting(layout, instr):
+            seen.append(instr)
+            return original(layout, instr)
+
+        monkeypatch.setattr(circuit_module, "validate_instruction", counting)
+        return seen
+
+    def test_constructor_checks_each_instruction(self, checked):
+        layout = RegisterLayout("qhqh")
+        c = random_circuit(np.random.default_rng(3), layout, 25)
+        assert checked == list(c.instructions)
+
+    def test_parse_checks_each_instruction_once(self, checked):
+        layout = RegisterLayout.of(2, 2)
+        c = random_circuit(np.random.default_rng(4), layout, 30)
+        gate = np.diag([1.0, 1j])
+        c = c.concat(Circuit(layout, (Instruction("G", (H0,), matrix=gate),), {"G": (1, gate)}))
+        checked.clear()
+        parsed = parse(serialize(c))
+        assert parsed == c
+        assert checked == list(c.instructions)
+
+    def test_concat_checks_nothing(self, checked):
+        layout = RegisterLayout("qhqh")
+        rng = np.random.default_rng(5)
+        a, b = random_circuit(rng, layout, 10), random_circuit(rng, layout, 12)
+        checked.clear()
+        joined = a.concat(b)
+        assert checked == []
+        assert joined == Circuit(layout, a.instructions + b.instructions)
+        assert type(joined.instructions) is tuple
+
+    def test_compile_checks_each_emitted_instruction_once(self, checked):
+        from lqc.core import metric_vector
+        from lqc.gates import random_isometry_for_signs
+        from lqc.synthesis import compile
+
+        layout = RegisterLayout("qhh")
+        A = random_isometry_for_signs(metric_vector(layout), seed=2)
+        result = compile(A, layout)
+        assert len(result.circuit.instructions) > 0
+        assert checked == list(result.circuit.instructions)

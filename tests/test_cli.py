@@ -196,6 +196,30 @@ class TestSynth:
         resim = float(err.split("reconstruction_error = ")[1].split("\n")[0])
         assert resim <= 1e-6
 
+    def test_one_to_matrix_and_compile_error_reported(self, tmp_path, capsys, monkeypatch):
+        import lqc.circuit
+        import lqc.cli
+        import lqc.synthesis.compiler
+        from lqc.core import RegisterLayout, metric_vector
+        from lqc.gates import random_isometry_for_signs
+
+        built = []
+        original = lqc.circuit.to_matrix
+
+        def counting(circuit):
+            built.append(circuit)
+            return original(circuit)
+
+        for module in (lqc.circuit, lqc.cli, lqc.synthesis.compiler):
+            monkeypatch.setattr(module, "to_matrix", counting)
+        A = random_isometry_for_signs(metric_vector(RegisterLayout("qqh")), seed=4)
+        f = put(tmp_path, "a.mat", format_matrix_text(A, 4, 4))
+        code, _, err = cli(capsys, "synth", f, "--qubits", "2", "--hybits", "1", "--exact")
+        assert code == 0
+        assert len(built) == 1
+        total = err.split("total\t")[1].split("\n")[0].split("\t")[1]
+        assert f"reconstruction_error = {total}\n" in err
+
     def test_approx_mode_budget(self, tmp_path, capsys):
         H = np.kron(builtin("H"), np.eye(2))
         f = put(tmp_path, "h.mat", format_matrix_text(H, 4, 0))

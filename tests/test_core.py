@@ -1,3 +1,6 @@
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from lqc.core import (
     RegisterLayout,
     StateVector,
     basis_state,
-    decode_index,
     encode_bits,
+    metric_for_kinds,
     metric_sign,
     metric_vector,
     normalize,
@@ -18,11 +21,14 @@ from lqc.core import (
 )
 
 
-def kron_metric(layout):
+PER_BIT_METRIC = {"q": np.array([1.0, 1.0]), "h": np.array([1.0, -1.0])}
+
+
+def kron_metric(kinds):
     """Independent oracle: explicit Kronecker product of per-bit metrics."""
     eta = np.array([1.0])
-    for kind in layout.kinds:
-        eta = np.kron(eta, kind.metric_diag())
+    for kind in kinds:
+        eta = np.kron(eta, PER_BIT_METRIC[BitKind(kind).value])
     return eta
 
 
@@ -56,7 +62,7 @@ class TestMetricSign:
     @given(layouts_strategy)
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_kron_oracle(self, layout):
-        eta = kron_metric(layout)
+        eta = kron_metric(layout.kinds)
         got = np.array([metric_sign(layout, j) for j in range(layout.dimension)])
         assert np.array_equal(got, eta)
         assert np.array_equal(metric_vector(layout), eta)
@@ -84,7 +90,7 @@ class TestPseudoNorm:
         rng = np.random.default_rng(7)
         amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
         state = StateVector(layout, amps)
-        eta = kron_metric(layout)
+        eta = kron_metric(layout.kinds)
         expected = float(np.real(np.conj(amps) @ (eta * amps)))
         assert pseudo_norm(state) == pytest.approx(expected, abs=1e-10)
 
@@ -119,7 +125,6 @@ class TestBasisState:
         state = basis_state(layout, list(bits))
         idx = encode_bits(layout, bits)
         assert pseudo_norm(state) == float(metric_sign(layout, idx))
-        assert decode_index(layout, idx) == tuple(bits)
 
 
 class TestNormalize:
@@ -143,14 +148,65 @@ class TestLayout:
         assert layout.num_qubits == 2
         assert layout.num_hybits == 1
         assert layout.dimension == 8
-        assert layout.is_canonical
 
     def test_interleaved_accepted(self):
         layout = RegisterLayout((BitKind.HYBIT, BitKind.QUBIT))
-        assert not layout.is_canonical
         # hybit is bit 0, the MSB: indices 2 and 3 carry its excitation
         assert [metric_sign(layout, j) for j in range(4)] == [1, 1, -1, -1]
 
     def test_string_coercion(self):
         layout = RegisterLayout(("q", "h"))
         assert layout.kinds == (BitKind.QUBIT, BitKind.HYBIT)
+
+    def test_position_tables(self):
+        layout = RegisterLayout("hqqhq")
+        assert layout.positions(BitKind.QUBIT) == (1, 2, 4)
+        assert layout.positions(BitKind.HYBIT) == (0, 3)
+        assert [layout.index_in_kind(p) for p in range(5)] == [0, 0, 1, 1, 2]
+        assert layout.hybit_index_mask == 0b10010
+        assert (layout.num_qubits, layout.num_hybits) == (3, 2)
+
+    @given(layouts_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_tables_agree_with_kinds(self, layout):
+        for kind in BitKind:
+            places = tuple(p for p, k in enumerate(layout.kinds) if k is kind)
+            assert layout.positions(kind) == places
+            for i, p in enumerate(places):
+                assert layout.index_in_kind(p) == i
+
+    def test_tables_leave_identity_to_kinds(self):
+        a = RegisterLayout("qhq")
+        b = RegisterLayout((BitKind.QUBIT, BitKind.HYBIT, BitKind.QUBIT))
+        assert a == b and hash(a) == hash(b)
+        assert a != RegisterLayout("qqh")
+        assert repr(a) == (
+            "RegisterLayout(kinds=(<BitKind.QUBIT: 'q'>, <BitKind.HYBIT: 'h'>, "
+            "<BitKind.QUBIT: 'q'>))"
+        )
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a)
+        assert c.positions(BitKind.HYBIT) == (1,)
+        assert c.index_in_kind(2) == 1
+
+
+class TestMetricForKinds:
+    @pytest.mark.parametrize("nbits", range(1, 7))
+    def test_matches_kron_reference(self, nbits):
+        for kinds in itertools.product("qh", repeat=nbits):
+            got = metric_for_kinds("".join(kinds))
+            assert got.shape == (1 << nbits,)
+            assert np.array_equal(got, kron_metric(kinds))
+
+    def test_empty_list_is_the_scalar_one(self):
+        assert np.array_equal(metric_for_kinds([]), [1])
+
+    def test_accepts_kinds_and_letters(self):
+        assert np.array_equal(
+            metric_for_kinds([BitKind.HYBIT, BitKind.QUBIT]), metric_for_kinds("hq")
+        )
+
+    def test_metric_vector_is_the_metric_of_the_kinds(self):
+        layout = RegisterLayout("qhhqh")
+        assert np.array_equal(metric_vector(layout), metric_for_kinds(layout.kinds))
+        assert metric_vector(layout).dtype == np.int8

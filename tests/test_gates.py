@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lqc.core import EPS_ISO, LqcError, RegisterLayout
+from lqc.circuit import BitRef, Instruction, validate_instruction
+from lqc.core import EPS_ISO, BitKind, LqcError, RegisterLayout, metric_for_kinds
 from lqc.gates import (
     MatrixTextError,
     block_metric,
@@ -11,8 +12,6 @@ from lqc.gates import (
     format_matrix_text,
     is_isometry,
     isometry_residual,
-    local_metric,
-    metric_for_kinds,
     parse_matrix_text,
     phase_gate,
     random_isometry_for_signs,
@@ -74,26 +73,30 @@ class TestBuiltins:
 
 
 class TestLocalMetric:
+    """The metric of the bits a gate acts on, in the listed order."""
+
     def test_single_qubit(self):
         layout = RegisterLayout.of(1, 1)
-        assert np.array_equal(local_metric(layout, [0]), ETA_Q)
+        assert np.array_equal(metric_for_kinds(layout.kinds[:1]), ETA_Q)
 
     def test_qubit_hybit(self):
         layout = RegisterLayout.of(1, 1)
-        assert np.array_equal(local_metric(layout, [0, 1]), [1, -1, 1, -1])
+        assert np.array_equal(metric_for_kinds(layout.kinds), [1, -1, 1, -1])
 
     def test_hybit_qubit(self):
         # listed order matters: diag(1,-1) x diag(1,1)
         layout = RegisterLayout.of(1, 1)
-        assert np.array_equal(local_metric(layout, [1, 0]), [1, 1, -1, -1])
+        assert np.array_equal(metric_for_kinds(layout.kinds[::-1]), [1, 1, -1, -1])
 
     def test_duplicate_bit(self):
+        q0 = BitRef(BitKind.QUBIT, 0)
         with pytest.raises(LqcError):
-            local_metric(RegisterLayout.of(2, 0), [0, 0])
+            validate_instruction(RegisterLayout.of(2, 0), Instruction("CZ", (q0, q0)))
 
     def test_out_of_range(self):
-        with pytest.raises(LqcError):
-            local_metric(RegisterLayout.of(1, 0), [1])
+        q1 = BitRef(BitKind.QUBIT, 1)
+        with pytest.raises(LqcError, match="out of range"):
+            validate_instruction(RegisterLayout.of(1, 0), Instruction("Z", (q1,)))
 
 
 class TestIsIsometry:

@@ -1,0 +1,44 @@
+"""Every module-level import in the package is used by its module.
+
+No linter runs on this code base, so this test stands in for an unused
+import check: each module of `src/lqc` is parsed with `ast`, and every name
+bound by a module-level `import` or `from ... import` must be read
+somewhere in that module. Package `__init__.py` files re-export their
+imports and are skipped, as are `from __future__` imports.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lqc"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # `np.linalg` reads `np` through an ast.Name, so attributes need no case
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_name():
+    source = "import os\nimport numpy as np\nfrom a import b, c\nnp.zeros(b)\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: c"]

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from conftest import bit_ref
 from lqc.circuit import BitRef, Circuit, Instruction, parse, to_matrix
-from lqc.core import EPS_ISO, BitKind, RegisterLayout
-from lqc.gates import BUILTIN_ARITY, isometry_residual, metric_for_kinds
+from lqc.core import EPS_ISO, BitKind, RegisterLayout, metric_for_kinds
+from lqc.gates import BUILTIN_ARITY, isometry_residual
 from lqc import simulator
 from lqc.simulator import apply_to_tensor, observe, run
 

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lqc.core import LqcError
+from lqc.core import LqcError, metric_for_kinds
 from lqc.gates import boost, builtin, isometry_residual
 from lqc.synthesis.su11 import (
-    ETA_H,
-    SIGMA_Y,
     AxisVector,
     approx_power,
     axis_decompose,
@@ -77,7 +75,7 @@ class TestClassify:
         assert got_family == family
         oracle = scipy.linalg.expm(1j * theta * axis.generator())
         assert np.allclose(mat, oracle, atol=1e-11)
-        assert isometry_residual(mat, ETA_H) <= 1e-10
+        assert isometry_residual(mat, metric_for_kinds("h")) <= 1e-10
 
     def test_rejects_unnormalized(self):
         with pytest.raises(LqcError):
@@ -237,12 +235,12 @@ class TestBoostGenerator:
     def test_hermitian(self):
         h0 = boost_generator(1.7)
         assert np.array_equal(h0, h0.conj().T)
-        assert np.allclose(h0, 1.7 * SIGMA_Y, atol=0)
+        assert np.allclose(h0, 1.7 * builtin("Y"), atol=0)
 
     @pytest.mark.parametrize("chi", [0.1, 0.5, 1.0, 5.0])
     def test_exponential_recovers_boost(self, chi):
         h0 = boost_generator(chi)
-        got = scipy.linalg.expm(1j * np.diag(ETA_H) @ h0)
+        got = scipy.linalg.expm(1j * np.diag(metric_for_kinds("h")) @ h0)
         assert np.allclose(got, boost(chi), atol=1e-12)
 
 
