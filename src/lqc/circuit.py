@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -97,14 +99,17 @@ class Instruction:
         return self.controls + self.targets
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Circuit:
+    """A register and its validated instructions, immutable once built:
+    `defs` is a read-only mapping and its DEFGATE arrays are read-only."""
+
     layout: RegisterLayout
     instructions: tuple[Instruction, ...] = ()
-    defs: dict[str, tuple[int, np.ndarray]] = field(default_factory=dict)
+    defs: Mapping[str, tuple[int, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.instructions = tuple(self.instructions)
+        _freeze(self, self.instructions, self.defs)
         for instr in self.instructions:
             validate_instruction(self.layout, instr)
 
@@ -132,10 +137,18 @@ class Circuit:
         return _checked(self.layout, self.instructions + other.instructions, defs)
 
 
+def _freeze(circuit: Circuit, instructions, defs) -> None:
+    for _arity, mat in defs.values():
+        mat.flags.writeable = False
+    object.__setattr__(circuit, "instructions", tuple(instructions))
+    object.__setattr__(circuit, "defs", MappingProxyType(dict(defs)))
+
+
 def _checked(layout: RegisterLayout, instructions, defs) -> Circuit:
     """Circuit(...) for instructions already validated on this layout."""
     circuit = object.__new__(Circuit)
-    circuit.layout, circuit.instructions, circuit.defs = layout, tuple(instructions), defs
+    object.__setattr__(circuit, "layout", layout)
+    _freeze(circuit, instructions, defs)
     return circuit
 
 

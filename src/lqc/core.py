@@ -19,10 +19,30 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Centralized tolerances. EPS_ISO gates isometry checks, EPS_RECON gates
-# synthesis roundtrips; everything else derives from these two.
-EPS_ISO = 1e-10
-EPS_RECON = 1e-8
+# Tolerances: every numeric threshold of the package, each with the decision
+# it makes. No other module writes a float below 1e-2
+# (tests/test_tolerances.py). Equal values stay separate names where they
+# decide different things; changing one moves which inputs pass, and the
+# EPS_ZERO and EPS_IDENTITY tests decide which gate names `synth` prints.
+EPS_ISO = 1e-10  # a gate, circuit or closed-form residual is exact: isometry PASS/FAIL
+EPS_RECON = 1e-8  # exact synthesis: factors stay isometric, products match their targets
+EPS_TARGET_ISO = 1e-9  # a single-bit synthesis target (lambda_k, word_search) is isometric
+EPS_PROB_SUM = 1e-9  # a nonzero outcome distribution sums to 1
+NEGLIGIBLE_MASS_RATIO = 1e-12  # observe() warns below this share of the positive mass
+EPS_ZERO = 1e-14  # an entry, or a gate's distance from I or a builtin, is exactly zero
+EPS_PHASE_ONE = 1e-13  # an elimination residue is exactly 1 and needs no absorbing
+EPS_IDENTITY = 1e-12  # a 2x2 identity holds: U^2 = I, det -1, cosh^2 - sinh^2 = 1, basis = I
+EPS_DEGENERATE = 1e-12  # a pivot, norm, trace or determinant to divide by is zero
+EPS_SCALAR_SQUARE = 1e-10  # U0^2 = +-I: the hybit W-gadget takes its trivial factors
+EPS_SU11 = 1e-9  # SU(1,1) family boundary: discriminant or half-trace near +-1 or 0
+EPS_AXIS_BASIS = 1e-9  # the three conjugated word axes are linearly dependent
+EPS_REAL_AXIS = 1e-7  # imaginary part of an extracted axis component that still counts as real
+EPS_EIGEN_MATCH = 1e-6  # two hyperbolic elements have equal eigenvalues, so they are conjugate
+EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta| below this
+MIN_PARTNER_MARGIN = 1e-3  # a hyperbolic partner clears both of its conditions by this
+EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this
+EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
+EPS_BELOW_ONE = 1e-18  # caps a rescaled landing point at 1 - this (1.0 in float64)
 
 
 class LqcError(Exception):

@@ -64,6 +64,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .circuit import Circuit, Instruction, validate_instruction
 from .core import (
+    EPS_PROB_SUM,
+    NEGLIGIBLE_MASS_RATIO,
     BitKind,
     LqcError,
     RegisterLayout,
@@ -73,9 +75,6 @@ from .core import (
 )
 
 RNG_ALGORITHM = "Philox"
-# postselecting below this fraction of the positive mass is numerically
-# meaningless; observe() still answers but raises a warning
-NEGLIGIBLE_MASS_RATIO = 1e-12
 # output lines per %-format in format_distribution and format_counts
 FORMAT_BLOCK = 1 << 14
 # Below this many amplitudes per target slice, a dense gate is one BLAS
@@ -315,7 +314,7 @@ class OutcomeDistribution:
             raise LqcError("probabilities must be a vector over 2^n qubit indices")
         if self.probs.any():
             total = float(self.probs.sum())
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > EPS_PROB_SUM:
                 raise LqcError(f"probabilities sum to {total}, not 1")
 
     @property

@@ -22,7 +22,7 @@ import numpy as np
 from ..core import EPS_RECON, LqcError, RegisterLayout, metric_vector
 from ..circuit import Circuit, Instruction, to_matrix
 from .gadgets import _Emitter
-from .twolevel import embed, two_level_factorize, _lower_factor
+from .twolevel import two_level_factorize, _lower_factor
 from .words import projective_distance, word_search
 
 
@@ -60,10 +60,7 @@ def compile(
     signs = metric_vector(layout).astype(float)
 
     factors = two_level_factorize(A, signs)
-    recon = np.eye(dim, dtype=complex)
-    for f in factors:
-        recon = recon @ embed(f, dim)
-    stage_fact = CompileStage("factorize", len(factors), float(np.max(np.abs(recon - A))))
+    stage_fact = CompileStage("factorize", len(factors), factors.error)
 
     em = _Emitter(layout)
     instrs: list[Instruction] = []

@@ -26,7 +26,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ..core import BitKind, IsometryError, LqcError, RegisterLayout, metric_for_kinds
+from ..core import (
+    EPS_DEGENERATE, EPS_EIGEN_MATCH, EPS_IDENTITY, EPS_ISO, EPS_RECON, EPS_SCALAR_SQUARE,
+    EPS_TARGET_ISO, EPS_ZERO, MIN_PARTNER_MARGIN, BitKind, IsometryError, LqcError, RegisterLayout,
+    metric_for_kinds,
+)
 from ..gates import builtin, isometry_residual
 from ..circuit import BitRef, Circuit, Instruction
 
@@ -46,7 +50,7 @@ def isometric_sqrt(V: np.ndarray) -> np.ndarray:
     """
     V = np.asarray(V, dtype=complex)
     det = _det2(V)
-    if abs(abs(det) - 1.0) > 1e-8:
+    if abs(abs(det) - 1.0) > EPS_RECON:
         raise IsometryError("matrix is not an isometry (|det| != 1)")
     phi = np.angle(det)
     h = np.exp(-0.5j * phi)
@@ -59,7 +63,7 @@ def isometric_sqrt(V: np.ndarray) -> np.ndarray:
     # R = c R0 with c^2 = conj(h) * sign restores the removed phase
     c = np.sqrt(np.conj(h) * sign + 0j)
     R = c * R0
-    if np.max(np.abs(R @ R - V)) > 1e-10:
+    if np.max(np.abs(R @ R - V)) > EPS_ISO:
         raise LqcError("square-root construction failed")
     return R
 
@@ -72,12 +76,7 @@ def _unitary_w_factors(U: np.ndarray):
     """Factors (A,B,C,D,psi) for a unitary U via an eigenbasis swap."""
     T, Q = scipy.linalg.schur(U, output="complex")
     swap = Q @ builtin("X") @ Q.conj().T
-    A = _I2
-    B = swap
-    C = U
-    D = U @ swap
-    psi = float(np.angle(_det2(U)))
-    return A, B, C, D, psi
+    return _I2, swap, U, U @ swap, float(np.angle(_det2(U)))
 
 
 def _sphere_points(count: int) -> np.ndarray:
@@ -115,7 +114,7 @@ def _hyperbolic_partner(U0: np.ndarray, s: float) -> np.ndarray | None:
         if margin > best_margin:
             best_margin = margin
             best = (z, g)
-    if best is None or best_margin < 1e-3:
+    if best is None or best_margin < MIN_PARTNER_MARGIN:
         return None
     z, g = best
     scale = 1.0 / np.sqrt(abs(z) ** 2 - abs(g) ** 2)
@@ -135,16 +134,16 @@ def _isotropic_conjugator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         v1 = vecs[:, 0]
         v2 = vecs[:, 1]
         cross = v1.conj() @ (_ETA_H * v2)
-        if abs(cross) < 1e-12:
+        if abs(cross) < EPS_DEGENERATE:
             raise LqcError("degenerate eigenvector pairing")
         return vals, np.stack([v1, v2 / cross], axis=1)
 
     xv, P = paired_columns(X)
     yv, Q = paired_columns(Y)
-    if np.max(np.abs(xv - yv)) > 1e-6:
+    if np.max(np.abs(xv - yv)) > EPS_EIGEN_MATCH:
         raise LqcError("conjugacy eigenvalue mismatch")
     K = Q @ np.linalg.inv(P)
-    if isometry_residual(K, _ETA_H) > 1e-8:
+    if isometry_residual(K, _ETA_H) > EPS_RECON:
         raise LqcError("conjugator left U(1,1)")
     return K
 
@@ -157,7 +156,7 @@ def _su11_w_factors(U: np.ndarray):
     U0 = np.exp(-1j * phi) * U
     U0sq = U0 @ U0
     for s in (1.0, -1.0):
-        if np.max(np.abs(U0sq - s * _I2)) < 1e-10:
+        if np.max(np.abs(U0sq - s * _I2)) < EPS_SCALAR_SQUARE:
             psi = float(np.angle(s * np.exp(2j * phi)))
             return _I2, _I2, U.copy(), U.copy(), psi
     for s in (1.0, -1.0):
@@ -171,54 +170,48 @@ def _su11_w_factors(U: np.ndarray):
             continue
         if np.max(np.abs(K)) > 100.0:
             continue
-        L = np.linalg.inv(M)
-        A = K
-        B = L
-        C = U @ np.linalg.inv(K)
-        D = U @ M
         psi = float(np.angle(s * np.exp(2j * phi)))
-        return A, B, C, D, psi
+        return K, np.linalg.inv(M), U @ np.linalg.inv(K), U @ M, psi
     return None
 
 
 def _verify_w_factors(U, factors, eta):
     A, B, C, D, psi = factors
     for F in (A, B, C, D):
-        if isometry_residual(F, eta) > 1e-8:
+        if isometry_residual(F, eta) > EPS_RECON:
             raise LqcError("W-gadget factor is not an isometry")
-    if np.max(np.abs(C @ A - U)) > 1e-8 or np.max(np.abs(D @ B - U)) > 1e-8:
+    if np.max(np.abs(C @ A - U)) > EPS_RECON or np.max(np.abs(D @ B - U)) > EPS_RECON:
         raise LqcError("W-gadget block equations violated")
     resid = D @ C @ B @ A - np.exp(1j * psi) * _I2
-    if np.max(np.abs(resid)) > 1e-8:
+    if np.max(np.abs(resid)) > EPS_RECON:
         raise LqcError("W-gadget residue is not a pure phase")
 
 
 def _w_factor_sets(U: np.ndarray, kind: BitKind) -> list[tuple]:
-    """One or two factor sets whose W-products compose to W(U)."""
-    eta = metric_for_kinds([kind])
+    """One or two factor sets whose W-products compose to W(U), each
+    checked against the block it must realize."""
+    targets = [U]
     if kind is BitKind.QUBIT:
         sets = [_unitary_w_factors(U)]
     else:
-        direct = _su11_w_factors(U)
-        if direct is not None:
-            sets = [direct]
-        else:
+        sets = [_su11_w_factors(U)]
+        if sets[0] is None:
             # pathological argument: split through a fixed generic element
             P = builtin("BOOST", 0.6) @ np.diag(np.exp([0.35j, -0.35j]))
-            first = _su11_w_factors(P)
-            second = _su11_w_factors(U @ np.linalg.inv(P))
-            if first is None or second is None:
+            targets = [P, U @ np.linalg.inv(P)]
+            sets = [_su11_w_factors(T) for T in targets]
+            if any(factors is None for factors in sets):
                 raise LqcError("hybit W-gadget factor search failed")
-            sets = [first, second]
-    for factors in sets:
-        _verify_w_factors(_block_u(factors), factors, eta)
+    eta = metric_for_kinds([kind])
+    for target, factors in zip(targets, sets):
+        _verify_w_factors(target, factors, eta)
     return sets
 
 
 def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
     """V with U = V diag(1,-1) V^{-1} and V isometric, when U^2 = I and
     det U = -1; None otherwise."""
-    if np.max(np.abs(U @ U - _I2)) > 1e-12 or abs(_det2(U) + 1.0) > 1e-12:
+    if np.max(np.abs(U @ U - _I2)) > EPS_IDENTITY or abs(_det2(U) + 1.0) > EPS_IDENTITY:
         return None
     vals, vecs = np.linalg.eig(U)
     order = np.argsort(-vals.real)  # eigenvalue +1 first
@@ -229,7 +222,7 @@ def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
         return np.stack([v1, v2], axis=1)
     n1 = (vecs[:, 0].conj() @ (_ETA_H * vecs[:, 0])).real
     n2 = (vecs[:, 1].conj() @ (_ETA_H * vecs[:, 1])).real
-    if n1 <= 1e-12 or n2 >= -1e-12:
+    if n1 <= EPS_DEGENERATE or n2 >= -EPS_DEGENERATE:
         # the +1 eigenvector must carry the positive metric norm for the
         # sandwich to stay in U(1,1); otherwise fall back to the gadget
         return None
@@ -258,15 +251,15 @@ class _Emitter:
 
     def _gate_name(self, M: np.ndarray) -> tuple[str, float | None]:
         for name in self._RECOGNIZED:
-            if np.max(np.abs(M - builtin(name))) < 1e-14:
+            if np.max(np.abs(M - builtin(name))) < EPS_ZERO:
                 return name, None
-        if abs(M[0, 1]) < 1e-14 and abs(M[1, 0]) < 1e-14 and abs(M[0, 0] - 1) < 1e-14:
+        if abs(M[0, 1]) < EPS_ZERO and abs(M[1, 0]) < EPS_ZERO and abs(M[0, 0] - 1) < EPS_ZERO:
             return "PHASE", float(np.angle(M[1, 1]))
         if (
-            np.max(np.abs(M.imag)) < 1e-14
-            and abs(M[0, 0] - M[1, 1]) < 1e-14
-            and abs(M[0, 1] - M[1, 0]) < 1e-14
-            and abs(M[0, 0].real ** 2 - M[0, 1].real ** 2 - 1) < 1e-12
+            np.max(np.abs(M.imag)) < EPS_ZERO
+            and abs(M[0, 0] - M[1, 1]) < EPS_ZERO
+            and abs(M[0, 1] - M[1, 0]) < EPS_ZERO
+            and abs(M[0, 0].real ** 2 - M[0, 1].real ** 2 - 1) < EPS_IDENTITY
             and M[0, 0].real > 0
         ):
             return "BOOST", float(np.arcsinh(M[0, 1].real))
@@ -280,7 +273,7 @@ class _Emitter:
 
     def emit(self, pattern: dict[int, int], target: int, M: np.ndarray) -> list[Instruction]:
         """M on `target` where every position of `pattern` holds its value."""
-        if np.max(np.abs(M - _I2)) < 1e-14:
+        if np.max(np.abs(M - _I2)) < EPS_ZERO:
             return []
         name, param = self._gate_name(M)
         controls = sorted(pattern)
@@ -297,7 +290,7 @@ class _Emitter:
 
 
 def _lambda_rec(em: _Emitter, controls: list[int], target: int, V: np.ndarray) -> list[Instruction]:
-    if np.max(np.abs(V - _I2)) < 1e-14:
+    if np.max(np.abs(V - _I2)) < EPS_ZERO:
         return []
     if len(controls) == 1:
         return em.emit(dict.fromkeys(controls, 1), target, V)
@@ -305,7 +298,7 @@ def _lambda_rec(em: _Emitter, controls: list[int], target: int, V: np.ndarray) -
 
     # involutions with det -1 conjugate to a plain controlled Z
     basis = _involution_basis(V, kind)
-    if basis is not None and np.max(np.abs(basis - _I2)) > 1e-12:
+    if basis is not None and np.max(np.abs(basis - _I2)) > EPS_IDENTITY:
         out = em.emit({}, target, np.linalg.inv(basis))
         out += _lambda_rec(em, controls, target, builtin("Z"))
         out += em.emit({}, target, basis)
@@ -325,7 +318,7 @@ def _lambda_rec(em: _Emitter, controls: list[int], target: int, V: np.ndarray) -
         out += _lambda_rec(em, G + [b], target, B)
         out += _lambda_rec(em, G + [a], target, C)
         out += _lambda_rec(em, G + [b], target, D)
-        if abs(psi) > 1e-14:
+        if abs(psi) > EPS_ZERO:
             corrector = np.diag([1.0, np.exp(-1j * psi)]).astype(complex)
             out += _lambda_rec(em, G + [a], b, corrector)
 
@@ -333,11 +326,6 @@ def _lambda_rec(em: _Emitter, controls: list[int], target: int, V: np.ndarray) -
     out += _lambda_rec(em, G + [b], target, R)
     out += _lambda_rec(em, G + [a], target, R)
     return out
-
-
-def _block_u(factors) -> np.ndarray:
-    A, B, C, D, _psi = factors
-    return C @ A
 
 
 def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Circuit:
@@ -353,9 +341,9 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
     if V.shape != (2, 2):
         raise LqcError("lambda_k target gate must be 2x2")
     if layout is None:
-        if isometry_residual(V, np.eye(2)) <= 1e-10:
+        if isometry_residual(V, np.eye(2)) <= EPS_ISO:
             layout = RegisterLayout.of(k + 1, 0)
-        elif isometry_residual(V, _ETA_H) <= 1e-10:
+        elif isometry_residual(V, _ETA_H) <= EPS_ISO:
             layout = RegisterLayout("q" * k + "h")
         else:
             raise IsometryError("gate is neither unitary nor U(1,1)")
@@ -364,7 +352,7 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
     target = k
     eta = metric_for_kinds([layout.kinds[target]])
     resid = isometry_residual(V, eta)
-    if resid > 1e-9:
+    if resid > EPS_TARGET_ISO:
         raise IsometryError(
             f"gate is not isometric for the target kind (residual {resid:.3g})"
         )

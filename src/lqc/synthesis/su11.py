@@ -19,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import LqcError
+from ..core import (
+    EPS_AXIS_BASIS, EPS_BELOW_ONE, EPS_DEGENERATE, EPS_ISO, EPS_REAL_AXIS, EPS_SU11, LqcError,
+)
 from ..gates import builtin
-
-_NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,11 @@ def su11_classify(theta: float, axis: AxisVector) -> tuple[str, np.ndarray]:
     s = axis.discriminant
     a = axis.generator()
     eye = np.eye(2, dtype=complex)
-    if abs(s - 1.0) <= _NORMALIZATION_TOL:
+    if abs(s - 1.0) <= EPS_SU11:
         return "space", math.cos(theta) * eye + 1j * math.sin(theta) * a
-    if abs(s) <= _NORMALIZATION_TOL:
+    if abs(s) <= EPS_SU11:
         return "lightlike", eye + 1j * theta * a
-    if abs(s + 1.0) <= _NORMALIZATION_TOL:
+    if abs(s + 1.0) <= EPS_SU11:
         return "pseudo", math.cosh(theta) * eye + 1j * math.sinh(theta) * a
     raise LqcError(f"axis discriminant {s:.6g} is not normalized to +1, 0, or -1")
 
@@ -70,16 +70,16 @@ class Su11Decomposition(NamedTuple):
     phase: float
 
 
-def decompose_su11(U: np.ndarray, tol: float = 1e-9) -> Su11Decomposition:
+def decompose_su11(U: np.ndarray) -> Su11Decomposition:
     """Extract global phase, angle, and axis from a 2x2 metric isometry."""
     U = np.asarray(U, dtype=complex)
     det = np.linalg.det(U)
-    if abs(abs(det) - 1.0) > tol:
+    if abs(abs(det) - 1.0) > EPS_SU11:
         raise LqcError("matrix is not a metric isometry (|det| != 1)")
     phase = np.angle(det) / 2.0
     U0 = np.exp(-1j * phase) * U
     half_tr = complex(np.trace(U0)) / 2.0
-    if abs(half_tr.imag) > math.sqrt(tol):
+    if abs(half_tr.imag) > math.sqrt(EPS_SU11):
         # the other square root of det flips the sign of U0 and shifts the phase
         raise LqcError(f"trace {2 * half_tr:.6g} is not real after phase removal")
     c = half_tr.real
@@ -89,14 +89,14 @@ def decompose_su11(U: np.ndarray, tol: float = 1e-9) -> Su11Decomposition:
         c = -c
 
     eye = np.eye(2)
-    if c < 1.0 - tol:
+    if c < 1.0 - EPS_SU11:
         family, theta = "space", math.acos(c)
         a = (U0 - c * eye) / (1j * math.sin(theta))
-    elif c <= 1.0 + tol:
+    elif c <= 1.0 + EPS_SU11:
         family, theta = "lightlike", 1.0
         a = (U0 - eye) / 1j
         scale = float(np.max(np.abs(a)))
-        if scale > tol:
+        if scale > EPS_SU11:
             theta, a = scale, a / scale
         else:
             theta, a = 0.0, np.zeros((2, 2), dtype=complex)
@@ -108,7 +108,7 @@ def decompose_su11(U: np.ndarray, tol: float = 1e-9) -> Su11Decomposition:
     n_y = complex(np.trace(a @ builtin("Y"))) / 2j
     n_z = complex(np.trace(a @ builtin("Z"))) / 2
     comps = np.array([n_x, n_y, n_z])
-    if np.max(np.abs(comps.imag)) > 1e-7:
+    if np.max(np.abs(comps.imag)) > EPS_REAL_AXIS:
         raise LqcError("axis extraction produced complex components")
     axis = AxisVector(*(float(v) for v in comps.real))
     return Su11Decomposition(family, theta, axis, float(phase % (2 * math.pi)))
@@ -145,7 +145,7 @@ def conjugation_axis_basis() -> tuple[AxisVector, AxisVector, AxisVector]:
         axes.append(decompose_su11(p).axis)
         p = t @ p @ t_inv
     basis = np.column_stack([a.components() for a in axes])
-    if abs(np.linalg.det(basis)) < 1e-9:
+    if abs(np.linalg.det(basis)) < EPS_AXIS_BASIS:
         raise LqcError("conjugated axes are not linearly independent")
     return tuple(axes)
 
@@ -186,7 +186,7 @@ def _first_entry(alpha: float, y: float, eps: float, j_max: int, depth: int = 0)
             return j
         return None
     w0 = (y + k0 * alpha - 1.0) / alpha  # landing after the wrap, rescaled
-    w0 = min(max(w0, 0.0), 1.0 - 1e-18)
+    w0 = min(max(w0, 0.0), 1.0 - EPS_BELOW_ONE)
 
     sub_max = (j_max - k0) // a1 + 2
     j_star = _first_entry((1.0 - beta) % 1.0, w0, eps / alpha, sub_max, depth + 1)
@@ -229,11 +229,11 @@ def axis_decompose(
 ) -> tuple[float, float, float]:
     """Coefficients with theta*n = a1*n1 + a2*n2 + a3*n3."""
     basis = np.column_stack([n1.components(), n2.components(), n3.components()])
-    if abs(np.linalg.det(basis)) < 1e-12:
+    if abs(np.linalg.det(basis)) < EPS_DEGENERATE:
         raise LqcError("axis basis is singular")
     alphas = np.linalg.solve(basis, theta * n.components())
     resid = float(np.max(np.abs(basis @ alphas - theta * n.components())))
-    if resid > 1e-10:
+    if resid > EPS_ISO:
         raise LqcError(f"axis decomposition residual {resid:.3g}")
     return tuple(float(a) for a in alphas)
 

@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import (
-    EPS_RECON,
-    BitKind,
-    IsometryError,
-    LqcError,
-    RegisterLayout,
-    metric_sign,
+    EPS_DEGENERATE, EPS_IDENTITY, EPS_PHASE_ONE, EPS_RECON, EPS_SMALL_ZETA, EPS_ZERO, BitKind,
+    IsometryError, LqcError, RegisterLayout, metric_sign,
 )
 from ..gates import block_metric, builtin, is_isometry, isometry_residual
 from ..circuit import Circuit, Instruction
@@ -59,7 +55,7 @@ class TwoLevelFactor:
         if abs(eta[0]) != 1 or abs(eta[1]) != 1:
             raise LqcError("metric_pair entries must be +-1")
         resid = isometry_residual(V, eta)
-        if resid > 1e-8:
+        if resid > EPS_RECON:
             raise IsometryError(
                 f"two-level block violates its pair metric (residual {resid:.3g})"
             )
@@ -96,12 +92,23 @@ def _pair_inverse(M: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return (eta[:, None] * M.conj().T) * eta[None, :]
 
 
-def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
+class Factorization(list):
+    """Two-level factors F_1, ..., F_t in product order, with `error`, the
+    max-norm distance of F_1 @ ... @ F_t from the input as checked once by
+    `two_level_factorize`."""
+
+    def __init__(self, factors, error: float):
+        super().__init__(factors)
+        self.error = error
+
+
+def two_level_factorize(A: np.ndarray, metric) -> Factorization:
     """Ordered factors with A = F_1 @ F_2 @ ... @ F_t within EPS_RECON.
 
     metric is either a block signature (m, n) or a per-index sign vector,
     so interleaved register metrics work directly. Factor count is at most
-    d(d-1)/2.
+    d(d-1)/2. The product is rebuilt once, each factor as an update of two
+    columns (O(d^3) in all), and its max-norm error is returned as `.error`.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -112,9 +119,10 @@ def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
     if not ok:
         raise IsometryError(f"input is not an isometry (residual {resid:.3g})")
     if d == 1:
-        if abs(A[0, 0] - 1) > 1e-12:
+        err = abs(A[0, 0] - 1)
+        if err > EPS_IDENTITY:
             raise LqcError("dimension-1 input must be the identity scalar")
-        return []
+        return Factorization([], float(err))
 
     work = A.copy()
     ops: list[tuple[int, int, np.ndarray]] = []  # (x, y, M): work <- b_{x,y}(M) work
@@ -124,42 +132,33 @@ def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
         ops.append((x, y, M))
 
     for c in range(d):
-        active = [r for r in range(c + 1, d) if abs(work[r, c]) > 1e-14]
+        active = [r for r in range(c + 1, d) if abs(work[r, c]) > EPS_ZERO]
         pos = [r for r in active if s[r] > 0]
         neg = [r for r in active if s[r] < 0]
         p_pivot = c if s[c] > 0 else (pos[0] if pos else None)
         n_pivot = c if s[c] < 0 else (neg[0] if neg else None)
 
-        for r in pos:
-            if r == p_pivot:
-                continue
-            vp, vi = work[p_pivot, c], work[r, c]
-            rr = np.sqrt(abs(vp) ** 2 + abs(vi) ** 2)
-            M = np.array([[np.conj(vp), np.conj(vi)], [-vi, vp]]) / rr
-            apply_left(p_pivot, r, M)
-        for r in neg:
-            if r == n_pivot:
-                continue
-            vp, vi = work[n_pivot, c], work[r, c]
-            rr = np.sqrt(abs(vp) ** 2 + abs(vi) ** 2)
-            M = np.array([[np.conj(vp), np.conj(vi)], [-vi, vp]]) / rr
-            apply_left(n_pivot, r, M)
+        for block, pivot in ((pos, p_pivot), (neg, n_pivot)):
+            for r in block:
+                if r == pivot:
+                    continue
+                vp, vi = work[pivot, c], work[r, c]
+                rr = np.sqrt(abs(vp) ** 2 + abs(vi) ** 2)
+                M = np.array([[np.conj(vp), np.conj(vi)], [-vi, vp]]) / rr
+                apply_left(pivot, r, M)
 
-        cross_p = p_pivot is not None and abs(work[p_pivot, c]) > 1e-14
-        cross_n = n_pivot is not None and abs(work[n_pivot, c]) > 1e-14
+        cross_p = p_pivot is not None and abs(work[p_pivot, c]) > EPS_ZERO
+        cross_n = n_pivot is not None and abs(work[n_pivot, c]) > EPS_ZERO
         if cross_p and cross_n:
             vp, vn = work[p_pivot, c], work[n_pivot, c]
+            # the pivot's own block must carry the larger share of the column
+            r2 = s[c] * (abs(vp) ** 2 - abs(vn) ** 2)
+            if r2 <= EPS_DEGENERATE:
+                raise LqcError("numerical breakdown in cross-block elimination")
+            rr = np.sqrt(r2)
             if s[c] > 0:
-                r2 = abs(vp) ** 2 - abs(vn) ** 2
-                if r2 <= 1e-12:
-                    raise LqcError("numerical breakdown in cross-block elimination")
-                rr = np.sqrt(r2)
                 M = np.array([[np.conj(vp), -np.conj(vn)], [-vn, vp]]) / rr
             else:
-                r2 = abs(vn) ** 2 - abs(vp) ** 2
-                if r2 <= 1e-12:
-                    raise LqcError("numerical breakdown in cross-block elimination")
-                rr = np.sqrt(r2)
                 M = np.array([[vn, -vp], [-np.conj(vp), np.conj(vn)]]) / rr
             apply_left(p_pivot, n_pivot, M)
 
@@ -174,19 +173,15 @@ def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
     # with its low-bit neighbor
     for c in range(d):
         ph = work[c, c]
-        if abs(ph - 1) <= 1e-13:
+        if abs(ph - 1) <= EPS_PHASE_ONE:
             continue
-        hit = None
         for t in range(len(raw) - 1, -1, -1):
-            if c in (raw[t][0], raw[t][1]):
-                hit = t
+            x, y, M = raw[t]
+            if c in (x, y):
+                M = M.copy()
+                M[:, 0 if x == c else 1] *= ph
+                raw[t] = (x, y, M)
                 break
-        if hit is not None:
-            x, y, M = raw[hit]
-            slot = 0 if x == c else 1
-            M = M.copy()
-            M[:, slot] *= ph
-            raw[hit] = (x, y, M)
         else:
             partner = c ^ 1
             if partner >= d:
@@ -203,11 +198,12 @@ def two_level_factorize(A: np.ndarray, metric) -> list[TwoLevelFactor]:
 
     recon = np.eye(d, dtype=complex)
     for f in factors:
-        recon = recon @ embed(f, d)
+        ij = [f.i, f.j]
+        recon[:, ij] = recon[:, ij] @ f.V
     err = float(np.max(np.abs(recon - A)))
     if err > EPS_RECON:
         raise LqcError(f"factorization reconstruction error {err:.3g}")
-    return factors
+    return Factorization(factors, err)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ def _direct_pair(em: _Emitter, x: int, y: int, W: np.ndarray) -> list[Instructio
 def _basis_phase(em: _Emitter, index: int, phase: complex) -> list[Instruction]:
     """Multiply basis state |index> by a unit phase: one diagonal gate on
     a bit of the index, controlled on the other bits' values."""
-    if abs(phase - 1) <= 1e-14:
+    if abs(phase - 1) <= EPS_ZERO:
         return []
     layout = em.layout
     nbits = layout.num_bits
@@ -272,7 +268,7 @@ def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instructi
     layout = em.layout
     nbits = layout.num_bits
 
-    if abs(V[0, 1]) < 1e-14 and abs(V[1, 0]) < 1e-14:
+    if abs(V[0, 1]) < EPS_ZERO and abs(V[1, 0]) < EPS_ZERO:
         return _basis_phase(em, i, V[0, 0]) + _basis_phase(em, j, V[1, 1])
 
     diffs = [q for q in range(nbits) if _bit_at(layout, i, q) != _bit_at(layout, j, q)]
@@ -317,7 +313,7 @@ def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instructi
     V0 = np.exp(-1j * delta) * V
     out = _basis_phase(em, i, np.exp(1j * delta)) + _basis_phase(em, j, np.exp(1j * delta))
     zeta = V0[0, 0]
-    if abs(zeta) < 1e-6:
+    if abs(zeta) < EPS_SMALL_ZETA:
         # the identity divides by zeta; take two square-root passes instead
         R = isometric_sqrt(V0)
         half = _lower_factor(em, i, j, R)

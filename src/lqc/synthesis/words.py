@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import BitKind, IsometryError, metric_for_kinds
+from ..core import (
+    EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
+    metric_for_kinds,
+)
 from ..gates import builtin, isometry_residual
 
 QUBIT_GENERATORS = ("H", "T")
@@ -50,13 +53,13 @@ def projective_distance(A: np.ndarray, B: np.ndarray) -> float:
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     t = np.trace(B.conj().T @ A)
-    if abs(t) < 1e-12:
+    if abs(t) < EPS_DEGENERATE:
         # trace degenerate; fall back to the largest-magnitude entry of
         # B^dag A as the phase reference (deterministic)
         M = B.conj().T @ A
         flat = np.argmax(np.abs(M))
         t = M.flat[flat]
-        if abs(t) < 1e-15:
+        if abs(t) < EPS_NO_PHASE_REF:
             return float(np.max(np.abs(A - B)))
     z = t / abs(t)
     return float(np.max(np.abs(A - z * B)))
@@ -102,7 +105,7 @@ def word_search(
         raise IsometryError("word_search target must be a 2x2 matrix")
     eta = metric_for_kinds([kind])
     resid = isometry_residual(target, eta)
-    if resid > 1e-9:
+    if resid > EPS_TARGET_ISO:
         raise IsometryError(
             f"target is not an isometry for a {kind.name.lower()} (residual {resid:.3g})"
         )
@@ -129,7 +132,7 @@ def word_search(
                 seen.add(key)
                 new_letters = letters + (name,)
                 err = projective_distance(target, new_mat)
-                if err < best_error - 1e-15:
+                if err < best_error - EPS_WORD_TIE:
                     best_word, best_matrix, best_error = new_letters, new_mat, err
                 next_frontier.append((new_letters, new_mat))
         frontier = next_frontier

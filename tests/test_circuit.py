@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -426,3 +428,32 @@ class TestValidateOnce:
         result = compile(A, layout)
         assert len(result.circuit.instructions) > 0
         assert checked == list(result.circuit.instructions)
+
+
+class TestFrozen:
+    """A Circuit cannot change after validation, so `run` and `to_matrix`
+    only ever see checked instructions."""
+
+    def test_instructions_cannot_be_replaced(self):
+        # an H on a hybit breaks the metric; assignment would get it past
+        # validation and into the simulator
+        c = parse("hybits 1\n")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.instructions = (Instruction("H", (H0,)),)
+        assert c.instructions == ()
+
+    def test_defs_are_read_only(self):
+        c = parse(TestDefgate.TAU_TEXT)
+        with pytest.raises(TypeError):
+            c.defs["G"] = (1, np.eye(2))
+        with pytest.raises(ValueError):
+            c.defs["MYTAU"][1][0, 0] = 2.0
+        assert c.instructions[0].matrix is c.defs["MYTAU"][1]
+
+    def test_constructor_freezes_defs(self):
+        gate = np.diag([1.0, 1j])
+        defs = {"G": (1, gate)}
+        c = Circuit(RegisterLayout.of(1, 0), (Instruction("G", (Q0,), matrix=gate),), defs)
+        defs["H2"] = (1, np.eye(2))
+        assert list(c.defs) == ["G"]
+        assert not gate.flags.writeable

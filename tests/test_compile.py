@@ -12,7 +12,7 @@ from lqc.core import (
     metric_vector,
 )
 from lqc.gates import builtin, controlled, isometry_residual, random_isometry_for_signs
-from lqc.synthesis import compile, compiler, format_report, projective_distance
+from lqc.synthesis import compile, compiler, format_report, projective_distance, twolevel
 from lqc.synthesis.words import word_search
 
 
@@ -83,6 +83,32 @@ class TestExactMode:
         layout = RegisterLayout.of(2, 0)
         with pytest.raises(LqcError):
             compile(np.eye(8), layout)
+
+
+class TestSingleReconstruction:
+    """compile takes its "factorize" error from the one O(d^3) check in
+    two_level_factorize and rebuilds no dense product of its own."""
+
+    def test_compile_reuses_the_factorization_check(self, monkeypatch):
+        def no_embed(*_args):
+            raise AssertionError("embed called")
+
+        checked = []
+
+        def recording(A, metric):
+            checked.append(twolevel.two_level_factorize(A, metric))
+            return checked[-1]
+
+        monkeypatch.setattr(twolevel, "embed", no_embed)
+        monkeypatch.setattr(compiler, "two_level_factorize", recording)
+        layout = RegisterLayout("qqqh")
+        A = random_isometry_for_signs(metric_vector(layout).astype(float), 600)
+        res = compile(A, layout)
+        assert len(checked) == 1
+        assert res.stages[0].name == "factorize"
+        assert res.stages[0].gate_count == len(checked[0])
+        assert res.stages[0].max_error == checked[0].error
+        assert 0.0 < checked[0].error <= EPS_RECON
 
 
 class TestApproxMode:

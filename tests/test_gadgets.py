@@ -6,6 +6,7 @@ import pytest
 from lqc.circuit import serialize, to_matrix
 from lqc.core import BitKind, IsometryError, LqcError, RegisterLayout
 from lqc.gates import builtin, controlled, isometry_residual, random_lorentz
+from lqc.synthesis import gadgets
 from lqc.synthesis.gadgets import isometric_sqrt, lambda2_gadget, lambda_k
 
 
@@ -229,3 +230,29 @@ class TestDeterminism:
         circ = lambda_k(2, V)
         reparsed = parse(serialize(circ))
         assert np.max(np.abs(lifted(reparsed) - lifted(circ))) < 1e-11
+
+
+class TestWFactorCheck:
+    """Each W-gadget factor set is checked against the block it realizes."""
+
+    def test_factors_of_another_block_are_refused(self, monkeypatch):
+        original = gadgets._unitary_w_factors
+        other = haar_unitary(99)
+        monkeypatch.setattr(gadgets, "_unitary_w_factors", lambda U: original(other))
+        with pytest.raises(LqcError, match="block equations"):
+            lambda_k(2, haar_unitary(5))
+
+    def test_split_sets_check_against_their_halves(self, monkeypatch):
+        original = gadgets._su11_w_factors
+        calls = []
+
+        def no_direct_set(U):
+            calls.append(U)
+            return None if len(calls) == 1 else original(U)
+
+        monkeypatch.setattr(gadgets, "_su11_w_factors", no_direct_set)
+        U = random_lorentz(1, 1, 7)
+        sets = gadgets._w_factor_sets(U, BitKind.HYBIT)
+        assert len(sets) == 2
+        # the halves are P and U P^-1, whose product is U
+        assert np.allclose(calls[2] @ calls[1], U, atol=1e-12)

@@ -94,6 +94,22 @@ class TestFactorize:
                 recon = recon @ embed(f, 4)
             assert np.max(np.abs(recon - A)) < 1e-8
 
+    @pytest.mark.parametrize("kinds", ["qqh", "qhqh"])
+    def test_checked_error_matches_the_dense_product(self, kinds):
+        # `error` is checked with two-column updates; embed is the reference
+        from lqc.gates import random_isometry_for_signs
+
+        s = metric_vector(RegisterLayout(kinds)).astype(float)
+        d = len(s)
+        for seed in range(3):
+            A = random_isometry_for_signs(s, 70 + seed)
+            factors = two_level_factorize(A, s)
+            recon = np.eye(d, dtype=complex)
+            for f in factors:
+                recon = recon @ embed(f, d)
+            assert factors.error == pytest.approx(np.max(np.abs(recon - A)), abs=1e-12)
+            assert factors.error <= EPS_RECON
+
     def test_diagonal_cz_is_one_factor(self):
         A = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
         factors = two_level_factorize(A, (4, 0))
