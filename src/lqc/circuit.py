@@ -434,8 +434,14 @@ def _fmt_float(x: float) -> str:
 
 
 def serialize(circuit: Circuit) -> str:
+    """`.lqc` text of a circuit. The format declares only bit counts, so it
+    holds registers with every qubit before every hybit; any other register
+    raises LqcError, since `parse` would read the text back on another."""
     out = []
     nq, nh = circuit.layout.num_qubits, circuit.layout.num_hybits
+    if circuit.layout != RegisterLayout.of(nq, nh):
+        kinds = "".join(circuit.layout.kinds)
+        raise LqcError(f"cannot serialize register {kinds}: the format puts all qubits first")
     if nq:
         out.append(f"qubits {nq}")
     if nh:

@@ -42,7 +42,6 @@ EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta|
 MIN_PARTNER_MARGIN = 1e-3  # a hyperbolic partner clears both of its conditions by this
 EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this
 EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
-EPS_BELOW_ONE = 1e-18  # caps a rescaled landing point at 1 - this (1.0 in float64)
 
 
 class LqcError(Exception):

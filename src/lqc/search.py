@@ -102,10 +102,10 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
         tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(spec.n)),
     )
     q = q_circuit(spec)
-    state = run(prep)
+    circuit = prep
     for _ in range(spec.k):
-        state = run(q, state)
-    full = observe(state)
+        circuit = circuit.concat(q)
+    full = observe(run(circuit))
     # the oracle qubit is the last qubit, so the least significant index bit
     return OutcomeDistribution(full.probs.reshape(-1, 2).sum(axis=1), full.observable_mass)
 

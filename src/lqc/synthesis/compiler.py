@@ -1,17 +1,21 @@
 """End-to-end synthesis: register isometry -> two-level factors -> circuit.
 
-Exact mode stops after lowering, so the only error is float accumulation.
+`two_level_factorize` chooses every pair a factor joins, and each pair
+lowers without relabelling: a pair one bit apart is one gate, an
+equal-sign pair two hybits apart is four gates and two phases, and a
+diagonal factor is one phase per index. A generic isometry on d = 2^n
+indices gives d(d-1)/2 factors, so on a register with fewer than two
+hybits it compiles to d(d-1)/2 gates. Exact mode stops after lowering, so the only error is
+float accumulation.
+
 Approximate mode additionally rewrites every uncontrolled single-bit gate
 as a generator word ({H,T} on qubits, {TAU,T} on hybits) found by
 word_search; controlled gates are kept, since words are products of bare
 generators. The final comparison is projective because words only match
-their targets up to a global phase.
-
-Lowering a register of two or more bits emits only controlled gates: each
-gate is controlled on every other bit, with trigger values 0 or 1. So on
-those registers approximate mode substitutes no word and returns the exact
-circuit, whose error is float rounding only; word search runs only for
-1-bit registers.
+their targets up to a global phase. Lowering a register of two or more
+bits emits only gates controlled on every other bit, so on those
+registers approximate mode substitutes no word and returns the exact
+circuit; word search runs only for 1-bit registers.
 """
 from __future__ import annotations
 

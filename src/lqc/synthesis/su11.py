@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core import (
-    EPS_AXIS_BASIS, EPS_BELOW_ONE, EPS_DEGENERATE, EPS_ISO, EPS_REAL_AXIS, EPS_SU11, LqcError,
+    EPS_AXIS_BASIS, EPS_DEGENERATE, EPS_ISO, EPS_REAL_AXIS, EPS_SU11, LqcError,
 )
 from ..gates import builtin
 
@@ -186,7 +186,7 @@ def _first_entry(alpha: float, y: float, eps: float, j_max: int, depth: int = 0)
             return j
         return None
     w0 = (y + k0 * alpha - 1.0) / alpha  # landing after the wrap, rescaled
-    w0 = min(max(w0, 0.0), 1.0 - EPS_BELOW_ONE)
+    w0 = min(max(w0, 0.0), math.nextafter(1.0, 0.0))  # largest float below 1
 
     sub_max = (j_max - k0) // a1 + 2
     j_star = _first_entry((1.0 - beta) % 1.0, w0, eps / alpha, sub_max, depth + 1)

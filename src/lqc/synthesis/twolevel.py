@@ -2,20 +2,19 @@
 
 A two-level matrix b_{i,j}(V) acts as the 2x2 block V on basis indices i, j
 and as the identity elsewhere. Any register isometry factors into such
-matrices by column elimination: Givens rotations clear each column within
-the positive-metric and negative-metric index blocks, one U(1,1) element
-clears the remaining cross-block entry, and leftover diagonal phases are
-absorbed into the factors.
+matrices by column elimination (Vartiainen, Mottonen and Salomaa, PRL 92,
+177902, 2004) under the register metric. Columns are cleared in order of
+how many hybits are set in their index. For column c, Givens rotations
+collapse each sign class of the unfinished rows along a breadth-first tree,
+c's own class into c and the other into x, c with one unset hybit set; one
+U(1,1) element clears x against c. Leftover phases are absorbed.
 
-Lowering a factor to gates splits on the Hamming distance between i and j.
-Distance 1 is one single-bit gate controlled on every other bit, with the
-bits that i and j share as the trigger values. Larger distances
-route through an intermediate index k one bit-flip from i: conjugating by
-b_{j,k}(sigma_x) relabels k to j whenever sigma_x is legal on the (j,k)
-pair, i.e. when the two indices carry equal metric signs. When i and j have
-equal signs but differ only in hybit bits no such k exists with a sign
-matching both, and the four-matrix identity for metric (+,+,-) is used
-instead, whose factors are U(1,1) elements on the (i,k) and (j,k) pairs.
+The elimination is the one place that decides which pairs a factor joins,
+and every pair it joins lowers directly: one bit apart is a single-bit gate
+controlled on every other bit (the shared bits are the trigger values); an
+equal-sign pair two hybits apart is the four-matrix identity for metric
+(+,+,-), U(1,1) elements on (i,k) and (j,k) with k one hybit flip from i;
+a diagonal block is one phase per index. Lowering refuses any other pair.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import (
-    EPS_DEGENERATE, EPS_IDENTITY, EPS_PHASE_ONE, EPS_RECON, EPS_SMALL_ZETA, EPS_ZERO, BitKind,
+    EPS_DEGENERATE, EPS_IDENTITY, EPS_PHASE_ONE, EPS_RECON, EPS_SMALL_ZETA, EPS_ZERO,
     IsometryError, LqcError, RegisterLayout, metric_sign,
 )
 from ..gates import block_metric, builtin, is_isometry, isometry_residual
@@ -102,13 +101,36 @@ class Factorization(list):
         self.error = error
 
 
+def _tree(root: int, members: set[int], moves: list[int]) -> list[tuple[int, int]]:
+    """(parent, row) edges of a breadth-first tree over members from root,
+    each a pair `moves` reaches; a row no move reaches hangs from root."""
+    edges, queue, seen = [], [root], {root}
+    for p in queue:  # the queue grows while it is walked
+        for r in (p ^ m for m in moves):
+            if r in members and r not in seen:
+                seen.add(r)
+                edges.append((p, r))
+                queue.append(r)
+    return edges + [(root, r) for r in sorted(members - seen)]
+
+
+def _trusted_factor(i: int, j: int, V: np.ndarray, metric_pair: tuple[int, int]) -> TwoLevelFactor:
+    """TwoLevelFactor(...) for a block already checked against its pair metric."""
+    f = object.__new__(TwoLevelFactor)
+    f.__dict__.update(i=i, j=j, V=V, metric_pair=metric_pair)
+    return f
+
+
 def two_level_factorize(A: np.ndarray, metric) -> Factorization:
     """Ordered factors with A = F_1 @ F_2 @ ... @ F_t within EPS_RECON.
 
     metric is either a block signature (m, n) or a per-index sign vector,
     so interleaved register metrics work directly. Factor count is at most
-    d(d-1)/2. The product is rebuilt once, each factor as an update of two
-    columns (O(d^3) in all), and its max-norm error is returned as `.error`.
+    d(d-1)/2. On a register metric every factor is directly lowerable: its
+    pair is one bit apart, or two hybits apart with equal signs, or its
+    block is diagonal. Every block is checked against its pair metric in
+    one pass, and the product is rebuilt once, each factor as an update of
+    two columns (O(d^3) in all); its max-norm error is returned as `.error`.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -131,25 +153,30 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
         work[[x, y], :] = M @ work[[x, y], :]
         ops.append((x, y, M))
 
-    for c in range(d):
-        active = [r for r in range(c + 1, d) if abs(work[r, c]) > EPS_ZERO]
-        pos = [r for r in active if s[r] > 0]
-        neg = [r for r in active if s[r] < 0]
-        p_pivot = c if s[c] > 0 else (pos[0] if pos else None)
-        n_pivot = c if s[c] < 0 else (neg[0] if neg else None)
-
-        for block, pivot in ((pos, p_pivot), (neg, n_pivot)):
-            for r in block:
-                if r == pivot:
+    # same-sign pairs that lower directly: one bit apart, or two hybits apart,
+    # where a hybit is an index bit whose flip flips every sign (only a
+    # register metric has them)
+    idx, bits = np.arange(d), [1 << b for b in range((d - 1).bit_length())]
+    hybits = [w for w in bits if d == 2 * bits[-1] and np.all(s[idx ^ w] == -s)]
+    hmask = sum(hybits)
+    moves = bits + [a | b for n, a in enumerate(hybits) for b in hybits[n + 1:]]
+    # columns by hybit count, so that c with one more hybit set is unfinished
+    order = sorted(range(d), key=lambda r: ((r & hmask).bit_count(), r))
+    for n, c in enumerate(order):
+        own = {r for r in order[n:] if s[r] == s[c]}
+        other = {r for r in order[n:] if s[r] != s[c]}
+        x = next((c | w for w in hybits if not c & w), min(other, default=None))
+        for root, block in ((c, own), (x, other)):
+            for parent, r in reversed(_tree(root, block, moves) if block else []):
+                vp, vi = work[parent, c], work[r, c]
+                if abs(vi) <= EPS_ZERO:
                     continue
-                vp, vi = work[pivot, c], work[r, c]
                 rr = np.sqrt(abs(vp) ** 2 + abs(vi) ** 2)
                 M = np.array([[np.conj(vp), np.conj(vi)], [-vi, vp]]) / rr
-                apply_left(pivot, r, M)
+                apply_left(parent, r, M)
 
-        cross_p = p_pivot is not None and abs(work[p_pivot, c]) > EPS_ZERO
-        cross_n = n_pivot is not None and abs(work[n_pivot, c]) > EPS_ZERO
-        if cross_p and cross_n:
+        if other and abs(work[x, c]) > EPS_ZERO:
+            p_pivot, n_pivot = (c, x) if s[c] > 0 else (x, c)
             vp, vn = work[p_pivot, c], work[n_pivot, c]
             # the pivot's own block must carry the larger share of the column
             r2 = s[c] * (abs(vp) ** 2 - abs(vn) ** 2)
@@ -189,12 +216,18 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
             M = np.diag([ph, 1.0]) if c < partner else np.diag([1.0, ph])
             raw.append((min(c, partner), max(c, partner), M.astype(complex)))
 
-    factors = []
-    for x, y, M in raw:
-        if x > y:
-            x, y = y, x
-            M = builtin("X") @ M @ builtin("X")
-        factors.append(TwoLevelFactor(x, y, M, (int(s[x]), int(s[y]))))
+    # one check of every block against its pair metric, then trusted factors
+    pairs = np.array([sorted((x, y)) for x, y, _ in raw], dtype=int).reshape(-1, 2)
+    V = np.array([M if x < y else M[::-1, ::-1] for x, y, M in raw]).reshape(-1, 2, 2)
+    eta = s[pairs]
+    gram = np.conj(V).transpose(0, 2, 1) @ (eta[:, :, None] * V) - eta[:, :, None] * np.eye(2)
+    resid = float(np.abs(gram).max(initial=0.0))
+    if resid > EPS_RECON:
+        raise IsometryError(f"a two-level block violates its pair metric (residual {resid:.3g})")
+    factors = [
+        _trusted_factor(int(i), int(j), Vt, (int(a), int(b)))
+        for (i, j), Vt, (a, b) in zip(pairs, V, eta)
+    ]
 
     recon = np.eye(d, dtype=complex)
     for f in factors:
@@ -257,57 +290,22 @@ def _basis_phase(em: _Emitter, index: int, phase: complex) -> list[Instruction]:
     return em.emit(pattern, target, gate)
 
 
-def _first_diff_of_kind(layout: RegisterLayout, diff_positions, kind: BitKind):
-    for q in diff_positions:
-        if layout.kinds[q] is kind:
-            return q
-    return None
-
-
 def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instruction]:
+    """Gates of b_{i,j}(V) for a directly lowerable factor; LqcError names
+    any other pair."""
     layout = em.layout
-    nbits = layout.num_bits
-
     if abs(V[0, 1]) < EPS_ZERO and abs(V[1, 0]) < EPS_ZERO:
         return _basis_phase(em, i, V[0, 0]) + _basis_phase(em, j, V[1, 1])
 
-    diffs = [q for q in range(nbits) if _bit_at(layout, i, q) != _bit_at(layout, j, q)]
-    h = len(diffs)
-    if h == 1:
+    diff = i ^ j
+    if diff.bit_count() == 1:
         return _direct_pair(em, i, j, V)
+    if diff.bit_count() != 2 or diff & ~layout.hybit_index_mask:
+        kinds = "".join(layout.kinds)
+        raise LqcError(f"pair ({i}, {j}) on register {kinds} is not directly lowerable")
 
-    si, sj = metric_sign(layout, i), metric_sign(layout, j)
-
-    def conjugated(k: int) -> list[Instruction]:
-        # b_{i,j}(V) = b_{j,k}(X) b_{i,k}(V) b_{j,k}(X)
-        a, b = min(j, k), max(j, k)
-        t_part = _lower_factor(em, a, b, builtin("X"))
-        if (i ^ k).bit_count() == 1:
-            mid = _direct_pair(em, i, k, V)
-        else:
-            a2, b2 = min(i, k), max(i, k)
-            W = V if i < k else builtin("X") @ V @ builtin("X")
-            mid = _lower_factor(em, a2, b2, W)
-        return t_part + mid + t_part
-
-    if si != sj:
-        # a differing hybit always exists here and flipping it matches k's
-        # sign to j, making sigma_x legal on the (j, k) pair
-        q = _first_diff_of_kind(layout, diffs, BitKind.HYBIT)
-        return conjugated(i ^ (1 << (nbits - 1 - q)))
-
-    q = _first_diff_of_kind(layout, diffs, BitKind.QUBIT)
-    if q is not None:
-        return conjugated(i ^ (1 << (nbits - 1 - q)))
-
-    # equal signs, all differing bits are hybits (h even)
-    if h > 2:
-        w1 = 1 << (nbits - 1 - diffs[0])
-        w2 = 1 << (nbits - 1 - diffs[1])
-        return conjugated(i ^ w1 ^ w2)
-
-    # h = 2: the metric (+,+,-) four-matrix identity through k = i with one
-    # differing hybit flipped
+    # equal signs two hybits apart: the metric (+,+,-) four-matrix identity
+    # through k = i with the higher differing hybit flipped
     det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
     delta = np.angle(det) / 2.0
     V0 = np.exp(-1j * delta) * V
@@ -320,7 +318,7 @@ def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instructi
         return out + half + half
     gamma = V0[0, 1]
     g = np.sqrt(1.0 + abs(gamma) ** 2)
-    k = i ^ (1 << (nbits - 1 - diffs[0]))
+    k = i ^ (1 << (diff.bit_length() - 1))
     zc = np.conj(zeta)
     gc = np.conj(gamma)
     s2 = np.sqrt(2.0)

@@ -228,6 +228,14 @@ class TestSerialize:
         back = parse(serialize(c))
         assert back.instructions[0].param == chi
 
+    @pytest.mark.parametrize("kinds", ["hq", "qhq", "hqhq"])
+    def test_non_canonical_register_refused(self, kinds):
+        # the format declares only counts: "hq" would be read back as "qh",
+        # with the X moved from the qubit at position 1 to position 0
+        c = Circuit(RegisterLayout(kinds), (Instruction("X", (Q0,)),))
+        with pytest.raises(LqcError, match=kinds):
+            serialize(c)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_roundtrip_fuzz(self, seed):
         rng = np.random.default_rng(seed)

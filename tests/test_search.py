@@ -133,6 +133,24 @@ class TestRunSearch:
             if key != "01101":
                 assert p == pytest.approx(rest, abs=1e-10)
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_one_circuit_matches_round_by_round(self, k):
+        # run_search runs prep + Q^k as one circuit; running each round on
+        # the state the last one left gives bit-identical probabilities
+        spec = SearchSpec(6, "011010", 0.7, k)
+        layout = search_layout(6)
+        from lqc.circuit import BitRef, Circuit
+
+        prep = Circuit(
+            layout, tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(6))
+        )
+        state = run(prep)
+        q = q_circuit(spec)
+        for _ in range(k):
+            state = run(q, state)
+        want = observe(state).probs.reshape(-1, 2).sum(axis=1)
+        assert np.array_equal(run_search(spec).probs, want)
+
     def test_pseudo_norm_preserved(self):
         spec = SearchSpec(4, "0110", 1.5, 6)
         layout = search_layout(4)

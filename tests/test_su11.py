@@ -6,6 +6,7 @@ import scipy.linalg
 
 from lqc.core import LqcError, metric_for_kinds
 from lqc.gates import boost, builtin, isometry_residual
+from lqc.synthesis import su11
 from lqc.synthesis.su11 import (
     AxisVector,
     approx_power,
@@ -170,6 +171,23 @@ class TestApproxPower:
     def test_exhaustion_raises(self):
         with pytest.raises(LqcError):
             approx_power(math.pi, math.pi / 2 + 1e-9, tol=1e-12, k_max=100)
+
+    def test_landing_point_rounding_to_one_recurses_below_one(self, monkeypatch):
+        # y + 2 alpha - 1 rounds to alpha, so the rescaled landing point is
+        # 1.0000000000000002 before the clamp; 1 - 1e-18 would clamp it to 1.0
+        alpha, y = 0.15563274826795223, 0.8443672517320477
+        k0 = math.ceil((1.0 - y) / alpha)
+        assert (y + k0 * alpha - 1.0) / alpha >= 1.0
+        original = su11._first_entry
+        landings = []
+
+        def recording(alpha, y, *rest):
+            landings.append(y)
+            return original(alpha, y, *rest)
+
+        monkeypatch.setattr(su11, "_first_entry", recording)
+        original(alpha, y, 1e-6, 10**6)
+        assert landings and 0.0 <= landings[0] < 1.0
 
 
 class TestAxisDecompose:

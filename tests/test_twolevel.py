@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from lqc.circuit import serialize, to_matrix
-from lqc.core import EPS_RECON, IsometryError, LqcError, RegisterLayout, metric_vector
+from lqc.core import (
+    EPS_RECON,
+    IsometryError,
+    LqcError,
+    RegisterLayout,
+    metric_sign,
+    metric_vector,
+)
 from lqc.gates import builtin, random_lorentz
+from lqc.synthesis import twolevel
 from lqc.synthesis.twolevel import (
     TwoLevelFactor,
     controlled_on_pattern,
@@ -118,6 +126,23 @@ class TestFactorize:
         assert (f.i, f.j) == (2, 3)
         assert np.max(np.abs(f.V - np.diag([1.0, -1.0]))) < 1e-14
 
+    def test_each_block_is_checked_against_its_pair_metric(self, monkeypatch):
+        # factors are built without the constructor's check, so the one
+        # batched check has to catch a block that is off its metric
+        original = twolevel._pair_inverse
+        calls = []
+
+        def scaling_third(M, eta):
+            calls.append(M)
+            out = original(M, eta)
+            return out * 1.001 if len(calls) == 3 else out
+
+        monkeypatch.setattr(twolevel, "_pair_inverse", scaling_third)
+        A = random_lorentz(2, 2, 5)
+        with pytest.raises(IsometryError, match="pair metric"):
+            two_level_factorize(A, (2, 2))
+        assert len(calls) > 3
+
     def test_rejects_non_isometry(self):
         with pytest.raises(IsometryError):
             two_level_factorize(np.ones((3, 3)), (2, 1))
@@ -162,8 +187,6 @@ class TestPatternControl:
 
 
 def factor_for(layout, i, j, V):
-    from lqc.core import metric_sign
-
     return TwoLevelFactor(i, j, V, (metric_sign(layout, i), metric_sign(layout, j)))
 
 
@@ -208,16 +231,6 @@ class TestLowering:
         layout = RegisterLayout.of(2, 0)
         check_lowering(layout, 0, 3, np.diag([np.exp(0.4j), 1.0]), 1e-12)
 
-    def test_mixed_sign_hamming2(self):
-        layout = RegisterLayout("qh")
-        V = random_lorentz(1, 1, 21)
-        check_lowering(layout, 0, 3, V)  # |00> (+) vs |11> (-)
-
-    def test_equal_sign_qubit_flip(self):
-        layout = RegisterLayout.of(3, 0)
-        V = random_su2_form(22)
-        check_lowering(layout, 0, 7, V)  # Hamming 3, all qubits
-
     def test_equal_sign_two_hybits(self):
         layout = RegisterLayout("hh")
         V = random_su2_form(23)
@@ -234,15 +247,18 @@ class TestLowering:
         V = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # zeta = 0
         check_lowering(layout, 0, 3, V)
 
-    def test_hamming3_mixed_register(self):
-        layout = RegisterLayout("qqh")
-        V = random_lorentz(1, 1, 25)
-        check_lowering(layout, 0, 7, V)  # |000> (+) vs |111> (-)
-
-    def test_hamming4_all_hybits(self):
-        layout = RegisterLayout("hhhh")
-        V = random_su2_form(26)
-        check_lowering(layout, 0, 15, V)
+    # pairs the elimination never forms: more than two bits apart, or two
+    # bits apart where one of them is a qubit
+    @pytest.mark.parametrize(
+        "kinds,i,j",
+        [("qh", 0, 3), ("qqq", 0, 7), ("qqh", 0, 7), ("hhhh", 0, 15), ("qqh", 0, 6)],
+    )
+    def test_rejects_pairs_that_need_relabelling(self, kinds, i, j):
+        layout = RegisterLayout(kinds)
+        si, sj = metric_sign(layout, i), metric_sign(layout, j)
+        V = random_su2_form(21) if si == sj else random_lorentz(1, 1, 21)
+        with pytest.raises(LqcError, match=rf"pair \({i}, {j}\) on register {kinds}"):
+            two_level_to_circuit(TwoLevelFactor(i, j, V, (si, sj)), layout)
 
     def test_dimension_mismatch(self):
         layout = RegisterLayout.of(2, 0)
