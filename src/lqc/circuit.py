@@ -14,7 +14,10 @@ zero-based bit indices):
 
 GATENAME is a DEFGATE name or a builtin of `gates.BUILTIN_ARITY`, the one
 gate list the parser and the serializer share; it also gives the target
-count of each builtin (CZ takes two, the rest one).
+count of each builtin (CZ takes two, the rest one). A DEFGATE lives in the
+instructions that use it, as `Instruction.matrix` (None for a builtin).
+`serialize` writes each DEFGATE once, in order of first use, and refuses a
+name that carries two matrices; `parse` keeps no DEFGATE no statement uses.
 
 Controls trigger on bit value 1. A control written with a "!" prefix
 ("CTRL !q0 : Z q1") triggers on 0 instead, on qubits and hybits alike.
@@ -25,10 +28,11 @@ controlled gate I + P_C (U - I) preserves the metric whenever U does on
 its targets, whatever the trigger values.
 
 Each instruction is checked once, by `validate_instruction`, where it
-enters a `Circuit`: its gate matrix must preserve the metric of its target
-bits (the same DEFGATE may be legal on one bit-kind combination and
-illegal on another). `parse` checks each statement as it reads it, for a
-per-line diagnostic; it and `concat` return circuits without a second check.
+enters a `Circuit`: it must be one the text can write back, and its gate
+matrix must preserve the metric of its target bits (the same DEFGATE may be
+legal on one bit-kind combination and illegal on another). `parse` checks
+each statement as it reads it, for a per-line diagnostic; it and `concat`
+return circuits without a second check.
 """
 
 from __future__ import annotations
@@ -36,25 +40,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .core import (
-    EPS_ISO,
-    BitKind,
-    GuardError,
-    IsometryError,
-    LqcError,
-    RegisterLayout,
-    metric_for_kinds,
+    EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout, metric_for_kinds,
 )
-from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual
+from .gates import (
+    BUILTIN_ARITY, PARAMETRIC, MatrixTextError, builtin, format_row, isometry_residual, parse_entry,
+)
 
 KEYWORDS = {"QUBITS", "HYBITS", "CTRL", "DEFGATE"}
 _BITREF_RE = re.compile(r"^(!?)([qh])(\d+)$", re.IGNORECASE)
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"^[A-Z_][A-Z0-9_]*$")
 
 TO_MATRIX_GUARD_BITS = 12
 
@@ -95,21 +93,17 @@ class Instruction:
             return self.matrix
         return builtin(self.gate, self.param)
 
-    def all_refs(self) -> tuple[BitRef, ...]:
-        return self.controls + self.targets
-
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """A register and its validated instructions, immutable once built:
-    `defs` is a read-only mapping and its DEFGATE arrays are read-only."""
+    the matrix of every DEFGATE instruction is read-only."""
 
     layout: RegisterLayout
     instructions: tuple[Instruction, ...] = ()
-    defs: Mapping[str, tuple[int, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _freeze(self, self.instructions, self.defs)
+        _freeze(self, self.instructions)
         for instr in self.instructions:
             validate_instruction(self.layout, instr)
 
@@ -118,45 +112,50 @@ class Circuit:
             return NotImplemented
         if self.layout != other.layout or self.instructions != other.instructions:
             return False
-        if self.defs.keys() != other.defs.keys():
-            return False
         return all(
-            self.defs[k][0] == other.defs[k][0]
-            and np.array_equal(self.defs[k][1], other.defs[k][1])
-            for k in self.defs
+            a.matrix is b.matrix or np.array_equal(a.matrix, b.matrix)
+            for a, b in zip(self.instructions, other.instructions)
         )
 
     def concat(self, other: "Circuit") -> "Circuit":
         if other.layout != self.layout:
             raise LqcError("cannot concatenate circuits over different layouts")
-        defs = dict(self.defs)
-        for name, (arity, mat) in other.defs.items():
-            if name in defs and not (defs[name][0] == arity and np.array_equal(defs[name][1], mat)):
-                raise LqcError(f"conflicting DEFGATE {name}")
-            defs[name] = (arity, mat)
-        return _checked(self.layout, self.instructions + other.instructions, defs)
+        return _checked(self.layout, self.instructions + other.instructions)
 
 
-def _freeze(circuit: Circuit, instructions, defs) -> None:
-    for _arity, mat in defs.values():
-        mat.flags.writeable = False
+def _freeze(circuit: Circuit, instructions) -> None:
+    for instr in instructions:
+        if instr.matrix is not None:
+            instr.matrix.flags.writeable = False
     object.__setattr__(circuit, "instructions", tuple(instructions))
-    object.__setattr__(circuit, "defs", MappingProxyType(dict(defs)))
 
 
-def _checked(layout: RegisterLayout, instructions, defs) -> Circuit:
+def _checked(layout: RegisterLayout, instructions) -> Circuit:
     """Circuit(...) for instructions already validated on this layout."""
     circuit = object.__new__(Circuit)
     object.__setattr__(circuit, "layout", layout)
-    _freeze(circuit, instructions, defs)
+    _freeze(circuit, instructions)
     return circuit
+
+
+def _is_gate_name(name: str) -> bool:
+    """Whether `parse` reads `name` back as itself: an upper-case identifier
+    that is neither a keyword nor shaped like a bit reference."""
+    return bool(_NAME_RE.match(name)) and name not in KEYWORDS and not _BITREF_RE.match(name)
 
 
 def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
     """Raise unless the instruction is well formed on the layout, and
     IsometryError unless its gate preserves the metric of its targets.
     Where it runs is in the module docstring."""
-    refs = instr.all_refs()
+    if instr.gate in BUILTIN_ARITY:
+        if instr.matrix is not None:
+            raise LqcError(f"builtin gate {instr.gate} cannot carry a matrix")
+    elif not _is_gate_name(instr.gate):
+        raise LqcError(f"gate name {instr.gate!r} does not read back from .lqc text")
+    elif instr.param is not None:
+        raise LqcError(f"DEFGATE {instr.gate} takes no parameter")
+    refs = instr.controls + instr.targets
     if len(set(refs)) != len(refs):
         raise LqcError(f"duplicate bit in instruction {instr.gate}")
     if not instr.targets:
@@ -232,8 +231,6 @@ def parse(text: str) -> Circuit:
     decls: dict[str, int] = {}
     decls_done = False
     defs: dict[str, tuple[int, np.ndarray]] = {}
-    # statements buffered raw first: the register layout is only known
-    # once the decls are read, but decls must precede all statements anyway
     instructions: list[Instruction] = []
     layout: RegisterLayout | None = None
 
@@ -268,8 +265,7 @@ def parse(text: str) -> Circuit:
         col0, name_tok = toks[0]
         name = name_tok.upper()
         if name in BUILTIN_ARITY:
-            matrix = None
-            arity = BUILTIN_ARITY[name]
+            matrix, arity = None, BUILTIN_ARITY[name]
         elif name in defs:
             arity, matrix = defs[name]
         else:
@@ -318,8 +314,8 @@ def parse(text: str) -> Circuit:
             return
         (_, _), (ncol, name_tok), (acol, arity_tok) = toks
         name = name_tok.upper()
-        if not _IDENT_RE.match(name_tok) or name in KEYWORDS or name in BUILTIN_ARITY \
-                or _BITREF_RE.match(name_tok):
+        # upper() maps a few non-ASCII letters to ASCII ones
+        if not name_tok.isascii() or not _is_gate_name(name) or name in BUILTIN_ARITY:
             err(lineno, ncol, f"invalid gate name {name_tok!r}")
             return
         if name in defs:
@@ -346,12 +342,9 @@ def parse(text: str) -> Circuit:
                 return
             row = []
             for col, tok in rtoks:
-                parts = tok.split(",")
                 try:
-                    if len(parts) != 2:
-                        raise ValueError
-                    row.append(complex(float(parts[0]), float(parts[1])))
-                except ValueError:
+                    row.append(parse_entry(tok))
+                except MatrixTextError:
                     err(rlineno, col, f"matrix entry {tok!r} is not 're,im'")
                     return
             rows.append(row)
@@ -392,11 +385,7 @@ def parse(text: str) -> Circuit:
             parse_defgate(lineno, toks)
         elif keyword == "CTRL":
             # controls up to the ':' token, simple statement after it
-            split = None
-            for i, (_, tok) in enumerate(toks):
-                if tok == ":":
-                    split = i
-                    break
+            split = next((i for i, (_, tok) in enumerate(toks) if tok == ":"), None)
             if split is None:
                 err(lineno, col0, "CTRL statement needs a ':' before the gate")
                 continue
@@ -422,38 +411,43 @@ def parse(text: str) -> Circuit:
 
     if errors:
         raise ParseError(errors)
-    # parse_simple has validated every instruction
-    return _checked(get_layout(), instructions, defs)
+    # parse_simple has validated every instruction; a DEFGATE no statement
+    # uses is not kept
+    return _checked(get_layout(), instructions)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def serialize(circuit: Circuit) -> str:
     """`.lqc` text of a circuit. The format declares only bit counts, so it
     holds registers with every qubit before every hybit; any other register
-    raises LqcError, since `parse` would read the text back on another."""
+    raises LqcError, since `parse` would read the text back on another.
+    Each DEFGATE is written once, in order of first use, before the
+    statements; a name that carries two matrices raises LqcError, since its
+    text could define only one of them."""
     out = []
     nq, nh = circuit.layout.num_qubits, circuit.layout.num_hybits
     if circuit.layout != RegisterLayout.of(nq, nh):
         kinds = "".join(circuit.layout.kinds)
         raise LqcError(f"cannot serialize register {kinds}: the format puts all qubits first")
+    first_use: dict[str, Instruction] = {}
+    for instr in circuit.instructions:
+        if instr.matrix is not None:
+            first = first_use.setdefault(instr.gate, instr)
+            if first.matrix is not instr.matrix and not np.array_equal(first.matrix, instr.matrix):
+                raise LqcError(f"cannot serialize gate {instr.gate}: it carries two matrices")
     if nq:
         out.append(f"qubits {nq}")
     if nh:
         out.append(f"hybits {nh}")
-    for name, (arity, mat) in circuit.defs.items():
-        out.append(f"DEFGATE {name} {arity}")
-        for row in mat:
-            out.append(" ".join(f"{e.real:.17g},{e.imag:.17g}" for e in row))
+    for name, first in first_use.items():
+        out.append(f"DEFGATE {name} {len(first.targets)}")
+        out.extend(format_row(row) for row in first.matrix)
     for instr in circuit.instructions:
         head = instr.gate
         if instr.param is not None:
-            head += f" {_fmt_float(instr.param)}"
+            head += f" {instr.param:.17g}"
         tail = " ".join(str(t) for t in instr.targets)
         if instr.controls:
             ctl = " ".join(

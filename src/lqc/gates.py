@@ -9,6 +9,7 @@ metric eta of those bits.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -17,24 +18,6 @@ import scipy.linalg
 from .core import EPS_ISO, LqcError
 
 SQRT2 = np.sqrt(2.0)
-
-_H = np.array([[1, 1], [1, -1]]) / SQRT2
-# pi/8 gate written with its overall phase, so the matrix is diag(1, e^{-i pi/4})
-_T = np.exp(-1j * np.pi / 8) * np.diag([np.exp(1j * np.pi / 8), np.exp(-1j * np.pi / 8)])
-_TAU = np.array([[SQRT2, 1j], [1j, -SQRT2]])
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]])
-_Z = np.diag([1.0 + 0j, -1.0])
-_SZ = np.diag([1.0 + 0j, 1j])   # Z^{1/2}
-_SZD = np.diag([1.0 + 0j, -1j])  # Z^{-1/2}
-_CZ = np.diag([1.0 + 0j, 1, 1, -1])
-
-#: Builtin gate arities; parametric gates map to the parameter count they need.
-BUILTIN_ARITY = {
-    "H": 1, "T": 1, "TAU": 1, "X": 1, "Y": 1, "Z": 1,
-    "SZ": 1, "SZD": 1, "BOOST": 1, "PHASE": 1, "CZ": 2,
-}
-PARAMETRIC = {"BOOST", "PHASE"}
 
 
 def boost(chi: float) -> np.ndarray:
@@ -47,6 +30,25 @@ def phase_gate(phi: float) -> np.ndarray:
     return np.diag([1.0 + 0j, np.exp(1j * phi)])
 
 
+#: The one gate table: the matrix of each fixed builtin, and the matrix
+#: function of each builtin that takes a parameter.
+_FIXED = {
+    "H": np.array([[1, 1], [1, -1]]) / SQRT2,
+    # pi/8 gate written with its overall phase, so the matrix is diag(1, e^{-i pi/4})
+    "T": np.exp(-1j * np.pi / 8) * np.diag([np.exp(1j * np.pi / 8), np.exp(-1j * np.pi / 8)]),
+    "TAU": np.array([[SQRT2, 1j], [1j, -SQRT2]]),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0 + 0j, -1.0]),
+    "SZ": np.diag([1.0 + 0j, 1j]),  # Z^{1/2}
+    "SZD": np.diag([1.0 + 0j, -1j]),  # Z^{-1/2}
+    "CZ": np.diag([1.0 + 0j, 1, 1, -1]),
+}
+PARAMETRIC = {"BOOST": boost, "PHASE": phase_gate}
+#: Target count of every builtin.
+BUILTIN_ARITY = {k: len(m).bit_length() - 1 for k, m in _FIXED.items()} | dict.fromkeys(PARAMETRIC, 1)
+
+
 @functools.lru_cache(maxsize=1024)
 def builtin(name: str, param: float | None = None) -> np.ndarray:
     """Matrix of a named builtin gate. BOOST and PHASE require a parameter.
@@ -57,21 +59,19 @@ def builtin(name: str, param: float | None = None) -> np.ndarray:
     if key in PARAMETRIC:
         if param is None:
             raise LqcError(f"gate {key} requires a parameter")
-        mat = boost(param) if key == "BOOST" else phase_gate(param)
+        mat = PARAMETRIC[key](param)
     elif param is not None:
         raise LqcError(f"gate {key} takes no parameter")
     else:
-        fixed = {
-            "H": _H, "T": _T, "TAU": _TAU, "X": _X, "Y": _Y, "Z": _Z,
-            "SZ": _SZ, "SZD": _SZD, "CZ": _CZ,
-        }
-        mat = fixed[key].copy()
+        mat = _FIXED[key].copy()
     mat.setflags(write=False)
     return mat
 
 
 def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float:
-    """Max-norm of G^dagger eta G - eta; eta given as a sign vector or diagonal matrix."""
+    """Max-norm of G^dagger eta G - eta; eta given as a sign vector or diagonal
+    matrix. math.inf when that is not finite, as when G has a NaN or infinite
+    entry, so that every `resid > EPS_*` check refuses G."""
     G = np.asarray(G, dtype=complex)
     eta = np.asarray(eta)
     if eta.ndim == 2:
@@ -79,7 +79,8 @@ def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float:
     if G.shape[0] != G.shape[1] or G.shape[0] != eta.shape[0]:
         raise LqcError(f"shape mismatch: gate {G.shape}, metric {eta.shape}")
     resid = (G.conj().T * eta) @ G - np.diag(eta.astype(complex))
-    return float(np.max(np.abs(resid)))
+    worst = float(np.max(np.abs(resid)))
+    return worst if math.isfinite(worst) else math.inf
 
 
 def is_isometry(G: np.ndarray, eta: np.ndarray) -> tuple[bool, float]:
@@ -133,6 +134,22 @@ class MatrixTextError(LqcError):
     pass
 
 
+def parse_entry(token: str) -> complex:
+    """One matrix entry written 're,im', in this format and in DEFGATE rows."""
+    parts = token.split(",")
+    if len(parts) != 2:
+        raise MatrixTextError(f"entry {token!r} is not 're,im'")
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise MatrixTextError(f"bad number in {token!r}") from None
+
+
+def format_row(row) -> str:
+    """One matrix row of 're,im' entries that `parse_entry` reads back exactly."""
+    return " ".join(f"{e.real:.17g},{e.imag:.17g}" for e in row)
+
+
 def parse_matrix_text(text: str) -> tuple[np.ndarray, tuple[int, int]]:
     rows: list[list[complex]] = []
     header: tuple[int, int] | None = None
@@ -152,16 +169,10 @@ def parse_matrix_text(text: str) -> tuple[np.ndarray, tuple[int, int]]:
                 raise MatrixTextError(f"line {lineno}: bad metric signature ({m}, {n})")
             header = (m, n)
             continue
-        row = []
-        for field in fields:
-            parts = field.split(",")
-            if len(parts) != 2:
-                raise MatrixTextError(f"line {lineno}: entry {field!r} is not 're,im'")
-            try:
-                row.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise MatrixTextError(f"line {lineno}: bad number in {field!r}")
-        rows.append(row)
+        try:
+            rows.append([parse_entry(field) for field in fields])
+        except MatrixTextError as exc:
+            raise MatrixTextError(f"line {lineno}: {exc}") from None
     if header is None:
         raise MatrixTextError("empty matrix file")
     dim = header[0] + header[1]
@@ -174,7 +185,5 @@ def format_matrix_text(matrix: np.ndarray, m: int, n: int) -> str:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (m + n, m + n):
         raise MatrixTextError(f"matrix shape {matrix.shape} does not match dim {m + n}")
-    lines = [f"dim {m} {n}"]
-    for row in matrix:
-        lines.append(" ".join(f"{e.real:.17g},{e.imag:.17g}" for e in row))
+    lines = [f"dim {m} {n}"] + [format_row(row) for row in matrix]
     return "\n".join(lines) + "\n"

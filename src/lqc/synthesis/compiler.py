@@ -72,7 +72,7 @@ def compile(
     # the matrix product comes first
     for f in reversed(factors):
         instrs += _lower_factor(em, f.i, f.j, f.V)
-    circuit = Circuit(layout, tuple(instrs), em.defs)
+    circuit = Circuit(layout, tuple(instrs))
     R = to_matrix(circuit)
     lower_err = float(np.max(np.abs(R - A)))
     stage_lower = CompileStage("lower", len(circuit.instructions), lower_err)
@@ -118,9 +118,7 @@ def _substitute_words(circuit: Circuit, tol: float, depth: int):
         # letters multiply left to right onto the state, rightmost first
         for letter in reversed(word.letters):
             out.append(Instruction(letter, instr.targets))
-    used = {i.gate for i in out}
-    defs = {name: d for name, d in circuit.defs.items() if name in used}
-    return Circuit(layout, tuple(out), defs), errors
+    return Circuit(layout, tuple(out)), errors
 
 
 def format_report(result: CompileResult) -> str:

@@ -236,25 +236,25 @@ def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
 
 
 class _Emitter:
-    """Collects instructions and DEFGATE definitions for one circuit."""
+    """Emits the instructions of one circuit, naming each new DEFGATE
+    matrix U0, U1, ... in the order it is first emitted."""
 
     _RECOGNIZED = ("Z", "X", "SZ", "SZD", "H", "T", "TAU")
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
-        self.defs: dict[str, tuple[int, np.ndarray]] = {}
-        self._by_key: dict[bytes, str] = {}
-        self._counter = 0
+        self._by_key: dict[bytes, tuple[str, np.ndarray]] = {}
 
     def _ref(self, position: int) -> BitRef:
         return BitRef(self.layout.kinds[position], self.layout.index_in_kind(position))
 
-    def _gate_name(self, M: np.ndarray) -> tuple[str, float | None]:
+    def _gate_name(self, M: np.ndarray) -> tuple[str, float | None, np.ndarray | None]:
+        """(name, param, DEFGATE matrix or None for a builtin) of M."""
         for name in self._RECOGNIZED:
             if np.max(np.abs(M - builtin(name))) < EPS_ZERO:
-                return name, None
+                return name, None, None
         if abs(M[0, 1]) < EPS_ZERO and abs(M[1, 0]) < EPS_ZERO and abs(M[0, 0] - 1) < EPS_ZERO:
-            return "PHASE", float(np.angle(M[1, 1]))
+            return "PHASE", float(np.angle(M[1, 1])), None
         if (
             np.max(np.abs(M.imag)) < EPS_ZERO
             and abs(M[0, 0] - M[1, 1]) < EPS_ZERO
@@ -262,20 +262,18 @@ class _Emitter:
             and abs(M[0, 0].real ** 2 - M[0, 1].real ** 2 - 1) < EPS_IDENTITY
             and M[0, 0].real > 0
         ):
-            return "BOOST", float(np.arcsinh(M[0, 1].real))
+            return "BOOST", float(np.arcsinh(M[0, 1].real)), None
         key = (np.round(M, 12) + 0.0).tobytes()
         if key not in self._by_key:
-            name = f"U{self._counter}"
-            self._counter += 1
-            self._by_key[key] = name
-            self.defs[name] = (1, M.astype(complex))
-        return self._by_key[key], None
+            self._by_key[key] = (f"U{len(self._by_key)}", M.astype(complex))
+        name, matrix = self._by_key[key]
+        return name, None, matrix
 
     def emit(self, pattern: dict[int, int], target: int, M: np.ndarray) -> list[Instruction]:
         """M on `target` where every position of `pattern` holds its value."""
         if np.max(np.abs(M - _I2)) < EPS_ZERO:
             return []
-        name, param = self._gate_name(M)
+        name, param, matrix = self._gate_name(M)
         controls = sorted(pattern)
         return [
             Instruction(
@@ -283,7 +281,7 @@ class _Emitter:
                 targets=(self._ref(target),),
                 controls=tuple(self._ref(c) for c in controls),
                 param=param,
-                matrix=self.defs[name][1] if name in self.defs else None,
+                matrix=matrix,
                 ctrl_state=tuple(pattern[c] for c in controls),
             )
         ]
@@ -358,7 +356,7 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
         )
     em = _Emitter(layout)
     instrs = _lambda_rec(em, list(range(k)), target, V)
-    return Circuit(layout, tuple(instrs), em.defs)
+    return Circuit(layout, tuple(instrs))
 
 
 def lambda2_gadget(V: np.ndarray, layout: RegisterLayout | None = None) -> Circuit:

@@ -31,7 +31,7 @@ from ..circuit import Circuit, Instruction
 from .gadgets import _Emitter, isometric_sqrt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoLevelFactor:
     """b_{i,j}(V): V on the span of basis indices i < j, identity elsewhere.
 
@@ -251,7 +251,7 @@ def controlled_on_pattern(
         raise LqcError("target cannot be part of the control pattern")
     em = _Emitter(layout)
     instrs = em.emit(dict(pattern), target, np.asarray(W, complex))
-    return Circuit(layout, tuple(instrs), em.defs)
+    return Circuit(layout, tuple(instrs))
 
 
 def _bit_at(layout: RegisterLayout, index: int, pos: int) -> int:
@@ -349,4 +349,4 @@ def two_level_to_circuit(factor: TwoLevelFactor, layout: RegisterLayout) -> Circ
         )
     em = _Emitter(layout)
     instrs = _lower_factor(em, factor.i, factor.j, factor.V)
-    return Circuit(layout, tuple(instrs), em.defs)
+    return Circuit(layout, tuple(instrs))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import HYBIT_GATES, QUBIT_GATES, bit_ref, random_circuit, random_layout
+from test_kernels import ARITY, DEFGATES, GATES, ONLY_ON, make_instruction
 from lqc import circuit as circuit_module
 from lqc.circuit import (
     BitRef,
@@ -410,7 +411,7 @@ class TestValidateOnce:
         layout = RegisterLayout.of(2, 2)
         c = random_circuit(np.random.default_rng(4), layout, 30)
         gate = np.diag([1.0, 1j])
-        c = c.concat(Circuit(layout, (Instruction("G", (H0,), matrix=gate),), {"G": (1, gate)}))
+        c = c.concat(Circuit(layout, (Instruction("G", (H0,), matrix=gate),)))
         checked.clear()
         parsed = parse(serialize(c))
         assert parsed == c
@@ -451,17 +452,136 @@ class TestFrozen:
         assert c.instructions == ()
 
     def test_defs_are_read_only(self):
+        # a parsed DEFGATE lives only in its instruction, as a read-only array
         c = parse(TestDefgate.TAU_TEXT)
-        with pytest.raises(TypeError):
-            c.defs["G"] = (1, np.eye(2))
+        assert not hasattr(c, "defs")
         with pytest.raises(ValueError):
-            c.defs["MYTAU"][1][0, 0] = 2.0
-        assert c.instructions[0].matrix is c.defs["MYTAU"][1]
+            c.instructions[0].matrix[0, 0] = 2.0
 
     def test_constructor_freezes_defs(self):
         gate = np.diag([1.0, 1j])
-        defs = {"G": (1, gate)}
-        c = Circuit(RegisterLayout.of(1, 0), (Instruction("G", (Q0,), matrix=gate),), defs)
-        defs["H2"] = (1, np.eye(2))
-        assert list(c.defs) == ["G"]
+        c = Circuit(RegisterLayout.of(1, 0), (Instruction("G", (Q0,), matrix=gate),))
+        assert c.instructions[0].matrix is gate
         assert not gate.flags.writeable
+
+
+class TestOneHomePerMatrix:
+    """A DEFGATE matrix lives only in the instructions that use it, so the
+    text that `serialize` writes runs what the circuit runs, and a circuit
+    holds nothing that the text cannot write back."""
+
+    G = np.diag([1.0, 1j])
+    LAYOUT = RegisterLayout.of(1, 0)
+
+    def one(self, name, matrix=None, param=None):
+        return Circuit(self.LAYOUT, (Instruction(name, (Q0,), (), param, matrix),))
+
+    def test_no_second_copy_to_disagree_with(self):
+        # a U0 that runs H cannot be given a definition that writes X
+        instr = Instruction("U0", (Q0,), matrix=builtin("H"))
+        with pytest.raises(TypeError):
+            Circuit(self.LAYOUT, (instr,), {"U0": (1, builtin("X"))})
+        c = Circuit(self.LAYOUT, (instr,))
+        back = parse(serialize(c))
+        assert np.array_equal(back.instructions[0].matrix, builtin("H"))
+        assert np.array_equal(to_matrix(back), to_matrix(c))
+
+    def test_defgate_instruction_writes_its_own_block(self):
+        c = self.one("G", self.G)
+        assert serialize(c) == "qubits 1\nDEFGATE G 1\n1,0 0,0\n0,0 0,1\nG q0\n"
+        assert parse(serialize(c)) == c
+
+    def test_name_with_two_matrices(self):
+        a, b = self.one("G", self.G), self.one("G", np.diag([1.0, -1j]))
+        assert a != b
+        # legal in memory, but the text could define only one of them
+        both = a.concat(b)
+        with pytest.raises(LqcError, match="two matrices"):
+            serialize(both)
+        assert serialize(a.concat(a)).count("DEFGATE") == 1
+
+    def test_defgates_written_in_order_of_first_use(self):
+        f = Instruction("F", (Q0,), matrix=np.diag([1.0, -1.0 + 0j]))
+        g = Instruction("G", (Q0,), matrix=self.G)
+        text = serialize(Circuit(self.LAYOUT, (g, f, g, f)))
+        assert [ln for ln in text.splitlines() if ln.startswith("DEFGATE")] == [
+            "DEFGATE G 1", "DEFGATE F 1",
+        ]
+
+    def test_builtin_name_carries_no_matrix(self):
+        # H running X would be written as H and read back as H
+        with pytest.raises(LqcError, match="cannot carry a matrix"):
+            self.one("H", np.array(builtin("X")))
+
+    @pytest.mark.parametrize(
+        "name", ["h", "Tau", "G1a", "CTRL", "DEFGATE", "QUBITS", "Q0", "H12", "1G", "G-1", ""]
+    )
+    def test_name_that_does_not_read_back(self, name):
+        matrix = None if name.upper() in BUILTIN_ARITY else self.G
+        with pytest.raises(LqcError, match="does not read back"):
+            self.one(name, matrix)
+
+    def test_defgate_takes_no_parameter(self):
+        with pytest.raises(LqcError, match="no parameter"):
+            self.one("G", self.G, param=0.5)
+
+    def test_parse_keeps_no_unused_defgate(self):
+        c = parse("qubits 1\nDEFGATE G 1\n1,0 0,0\n0,0 1,0\nH q0\n")
+        assert serialize(c) == "qubits 1\nH q0\n"
+
+    def test_non_finite_parameter_refused(self):
+        with pytest.raises(IsometryError, match="residual inf"):
+            self.one("PHASE", param=float("nan"))
+
+
+# the layouts the text can write: qubits first, here 1 to 4 bits
+TEXT_LAYOUTS = st.integers(1, 4).flatmap(
+    lambda n: st.integers(0, n).map(lambda nq: RegisterLayout.of(nq, n - nq))
+)
+
+
+@st.composite
+def text_circuits(draw):
+    """Circuits on qubits-first layouts: random_circuit instructions, then
+    every builtin and the DEFGATEs of test_kernels, with controls of either
+    polarity. The angles of a gate are often one of two fixed sets, so that
+    a DEFGATE name recurs with one matrix as well as with two."""
+    layout = draw(TEXT_LAYOUTS)
+    kinds = [k.value for k in layout.kinds]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instrs = list(random_circuit(rng, layout, draw(st.integers(0, 4))).instructions)
+    for _ in range(draw(st.integers(0, 8))):
+        # DEFGATEs drawn about half of the time
+        name = draw(st.one_of(st.sampled_from(DEFGATES), st.sampled_from(GATES)))
+        allowed = [p for p, k in enumerate(kinds) if ONLY_ON.get(name, k) == k]
+        if len(allowed) < ARITY[name]:
+            continue
+        targets = draw(st.permutations(allowed))[:ARITY[name]]
+        rest = [p for p in range(len(kinds)) if p not in targets]
+        controls = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+        ctrl_state = [draw(st.integers(0, 1)) for _ in controls]
+        u = draw(st.one_of(
+            st.sampled_from([(0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)]),
+            st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        ))
+        instrs.append(make_instruction(layout, name, targets, controls, ctrl_state, u))
+    return Circuit(layout, tuple(instrs))
+
+
+class TestRoundTripProperty:
+    @given(text_circuits())
+    def test_serialize_refuses_or_round_trips(self, c):
+        matrices: dict[str, list] = {}
+        for instr in c.instructions:
+            if instr.matrix is not None:
+                matrices.setdefault(instr.gate, []).append(instr.matrix)
+        ambiguous = any(
+            not np.array_equal(ms[0], m) for ms in matrices.values() for m in ms[1:]
+        )
+        if ambiguous:
+            with pytest.raises(LqcError, match="two matrices"):
+                serialize(c)
+            return
+        back = parse(serialize(c))
+        assert back == c
+        assert np.array_equal(to_matrix(back), to_matrix(c))

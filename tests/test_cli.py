@@ -63,6 +63,14 @@ class TestRun:
         assert err.startswith("error: line 2, col 1:")
         assert "not metric-preserving" in err
 
+    def test_non_finite_defgate_exit_1(self, tmp_path, capsys):
+        # a NaN row used to run and print nan probabilities with exit 0
+        f = put(tmp_path, "c.lqc", "qubits 1\nDEFGATE G 1\nnan,0 0,0\n0,0 1,0\nG q0\n")
+        code, out, err = cli(capsys, "run", f)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 5, col 1: gate G is not metric-preserving on target kind(s) 'q' (residual inf)\n"
+
     def test_init_length_mismatch(self, tmp_path, capsys):
         f = put(tmp_path, "c.lqc", "qubits 1\n")
         code, _, err = cli(capsys, "run", f, "--init", "01")
@@ -158,6 +166,12 @@ class TestVerify:
         code, out, _ = cli(capsys, "verify", f)
         assert code == 0
         assert out.endswith("PASS\n")
+
+    def test_non_finite_matrix_fails(self, tmp_path, capsys):
+        f = put(tmp_path, "nan.mat", "dim 1 1\nnan,0 0,0\n0,0 1,0\n")
+        code, out, _ = cli(capsys, "verify", f)
+        assert code == 3
+        assert out == "residual = inf\nFAIL\n"
 
     def test_bad_matrix_file(self, tmp_path, capsys):
         f = put(tmp_path, "bad.mat", "dim 2 0\n1,0 0,0\n")
@@ -375,6 +389,16 @@ class TestApprox:
             capsys, "approx", f, "--kind", "qubit", "--tol", "0.1", "--depth", "2"
         )
         assert code == 3
+
+    def test_non_finite_exit_3(self, tmp_path, capsys):
+        # used to exit 0 with projective_error = nan
+        f = put(tmp_path, "nan.mat", "dim 2 0\nnan,0 0,0\n0,0 1,0\n")
+        code, out, err = cli(
+            capsys, "approx", f, "--kind", "qubit", "--tol", "0.1", "--depth", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "residual inf" in err
 
     def test_missing_file(self, capsys):
         code, _, _ = cli(

@@ -70,7 +70,10 @@ class TestSingleControl:
         V = haar_unitary(5)
         circ = lambda_k(1, V)
         assert len(circ.instructions) == 1
-        assert circ.instructions[0].gate in circ.defs
+        instr = circ.instructions[0]
+        assert instr.gate == "U0"
+        assert np.array_equal(instr.matrix, V)
+        assert "DEFGATE U0 1\n" in serialize(circ)
 
 
 def all_layouts(k, target_kind):

@@ -4,6 +4,8 @@ import pytest
 from lqc.circuit import BitRef, Instruction, validate_instruction
 from lqc.core import EPS_ISO, BitKind, LqcError, RegisterLayout, metric_for_kinds
 from lqc.gates import (
+    BUILTIN_ARITY,
+    PARAMETRIC,
     MatrixTextError,
     block_metric,
     boost,
@@ -71,6 +73,11 @@ class TestBuiltins:
         with pytest.raises(LqcError):
             builtin("H", 1.0)
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ARITY))
+    def test_arity_matches_matrix(self, name):
+        param = 0.5 if name in PARAMETRIC else None
+        assert builtin(name, param).shape == (2 ** BUILTIN_ARITY[name],) * 2
+
 
 class TestLocalMetric:
     """The metric of the bits a gate acts on, in the listed order."""
@@ -118,6 +125,16 @@ class TestIsIsometry:
     def test_dimension_mismatch(self):
         with pytest.raises(LqcError):
             is_isometry(np.eye(2), [1, 1, 1])
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_is_infinitely_off(self, bad):
+        # a NaN residual would pass every `resid > EPS` check
+        G = np.eye(2, dtype=complex)
+        G[1, 0] = bad
+        for eta in (ETA_Q, ETA_H):
+            assert isometry_residual(G, eta) == np.inf
+            assert is_isometry(G, eta) == (False, np.inf)
 
     @pytest.mark.parametrize("name", ["H", "T", "X", "Y", "Z", "SZ", "SZD"])
     def test_qubit_builtins(self, name):
@@ -227,6 +244,15 @@ class TestMatrixText:
     def test_bad_entry(self):
         with pytest.raises(MatrixTextError):
             parse_matrix_text("dim 1 0\nnope\n")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("1;0", "line 2: entry '1;0' is not 're,im'"), ("1,x", "line 2: bad number in '1,x'")],
+    )
+    def test_entry_diagnostics(self, entry, message):
+        with pytest.raises(MatrixTextError) as exc:
+            parse_matrix_text(f"dim 1 0\n{entry}\n")
+        assert str(exc.value) == message
 
     def test_17_digit_fidelity(self):
         rng = np.random.default_rng(0)

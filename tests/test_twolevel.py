@@ -40,6 +40,16 @@ class TestFactorType:
         assert M[3, 1] == V[1, 0] and M[3, 3] == V[1, 1]
         assert M[0, 0] == 1 and M[2, 2] == 1 and M[0, 2] == 0
 
+    def test_equality_is_identity(self):
+        # factors hold arrays: == compares identity instead of raising on
+        # an ambiguous array truth value, and factors stay hashable
+        a = TwoLevelFactor(0, 1, np.eye(2), (1, 1))
+        b = TwoLevelFactor(0, 1, np.eye(2), (1, 1))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        factors = two_level_factorize(random_lorentz(2, 2, 3), (2, 2))
+        assert factors[0] in set(factors)
+
     def test_rejects_bad_order(self):
         with pytest.raises(LqcError):
             TwoLevelFactor(3, 1, np.eye(2), (1, 1))
