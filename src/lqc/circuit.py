@@ -1,14 +1,19 @@
 """Circuit representation and the `.lqc` text format.
 
+An `Instruction` addresses bits by register position: ints, bit 0 first,
+the axis order of the state tensor. `q3` and `h0` exist only in `.lqc`
+text, where `parse` and `serialize` translate them: on "qubits 2, hybits 1",
+`CTRL q0 : BOOST 0.5 h0` is `Instruction("BOOST", (2,), (0,), 0.5)`.
+
 File grammar (line oriented, `#` comments, keywords case-insensitive,
-zero-based bit indices):
+zero-based bit indices within each kind):
 
     file      := (decl NEWLINE)* (stmt NEWLINE)*
     decl      := "qubits" INT | "hybits" INT     each at most once, default 0
     stmt      := simple | ctrl | defgate
     simple    := GATENAME param? bitref+
     ctrl      := "CTRL" ctrlref+ ":" simple
-    defgate   := "DEFGATE" IDENT INT NEWLINE matrixrows
+    defgate   := "DEFGATE" IDENT INT NEWLINE matrixrows    INT in 1..MAX_DEFGATE_ARITY
     bitref    := ("q"|"h") INT
     ctrlref   := "!"? bitref                    "!" triggers on 0
 
@@ -55,29 +60,17 @@ _BITREF_RE = re.compile(r"^(!?)([qh])(\d+)$", re.IGNORECASE)
 _NAME_RE = re.compile(r"^[A-Z_][A-Z0-9_]*$")
 
 TO_MATRIX_GUARD_BITS = 12
-
-
-@dataclass(frozen=True)
-class BitRef:
-    kind: BitKind
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}{self.index}"
-
-    def position(self, layout: RegisterLayout) -> int:
-        """Absolute bit position of this reference within the layout."""
-        places = layout.positions(self.kind)
-        if not 0 <= self.index < len(places):
-            raise LqcError(f"bit {self} out of range")
-        return places[self.index]
+# targets of a DEFGATE, in `.lqc` text and in a Circuit alike
+MAX_DEFGATE_ARITY = 10
 
 
 @dataclass(frozen=True)
 class Instruction:
+    """One gate on register positions (ints, bit 0 first)."""
+
     gate: str
-    targets: tuple[BitRef, ...]
-    controls: tuple[BitRef, ...] = ()
+    targets: tuple[int, ...]
+    controls: tuple[int, ...] = ()
     param: float | None = None
     # resolved matrix for DEFGATE gates; builtins resolve through gates.builtin
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -155,11 +148,18 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
         raise LqcError(f"gate name {instr.gate!r} does not read back from .lqc text")
     elif instr.param is not None:
         raise LqcError(f"DEFGATE {instr.gate} takes no parameter")
-    refs = instr.controls + instr.targets
-    if len(set(refs)) != len(refs):
+    bits = instr.controls + instr.targets
+    for p in bits:
+        if type(p) is not int or not 0 <= p < layout.num_bits:
+            raise LqcError(f"bit {p!r} out of range: not an int in range({layout.num_bits})")
+    if len(set(bits)) != len(bits):
         raise LqcError(f"duplicate bit in instruction {instr.gate}")
     if not instr.targets:
         raise LqcError("instruction needs at least one target")
+    if instr.matrix is not None and len(instr.targets) > MAX_DEFGATE_ARITY:
+        raise LqcError(
+            f"DEFGATE {instr.gate} arity {len(instr.targets)} out of range 1..{MAX_DEFGATE_ARITY}"
+        )
     if len(instr.ctrl_state) != len(instr.controls):
         raise LqcError(
             f"instruction {instr.gate} has {len(instr.controls)} control(s) "
@@ -167,8 +167,6 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
         )
     if any(v not in (0, 1) for v in instr.ctrl_state):
         raise LqcError(f"control trigger values must be 0 or 1, got {instr.ctrl_state}")
-    for r in refs:
-        r.position(layout)  # raises when the bit is not in the register
     mat = instr.gate_matrix()
     arity = len(instr.targets)
     if mat.shape != (1 << arity, 1 << arity):
@@ -176,7 +174,7 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
             f"gate {instr.gate} has dimension {mat.shape[0]}, "
             f"but {arity} target(s) were given"
         )
-    kinds = "".join(r.kind.value for r in instr.targets)
+    kinds = "".join(layout.kinds[p].value for p in instr.targets)
     resid = isometry_residual(mat, metric_for_kinds(kinds))
     if resid > EPS_ISO:
         raise IsometryError(
@@ -222,6 +220,17 @@ class _Lines:
                 return lineno, tokens
         return None
 
+    def skip_matrix_rows(self) -> None:
+        """Move past the next lines whose tokens all read as `re,im` matrix
+        entries: rows of a refused DEFGATE, which no statement can be."""
+        while self.pos < len(self.raw):
+            try:
+                for tok in self.raw[self.pos].split("#", 1)[0].split():
+                    parse_entry(tok)
+            except MatrixTextError:
+                return
+            self.pos += 1
+
 
 def parse(text: str) -> Circuit:
     """Parse `.lqc` source. Collects as many diagnostics as possible
@@ -253,13 +262,11 @@ def parse(text: str) -> Circuit:
         if bang and not allow_bang:
             err(lineno, col, "'!' polarity is only allowed on controls")
             return None
-        ref = BitRef(BitKind(kind), idx)
-        try:
-            ref.position(get_layout())
-        except LqcError:
-            err(lineno, col, f"bit {ref} out of range for declared register")
+        places = get_layout().positions(BitKind(kind))
+        if idx >= len(places):
+            err(lineno, col, f"bit {kind}{idx} out of range for declared register")
             return None
-        return (ref, 0 if bang else 1)
+        return (places[idx], 0 if bang else 1)
 
     def parse_simple(lineno: int, toks: list[tuple[int, str]], controls, ctrl_state):
         col0, name_tok = toks[0]
@@ -308,47 +315,49 @@ def parse(text: str) -> Circuit:
             return
         instructions.append(instr)
 
-    def parse_defgate(lineno: int, toks: list[tuple[int, str]]):
+    def parse_defgate(lineno: int, toks: list[tuple[int, str]]) -> bool:
+        """Read one DEFGATE block into `defs`; False when it is refused."""
         if len(toks) != 3:
             err(lineno, toks[0][0], "expected: DEFGATE NAME ARITY")
-            return
+            return False
         (_, _), (ncol, name_tok), (acol, arity_tok) = toks
         name = name_tok.upper()
         # upper() maps a few non-ASCII letters to ASCII ones
         if not name_tok.isascii() or not _is_gate_name(name) or name in BUILTIN_ARITY:
             err(lineno, ncol, f"invalid gate name {name_tok!r}")
-            return
+            return False
         if name in defs:
             err(lineno, ncol, f"gate {name} already defined")
-            return
+            return False
         try:
             arity = int(arity_tok)
         except ValueError:
             err(lineno, acol, f"bad arity {arity_tok!r}")
-            return
-        if not 1 <= arity <= 10:
-            err(lineno, acol, f"arity {arity} out of range 1..10")
-            return
+            return False
+        if not 1 <= arity <= MAX_DEFGATE_ARITY:
+            err(lineno, acol, f"arity {arity} out of range 1..{MAX_DEFGATE_ARITY}")
+            return False
         dim = 1 << arity
         rows = []
         for _ in range(dim):
             item = lines.next_content()
             if item is None:
                 err(lineno, ncol, f"DEFGATE {name}: expected {dim} matrix rows")
-                return
+                return False
             rlineno, rtoks = item
             if len(rtoks) != dim:
                 err(rlineno, rtoks[0][0], f"expected {dim} matrix entries")
-                return
+                return False
             row = []
             for col, tok in rtoks:
                 try:
                     row.append(parse_entry(tok))
                 except MatrixTextError:
                     err(rlineno, col, f"matrix entry {tok!r} is not 're,im'")
-                    return
+                    return False
             rows.append(row)
         defs[name] = (arity, np.array(rows, dtype=complex))
+        return True
 
     while True:
         item = lines.next_content()
@@ -382,7 +391,8 @@ def parse(text: str) -> Circuit:
 
         get_layout()
         if keyword == "DEFGATE":
-            parse_defgate(lineno, toks)
+            if not parse_defgate(lineno, toks):
+                lines.skip_matrix_rows()
         elif keyword == "CTRL":
             # controls up to the ':' token, simple statement after it
             split = next((i for i, (_, tok) in enumerate(toks) if tok == ":"), None)
@@ -423,6 +433,7 @@ def serialize(circuit: Circuit) -> str:
     """`.lqc` text of a circuit. The format declares only bit counts, so it
     holds registers with every qubit before every hybit; any other register
     raises LqcError, since `parse` would read the text back on another.
+    Position p is written q{p} below the qubit count nq, h{p - nq} above.
     Each DEFGATE is written once, in order of first use, before the
     statements; a name that carries two matrices raises LqcError, since its
     text could define only one of them."""
@@ -431,6 +442,10 @@ def serialize(circuit: Circuit) -> str:
     if circuit.layout != RegisterLayout.of(nq, nh):
         kinds = "".join(circuit.layout.kinds)
         raise LqcError(f"cannot serialize register {kinds}: the format puts all qubits first")
+
+    def bit(p: int) -> str:
+        return f"q{p}" if p < nq else f"h{p - nq}"
+
     first_use: dict[str, Instruction] = {}
     for instr in circuit.instructions:
         if instr.matrix is not None:
@@ -448,10 +463,10 @@ def serialize(circuit: Circuit) -> str:
         head = instr.gate
         if instr.param is not None:
             head += f" {instr.param:.17g}"
-        tail = " ".join(str(t) for t in instr.targets)
+        tail = " ".join(bit(t) for t in instr.targets)
         if instr.controls:
             ctl = " ".join(
-                f"{'' if v else '!'}{c}" for c, v in zip(instr.controls, instr.ctrl_state)
+                f"{'' if v else '!'}{bit(c)}" for c, v in zip(instr.controls, instr.ctrl_state)
             )
             out.append(f"CTRL {ctl} : {head} {tail}")
         else:

@@ -63,12 +63,12 @@ class BitKind(str, Enum):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered bit kinds. Canonical layouts put all qubits before all hybits,
-    but nothing below depends on that ordering.
+    """Ordered bit kinds: `kinds[p]` is the kind of register position p,
+    which is also axis p of the state tensor. Canonical layouts put all
+    qubits before all hybits, but nothing below depends on that ordering.
 
-    Where each bit sits is worked out once, at construction: the positions
-    of each kind, and the index of each position within its kind. Equality,
-    hashing and repr depend on `kinds` alone."""
+    The positions of each kind are worked out once, at construction.
+    Equality, hashing and repr depend on `kinds` alone."""
 
     kinds: tuple[BitKind, ...]
 
@@ -77,7 +77,6 @@ class RegisterLayout:
         places = {kind: tuple(p for p, k in enumerate(kinds) if k is kind) for kind in BitKind}
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "_places", places)
-        object.__setattr__(self, "_rank", tuple(places[k].index(p) for p, k in enumerate(kinds)))
 
     @classmethod
     def of(cls, num_qubits: int, num_hybits: int) -> "RegisterLayout":
@@ -104,10 +103,6 @@ class RegisterLayout:
     def positions(self, kind: BitKind) -> tuple[int, ...]:
         """Register positions of the bits of one kind, in order."""
         return self._places[kind]
-
-    def index_in_kind(self, position: int) -> int:
-        """Index of register bit `position` among the bits of its kind."""
-        return self._rank[position]
 
     def bit_weight(self, position: int) -> int:
         """Integer weight of register bit `position` (bit 0 is the MSB)."""

@@ -78,8 +78,10 @@ def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float:
         eta = np.diagonal(eta)
     if G.shape[0] != G.shape[1] or G.shape[0] != eta.shape[0]:
         raise LqcError(f"shape mismatch: gate {G.shape}, metric {eta.shape}")
-    resid = (G.conj().T * eta) @ G - np.diag(eta.astype(complex))
-    worst = float(np.max(np.abs(resid)))
+    # a non-finite or huge entry overflows here; the result says so, not numpy
+    with np.errstate(all="ignore"):
+        resid = (G.conj().T * eta) @ G - np.diag(eta.astype(complex))
+        worst = float(np.max(np.abs(resid)))
     return worst if math.isfinite(worst) else math.inf
 
 

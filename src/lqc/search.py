@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import BitRef, Circuit, Instruction
-from .core import BitKind, GuardError, LqcError, RegisterLayout
+from .circuit import Circuit, Instruction
+from .core import GuardError, LqcError, RegisterLayout
 from .simulator import OutcomeDistribution, observe, run
 
 __all__ = [
@@ -59,7 +59,8 @@ class SearchSpec:
 
 
 def search_layout(n: int) -> RegisterLayout:
-    """n search qubits, one oracle qubit, one hybit (in that bit order)."""
+    """n search qubits, one oracle qubit, one hybit (in that bit order): the
+    oracle qubit is position n and the hybit position n + 1."""
     return RegisterLayout("q" * (n + 1) + "h")
 
 
@@ -67,10 +68,7 @@ def oracle_circuit(spec: SearchSpec) -> Circuit:
     """O: flip the oracle qubit exactly on |target_x>, as one X controlled on
     every search qubit with target_x as the trigger values, so O^2 = I."""
     marked = Instruction(
-        "X",
-        (BitRef(BitKind.QUBIT, spec.n),),
-        controls=tuple(BitRef(BitKind.QUBIT, i) for i in range(spec.n)),
-        ctrl_state=tuple(int(bit) for bit in spec.target_x),
+        "X", (spec.n,), tuple(range(spec.n)), ctrl_state=tuple(int(bit) for bit in spec.target_x)
     )
     return Circuit(search_layout(spec.n), (marked,))
 
@@ -79,28 +77,15 @@ def q_circuit(spec: SearchSpec) -> Circuit:
     """One amplification round Q = O . CTRL-BOOST(chi) . O, with the boost on
     the hybit controlled by the oracle qubit."""
     oracle = oracle_circuit(spec)
-    boost = Circuit(
-        oracle.layout,
-        (
-            Instruction(
-                "BOOST",
-                (BitRef(BitKind.HYBIT, 0),),
-                controls=(BitRef(BitKind.QUBIT, spec.n),),
-                param=spec.chi,
-            ),
-        ),
-    )
-    return oracle.concat(boost).concat(oracle)
+    boost = Instruction("BOOST", (spec.n + 1,), controls=(spec.n,), param=spec.chi)
+    return oracle.concat(Circuit(oracle.layout, (boost,))).concat(oracle)
 
 
 def run_search(spec: SearchSpec) -> OutcomeDistribution:
     """Prepare the uniform superposition, apply Q^k, hyper-postselect, and
     marginalize out the oracle qubit. Outcomes are the n-bit search strings."""
     layout = search_layout(spec.n)
-    prep = Circuit(
-        layout,
-        tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(spec.n)),
-    )
+    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(spec.n)))
     q = q_circuit(spec)
     circuit = prep
     for _ in range(spec.k):

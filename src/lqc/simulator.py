@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .circuit import Circuit, Instruction, validate_instruction
+from .circuit import Circuit, Instruction
 from .core import (
     EPS_PROB_SUM,
     NEGLIGIBLE_MASS_RATIO,
@@ -107,12 +107,11 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
     value is touched. One target updates its two slices in place; more
     targets move to the front for a matmul."""
     gate = instr.gate_matrix()
-    cpos = [r.position(layout) for r in instr.controls]
     idx: list = [slice(None)] * tensor.ndim
-    for c, value in zip(cpos, instr.ctrl_state):
+    for c, value in zip(instr.controls, instr.ctrl_state):
         idx[c] = value
     if len(instr.targets) == 1:
-        t = instr.targets[0].position(layout)
+        t = instr.targets[0]
         # the trailing Ellipsis keeps a view even when every axis is indexed
         idx[t] = 0
         x0 = tensor[(*idx, ...)]
@@ -122,11 +121,10 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
         return
 
     sub = tensor[tuple(idx)]
-    tpos = [r.position(layout) for r in instr.targets]
-    remaining = [p for p in range(layout.num_bits) if p not in cpos]
-    tpos_sub = [remaining.index(p) for p in tpos]
-    moved = np.moveaxis(sub, tpos_sub, range(len(tpos)))
-    d = 1 << len(tpos)
+    remaining = [p for p in range(layout.num_bits) if p not in instr.controls]
+    tpos_sub = [remaining.index(p) for p in instr.targets]
+    moved = np.moveaxis(sub, tpos_sub, range(len(tpos_sub)))
+    d = 1 << len(tpos_sub)
     updated = gate @ moved.reshape(d, -1)
     moved[...] = updated.reshape(moved.shape)
 
@@ -245,15 +243,6 @@ def _tile_index(shape: tuple[int, ...], size: int):
     for lead in np.ndindex(*shape[:k - 1]):
         for start in range(0, shape[k - 1], step):
             yield (*lead, slice(start, start + step))
-
-
-def apply(state: StateVector, instr: Instruction) -> StateVector:
-    """Apply one instruction to the state, in place. Refuses instructions
-    whose gate does not preserve the local metric."""
-    validate_instruction(state.layout, instr)
-    tensor = state.amps.reshape([2] * state.layout.num_bits)
-    apply_to_tensor(state.layout, tensor, instr)
-    return state
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

@@ -112,7 +112,7 @@ def _substitute_words(circuit: Circuit, tol: float, depth: int):
         if instr.controls or len(instr.targets) != 1:
             out.append(instr)
             continue
-        kind = layout.kinds[instr.targets[0].position(layout)]
+        kind = layout.kinds[instr.targets[0]]
         word = word_search(instr.gate_matrix(), kind, tol, depth)
         errors.append(word.error)
         # letters multiply left to right onto the state, rightmost first

@@ -32,7 +32,7 @@ from ..core import (
     metric_for_kinds,
 )
 from ..gates import builtin, isometry_residual
-from ..circuit import BitRef, Circuit, Instruction
+from ..circuit import Circuit, Instruction
 
 _I2 = np.eye(2, dtype=complex)
 _ETA_H = metric_for_kinds("h")
@@ -245,9 +245,6 @@ class _Emitter:
         self.layout = layout
         self._by_key: dict[bytes, tuple[str, np.ndarray]] = {}
 
-    def _ref(self, position: int) -> BitRef:
-        return BitRef(self.layout.kinds[position], self.layout.index_in_kind(position))
-
     def _gate_name(self, M: np.ndarray) -> tuple[str, float | None, np.ndarray | None]:
         """(name, param, DEFGATE matrix or None for a builtin) of M."""
         for name in self._RECOGNIZED:
@@ -274,12 +271,12 @@ class _Emitter:
         if np.max(np.abs(M - _I2)) < EPS_ZERO:
             return []
         name, param, matrix = self._gate_name(M)
-        controls = sorted(pattern)
+        controls = tuple(sorted(pattern))
         return [
             Instruction(
                 gate=name,
-                targets=(self._ref(target),),
-                controls=tuple(self._ref(c) for c in controls),
+                targets=(target,),
+                controls=controls,
                 param=param,
                 matrix=matrix,
                 ctrl_state=tuple(pattern[c] for c in controls),

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import settings
 
-from lqc.circuit import BitRef, Circuit, Instruction
+from lqc.circuit import Circuit, Instruction
 from lqc.core import BitKind, RegisterLayout
 
 QUBIT_GATES = ("H", "T", "X", "Y", "Z", "SZ", "SZD", "PHASE")
@@ -19,11 +19,6 @@ def random_layout(rng, max_bits=10, min_bits=1):
     nbits = int(rng.integers(min_bits, max_bits + 1))
     kinds = rng.choice(["q", "h"], size=nbits)
     return RegisterLayout(tuple(kinds))
-
-
-def bit_ref(layout, position):
-    kind = layout.kinds[position]
-    return BitRef(kind, layout.positions(kind).index(position))
 
 
 def random_circuit(rng, layout, n_instr):
@@ -42,14 +37,7 @@ def random_circuit(rng, layout, n_instr):
             param = float(rng.uniform(-np.pi, np.pi))
         elif name == "BOOST":
             param = float(rng.uniform(-1.5, 1.5))
-        instrs.append(
-            Instruction(
-                name,
-                (bit_ref(layout, target),),
-                tuple(bit_ref(layout, c) for c in controls),
-                param,
-            )
-        )
+        instrs.append(Instruction(name, (target,), tuple(controls), param))
     return Circuit(layout, tuple(instrs))
 
 

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lqc.circuit import BitRef, Circuit, Instruction, parse, to_matrix
+from lqc.circuit import Circuit, Instruction, parse, to_matrix
 from lqc.core import (
-    BitKind,
     RegisterLayout,
     metric_vector,
     pseudo_norm,
@@ -58,9 +57,7 @@ def report(num, ok, detail=""):
 
 def _prep(n):
     layout = search_layout(n)
-    return Circuit(
-        layout, tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(n))
-    )
+    return Circuit(layout, tuple(Instruction("H", (i,)) for i in range(n)))
 
 
 def test_criterion_01_search_closed_form():
@@ -155,11 +152,6 @@ def _random_circuit(rng):
     nbits = int(rng.integers(1, 11))
     kinds = "".join(rng.choice(("q", "h"), size=nbits))
     layout = RegisterLayout(kinds)
-    refs = []
-    seen = {"q": 0, "h": 0}
-    for ch in kinds:
-        refs.append(BitRef(BitKind(ch), seen[ch]))
-        seen[ch] += 1
     instrs = []
     boost_budget = 2.5
     for _ in range(int(rng.integers(0, 51))):
@@ -182,8 +174,8 @@ def _random_circuit(rng):
         instrs.append(
             Instruction(
                 gate,
-                (refs[pos],),
-                controls=tuple(refs[i] for i in sorted(ctl_pos)),
+                (pos,),
+                controls=tuple(int(i) for i in sorted(ctl_pos)),
                 param=param,
             )
         )

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import HYBIT_GATES, QUBIT_GATES, bit_ref, random_circuit, random_layout
+from conftest import HYBIT_GATES, QUBIT_GATES, random_circuit, random_layout
 from test_kernels import ARITY, DEFGATES, GATES, ONLY_ON, make_instruction
 from lqc import circuit as circuit_module
 from lqc.circuit import (
-    BitRef,
     Circuit,
     Instruction,
     ParseError,
@@ -28,20 +27,15 @@ from lqc.core import (
 )
 from lqc.gates import BUILTIN_ARITY, builtin, controlled, isometry_residual
 
-Q0 = BitRef(BitKind.QUBIT, 0)
-Q1 = BitRef(BitKind.QUBIT, 1)
-H0 = BitRef(BitKind.HYBIT, 0)
-
-
 class TestParse:
     def test_controlled_z(self):
         c = parse("qubits 1\nhybits 1\nCTRL q0 : Z h0\n")
         assert c.layout == RegisterLayout.of(1, 1)
-        assert c.instructions == (Instruction("Z", (H0,), (Q0,)),)
+        assert c.instructions == (Instruction("Z", (1,), (0,)),)
 
     def test_single_hadamard(self):
         c = parse("qubits 1\nH q0\n")
-        assert c.instructions == (Instruction("H", (Q0,)),)
+        assert c.instructions == (Instruction("H", (0,)),)
 
     def test_bit_out_of_range(self):
         with pytest.raises(ParseError) as exc:
@@ -59,7 +53,7 @@ class TestParse:
 
     def test_case_insensitive_keywords(self):
         c = parse("QUBITS 1\nhybits 1\nctrl Q0 : z H0\n")
-        assert c.instructions == (Instruction("Z", (H0,), (Q0,)),)
+        assert c.instructions == (Instruction("Z", (1,), (0,)),)
 
     def test_comments_and_blank_lines(self):
         c = parse("# a comment\nqubits 1\n\nH q0  # trailing\n")
@@ -122,7 +116,7 @@ class TestParse:
 class TestPolarity:
     def test_qubit_zero_control_is_native(self):
         c = parse("qubits 2\nCTRL !q0 : Z q1\n")
-        assert c.instructions == (Instruction("Z", (Q1,), (Q0,), ctrl_state=(0,)),)
+        assert c.instructions == (Instruction("Z", (1,), (0,), ctrl_state=(0,)),)
         # equals Z on q1 iff q0 is 0
         expected = np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)
         assert np.allclose(to_matrix(c), expected, atol=0)
@@ -153,18 +147,18 @@ class TestPolarity:
         assert zero.instructions[0] != one.instructions[0]
 
     def test_left_out_polarity_means_all_ones(self):
-        plain = Instruction("Z", (Q1,), (Q0,))
-        explicit = Instruction("Z", (Q1,), (Q0,), ctrl_state=(1,))
+        plain = Instruction("Z", (1,), (0,))
+        explicit = Instruction("Z", (1,), (0,), ctrl_state=(1,))
         assert plain.ctrl_state == (1,)
         assert plain == explicit and hash(plain) == hash(explicit)
 
     def test_polarity_length_mismatch_rejected(self):
-        instr = Instruction("Z", (Q1,), (Q0,), ctrl_state=(0, 1))
+        instr = Instruction("Z", (1,), (0,), ctrl_state=(0, 1))
         with pytest.raises(LqcError, match="trigger value"):
             Circuit(RegisterLayout.of(2, 0), (instr,))
 
     def test_polarity_value_rejected(self):
-        instr = Instruction("Z", (Q1,), (Q0,), ctrl_state=(2,))
+        instr = Instruction("Z", (1,), (0,), ctrl_state=(2,))
         with pytest.raises(LqcError, match="0 or 1"):
             Circuit(RegisterLayout.of(2, 0), (instr,))
 
@@ -208,6 +202,30 @@ class TestDefgate:
             parse("qubits 1\nDEFGATE G 1\n1,0 0,0\n")
         assert "matrix rows" in str(exc.value)
 
+    def test_refused_header_skips_its_rows(self):
+        # each row would otherwise read as a statement: "unknown gate '1,0'"
+        row = " ".join(["1,0"] * 2048)
+        src = "qubits 11\nDEFGATE G 11\n" + f"{row}\n" * 3 + "G q0\n"
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert [d.message for d in exc.value.diagnostics] == [
+            "arity 11 out of range 1..10",
+            "unknown gate 'G'",
+        ]
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "DEFGATE H 1\n1,0 0,0\n0,0 1,0\n",  # builtin name
+            "DEFGATE G 1\n1,0 0,0\n1,0\n0,0 1,0\n",  # short row
+            "DEFGATE G 1\n1,0 nope\n0,0 1,0\n",  # bad entry
+        ],
+    )
+    def test_refused_block_gives_one_diagnostic(self, block):
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 1\n" + block + "H q0\n")
+        assert len(exc.value.diagnostics) == 1
+
 
 class TestSerialize:
     def test_empty_two_qubits(self):
@@ -216,15 +234,19 @@ class TestSerialize:
     def test_canonical_ctrl_form(self):
         c = Circuit(
             RegisterLayout.of(3, 0),
-            (Instruction("Z", (BitRef(BitKind.QUBIT, 2),), (Q0, Q1)),),
+            (Instruction("Z", (2,), (0, 1)),),
         )
         assert serialize(c).splitlines()[-1] == "CTRL q0 q1 : Z q2"
+
+    def test_positions_written_per_kind(self):
+        c = Circuit(RegisterLayout.of(2, 1), (Instruction("BOOST", (2,), (0,), 0.5),))
+        assert serialize(c).splitlines()[-1] == "CTRL q0 : BOOST 0.5 h0"
 
     def test_param_precision(self):
         chi = 0.12345678901234567
         c = Circuit(
             RegisterLayout.of(0, 1),
-            (Instruction("BOOST", (H0,), (), chi),),
+            (Instruction("BOOST", (0,), (), chi),),
         )
         back = parse(serialize(c))
         assert back.instructions[0].param == chi
@@ -233,7 +255,7 @@ class TestSerialize:
     def test_non_canonical_register_refused(self, kinds):
         # the format declares only counts: "hq" would be read back as "qh",
         # with the X moved from the qubit at position 1 to position 0
-        c = Circuit(RegisterLayout(kinds), (Instruction("X", (Q0,)),))
+        c = Circuit(RegisterLayout(kinds), (Instruction("X", (kinds.index("q"),)),))
         with pytest.raises(LqcError, match=kinds):
             serialize(c)
 
@@ -266,8 +288,8 @@ class TestSerialize:
                 param = data.draw(st.floats(-3.0, 3.0, allow_subnormal=False))
             instrs.append(Instruction(
                 name,
-                tuple(bit_ref(layout, p) for p in order[:arity]),
-                tuple(bit_ref(layout, p) for p in controls),
+                tuple(order[:arity]),
+                tuple(controls),
                 param,
                 ctrl_state=tuple(data.draw(st.integers(0, 1)) for _ in controls),
             ))
@@ -294,8 +316,8 @@ class TestSerialize:
             eta = metric_for_kinds([kind] * arity)
             if isometry_residual(builtin(name, param), eta) <= 1e-10:
                 break
-        targets = tuple(BitRef(kind, i) for i in range(arity))
-        control = (BitRef(BitKind.QUBIT, 2),)
+        targets = layout.positions(kind)[:arity]
+        control = (2,)
         c = Circuit(
             layout,
             (Instruction(name, targets, (), param), Instruction(name, targets, control, param)),
@@ -364,25 +386,38 @@ class TestToMatrix:
 class TestInstructionValidation:
     def test_non_isometric_raises_isometry_error(self):
         with pytest.raises(IsometryError):
-            Circuit(RegisterLayout.of(0, 1), (Instruction("X", (H0,)),))
+            Circuit(RegisterLayout.of(0, 1), (Instruction("X", (0,)),))
 
     def test_overlapping_control_target(self):
         with pytest.raises(LqcError):
             Circuit(
                 RegisterLayout.of(1, 1),
-                (Instruction("Z", (Q0,), (Q0,)),),
+                (Instruction("Z", (0,), (0,)),),
             )
 
     def test_negative_bit_index(self):
-        # would otherwise resolve to the last qubit and serialize as "q-1"
+        # would otherwise index the last tensor axis and serialize as "q-1"
         with pytest.raises(LqcError, match="out of range"):
-            Circuit(RegisterLayout.of(2, 0), (Instruction("X", (BitRef(BitKind.QUBIT, -1),)),))
+            Circuit(RegisterLayout.of(2, 0), (Instruction("X", (-1,)),))
+
+    @pytest.mark.parametrize("bit", [2, -1, 1.0, True, np.int64(0), "q0", None])
+    @pytest.mark.parametrize("where", ["target", "control"])
+    def test_bit_must_be_register_position(self, bit, where):
+        instr = Instruction("X", (bit,)) if where == "target" else Instruction("X", (0,), (bit,))
+        with pytest.raises(LqcError, match="out of range"):
+            Circuit(RegisterLayout.of(2, 0), (instr,))
+
+    def test_defgate_arity_bound(self):
+        # parse refuses a DEFGATE on 11 bits, so serialize must never write one
+        instr = Instruction("G", tuple(range(11)), matrix=np.eye(2, dtype=complex))
+        with pytest.raises(LqcError, match="arity"):
+            Circuit(RegisterLayout.of(11, 0), (instr,))
 
     def test_gate_arity_mismatch(self):
         with pytest.raises(LqcError):
             Circuit(
                 RegisterLayout.of(2, 0),
-                (Instruction("H", (Q0, Q1)),),
+                (Instruction("H", (0, 1)),),
             )
 
 
@@ -411,7 +446,7 @@ class TestValidateOnce:
         layout = RegisterLayout.of(2, 2)
         c = random_circuit(np.random.default_rng(4), layout, 30)
         gate = np.diag([1.0, 1j])
-        c = c.concat(Circuit(layout, (Instruction("G", (H0,), matrix=gate),)))
+        c = c.concat(Circuit(layout, (Instruction("G", (2,), matrix=gate),)))
         checked.clear()
         parsed = parse(serialize(c))
         assert parsed == c
@@ -448,7 +483,7 @@ class TestFrozen:
         # validation and into the simulator
         c = parse("hybits 1\n")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            c.instructions = (Instruction("H", (H0,)),)
+            c.instructions = (Instruction("H", (0,)),)
         assert c.instructions == ()
 
     def test_defs_are_read_only(self):
@@ -460,7 +495,7 @@ class TestFrozen:
 
     def test_constructor_freezes_defs(self):
         gate = np.diag([1.0, 1j])
-        c = Circuit(RegisterLayout.of(1, 0), (Instruction("G", (Q0,), matrix=gate),))
+        c = Circuit(RegisterLayout.of(1, 0), (Instruction("G", (0,), matrix=gate),))
         assert c.instructions[0].matrix is gate
         assert not gate.flags.writeable
 
@@ -474,11 +509,11 @@ class TestOneHomePerMatrix:
     LAYOUT = RegisterLayout.of(1, 0)
 
     def one(self, name, matrix=None, param=None):
-        return Circuit(self.LAYOUT, (Instruction(name, (Q0,), (), param, matrix),))
+        return Circuit(self.LAYOUT, (Instruction(name, (0,), (), param, matrix),))
 
     def test_no_second_copy_to_disagree_with(self):
         # a U0 that runs H cannot be given a definition that writes X
-        instr = Instruction("U0", (Q0,), matrix=builtin("H"))
+        instr = Instruction("U0", (0,), matrix=builtin("H"))
         with pytest.raises(TypeError):
             Circuit(self.LAYOUT, (instr,), {"U0": (1, builtin("X"))})
         c = Circuit(self.LAYOUT, (instr,))
@@ -501,8 +536,8 @@ class TestOneHomePerMatrix:
         assert serialize(a.concat(a)).count("DEFGATE") == 1
 
     def test_defgates_written_in_order_of_first_use(self):
-        f = Instruction("F", (Q0,), matrix=np.diag([1.0, -1.0 + 0j]))
-        g = Instruction("G", (Q0,), matrix=self.G)
+        f = Instruction("F", (0,), matrix=np.diag([1.0, -1.0 + 0j]))
+        g = Instruction("G", (0,), matrix=self.G)
         text = serialize(Circuit(self.LAYOUT, (g, f, g, f)))
         assert [ln for ln in text.splitlines() if ln.startswith("DEFGATE")] == [
             "DEFGATE G 1", "DEFGATE F 1",

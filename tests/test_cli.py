@@ -260,12 +260,11 @@ class TestSynth:
         # compile's own Circuit refuses an emitted gate whose residual is
         # above EPS_ISO; that is a synthesis failure, not a parse error
         from lqc import cli as cli_module
-        from lqc.circuit import BitRef, Circuit, Instruction
-        from lqc.core import BitKind
+        from lqc.circuit import Circuit, Instruction
 
         def emit_off_metric(A, layout, tol=None):
             gate = builtin("BOOST", 0.5) + 1e-9
-            return Circuit(layout, (Instruction("U0", (BitRef(BitKind.HYBIT, 0),), matrix=gate),))
+            return Circuit(layout, (Instruction("U0", (0,), matrix=gate),))
 
         monkeypatch.setattr(cli_module, "synth_compile", emit_off_metric)
         f = put(tmp_path, "i.mat", "dim 1 1\n1,0 0,0\n0,0 1,0\n")
@@ -291,8 +290,7 @@ class TestSearch:
         assert abs(float(lines["difference"])) <= 1e-9
 
     def test_simulated_is_oracle_marginal(self, capsys):
-        from lqc.circuit import BitRef, Circuit, Instruction
-        from lqc.core import BitKind
+        from lqc.circuit import Circuit, Instruction
         from lqc.search import SearchSpec, q_circuit, search_layout
         from lqc.simulator import observe, run
 
@@ -301,9 +299,7 @@ class TestSearch:
         code, out, _ = cli(capsys, *argv)
         assert code == 0
         lines = dict(ln.split(" = ") for ln in out.strip().splitlines())
-        prep = Circuit(
-            search_layout(n), tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(n))
-        )
+        prep = Circuit(search_layout(n), tuple(Instruction("H", (i,)) for i in range(n)))
         state = run(prep)
         for _ in range(k):
             state = run(q_circuit(SearchSpec(n, x, chi, k)), state)
@@ -442,6 +438,14 @@ class TestSubprocess:
 
         bad = put(tmp_path, "cnot.mat", CNOT_TEXT)
         assert go("verify", bad).returncode == 3
+
+    def test_non_finite_defgate_prints_one_error(self, tmp_path):
+        # numpy's overflow and invalid-value warnings must not reach stderr
+        f = put(tmp_path, "c.lqc", "qubits 1\nDEFGATE G 1\ninf,0 0,0\n0,0 1,0\nG q0\n")
+        r = subprocess.run([sys.executable, "-m", "lqc", "run", f], capture_output=True, text=True)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error:")
 
     def test_thread_cap_env(self, tmp_path):
         import os

@@ -162,7 +162,6 @@ class TestLayout:
         layout = RegisterLayout("hqqhq")
         assert layout.positions(BitKind.QUBIT) == (1, 2, 4)
         assert layout.positions(BitKind.HYBIT) == (0, 3)
-        assert [layout.index_in_kind(p) for p in range(5)] == [0, 0, 1, 1, 2]
         assert layout.hybit_index_mask == 0b10010
         assert (layout.num_qubits, layout.num_hybits) == (3, 2)
 
@@ -172,8 +171,6 @@ class TestLayout:
         for kind in BitKind:
             places = tuple(p for p, k in enumerate(layout.kinds) if k is kind)
             assert layout.positions(kind) == places
-            for i, p in enumerate(places):
-                assert layout.index_in_kind(p) == i
 
     def test_tables_leave_identity_to_kinds(self):
         a = RegisterLayout("qhq")
@@ -187,7 +184,6 @@ class TestLayout:
         c = pickle.loads(pickle.dumps(a))
         assert c == a and hash(c) == hash(a)
         assert c.positions(BitKind.HYBIT) == (1,)
-        assert c.index_in_kind(2) == 1
 
 
 class TestMetricForKinds:

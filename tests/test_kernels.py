@@ -22,9 +22,8 @@ import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bit_ref
-from lqc.circuit import BitRef, Circuit, Instruction, parse, to_matrix
-from lqc.core import EPS_ISO, BitKind, RegisterLayout, metric_for_kinds
+from lqc.circuit import Circuit, Instruction, parse, to_matrix
+from lqc.core import EPS_ISO, RegisterLayout, metric_for_kinds
 from lqc.gates import BUILTIN_ARITY, isometry_residual
 from lqc import simulator
 from lqc.simulator import apply_to_tensor, observe, run
@@ -124,14 +123,7 @@ def make_gate(name, kinds, u):
 def make_instruction(layout, name, targets, controls, ctrl_state, u):
     kinds = [layout.kinds[p].value for p in targets]
     matrix, param = make_gate(name, kinds, u)
-    instr = Instruction(
-        name,
-        tuple(bit_ref(layout, p) for p in targets),
-        tuple(bit_ref(layout, p) for p in controls),
-        param,
-        matrix,
-        tuple(ctrl_state),
-    )
+    instr = Instruction(name, tuple(targets), tuple(controls), param, matrix, tuple(ctrl_state))
     Circuit(layout, (instr,))  # refuses a gate that does not preserve the metric
     return instr
 
@@ -161,9 +153,9 @@ def untiled_pass(layout, tensor, instr):
     the whole slices x0 and x1, skipping factors of exactly 1."""
     (a, b), (c, d) = instr.gate_matrix().tolist()
     idx = [slice(None)] * tensor.ndim
-    for ref, value in zip(instr.controls, instr.ctrl_state):
-        idx[ref.position(layout)] = value
-    t = instr.targets[0].position(layout)
+    for p, value in zip(instr.controls, instr.ctrl_state):
+        idx[p] = value
+    t = instr.targets[0]
     idx[t] = 0
     x0 = tensor[(*idx, ...)]
     idx[t] = 1
@@ -267,7 +259,7 @@ def test_hybit_zero_control_preserves_metric(gate):
 def _sim_style_circuit(rng, layout, gates):
     """An H layer on every qubit, then gates of every class with 0-3 controls
     of random trigger values."""
-    instrs = [Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(layout.num_qubits)]
+    instrs = [Instruction("H", (i,)) for i in range(layout.num_qubits)]
     for _ in range(gates):
         name = str(rng.choice(GATES))
         arity = ARITY[name]
@@ -292,10 +284,9 @@ def test_sim_style_circuit_distribution(limit, monkeypatch):
     psi = np.zeros(layout.dimension, dtype=complex)
     psi[0] = 1.0
     for instr in instrs:
-        pos = [r.position(layout) for r in instr.targets]
-        ctl = [r.position(layout) for r in instr.controls]
         op = reference_operator(
-            layout.num_bits, instr.gate_matrix(), pos, ctl, instr.ctrl_state, sparse=True
+            layout.num_bits, instr.gate_matrix(), instr.targets, instr.controls, instr.ctrl_state,
+            sparse=True,
         )
         psi = op @ psi
     # the two hybits are the least significant index bits
@@ -330,7 +321,7 @@ def test_dense_pass_temporaries_are_tiles(target):
     # the untiled update allocated two half-state temporaries (2 x 2 MiB here)
     layout = RegisterLayout.of(18, 0)
     tensor = random_tensor(layout, None, 0)
-    instr = Instruction("H", (BitRef(BitKind.QUBIT, target),))
+    instr = Instruction("H", (target,))
     tracemalloc.start()
     try:
         apply_to_tensor(layout, tensor, instr)

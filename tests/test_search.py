@@ -5,7 +5,7 @@ import pytest
 
 from lqc.circuit import Instruction
 from lqc.circuit import to_matrix
-from lqc.core import BitKind, GuardError, LqcError, basis_state, pseudo_norm
+from lqc.core import GuardError, LqcError, basis_state, pseudo_norm
 from lqc.search import (
     SearchSpec,
     choose_k,
@@ -85,8 +85,9 @@ class TestQCircuit:
         boosts = [i for i in instrs if i.gate == "BOOST"]
         assert len(boosts) == 1
         assert boosts[0].param == 1.25
-        assert boosts[0].targets[0].kind == "h"
-        assert [c.index for c in boosts[0].controls] == [2]
+        # n = 2: the oracle qubit is position 2, the hybit position 3
+        assert boosts[0].targets == (3,)
+        assert boosts[0].controls == (2,)
 
 
 class TestRunSearch:
@@ -101,10 +102,10 @@ class TestRunSearch:
         # Q^k returns the ancilla to |0>, so the |1_o> branch carries no mass
         spec = SearchSpec(3, "101", 1.0, 4)
         layout = search_layout(3)
-        from lqc.circuit import BitRef, Circuit
+        from lqc.circuit import Circuit
 
         prep = Circuit(
-            layout, tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(3))
+            layout, tuple(Instruction("H", (i,)) for i in range(3))
         )
         state = run(prep)
         q = q_circuit(spec)
@@ -139,10 +140,10 @@ class TestRunSearch:
         # the state the last one left gives bit-identical probabilities
         spec = SearchSpec(6, "011010", 0.7, k)
         layout = search_layout(6)
-        from lqc.circuit import BitRef, Circuit
+        from lqc.circuit import Circuit
 
         prep = Circuit(
-            layout, tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(6))
+            layout, tuple(Instruction("H", (i,)) for i in range(6))
         )
         state = run(prep)
         q = q_circuit(spec)
@@ -154,10 +155,10 @@ class TestRunSearch:
     def test_pseudo_norm_preserved(self):
         spec = SearchSpec(4, "0110", 1.5, 6)
         layout = search_layout(4)
-        from lqc.circuit import BitRef, Circuit
+        from lqc.circuit import Circuit
 
         prep = Circuit(
-            layout, tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(4))
+            layout, tuple(Instruction("H", (i,)) for i in range(4))
         )
         state = run(prep)
         q = q_circuit(spec)
@@ -185,10 +186,10 @@ class TestClosedForms:
         x = "1" * n
         spec = SearchSpec(n, x, chi, k)
         layout = search_layout(n)
-        from lqc.circuit import BitRef, Circuit
+        from lqc.circuit import Circuit
 
         prep = Circuit(
-            layout, tuple(Instruction("H", (BitRef(BitKind.QUBIT, i),)) for i in range(n))
+            layout, tuple(Instruction("H", (i,)) for i in range(n))
         )
         state = run(prep)
         q = q_circuit(spec)

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqc.circuit import BitRef, Instruction
-from lqc.core import BitKind
+from lqc.circuit import Instruction
 from lqc.gates import BUILTIN_ARITY, PARAMETRIC, builtin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,11 +53,11 @@ def structure_class(matrix: np.ndarray) -> str:
 @pytest.mark.parametrize("name", sorted(BUILTIN_ARITY))
 def test_every_builtin_is_classified(spans, name):
     param = 0.5 if name in PARAMETRIC else None
-    targets = tuple(BitRef(BitKind.QUBIT, i) for i in range(BUILTIN_ARITY[name]))
+    targets = tuple(range(BUILTIN_ARITY[name]))
     instr = Instruction(name, targets, param=param)
     assert instr.matrix is None  # gate_class reads a builtin by its name
     assert spans.gate_class(instr) == structure_class(builtin(name, param))
-    controlled = Instruction(name, targets, (BitRef(BitKind.QUBIT, 9),), param)
+    controlled = Instruction(name, targets, (9,), param)
     assert spans.gate_class(controlled) == "ctrl"
 
 
@@ -67,5 +66,5 @@ def test_every_builtin_is_classified(spans, name):
     [(np.diag([1.0, 1j]), "diag"), (np.array([[0, 1j], [1, 0]]), "perm"), (builtin("TAU"), "dense")],
 )
 def test_defgate_is_classified_by_its_matrix(spans, matrix, cls):
-    instr = Instruction("G", (BitRef(BitKind.QUBIT, 0),), matrix=matrix)
+    instr = Instruction("G", (0,), matrix=matrix)
     assert spans.gate_class(instr) == cls
