@@ -32,16 +32,22 @@ control projector is diagonal, so it commutes with the metric, and the
 controlled gate I + P_C (U - I) preserves the metric whenever U does on
 its targets, whatever the trigger values.
 
-Each instruction is checked once, by `validate_instruction`, where it
-enters a `Circuit`: it must be one the text can write back, and its gate
-matrix must preserve the metric of its target bits (the same DEFGATE may be
-legal on one bit-kind combination and illegal on another). `parse` checks
-each statement as it reads it, for a per-line diagnostic; it and `concat`
-return circuits without a second check.
+Every instruction is checked once, where it enters a `Circuit`. Its form
+is checked on its own, by `validate_instruction`: it must be one the text
+can write back, with a gate matrix of its target count. Its metric is
+checked with every other instruction of the circuit in one stacked
+`isometry_residual` pass: the gate matrix must preserve the metric of its
+target bits (the same DEFGATE may be legal on one bit-kind combination and
+illegal on another). The first instruction to fail either check raises, as
+if each were checked in full in turn. `parse` checks the form of each
+statement as it reads it and the metric of all of them at the end, giving
+each failure a diagnostic at its statement's line; it and `concat` return
+circuits without a second check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -78,6 +84,8 @@ class Instruction:
     ctrl_state: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "controls", tuple(self.controls))
         state = (1,) * len(self.controls) if self.ctrl_state is None else tuple(self.ctrl_state)
         object.__setattr__(self, "ctrl_state", state)
 
@@ -97,8 +105,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         _freeze(self, self.instructions)
-        for instr in self.instructions:
-            validate_instruction(self.layout, instr)
+        _validate(self.layout, self.instructions)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
@@ -138,9 +145,10 @@ def _is_gate_name(name: str) -> bool:
 
 
 def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
-    """Raise unless the instruction is well formed on the layout, and
-    IsometryError unless its gate preserves the metric of its targets.
-    Where it runs is in the module docstring."""
+    """Raise LqcError unless the instruction is well formed on the layout:
+    one the text can write back, with a gate matrix of its target count.
+    Whether that matrix preserves the metric is `_metric_failures`' check.
+    Where both run is in the module docstring."""
     if instr.gate in BUILTIN_ARITY:
         if instr.matrix is not None:
             raise LqcError(f"builtin gate {instr.gate} cannot carry a matrix")
@@ -174,13 +182,56 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
             f"gate {instr.gate} has dimension {mat.shape[0]}, "
             f"but {arity} target(s) were given"
         )
-    kinds = "".join(layout.kinds[p].value for p in instr.targets)
-    resid = isometry_residual(mat, metric_for_kinds(kinds))
-    if resid > EPS_ISO:
-        raise IsometryError(
-            f"gate {instr.gate} is not metric-preserving on target kind(s) "
-            f"{kinds!r} (residual {resid:.3g})"
+
+
+@functools.lru_cache(maxsize=None)
+def _target_metric(kinds: str) -> np.ndarray:
+    """`metric_for_kinds`, built once per target-kind string (there are
+    fewer than 2^(MAX_DEFGATE_ARITY + 1)) and shared, so read-only."""
+    eta = metric_for_kinds(kinds)
+    eta.flags.writeable = False
+    return eta
+
+
+def _metric_failures(layout: RegisterLayout, instructions) -> list[tuple[int, str]]:
+    """(index, message) of each well-formed instruction whose gate does not
+    preserve the metric of its target bits, in order. One stacked
+    `isometry_residual` per target count covers the whole list."""
+    kind_of = "".join(layout.kinds)
+    by_arity: dict[int, list[int]] = {}
+    for n, instr in enumerate(instructions):
+        by_arity.setdefault(len(instr.targets), []).append(n)
+    failures = []
+    for members in by_arity.values():
+        kinds = ["".join(kind_of[p] for p in instructions[n].targets) for n in members]
+        resid = isometry_residual(
+            np.array([instructions[n].gate_matrix() for n in members], dtype=complex),
+            np.array([_target_metric(k) for k in kinds]),
         )
+        for m in (resid > EPS_ISO).nonzero()[0].tolist():
+            n = members[m]
+            failures.append((n, (
+                f"gate {instructions[n].gate} is not metric-preserving on target "
+                f"kind(s) {kinds[m]!r} (residual {resid[m]:.3g})"
+            )))
+    return sorted(failures)
+
+
+def _validate(layout: RegisterLayout, instructions) -> None:
+    """Raise the error of the first instruction that is ill formed or breaks
+    the metric, as checking each one in full in turn would."""
+    formed, error = len(instructions), None
+    for n, instr in enumerate(instructions):
+        try:
+            validate_instruction(layout, instr)
+        except LqcError as exc:
+            formed, error = n, exc
+            break
+    failures = _metric_failures(layout, instructions[:formed])
+    if failures:
+        raise IsometryError(failures[0][1])
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +292,8 @@ def parse(text: str) -> Circuit:
     decls_done = False
     defs: dict[str, tuple[int, np.ndarray]] = {}
     instructions: list[Instruction] = []
+    # (line, column, diagnostics before it) of each statement in `instructions`
+    statements: list[tuple[int, int, int]] = []
     layout: RegisterLayout | None = None
 
     def err(line: int, col: int, message: str) -> None:
@@ -314,6 +367,7 @@ def parse(text: str) -> Circuit:
             err(lineno, col0, str(exc))
             return
         instructions.append(instr)
+        statements.append((lineno, col0, len(errors)))
 
     def parse_defgate(lineno: int, toks: list[tuple[int, str]]) -> bool:
         """Read one DEFGATE block into `defs`; False when it is refused."""
@@ -419,10 +473,14 @@ def parse(text: str) -> Circuit:
         else:
             parse_simple(lineno, toks, [], [])
 
+    # a metric failure goes where its statement's diagnostic would have
+    # gone had each statement been checked in full as it was read
+    for n, message in reversed(_metric_failures(get_layout(), instructions)):
+        lineno, col, before = statements[n]
+        errors.insert(before, Diagnostic(lineno, col, message))
     if errors:
         raise ParseError(errors)
-    # parse_simple has validated every instruction; a DEFGATE no statement
-    # uses is not kept
+    # every instruction is now checked; a DEFGATE no statement uses is not kept
     return _checked(get_layout(), instructions)
 
 

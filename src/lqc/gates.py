@@ -9,7 +9,6 @@ metric eta of those bits.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -68,21 +67,31 @@ def builtin(name: str, param: float | None = None) -> np.ndarray:
     return mat
 
 
-def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float:
-    """Max-norm of G^dagger eta G - eta; eta given as a sign vector or diagonal
-    matrix. math.inf when that is not finite, as when G has a NaN or infinite
-    entry, so that every `resid > EPS_*` check refuses G."""
+def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
+    """Max-norm of G^dagger eta G - eta, for one gate or a stack of them.
+
+    One square G takes eta as a sign vector or diagonal matrix and gives a
+    float. A stack G of shape (m, d, d) takes one sign vector for all, or
+    an (m, d) stack of them, and gives the m residuals as an array, each
+    equal to the residual of its gate alone. A residual that is not finite,
+    as when G has a NaN or infinite entry, is inf, so that every
+    `resid > EPS_*` check refuses G."""
     G = np.asarray(G, dtype=complex)
     eta = np.asarray(eta)
-    if eta.ndim == 2:
+    single = G.ndim == 2
+    if single and eta.ndim == 2:
         eta = np.diagonal(eta)
-    if G.shape[0] != G.shape[1] or G.shape[0] != eta.shape[0]:
+    stack = G[None] if single else G
+    m, d = stack.shape[0], stack.shape[-1]
+    if stack.ndim != 3 or stack.shape[1] != d or eta.shape not in ((d,), (m, d)):
         raise LqcError(f"shape mismatch: gate {G.shape}, metric {eta.shape}")
     # a non-finite or huge entry overflows here; the result says so, not numpy
     with np.errstate(all="ignore"):
-        resid = (G.conj().T * eta) @ G - np.diag(eta.astype(complex))
-        worst = float(np.max(np.abs(resid)))
-    return worst if math.isfinite(worst) else math.inf
+        resid = (stack.conj().swapaxes(1, 2) * eta[..., None, :]) @ stack
+        resid.reshape(m, d * d)[:, :: d + 1] -= eta  # the diagonal of each
+        worst = np.abs(resid).max(axis=(1, 2))
+    worst[~np.isfinite(worst)] = np.inf
+    return float(worst[0]) if single else worst
 
 
 def is_isometry(G: np.ndarray, eta: np.ndarray) -> tuple[bool, float]:

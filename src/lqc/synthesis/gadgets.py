@@ -240,16 +240,20 @@ class _Emitter:
     matrix U0, U1, ... in the order it is first emitted."""
 
     _RECOGNIZED = ("Z", "X", "SZ", "SZD", "H", "T", "TAU")
+    # their matrices, in that order, for one comparison per emitted gate
+    _RECOGNIZED_STACK = np.stack([builtin(name) for name in _RECOGNIZED])
+    _RECOGNIZED_STACK.flags.writeable = False
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
         self._by_key: dict[bytes, tuple[str, np.ndarray]] = {}
 
     def _gate_name(self, M: np.ndarray) -> tuple[str, float | None, np.ndarray | None]:
-        """(name, param, DEFGATE matrix or None for a builtin) of M."""
-        for name in self._RECOGNIZED:
-            if np.max(np.abs(M - builtin(name))) < EPS_ZERO:
-                return name, None, None
+        """(name, param, DEFGATE matrix or None for a builtin) of M; the
+        first recognized builtin within EPS_ZERO names it."""
+        match = np.abs(M - self._RECOGNIZED_STACK).max(axis=(1, 2)) < EPS_ZERO
+        if match.any():
+            return self._RECOGNIZED[match.argmax()], None, None
         if abs(M[0, 1]) < EPS_ZERO and abs(M[1, 0]) < EPS_ZERO and abs(M[0, 0] - 1) < EPS_ZERO:
             return "PHASE", float(np.angle(M[1, 1])), None
         if (

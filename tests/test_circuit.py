@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import HYBIT_GATES, QUBIT_GATES, random_circuit, random_layout
+from test_gates import metric_gates
 from test_kernels import ARITY, DEFGATES, GATES, ONLY_ON, make_instruction
 from lqc import circuit as circuit_module
 from lqc.circuit import (
@@ -15,6 +16,7 @@ from lqc.circuit import (
     parse,
     serialize,
     to_matrix,
+    validate_instruction,
 )
 from lqc.core import (
     EPS_ISO,
@@ -106,6 +108,35 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("hybits 1\nX h0\n")
         assert "metric" in str(exc.value)
+
+    def test_metric_failures_keep_their_place(self):
+        # metric failures of 1- and 2-target gates, between and after
+        # failures of form; the text is what checking each statement in
+        # full as it is read gives
+        src = "\n".join([
+            "qubits 2", "hybits 1",
+            "DEFGATE W 1", "1.4142135623730951,0 0,1", "0,1 -1.4142135623730951,0",
+            "DEFGATE SW 2",
+            "1,0 0,0 0,0 0,0", "0,0 0,0 1,0 0,0", "0,0 1,0 0,0 0,0", "0,0 0,0 0,0 1,0",
+            "FOO q0", "SW q0 q1", "SW q1 h0", "W h0", "W q1", "H h0",
+            "CTRL q0 : X q5", "BOOST 0.5 q0", "CTRL h0 : W q0",
+            "DEFGATE V 2", "1,0 0,0", "Z q0 q1", "CZ q0 h0",
+        ]) + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == "\n".join([
+            "line 11, col 1: unknown gate 'FOO'",
+            "line 13, col 1: gate SW is not metric-preserving on target kind(s) 'qh' (residual 2)",
+            "line 15, col 1: gate W is not metric-preserving on target kind(s) 'q' (residual 2.83)",
+            "line 16, col 1: gate H is not metric-preserving on target kind(s) 'h' (residual 1)",
+            "line 17, col 13: bit q5 out of range for declared register",
+            "line 18, col 1: gate BOOST is not metric-preserving on target kind(s) 'q' "
+            "(residual 1.18)",
+            "line 19, col 11: gate W is not metric-preserving on target kind(s) 'q' "
+            "(residual 2.83)",
+            "line 21, col 1: expected 4 matrix entries",
+            "line 22, col 3: gate Z expects 1 target(s), got 2",
+        ])
 
     def test_empty_source(self):
         c = parse("")
@@ -420,45 +451,140 @@ class TestInstructionValidation:
                 (Instruction("H", (0, 1)),),
             )
 
+    def test_list_bits_become_tuples(self):
+        Circuit(RegisterLayout.of(1, 0), (Instruction("X", [0]),))
+        instr = Instruction("X", [1], [0])
+        assert (instr.targets, instr.controls, instr.ctrl_state) == ((1,), (0,), (1,))
+        assert hash(instr) == hash(Instruction("X", (1,), (0,)))
+        c = Circuit(RegisterLayout.of(2, 0), (Instruction("X", [0]), instr))
+        assert c.instructions == (Instruction("X", (0,)), Instruction("X", (1,), (0,)))
+        with pytest.raises(LqcError, match="out of range"):
+            Circuit(RegisterLayout.of(2, 0), (Instruction("X", [0.0]),))
+
+
+def check_in_turn(layout, instructions):
+    """(type, message) of the error that checking each instruction in full,
+    one after the other, raises first; None when every one passes."""
+    for instr in instructions:
+        try:
+            validate_instruction(layout, instr)
+        except LqcError as exc:
+            return type(exc), str(exc)
+        kinds = "".join(layout.kinds[p].value for p in instr.targets)
+        resid = isometry_residual(instr.gate_matrix(), metric_for_kinds(kinds))
+        if resid > EPS_ISO:
+            return IsometryError, (
+                f"gate {instr.gate} is not metric-preserving on target kind(s) "
+                f"{kinds!r} (residual {resid:.3g})"
+            )
+    return None
+
+
+@st.composite
+def metric_circuits(draw):
+    """A 4-bit register and DEFGATEs on 1-3 of its bits, each built for a
+    mix of bit kinds that may not be that of its targets, with builtins
+    and an ill-formed instruction (a bit out of range) mixed in."""
+    layout = RegisterLayout(tuple(draw(st.text("qh", min_size=4, max_size=4))))
+    instrs = []
+    for _ in range(draw(st.integers(0, 10))):
+        choice = draw(st.sampled_from(["defgate", "defgate", "builtin", "ill-formed"]))
+        if choice == "ill-formed":
+            instrs.append(Instruction("Z", (4,)))
+            continue
+        if choice == "builtin":
+            name = draw(st.sampled_from(["H", "X", "TAU", "CZ"]))
+            instrs.append(Instruction(name, (0, 1)[:BUILTIN_ARITY[name]]))
+            continue
+        arity = draw(st.integers(1, 3))
+        targets = tuple(draw(st.permutations(range(4)))[:arity])
+        built_for = draw(st.sampled_from([
+            "".join(layout.kinds[p].value for p in targets),
+            draw(st.text("qh", min_size=arity, max_size=arity)),
+        ]))
+        gate, _ = draw(metric_gates(built_for))
+        instrs.append(Instruction("G", targets, matrix=gate))
+    return layout, tuple(instrs)
+
+
+class TestStackedMetricCheck:
+    """The metric of every instruction is checked in one stacked pass, with
+    the outcome of checking each instruction in full, in turn."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(metric_circuits())
+    def test_refuses_as_the_check_in_turn(self, drawn):
+        layout, instrs = drawn
+        want = check_in_turn(layout, instrs)
+        if want is None:
+            Circuit(layout, instrs)
+            return
+        with pytest.raises(LqcError) as exc:
+            Circuit(layout, instrs)
+        assert (type(exc.value), str(exc.value)) == want
+
 
 class TestValidateOnce:
-    """Each instruction passes validate_instruction once, where it enters a
-    Circuit."""
+    """Each instruction is checked once where it enters a Circuit: its form
+    by validate_instruction, its metric in the one stacked isometry_residual
+    call of its target count."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        seen = []
-        original = circuit_module.validate_instruction
+        seen = {"form": [], "metric": []}
+        form, metric = circuit_module.validate_instruction, circuit_module.isometry_residual
 
-        def counting(layout, instr):
-            seen.append(instr)
-            return original(layout, instr)
+        def form_spy(layout, instr):
+            seen["form"].append(instr)
+            return form(layout, instr)
 
-        monkeypatch.setattr(circuit_module, "validate_instruction", counting)
+        def metric_spy(stack, eta):
+            seen["metric"].append(np.array(stack))
+            return metric(stack, eta)
+
+        monkeypatch.setattr(circuit_module, "validate_instruction", form_spy)
+        monkeypatch.setattr(circuit_module, "isometry_residual", metric_spy)
         return seen
+
+    @staticmethod
+    def assert_checked_once(seen, instructions):
+        assert seen["form"] == list(instructions)
+        want: dict[int, list] = {}
+        for instr in instructions:
+            want.setdefault(len(instr.targets), []).append(instr.gate_matrix())
+        stacks = seen["metric"]
+        assert len(stacks) == len(want)
+        for stack in stacks:
+            assert np.array_equal(stack, want[len(stack[0]).bit_length() - 1])
 
     def test_constructor_checks_each_instruction(self, checked):
         layout = RegisterLayout("qhqh")
-        c = random_circuit(np.random.default_rng(3), layout, 25)
-        assert checked == list(c.instructions)
+        instrs = random_circuit(np.random.default_rng(3), layout, 25).instructions
+        instrs += (Instruction("CZ", (1, 2)), Instruction("G", (3,), matrix=np.diag([1.0, 1j])))
+        checked["form"].clear()
+        checked["metric"].clear()
+        c = Circuit(layout, instrs)
+        self.assert_checked_once(checked, c.instructions)
 
     def test_parse_checks_each_instruction_once(self, checked):
         layout = RegisterLayout.of(2, 2)
         c = random_circuit(np.random.default_rng(4), layout, 30)
         gate = np.diag([1.0, 1j])
-        c = c.concat(Circuit(layout, (Instruction("G", (2,), matrix=gate),)))
-        checked.clear()
+        c = c.concat(Circuit(layout, (Instruction("G", (2,), matrix=gate), Instruction("CZ", (0, 3)))))
+        checked["form"].clear()
+        checked["metric"].clear()
         parsed = parse(serialize(c))
         assert parsed == c
-        assert checked == list(c.instructions)
+        self.assert_checked_once(checked, c.instructions)
 
     def test_concat_checks_nothing(self, checked):
         layout = RegisterLayout("qhqh")
         rng = np.random.default_rng(5)
         a, b = random_circuit(rng, layout, 10), random_circuit(rng, layout, 12)
-        checked.clear()
+        checked["form"].clear()
+        checked["metric"].clear()
         joined = a.concat(b)
-        assert checked == []
+        assert checked == {"form": [], "metric": []}
         assert joined == Circuit(layout, a.instructions + b.instructions)
         assert type(joined.instructions) is tuple
 
@@ -471,7 +597,7 @@ class TestValidateOnce:
         A = random_isometry_for_signs(metric_vector(layout), seed=2)
         result = compile(A, layout)
         assert len(result.circuit.instructions) > 0
-        assert checked == list(result.circuit.instructions)
+        self.assert_checked_once(checked, result.circuit.instructions)
 
 
 class TestFrozen:

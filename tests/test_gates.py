@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lqc.circuit import Instruction, validate_instruction
 from lqc.core import EPS_ISO, LqcError, RegisterLayout, metric_for_kinds
@@ -170,6 +172,55 @@ class TestIsIsometry:
         ]:
             assert is_isometry(mat, eta)[0]
             assert abs(np.linalg.det(mat)) == pytest.approx(1.0, abs=1e-10)
+
+
+@st.composite
+def metric_gates(draw, kinds: str):
+    """(gate, metric) on bits of the given kinds: a product of per-bit
+    isometries, scaled by 1 + delta so that its residual of about 2|delta|
+    straddles EPS_ISO, and sometimes given one NaN, infinite or 1e200 entry."""
+    gate = np.ones((1, 1), dtype=complex)
+    for kind in kinds:
+        phi = draw(st.floats(-np.pi, np.pi))
+        mix = builtin("H") if kind == "q" else boost(draw(st.floats(-1.0, 1.0)))
+        gate = np.kron(gate, phase_gate(phi) @ mix)
+    gate *= 1.0 + draw(st.floats(-1e-10, 1e-10))
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.nan), 1e200]))
+    if bad is not None:
+        d = len(gate)
+        gate[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = bad
+    return gate, metric_for_kinds(kinds)
+
+
+@st.composite
+def metric_gate_stacks(draw):
+    """Gates of one target count, each on its own mix of bit kinds."""
+    arity = draw(st.integers(1, 3))
+    kinds = st.text("qh", min_size=arity, max_size=arity)
+    return draw(st.lists(kinds.flatmap(metric_gates), min_size=1, max_size=12))
+
+
+class TestStackedResidual:
+    """A stack of gates gives each gate's residual, bit for bit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(metric_gate_stacks())
+    def test_equals_residual_of_each_gate(self, gates):
+        stack = np.stack([g for g, _ in gates])
+        etas = np.stack([eta for _, eta in gates])
+        want = [isometry_residual(g, eta) for g, eta in gates]
+        assert np.array_equal(isometry_residual(stack, etas), want)
+        # one metric for the whole stack
+        want = [isometry_residual(g, etas[0]) for g, _ in gates]
+        assert np.array_equal(isometry_residual(stack, etas[0]), want)
+
+    def test_empty_stack(self):
+        assert isometry_residual(np.zeros((0, 2, 2)), ETA_H).shape == (0,)
+
+    @pytest.mark.parametrize("eta", [np.ones((2, 2)), np.ones((4, 2)), np.ones(4)])
+    def test_metric_shape_must_match(self, eta):
+        with pytest.raises(LqcError, match="shape mismatch"):
+            isometry_residual(np.stack([np.eye(2)] * 3), eta)
 
 
 class TestControlled:

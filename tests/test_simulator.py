@@ -275,6 +275,29 @@ class TestDistributionFormat:
         want = "".join(f"{j:015b}\t{n}\n" for j, n in enumerate(hist) if n)
         assert format_counts(SampleResult(hist, int(hist.sum()), 0)) == want
 
+    @pytest.mark.parametrize("nq", [0, 1, 6])
+    @pytest.mark.parametrize("support", ["full", "sparse"])
+    def test_lines_match_per_line_format(self, nq, support):
+        # the bitstrings are written into each block's template by numpy;
+        # every line must still read as one `%`-format of its own
+        rng = np.random.default_rng(nq)
+        probs = rng.random(1 << nq)
+        hist = rng.integers(1, 50, 1 << nq)
+        if support == "sparse":
+            keep = np.arange(1 << nq) % 3 == 0
+            probs, hist = probs * keep, hist * keep
+        probs /= probs.sum()
+
+        def bits(j):
+            # no qubits: the one outcome has the empty bitstring
+            return format(j, f"0{nq}b") if nq else ""
+
+        want = "".join("%s\t%.17g\n" % (bits(j), p) for j, p in enumerate(probs) if p)
+        text = format_distribution(OutcomeDistribution(probs, 0.75))
+        assert text == "# observable_mass = 0.75\n" + want
+        want = "".join("%s\t%d\n" % (bits(j), n) for j, n in enumerate(hist) if n)
+        assert format_counts(SampleResult(hist, int(hist.sum()), 0)) == want
+
     def test_probability_check(self):
         with pytest.raises(LqcError):
             OutcomeDistribution(np.array([0.4, 0.0]), 1.0)

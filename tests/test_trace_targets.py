@@ -16,7 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqc.circuit import Instruction
+from conftest import random_circuit
+from lqc import circuit as circuit_module
+from lqc.circuit import Circuit, Instruction, serialize
+from lqc.core import RegisterLayout
 from lqc.gates import BUILTIN_ARITY, PARAMETRIC, builtin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -68,3 +71,20 @@ def test_every_builtin_is_classified(spans, name):
 def test_defgate_is_classified_by_its_matrix(spans, matrix, cls):
     instr = Instruction("G", (0,), matrix=matrix)
     assert spans.gate_class(instr) == cls
+
+
+def test_validation_is_traced(spans):
+    # the benchmark's circuit.validate.instructions (and with it
+    # circuit.validate.per_emitted) counts validate_instruction calls, and
+    # the stacked metric check shows as the gates.isometry_residual span
+    layout = RegisterLayout.of(2, 2)
+    instrs = random_circuit(np.random.default_rng(8), layout, 25).instructions
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        text = serialize(Circuit(layout, instrs))
+        built = tracer.calls("gates.isometry_residual")
+        circuit_module.parse(text)
+    assert tracer.counts["circuit.validate.instructions"] == 50
+    assert built >= 1
+    assert tracer.calls("gates.isometry_residual") > built
+    assert tracer.calls("circuit.parse") == 1
