@@ -84,10 +84,16 @@ class Instruction:
     ctrl_state: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "controls", tuple(self.controls))
-        state = (1,) * len(self.controls) if self.ctrl_state is None else tuple(self.ctrl_state)
+        try:
+            targets, controls = tuple(self.targets), tuple(self.controls)
+            state = (1,) * len(controls) if self.ctrl_state is None else tuple(self.ctrl_state)
+            matrix = None if self.matrix is None else np.asarray(self.matrix, dtype=complex)
+        except (TypeError, ValueError) as e:
+            raise LqcError(f"malformed instruction {self.gate!r}: {e}") from None
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "ctrl_state", state)
+        object.__setattr__(self, "matrix", matrix)
 
     def gate_matrix(self) -> np.ndarray:
         if self.matrix is not None:

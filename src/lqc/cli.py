@@ -34,7 +34,7 @@ from .core import (
     basis_state,
     metric_vector,
 )
-from .gates import MatrixTextError, block_metric, isometry_residual, parse_matrix_text
+from .gates import block_metric, isometry_residual, parse_matrix_text
 from .search import (
     MAX_K_CHI,
     SearchSpec,
@@ -284,33 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error type; the first type that matches wins
+EXIT_CODES = (
+    (ZeroObservableMassError, EXIT_NO_MASS),
+    (IsometryError, EXIT_ISOMETRY),
+    (GuardError, EXIT_GUARD),
+    ((LqcError, OSError), EXIT_PARSE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliUsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
-    except ParseError as e:
-        for d in e.diagnostics:
+    except (LqcError, OSError) as e:
+        # a parse error carries one diagnostic per line of input at fault
+        for d in e.diagnostics if isinstance(e, ParseError) else [e]:
             sys.stderr.write(f"error: {d}\n")
-        return EXIT_PARSE
-    except (MatrixTextError, OSError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
-    except ZeroObservableMassError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_NO_MASS
-    except IsometryError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_ISOMETRY
-    except GuardError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_GUARD
-    except LqcError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
+        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

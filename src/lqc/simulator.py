@@ -19,29 +19,24 @@ without moving axes or copying the state. Its 2x2 entries pick the kernel:
   one matmul on the stacked slice pair instead
 
 A diagonal gate is one op per slice, already a single pass over it. The
-swap and the dense update take several ops per slice, so they run in
-tiles of at most TILE amplitudes per slice, and every op of a tile works
-on data in cache: a pass reads and writes each touched amplitude once. The
-view of a slice is cut into runs, the longest stretches of contiguous
-amplitudes (adjacent axes merge where the control and target axes allow).
-A tile is one of:
+swap and the dense update take several ops per slice, so they run over
+chunks of at most TILE amplitudes of each slice, and every op of a chunk
+works on data in cache: a pass reads and writes each touched amplitude
+once. numpy's buffered iterator (`np.nditer`) cuts the chunks. A chunk is
+a piece of the slice itself, or a contiguous buffer that the iterator fills
+from the slice and writes back, where the slice's amplitudes lie too
+scattered to walk in one stride (a target near the end of the register
+leaves stretches of a few adjacent amplitudes).
 
-* a piece of one run, when runs are at least a tile long: updated in place
-* a block of whole runs, when they are shorter: each slice's runs are
-  copied into a contiguous buffer, one run as one opaque record, so the
-  copy is a single strided loop however short the runs (a target on one of
-  the last register bits gives runs of 1-4 amplitudes), and the update
-  runs on the buffers
-* the whole slice, when it fits in one tile
-
-Each tile goes through the same ops, with the same scalar factors, as the
-whole slice did before tiling: the arithmetic of every element is
-unchanged, only the order in which elements are visited differs, so the
-result is bit-identical to the untiled update. (One exception: numpy
-rounds an in-place complex product on a one-amplitude array differently.
-A one-amplitude tile needs a run one longer than a multiple of TILE, so it
-cannot occur for a state vector or `to_matrix`, whose runs are powers of
-two.)
+Each chunk goes through the same ops, with the same scalar factors, as the
+whole slice would: the arithmetic of every element is unchanged, only the
+order in which elements are visited differs, so the result is
+bit-identical to the update without chunks. (One exception: numpy rounds
+an in-place complex product on a one-amplitude array differently. A
+one-amplitude chunk of a longer slice needs a stretch of amplitudes one
+longer than a multiple of TILE; the stretches of a state vector or of
+`to_matrix` are powers of two long, so at a power-of-two TILE it cannot
+occur.)
 
 Gates with two or more targets (CZ, multi-target DEFGATEs) move their
 target axes to the front and multiply by the gate matrix.
@@ -60,7 +55,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .circuit import Circuit, Instruction
 from .core import (
@@ -82,13 +76,14 @@ FORMAT_BLOCK = 1 << 14
 # it costs about what the slice update costs, and it rounds more tightly:
 # with the slice update, the metric residual of `to_matrix` on synthesized
 # circuits, which `lqc verify` compares with EPS_ISO, is about 1.3x larger
-# and flips some results near EPS_ISO. Above this size the tiled slice
+# and flips some results near EPS_ISO. Above this size the chunked slice
 # update is 2-5x faster than stacking the pair.
 BLAS_DENSE_MAX = 1 << 13
-# Amplitudes per target slice in one tile of the slice update. A dense tile
-# holds x0 and x1 copies and two temporaries, 4 x 128 KiB, well inside L2;
-# 2^12 and 2^15 measured slower on a 20-bit state (more calls per pass, or
-# spills from L2).
+# Amplitudes per target slice in one chunk of the slice update: the buffer
+# size of the iterator. A dense chunk holds x0 and x1 buffers and two
+# temporaries, 4 x 128 KiB, well inside L2. On a 20-bit state, 2^15 measured
+# slower on every target bit (spills from L2) and 2^12 slower on dense
+# passes (more calls per pass).
 TILE = 1 << 13
 
 
@@ -150,11 +145,9 @@ def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray) -> None:
         _tiled(_mix, (a, b, c, d), x0, x1, 2)
 
 
-def _swap(b, c, x0, x1, tmp=None) -> None:
+def _swap(b, c, x0, x1, tmp) -> None:
     if c != 1:
-        tmp = np.multiply(x0, c, out=tmp)
-    elif tmp is None:
-        tmp = x0.copy()
+        np.multiply(x0, c, out=tmp)
     else:
         tmp[...] = x0
     if b == 1:
@@ -164,8 +157,8 @@ def _swap(b, c, x0, x1, tmp=None) -> None:
     x1[...] = tmp
 
 
-def _mix(a, b, c, d, x0, x1, tmp=None, prod=None) -> None:
-    tmp = np.multiply(x0, c, out=tmp)
+def _mix(a, b, c, d, x0, x1, tmp, prod) -> None:
+    np.multiply(x0, c, out=tmp)
     if a != 1:
         x0 *= a
     x0 += np.multiply(x1, b, out=prod)
@@ -175,74 +168,16 @@ def _mix(a, b, c, d, x0, x1, tmp=None, prod=None) -> None:
 
 
 def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
-    """update(*coeffs, x0, x1, *temps) over tiles of at most TILE amplitudes
-    of each slice, with `ntemps` scratch arrays of the tile's shape (none
-    when the slice is one tile: the update then allocates its own). A tile
-    is the whole slice, a piece of one contiguous run of amplitudes updated
-    in place, or a block of whole runs updated in contiguous copies."""
-    if x0.size <= TILE:
-        update(*coeffs, x0, x1)
-        return
-    shape, strides = _runs(x0)
-    x0, x1 = as_strided(x0, shape, strides), as_strided(x1, shape, strides)
-    run = shape[-1]
-    temps = [np.empty(TILE, x0.dtype) for _ in range(ntemps)]
-    if run >= TILE:
-        for idx in _tile_index(x0.shape, TILE):
-            t0, t1 = x0[idx], x1[idx]
-            update(*coeffs, t0, t1, *[t[:t0.size].reshape(t0.shape) for t in temps])
-        return
-    # one run is one record, so copying a block of runs is one strided loop
-    record = np.dtype((np.void, run * x0.itemsize))
-    r0, r1 = x0.view(record)[..., 0], x1.view(record)[..., 0]
-    buf0, buf1 = np.empty(TILE, x0.dtype), np.empty(TILE, x0.dtype)
-    for idx in _tile_index(r0.shape, TILE // run):
-        t0, t1 = r0[idx], r1[idx]
-        n = t0.size * run
-        c0 = buf0[:n].view(record).reshape(t0.shape)
-        c1 = buf1[:n].view(record).reshape(t0.shape)
-        np.copyto(c0, t0)
-        np.copyto(c1, t1)
-        update(*coeffs, buf0[:n], buf1[:n], *[t[:n] for t in temps])
-        np.copyto(t0, c0)
-        np.copyto(t1, c1)
-
-
-def _runs(x: np.ndarray) -> tuple[list[int], list[int]]:
-    """Shape and strides of x with adjacent axes merged wherever one stride
-    steps over the next axis whole. The last axis is a run of contiguous
-    elements, of length 1 if no axis of x is contiguous."""
-    shape: list[int] = []
-    strides: list[int] = []
-    for n, s in zip(x.shape, x.strides):
-        if n == 1:
-            continue
-        if shape and strides[-1] == n * s:
-            shape[-1] *= n
-            strides[-1] = s
-        else:
-            shape.append(n)
-            strides.append(s)
-    if not strides or strides[-1] != x.itemsize:
-        shape.append(1)
-        strides.append(x.itemsize)
-    return shape, strides
-
-
-def _tile_index(shape: tuple[int, ...], size: int):
-    """Indices that cut an array of `shape` into blocks of at most `size`
-    elements in C order: whole trailing axes plus a piece of the next one."""
-    k, inner = len(shape), 1
-    while k and inner * shape[k - 1] <= size:
-        k -= 1
-        inner *= shape[k]
-    if k == 0:
-        yield ()
-        return
-    step = size // inner
-    for lead in np.ndindex(*shape[:k - 1]):
-        for start in range(0, shape[k - 1], step):
-            yield (*lead, slice(start, start + step))
+    """update(*coeffs, c0, c1, *temps) over the chunks c0, c1 of at most TILE
+    amplitudes that numpy's buffered iterator cuts from each slice, with
+    `ntemps` scratch arrays of the chunk's size. A chunk is a piece of the
+    slice itself or a contiguous buffer that the iterator fills from the
+    slice and writes back."""
+    temps = [np.empty(min(TILE, x0.size), x0.dtype) for _ in range(ntemps)]
+    with np.nditer((x0, x1), ("external_loop", "buffered"), [["readwrite"]] * 2,
+                   buffersize=TILE) as it:
+        for c0, c1 in it:
+            update(*coeffs, c0, c1, *[t[:c0.size] for t in temps])
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

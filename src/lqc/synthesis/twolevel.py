@@ -220,8 +220,7 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
     pairs = np.array([sorted((x, y)) for x, y, _ in raw], dtype=int).reshape(-1, 2)
     V = np.array([M if x < y else M[::-1, ::-1] for x, y, M in raw]).reshape(-1, 2, 2)
     eta = s[pairs]
-    gram = np.conj(V).transpose(0, 2, 1) @ (eta[:, :, None] * V) - eta[:, :, None] * np.eye(2)
-    resid = float(np.abs(gram).max(initial=0.0))
+    resid = float(isometry_residual(V, eta).max(initial=0.0))
     if resid > EPS_RECON:
         raise IsometryError(f"a two-level block violates its pair metric (residual {resid:.3g})")
     factors = [
@@ -234,7 +233,7 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
         ij = [f.i, f.j]
         recon[:, ij] = recon[:, ij] @ f.V
     err = float(np.max(np.abs(recon - A)))
-    if err > EPS_RECON:
+    if not err <= EPS_RECON:  # a NaN error fails too
         raise LqcError(f"factorization reconstruction error {err:.3g}")
     return Factorization(factors, err)
 

@@ -461,6 +461,27 @@ class TestInstructionValidation:
         with pytest.raises(LqcError, match="out of range"):
             Circuit(RegisterLayout.of(2, 0), (Instruction("X", [0.0]),))
 
+    def test_list_matrix_becomes_a_complex_array(self):
+        c = Circuit(RegisterLayout.of(1, 0), (Instruction("U", (0,), matrix=[[0, 1], [1, 0]]),))
+        matrix = c.instructions[0].matrix
+        assert matrix.dtype == complex and not matrix.flags.writeable
+        assert np.array_equal(matrix, builtin("X"))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"targets": 0},
+            {"targets": (0,), "controls": 1},
+            {"targets": (0,), "controls": (1,), "ctrl_state": 0},
+            {"targets": (0,), "matrix": [[0, 1], [1]]},
+            {"targets": (0,), "matrix": [["a", "b"], ["c", "d"]]},
+        ],
+        ids=["int-targets", "int-controls", "int-ctrl-state", "ragged-matrix", "text-matrix"],
+    )
+    def test_malformed_fields_raise_lqc_error(self, fields):
+        with pytest.raises(LqcError, match="malformed instruction 'U'"):
+            Instruction("U", **fields)
+
 
 def check_in_turn(layout, instructions):
     """(type, message) of the error that checking each instruction in full,

@@ -7,10 +7,10 @@ of G on the targets and the identity on every other bit. It shares no code with
 `apply_to_tensor` or `to_matrix`. Every case runs through both dense
 kernels: the slice update and the matmul on the stacked slice pair.
 
-The slice update runs in tiles. Single-target passes are also checked bit
-for bit against the same update without tiles, written out below, at the
-real tile size and at tile sizes small enough that registers of a few bits
-cross every tile shape.
+The slice update runs in chunks of at most TILE amplitudes. Single-target
+passes are also checked bit for bit against the same update without
+chunks, written out below, at the real TILE and at sizes small enough that
+registers of a few bits cross every chunk shape.
 """
 
 import functools
@@ -33,11 +33,11 @@ MAX_BITS = 6
 # BLAS_DENSE_MAX settings that force each dense kernel
 DENSE_KERNELS = {"slices": 0, "matmul": np.inf}
 # TILE settings: the real size, and sizes at which <= 6-bit cases cross every
-# tile shape: a piece of a run updated in place, a copied block of runs,
-# runs of one strided amplitude, and partial last tiles (6 divides no power
-# of two; 4 cuts the batch runs of 6 into 4 + 2). Neither small size leaves
-# a tile of one amplitude, which numpy multiplies in place with different
-# rounding.
+# chunk shape: a piece of the slice updated in place, contiguous or strided,
+# a buffered copy of scattered amplitudes, and partial last chunks (6
+# divides no power of two; 4 cuts the batch stretches of 6 into 4 + 2).
+# Neither small size leaves a chunk of one amplitude, which numpy multiplies
+# in place with different rounding.
 TILES = {"real": simulator.TILE, "4": 4, "6": 6}
 
 # random metric-preserving DEFGATEs by the kernel class their entries select
@@ -317,11 +317,13 @@ def test_tiled_pass_is_bit_identical(name, batch):
 
 
 @pytest.mark.parametrize("target", [0, 9, 17], ids=["long-run", "copied", "strided"])
-def test_dense_pass_temporaries_are_tiles(target):
-    # the untiled update allocated two half-state temporaries (2 x 2 MiB here)
+@pytest.mark.parametrize("gate", ["H", "X"])
+def test_dense_pass_temporaries_are_tiles(gate, target):
+    # the untiled update allocated half-state temporaries (2 MiB each here):
+    # two for the dense update of H, one for the swap of X
     layout = RegisterLayout.of(18, 0)
     tensor = random_tensor(layout, None, 0)
-    instr = Instruction("H", (target,))
+    instr = Instruction(gate, (target,))
     tracemalloc.start()
     try:
         apply_to_tensor(layout, tensor, instr)

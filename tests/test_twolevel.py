@@ -136,22 +136,38 @@ class TestFactorize:
         assert (f.i, f.j) == (2, 3)
         assert np.max(np.abs(f.V - np.diag([1.0, -1.0]))) < 1e-14
 
-    def test_each_block_is_checked_against_its_pair_metric(self, monkeypatch):
+    @pytest.mark.parametrize("factor", [1.001, np.nan], ids=["scaled", "nan"])
+    def test_each_block_is_checked_against_its_pair_metric(self, monkeypatch, factor):
         # factors are built without the constructor's check, so the one
-        # batched check has to catch a block that is off its metric
+        # batched check has to catch a block that is off its metric; NaN
+        # compares false with every bound, so it must read as a failure
         original = twolevel._pair_inverse
         calls = []
 
         def scaling_third(M, eta):
             calls.append(M)
             out = original(M, eta)
-            return out * 1.001 if len(calls) == 3 else out
+            return out * factor if len(calls) == 3 else out
 
         monkeypatch.setattr(twolevel, "_pair_inverse", scaling_third)
         A = random_lorentz(2, 2, 5)
         with pytest.raises(IsometryError, match="pair metric"):
             two_level_factorize(A, (2, 2))
         assert len(calls) > 3
+
+    def test_a_nan_reconstruction_is_refused(self, monkeypatch):
+        # a factor that turns NaN after the pair check leaves the rebuilt
+        # product NaN, which the reconstruction check must refuse
+        original = twolevel._trusted_factor
+        calls = []
+
+        def nan_third(i, j, V, metric_pair):
+            calls.append(V)
+            return original(i, j, V * np.nan if len(calls) == 3 else V, metric_pair)
+
+        monkeypatch.setattr(twolevel, "_trusted_factor", nan_third)
+        with pytest.raises(LqcError, match="reconstruction error nan"):
+            two_level_factorize(random_lorentz(2, 2, 5), (2, 2))
 
     def test_rejects_non_isometry(self):
         with pytest.raises(IsometryError):
