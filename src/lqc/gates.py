@@ -12,7 +12,7 @@ import functools
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .core import EPS_ISO, LqcError
 

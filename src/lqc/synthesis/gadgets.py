@@ -24,7 +24,6 @@ for any mixture of qubit and hybit control wires.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..core import (
     EPS_DEGENERATE, EPS_EIGEN_MATCH, EPS_IDENTITY, EPS_ISO, EPS_RECON, EPS_SCALAR_SQUARE,
@@ -73,8 +72,14 @@ def isometric_sqrt(V: np.ndarray) -> np.ndarray:
 
 
 def _unitary_w_factors(U: np.ndarray):
-    """Factors (A,B,C,D,psi) for a unitary U via an eigenbasis swap."""
-    T, Q = scipy.linalg.schur(U, output="complex")
+    """Factors (A,B,C,D,psi) for a unitary U via an eigenbasis swap.
+
+    U is normal, so the orthogonal complement of an eigenvector v is
+    invariant too: Q = [v, (-conj v1, conj v0)] diagonalizes U.
+    """
+    v = np.linalg.eig(U)[1][:, 0]
+    v = v / np.linalg.norm(v)
+    Q = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
     swap = Q @ builtin("X") @ Q.conj().T
     return _I2, swap, U, U @ swap, float(np.angle(_det2(U)))
 
@@ -88,6 +93,15 @@ def _sphere_points(count: int) -> np.ndarray:
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
 
 
+def _kernel(A: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of A. A singular value s
+    counts toward the rank when s > eps * max(M, N) * s_max, the rule of
+    scipy.linalg.null_space."""
+    _, sv, vh = np.linalg.svd(A)
+    rank = int(np.sum(sv > np.finfo(float).eps * max(A.shape) * sv.max(initial=0.0)))
+    return vh[rank:].conj().T
+
+
 def _hyperbolic_partner(U0: np.ndarray, s: float) -> np.ndarray | None:
     """Hyperbolic M in SU(1,1) with tr(M (U0^2 - sI)) = 0, or None.
 
@@ -99,7 +113,7 @@ def _hyperbolic_partner(U0: np.ndarray, s: float) -> np.ndarray | None:
     w = W[0, 0]
     q = W[0, 1]
     row = np.array([[w.real, -w.imag, q.real, q.imag]])
-    kernel = scipy.linalg.null_space(row)
+    kernel = _kernel(row)
     if kernel.shape[1] < 3:
         return None
     best = None

@@ -259,3 +259,40 @@ class TestWFactorCheck:
         assert len(sets) == 2
         # the halves are P and U P^-1, whose product is U
         assert np.allclose(calls[2] @ calls[1], U, atol=1e-12)
+
+
+def _unitaries_for_w_factors():
+    Q = haar_unitary(7)
+    yield "generic", haar_unitary(3)
+    yield "generic2", haar_unitary(11)
+    yield "scalar", np.exp(0.7j) * np.eye(2, dtype=complex)
+    yield "X", builtin("X")
+    yield "diagonal", np.diag(np.exp([0.4j, -1.9j]))
+    yield "gap 1e-9", Q @ np.diag(np.exp([0.3j, (0.3 + 1e-9) * 1j])) @ Q.conj().T
+
+
+class TestNumpyFactorSolvers:
+    """The eigenvector basis of the qubit W factors and the SVD kernel of
+    the hybit partner search, on the arguments where each is easiest to
+    get wrong."""
+
+    @pytest.mark.parametrize(
+        "U", [pytest.param(U, id=name) for name, U in _unitaries_for_w_factors()]
+    )
+    def test_unitary_w_factors_verify(self, U):
+        gadgets._verify_w_factors(U, gadgets._unitary_w_factors(U), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "row,dim",
+        [
+            (np.random.default_rng(5).normal(size=(1, 4)), 3),
+            (1e-20 * np.random.default_rng(6).normal(size=(1, 4)), 3),
+            (np.zeros((1, 4)), 4),
+        ],
+        ids=["generic", "tiny", "zero"],
+    )
+    def test_kernel_is_orthonormal_and_annihilates(self, row, dim):
+        K = gadgets._kernel(row)
+        assert K.shape == (4, dim)
+        assert np.max(np.abs(K.conj().T @ K - np.eye(dim))) < 1e-14
+        assert np.max(np.abs(row @ K)) <= 1e-14 * max(1.0, np.max(np.abs(row)))

@@ -1,4 +1,8 @@
-"""Every module-level import in the package is used by its module.
+"""Checks on what the package imports.
+
+Every module-level import in the package is used by its module, no module
+reaches numpy's stride tricks, no module imports a scipy submodule at
+module level, and no CLI command loads `scipy.linalg`.
 
 No linter runs on this code base, so this test stands in for an unused
 import check: each module of `src/lqc` is parsed with `ast`, and every name
@@ -10,8 +14,12 @@ imports and are skipped, as are `from __future__` imports.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lqc"
@@ -79,3 +87,92 @@ def test_checker_flags_stride_tricks():
         "np.lib.index_tricks\n"
     )
     assert stride_tricks_uses(source) == ["line 2", "line 3", "line 4", "line 6"]
+
+
+def scipy_submodule_imports(source: str) -> list[str]:
+    """Module-level lines that import more of scipy than the bare package:
+    `import scipy.x` or `from scipy... import ...`. A submodule imported at
+    module level loads at every `import lqc.cli`, whether or not the
+    command uses it. Reached as `scipy.x` after `import scipy`, a
+    submodule loads on first use instead."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            bad = any(alias.name.startswith("scipy.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.level == 0 and node.module.split(".")[0] == "scipy"
+        else:
+            continue
+        if bad:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_level_scipy_submodule(path):
+    assert scipy_submodule_imports(path.read_text()) == []
+
+
+def test_checker_flags_scipy_submodules():
+    source = (
+        "import scipy\n"
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "from scipy.sparse import kron\n"
+        "import numpy, scipy.special\n"
+        "from .scipy import x\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    return scipy.linalg.expm\n"
+    )
+    assert scipy_submodule_imports(source) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+# Each CLI command once on a tiny input, in a fresh interpreter: the test
+# process itself has loaded scipy.linalg through other test modules.
+CLI_COMMANDS = """
+import contextlib, io, sys
+import lqc.cli
+
+def main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = lqc.cli.main(list(argv))
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+circuit, lorentz, hadamard, t_gate, emitted = sys.argv[1:]
+main("run", circuit)
+main("sample", circuit, "--shots", "10", "--seed", "1")
+main("search", "--n", "3", "--x", "101")
+with open(emitted, "w") as f:
+    f.write(main("synth", lorentz, "--qubits", "1", "--hybits", "1", "--exact"))
+main("verify", emitted)
+main("synth", hadamard, "--qubits", "2", "--hybits", "0", "--approx", "0.05")
+main("approx", t_gate, "--kind", "qubit", "--tol", "1e-6", "--depth", "4")
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+
+
+def test_cli_commands_leave_scipy_linalg_unloaded(tmp_path):
+    from lqc.core import RegisterLayout, metric_vector
+    from lqc.gates import builtin, format_matrix_text, random_isometry_for_signs
+
+    lorentz = random_isometry_for_signs(metric_vector(RegisterLayout("qh")), seed=11)
+    files = {
+        "c.lqc": "qubits 2\nhybits 1\nH q0\nCTRL q0 : X q1\nCTRL q1 : BOOST 0.5 h0\n",
+        "qh.mat": format_matrix_text(lorentz, 2, 2),
+        "h.mat": format_matrix_text(np.kron(builtin("H"), np.eye(2)), 4, 0),
+        "t.mat": format_matrix_text(builtin("T"), 2, 0),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / name) for name in files] + [str(tmp_path / "emitted.lqc")]
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_COMMANDS, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
