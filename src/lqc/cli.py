@@ -66,11 +66,13 @@ MAX_AMPLITUDES = 2**24
 @dataclass
 class RunReport:
     """Per-invocation accounting, printed on stderr so stdout stays a clean
-    machine-readable distribution."""
+    machine-readable distribution. `wall_time_s` covers run and observe,
+    `format_s` the text form of the distribution."""
 
     circuit_path: str
     instruction_count: int
     wall_time_s: float
+    format_s: float
     observable_mass: float
 
     def format(self) -> str:
@@ -78,6 +80,7 @@ class RunReport:
             f"circuit = {self.circuit_path}\n"
             f"instructions = {self.instruction_count}\n"
             f"wall_time_s = {self.wall_time_s:.17g}\n"
+            f"format_s = {self.format_s:.17g}\n"
             f"observable_mass = {self.observable_mass:.17g}\n"
         )
 
@@ -129,10 +132,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     state = run(circuit, initial)
     dist = observe(state)
-    wall = time.perf_counter() - t0
-    report = RunReport(args.file, len(circuit.instructions), wall, dist.observable_mass)
+    t1 = time.perf_counter()
+    text = format_distribution(dist)
+    t2 = time.perf_counter()
+    report = RunReport(
+        args.file, len(circuit.instructions), t1 - t0, t2 - t1, dist.observable_mass
+    )
     sys.stderr.write(report.format())
-    sys.stdout.write(format_distribution(dist))
+    sys.stdout.write(text)
     return EXIT_NO_MASS if dist.observable_mass == 0.0 else EXIT_OK
 
 

@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import pytest
 
+from lqc.circuit import parse
 from lqc.cli import main
 from lqc.gates import builtin, format_matrix_text
 from lqc.search import choose_k
+from lqc.simulator import observe, run
 from lqc.synthesis import projective_distance
 
 ZERO_MASS_CIRCUIT = (
@@ -18,6 +20,9 @@ ZERO_MASS_CIRCUIT = (
     "1,0 0,0 0,0 0,0\n"
     "FLIP2 h0 h1\n"
 )
+
+# each BOOST 7 clears the isometry check, but 120 of them overflow the state
+OVERFLOW_CIRCUIT = "qubits 1\nhybits 1\nH q0\n" + "BOOST 7 h0\n" * 120
 
 CNOT_TEXT = (
     "dim 3 1\n"
@@ -46,7 +51,35 @@ class TestRun:
         code, out, err = cli(capsys, "run", f)
         assert code == 0
         assert out == "# observable_mass = 1\n00\t1\n"
-        assert "instructions = 0" in err
+        fields = dict(line.split(" = ") for line in err.splitlines())
+        assert list(fields) == [
+            "circuit", "instructions", "wall_time_s", "format_s", "observable_mass"
+        ]
+        assert fields["instructions"] == "0" and fields["observable_mass"] == "1"
+        assert float(fields["wall_time_s"]) >= 0 and float(fields["format_s"]) >= 0
+
+    def test_stdout_matches_per_line_reference(self, tmp_path, capsys):
+        # 2^15 outcomes after an H layer hold few distinct probabilities, so
+        # the distinct values are formatted once and looked up per line
+        rng = np.random.default_rng(13)
+        lines = ["qubits 15", "hybits 1"] + [f"H q{i}" for i in range(15)]
+        for _ in range(40):
+            q = rng.integers(15)
+            lines.append(
+                (f"PHASE {rng.uniform(-3, 3):.17g} q{q}", f"T q{q}", f"X q{q}")[rng.integers(3)]
+            )
+        lines.insert(30, "CTRL q4 : BOOST 0.6 h0")
+        text = "\n".join(lines) + "\n"
+        dist = observe(run(parse(text)))
+        distinct = np.unique(dist.probs).size
+        assert 2 <= distinct <= dist.probs.size // 2
+
+        f = put(tmp_path, "c.lqc", text)
+        code, out, _ = cli(capsys, "run", f)
+        assert code == 0
+        want = ["# observable_mass = %.17g\n" % dist.observable_mass]
+        want += ["%s\t%.17g\n" % (format(j, "015b"), p) for j, p in enumerate(dist.probs) if p]
+        assert out.splitlines(keepends=True) == want
 
     def test_init_flag(self, tmp_path, capsys):
         f = put(tmp_path, "c.lqc", "qubits 1\nX q0\n")
@@ -93,6 +126,17 @@ class TestRun:
         code, out, _ = cli(capsys, "run", f)
         assert code == 2
         assert out == "# observable_mass = 0\n"
+
+    # the kernel's overflow warnings precede the guard
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["run"], ["sample", "--shots", "10", "--seed", "1"]])
+    def test_non_finite_state_exit_4(self, tmp_path, capsys, argv):
+        # this used to print nan probabilities, or `0\t10`, with exit 0
+        f = put(tmp_path, "c.lqc", OVERFLOW_CIRCUIT)
+        code, out, err = cli(capsys, argv[0], f, *argv[1:])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err
 
     def test_memory_guard(self, tmp_path, capsys):
         f = put(tmp_path, "c.lqc", "qubits 25\n")

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_circuit, random_layout, random_state_amps
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
 from lqc.core import (
+    GuardError,
     LqcError,
     RegisterLayout,
     StateVector,
@@ -13,6 +14,7 @@ from lqc.core import (
     pseudo_norm,
 )
 from lqc.simulator import (
+    FORMAT_BLOCK,
     NegligibleMassWarning,
     OutcomeDistribution,
     SampleResult,
@@ -151,6 +153,16 @@ class TestObserve:
         dist = observe(StateVector(layout, np.array([0.0, 1.0])))
         assert dist.observable_mass == 0.0
         assert dist.probabilities == {}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_non_finite_state_is_a_guard_error(self, bad, at):
+        # at 3 no amplitude is observable: the check comes before the
+        # zero-mass return; 1e200 is finite but its square overflows
+        amps = np.zeros(4, complex)
+        amps[at] = bad
+        with np.errstate(over="ignore"), pytest.raises(GuardError, match="not finite"):
+            observe(StateVector(RegisterLayout.of(0, 2), amps))
 
     def test_negligible_mass_warning(self):
         layout = RegisterLayout.of(0, 2)
@@ -298,6 +310,73 @@ class TestDistributionFormat:
         want = "".join("%s\t%d\n" % (bits(j), n) for j, n in enumerate(hist) if n)
         assert format_counts(SampleResult(hist, int(hist.sum()), 0)) == want
 
+    @staticmethod
+    def _weights(case, rng):
+        """Nonnegative weights over 2^nq outcomes with a given pattern of
+        distinct values."""
+        def spread(n, k):
+            # n entries taking exactly k distinct values, in random order
+            return rng.permutation(np.resize(rng.random(k) + 0.5, n))
+
+        if case == "one":
+            return np.full(1 << 10, 0.3)
+        if case == "three":
+            return spread(1 << 10, 3)
+        if case == "forty_percent":
+            return spread(1 << 10, 410)
+        if case == "half":
+            return spread(1 << 10, 1 << 9)
+        if case == "all":
+            return rng.random(1 << 10) + 0.5
+        if case == "blocks":
+            # more lines than one FORMAT_BLOCK, and zeros between them
+            w = spread(3 * FORMAT_BLOCK, 5)
+            w[rng.random(w.size) < 0.2] = 0.0
+            return np.concatenate([w, np.zeros((1 << 16) - w.size)])
+        if case == "nq0":
+            return np.array([2.0])
+        if case == "sparse":
+            return spread(1 << 8, 3) * (np.arange(1 << 8) % 3 == 0)
+        raise ValueError(case)
+
+    @pytest.mark.parametrize(
+        "case", ["one", "three", "forty_percent", "half", "all", "ulp", "blocks", "nq0", "sparse"]
+    )
+    def test_matches_per_line_reference(self, case):
+        # distributions with repeated values print each repeat from one
+        # formatted text; every line must read as its own per-line format
+        rng = np.random.default_rng(11)
+        w = self._weights("three" if case == "ulp" else case, rng)
+        probs = w / w.sum()
+        if case == "ulp":
+            # pairs one ulp apart, which print differently at 17 digits
+            probs[1::2] = np.nextafter(probs[1::2], 1.0)
+            assert len(set("%.17g" % p for p in probs)) == 6
+        nq = probs.size.bit_length() - 1
+        bits = [format(j, f"0{nq}b") if nq else "" for j in range(probs.size)]
+
+        # compared as lists of lines: a failing diff of long strings is slow
+        want = ["# observable_mass = 0.75\n"]
+        want += ["%s\t%.17g\n" % (bits[j], p) for j, p in enumerate(probs) if p]
+        text = format_distribution(OutcomeDistribution(probs, 0.75))
+        assert text.splitlines(keepends=True) == want
+
+        # a histogram with the same pattern of repeats
+        hist = np.unique(w, return_inverse=True)[1] * (w != 0)
+        hist += w != 0
+        want = ["%s\t%d\n" % (bits[j], n) for j, n in enumerate(hist) if n]
+        text = format_counts(SampleResult(hist, int(hist.sum()), 0))
+        assert text.splitlines(keepends=True) == want
+
     def test_probability_check(self):
         with pytest.raises(LqcError):
             OutcomeDistribution(np.array([0.4, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        # nan - 1 compares False against any bound, so the sum check alone
+        # lets NaN through
+        with pytest.raises(LqcError, match="finite"):
+            OutcomeDistribution(np.array([bad, 0.0]), 1.0)
+        with pytest.raises(LqcError, match="finite"):
+            OutcomeDistribution(np.array([bad, 1.0]), 1.0)
