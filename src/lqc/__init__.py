@@ -11,7 +11,6 @@ from .core import (
     RegisterLayout,
     StateVector,
     basis_state,
-    metric_sign,
     metric_vector,
     normalize,
     pseudo_norm,
@@ -27,7 +26,6 @@ __all__ = [
     "RegisterLayout",
     "StateVector",
     "basis_state",
-    "metric_sign",
     "metric_vector",
     "normalize",
     "pseudo_norm",

@@ -1,4 +1,4 @@
-"""Circuit representation and the `.lqc` text format.
+"""Circuit representation, the `.lqc` text format and the matrix text format.
 
 An `Instruction` addresses bits by register position: ints, bit 0 first,
 the axis order of the state tensor. `q3` and `h0` exist only in `.lqc`
@@ -43,6 +43,10 @@ if each were checked in full in turn. `parse` checks the form of each
 statement as it reads it and the metric of all of them at the end, giving
 each failure a diagnostic at its statement's line; it and `concat` return
 circuits without a second check.
+
+A matrix file is a header "dim m n", the signature of the block metric
+diag(+1 x m, -1 x n), then m + n rows. Its rows and DEFGATE rows alike are
+"re,im" entries, read by one reader, `_Lines.read_rows`.
 """
 
 from __future__ import annotations
@@ -57,9 +61,7 @@ import numpy as np
 from .core import (
     EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout, metric_for_kinds,
 )
-from .gates import (
-    BUILTIN_ARITY, PARAMETRIC, MatrixTextError, builtin, format_row, isometry_residual, parse_entry,
-)
+from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual
 
 KEYWORDS = {"QUBITS", "HYBITS", "CTRL", "DEFGATE"}
 _BITREF_RE = re.compile(r"^(!?)([qh])(\d+)$", re.IGNORECASE)
@@ -259,33 +261,72 @@ class ParseError(LqcError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
+def _tokens(line: str) -> list[tuple[int, str]]:
+    """(column, token) of each token of a line."""
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+
+
+def _is_entry(token: str) -> bool:
+    """Whether a token reads as one matrix entry 're,im'."""
+    try:
+        return len([float(part) for part in token.split(",")]) == 2
+    except ValueError:
+        return False
+
+
+def _format_row(row) -> str:
+    """One matrix row of 're,im' entries that `_Lines.read_rows` reads back exactly."""
+    return " ".join(f"{e.real:.17g},{e.imag:.17g}" for e in row)
+
+
 class _Lines:
-    """Comment-stripped source lines with token spans for column reporting."""
+    """Comment-stripped source lines, with token columns for diagnostics."""
 
     def __init__(self, text: str):
         self.raw = text.splitlines()
         self.pos = 0
 
-    def next_content(self) -> tuple[int, list[tuple[int, str]]] | None:
-        """Next line holding any tokens, as (lineno, [(column, token), ...])."""
+    def next_line(self) -> tuple[int, str] | None:
+        """Next line holding any tokens, as (lineno, comment-stripped line)."""
         while self.pos < len(self.raw):
-            lineno = self.pos + 1
             line = self.raw[self.pos].split("#", 1)[0]
             self.pos += 1
-            tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
-            if tokens:
-                return lineno, tokens
+            if line.strip():
+                return self.pos, line
         return None
+
+    def read_rows(self, dim: int, err, missing: tuple[int, int, str]) -> np.ndarray | None:
+        """The next `dim` lines as a dim x dim matrix of 're,im' entries, or
+        None once `err` has the first fault: `missing` (line, column, message)
+        if rows run out, else the row or entry at fault."""
+        values: list[float] = []
+        for _ in range(dim):
+            item = self.next_line()
+            if item is None:
+                return err(*missing)
+            lineno, line = item
+            fields = line.split()
+            parts = ",".join(fields).split(",")
+            # dim fields holding dim commas, none without one: one comma each
+            if len(fields) == dim and len(parts) == 2 * dim and all("," in f for f in fields):
+                try:
+                    values.extend(map(float, parts))
+                    continue
+                except ValueError:
+                    pass
+            # a column is worked out only for a diagnostic
+            toks = _tokens(line)
+            if len(toks) != dim:
+                return err(lineno, toks[0][0], f"expected {dim} matrix entries")
+            col, tok = next((col, tok) for col, tok in toks if not _is_entry(tok))
+            return err(lineno, col, f"matrix entry {tok!r} is not 're,im'")
+        return np.array(values).view(complex).reshape(dim, dim)
 
     def skip_matrix_rows(self) -> None:
         """Move past the next lines whose tokens all read as `re,im` matrix
         entries: rows of a refused DEFGATE, which no statement can be."""
-        while self.pos < len(self.raw):
-            try:
-                for tok in self.raw[self.pos].split("#", 1)[0].split():
-                    parse_entry(tok)
-            except MatrixTextError:
-                return
+        raw = self.raw
+        while self.pos < len(raw) and all(map(_is_entry, raw[self.pos].split("#", 1)[0].split())):
             self.pos += 1
 
 
@@ -398,32 +439,15 @@ def parse(text: str) -> Circuit:
             err(lineno, acol, f"arity {arity} out of range 1..{MAX_DEFGATE_ARITY}")
             return False
         dim = 1 << arity
-        rows = []
-        for _ in range(dim):
-            item = lines.next_content()
-            if item is None:
-                err(lineno, ncol, f"DEFGATE {name}: expected {dim} matrix rows")
-                return False
-            rlineno, rtoks = item
-            if len(rtoks) != dim:
-                err(rlineno, rtoks[0][0], f"expected {dim} matrix entries")
-                return False
-            row = []
-            for col, tok in rtoks:
-                try:
-                    row.append(parse_entry(tok))
-                except MatrixTextError:
-                    err(rlineno, col, f"matrix entry {tok!r} is not 're,im'")
-                    return False
-            rows.append(row)
-        defs[name] = (arity, np.array(rows, dtype=complex))
+        missing = f"DEFGATE {name}: expected {dim} matrix rows"
+        matrix = lines.read_rows(dim, err, (lineno, ncol, missing))
+        if matrix is None:
+            return False
+        defs[name] = (arity, matrix)
         return True
 
-    while True:
-        item = lines.next_content()
-        if item is None:
-            break
-        lineno, toks = item
+    while (item := lines.next_line()) is not None:
+        lineno, toks = item[0], _tokens(item[1])
         col0, head = toks[0]
         keyword = head.upper()
 
@@ -490,6 +514,34 @@ def parse(text: str) -> Circuit:
     return _checked(get_layout(), instructions)
 
 
+def parse_matrix_text(text: str) -> tuple[np.ndarray, tuple[int, int]]:
+    """Parse the matrix text format: the matrix and its signature (m, n).
+    Raises ParseError with the line and column of the first fault."""
+    lines = _Lines(text)
+
+    def fail(line: int, col: int, message: str):
+        raise ParseError([Diagnostic(line, col, message)])
+
+    item = lines.next_line()
+    if item is None:
+        fail(1, 1, "empty matrix file")
+    lineno, toks = item[0], _tokens(item[1])
+    if len(toks) != 3 or toks[0][1].lower() != "dim":
+        fail(lineno, toks[0][0], "expected header 'dim m n'")
+    try:
+        m, n = int(toks[1][1]), int(toks[2][1])
+    except ValueError:
+        fail(lineno, toks[1][0], "metric counts must be integers")
+    if m < 0 or n < 0 or m + n < 1:
+        fail(lineno, toks[1][0], f"bad metric signature ({m}, {n})")
+    dim = m + n
+    matrix = lines.read_rows(dim, fail, (lineno, toks[0][0], f"expected {dim} matrix rows"))
+    extra = lines.next_line()
+    if extra is not None:
+        fail(extra[0], _tokens(extra[1])[0][0], f"more than {dim} matrix rows")
+    return matrix, (m, n)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -522,7 +574,7 @@ def serialize(circuit: Circuit) -> str:
         out.append(f"hybits {nh}")
     for name, first in first_use.items():
         out.append(f"DEFGATE {name} {len(first.targets)}")
-        out.extend(format_row(row) for row in first.matrix)
+        out.extend(_format_row(row) for row in first.matrix)
     for instr in circuit.instructions:
         head = instr.gate
         if instr.param is not None:
@@ -536,6 +588,15 @@ def serialize(circuit: Circuit) -> str:
         else:
             out.append(f"{head} {tail}")
     return "\n".join(out) + "\n" if out else ""
+
+
+def format_matrix_text(matrix: np.ndarray, m: int, n: int) -> str:
+    """Matrix text of a matrix with signature (m, n), which
+    `parse_matrix_text` reads back exactly."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (m + n, m + n):
+        raise LqcError(f"matrix shape {matrix.shape} does not match dim {m + n}")
+    return "\n".join([f"dim {m} {n}"] + [_format_row(row) for row in matrix]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +617,8 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
     mat = np.eye(dim, dtype=complex)
     # columns are a batch of basis states; one kernel pass per instruction
     tensor = mat.reshape([2] * nbits + [dim])
-    for instr in circuit.instructions:
-        apply_to_tensor(circuit.layout, tensor, instr)
+    # an overflowing product reads as residual inf, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for instr in circuit.instructions:
+            apply_to_tensor(circuit.layout, tensor, instr)
     return tensor.reshape(dim, dim)

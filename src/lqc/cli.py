@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, ParseError, parse, serialize, to_matrix
+from .circuit import Circuit, ParseError, parse, parse_matrix_text, serialize, to_matrix
 from .core import (
     EPS_ISO,
     BitKind,
@@ -34,7 +34,7 @@ from .core import (
     basis_state,
     metric_vector,
 )
-from .gates import block_metric, isometry_residual, parse_matrix_text
+from .gates import block_metric, isometry_residual
 from .search import (
     MAX_K_CHI,
     SearchSpec,

@@ -127,15 +127,6 @@ def metric_for_kinds(kinds: Iterable[BitKind | str]) -> np.ndarray:
     return (1 - 2 * parity).astype(np.int8)
 
 
-def metric_sign(layout: RegisterLayout, index: int) -> int:
-    """Diagonal entry of the register metric at a basis index: -1 iff an odd
-    number of hybits are in state 1."""
-    if not 0 <= index < layout.dimension:
-        raise IndexError(f"basis index {index} out of range for {layout.num_bits} bits")
-    parity = bin(index & layout.hybit_index_mask).count("1") & 1
-    return -1 if parity else 1
-
-
 def metric_vector(layout: RegisterLayout) -> np.ndarray:
     """All diagonal metric entries at once, as a +-1 int8 array of length
     layout.dimension. Computed, never stored per-state."""
@@ -160,8 +151,7 @@ class StateVector:
 
 
 def pseudo_norm(state: StateVector) -> float:
-    """Sum of metric_sign(j)*|a_j|^2; conserved by metric isometries, may be
-    negative or zero."""
+    """Sum of eta_j |a_j|^2: conserved by metric isometries, may be negative or zero."""
     mag2 = state.amps.real**2 + state.amps.imag**2
     return float(np.dot(metric_vector(state.layout).astype(np.float64), mag2))
 

@@ -1,4 +1,4 @@
-"""Builtin gate matrices, isometry checks, and controlled lifts.
+"""Builtin gate matrices, the isometry residual, and controlled lifts.
 
 Gate matrices are plain complex numpy arrays of shape (2^arity, 2^arity);
 metrics are +-1 sign vectors (see `core.metric_for_kinds`). A gate G is
@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .core import EPS_ISO, LqcError
+from .core import LqcError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,17 +70,14 @@ def builtin(name: str, param: float | None = None) -> np.ndarray:
 def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
     """Max-norm of G^dagger eta G - eta, for one gate or a stack of them.
 
-    One square G takes eta as a sign vector or diagonal matrix and gives a
-    float. A stack G of shape (m, d, d) takes one sign vector for all, or
-    an (m, d) stack of them, and gives the m residuals as an array, each
-    equal to the residual of its gate alone. A residual that is not finite,
-    as when G has a NaN or infinite entry, is inf, so that every
-    `resid > EPS_*` check refuses G."""
+    One square G takes eta as a sign vector and gives a float. A stack G of
+    shape (m, d, d) takes one sign vector for all, or an (m, d) stack of
+    them, and gives the m residuals as an array, each equal to the residual
+    of its gate alone. A residual that is not finite, as when G has a NaN or
+    infinite entry, is inf, so that every `resid > EPS_*` check refuses G."""
     G = np.asarray(G, dtype=complex)
     eta = np.asarray(eta)
     single = G.ndim == 2
-    if single and eta.ndim == 2:
-        eta = np.diagonal(eta)
     stack = G[None] if single else G
     m, d = stack.shape[0], stack.shape[-1]
     if stack.ndim != 3 or stack.shape[1] != d or eta.shape not in ((d,), (m, d)):
@@ -92,12 +89,6 @@ def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
         worst = np.abs(resid).max(axis=(1, 2))
     worst[~np.isfinite(worst)] = np.inf
     return float(worst[0]) if single else worst
-
-
-def is_isometry(G: np.ndarray, eta: np.ndarray) -> tuple[bool, float]:
-    """Whether G preserves the metric eta, plus the residual either way."""
-    resid = isometry_residual(G, eta)
-    return resid <= EPS_ISO, resid
 
 
 def controlled(G: np.ndarray, k: int) -> np.ndarray:
@@ -123,78 +114,6 @@ def random_isometry_for_signs(signs: Sequence[float], seed: int) -> np.ndarray:
     return scipy.linalg.expm(-1j * (signs[:, None] * herm))
 
 
-def random_lorentz(m: int, n: int, seed: int) -> np.ndarray:
-    """Random element of U(m, n) for the block metric diag(+1 x m, -1 x n)."""
-    if m + n < 1:
-        raise LqcError("need at least one dimension")
-    return random_isometry_for_signs(block_metric(m, n), seed)
-
-
 def block_metric(m: int, n: int) -> np.ndarray:
     """Sign vector of the block metric diag(+1 x m, -1 x n)."""
     return np.concatenate([np.ones(m), -np.ones(n)])
-
-
-# ---------------------------------------------------------------------------
-# Shared matrix text format: header "dim m n" giving the block-metric
-# signature, then (m+n) rows of (m+n) entries "re,im" separated by
-# whitespace. '#' starts a comment. Interleaved register metrics are not
-# expressible here; circuits carry those.
-
-class MatrixTextError(LqcError):
-    pass
-
-
-def parse_entry(token: str) -> complex:
-    """One matrix entry written 're,im', in this format and in DEFGATE rows."""
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise MatrixTextError(f"entry {token!r} is not 're,im'")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise MatrixTextError(f"bad number in {token!r}") from None
-
-
-def format_row(row) -> str:
-    """One matrix row of 're,im' entries that `parse_entry` reads back exactly."""
-    return " ".join(f"{e.real:.17g},{e.imag:.17g}" for e in row)
-
-
-def parse_matrix_text(text: str) -> tuple[np.ndarray, tuple[int, int]]:
-    rows: list[list[complex]] = []
-    header: tuple[int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 3 or fields[0].lower() != "dim":
-                raise MatrixTextError(f"line {lineno}: expected header 'dim m n'")
-            try:
-                m, n = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise MatrixTextError(f"line {lineno}: metric counts must be integers")
-            if m < 0 or n < 0 or m + n < 1:
-                raise MatrixTextError(f"line {lineno}: bad metric signature ({m}, {n})")
-            header = (m, n)
-            continue
-        try:
-            rows.append([parse_entry(field) for field in fields])
-        except MatrixTextError as exc:
-            raise MatrixTextError(f"line {lineno}: {exc}") from None
-    if header is None:
-        raise MatrixTextError("empty matrix file")
-    dim = header[0] + header[1]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise MatrixTextError(f"expected {dim} rows of {dim} entries")
-    return np.array(rows, dtype=complex), header
-
-
-def format_matrix_text(matrix: np.ndarray, m: int, n: int) -> str:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (m + n, m + n):
-        raise MatrixTextError(f"matrix shape {matrix.shape} does not match dim {m + n}")
-    lines = [f"dim {m} {n}"] + [format_row(row) for row in matrix]
-    return "\n".join(lines) + "\n"

@@ -209,8 +209,10 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
             raise LqcError("initial state layout does not match circuit layout")
         state = initial.copy()
     tensor = state.amps.reshape([2] * circuit.layout.num_bits)
-    for instr in circuit.instructions:
-        apply_to_tensor(circuit.layout, tensor, instr)
+    # an overflowing state is reported by observe, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for instr in circuit.instructions:
+            apply_to_tensor(circuit.layout, tensor, instr)
     return state
 
 

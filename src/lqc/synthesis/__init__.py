@@ -15,10 +15,9 @@ from .su11 import (
     trotter_word,
 )
 from .words import GateWord, projective_distance, word_matrix, word_search
-from .gadgets import isometric_sqrt, lambda2_gadget, lambda_k
+from .gadgets import isometric_sqrt, lambda_k
 from .twolevel import (
     TwoLevelFactor,
-    controlled_on_pattern,
     embed,
     two_level_factorize,
     two_level_to_circuit,
@@ -37,13 +36,11 @@ __all__ = [
     "circle_distance",
     "compile",
     "conjugation_axis_basis",
-    "controlled_on_pattern",
     "controlled_rotation_product",
     "decompose_su11",
     "embed",
     "format_report",
     "isometric_sqrt",
-    "lambda2_gadget",
     "lambda_k",
     "projective_distance",
     "rotation_angle_of_word",

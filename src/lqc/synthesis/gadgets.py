@@ -354,7 +354,7 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
     if V.shape != (2, 2):
         raise LqcError("lambda_k target gate must be 2x2")
     if layout is None:
-        if isometry_residual(V, np.eye(2)) <= EPS_ISO:
+        if isometry_residual(V, np.ones(2)) <= EPS_ISO:
             layout = RegisterLayout.of(k + 1, 0)
         elif isometry_residual(V, _ETA_H) <= EPS_ISO:
             layout = RegisterLayout("q" * k + "h")
@@ -373,11 +373,3 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
     instrs = _lambda_rec(em, list(range(k)), target, V)
     return Circuit(layout, tuple(instrs))
 
-
-def lambda2_gadget(V: np.ndarray, layout: RegisterLayout | None = None) -> Circuit:
-    """Two-control gate from singly-controlled gates on a 3-bit register.
-
-    One level of the recursion: two controlled square roots plus the
-    exclusive-or gadget W(R^{-1}).
-    """
-    return lambda_k(2, V, layout)

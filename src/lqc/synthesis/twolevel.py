@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import (
-    EPS_DEGENERATE, EPS_IDENTITY, EPS_PHASE_ONE, EPS_RECON, EPS_SMALL_ZETA, EPS_ZERO,
-    IsometryError, LqcError, RegisterLayout, metric_sign,
+    EPS_DEGENERATE, EPS_IDENTITY, EPS_ISO, EPS_PHASE_ONE, EPS_RECON, EPS_SMALL_ZETA, EPS_ZERO,
+    IsometryError, LqcError, RegisterLayout, metric_vector,
 )
-from ..gates import block_metric, builtin, is_isometry, isometry_residual
+from ..gates import block_metric, builtin, isometry_residual
 from ..circuit import Circuit, Instruction
 from .gadgets import _Emitter, isometric_sqrt
 
@@ -79,8 +79,6 @@ def _metric_signs(metric, dim: int) -> np.ndarray:
             raise LqcError(f"metric ({m},{n}) does not match dimension {dim}")
         return block_metric(m, n)
     s = np.asarray(metric, dtype=float)
-    if s.ndim == 2:
-        s = np.diagonal(s)
     if s.shape != (dim,) or not np.all(np.abs(s) == 1):
         raise LqcError("metric must be (m, n) or a +-1 sign vector of full length")
     return s
@@ -137,8 +135,8 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
         raise LqcError("input must be a square matrix")
     d = A.shape[0]
     s = _metric_signs(metric, d)
-    ok, resid = is_isometry(A, s)
-    if not ok:
+    resid = isometry_residual(A, s)
+    if resid > EPS_ISO:
         raise IsometryError(f"input is not an isometry (residual {resid:.3g})")
     if d == 1:
         err = abs(A[0, 0] - 1)
@@ -242,17 +240,6 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
 # Lowering to multi-controlled instructions
 
 
-def controlled_on_pattern(
-    layout: RegisterLayout, pattern: dict[int, int], target: int, W: np.ndarray
-) -> Circuit:
-    """Standalone circuit for a pattern-controlled single-bit gate."""
-    if target in pattern:
-        raise LqcError("target cannot be part of the control pattern")
-    em = _Emitter(layout)
-    instrs = em.emit(dict(pattern), target, np.asarray(W, complex))
-    return Circuit(layout, tuple(instrs))
-
-
 def _bit_at(layout: RegisterLayout, index: int, pos: int) -> int:
     return (index >> (layout.num_bits - 1 - pos)) & 1
 
@@ -340,7 +327,7 @@ def two_level_to_circuit(factor: TwoLevelFactor, layout: RegisterLayout) -> Circ
             f"factor on indices ({factor.i},{factor.j}) does not fit a "
             f"{layout.num_bits}-bit register"
         )
-    want = (metric_sign(layout, factor.i), metric_sign(layout, factor.j))
+    want = tuple(metric_vector(layout)[[factor.i, factor.j]].tolist())
     if want != tuple(factor.metric_pair):
         raise LqcError(
             f"factor metric pair {factor.metric_pair} does not match the "

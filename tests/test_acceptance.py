@@ -19,13 +19,13 @@ from lqc.core import (
     pseudo_norm,
 )
 from lqc.gates import (
+    block_metric,
     boost,
     builtin,
     controlled,
     isometry_residual,
     phase_gate,
     random_isometry_for_signs,
-    random_lorentz,
 )
 from lqc.search import (
     SearchSpec,
@@ -198,7 +198,7 @@ def test_criterion_07_two_level_roundtrip():
         d = m + n
         bound = d * (d - 1) // 2
         for s in range(100):
-            A = random_lorentz(m, n, seed=9000 + 100 * m + 10 * n + s)
+            A = random_isometry_for_signs(block_metric(m, n), seed=9000 + 100 * m + 10 * n + s)
             factors = two_level_factorize(A, (m, n))
             recon = np.eye(d, dtype=complex)
             for f in factors:

@@ -1,12 +1,13 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lqc.circuit import parse
+from lqc.circuit import format_matrix_text, parse
 from lqc.cli import main
-from lqc.gates import builtin, format_matrix_text
+from lqc.gates import builtin
 from lqc.search import choose_k
 from lqc.simulator import observe, run
 from lqc.synthesis import projective_distance
@@ -138,6 +139,23 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [(["run"], 4), (["sample", "--shots", "10", "--seed", "1"], 4), (["verify"], 3)],
+    )
+    def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, argv, want):
+        # the observe guard and the inf residual report the overflow; a numpy
+        # warning on the way would escape here as an exception
+        f = put(tmp_path, "c.lqc", OVERFLOW_CIRCUIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = cli(capsys, argv[0], f, *argv[1:])
+        assert code == want
+        if argv[0] == "verify":
+            assert (out, err) == ("residual = inf\nFAIL\n", "")
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_memory_guard(self, tmp_path, capsys):
         f = put(tmp_path, "c.lqc", "qubits 25\n")
         code, _, err = cli(capsys, "run", f)
@@ -221,6 +239,19 @@ class TestVerify:
         f = put(tmp_path, "bad.mat", "dim 2 0\n1,0 0,0\n")
         code, _, err = cli(capsys, "verify", f)
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["synth", "--qubits", "1", "--hybits", "0"],
+        ["approx", "--kind", "qubit", "--tol", "0.1", "--depth", "2"],
+    ])
+    @pytest.mark.parametrize("text, where", [
+        ("dim 2 0\n1,0 0,0\n0,0  1;0\n", "line 3, col 6: matrix entry '1;0' is not 're,im'"),
+        ("dim 2 0\n1,0 0,0\n0,0 1,0\n\n1,0 0,0\n", "line 5, col 1: more than 2 matrix rows"),
+    ])
+    def test_matrix_file_fault_has_line_and_column(self, tmp_path, capsys, command, text, where):
+        f = put(tmp_path, "bad.mat", text)
+        code, out, err = cli(capsys, command[0], f, *command[1:])
+        assert (code, out, err) == (1, "", f"error: {where}\n")
 
 
 class TestSynth:

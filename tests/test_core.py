@@ -14,7 +14,6 @@ from lqc.core import (
     basis_state,
     encode_bits,
     metric_for_kinds,
-    metric_sign,
     metric_vector,
     normalize,
     pseudo_norm,
@@ -38,34 +37,33 @@ layouts_strategy = st.lists(st.sampled_from("qh"), min_size=1, max_size=10).map(
 
 
 class TestMetricSign:
+    """The sign of each basis index, read from `metric_vector`."""
+
     def test_no_hybit_set(self):
         layout = RegisterLayout.of(1, 1)
-        assert metric_sign(layout, encode_bits(layout, [0, 0])) == 1
+        assert metric_vector(layout)[encode_bits(layout, [0, 0])] == 1
 
     def test_both_set_qubit_hybit(self):
         # |1,1bar> carries one hybit excitation, so the sign is -1
         layout = RegisterLayout.of(1, 1)
-        assert metric_sign(layout, encode_bits(layout, [1, 1])) == -1
+        assert metric_vector(layout)[encode_bits(layout, [1, 1])] == -1
 
     def test_two_hybits_both_set(self):
         # diag(1,-1) x diag(1,-1) has +1 at entry (3,3)
         layout = RegisterLayout.of(0, 2)
-        assert metric_sign(layout, encode_bits(layout, [1, 1])) == 1
+        assert metric_vector(layout)[encode_bits(layout, [1, 1])] == 1
 
     def test_out_of_range(self):
+        # one sign per basis index and none beyond
         layout = RegisterLayout.of(1, 0)
+        assert metric_vector(layout).shape == (layout.dimension,)
         with pytest.raises(IndexError):
-            metric_sign(layout, 2)
-        with pytest.raises(IndexError):
-            metric_sign(layout, -1)
+            metric_vector(layout)[2]
 
     @given(layouts_strategy)
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_kron_oracle(self, layout):
-        eta = kron_metric(layout.kinds)
-        got = np.array([metric_sign(layout, j) for j in range(layout.dimension)])
-        assert np.array_equal(got, eta)
-        assert np.array_equal(metric_vector(layout), eta)
+        assert np.array_equal(metric_vector(layout), kron_metric(layout.kinds))
 
 
 class TestPseudoNorm:
@@ -124,7 +122,7 @@ class TestBasisState:
         bits = rng.integers(0, 2, size=layout.num_bits)
         state = basis_state(layout, list(bits))
         idx = encode_bits(layout, bits)
-        assert pseudo_norm(state) == float(metric_sign(layout, idx))
+        assert pseudo_norm(state) == float(metric_vector(layout)[idx])
 
 
 class TestNormalize:
@@ -152,7 +150,7 @@ class TestLayout:
     def test_interleaved_accepted(self):
         layout = RegisterLayout((BitKind.HYBIT, BitKind.QUBIT))
         # hybit is bit 0, the MSB: indices 2 and 3 carry its excitation
-        assert [metric_sign(layout, j) for j in range(4)] == [1, 1, -1, -1]
+        assert metric_vector(layout).tolist() == [1, 1, -1, -1]
 
     def test_string_coercion(self):
         layout = RegisterLayout(("q", "h"))

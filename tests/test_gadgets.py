@@ -5,9 +5,11 @@ import pytest
 
 from lqc.circuit import serialize, to_matrix
 from lqc.core import BitKind, IsometryError, LqcError, RegisterLayout
-from lqc.gates import builtin, controlled, isometry_residual, random_lorentz
+from lqc.gates import (
+    block_metric, builtin, controlled, isometry_residual, random_isometry_for_signs,
+)
 from lqc.synthesis import gadgets
-from lqc.synthesis.gadgets import isometric_sqrt, lambda2_gadget, lambda_k
+from lqc.synthesis.gadgets import isometric_sqrt, lambda_k
 
 
 def haar_unitary(seed):
@@ -23,12 +25,12 @@ class TestIsometricSqrt:
             V = haar_unitary(seed)
             R = isometric_sqrt(V)
             assert np.max(np.abs(R @ R - V)) < 1e-12
-            assert isometry_residual(R, np.eye(2)) < 1e-12
+            assert isometry_residual(R, np.ones(2)) < 1e-12
 
     def test_u11_inputs_stay_u11(self):
-        eta = np.diag([1.0, -1.0])
+        eta = block_metric(1, 1)
         for seed in range(20):
-            V = random_lorentz(1, 1, seed)
+            V = random_isometry_for_signs(block_metric(1, 1), seed)
             R = isometric_sqrt(V)
             assert np.max(np.abs(R @ R - V)) < 1e-11
             assert isometry_residual(R, eta) < 1e-10
@@ -136,8 +138,11 @@ class TestInvolutionConjugation:
 
 
 class TestLambda2:
+    """Two controls: one level of the recursion, two controlled square
+    roots plus the exclusive-or gadget W(R^{-1})."""
+
     def test_doubly_controlled_z(self):
-        circ = lambda2_gadget(builtin("Z"))
+        circ = lambda_k(2, builtin("Z"))
         got = lifted(circ)
         want = np.diag([1.0] * 7 + [-1.0]).astype(complex)
         assert got.shape == (8, 8)
@@ -145,13 +150,13 @@ class TestLambda2:
 
     def test_boost_target(self):
         for chi in (0.3, 1.1):
-            circ = lambda2_gadget(builtin("BOOST", chi))
+            circ = lambda_k(2, builtin("BOOST", chi))
             want = controlled(builtin("BOOST", chi), 2)
             assert circ.layout.kinds[-1] is BitKind.HYBIT
             assert np.max(np.abs(lifted(circ) - want)) < 1e-10
 
     def test_uses_only_single_controls(self):
-        circ = lambda2_gadget(builtin("Z"))
+        circ = lambda_k(2, builtin("Z"))
         assert all(len(i.controls) <= 1 for i in circ.instructions)
 
 
@@ -167,14 +172,14 @@ class TestRandomTargets:
     def test_lorentz_targets(self, k):
         layout = RegisterLayout("q" * k + "h")
         for seed in range(8):
-            V = random_lorentz(1, 1, 200 + seed)
+            V = random_isometry_for_signs(block_metric(1, 1), 200 + seed)
             circ = lambda_k(k, V, layout)
             assert np.max(np.abs(lifted(circ) - controlled(V, k))) < 1e-9
 
     def test_lorentz_targets_with_hybit_controls(self):
         layout = RegisterLayout("hhh")
         for seed in range(5):
-            V = random_lorentz(1, 1, 300 + seed)
+            V = random_isometry_for_signs(block_metric(1, 1), 300 + seed)
             circ = lambda_k(2, V, layout)
             assert np.max(np.abs(lifted(circ) - controlled(V, 2))) < 1e-9
 
@@ -220,7 +225,7 @@ class TestLayoutHandling:
 
 class TestDeterminism:
     def test_same_input_same_circuit(self):
-        V = random_lorentz(1, 1, 77)
+        V = random_isometry_for_signs(block_metric(1, 1), 77)
         layout = RegisterLayout("qqh")
         a = serialize(lambda_k(2, V, layout))
         b = serialize(lambda_k(2, V, layout))
@@ -254,7 +259,7 @@ class TestWFactorCheck:
             return None if len(calls) == 1 else original(U)
 
         monkeypatch.setattr(gadgets, "_su11_w_factors", no_direct_set)
-        U = random_lorentz(1, 1, 7)
+        U = random_isometry_for_signs(block_metric(1, 1), 7)
         sets = gadgets._w_factor_sets(U, BitKind.HYBIT)
         assert len(sets) == 2
         # the halves are P and U P^-1, whose product is U
@@ -280,7 +285,7 @@ class TestNumpyFactorSolvers:
         "U", [pytest.param(U, id=name) for name, U in _unitaries_for_w_factors()]
     )
     def test_unitary_w_factors_verify(self, U):
-        gadgets._verify_w_factors(U, gadgets._unitary_w_factors(U), np.eye(2))
+        gadgets._verify_w_factors(U, gadgets._unitary_w_factors(U), np.ones(2))
 
     @pytest.mark.parametrize(
         "row,dim",

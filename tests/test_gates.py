@@ -3,23 +3,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lqc.circuit import Instruction, validate_instruction
+from lqc.circuit import (
+    Instruction,
+    ParseError,
+    format_matrix_text,
+    parse_matrix_text,
+    validate_instruction,
+)
 from lqc.core import EPS_ISO, LqcError, RegisterLayout, metric_for_kinds
 from lqc.gates import (
     BUILTIN_ARITY,
     PARAMETRIC,
-    MatrixTextError,
     block_metric,
     boost,
     builtin,
     controlled,
-    format_matrix_text,
-    is_isometry,
     isometry_residual,
-    parse_matrix_text,
     phase_gate,
     random_isometry_for_signs,
-    random_lorentz,
 )
 
 ETA_Q = np.array([1.0, 1.0])
@@ -107,24 +108,27 @@ class TestLocalMetric:
 
 
 class TestIsIsometry:
+    """A gate is an isometry when its residual is at most EPS_ISO."""
+
     def test_tau_on_hybit(self):
-        ok, resid = is_isometry(builtin("TAU"), ETA_H)
-        assert ok and resid <= 1e-12
+        assert isometry_residual(builtin("TAU"), ETA_H) <= 1e-12
 
     def test_cnot_on_qubit_hybit_fails(self):
         cnot = controlled(builtin("X"), 1)
-        eta = metric_for_kinds("qh")
-        ok, resid = is_isometry(cnot, eta)
-        assert not ok
-        assert resid >= 1.0
+        assert isometry_residual(cnot, metric_for_kinds("qh")) >= 1.0
 
     def test_identity(self):
-        ok, resid = is_isometry(np.eye(4), [1, -1, -1, 1])
-        assert ok and resid == 0.0
+        assert isometry_residual(np.eye(4), [1, -1, -1, 1]) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(LqcError):
-            is_isometry(np.eye(2), [1, 1, 1])
+            isometry_residual(np.eye(2), [1, 1, 1])
+
+    @pytest.mark.parametrize("eta", [np.eye(2), np.diag(ETA_H)])
+    def test_metric_matrix_refused(self, eta):
+        # one gate takes its metric as a sign vector only, as a stack does
+        with pytest.raises(LqcError, match="shape mismatch"):
+            isometry_residual(builtin("H"), eta)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), 1e200])
@@ -135,12 +139,10 @@ class TestIsIsometry:
         G[1, 0] = bad
         for eta in (ETA_Q, ETA_H):
             assert isometry_residual(G, eta) == np.inf
-            assert is_isometry(G, eta) == (False, np.inf)
 
     @pytest.mark.parametrize("name", ["H", "T", "X", "Y", "Z", "SZ", "SZD"])
     def test_qubit_builtins(self, name):
-        ok, resid = is_isometry(builtin(name), ETA_Q)
-        assert ok and resid <= 1e-12
+        assert isometry_residual(builtin(name), ETA_Q) <= 1e-12
 
     @pytest.mark.parametrize(
         "name,param",
@@ -148,29 +150,26 @@ class TestIsIsometry:
          ("BOOST", 0.8), ("PHASE", 1.3)],
     )
     def test_hybit_builtins(self, name, param):
-        ok, resid = is_isometry(builtin(name, param), ETA_H)
-        assert ok and resid <= 1e-12
+        assert isometry_residual(builtin(name, param), ETA_H) <= 1e-12
 
     @pytest.mark.parametrize("kinds", ["qq", "qh", "hq", "hh"])
     def test_cz_on_all_metrics(self, kinds):
-        ok, resid = is_isometry(builtin("CZ"), metric_for_kinds(kinds))
-        assert ok and resid <= 1e-12
+        assert isometry_residual(builtin("CZ"), metric_for_kinds(kinds)) <= 1e-12
 
     @pytest.mark.parametrize("ctrl", ["q", "h"])
     def test_controlled_x_fails_exactly_on_hybit_target(self, ctrl):
         cx = controlled(builtin("X"), 1)
-        ok_q, _ = is_isometry(cx, metric_for_kinds(ctrl + "q"))
-        ok_h, _ = is_isometry(cx, metric_for_kinds(ctrl + "h"))
-        assert ok_q and not ok_h
+        assert isometry_residual(cx, metric_for_kinds(ctrl + "q")) <= EPS_ISO
+        assert isometry_residual(cx, metric_for_kinds(ctrl + "h")) > EPS_ISO
 
     def test_det_magnitude_one(self):
         for mat, eta in [
             (builtin("H"), ETA_Q),
             (builtin("TAU"), ETA_H),
             (boost(1.3), ETA_H),
-            (random_lorentz(2, 2, 5), block_metric(2, 2)),
+            (random_isometry_for_signs(block_metric(2, 2), 5), block_metric(2, 2)),
         ]:
-            assert is_isometry(mat, eta)[0]
+            assert isometry_residual(mat, eta) <= EPS_ISO
             assert abs(np.linalg.det(mat)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -243,24 +242,26 @@ class TestControlled:
         # lifting preserves admissibility whenever the target block is admissible
         target_eta = metric_for_kinds(kinds[-1])
         gate = builtin("TAU") if kinds[-1] == "h" else builtin("H")
-        assert is_isometry(gate, target_eta)[0]
+        assert isometry_residual(gate, target_eta) <= EPS_ISO
         lifted = controlled(gate, 2)
-        assert is_isometry(lifted, metric_for_kinds(kinds))[0]
+        assert isometry_residual(lifted, metric_for_kinds(kinds)) <= EPS_ISO
 
 
 class TestRandomLorentz:
+    """Random elements of U(m, n) for the block metric diag(+1 x m, -1 x n)."""
+
     def test_unitary_case(self):
-        u = random_lorentz(2, 0, 3)
+        u = random_isometry_for_signs(block_metric(2, 0), 3)
         assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_isometry(self, m, n):
-        u = random_lorentz(m, n, 11)
+        u = random_isometry_for_signs(block_metric(m, n), 11)
         assert isometry_residual(u, block_metric(m, n)) <= 1e-12
 
     def test_deterministic(self):
-        a = random_lorentz(2, 2, 42)
-        b = random_lorentz(2, 2, 42)
+        a = random_isometry_for_signs(block_metric(2, 2), 42)
+        b = random_isometry_for_signs(block_metric(2, 2), 42)
         assert np.array_equal(a, b)
 
     def test_interleaved_signs(self):
@@ -271,7 +272,7 @@ class TestRandomLorentz:
 
 class TestMatrixText:
     def test_roundtrip(self):
-        mat = random_lorentz(1, 1, 1)
+        mat = random_isometry_for_signs(block_metric(1, 1), 1)
         text = format_matrix_text(mat, 1, 1)
         back, (m, n) = parse_matrix_text(text)
         assert (m, n) == (1, 1)
@@ -284,25 +285,54 @@ class TestMatrixText:
         assert np.allclose(mat, builtin("TAU"), atol=1e-15)
 
     def test_bad_header(self):
-        with pytest.raises(MatrixTextError):
+        with pytest.raises(ParseError):
             parse_matrix_text("2 1 1\n1,0 0,0\n0,0 1,0\n")
 
     def test_wrong_row_count(self):
-        with pytest.raises(MatrixTextError):
+        with pytest.raises(ParseError):
             parse_matrix_text("dim 1 1\n1,0 0,0\n")
 
     def test_bad_entry(self):
-        with pytest.raises(MatrixTextError):
+        with pytest.raises(ParseError):
             parse_matrix_text("dim 1 0\nnope\n")
 
     @pytest.mark.parametrize(
         "entry, message",
-        [("1;0", "line 2: entry '1;0' is not 're,im'"), ("1,x", "line 2: bad number in '1,x'")],
+        [
+            ("1;0", "line 2, col 1: matrix entry '1;0' is not 're,im'"),
+            ("1,x", "line 2, col 1: matrix entry '1,x' is not 're,im'"),
+        ],
     )
     def test_entry_diagnostics(self, entry, message):
-        with pytest.raises(MatrixTextError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_matrix_text(f"dim 1 0\n{entry}\n")
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            ("", (1, 1, "empty matrix file")),
+            ("# only a comment\n", (1, 1, "empty matrix file")),
+            ("\n  dom 1 1\n", (2, 3, "expected header 'dim m n'")),
+            ("dim 1\n", (1, 1, "expected header 'dim m n'")),
+            ("dim 1 x\n1,0\n", (1, 5, "metric counts must be integers")),
+            ("dim 0 0\n", (1, 5, "bad metric signature (0, 0)")),
+            ("dim 2 0\n1,0 0,0\n", (1, 1, "expected 2 matrix rows")),
+            ("dim 2 0\n1,0 0,0\n  0,0\n", (3, 3, "expected 2 matrix entries")),
+            ("dim 2 0\n1,0 0,0\n0,0  1,0,0\n", (3, 6, "matrix entry '1,0,0' is not 're,im'")),
+            ("dim 2 0\n1,0 0,0 # ok\n0,0 ,1\n", (3, 5, "matrix entry ',1' is not 're,im'")),
+            ("dim 1 0\n1,0\n\n  -1,0\n2,0\n", (4, 3, "more than 1 matrix rows")),
+        ],
+    )
+    def test_each_fault_has_line_and_column(self, text, diagnostic):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix_text(text)
+        [d] = exc.value.diagnostics
+        assert (d.line, d.column, d.message) == diagnostic
+
+    def test_shape_must_match_signature(self):
+        with pytest.raises(LqcError, match="does not match dim 3"):
+            format_matrix_text(np.eye(2), 2, 1)
 
     def test_17_digit_fidelity(self):
         rng = np.random.default_rng(0)

@@ -157,7 +157,8 @@ print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
 
 def test_cli_commands_leave_scipy_linalg_unloaded(tmp_path):
     from lqc.core import RegisterLayout, metric_vector
-    from lqc.gates import builtin, format_matrix_text, random_isometry_for_signs
+    from lqc.circuit import format_matrix_text
+    from lqc.gates import builtin, random_isometry_for_signs
 
     lorentz = random_isometry_for_signs(metric_vector(RegisterLayout("qh")), seed=11)
     files = {

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from lqc.circuit import serialize, to_matrix
+from lqc.circuit import Circuit, serialize, to_matrix
 from lqc.core import (
     EPS_RECON,
     IsometryError,
     LqcError,
     RegisterLayout,
-    metric_sign,
     metric_vector,
 )
-from lqc.gates import builtin, random_lorentz
+from lqc.gates import block_metric, builtin, random_isometry_for_signs
 from lqc.synthesis import twolevel
+from lqc.synthesis.gadgets import _Emitter
 from lqc.synthesis.twolevel import (
     TwoLevelFactor,
-    controlled_on_pattern,
     embed,
     two_level_factorize,
     two_level_to_circuit,
@@ -47,7 +46,7 @@ class TestFactorType:
         b = TwoLevelFactor(0, 1, np.eye(2), (1, 1))
         assert a == a and a != b
         assert len({a, b, a}) == 2
-        factors = two_level_factorize(random_lorentz(2, 2, 3), (2, 2))
+        factors = two_level_factorize(random_isometry_for_signs(block_metric(2, 2), 3), (2, 2))
         assert factors[0] in set(factors)
 
     def test_rejects_bad_order(self):
@@ -74,7 +73,7 @@ class TestFactorize:
 
     def test_random_2_2(self):
         for seed in range(10):
-            A = random_lorentz(2, 2, seed)
+            A = random_isometry_for_signs(block_metric(2, 2), seed)
             factors = two_level_factorize(A, (2, 2))
             assert len(factors) <= 6
             recon = np.eye(4, dtype=complex)
@@ -87,7 +86,7 @@ class TestFactorize:
         d = m + n
         eta = np.concatenate([np.ones(m), -np.ones(n)])
         for seed in range(25):
-            A = random_lorentz(m, n, 1000 * m + 100 * n + seed)
+            A = random_isometry_for_signs(block_metric(m, n), 1000 * m + 100 * n + seed)
             factors = two_level_factorize(A, (m, n))
             assert len(factors) <= d * (d - 1) // 2
             recon = np.eye(d, dtype=complex)
@@ -150,7 +149,7 @@ class TestFactorize:
             return out * factor if len(calls) == 3 else out
 
         monkeypatch.setattr(twolevel, "_pair_inverse", scaling_third)
-        A = random_lorentz(2, 2, 5)
+        A = random_isometry_for_signs(block_metric(2, 2), 5)
         with pytest.raises(IsometryError, match="pair metric"):
             two_level_factorize(A, (2, 2))
         assert len(calls) > 3
@@ -167,30 +166,39 @@ class TestFactorize:
 
         monkeypatch.setattr(twolevel, "_trusted_factor", nan_third)
         with pytest.raises(LqcError, match="reconstruction error nan"):
-            two_level_factorize(random_lorentz(2, 2, 5), (2, 2))
+            two_level_factorize(random_isometry_for_signs(block_metric(2, 2), 5), (2, 2))
 
     def test_rejects_non_isometry(self):
         with pytest.raises(IsometryError):
             two_level_factorize(np.ones((3, 3)), (2, 1))
 
     def test_metric_argument_forms(self):
-        A = random_lorentz(2, 1, 9)
+        A = random_isometry_for_signs(block_metric(2, 1), 9)
         by_pair = two_level_factorize(A, (2, 1))
         by_vector = two_level_factorize(A, np.array([1.0, 1.0, -1.0]))
         assert len(by_pair) == len(by_vector)
 
+    def test_metric_matrix_refused(self):
+        # the metric is a signature or a sign vector, never a diagonal matrix
+        A = random_isometry_for_signs(block_metric(2, 1), 9)
+        with pytest.raises(LqcError, match="sign vector"):
+            two_level_factorize(A, np.diag([1.0, 1.0, -1.0]))
+
 
 class TestPatternControl:
+    """A single-bit gate controlled on a pattern of trigger values is one
+    instruction, named by `_Emitter`."""
+
     def test_no_zeros_single_instruction(self):
         layout = RegisterLayout.of(3, 0)
-        circ = controlled_on_pattern(layout, {0: 1, 1: 1}, 2, builtin("H"))
-        assert len(circ.instructions) == 1
-        assert len(circ.instructions[0].controls) == 2
+        [instr] = _Emitter(layout).emit({0: 1, 1: 1}, 2, builtin("H"))
+        assert (instr.gate, instr.targets, instr.controls) == ("H", (2,), (0, 1))
+        assert instr.ctrl_state == (1, 1)
 
     def test_zero_pattern_matches_oracle(self):
         layout = RegisterLayout.of(3, 0)
         V = random_su2_form(7)
-        circ = controlled_on_pattern(layout, {0: 0, 1: 1}, 2, V)
+        circ = Circuit(layout, tuple(_Emitter(layout).emit({0: 0, 1: 1}, 2, V)))
         assert [i.ctrl_state for i in circ.instructions] == [(0, 1)]
         got = to_matrix(circ)
         want = np.eye(8, dtype=complex)
@@ -200,7 +208,7 @@ class TestPatternControl:
     def test_all_zero_pattern(self):
         layout = RegisterLayout.of(2, 0)
         V = random_su2_form(8)
-        circ = controlled_on_pattern(layout, {0: 0}, 1, V)
+        circ = Circuit(layout, tuple(_Emitter(layout).emit({0: 0}, 1, V)))
         got = to_matrix(circ)
         want = np.eye(4, dtype=complex)
         want[np.ix_((0, 1), (0, 1))] = V
@@ -208,12 +216,12 @@ class TestPatternControl:
 
     def test_target_in_pattern_rejected(self):
         layout = RegisterLayout.of(2, 0)
-        with pytest.raises(LqcError):
-            controlled_on_pattern(layout, {1: 1}, 1, builtin("Z"))
+        with pytest.raises(LqcError, match="duplicate bit"):
+            Circuit(layout, tuple(_Emitter(layout).emit({1: 1}, 1, builtin("Z"))))
 
 
 def factor_for(layout, i, j, V):
-    return TwoLevelFactor(i, j, V, (metric_sign(layout, i), metric_sign(layout, j)))
+    return TwoLevelFactor(i, j, V, tuple(metric_vector(layout)[[i, j]].tolist()))
 
 
 def check_lowering(layout, i, j, V, tol=1e-8):
@@ -281,8 +289,8 @@ class TestLowering:
     )
     def test_rejects_pairs_that_need_relabelling(self, kinds, i, j):
         layout = RegisterLayout(kinds)
-        si, sj = metric_sign(layout, i), metric_sign(layout, j)
-        V = random_su2_form(21) if si == sj else random_lorentz(1, 1, 21)
+        si, sj = metric_vector(layout)[[i, j]].tolist()
+        V = random_su2_form(21) if si == sj else random_isometry_for_signs(block_metric(1, 1), 21)
         with pytest.raises(LqcError, match=rf"pair \({i}, {j}\) on register {kinds}"):
             two_level_to_circuit(TwoLevelFactor(i, j, V, (si, sj)), layout)
 
