@@ -73,8 +73,9 @@ def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
     One square G takes eta as a sign vector and gives a float. A stack G of
     shape (m, d, d) takes one sign vector for all, or an (m, d) stack of
     them, and gives the m residuals as an array, each equal to the residual
-    of its gate alone. A residual that is not finite, as when G has a NaN or
-    infinite entry, is inf, so that every `resid > EPS_*` check refuses G."""
+    of its gate alone. Every metric entry must be +-1. A residual that is
+    not finite, as when G has a NaN or infinite entry, is inf, so that
+    every `resid > EPS_*` check refuses G."""
     G = np.asarray(G, dtype=complex)
     eta = np.asarray(eta)
     single = G.ndim == 2
@@ -82,6 +83,8 @@ def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
     m, d = stack.shape[0], stack.shape[-1]
     if stack.ndim != 3 or stack.shape[1] != d or eta.shape not in ((d,), (m, d)):
         raise LqcError(f"shape mismatch: gate {G.shape}, metric {eta.shape}")
+    if not (np.abs(eta) == 1).all():
+        raise LqcError("metric entries must be +-1")
     # a non-finite or huge entry overflows here; the result says so, not numpy
     with np.errstate(all="ignore"):
         resid = (stack.conj().swapaxes(1, 2) * eta[..., None, :]) @ stack

@@ -16,12 +16,7 @@ from .su11 import (
 )
 from .words import GateWord, projective_distance, word_matrix, word_search
 from .gadgets import isometric_sqrt, lambda_k
-from .twolevel import (
-    TwoLevelFactor,
-    embed,
-    two_level_factorize,
-    two_level_to_circuit,
-)
+from .twolevel import TwoLevelFactor, lower, two_level_factorize
 from .compiler import CompileResult, CompileStage, compile, format_report
 
 __all__ = [
@@ -38,16 +33,15 @@ __all__ = [
     "conjugation_axis_basis",
     "controlled_rotation_product",
     "decompose_su11",
-    "embed",
     "format_report",
     "isometric_sqrt",
     "lambda_k",
+    "lower",
     "projective_distance",
     "rotation_angle_of_word",
     "su11_classify",
     "trotter_word",
     "two_level_factorize",
-    "two_level_to_circuit",
     "word_matrix",
     "word_search",
 ]

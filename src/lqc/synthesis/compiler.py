@@ -25,9 +25,11 @@ import numpy as np
 
 from ..core import EPS_RECON, LqcError, RegisterLayout, metric_vector
 from ..circuit import Circuit, Instruction, to_matrix
-from .gadgets import _Emitter
-from .twolevel import two_level_factorize, _lower_factor
+from .twolevel import lower, two_level_factorize
 from .words import projective_distance, word_search
+
+# generator-word length bound of approximate mode's word search
+WORD_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ def compile(
     A: np.ndarray,
     layout: RegisterLayout,
     tol: float | None = None,
-    word_depth: int = 20,
 ) -> CompileResult:
     """Compile a register isometry into an `.lqc` circuit.
 
@@ -61,18 +62,11 @@ def compile(
     dim = layout.dimension
     if A.shape != (dim, dim):
         raise LqcError(f"matrix is {A.shape[0]}x{A.shape[1]}, register wants {dim}x{dim}")
-    signs = metric_vector(layout).astype(float)
 
-    factors = two_level_factorize(A, signs)
+    factors = two_level_factorize(A, metric_vector(layout))
     stage_fact = CompileStage("factorize", len(factors), factors.error)
 
-    em = _Emitter(layout)
-    instrs: list[Instruction] = []
-    # circuit time order is first-applied-first, so the rightmost factor of
-    # the matrix product comes first
-    for f in reversed(factors):
-        instrs += _lower_factor(em, f.i, f.j, f.V)
-    circuit = Circuit(layout, tuple(instrs))
+    circuit = lower(factors, layout)
     R = to_matrix(circuit)
     lower_err = float(np.max(np.abs(R - A)))
     stage_lower = CompileStage("lower", len(circuit.instructions), lower_err)
@@ -88,7 +82,7 @@ def compile(
 
     if tol <= 0:
         raise LqcError("approximation tolerance must be positive")
-    circuit, word_errs = _substitute_words(circuit, tol, word_depth)
+    circuit, word_errs = _substitute_words(circuit, tol, WORD_DEPTH)
     if word_errs:
         R = to_matrix(circuit)
     total = float(projective_distance(R, A))

@@ -249,7 +249,7 @@ def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
 # Instruction emission
 
 
-class _Emitter:
+class Emitter:
     """Emits the instructions of one circuit, naming each new DEFGATE
     matrix U0, U1, ... in the order it is first emitted."""
 
@@ -302,7 +302,7 @@ class _Emitter:
         ]
 
 
-def _lambda_rec(em: _Emitter, controls: list[int], target: int, V: np.ndarray) -> list[Instruction]:
+def _lambda_rec(em: Emitter, controls: list[int], target: int, V: np.ndarray) -> list[Instruction]:
     if np.max(np.abs(V - _I2)) < EPS_ZERO:
         return []
     if len(controls) == 1:
@@ -369,7 +369,7 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
         raise IsometryError(
             f"gate is not isometric for the target kind (residual {resid:.3g})"
         )
-    em = _Emitter(layout)
+    em = Emitter(layout)
     instrs = _lambda_rec(em, list(range(k)), target, V)
     return Circuit(layout, tuple(instrs))
 

@@ -14,7 +14,8 @@ and every pair it joins lowers directly: one bit apart is a single-bit gate
 controlled on every other bit (the shared bits are the trigger values); an
 equal-sign pair two hybits apart is the four-matrix identity for metric
 (+,+,-), U(1,1) elements on (i,k) and (j,k) with k one hybit flip from i;
-a diagonal block is one phase per index. Lowering refuses any other pair.
+a diagonal block is one phase per index. `lower` turns the factors into
+one circuit and refuses any other pair.
 """
 from __future__ import annotations
 
@@ -24,64 +25,24 @@ import numpy as np
 
 from ..core import (
     EPS_DEGENERATE, EPS_IDENTITY, EPS_ISO, EPS_PHASE_ONE, EPS_RECON, EPS_SMALL_ZETA, EPS_ZERO,
-    IsometryError, LqcError, RegisterLayout, metric_vector,
+    IsometryError, LqcError, RegisterLayout,
 )
-from ..gates import block_metric, builtin, isometry_residual
+from ..gates import builtin, isometry_residual
 from ..circuit import Circuit, Instruction
-from .gadgets import _Emitter, isometric_sqrt
+from .gadgets import Emitter, isometric_sqrt
 
 
 @dataclass(frozen=True, eq=False)
 class TwoLevelFactor:
     """b_{i,j}(V): V on the span of basis indices i < j, identity elsewhere.
 
-    The first row/column of V belongs to index i. metric_pair holds the
-    register metric signs (eta_ii, eta_jj)."""
+    The first row/column of V belongs to index i. `two_level_factorize`
+    checks every block it makes against the metric at (i, j); `lower`
+    refuses a factor made elsewhere whose gates would not fit the metric."""
 
     i: int
     j: int
     V: np.ndarray = field(repr=False)
-    metric_pair: tuple[int, int]
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise LqcError(f"need 0 <= i < j, got ({self.i}, {self.j})")
-        V = np.asarray(self.V, dtype=complex)
-        object.__setattr__(self, "V", V)
-        if V.shape != (2, 2):
-            raise LqcError("two-level block must be 2x2")
-        eta = np.array(self.metric_pair, dtype=float)
-        if abs(eta[0]) != 1 or abs(eta[1]) != 1:
-            raise LqcError("metric_pair entries must be +-1")
-        resid = isometry_residual(V, eta)
-        if resid > EPS_RECON:
-            raise IsometryError(
-                f"two-level block violates its pair metric (residual {resid:.3g})"
-            )
-
-
-def embed(factor: TwoLevelFactor, dim: int) -> np.ndarray:
-    """Dense ambient matrix of a two-level factor."""
-    if factor.j >= dim:
-        raise LqcError(f"factor indices ({factor.i},{factor.j}) exceed dimension {dim}")
-    out = np.eye(dim, dtype=complex)
-    ij = (factor.i, factor.j)
-    out[np.ix_(ij, ij)] = factor.V
-    return out
-
-
-def _metric_signs(metric, dim: int) -> np.ndarray:
-    if isinstance(metric, tuple) and len(metric) == 2 and all(
-        isinstance(x, (int, np.integer)) for x in metric
-    ):
-        m, n = metric
-        if m + n != dim:
-            raise LqcError(f"metric ({m},{n}) does not match dimension {dim}")
-        return block_metric(m, n)
-    s = np.asarray(metric, dtype=float)
-    if s.shape != (dim,) or not np.all(np.abs(s) == 1):
-        raise LqcError("metric must be (m, n) or a +-1 sign vector of full length")
-    return s
 
 
 def _pair_inverse(M: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -112,18 +73,11 @@ def _tree(root: int, members: set[int], moves: list[int]) -> list[tuple[int, int
     return edges + [(root, r) for r in sorted(members - seen)]
 
 
-def _trusted_factor(i: int, j: int, V: np.ndarray, metric_pair: tuple[int, int]) -> TwoLevelFactor:
-    """TwoLevelFactor(...) for a block already checked against its pair metric."""
-    f = object.__new__(TwoLevelFactor)
-    f.__dict__.update(i=i, j=j, V=V, metric_pair=metric_pair)
-    return f
-
-
-def two_level_factorize(A: np.ndarray, metric) -> Factorization:
+def two_level_factorize(A: np.ndarray, signs) -> Factorization:
     """Ordered factors with A = F_1 @ F_2 @ ... @ F_t within EPS_RECON.
 
-    metric is either a block signature (m, n) or a per-index sign vector,
-    so interleaved register metrics work directly. Factor count is at most
+    signs is the +-1 metric sign of each index (`metric_vector(layout)`,
+    or `block_metric(m, n)` for a signature). Factor count is at most
     d(d-1)/2. On a register metric every factor is directly lowerable: its
     pair is one bit apart, or two hybits apart with equal signs, or its
     block is diagonal. Every block is checked against its pair metric in
@@ -134,7 +88,7 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise LqcError("input must be a square matrix")
     d = A.shape[0]
-    s = _metric_signs(metric, d)
+    s = np.asarray(signs, dtype=float)
     resid = isometry_residual(A, s)
     if resid > EPS_ISO:
         raise IsometryError(f"input is not an isometry (residual {resid:.3g})")
@@ -214,17 +168,14 @@ def two_level_factorize(A: np.ndarray, metric) -> Factorization:
             M = np.diag([ph, 1.0]) if c < partner else np.diag([1.0, ph])
             raw.append((min(c, partner), max(c, partner), M.astype(complex)))
 
-    # one check of every block against its pair metric, then trusted factors
+    # one check of every block against its pair metric
     pairs = np.array([sorted((x, y)) for x, y, _ in raw], dtype=int).reshape(-1, 2)
     V = np.array([M if x < y else M[::-1, ::-1] for x, y, M in raw]).reshape(-1, 2, 2)
     eta = s[pairs]
     resid = float(isometry_residual(V, eta).max(initial=0.0))
     if resid > EPS_RECON:
         raise IsometryError(f"a two-level block violates its pair metric (residual {resid:.3g})")
-    factors = [
-        _trusted_factor(int(i), int(j), Vt, (int(a), int(b)))
-        for (i, j), Vt, (a, b) in zip(pairs, V, eta)
-    ]
+    factors = [TwoLevelFactor(int(i), int(j), Vt) for (i, j), Vt in zip(pairs, V)]
 
     recon = np.eye(d, dtype=complex)
     for f in factors:
@@ -244,7 +195,7 @@ def _bit_at(layout: RegisterLayout, index: int, pos: int) -> int:
     return (index >> (layout.num_bits - 1 - pos)) & 1
 
 
-def _direct_pair(em: _Emitter, x: int, y: int, W: np.ndarray) -> list[Instruction]:
+def _direct_pair(em: Emitter, x: int, y: int, W: np.ndarray) -> list[Instruction]:
     """b_{x,y}(W) for Hamming-distance-1 indices; W's first slot belongs
     to x. One instruction, controlled on the bits that x and y share."""
     layout = em.layout
@@ -258,7 +209,7 @@ def _direct_pair(em: _Emitter, x: int, y: int, W: np.ndarray) -> list[Instructio
     return em.emit(pattern, p, W)
 
 
-def _basis_phase(em: _Emitter, index: int, phase: complex) -> list[Instruction]:
+def _basis_phase(em: Emitter, index: int, phase: complex) -> list[Instruction]:
     """Multiply basis state |index> by a unit phase: one diagonal gate on
     a bit of the index, controlled on the other bits' values."""
     if abs(phase - 1) <= EPS_ZERO:
@@ -276,7 +227,7 @@ def _basis_phase(em: _Emitter, index: int, phase: complex) -> list[Instruction]:
     return em.emit(pattern, target, gate)
 
 
-def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instruction]:
+def _lower_factor(em: Emitter, i: int, j: int, V: np.ndarray) -> list[Instruction]:
     """Gates of b_{i,j}(V) for a directly lowerable factor; LqcError names
     any other pair."""
     layout = em.layout
@@ -295,14 +246,18 @@ def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instructi
     det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
     delta = np.angle(det) / 2.0
     V0 = np.exp(-1j * delta) * V
+    zeta, gamma = V0[0, 0], V0[0, 1]
+    # the gates realize V0 from its first row, which `Circuit` checks for
+    # unit norm through M1, so V0 must have the second row of SU(2)
+    off = max(abs(V0[1, 0] + np.conj(gamma)), abs(V0[1, 1] - np.conj(zeta)))
+    if off > EPS_RECON:
+        raise IsometryError(f"two-level block ({i}, {j}) is not unitary (off by {off:.3g})")
     out = _basis_phase(em, i, np.exp(1j * delta)) + _basis_phase(em, j, np.exp(1j * delta))
-    zeta = V0[0, 0]
     if abs(zeta) < EPS_SMALL_ZETA:
         # the identity divides by zeta; take two square-root passes instead
         R = isometric_sqrt(V0)
         half = _lower_factor(em, i, j, R)
         return out + half + half
-    gamma = V0[0, 1]
     g = np.sqrt(1.0 + abs(gamma) ** 2)
     k = i ^ (1 << (diff.bit_length() - 1))
     zc = np.conj(zeta)
@@ -319,20 +274,20 @@ def _lower_factor(em: _Emitter, i: int, j: int, V: np.ndarray) -> list[Instructi
     return out
 
 
-def two_level_to_circuit(factor: TwoLevelFactor, layout: RegisterLayout) -> Circuit:
-    """Circuit of multi-controlled single-bit gates realizing one embedded
-    two-level factor on the given register."""
-    if factor.j >= layout.dimension:
-        raise LqcError(
-            f"factor on indices ({factor.i},{factor.j}) does not fit a "
-            f"{layout.num_bits}-bit register"
-        )
-    want = tuple(metric_vector(layout)[[factor.i, factor.j]].tolist())
-    if want != tuple(factor.metric_pair):
-        raise LqcError(
-            f"factor metric pair {factor.metric_pair} does not match the "
-            f"register metric {want} at its indices"
-        )
-    em = _Emitter(layout)
-    instrs = _lower_factor(em, factor.i, factor.j, factor.V)
+def lower(factors: list[TwoLevelFactor], layout: RegisterLayout) -> Circuit:
+    """Circuit of multi-controlled single-bit gates realizing the product
+    F_1 @ ... @ F_t of directly lowerable factors on the given register.
+
+    Circuit time order is first-applied-first, so the rightmost factor
+    comes first. The emitted gates are checked once, by `Circuit`."""
+    dim = layout.dimension
+    em = Emitter(layout)
+    instrs: list[Instruction] = []
+    for f in reversed(factors):
+        if not (0 <= f.i < dim and 0 <= f.j < dim):
+            raise LqcError(
+                f"factor on indices ({f.i},{f.j}) does not fit a "
+                f"{layout.num_bits}-bit register"
+            )
+        instrs += _lower_factor(em, f.i, f.j, f.V)
     return Circuit(layout, tuple(instrs))

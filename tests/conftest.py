@@ -1,4 +1,5 @@
-"""Shared fuzz helpers: random layouts and random valid circuits."""
+"""Shared helpers: random layouts, random valid circuits, and the dense
+matrix of a two-level factor."""
 
 import numpy as np
 from hypothesis import settings
@@ -43,3 +44,12 @@ def random_circuit(rng, layout, n_instr):
 
 def random_state_amps(rng, dim):
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+def embed(factor, dim):
+    """Dense ambient matrix of a two-level factor: the reference that tests
+    rebuild factor products with."""
+    out = np.eye(dim, dtype=complex)
+    ij = (factor.i, factor.j)
+    out[np.ix_(ij, ij)] = factor.V
+    return out

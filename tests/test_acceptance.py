@@ -40,12 +40,13 @@ from lqc.simulator import observe, run
 from lqc.synthesis import (
     approx_power,
     boost_generator,
-    embed,
     lambda_k,
     rotation_angle_of_word,
 )
 from lqc.synthesis import compile as synth_compile
 from lqc.synthesis import two_level_factorize
+
+from conftest import embed
 
 
 def report(num, ok, detail=""):
@@ -198,13 +199,13 @@ def test_criterion_07_two_level_roundtrip():
         d = m + n
         bound = d * (d - 1) // 2
         for s in range(100):
-            A = random_isometry_for_signs(block_metric(m, n), seed=9000 + 100 * m + 10 * n + s)
-            factors = two_level_factorize(A, (m, n))
+            eta = block_metric(m, n)
+            A = random_isometry_for_signs(eta, seed=9000 + 100 * m + 10 * n + s)
+            factors = two_level_factorize(A, eta)
             recon = np.eye(d, dtype=complex)
             for f in factors:
                 recon = recon @ embed(f, d)
-                pair_eta = np.array(f.metric_pair, dtype=float)
-                worst_resid = max(worst_resid, isometry_residual(f.V, pair_eta))
+                worst_resid = max(worst_resid, isometry_residual(f.V, eta[[f.i, f.j]]))
             worst_err = max(worst_err, float(np.max(np.abs(recon - A))))
             ok_count = ok_count and len(factors) <= bound
     dt = time.perf_counter() - t0

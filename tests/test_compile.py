@@ -106,16 +106,12 @@ class TestSingleReconstruction:
     two_level_factorize and rebuilds no dense product of its own."""
 
     def test_compile_reuses_the_factorization_check(self, monkeypatch):
-        def no_embed(*_args):
-            raise AssertionError("embed called")
-
         checked = []
 
-        def recording(A, metric):
-            checked.append(twolevel.two_level_factorize(A, metric))
+        def recording(A, signs):
+            checked.append(twolevel.two_level_factorize(A, signs))
             return checked[-1]
 
-        monkeypatch.setattr(twolevel, "embed", no_embed)
         monkeypatch.setattr(compiler, "two_level_factorize", recording)
         layout = RegisterLayout("qqqh")
         A = random_isometry_for_signs(metric_vector(layout).astype(float), 600)
@@ -146,7 +142,7 @@ class TestApproxMode:
         A = np.array(
             [[np.exp(0.5j), 0], [0, np.exp(-0.5j)]], dtype=complex
         ) @ builtin("H") @ np.array([[np.exp(-0.5j), 0], [0, np.exp(0.5j)]])
-        res = compile(A, layout, tol=1e-4, word_depth=6)
+        res = compile(A, layout, tol=1e-4)
         assert isinstance(res.budget_met, bool)
         d = projective_distance(to_matrix(res.circuit), A)
         assert abs(d - res.total_error) < 1e-12

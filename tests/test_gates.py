@@ -130,6 +130,28 @@ class TestIsIsometry:
         with pytest.raises(LqcError, match="shape mismatch"):
             isometry_residual(builtin("H"), eta)
 
+    @pytest.mark.parametrize(
+        "G,eta",
+        [
+            (builtin("H"), np.zeros(2)),
+            (builtin("H"), [1, 2]),
+            (builtin("H"), [1.0, np.nan]),
+            # an identity matrix read as a stack of two sign vectors
+            (np.stack([builtin("H")] * 2), np.eye(2)),
+        ],
+        ids=["zeros", "two", "nan", "stacked-identity"],
+    )
+    def test_metric_entries_must_be_signs(self, G, eta):
+        with pytest.raises(LqcError, match=r"metric entries must be \+-1"):
+            isometry_residual(G, eta)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_int_and_float_signs_pass(self, dtype):
+        eta = np.asarray(ETA_H, dtype=dtype)
+        assert isometry_residual(builtin("TAU"), eta) <= 1e-12
+        stack = np.stack([builtin("TAU"), boost(0.4)])
+        assert np.all(isometry_residual(stack, np.stack([eta, eta])) <= 1e-12)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), 1e200])
     def test_non_finite_entry_is_infinitely_off(self, bad):

@@ -1,6 +1,7 @@
 """Checks on what the package imports.
 
 Every module-level import in the package is used by its module, no module
+imports another lqc module's private (underscore-prefixed) name, no module
 reaches numpy's stride tricks, no module imports a scipy submodule at
 module level, and no CLI command loads `scipy.linalg`.
 
@@ -50,6 +51,60 @@ def test_no_unused_module_imports(path):
 def test_checker_flags_an_unused_name():
     source = "import os\nimport numpy as np\nfrom a import b, c\nnp.zeros(b)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: c"]
+
+
+def _private(dotted: str) -> bool:
+    return any(p.startswith("_") and not p.startswith("__") for p in dotted.split("."))
+
+
+def private_lqc_imports(source: str) -> list[str]:
+    """Lines, anywhere in the module, that import an underscore-prefixed
+    name or module of lqc: relative imports, and absolute ones from `lqc`.
+    A name another module needs is not private."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "lqc":
+                dotted = [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+                found += [f"line {node.lineno}: {name}" for name in dotted if _private(name)]
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[0] == "lqc" and _private(alias.name)
+            ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_lqc_imports(path):
+    assert private_lqc_imports(path.read_text()) == []
+
+
+def test_checker_flags_private_lqc_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from ._private import x\n"
+        "from .gadgets import Emitter, _Emitter\n"
+        "from ..core import EPS_ZERO, _cached\n"
+        "from lqc.circuit import _metric_failures\n"
+        "import lqc._version, lqc.core\n"
+        "from numpy import _core\n"
+        "from . import words, _helpers\n"
+        "def f():\n"
+        "    from .twolevel import _lower_factor\n"
+    )
+    assert private_lqc_imports(source) == [
+        "line 3: _private.x",
+        "line 4: gadgets._Emitter",
+        "line 5: core._cached",
+        "line 6: lqc.circuit._metric_failures",
+        "line 7: lqc._version",
+        "line 9: _helpers",
+        "line 11: twolevel._lower_factor",
+    ]
 
 
 def stride_tricks_uses(source: str) -> list[str]:

@@ -10,14 +10,11 @@ from lqc.core import (
     metric_vector,
 )
 from lqc.gates import block_metric, builtin, random_isometry_for_signs
-from lqc.synthesis import twolevel
-from lqc.synthesis.gadgets import _Emitter
-from lqc.synthesis.twolevel import (
-    TwoLevelFactor,
-    embed,
-    two_level_factorize,
-    two_level_to_circuit,
-)
+from lqc.synthesis import compile, twolevel
+from lqc.synthesis.gadgets import Emitter
+from lqc.synthesis.twolevel import TwoLevelFactor, lower, two_level_factorize
+
+from conftest import embed
 
 
 def random_su2_form(seed):
@@ -33,7 +30,7 @@ def random_su2_form(seed):
 class TestFactorType:
     def test_embed_places_block(self):
         V = random_su2_form(0)
-        f = TwoLevelFactor(1, 3, V, (1, 1))
+        f = TwoLevelFactor(1, 3, V)
         M = embed(f, 4)
         assert M[1, 1] == V[0, 0] and M[1, 3] == V[0, 1]
         assert M[3, 1] == V[1, 0] and M[3, 3] == V[1, 1]
@@ -42,39 +39,30 @@ class TestFactorType:
     def test_equality_is_identity(self):
         # factors hold arrays: == compares identity instead of raising on
         # an ambiguous array truth value, and factors stay hashable
-        a = TwoLevelFactor(0, 1, np.eye(2), (1, 1))
-        b = TwoLevelFactor(0, 1, np.eye(2), (1, 1))
+        a = TwoLevelFactor(0, 1, np.eye(2))
+        b = TwoLevelFactor(0, 1, np.eye(2))
         assert a == a and a != b
         assert len({a, b, a}) == 2
-        factors = two_level_factorize(random_isometry_for_signs(block_metric(2, 2), 3), (2, 2))
+        eta = block_metric(2, 2)
+        factors = two_level_factorize(random_isometry_for_signs(eta, 3), eta)
         assert factors[0] in set(factors)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(LqcError):
-            TwoLevelFactor(3, 1, np.eye(2), (1, 1))
-
-    def test_rejects_metric_violation(self):
-        # a boost is not unitary, so it cannot sit on an equal-sign pair
-        with pytest.raises(IsometryError):
-            TwoLevelFactor(0, 1, builtin("BOOST", 0.5), (1, 1))
-        TwoLevelFactor(0, 1, builtin("BOOST", 0.5), (1, -1))
 
 
 class TestFactorize:
     def test_identity_gives_no_factors(self):
-        assert two_level_factorize(np.eye(4), (2, 2)) == []
+        assert two_level_factorize(np.eye(4), block_metric(2, 2)) == []
 
     def test_single_two_level_input(self):
         V = random_su2_form(3)
-        A = embed(TwoLevelFactor(0, 1, V, (1, 1)), 4)
-        factors = two_level_factorize(A, (4, 0))
+        A = embed(TwoLevelFactor(0, 1, V), 4)
+        factors = two_level_factorize(A, block_metric(4, 0))
         assert len(factors) == 1
         assert np.max(np.abs(embed(factors[0], 4) - A)) < 1e-12
 
     def test_random_2_2(self):
         for seed in range(10):
             A = random_isometry_for_signs(block_metric(2, 2), seed)
-            factors = two_level_factorize(A, (2, 2))
+            factors = two_level_factorize(A, block_metric(2, 2))
             assert len(factors) <= 6
             recon = np.eye(4, dtype=complex)
             for f in factors:
@@ -87,7 +75,7 @@ class TestFactorize:
         eta = np.concatenate([np.ones(m), -np.ones(n)])
         for seed in range(25):
             A = random_isometry_for_signs(block_metric(m, n), 1000 * m + 100 * n + seed)
-            factors = two_level_factorize(A, (m, n))
+            factors = two_level_factorize(A, block_metric(m, n))
             assert len(factors) <= d * (d - 1) // 2
             recon = np.eye(d, dtype=complex)
             for f in factors:
@@ -129,7 +117,7 @@ class TestFactorize:
 
     def test_diagonal_cz_is_one_factor(self):
         A = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        factors = two_level_factorize(A, (4, 0))
+        factors = two_level_factorize(A, block_metric(4, 0))
         assert len(factors) == 1
         f = factors[0]
         assert (f.i, f.j) == (2, 3)
@@ -151,54 +139,49 @@ class TestFactorize:
         monkeypatch.setattr(twolevel, "_pair_inverse", scaling_third)
         A = random_isometry_for_signs(block_metric(2, 2), 5)
         with pytest.raises(IsometryError, match="pair metric"):
-            two_level_factorize(A, (2, 2))
+            two_level_factorize(A, block_metric(2, 2))
         assert len(calls) > 3
 
     def test_a_nan_reconstruction_is_refused(self, monkeypatch):
         # a factor that turns NaN after the pair check leaves the rebuilt
         # product NaN, which the reconstruction check must refuse
-        original = twolevel._trusted_factor
+        original = twolevel.TwoLevelFactor
         calls = []
 
-        def nan_third(i, j, V, metric_pair):
+        def nan_third(i, j, V):
             calls.append(V)
-            return original(i, j, V * np.nan if len(calls) == 3 else V, metric_pair)
+            return original(i, j, V * np.nan if len(calls) == 3 else V)
 
-        monkeypatch.setattr(twolevel, "_trusted_factor", nan_third)
+        monkeypatch.setattr(twolevel, "TwoLevelFactor", nan_third)
+        eta = block_metric(2, 2)
         with pytest.raises(LqcError, match="reconstruction error nan"):
-            two_level_factorize(random_isometry_for_signs(block_metric(2, 2), 5), (2, 2))
+            two_level_factorize(random_isometry_for_signs(eta, 5), eta)
 
     def test_rejects_non_isometry(self):
         with pytest.raises(IsometryError):
-            two_level_factorize(np.ones((3, 3)), (2, 1))
-
-    def test_metric_argument_forms(self):
-        A = random_isometry_for_signs(block_metric(2, 1), 9)
-        by_pair = two_level_factorize(A, (2, 1))
-        by_vector = two_level_factorize(A, np.array([1.0, 1.0, -1.0]))
-        assert len(by_pair) == len(by_vector)
+            two_level_factorize(np.ones((3, 3)), block_metric(2, 1))
 
     def test_metric_matrix_refused(self):
-        # the metric is a signature or a sign vector, never a diagonal matrix
+        # the metric is a sign vector, never a diagonal matrix
         A = random_isometry_for_signs(block_metric(2, 1), 9)
-        with pytest.raises(LqcError, match="sign vector"):
+        with pytest.raises(LqcError, match="shape mismatch"):
             two_level_factorize(A, np.diag([1.0, 1.0, -1.0]))
 
 
 class TestPatternControl:
     """A single-bit gate controlled on a pattern of trigger values is one
-    instruction, named by `_Emitter`."""
+    instruction, named by `Emitter`."""
 
     def test_no_zeros_single_instruction(self):
         layout = RegisterLayout.of(3, 0)
-        [instr] = _Emitter(layout).emit({0: 1, 1: 1}, 2, builtin("H"))
+        [instr] = Emitter(layout).emit({0: 1, 1: 1}, 2, builtin("H"))
         assert (instr.gate, instr.targets, instr.controls) == ("H", (2,), (0, 1))
         assert instr.ctrl_state == (1, 1)
 
     def test_zero_pattern_matches_oracle(self):
         layout = RegisterLayout.of(3, 0)
         V = random_su2_form(7)
-        circ = Circuit(layout, tuple(_Emitter(layout).emit({0: 0, 1: 1}, 2, V)))
+        circ = Circuit(layout, tuple(Emitter(layout).emit({0: 0, 1: 1}, 2, V)))
         assert [i.ctrl_state for i in circ.instructions] == [(0, 1)]
         got = to_matrix(circ)
         want = np.eye(8, dtype=complex)
@@ -208,7 +191,7 @@ class TestPatternControl:
     def test_all_zero_pattern(self):
         layout = RegisterLayout.of(2, 0)
         V = random_su2_form(8)
-        circ = Circuit(layout, tuple(_Emitter(layout).emit({0: 0}, 1, V)))
+        circ = Circuit(layout, tuple(Emitter(layout).emit({0: 0}, 1, V)))
         got = to_matrix(circ)
         want = np.eye(4, dtype=complex)
         want[np.ix_((0, 1), (0, 1))] = V
@@ -217,16 +200,12 @@ class TestPatternControl:
     def test_target_in_pattern_rejected(self):
         layout = RegisterLayout.of(2, 0)
         with pytest.raises(LqcError, match="duplicate bit"):
-            Circuit(layout, tuple(_Emitter(layout).emit({1: 1}, 1, builtin("Z"))))
-
-
-def factor_for(layout, i, j, V):
-    return TwoLevelFactor(i, j, V, tuple(metric_vector(layout)[[i, j]].tolist()))
+            Circuit(layout, tuple(Emitter(layout).emit({1: 1}, 1, builtin("Z"))))
 
 
 def check_lowering(layout, i, j, V, tol=1e-8):
-    f = factor_for(layout, i, j, V)
-    circ = two_level_to_circuit(f, layout)
+    f = TwoLevelFactor(i, j, V)
+    circ = lower([f], layout)
     got = to_matrix(circ)
     want = embed(f, layout.dimension)
     err = np.max(np.abs(got - want))
@@ -292,19 +271,28 @@ class TestLowering:
         si, sj = metric_vector(layout)[[i, j]].tolist()
         V = random_su2_form(21) if si == sj else random_isometry_for_signs(block_metric(1, 1), 21)
         with pytest.raises(LqcError, match=rf"pair \({i}, {j}\) on register {kinds}"):
-            two_level_to_circuit(TwoLevelFactor(i, j, V, (si, sj)), layout)
+            lower([TwoLevelFactor(i, j, V)], layout)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("i,j", [(0, 7), (4, 5), (-1, 0)])
+    def test_index_outside_the_register(self, i, j):
         layout = RegisterLayout.of(2, 0)
-        f = TwoLevelFactor(0, 7, np.eye(2), (1, 1))
-        with pytest.raises(LqcError):
-            two_level_to_circuit(f, layout)
+        f = TwoLevelFactor(i, j, random_su2_form(12))
+        with pytest.raises(LqcError, match=rf"indices \({i},{j}\) does not fit a 2-bit"):
+            lower([f], layout)
 
-    def test_metric_pair_mismatch(self):
-        layout = RegisterLayout("qh")
-        f = TwoLevelFactor(0, 3, np.eye(2), (1, 1))  # index 3 is negative here
-        with pytest.raises(LqcError):
-            two_level_to_circuit(f, layout)
+    def test_boost_on_equal_sign_pair_refused_by_circuit(self):
+        # a boost is not unitary, so the emitted gate fails its metric check
+        # on a qubit target; on the opposite-sign pair of a hybit it lowers
+        with pytest.raises(IsometryError):
+            lower([TwoLevelFactor(0, 1, builtin("BOOST", 0.5))], RegisterLayout("qq"))
+        check_lowering(RegisterLayout("qh"), 0, 1, builtin("BOOST", 0.5), 1e-12)
+
+    def test_sheared_block_two_hybits_apart_refused(self):
+        # unit first row and determinant 1, but not unitary: the four-matrix
+        # identity reads only the first row, so the second is checked
+        V = np.array([[0.6, 0.8], [0.0, 1 / 0.6]], dtype=complex)
+        with pytest.raises(IsometryError, match=r"block \(0, 3\) is not unitary"):
+            lower([TwoLevelFactor(0, 3, V)], RegisterLayout("hh"))
 
 
 class TestFactorizeLowerRoundtrip:
@@ -316,10 +304,7 @@ class TestFactorizeLowerRoundtrip:
         s = metric_vector(layout).astype(float)
         for seed in range(4):
             A = random_isometry_for_signs(s, 400 + seed)
-            factors = two_level_factorize(A, s)
-            got = np.eye(layout.dimension, dtype=complex)
-            for f in factors:
-                got = got @ to_matrix(two_level_to_circuit(f, layout))
+            got = to_matrix(lower(two_level_factorize(A, s), layout))
             assert np.max(np.abs(got - A)) < 1e-8
 
     def test_three_bit_mixed(self):
@@ -328,11 +313,16 @@ class TestFactorizeLowerRoundtrip:
         layout = RegisterLayout("qqh")
         s = metric_vector(layout).astype(float)
         A = random_isometry_for_signs(s, 900)
-        factors = two_level_factorize(A, s)
-        got = np.eye(8, dtype=complex)
-        for f in factors:
-            got = got @ to_matrix(two_level_to_circuit(f, layout))
+        got = to_matrix(lower(two_level_factorize(A, s), layout))
         assert np.max(np.abs(got - A)) < 1e-7
+
+    @pytest.mark.parametrize("kinds", ["qqh", "qhh", "hhh"])
+    def test_compile_is_factorize_then_lower(self, kinds):
+        layout = RegisterLayout(kinds)
+        s = metric_vector(layout)
+        for seed in range(3):
+            A = random_isometry_for_signs(s, 910 + seed)
+            assert compile(A, layout).circuit == lower(two_level_factorize(A, s), layout)
 
 
 class TestMetricCaseIdentities:
