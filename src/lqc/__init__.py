@@ -12,7 +12,6 @@ from .core import (
     StateVector,
     basis_state,
     metric_vector,
-    normalize,
     pseudo_norm,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "StateVector",
     "basis_state",
     "metric_vector",
-    "normalize",
     "pseudo_norm",
 ]
 

@@ -167,15 +167,6 @@ def basis_state(layout: RegisterLayout, bitstring: Sequence[int] | str) -> State
     return StateVector(layout, amps)
 
 
-def normalize(state: StateVector) -> StateVector:
-    """Scale to pseudo-norm +1. States with pseudo-norm <= 0 are not
-    physically preparable and are rejected."""
-    pn = pseudo_norm(state)
-    if pn <= 0.0:
-        raise LqcError(f"cannot normalize state with pseudo-norm {pn:.6g}")
-    return StateVector(state.layout, state.amps / np.sqrt(pn))
-
-
 def encode_bits(layout: RegisterLayout, bits: Iterable[int]) -> int:
     """Basis index of a classical bit assignment (big-endian, bit 0 = MSB)."""
     index = 0

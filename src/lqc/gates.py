@@ -94,18 +94,6 @@ def isometry_residual(G: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
     return float(worst[0]) if single else worst
 
 
-def controlled(G: np.ndarray, k: int) -> np.ndarray:
-    """Lift G to k control bits: identity except on the all-ones control
-    pattern, where G acts."""
-    if k < 1:
-        raise LqcError("control count must be >= 1")
-    G = np.asarray(G, dtype=complex)
-    d = G.shape[0]
-    out = np.eye((1 << k) * d, dtype=complex)
-    out[-d:, -d:] = G
-    return out
-
-
 def random_isometry_for_signs(signs: Sequence[float], seed: int) -> np.ndarray:
     """Haar-flavored random element preserving an arbitrary +-1 diagonal metric,
     via exp(-i eta Hherm). Deterministic per seed."""

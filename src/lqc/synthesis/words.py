@@ -4,6 +4,28 @@ A qubit word is built from {H, T}; a hybit word from {TAU, T}. Breadth
 first enumeration with projective dedup is enough at desk scale: reduced
 words grow slowly (H and TAU square to the identity, T has finite order
 up to phase), so the frontier stays small even at depth 20.
+
+The search takes one level at a time. The frontier, the words of the last
+length kept, is one (n, 2, 2) stack, and one stacked product with the
+generators gives the next level's candidates: frontier-major, names in
+sorted order. Each candidate gets a key that is equal for matrices that
+agree up to a global phase after rounding, and a key seen on this or an
+earlier level drops it, so within a level the first occurrence in that
+order is the one kept. One stacked `projective_distance` then scores the
+kept candidates, and the rule err < best - EPS_WORD_TIE is replayed over
+them in order: ties break toward the shorter, then the earlier, word.
+
+Every result is bit-identical to scoring one node at a time, which the
+tests check against such a search. Each stacked step does the same float
+operations on each element as the single-matrix step: numpy's stacked
+matmul makes the same 2x2 product per element, and a stacked np.trace sums
+each diagonal as the single one does. The phases need care: each phase
+t/|t| must have the bits of the numpy scalar t / abs(t), the form the
+single-matrix step uses. A scalar's abs() is the C library's hypot of the
+parts, but np.abs on a complex array runs numpy's own vector loop, which
+can differ in the last bit; with t / np.abs(t), some printed errors change
+in their last digits. So the phases are t / np.hypot(t.real, t.imag), an
+array formula with the scalar's bits.
 """
 from __future__ import annotations
 
@@ -44,25 +66,42 @@ class GateWord:
         return " ".join(self.letters) if self.letters else "<empty>"
 
 
-def projective_distance(A: np.ndarray, B: np.ndarray) -> float:
+def projective_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     """max-norm distance between A and B minimized over a global phase of B.
 
     The optimal phase for the Frobenius norm, arg tr(B^dag A), is used in
-    closed form; with it fixed the max-norm is what gets reported.
+    closed form; with it fixed the max-norm is what gets reported. One
+    matrix B gives a float; an (m, d, d) stack gives the m distances as an
+    array, each equal to the distance of its element alone.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    t = np.trace(B.conj().T @ A)
-    if abs(t) < EPS_DEGENERATE:
-        # trace degenerate; fall back to the largest-magnitude entry of
-        # B^dag A as the phase reference (deterministic)
-        M = B.conj().T @ A
-        flat = np.argmax(np.abs(M))
-        t = M.flat[flat]
-        if abs(t) < EPS_NO_PHASE_REF:
-            return float(np.max(np.abs(A - B)))
-    z = t / abs(t)
-    return float(np.max(np.abs(A - z * B)))
+    single = B.ndim == 2
+    stack = B[None] if single else B
+    M = stack.conj().swapaxes(1, 2) @ A
+    t = np.trace(M, axis1=1, axis2=2)
+    for i in np.flatnonzero(_scalar_abs(t) < EPS_DEGENERATE):
+        t[i] = _fallback_phase_ref(M[i])
+    worst = np.abs(A - _phases(t)[:, None, None] * stack).max(axis=(1, 2))
+    return float(worst[0]) if single else worst
+
+
+def _fallback_phase_ref(M: np.ndarray) -> complex:
+    """Phase reference of one B^dag A whose trace is degenerate: its
+    largest-magnitude entry (deterministic), or 1, which compares B as it
+    is, when that is zero too."""
+    ref = M.flat[np.argmax(np.abs(M))]
+    return ref if abs(ref) >= EPS_NO_PHASE_REF else 1.0
+
+
+def _scalar_abs(z: np.ndarray) -> np.ndarray:
+    """abs() of each entry with the bits of abs() on a numpy complex scalar."""
+    return np.hypot(z.real, z.imag)
+
+
+def _phases(z: np.ndarray) -> np.ndarray:
+    """z / abs(z) of each entry with the bits of the numpy scalar division."""
+    return z / _scalar_abs(z)
 
 
 def generator_matrices(bitkind: BitKind | str) -> dict[str, np.ndarray]:
@@ -71,19 +110,17 @@ def generator_matrices(bitkind: BitKind | str) -> dict[str, np.ndarray]:
     return {name: builtin(name) for name in names}
 
 
-def _canonical_key(matrix: np.ndarray) -> bytes:
+def _canonical_keys(stack: np.ndarray) -> list[bytes]:
+    """One dedup key per matrix of an (n, 2, 2) stack."""
     # fix the global phase by the first entry whose magnitude is at least
     # half the largest, then round; +0.0 squashes negative zeros
-    mags = np.abs(matrix)
-    ref = None
-    cutoff = 0.5 * mags.max()
-    for value in matrix.flat:
-        if abs(value) >= cutoff:
-            ref = value
-            break
-    canon = matrix / (ref / abs(ref))
-    rounded = np.round(canon, _DEDUP_DECIMALS) + 0.0
-    return rounded.tobytes()
+    flat = stack.reshape(len(stack), 4)
+    cutoff = 0.5 * np.abs(flat).max(axis=1)
+    first = np.argmax(_scalar_abs(flat) >= cutoff[:, None], axis=1)
+    ref = flat[np.arange(len(flat)), first]
+    rounded = np.round(stack / _phases(ref)[:, None, None], _DEDUP_DECIMALS) + 0.0
+    # the bytes of each rounded matrix, as rounded[i].tobytes() gives them
+    return rounded.reshape(len(stack), 4).view(np.dtype((np.void, 64))).ravel().tolist()
 
 
 def word_search(
@@ -111,34 +148,41 @@ def word_search(
         )
     gens = generator_matrices(kind)
     names = sorted(gens)
+    G = np.stack([gens[name] for name in names])
 
-    identity = np.eye(2, dtype=complex)
-    best_word: tuple[str, ...] = ()
-    best_matrix = identity
-    best_error = projective_distance(target, identity)
-
-    seen = {_canonical_key(identity)}
-    frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), identity)]
+    frontier = np.eye(2, dtype=complex)[None]
+    best_matrix = frontier[0].copy()
+    best_error = float(projective_distance(target, frontier)[0])
+    best_at = (0, 0)  # (length, index in its level) of the best word
+    seen = set(_canonical_keys(frontier))
+    # per level, the index among its products of each kept word:
+    # parent index * len(names) + letter index
+    kept_at: list[list[int]] = []
     for _depth in range(depth_max):
-        if not frontier:
+        if not len(frontier):
             break
-        next_frontier: list[tuple[tuple[str, ...], np.ndarray]] = []
-        for letters, mat in frontier:
-            for name in names:
-                new_mat = mat @ gens[name]
-                key = _canonical_key(new_mat)
-                if key in seen:
-                    continue
+        products = (frontier[:, None] @ G[None]).reshape(-1, 2, 2)
+        keep = []
+        for i, key in enumerate(_canonical_keys(products)):
+            if key not in seen:
                 seen.add(key)
-                new_letters = letters + (name,)
-                err = projective_distance(target, new_mat)
-                if err < best_error - EPS_WORD_TIE:
-                    best_word, best_matrix, best_error = new_letters, new_mat, err
-                next_frontier.append((new_letters, new_mat))
-        frontier = next_frontier
+                keep.append(i)
+        kept_at.append(keep)
+        frontier = products[keep]
+        errors = projective_distance(target, frontier)
+        # only a word below the level's starting bound can improve on it
+        for j in np.flatnonzero(errors < best_error - EPS_WORD_TIE).tolist():
+            if errors[j] < best_error - EPS_WORD_TIE:
+                best_at, best_error = (len(kept_at), j), float(errors[j])
+                best_matrix = frontier[j].copy()  # not a view of the level
 
+    length, j = best_at
+    letters = []
+    for keep in reversed(kept_at[:length]):
+        j, letter = divmod(keep[j], len(names))
+        letters.append(names[letter])
     return GateWord(
-        letters=best_word,
+        letters=tuple(reversed(letters)),
         matrix=best_matrix,
         error=best_error,
         tol_met=best_error < tol,

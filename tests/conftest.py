@@ -1,11 +1,17 @@
-"""Shared helpers: random layouts, random valid circuits, and the dense
-matrix of a two-level factor."""
+"""Shared helpers: random layouts, random valid circuits, the dense matrix
+of a two-level factor, a controlled lift, and the node-by-node word search
+that the stacked one is checked against."""
 
 import numpy as np
 from hypothesis import settings
 
 from lqc.circuit import Circuit, Instruction
-from lqc.core import BitKind, RegisterLayout
+from lqc.core import (
+    EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
+    LqcError, RegisterLayout, metric_for_kinds,
+)
+from lqc.gates import isometry_residual
+from lqc.synthesis.words import GateWord, generator_matrices
 
 QUBIT_GATES = ("H", "T", "X", "Y", "Z", "SZ", "SZD", "PHASE")
 HYBIT_GATES = ("T", "TAU", "Z", "SZ", "SZD", "BOOST", "PHASE")
@@ -42,6 +48,18 @@ def random_circuit(rng, layout, n_instr):
     return Circuit(layout, tuple(instrs))
 
 
+def cartan_target(kind, rng):
+    """Seeded single-bit isometry in Cartan form K1 @ B @ K2: diagonal
+    phases around a rotation for a qubit ("q") or a boost for a hybit ("h")."""
+    a, b, c, d = rng.uniform(-np.pi, np.pi, size=4)
+    x = rng.uniform(-1.5, 1.5)
+    if kind == "q":
+        B = np.array([[np.cos(x), -np.sin(x)], [np.sin(x), np.cos(x)]])
+    else:
+        B = np.array([[np.cosh(x), np.sinh(x)], [np.sinh(x), np.cosh(x)]])
+    return np.diag(np.exp(1j * np.array([a, b]))) @ B @ np.diag(np.exp(1j * np.array([c, d])))
+
+
 def random_state_amps(rng, dim):
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
@@ -53,3 +71,101 @@ def embed(factor, dim):
     ij = (factor.i, factor.j)
     out[np.ix_(ij, ij)] = factor.V
     return out
+
+
+def controlled(G, k):
+    """Lift G to k control bits: identity except on the all-ones control
+    pattern, where G acts."""
+    if k < 1:
+        raise LqcError("control count must be >= 1")
+    G = np.asarray(G, dtype=complex)
+    d = G.shape[0]
+    out = np.eye((1 << k) * d, dtype=complex)
+    out[-d:, -d:] = G
+    return out
+
+
+# The node-by-node word search, kept as the reference for the stacked one:
+# one product, one key and one distance per node.
+
+REFERENCE_DEDUP_DECIMALS = 6
+
+
+def reference_projective_distance(A, B):
+    """max-norm distance between A and B minimized over a global phase of B,
+    for one matrix B."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    t = np.trace(B.conj().T @ A)
+    if abs(t) < EPS_DEGENERATE:
+        # trace degenerate; fall back to the largest-magnitude entry of
+        # B^dag A as the phase reference (deterministic)
+        M = B.conj().T @ A
+        flat = np.argmax(np.abs(M))
+        t = M.flat[flat]
+        if abs(t) < EPS_NO_PHASE_REF:
+            return float(np.max(np.abs(A - B)))
+    z = t / abs(t)
+    return float(np.max(np.abs(A - z * B)))
+
+
+def reference_canonical_key(matrix):
+    # fix the global phase by the first entry whose magnitude is at least
+    # half the largest, then round; +0.0 squashes negative zeros
+    mags = np.abs(matrix)
+    ref = None
+    cutoff = 0.5 * mags.max()
+    for value in matrix.flat:
+        if abs(value) >= cutoff:
+            ref = value
+            break
+    canon = matrix / (ref / abs(ref))
+    rounded = np.round(canon, REFERENCE_DEDUP_DECIMALS) + 0.0
+    return rounded.tobytes()
+
+
+def reference_word_search(target, bitkind, tol, depth_max):
+    kind = BitKind(bitkind)
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (2, 2):
+        raise IsometryError("word_search target must be a 2x2 matrix")
+    eta = metric_for_kinds([kind])
+    resid = isometry_residual(target, eta)
+    if resid > EPS_TARGET_ISO:
+        raise IsometryError(
+            f"target is not an isometry for a {kind.name.lower()} (residual {resid:.3g})"
+        )
+    gens = generator_matrices(kind)
+    names = sorted(gens)
+
+    identity = np.eye(2, dtype=complex)
+    best_word = ()
+    best_matrix = identity
+    best_error = reference_projective_distance(target, identity)
+
+    seen = {reference_canonical_key(identity)}
+    frontier = [((), identity)]
+    for _depth in range(depth_max):
+        if not frontier:
+            break
+        next_frontier = []
+        for letters, mat in frontier:
+            for name in names:
+                new_mat = mat @ gens[name]
+                key = reference_canonical_key(new_mat)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new_letters = letters + (name,)
+                err = reference_projective_distance(target, new_mat)
+                if err < best_error - EPS_WORD_TIE:
+                    best_word, best_matrix, best_error = new_letters, new_mat, err
+                next_frontier.append((new_letters, new_mat))
+        frontier = next_frontier
+
+    return GateWord(
+        letters=best_word,
+        matrix=best_matrix,
+        error=best_error,
+        tol_met=best_error < tol,
+    )

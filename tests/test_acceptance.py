@@ -22,7 +22,6 @@ from lqc.gates import (
     block_metric,
     boost,
     builtin,
-    controlled,
     isometry_residual,
     phase_gate,
     random_isometry_for_signs,
@@ -46,7 +45,7 @@ from lqc.synthesis import (
 from lqc.synthesis import compile as synth_compile
 from lqc.synthesis import two_level_factorize
 
-from conftest import embed
+from conftest import controlled, embed
 
 
 def report(num, ok, detail=""):

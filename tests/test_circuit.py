@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import HYBIT_GATES, QUBIT_GATES, random_circuit, random_layout
+from conftest import HYBIT_GATES, QUBIT_GATES, controlled, random_circuit, random_layout
 from test_gates import metric_gates
 from test_kernels import ARITY, DEFGATES, GATES, ONLY_ON, make_instruction
 from lqc import circuit as circuit_module
@@ -27,7 +27,7 @@ from lqc.core import (
     RegisterLayout,
     metric_for_kinds,
 )
-from lqc.gates import BUILTIN_ARITY, builtin, controlled, isometry_residual
+from lqc.gates import BUILTIN_ARITY, builtin, isometry_residual
 
 class TestParse:
     def test_controlled_z(self):

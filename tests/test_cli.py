@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import cartan_target
 from lqc.circuit import format_matrix_text, parse
 from lqc.cli import main
 from lqc.gates import builtin
@@ -477,6 +478,85 @@ class TestApprox:
             "--depth", "2",
         )
         assert code == 1
+
+
+# Stdout of `lqc approx --tol 1e-3` and `lqc synth --approx 0.05` on seeded
+# Cartan-form targets, recorded with the node-by-node word search at
+# 0e03729; the level-at-a-time search must print the same bytes.
+APPROX_GOLDEN = {
+    ("qubit", 1, 16): (
+        "word = H T H T T H T H T H T H T T\n"
+        "projective_error = 0.043994044395885418\ntol_met = false\n"
+    ),
+    ("qubit", 1, 20): (
+        "word = H T H T T H T H T H T H T T\n"
+        "projective_error = 0.043994044395885418\ntol_met = false\n"
+    ),
+    ("qubit", 2, 16): (
+        "word = H T H T T T H T H T T\n"
+        "projective_error = 0.079035225857439564\ntol_met = false\n"
+    ),
+    ("qubit", 2, 20): (
+        "word = T T H T H T H T H T H T H T H T T T T\n"
+        "projective_error = 0.050752784275662446\ntol_met = false\n"
+    ),
+    ("hybit", 1, 16): (
+        "word = T T TAU T T TAU T TAU T T TAU T T TAU T TAU\n"
+        "projective_error = 0.097034455911599191\ntol_met = false\n"
+    ),
+    ("hybit", 1, 20): (
+        "word = T TAU T T TAU T TAU T T TAU T T T TAU T TAU T T TAU\n"
+        "projective_error = 0.05851863498854333\ntol_met = false\n"
+    ),
+    ("hybit", 2, 16): (
+        "word = T T T T TAU T TAU T TAU T T\n"
+        "projective_error = 0.13342610010278877\ntol_met = false\n"
+    ),
+    ("hybit", 2, 20): (
+        "word = TAU T TAU T T TAU T TAU T TAU T TAU T TAU T T TAU\n"
+        "projective_error = 0.090782032084326975\ntol_met = false\n"
+    ),
+}
+
+SYNTH_APPROX_GOLDEN = {
+    "qubit": "qubits 1\nH q0\nT q0\nT q0\nT q0\nT q0\nT q0\nH q0\nT q0\n",
+    "hybit": (
+        "hybits 1\nTAU h0\nT h0\nT h0\nT h0\nT h0\nT h0\nTAU h0\nT h0\nTAU h0\n"
+        "T h0\nT h0\nTAU h0\nT h0\nT h0\nTAU h0\nT h0\nTAU h0\n"
+    ),
+}
+
+
+def cartan_file(tmp_path, kind, seed):
+    A = cartan_target(kind[0], np.random.default_rng(seed))
+    m, n = (2, 0) if kind == "qubit" else (1, 1)
+    return put(tmp_path, f"{kind}{seed}.mat", format_matrix_text(A, m, n))
+
+
+class TestApproxGolden:
+    @pytest.mark.parametrize(
+        "kind,seed,depth",
+        [
+            pytest.param(*key, marks=[pytest.mark.slow] if key[2] == 20 else [])
+            for key in APPROX_GOLDEN
+        ],
+    )
+    def test_approx_stdout(self, tmp_path, capsys, kind, seed, depth):
+        f = cartan_file(tmp_path, kind, seed)
+        code, out, _ = cli(
+            capsys, "approx", f, "--kind", kind, "--tol", "1e-3", "--depth", str(depth)
+        )
+        assert code == 0
+        assert out == APPROX_GOLDEN[(kind, seed, depth)]
+
+    @pytest.mark.parametrize("kind", sorted(SYNTH_APPROX_GOLDEN))
+    def test_synth_approx_stdout(self, tmp_path, capsys, kind):
+        # a 1-bit register runs word_search at compiler.WORD_DEPTH = 20
+        f = cartan_file(tmp_path, kind, 3)
+        q, h = ("1", "0") if kind == "qubit" else ("0", "1")
+        code, out, _ = cli(capsys, "synth", f, "--qubits", q, "--hybits", h, "--approx", "0.05")
+        assert code == 0
+        assert out == SYNTH_APPROX_GOLDEN[kind]
 
 
 class TestUsage:

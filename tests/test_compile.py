@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import controlled
 from lqc.circuit import to_matrix
 from lqc.core import (
     EPS_ISO,
@@ -15,7 +16,7 @@ from lqc.core import (
     RegisterLayout,
     metric_vector,
 )
-from lqc.gates import builtin, controlled, isometry_residual, random_isometry_for_signs
+from lqc.gates import builtin, isometry_residual, random_isometry_for_signs
 from lqc.synthesis import compile, compiler, format_report, projective_distance, twolevel
 from lqc.synthesis.words import word_search
 

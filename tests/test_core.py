@@ -15,7 +15,6 @@ from lqc.core import (
     encode_bits,
     metric_for_kinds,
     metric_vector,
-    normalize,
     pseudo_norm,
 )
 
@@ -123,21 +122,6 @@ class TestBasisState:
         state = basis_state(layout, list(bits))
         idx = encode_bits(layout, bits)
         assert pseudo_norm(state) == float(metric_vector(layout)[idx])
-
-
-class TestNormalize:
-    def test_scales_to_unit(self):
-        layout = RegisterLayout.of(0, 1)
-        state = StateVector(layout, np.array([2 * np.sqrt(2), 2.0]))
-        out = normalize(state)
-        assert pseudo_norm(out) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonpositive(self):
-        layout = RegisterLayout.of(0, 1)
-        with pytest.raises(LqcError):
-            normalize(StateVector(layout, np.array([1.0, 1.0])))
-        with pytest.raises(LqcError):
-            normalize(StateVector(layout, np.array([1.0, 2.0])))
 
 
 class TestLayout:

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import controlled
 from lqc.circuit import serialize, to_matrix
 from lqc.core import BitKind, IsometryError, LqcError, RegisterLayout
 from lqc.gates import (
-    block_metric, builtin, controlled, isometry_residual, random_isometry_for_signs,
+    block_metric, builtin, isometry_residual, random_isometry_for_signs,
 )
 from lqc.synthesis import gadgets
 from lqc.synthesis.gadgets import isometric_sqrt, lambda_k

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import controlled
 from lqc.circuit import (
     Instruction,
     ParseError,
@@ -17,7 +18,6 @@ from lqc.gates import (
     block_metric,
     boost,
     builtin,
-    controlled,
     isometry_residual,
     phase_gate,
     random_isometry_for_signs,

@@ -1,8 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
-from lqc.core import IsometryError
+from conftest import (
+    cartan_target, reference_canonical_key, reference_projective_distance, reference_word_search,
+)
+from lqc.core import EPS_DEGENERATE, IsometryError
 from lqc.gates import builtin
+from lqc.synthesis import words
 from lqc.synthesis.words import (
     GateWord,
     generator_matrices,
@@ -127,3 +133,195 @@ class TestWordSearch:
         deep = word_search(target, "h", 1e-3, 14)
         assert deep.error <= shallow.error + 1e-15
         assert deep.error < 0.5
+
+
+def assert_same_search(target, kind, tol, depth):
+    got = word_search(target, kind, tol, depth)
+    want = reference_word_search(target, kind, tol, depth)
+    assert got.letters == want.letters, (depth, got.letters, want.letters)
+    assert got.error == want.error, (depth, got.error, want.error)
+    assert np.array_equal(got.matrix, want.matrix), depth
+    assert got.tol_met == want.tol_met
+
+
+class TestMatchesNodeByNodeSearch:
+    """The level-at-a-time search returns what scoring one node at a time
+    returns, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_cartan_targets(self, kind, seed):
+        target = cartan_target(kind, np.random.default_rng(seed))
+        for depth in range(17):
+            assert_same_search(target, kind, 1e-3, depth)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_cartan_targets_depth_20(self, kind, seed):
+        assert_same_search(cartan_target(kind, np.random.default_rng(seed)), kind, 1e-3, 20)
+
+    @pytest.mark.parametrize("name", ["X", "Y", "Z"])
+    def test_paulis_take_the_degenerate_trace_fallback(self, name):
+        # tr(B^dag P) is zero for many words B, inside the stacked distance
+        for depth in range(17):
+            assert_same_search(builtin(name), "q", 1e-3, depth)
+
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_word_targets_and_identity(self, kind):
+        rng = np.random.default_rng(12)
+        names = sorted(generator_matrices(kind))
+        targets = [np.eye(2)]
+        targets += [word_matrix(rng.choice(names, size=n), kind) for n in (1, 3, 6, 9)]
+        for target in targets:
+            for depth in (0, 4, 10):
+                assert_same_search(target, kind, 1e-9, depth)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.5])
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_small_and_large_tol(self, kind, tol):
+        assert_same_search(cartan_target(kind, np.random.default_rng(7)), kind, tol, 12)
+
+
+@functools.cache
+def searched_products(kind, depth):
+    """Every product the search forms up to depth, as one stack."""
+    gens = generator_matrices(kind)
+    names = sorted(gens)
+    identity = np.eye(2, dtype=complex)
+    seen = {reference_canonical_key(identity)}
+    frontier, products = [identity], []
+    for _ in range(depth):
+        level = [m @ gens[name] for m in frontier for name in names]
+        products += level
+        frontier = []
+        for m in level:
+            key = reference_canonical_key(m)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(m)
+    return np.array(products)
+
+
+@functools.cache
+def stack(name):
+    if name == "random":
+        rng = np.random.default_rng(2024)
+        return rng.normal(size=(10_000, 2, 2)) + 1j * rng.normal(size=(10_000, 2, 2))
+    return searched_products(name, 12)
+
+
+def degenerate_stack():
+    """Traces against the identity that are zero, below EPS_DEGENERATE, or
+    fine, and one matrix with no phase reference at all."""
+    X, Y, Z = builtin("X"), builtin("Y"), builtin("Z")
+    rng = np.random.default_rng(3)
+    return np.array([
+        X, Y, np.eye(2), Z, X + 1e-13 * np.eye(2), 1e-16 * Y,
+        np.zeros((2, 2)), builtin("H"), rng.normal(size=(2, 2)) + 0j,
+    ], dtype=complex)
+
+
+def scalar_phases(t):
+    return np.array([v / abs(v) for v in t])
+
+
+class TestStackedHelpers:
+    """The stacked distance and key equal the single-matrix ones of the
+    node-by-node search on every element, to the bit."""
+
+    @pytest.mark.parametrize("name", ["random", "q", "h"])
+    def test_distance(self, name):
+        S = stack(name)
+        rng = np.random.default_rng(9)
+        for A in (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                  cartan_target("h", rng), builtin("X")):
+            got = projective_distance(A, S)
+            assert np.array_equal(got, [reference_projective_distance(A, B) for B in S])
+            assert np.array_equal(got, [projective_distance(A, B) for B in S])
+
+    @pytest.mark.parametrize("name", ["random", "q", "h"])
+    def test_key(self, name):
+        S = stack(name)
+        assert words._canonical_keys(S) == [reference_canonical_key(B) for B in S]
+
+    def test_degenerate_traces(self):
+        S = degenerate_stack()
+        A = np.eye(2, dtype=complex)
+        traces = [abs(np.trace(B.conj().T @ A)) for B in S]
+        assert 0 < sum(t < EPS_DEGENERATE for t in traces) < len(S)
+        got = projective_distance(A, S)
+        assert np.array_equal(got, [reference_projective_distance(A, B) for B in S])
+        nonzero = [B for B in S if np.abs(B).max() > 0]
+        assert words._canonical_keys(np.array(nonzero)) == [
+            reference_canonical_key(B) for B in nonzero
+        ]
+
+    def test_stacks_of_zero_and_one(self):
+        A = builtin("H")
+        empty = np.empty((0, 2, 2), dtype=complex)
+        assert projective_distance(A, empty).shape == (0,)
+        assert words._canonical_keys(empty) == []
+        B = builtin("T")
+        one = projective_distance(A, B[None])
+        assert one.shape == (1,) and one[0] == reference_projective_distance(A, B)
+        assert isinstance(projective_distance(A, B), float)
+        assert words._canonical_keys(B[None]) == [reference_canonical_key(B)]
+
+    def test_array_phase_is_not_the_scalar_phase(self):
+        # abs() of a numpy complex scalar is the C library's hypot, and
+        # np.abs of a complex array is numpy's own vector loop: where they
+        # differ, t / np.abs(t) would change printed errors in the last digits
+        S = stack("random")
+        A = cartan_target("q", np.random.default_rng(1))
+        t = np.trace(S.conj().swapaxes(1, 2) @ A, axis1=1, axis2=2)
+        want = scalar_phases(t)
+        assert np.array_equal(words._phases(t), want)
+        differs = np.flatnonzero(t / np.abs(t) != want)
+        if not len(differs):
+            pytest.skip("np.abs and abs() agree here, so t / np.abs(t) is the scalar phase")
+        S = S[differs]
+        ref = [reference_projective_distance(A, B) for B in S]
+        assert np.array_equal(projective_distance(A, S), ref)
+        array_phase = np.abs(A - (t / np.abs(t))[differs, None, None] * S).max(axis=(1, 2))
+        assert not np.array_equal(array_phase, ref)
+
+
+class TestOneCallPerLevel:
+    """word_search calls the stacked helpers once per level, never once per
+    node; a timing test would not catch a slide back to per-node calls."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(words, name)
+
+        def record(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(words, name, record)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kind,target", [("q", builtin("X")), ("q", rot_z(1.0)), ("h", builtin("BOOST", 0.2))]
+    )
+    def test_helpers_once_per_level(self, monkeypatch, kind, target):
+        depth = 12
+        distances = self.spy(monkeypatch, "projective_distance")
+        keys = self.spy(monkeypatch, "_canonical_keys")
+        fallbacks = self.spy(monkeypatch, "_fallback_phase_ref")
+        word_search(target, kind, 1e-3, depth)
+        # the identity, then one stack per level
+        assert 1 < len(distances) <= depth + 1
+        assert 1 < len(keys) <= depth + 1
+        assert all(B.ndim == 3 for _, B in distances)
+        assert all(S.ndim == 3 for (S,) in keys)
+        nodes = sum(len(B) for _, B in distances)
+        assert nodes > 10 * (depth + 1)
+        # the per-element fallback runs for exactly the degenerate traces
+        degenerate = sum(
+            abs(np.trace(B.conj().T @ A)) < EPS_DEGENERATE
+            for A, stack in distances for B in stack
+        )
+        assert 0 < len(fallbacks) == degenerate < nodes
