@@ -1,6 +1,6 @@
-"""Shared helpers: random layouts, random valid circuits, the dense matrix
-of a two-level factor, a controlled lift, and the node-by-node word search
-that the stacked one is checked against."""
+"""Shared helpers: random layouts, random valid circuits, the whole-tensor
+run, the dense matrix of a two-level factor, a controlled lift, and the
+node-by-node word search that the stacked one is checked against."""
 
 import numpy as np
 from hypothesis import settings
@@ -8,9 +8,10 @@ from hypothesis import settings
 from lqc.circuit import Circuit, Instruction
 from lqc.core import (
     EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
-    LqcError, RegisterLayout, metric_for_kinds,
+    LqcError, RegisterLayout, basis_state, metric_for_kinds,
 )
 from lqc.gates import isometry_residual
+from lqc.simulator import apply_to_tensor
 from lqc.synthesis.words import GateWord, generator_matrices
 
 QUBIT_GATES = ("H", "T", "X", "Y", "Z", "SZ", "SZD", "PHASE")
@@ -46,6 +47,18 @@ def random_circuit(rng, layout, n_instr):
             param = float(rng.uniform(-1.5, 1.5))
         instrs.append(Instruction(name, (target,), tuple(controls), param))
     return Circuit(layout, tuple(instrs))
+
+
+def reference_run(circuit, initial=None):
+    """`run` as a plain loop: every instruction through apply_to_tensor on
+    the whole state tensor, with no bit left out as untouched."""
+    layout = circuit.layout
+    state = basis_state(layout, [0] * layout.num_bits) if initial is None else initial.copy()
+    tensor = state.amps.reshape([2] * layout.num_bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for instr in circuit.instructions:
+            apply_to_tensor(layout, tensor, instr)
+    return state
 
 
 def cartan_target(kind, rng):

@@ -88,3 +88,34 @@ def test_validation_is_traced(spans):
     assert built >= 1
     assert tracer.calls("gates.isometry_residual") > built
     assert tracer.calls("circuit.parse") == 1
+
+
+# 12 qubits + 2 hybits: an H layer, then gates of every kernel class. h1 is
+# untouched until its BOOST, so the first CTRL on it never triggers and the
+# second runs as a bare TAU.
+TRACED_RUN = (
+    "qubits 12\nhybits 2\n"
+    + "".join(f"H q{i}\n" for i in range(12))
+    + "CTRL h1 : TAU h0\nCTRL !h1 : TAU h0\nT q3\nZ h0\nX q5\nY q7\nBOOST 0.4 h1\n"
+    "CTRL q0 !q2 : X q4\nCTRL h0 : T q1\nCZ q1 h1\n"
+)
+TRACED_CLASSES = {"dense": 12 + 2, "diag": 3, "perm": 2, "ctrl": 2}
+
+
+def test_run_traces_each_acting_gate_by_its_class(spans):
+    # one simulator.apply.<class> span per instruction that acts, classed as
+    # the gate that runs: a run that hid gates as controlled passes, or
+    # bypassed apply_to_tensor or its (layout, tensor, instr) signature,
+    # would miss these counts
+    from lqc import simulator
+
+    # installed() wraps functions in loaded modules only
+    for module_name, _ in spans.wrappers(spans.Tracer()):
+        importlib.import_module(module_name)
+    circuit = circuit_module.parse(TRACED_RUN)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        simulator.run(circuit)
+    got = {cls: tracer.calls(f"simulator.apply.{cls}") for cls in spans.GATE_CLASSES}
+    assert got == TRACED_CLASSES
+    assert sum(got.values()) == len(circuit.instructions) - 1
