@@ -253,8 +253,8 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     controls, since BLAS may round a matmul differently at another width."""
     layout = circuit.layout
     if initial is None:
-        state = basis_state(layout, [0] * layout.num_bits)
         start = [0] * layout.num_bits
+        state = basis_state(layout, start)
     else:
         if initial.layout != layout:
             raise LqcError("initial state layout does not match circuit layout")
