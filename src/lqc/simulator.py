@@ -39,12 +39,14 @@ longer than a multiple of TILE; the stretches of a state vector or of
 occur.)
 
 Where the adjacent amplitudes of a slice come in stretches of exactly 2
-(a target at the second-to-last register bit), the swap, the dense update
-and the diagonal scaling iterate with that stretch axis moved to the front,
-in C order: inner loops then run along the long strided axes instead of
-over pairs. At bit 18 of a 20-bit state that about halves a dense pass and
-cuts a diagonal one to a third; at stretches of 4 (bit 17) the same reorder
-measured slower, so it is kept to stretches of 2.
+(the second-to-last register bit is not an axis of the slice, being its
+target, a control or a fixed untouched bit, while the last bit is), the
+swap, the dense update and the diagonal scaling iterate with that stretch
+axis moved to the front, in C order: inner loops then run along the long
+strided axes instead of over pairs. With the target at bit 18 of a 20-bit
+state that about halves a dense pass and cuts a diagonal one to a third;
+at stretches of 4 (bit 17) the same reorder measured slower, so it is kept
+to stretches of 2.
 
 Gates with two or more targets (CZ, multi-target DEFGATEs) move their
 target axes to the front and multiply by the gate matrix.
@@ -56,7 +58,9 @@ skipped, and the others run on the view of the tensor with those axes
 fixed, since every amplitude outside it is zero and stays zero. An H layer
 on |0...0> then touches one block of the state per gate instead of all of
 it. Two limits keep the result bit-identical to passes over the whole
-tensor: a single-target pass fixes no more untouched bits than leave each
+tensor, apart from the sign of zero amplitudes outside the view (a
+whole-tensor Z turns them into -0.0, which no probability sees): a
+single-target pass fixes no more untouched bits than leave each
 target slice max(BLAS_DENSE_MAX, 2) amplitudes, because a smaller slice
 would take the BLAS branch or numpy's one-amplitude product, which round
 differently; a pass with two or more targets fixes none beyond its
@@ -225,9 +229,10 @@ def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
 
 def _loop_order(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     """The target slices and the order to iterate them in. Where adjacent
-    amplitudes come in stretches of exactly 2 (a target at the second-to-last
-    register bit), that axis moves to the front and the iteration runs in C
-    order, so inner loops walk the long strided axes rather than pairs."""
+    amplitudes come in stretches of exactly 2 (register bit n-2 is absent
+    from the slice, as its target, a control or a fixed untouched bit, and
+    bit n-1 is present), that axis moves to the front and the iteration runs
+    in C order, so inner loops walk the long strided axes rather than pairs."""
     if (x0.ndim > 1 and x0.shape[-1] == 2 and x0.strides[-1] == x0.itemsize
             and x0.strides[-2] != 2 * x0.itemsize):
         return np.moveaxis(x0, -1, 0), np.moveaxis(x1, -1, 0), "C"
@@ -239,13 +244,15 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
 
     From a basis state (the default, or an initial state with exactly one
     nonzero amplitude) the run tracks the untouched bits, those no
-    instruction has targeted yet, with their start values. An instruction
-    with a control on an untouched bit is skipped when the trigger differs
-    from the start value (its control block is all zero) and loses that
-    control when it matches. The rest runs on the view of the tensor with
-    untouched axes fixed at their start values; every amplitude outside the
-    view is zero and stays zero. The result is bit-identical to applying
-    every instruction to the whole tensor, within two limits: a single-target
+    instruction has targeted yet, with their start values; from any other
+    state no bit is untouched. An instruction with a control on an untouched
+    bit is skipped when the trigger differs from the start value (its
+    control block is all zero) and loses that control when it matches. The
+    rest runs on the view of the tensor with untouched axes fixed at their
+    start values; every amplitude outside the view is zero and stays zero.
+    The result is bit-identical to applying every instruction to the whole
+    tensor, except that a zero amplitude outside the view keeps +0.0 where a
+    whole-tensor pass may leave -0.0. Two limits keep it so: a single-target
     pass fixes only as many extra untouched bits as leave each target slice
     at least max(BLAS_DENSE_MAX, 2) amplitudes, since a smaller slice would
     switch to the BLAS branch or to numpy's one-amplitude product, which
@@ -263,11 +270,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     tensor = state.amps.reshape([2] * layout.num_bits)
     # an overflowing state is reported by observe, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if start is None:
-            for instr in circuit.instructions:
-                apply_to_tensor(layout, tensor, instr)
-        else:
-            _run_from_basis(layout, tensor, circuit.instructions, start)
+        _apply_all(layout, tensor, circuit.instructions, start)
     return state
 
 
@@ -280,12 +283,13 @@ def _basis_bits(state: StateVector) -> list[int] | None:
     return [(int(support[0]) >> (n - 1 - p)) & 1 for p in range(n)]
 
 
-def _run_from_basis(layout: RegisterLayout, tensor: np.ndarray, instructions,
-                    start: list[int]) -> None:
-    """apply_to_tensor for each instruction on a tensor that held the basis
-    state `start` before the first one, skipping or narrowing each pass by
-    the untouched bits as `run` describes."""
-    untouched = dict(enumerate(start))
+def _apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
+               start: list[int] | None) -> None:
+    """apply_to_tensor for each instruction. When the tensor held the basis
+    state `start` before the first one, each pass is skipped or narrowed by
+    the untouched bits as `run` describes; with no `start`, no bit is
+    untouched and every pass covers the whole tensor."""
+    untouched = {} if start is None else dict(enumerate(start))
     floor = max(BLAS_DENSE_MAX, 2)
     # fixed positions -> (sub-layout, view, register position -> view axis)
     views: dict[tuple[int, ...], tuple] = {}

@@ -71,9 +71,11 @@ def random_case(seed, nbits, count):
 
 
 def assert_matches_reference(circuit, initial=None):
-    got = run(circuit, initial).amps
-    want = reference_run(circuit, initial).amps
-    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    # byte for byte, once zeros are made +0.0: a whole-tensor pass can turn a
+    # zero amplitude outside the narrowed view into -0.0, which `run` leaves
+    got = run(circuit, initial).amps + 0.0
+    want = reference_run(circuit, initial).amps + 0.0
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
@@ -112,12 +114,27 @@ def test_slices_of_one_amplitude_are_not_made(text, limit, monkeypatch):
     assert_matches_reference(circuit, basis_state(circuit.layout, [1] * circuit.layout.num_bits))
 
 
-def test_non_basis_start_runs_whole_tensor():
+def test_non_basis_start_runs_whole_tensor(monkeypatch):
+    sizes = []
+    apply = simulator.apply_to_tensor
+    monkeypatch.setattr(simulator, "apply_to_tensor",
+                        lambda *args: sizes.append(args[1].size) or apply(*args))
     layout = RegisterLayout.of(3, 1)
     amps = np.zeros(layout.dimension, complex)
     amps[[0, 5]] = 0.6, 0.8
     circuit = parse("qubits 3\nhybits 1\nCTRL q1 : H q0\nTAU h0\nCTRL !q2 : X q1\n")
     assert_matches_reference(circuit, StateVector(layout, amps))
+    # two nonzero amplitudes: no bit is untouched, so no pass is narrowed
+    assert sizes == [16] * 3
+
+
+def test_zeros_outside_the_view_differ_at_most_in_sign():
+    # Z on the whole tensor multiplies the zero half where q1..q15 are not
+    # all 0 by -1, leaving -0.0 real parts; the narrowed Z leaves them +0.0
+    circuit = parse("qubits 16\nH q0\nZ q0\n")
+    got, want = run(circuit).amps, reference_run(circuit).amps
+    assert got.tobytes() != want.tobytes()
+    assert_matches_reference(circuit)
 
 
 def test_h_layer_passes_see_narrowed_views(monkeypatch):
