@@ -125,10 +125,11 @@ class Circuit:
             for a, b in zip(self.instructions, other.instructions)
         )
 
-    def concat(self, other: "Circuit") -> "Circuit":
+    def concat(self, other: "Circuit", times: int = 1) -> "Circuit":
+        """This circuit followed by `times` copies of `other`."""
         if other.layout != self.layout:
             raise LqcError("cannot concatenate circuits over different layouts")
-        return _checked(self.layout, self.instructions + other.instructions)
+        return _checked(self.layout, self.instructions + other.instructions * times)
 
 
 def _freeze(circuit: Circuit, instructions) -> None:
@@ -611,14 +612,10 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
             f"register of {nbits} bits exceeds the 2^{TO_MATRIX_GUARD_BITS} "
             "dense-elaboration guard"
         )
-    from .simulator import apply_to_tensor  # deferred: simulator imports this module
+    from .simulator import apply_all  # deferred: simulator imports this module
 
     dim = circuit.layout.dimension
     mat = np.eye(dim, dtype=complex)
     # columns are a batch of basis states; one kernel pass per instruction
-    tensor = mat.reshape([2] * nbits + [dim])
-    # an overflowing product reads as residual inf, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for instr in circuit.instructions:
-            apply_to_tensor(circuit.layout, tensor, instr)
-    return tensor.reshape(dim, dim)
+    apply_all(circuit.layout, mat.reshape([2] * nbits + [dim]), circuit.instructions)
+    return mat

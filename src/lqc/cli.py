@@ -36,7 +36,6 @@ from .core import (
 )
 from .gates import block_metric, isometry_residual
 from .search import (
-    MAX_K_CHI,
     SearchSpec,
     choose_k,
     predicted_success,
@@ -213,10 +212,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     N = 2**args.n
     if args.k is not None:
         k = args.k
-        if k * args.chi > MAX_K_CHI:
-            raise GuardError(
-                f"k*chi = {k * args.chi:g} exceeds {MAX_K_CHI:g}; cosh overflows"
-            )
     else:
         p_min = args.pmin if args.pmin is not None else 0.99
         k = choose_k(N, args.chi, p_min)

@@ -58,7 +58,9 @@ def builtin(name: str, param: float | None = None) -> np.ndarray:
     if key in PARAMETRIC:
         if param is None:
             raise LqcError(f"gate {key} requires a parameter")
-        mat = PARAMETRIC[key](param)
+        # an overflowing parameter reads as residual inf, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = PARAMETRIC[key](param)
     elif param is not None:
         raise LqcError(f"gate {key} takes no parameter")
     else:

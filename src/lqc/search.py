@@ -30,9 +30,12 @@ __all__ = [
     "qk_amplitudes",
 ]
 
-# choose_k refuses amplification schedules past this; cosh(x)^2 overflows a
+# choose_k and SearchSpec refuse schedules past this; cosh(x)^2 overflows a
 # little above 354 and everything near there is numerically meaningless
 MAX_K_CHI = 300.0
+# 10^5 rounds of three passes take seconds at n = 1 and minutes at n = 16;
+# only chi below about 1e-4, where a round barely moves the state, needs more
+MAX_ROUNDS = 10**5
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class SearchSpec:
             raise LqcError(f"chi must be a nonnegative real, got {self.chi}")
         if self.k < 0:
             raise LqcError(f"round count must be nonnegative, got {self.k}")
+        if self.k > MAX_ROUNDS:
+            raise GuardError(f"round count {self.k} exceeds the guard of {MAX_ROUNDS} rounds")
+        if self.k * self.chi > MAX_K_CHI:
+            raise GuardError(f"k*chi = {self.k * self.chi:g} exceeds {MAX_K_CHI:g}; cosh overflows")
 
 
 def search_layout(n: int) -> RegisterLayout:
@@ -86,11 +93,7 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
     marginalize out the oracle qubit. Outcomes are the n-bit search strings."""
     layout = search_layout(spec.n)
     prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(spec.n)))
-    q = q_circuit(spec)
-    circuit = prep
-    for _ in range(spec.k):
-        circuit = circuit.concat(q)
-    full = observe(run(circuit))
+    full = observe(run(prep.concat(q_circuit(spec), times=spec.k)))
     # the oracle qubit is the last qubit, so the least significant index bit
     return OutcomeDistribution(full.probs.reshape(-1, 2).sum(axis=1), full.observable_mass)
 
@@ -119,7 +122,11 @@ def choose_k(N: int, chi: float, p_min: float) -> int:
     if not (chi > 0.0):
         raise LqcError("chi must be positive to amplify")
     target = math.sqrt(p_min * (N - 1) / (1.0 - p_min))
-    k = max(0, math.ceil(math.acosh(max(target, 1.0)) / chi))
+    estimate = math.acosh(max(target, 1.0)) / chi
+    if not estimate <= MAX_ROUNDS:  # inf too, which math.ceil refuses
+        raise GuardError(f"reaching p_min={p_min} for N={N} needs about {estimate:.3g} "
+                         f"rounds at chi={chi}; the guard is {MAX_ROUNDS} rounds")
+    k = math.ceil(estimate)
     # keep every cosh evaluation below the overflow guard
     while k > 0 and k * chi <= MAX_K_CHI and predicted_success(N, chi, k - 1) >= p_min:
         k -= 1

@@ -55,7 +55,8 @@ target axes to the front and multiply by the gate matrix.
 leaves out the bits no instruction has targeted yet, as long as they hold
 their start values: a pass whose control on such a bit cannot trigger is
 skipped, and the others run on the view of the tensor with those axes
-fixed, since every amplitude outside it is zero and stays zero. An H layer
+sliced to length 1 at their start values (no renumbering, no view cache),
+since every amplitude outside it is zero and stays zero. An H layer
 on |0...0> then touches one block of the state per gate instead of all of
 it. Two limits keep the result bit-identical to passes over the whole
 tensor, apart from the sign of zero amplitudes outside the view (a
@@ -144,8 +145,8 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
     """Apply one instruction in place to a state tensor of shape [2]*num_bits
     (optionally with trailing batch axes). Each control fixes its axis at its
     trigger value, so only the control block where every control holds its
-    value is touched. One target updates its two slices in place; more
-    targets move to the front for a matmul."""
+    value is touched. One target updates its two slices in place, with
+    length-1 axes squeezed out; more targets move to the front for a matmul."""
     gate = instr.gate_matrix()
     idx: list = [slice(None)] * tensor.ndim
     for c, value in zip(instr.controls, instr.ctrl_state):
@@ -154,9 +155,9 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
         t = instr.targets[0]
         # the trailing Ellipsis keeps a view even when every axis is indexed
         idx[t] = 0
-        x0 = tensor[(*idx, ...)]
+        x0 = tensor[(*idx, ...)].squeeze()
         idx[t] = 1
-        x1 = tensor[(*idx, ...)]
+        x1 = tensor[(*idx, ...)].squeeze()
         _apply_pair(x0, x1, gate)
         return
 
@@ -248,8 +249,9 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     state no bit is untouched. An instruction with a control on an untouched
     bit is skipped when the trigger differs from the start value (its
     control block is all zero) and loses that control when it matches. The
-    rest runs on the view of the tensor with untouched axes fixed at their
-    start values; every amplitude outside the view is zero and stays zero.
+    rest runs on the view of the tensor with untouched axes sliced to length
+    1 at their start values, keeping the circuit's bit positions (no view is
+    cached); every amplitude outside the view is zero and stays zero.
     The result is bit-identical to applying every instruction to the whole
     tensor, except that a zero amplitude outside the view keeps +0.0 where a
     whole-tensor pass may leave -0.0. Two limits keep it so: a single-target
@@ -267,10 +269,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
             raise LqcError("initial state layout does not match circuit layout")
         state = initial.copy()
         start = _basis_bits(state)
-    tensor = state.amps.reshape([2] * layout.num_bits)
-    # an overflowing state is reported by observe, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        _apply_all(layout, tensor, circuit.instructions, start)
+    apply_all(layout, state.amps.reshape([2] * layout.num_bits), circuit.instructions, start)
     return state
 
 
@@ -283,48 +282,44 @@ def _basis_bits(state: StateVector) -> list[int] | None:
     return [(int(support[0]) >> (n - 1 - p)) & 1 for p in range(n)]
 
 
-def _apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
-               start: list[int] | None) -> None:
-    """apply_to_tensor for each instruction. When the tensor held the basis
-    state `start` before the first one, each pass is skipped or narrowed by
-    the untouched bits as `run` describes; with no `start`, no bit is
-    untouched and every pass covers the whole tensor."""
+def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
+              start: list[int] | None = None) -> None:
+    """apply_to_tensor for each instruction: the one loop of `run` and
+    `circuit.to_matrix`. When the tensor held the basis state `start` before
+    the first one, each pass is skipped or narrowed by the untouched bits as
+    `run` describes; with no `start`, every pass covers the whole tensor.
+    Overflow is left to `observe` and `isometry_residual` to report."""
     untouched = {} if start is None else dict(enumerate(start))
     floor = max(BLAS_DENSE_MAX, 2)
-    # fixed positions -> (sub-layout, view, register position -> view axis)
-    views: dict[tuple[int, ...], tuple] = {}
-    for instr in instructions:
-        held = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state) if c in untouched]
-        if any(untouched[c] != v for c, v in held):
-            continue
-        for t in instr.targets:
-            untouched.pop(t, None)
-        fixed = [c for c, _ in held]
-        if len(instr.targets) == 1:
-            size = 1 << (layout.num_bits - 1 - len(instr.controls))
-            for p in untouched:
-                if size >> 1 < floor:
-                    break
-                if p not in instr.controls:
-                    fixed.append(p)
-                    size >>= 1
-        if not fixed:
-            apply_to_tensor(layout, tensor, instr)
-            continue
-        key = tuple(sorted(fixed))
-        if key not in views:
-            idx: list = [slice(None)] * layout.num_bits
-            for p in key:
-                idx[p] = start[p]
-            keep = [p for p in range(layout.num_bits) if p not in key]
-            sub = RegisterLayout(tuple(layout.kinds[p] for p in keep))
-            views[key] = (sub, tensor[tuple(idx)], {p: i for i, p in enumerate(keep)})
-        sub, view, axis = views[key]
-        free = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state) if c in axis]
-        apply_to_tensor(sub, view, Instruction(
-            instr.gate, tuple(axis[t] for t in instr.targets), tuple(axis[c] for c, _ in free),
-            instr.param, instr.matrix, tuple(v for _, v in free),
-        ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for instr in instructions:
+            view = tensor
+            if untouched:
+                held = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state)
+                        if c in untouched]
+                if any(untouched[c] != v for c, v in held):
+                    continue
+                for t in instr.targets:
+                    untouched.pop(t, None)
+                fixed = [c for c, _ in held]
+                if len(instr.targets) == 1:
+                    size = 1 << (layout.num_bits - 1 - len(instr.controls))
+                    for p in untouched:
+                        if size >> 1 < floor:
+                            break
+                        if p not in instr.controls:
+                            fixed.append(p)
+                            size >>= 1
+                idx: list = [slice(None)] * tensor.ndim
+                for p in fixed:
+                    idx[p] = slice(untouched[p], untouched[p] + 1)
+                view = tensor[tuple(idx)]
+                if held:
+                    free = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state)
+                            if c not in untouched]
+                    instr = Instruction(instr.gate, instr.targets, tuple(c for c, _ in free),
+                                        instr.param, instr.matrix, tuple(v for _, v in free))
+            apply_to_tensor(layout, view, instr)
 
 
 def _bitstrings(indices: np.ndarray, size: int) -> list[str]:
@@ -416,7 +411,9 @@ def observe(state: StateVector) -> OutcomeDistribution:
     distribution rather than an error; a state whose squared magnitude is not
     finite raises GuardError."""
     layout = state.layout
-    mag2 = (state.amps.real**2 + state.amps.imag**2).reshape([2] * layout.num_bits)
+    # an overflowing square raises the GuardError below, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag2 = (state.amps.real**2 + state.amps.imag**2).reshape([2] * layout.num_bits)
     hybits = layout.positions(BitKind.HYBIT)
     idx = [slice(None)] * layout.num_bits
     for p in hybits:

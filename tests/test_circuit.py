@@ -608,6 +608,12 @@ class TestValidateOnce:
         assert checked == {"form": [], "metric": []}
         assert joined == Circuit(layout, a.instructions + b.instructions)
         assert type(joined.instructions) is tuple
+        checked["form"].clear()
+        checked["metric"].clear()
+        repeated = a.concat(b, times=3)
+        assert checked == {"form": [], "metric": []}
+        assert repeated.instructions == a.instructions + b.instructions * 3
+        assert a.concat(b, times=0) == a
 
     def test_compile_checks_each_emitted_instruction_once(self, checked):
         from lqc.core import metric_vector

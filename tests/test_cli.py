@@ -27,6 +27,8 @@ ZERO_MASS_CIRCUIT = (
 
 # each BOOST 7 clears the isometry check, but 120 of them overflow the state
 OVERFLOW_CIRCUIT = "qubits 1\nhybits 1\nH q0\n" + "BOOST 7 h0\n" * 120
+# after 53 of them the amplitudes (about 1e161) stay finite, but their squares overflow
+SQUARE_OVERFLOW_CIRCUIT = "qubits 1\nhybits 1\nH q0\n" + "BOOST 7 h0\n" * 53
 
 CNOT_TEXT = (
     "dim 3 1\n"
@@ -131,8 +133,7 @@ class TestRun:
         assert code == 2
         assert out == "# observable_mass = 0\n"
 
-    # the kernel's overflow warnings precede the guard
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["run"], ["sample", "--shots", "10", "--seed", "1"]])
     def test_non_finite_state_exit_4(self, tmp_path, capsys, argv):
         # this used to print nan probabilities, or `0\t10`, with exit 0
@@ -142,14 +143,16 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
 
+    @pytest.mark.parametrize("text", [OVERFLOW_CIRCUIT, SQUARE_OVERFLOW_CIRCUIT],
+                             ids=["amplitudes", "squares"])
     @pytest.mark.parametrize(
         "argv, want",
         [(["run"], 4), (["sample", "--shots", "10", "--seed", "1"], 4), (["verify"], 3)],
     )
-    def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, argv, want):
+    def test_overflow_gives_no_numpy_warning(self, tmp_path, capsys, argv, want, text):
         # the observe guard and the inf residual report the overflow; a numpy
         # warning on the way would escape here as an exception
-        f = put(tmp_path, "c.lqc", OVERFLOW_CIRCUIT)
+        f = put(tmp_path, "c.lqc", text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = cli(capsys, argv[0], f, *argv[1:])
@@ -428,6 +431,25 @@ class TestSearch:
         code, _, _ = cli(capsys, "search", "--n", "2", "--x", "12", "--k", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        # an estimate of about 4e300 rounds, each nudged down by one
+        ["--chi", "1e-300"],
+        # an infinite estimate, which math.ceil refuses with OverflowError
+        ["--chi", "1e-320"],
+        # about 4e9 rounds, each once a concat of the whole circuit so far
+        ["--chi", "1e-9"],
+        ["--chi", "0", "--k", "200000"],
+    ])
+    def test_round_guard(self, argv):
+        # in a child process, so that a hang fails the test at the timeout
+        r = subprocess.run(
+            [sys.executable, "-m", "lqc", "search", "--n", "3", "--x", "101", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (r.returncode, r.stdout) == (4, "")
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error:")
+        assert "rounds" in r.stderr
+
 
 class TestApprox:
     def test_t_exact(self, tmp_path, capsys):
@@ -642,6 +664,21 @@ class TestSubprocess:
         assert r.returncode == 1
         assert r.stdout == ""
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_overflowing_boost_parameter_prints_one_error(self, tmp_path, command):
+        # cosh(800) and sinh(800) overflow while the parse-time metric check
+        # builds the matrix; the inf residual refuses it, with no numpy warning
+        f = put(tmp_path, "c.lqc", "qubits 2\nhybits 1\nBOOST 800 h0\n")
+        r = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lqc", command, f],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == (
+            "error: line 3, col 1: gate BOOST is not metric-preserving "
+            "on target kind(s) 'h' (residual inf)\n"
+        )
 
     def test_thread_cap_env(self, tmp_path):
         import os

@@ -2,8 +2,9 @@
 
 Every module-level import in the package is used by its module, no module
 imports another lqc module's private (underscore-prefixed) name, no module
-reaches numpy's stride tricks, no module imports a scipy submodule at
-module level, and no CLI command loads `scipy.linalg`.
+reaches numpy's stride tricks, one function of the package calls the
+kernel `apply_to_tensor`, no module imports a scipy submodule at module
+level, and no CLI command loads `scipy.linalg`.
 
 No linter runs on this code base, so this test stands in for an unused
 import check: each module of `src/lqc` is parsed with `ast`, and every name
@@ -142,6 +143,58 @@ def test_checker_flags_stride_tricks():
         "np.lib.index_tricks\n"
     )
     assert stride_tricks_uses(source) == ["line 2", "line 3", "line 4", "line 6"]
+
+
+def kernel_callers(source: str) -> list[str]:
+    """Names of the functions whose body calls `apply_to_tensor`, by name or
+    as an attribute, with `<module>` for a call outside any function. A
+    call in a nested function names the innermost one."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Lambda):
+            where = "<lambda>"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "apply_to_tensor":
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_function_calls_the_kernel():
+    # a second apply loop would need its own errstate and its own narrowing
+    callers = [
+        f"{path.relative_to(SRC)}:{name}"
+        for path in MODULES for name in kernel_callers(path.read_text())
+    ]
+    assert callers == ["simulator.py:apply_all"]
+
+
+def test_checker_flags_kernel_callers():
+    source = (
+        "from .simulator import apply_to_tensor\n"
+        "from . import simulator\n"
+        "def apply_to_tensor_twice(t):\n"
+        "    return t\n"
+        "def loop(layout, t, instrs):\n"
+        "    for i in instrs:\n"
+        "        apply_to_tensor(layout, t, i)\n"
+        "def outer(layout, t, i):\n"
+        "    def inner():\n"
+        "        simulator.apply_to_tensor(layout, t, i)\n"
+        "    return inner\n"
+        "kernel = apply_to_tensor\n"
+        "f = lambda *a: kernel(*a) or apply_to_tensor(*a)\n"
+        "apply_to_tensor(None, None, None)\n"
+    )
+    assert kernel_callers(source) == ["<lambda>", "<module>", "inner", "loop"]
 
 
 def scipy_submodule_imports(source: str) -> list[str]:

@@ -7,6 +7,7 @@ from lqc.circuit import Instruction
 from lqc.circuit import to_matrix
 from lqc.core import GuardError, LqcError, basis_state, pseudo_norm
 from lqc.search import (
+    MAX_ROUNDS,
     SearchSpec,
     choose_k,
     oracle_circuit,
@@ -40,6 +41,13 @@ class TestSpecValidation:
     def test_negative_k(self):
         with pytest.raises(LqcError):
             SearchSpec(2, "01", 0.5, -1)
+
+    def test_round_guard(self):
+        SearchSpec(2, "01", 0.0, MAX_ROUNDS)
+        with pytest.raises(GuardError, match="round count"):
+            SearchSpec(2, "01", 0.0, MAX_ROUNDS + 1)
+        with pytest.raises(GuardError, match="k\\*chi"):
+            SearchSpec(2, "01", 1.0, 400)
 
 
 class TestOracle:
@@ -237,6 +245,13 @@ class TestChooseK:
         # k*chi tracks arccosh(sqrt(N)), so only astronomically large N trips it
         with pytest.raises(GuardError):
             choose_k(2**900, 1.0, 0.99)
+
+    def test_round_guard_on_estimate(self):
+        # 1e-320 / chi is inf, which math.ceil refuses with OverflowError; a
+        # finite estimate past the guard is refused before any round is counted
+        # (the CLI tests run the hanging cases under a timeout)
+        with pytest.raises(GuardError, match="rounds"):
+            choose_k(8, 1e-320, 0.99)
 
     def test_minimality_sweep(self):
         for N in (2, 16, 100, 4096):

@@ -154,6 +154,7 @@ class TestObserve:
         assert dist.observable_mass == 0.0
         assert dist.probabilities == {}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
     @pytest.mark.parametrize("at", [0, 3])
     def test_non_finite_state_is_a_guard_error(self, bad, at):
@@ -161,7 +162,7 @@ class TestObserve:
         # zero-mass return; 1e200 is finite but its square overflows
         amps = np.zeros(4, complex)
         amps[at] = bad
-        with np.errstate(over="ignore"), pytest.raises(GuardError, match="not finite"):
+        with pytest.raises(GuardError, match="not finite"):
             observe(StateVector(RegisterLayout.of(0, 2), amps))
 
     def test_negligible_mass_warning(self):
