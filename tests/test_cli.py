@@ -432,11 +432,11 @@ class TestSearch:
         assert code == 1
 
     @pytest.mark.parametrize("argv", [
-        # an estimate of about 4e300 rounds, each nudged down by one
+        # an estimate of about 4e300 rounds, too many for choose_k to walk down
         ["--chi", "1e-300"],
         # an infinite estimate, which math.ceil refuses with OverflowError
         ["--chi", "1e-320"],
-        # about 4e9 rounds, each once a concat of the whole circuit so far
+        # about 4e9 rounds, more than any run could finish
         ["--chi", "1e-9"],
         ["--chi", "0", "--k", "200000"],
     ])
