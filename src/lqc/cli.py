@@ -2,19 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-# cap BLAS pools before numpy can spin them up
-_cap = os.environ.get("LQC_THREADS")
-if _cap:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _cap)
-
 import argparse
 import sys
 import time
@@ -194,7 +181,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"matrix signature ({m},{n}) does not match the "
             f"{args.qubits}-qubit {args.hybits}-hybit register ({plus},{minus})"
         )
-    tol = args.approx if args.approx is not None else None
+    tol = args.approx
     result = synth_compile(A, layout, tol=tol)
     sys.stdout.write(serialize(result.circuit))
     sys.stderr.write(format_report(result))
@@ -213,8 +200,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.k is not None:
         k = args.k
     else:
-        p_min = args.pmin if args.pmin is not None else 0.99
-        k = choose_k(N, args.chi, p_min)
+        k = choose_k(N, args.chi, args.pmin)
     spec = SearchSpec(args.n, args.x, args.chi, k)
     predicted = predicted_success(N, args.chi, k)
     dist = run_search(spec)
@@ -273,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=float, default=0.5)
     rounds = p.add_mutually_exclusive_group()
     rounds.add_argument("--k", type=int, default=None)
-    rounds.add_argument("--pmin", type=float, default=None)
+    rounds.add_argument("--pmin", type=float, default=0.99)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("approx", help="single-bit generator-word approximation")

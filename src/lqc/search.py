@@ -117,6 +117,9 @@ def choose_k(N: int, chi: float, p_min: float) -> int:
         raise LqcError("N must be a positive item count")
     if not (0.0 < p_min < 1.0):
         raise LqcError(f"p_min must lie strictly between 0 and 1, got {p_min}")
+    if not math.isfinite(chi):
+        # 0 * inf is nan, which slips past every k*chi comparison below
+        raise LqcError(f"chi must be finite, got {chi}")
     if p_min <= 1.0 / N:
         return 0
     if not (chi > 0.0):

@@ -42,9 +42,6 @@ class AxisVector:
     def components(self) -> np.ndarray:
         return np.array([self.n_x, self.n_y, self.n_z])
 
-    def scaled(self, factor: float) -> "AxisVector":
-        return AxisVector(factor * self.n_x, factor * self.n_y, factor * self.n_z)
-
 
 def su11_classify(theta: float, axis: AxisVector) -> tuple[str, np.ndarray]:
     """Closed form of exp(i*theta*A(axis)) together with its family tag.

@@ -431,6 +431,13 @@ class TestSearch:
         code, _, _ = cli(capsys, "search", "--n", "2", "--x", "12", "--k", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("chi", ["inf", "-inf", "nan"])
+    def test_non_finite_chi(self, capsys, chi):
+        # `--chi=` so that argparse does not read -inf as a flag
+        code, out, err = cli(capsys, "search", "--n", "3", "--x", "101", f"--chi={chi}")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     @pytest.mark.parametrize("argv", [
         # an estimate of about 4e300 rounds, too many for choose_k to walk down
         ["--chi", "1e-300"],
@@ -679,15 +686,3 @@ class TestSubprocess:
             "error: line 3, col 1: gate BOOST is not metric-preserving "
             "on target kind(s) 'h' (residual inf)\n"
         )
-
-    def test_thread_cap_env(self, tmp_path):
-        import os
-
-        f = put(tmp_path, "c.lqc", "qubits 1\nH q0\n")
-        env = dict(os.environ, LQC_THREADS="1")
-        r = subprocess.run(
-            [sys.executable, "-m", "lqc", "run", f],
-            capture_output=True,
-            env=env,
-        )
-        assert r.returncode == 0

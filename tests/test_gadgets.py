@@ -266,6 +266,27 @@ class TestWFactorCheck:
         # the halves are P and U P^-1, whose product is U
         assert np.allclose(calls[2] @ calls[1], U, atol=1e-12)
 
+    @pytest.mark.parametrize("kinds", ["qqh", "qhh", "hhh"])
+    def test_scalar_square_takes_the_shortcut(self, kinds, monkeypatch):
+        # the square root of a scalar V is a scalar U with U0^2 = +-I, which
+        # needs no hyperbolic partner: A = B = I and C = D = U
+        original = gadgets._su11_w_factors
+        sets = []
+
+        def recorded(U):
+            sets.append(original(U))
+            return sets[-1]
+
+        monkeypatch.setattr(gadgets, "_su11_w_factors", recorded)
+        V = 1j * np.eye(2)
+        circ = lambda_k(2, V, RegisterLayout(kinds))
+        assert len(sets) == 1
+        A, B, C, D, _ = sets[0]
+        assert np.array_equal(A, np.eye(2)) and np.array_equal(B, np.eye(2))
+        assert np.array_equal(C, D)
+        assert len(circ.instructions) == 5
+        assert np.max(np.abs(lifted(circ) - controlled(V, 2))) < 1e-15
+
 
 def _unitaries_for_w_factors():
     Q = haar_unitary(7)

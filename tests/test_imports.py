@@ -4,7 +4,8 @@ Every module-level import in the package is used by its module, no module
 imports another lqc module's private (underscore-prefixed) name, no module
 reaches numpy's stride tricks, one function of the package calls the
 kernel `apply_to_tensor`, no module imports a scipy submodule at module
-level, and no CLI command loads `scipy.linalg`.
+level, no CLI command loads `scipy.linalg`, and no module reads or writes
+the process environment.
 
 No linter runs on this code base, so this test stands in for an unused
 import check: each module of `src/lqc` is parsed with `ast`, and every name
@@ -235,6 +236,51 @@ def test_checker_flags_scipy_submodules():
         "    return scipy.linalg.expm\n"
     )
     assert scipy_submodule_imports(source) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_uses(source: str) -> list[str]:
+    """Lines, anywhere in the module, that reach the process environment:
+    `os.environ` and the other names above as attributes, or imported from
+    `os`. A variable read by lqc cannot steer numpy's thread pools, which
+    load with `lqc.core` before any other module's body runs; thread counts
+    are set through the variables BLAS itself reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            bad = node.attr in ENVIRONMENT_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "os" and any(
+                alias.name in ENVIRONMENT_NAMES for alias in node.names
+            )
+        else:
+            continue
+        if bad:
+            found.add(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_environment_access(path):
+    assert environment_uses(path.read_text()) == []
+
+
+def test_checker_flags_environment_access():
+    source = (
+        "import os\n"
+        "cap = os.environ.get('N')\n"
+        "os.environ['N'] = '1'\n"
+        "from os import environ, getenv as g\n"
+        "def f():\n"
+        "    return os.getenv('N') or os.environb\n"
+        "os.putenv('N', '1')\n"
+        "os.path.join('a', 'b')\n"
+        "from os import path\n"
+        "environment = {}\n"
+    )
+    assert environment_uses(source) == ["line 2", "line 3", "line 4", "line 6", "line 7"]
 
 
 # Each CLI command once on a tiny input, in a fresh interpreter: the test

@@ -241,6 +241,14 @@ class TestChooseK:
         with pytest.raises(LqcError):
             choose_k(16, 0.5, 1.0)
 
+    @pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("p_min", [0.99, 0.1])
+    def test_non_finite_chi(self, chi, p_min):
+        # k*chi is nan at every k, so neither nudge loop nor the k*chi guard
+        # would run; below 1/N the answer would be 0 without looking at chi
+        with pytest.raises(LqcError, match="finite"):
+            choose_k(8, chi, p_min)
+
     def test_overflow_guard(self):
         # k*chi tracks arccosh(sqrt(N)), so only astronomically large N trips it
         with pytest.raises(GuardError):

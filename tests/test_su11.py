@@ -84,7 +84,7 @@ class TestClassify:
 
 
 class TestDecompose:
-    @pytest.mark.parametrize("family", ["space", "pseudo"])
+    @pytest.mark.parametrize("family", ["space", "lightlike", "pseudo"])
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip(self, family, seed):
         rng = np.random.default_rng(200 + seed)
@@ -96,6 +96,12 @@ class TestDecompose:
         rebuilt = np.exp(1j * dec.phase) * su11_classify(dec.theta, dec.axis)[1]
         assert np.allclose(rebuilt, mat, atol=1e-10)
         assert dec.family == family
+
+    def test_scalar_is_lightlike_at_zero_angle(self):
+        # U0 = I leaves no generator to normalize
+        dec = decompose_su11(np.exp(0.4j) * np.eye(2))
+        assert (dec.family, dec.theta, dec.axis) == ("lightlike", 0.0, AxisVector(0, 0, 0))
+        assert dec.phase == pytest.approx(0.4, abs=1e-15)
 
 
 class TestWordRotation:
