@@ -89,7 +89,7 @@ def _read(path: str) -> str:
 def _check_memory(layout: RegisterLayout) -> None:
     if layout.dimension > MAX_AMPLITUDES:
         raise GuardError(
-            f"register of {layout.num_bits} bits needs {layout.dimension} "
+            f"register of {layout.num_bits} bits needs 2^{layout.num_bits} "
             f"amplitudes; the guard is 2^24"
         )
 

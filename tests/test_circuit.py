@@ -143,6 +143,24 @@ class TestParse:
         assert c.layout.num_bits == 0
         assert c.instructions == ()
 
+    @pytest.mark.parametrize("src, text", [
+        ("qubits 1\nBOOST\n", "line 2, col 1: gate BOOST requires a parameter"),
+        ("hybits 1\nBOOST nan h0\n", "line 2, col 7: parameter 'nan' is not finite"),
+        ("qubits 1\nDEFGATE G\n", "line 2, col 1: expected: DEFGATE NAME ARITY"),
+        ("qubits 1\nDEFGATE G x\n1,0 0,0\n0,0 1,0\n", "line 2, col 11: bad arity 'x'"),
+        ("qubits\n", "line 1, col 1: expected: qubits INT"),
+        ("qubits x\n", "line 1, col 8: bad count 'x'"),
+        ("qubits -1\n", "line 1, col 8: count must be nonnegative"),
+        ("qubits 1\nCTRL q0 H q0\n", "line 2, col 1: CTRL statement needs a ':' before the gate"),
+        ("qubits 1\nCTRL : H q0\n", "line 2, col 1: CTRL needs at least one control bit"),
+        ("qubits 2\nCTRL q0 :\n", "line 2, col 9: missing gate after ':'"),
+    ])
+    def test_diagnostic_text(self, src, text):
+        # the whole text, so a diagnostic can neither move nor be doubled
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == text
+
 
 class TestPolarity:
     def test_qubit_zero_control_is_native(self):

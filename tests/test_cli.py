@@ -168,6 +168,15 @@ class TestRun:
         assert code == 4
         assert "2^24" in err
 
+    @pytest.mark.parametrize("argv", [["run"], ["sample", "--shots", "1", "--seed", "1"], ["verify"]])
+    def test_memory_guard_past_the_int_to_str_limit(self, tmp_path, capsys, argv):
+        # 2^20000 has more decimal digits than Python converts to text
+        f = put(tmp_path, "c.lqc", "qubits 20000\nH q0\n")
+        code, out, err = cli(capsys, argv[0], f, *argv[1:])
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "20000 bits" in err
+
 
 class TestSample:
     def test_zero_shots(self, tmp_path, capsys):
@@ -340,6 +349,12 @@ class TestSynth:
         assert code == 1
         assert "signature" in err
 
+    def test_empty_register_exit_1(self, tmp_path, capsys):
+        f = put(tmp_path, "one.mat", "dim 1 0\n1,0\n")
+        code, out, err = cli(capsys, "synth", f, "--qubits", "0", "--hybits", "0")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_non_isometric_exit_3(self, tmp_path, capsys):
         f = put(tmp_path, "bad.mat", "dim 2 0\n1,0 1,0\n0,0 1,0\n")
         code, _, _ = cli(capsys, "synth", f, "--qubits", "1", "--hybits", "0")
@@ -427,6 +442,18 @@ class TestSearch:
         assert code == 4
         assert "25 bits" in err
 
+    def test_register_guard_past_the_int_to_str_limit(self, capsys):
+        # 2^20002 has more decimal digits than Python converts to text
+        code, out, err = cli(capsys, "search", "--n", "20000", "--x", "0")
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "20002 bits" in err
+
+    def test_empty_register_exit_4(self, capsys):
+        code, out, err = cli(capsys, "search", "--n", "0", "--x", "0")
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_bad_target(self, capsys):
         code, _, _ = cli(capsys, "search", "--n", "2", "--x", "12", "--k", "1")
         assert code == 1
@@ -510,6 +537,14 @@ class TestApprox:
         assert code == 3
         assert out == ""
         assert "residual inf" in err
+
+    def test_target_not_2x2_exit_1(self, tmp_path, capsys):
+        f = put(tmp_path, "cnot.mat", CNOT_TEXT)
+        code, out, err = cli(
+            capsys, "approx", f, "--kind", "qubit", "--tol", "0.1", "--depth", "2"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_missing_file(self, capsys):
         code, _, _ = cli(
