@@ -32,17 +32,18 @@ control projector is diagonal, so it commutes with the metric, and the
 controlled gate I + P_C (U - I) preserves the metric whenever U does on
 its targets, whatever the trigger values.
 
-Every instruction is checked once, where it enters a `Circuit`. Its form
-is checked on its own, by `validate_instruction`: it must be one the text
-can write back, with a gate matrix of its target count. Its metric is
-checked with every other instruction of the circuit in one stacked
-`isometry_residual` pass: the gate matrix must preserve the metric of its
-target bits (the same DEFGATE may be legal on one bit-kind combination and
-illegal on another). The first instruction to fail either check raises, as
-if each were checked in full in turn. `parse` checks the form of each
-statement as it reads it and the metric of all of them at the end, giving
-each failure a diagnostic at its statement's line; it and `concat` return
-circuits without a second check.
+Every instruction is checked once, where it enters a `Circuit`, by one
+pass over the list, `_failures`. Each instruction's form is checked on its
+own, by `validate_instruction`: it must be one the text can write back,
+with a gate matrix of its target count. The metric of the well-formed ones
+is checked in one stacked `isometry_residual` per target count: the gate
+matrix must preserve the metric of its target bits (the same DEFGATE may
+be legal on one bit-kind combination and illegal on another). The pass
+lists each failure by index, and `Circuit` raises the first, as if each
+instruction were checked in full in turn. `parse` runs it on every
+statement it read and reports each failure at its statement's line and
+column, in order of line with the faults of the text itself. `parse` and
+`concat` return circuits without a second check.
 
 A matrix file is a header "dim m n", the signature of the block metric
 diag(+1 x m, -1 x n), then m + n rows. Its rows and DEFGATE rows alike are
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -62,6 +64,7 @@ from .core import (
     EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout, metric_for_kinds,
 )
 from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual
+from .simulator import apply_all
 
 KEYWORDS = {"QUBITS", "HYBITS", "CTRL", "DEFGATE"}
 _BITREF_RE = re.compile(r"^(!?)([qh])(\d+)$", re.IGNORECASE)
@@ -80,18 +83,26 @@ class Instruction:
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     param: float | None = None
-    # resolved matrix for DEFGATE gates; builtins resolve through gates.builtin
+    # resolved matrix for DEFGATE gates, read-only once the instruction is
+    # built; builtins resolve through gates.builtin
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
     # trigger value (0 or 1) of each control; left out, every control is 1
     ctrl_state: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.gate, str):
+            raise LqcError(f"malformed instruction: gate name {self.gate!r} is not a str")
+        if self.param is not None and not isinstance(self.param, numbers.Real):
+            raise LqcError(f"malformed instruction {self.gate!r}: "
+                           f"parameter {self.param!r} is not a real number")
         try:
             targets, controls = tuple(self.targets), tuple(self.controls)
             state = (1,) * len(controls) if self.ctrl_state is None else tuple(self.ctrl_state)
             matrix = None if self.matrix is None else np.asarray(self.matrix, dtype=complex)
         except (TypeError, ValueError) as e:
             raise LqcError(f"malformed instruction {self.gate!r}: {e}") from None
+        if matrix is not None:
+            matrix.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "ctrl_state", state)
@@ -112,8 +123,10 @@ class Circuit:
     instructions: tuple[Instruction, ...] = ()
 
     def __post_init__(self) -> None:
-        _freeze(self, self.instructions)
-        _validate(self.layout, self.instructions)
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        failures = _failures(self.layout, self.instructions)
+        if failures:
+            raise failures[0][1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
@@ -132,18 +145,11 @@ class Circuit:
         return _checked(self.layout, self.instructions + other.instructions * times)
 
 
-def _freeze(circuit: Circuit, instructions) -> None:
-    for instr in instructions:
-        if instr.matrix is not None:
-            instr.matrix.flags.writeable = False
-    object.__setattr__(circuit, "instructions", tuple(instructions))
-
-
 def _checked(layout: RegisterLayout, instructions) -> Circuit:
     """Circuit(...) for instructions already validated on this layout."""
     circuit = object.__new__(Circuit)
     object.__setattr__(circuit, "layout", layout)
-    _freeze(circuit, instructions)
+    object.__setattr__(circuit, "instructions", tuple(instructions))
     return circuit
 
 
@@ -156,7 +162,7 @@ def _is_gate_name(name: str) -> bool:
 def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
     """Raise LqcError unless the instruction is well formed on the layout:
     one the text can write back, with a gate matrix of its target count.
-    Whether that matrix preserves the metric is `_metric_failures`' check.
+    Whether that matrix preserves the metric is `_failures`' check.
     Where both run is in the module docstring."""
     if instr.gate in BUILTIN_ARITY:
         if instr.matrix is not None:
@@ -202,15 +208,22 @@ def _target_metric(kinds: str) -> np.ndarray:
     return eta
 
 
-def _metric_failures(layout: RegisterLayout, instructions) -> list[tuple[int, str]]:
-    """(index, message) of each well-formed instruction whose gate does not
-    preserve the metric of its target bits, in order. One stacked
-    `isometry_residual` per target count covers the whole list."""
+def _failures(layout: RegisterLayout, instructions) -> list[tuple[int, LqcError]]:
+    """(index, error) of each instruction that fails its check, in index
+    order: the form error of an ill-formed one, the metric error of a
+    well-formed one whose gate does not preserve the metric of its target
+    bits. One stacked `isometry_residual` per target count covers the
+    metric of every well-formed instruction."""
     kind_of = "".join(layout.kinds)
+    failures: list[tuple[int, LqcError]] = []
     by_arity: dict[int, list[int]] = {}
     for n, instr in enumerate(instructions):
+        try:
+            validate_instruction(layout, instr)
+        except LqcError as exc:
+            failures.append((n, exc))
+            continue
         by_arity.setdefault(len(instr.targets), []).append(n)
-    failures = []
     for members in by_arity.values():
         kinds = ["".join(kind_of[p] for p in instructions[n].targets) for n in members]
         resid = isometry_residual(
@@ -219,28 +232,11 @@ def _metric_failures(layout: RegisterLayout, instructions) -> list[tuple[int, st
         )
         for m in (resid > EPS_ISO).nonzero()[0].tolist():
             n = members[m]
-            failures.append((n, (
+            failures.append((n, IsometryError(
                 f"gate {instructions[n].gate} is not metric-preserving on target "
                 f"kind(s) {kinds[m]!r} (residual {resid[m]:.3g})"
             )))
-    return sorted(failures)
-
-
-def _validate(layout: RegisterLayout, instructions) -> None:
-    """Raise the error of the first instruction that is ill formed or breaks
-    the metric, as checking each one in full in turn would."""
-    formed, error = len(instructions), None
-    for n, instr in enumerate(instructions):
-        try:
-            validate_instruction(layout, instr)
-        except LqcError as exc:
-            formed, error = n, exc
-            break
-    failures = _metric_failures(layout, instructions[:formed])
-    if failures:
-        raise IsometryError(failures[0][1])
-    if error is not None:
-        raise error
+    return sorted(failures, key=lambda failure: failure[0])
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +333,18 @@ def parse(text: str) -> Circuit:
     lines = _Lines(text)
     errors: list[Diagnostic] = []
     decls: dict[str, int] = {}
-    decls_done = False
     defs: dict[str, tuple[int, np.ndarray]] = {}
     instructions: list[Instruction] = []
-    # (line, column, diagnostics before it) of each statement in `instructions`
-    statements: list[tuple[int, int, int]] = []
+    # (line, column) of each statement in `instructions`
+    statements: list[tuple[int, int]] = []
     layout: RegisterLayout | None = None
 
     def err(line: int, col: int, message: str) -> None:
         errors.append(Diagnostic(line, col, message))
 
     def get_layout() -> RegisterLayout:
-        nonlocal layout, decls_done
+        nonlocal layout
         if layout is None:
-            decls_done = True
             layout = RegisterLayout.of(decls.get("QUBITS", 0), decls.get("HYBITS", 0))
         return layout
 
@@ -405,17 +399,11 @@ def parse(text: str) -> Circuit:
             if got is None:
                 return
             targets.append(got[0])
-        instr = Instruction(
+        instructions.append(Instruction(
             gate=name, targets=tuple(targets), controls=tuple(controls),
             param=param, matrix=matrix, ctrl_state=tuple(ctrl_state),
-        )
-        try:
-            validate_instruction(get_layout(), instr)
-        except LqcError as exc:
-            err(lineno, col0, str(exc))
-            return
-        instructions.append(instr)
-        statements.append((lineno, col0, len(errors)))
+        ))
+        statements.append((lineno, col0))
 
     def parse_defgate(lineno: int, toks: list[tuple[int, str]]) -> bool:
         """Read one DEFGATE block into `defs`; False when it is refused."""
@@ -453,7 +441,7 @@ def parse(text: str) -> Circuit:
         keyword = head.upper()
 
         if keyword in ("QUBITS", "HYBITS"):
-            if decls_done:
+            if layout is not None:
                 err(lineno, col0, f"{keyword.lower()} declaration must precede statements")
                 continue
             if keyword in decls:
@@ -504,13 +492,11 @@ def parse(text: str) -> Circuit:
         else:
             parse_simple(lineno, toks, [], [])
 
-    # a metric failure goes where its statement's diagnostic would have
-    # gone had each statement been checked in full as it was read
-    for n, message in reversed(_metric_failures(get_layout(), instructions)):
-        lineno, col, before = statements[n]
-        errors.insert(before, Diagnostic(lineno, col, message))
+    for n, exc in _failures(get_layout(), instructions):
+        err(*statements[n], str(exc))
     if errors:
-        raise ParseError(errors)
+        # stable: the faults of one line keep the order they were found in
+        raise ParseError(sorted(errors, key=lambda d: d.line))
     # every instruction is now checked; a DEFGATE no statement uses is not kept
     return _checked(get_layout(), instructions)
 
@@ -612,8 +598,6 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
             f"register of {nbits} bits exceeds the 2^{TO_MATRIX_GUARD_BITS} "
             "dense-elaboration guard"
         )
-    from .simulator import apply_all  # deferred: simulator imports this module
-
     dim = circuit.layout.dimension
     mat = np.eye(dim, dtype=complex)
     # columns are a batch of basis states; one kernel pass per instruction

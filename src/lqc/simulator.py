@@ -89,11 +89,11 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Circuit, Instruction
 from .core import (
     EPS_PROB_SUM,
     NEGLIGIBLE_MASS_RATIO,
@@ -105,6 +105,9 @@ from .core import (
     basis_state,
     metric_for_kinds,
 )
+
+if TYPE_CHECKING:
+    from .circuit import Circuit, Instruction
 
 RNG_ALGORITHM = "Philox"
 # output lines per %-format in format_distribution and format_counts
@@ -317,8 +320,8 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                 if held:
                     free = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state)
                             if c not in untouched]
-                    instr = Instruction(instr.gate, instr.targets, tuple(c for c, _ in free),
-                                        instr.param, instr.matrix, tuple(v for _, v in free))
+                    instr = replace(instr, controls=tuple(c for c, _ in free),
+                                    ctrl_state=tuple(v for _, v in free))
             apply_to_tensor(layout, view, instr)
 
 

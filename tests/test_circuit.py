@@ -500,6 +500,23 @@ class TestInstructionValidation:
         with pytest.raises(LqcError, match="malformed instruction 'U'"):
             Instruction("U", **fields)
 
+    @pytest.mark.parametrize("gate", [None, 5, b"H"])
+    def test_gate_name_not_a_str(self, gate):
+        # used to reach the name pattern and raise TypeError from re
+        with pytest.raises(LqcError, match="is not a str"):
+            Circuit(RegisterLayout.of(1, 0), (Instruction(gate, (0,)),))
+
+    @pytest.mark.parametrize("param", ["0.5", 0.5j, [0.5]])
+    def test_parameter_not_a_real_number(self, param):
+        # "0.5" used to reach the gate's formula and raise TypeError there
+        with pytest.raises(LqcError, match="not a real number"):
+            Circuit(RegisterLayout.of(1, 0), (Instruction("PHASE", (0,), param=param),))
+
+    @pytest.mark.parametrize("param", [1, np.float64(0.5), np.float32(0.5)])
+    def test_real_parameter_types_accepted(self, param):
+        c = Circuit(RegisterLayout.of(1, 0), (Instruction("PHASE", (0,), param=param),))
+        assert c.instructions[0].param == param
+
 
 def check_in_turn(layout, instructions):
     """(type, message) of the error that checking each instruction in full,
@@ -663,6 +680,13 @@ class TestFrozen:
         assert not hasattr(c, "defs")
         with pytest.raises(ValueError):
             c.instructions[0].matrix[0, 0] = 2.0
+
+    def test_instruction_freezes_its_matrix(self):
+        # before any Circuit holds it, and the caller's array when not copied
+        gate = np.diag([1.0, 1j])
+        instr = Instruction("G", (0,), matrix=gate)
+        assert instr.matrix is gate
+        assert not gate.flags.writeable
 
     def test_constructor_freezes_defs(self):
         gate = np.diag([1.0, 1j])

@@ -1,8 +1,8 @@
 """Checks on what the package imports.
 
 Every module-level import in the package is used by its module, no module
-imports another lqc module's private (underscore-prefixed) name, no module
-reaches numpy's stride tricks, one function of the package calls the
+imports another lqc module's private (underscore-prefixed) name, no
+function imports an lqc module, no module reaches numpy's stride tricks, one function of the package calls the
 kernel `apply_to_tensor`, no module imports a scipy submodule at module
 level, no CLI command loads `scipy.linalg`, and no module reads or writes
 the process environment.
@@ -107,6 +107,62 @@ def test_checker_flags_private_lqc_names():
         "line 9: _helpers",
         "line 11: twolevel._lower_factor",
     ]
+
+
+def function_lqc_imports(source: str) -> list[str]:
+    """Lines that import an lqc module inside a function: relative imports,
+    and absolute ones of `lqc`. A deferred import is how an import cycle
+    between two modules hides; at module level the cycle fails at once."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                bad = node.level > 0 or (node.module or "").split(".")[0] == "lqc"
+            elif isinstance(node, ast.Import):
+                bad = any(alias.name.split(".")[0] == "lqc" for alias in node.names)
+            else:
+                continue
+            if bad:
+                found.add(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_lqc_import_in_a_function(path):
+    assert function_lqc_imports(path.read_text()) == []
+
+
+def test_checker_flags_lqc_imports_in_functions():
+    source = (
+        "from .simulator import apply_all\n"
+        "import lqc.core\n"
+        "def f():\n"
+        "    from .simulator import apply_all\n"
+        "    import numpy, lqc.core\n"
+        "    from lqc import gates\n"
+        "    import scipy.linalg\n"
+        "    from numpy import linalg\n"
+        "class C:\n"
+        "    async def g(self):\n"
+        "        def h():\n"
+        "            from .. import core\n"
+        "        import lqcx\n"
+        "if f:\n"
+        "    from . import circuit\n"
+    )
+    assert function_lqc_imports(source) == ["line 4", "line 5", "line 6", "line 12"]
+
+
+def test_simulator_loads_without_circuit():
+    # circuit imports simulator at module level, so the reverse would be a cycle
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, lqc.simulator; print('lqc.circuit' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def stride_tricks_uses(source: str) -> list[str]:
