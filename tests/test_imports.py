@@ -2,10 +2,11 @@
 
 Every module-level import in the package is used by its module, no module
 imports another lqc module's private (underscore-prefixed) name, no
-function imports an lqc module, no module reaches numpy's stride tricks, one function of the package calls the
-kernel `apply_to_tensor`, no module imports a scipy submodule at module
-level, no CLI command loads `scipy.linalg`, and no module reads or writes
-the process environment.
+function imports an lqc module, `lqc.simulator` loads without
+`lqc.circuit`, no module reaches numpy's stride tricks, one function of the
+package calls the kernel `apply_to_tensor`, no module imports a scipy
+submodule at module level, no CLI command loads `scipy.linalg`, and no
+module reads or writes the process environment.
 
 No linter runs on this code base, so this test stands in for an unused
 import check: each module of `src/lqc` is parsed with `ast`, and every name
