@@ -142,6 +142,8 @@ class Circuit:
         """This circuit followed by `times` copies of `other`."""
         if other.layout != self.layout:
             raise LqcError("cannot concatenate circuits over different layouts")
+        if not isinstance(times, numbers.Integral) or times < 0:
+            raise LqcError(f"concat needs a nonnegative integer count, got {times!r}")
         return _checked(self.layout, self.instructions + other.instructions * times)
 
 
@@ -575,15 +577,6 @@ def serialize(circuit: Circuit) -> str:
         else:
             out.append(f"{head} {tail}")
     return "\n".join(out) + "\n" if out else ""
-
-
-def format_matrix_text(matrix: np.ndarray, m: int, n: int) -> str:
-    """Matrix text of a matrix with signature (m, n), which
-    `parse_matrix_text` reads back exactly."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (m + n, m + n):
-        raise LqcError(f"matrix shape {matrix.shape} does not match dim {m + n}")
-    return "\n".join([f"dim {m} {n}"] + [_format_row(row) for row in matrix]) + "\n"
 
 
 # ---------------------------------------------------------------------------

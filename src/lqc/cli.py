@@ -13,7 +13,6 @@ import numpy as np
 from .circuit import Circuit, ParseError, parse, parse_matrix_text, serialize, to_matrix
 from .core import (
     EPS_ISO,
-    BitKind,
     GuardError,
     IsometryError,
     LqcError,
@@ -168,19 +167,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_ISOMETRY
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    A, (m, n) = parse_matrix_text(_read(args.file))
-    if args.qubits < 0 or args.hybits < 0 or args.qubits + args.hybits == 0:
+def _read_matrix(path: str, qubits: int, hybits: int) -> tuple[np.ndarray, RegisterLayout]:
+    """The matrix of a matrix file and the register of `qubits` then
+    `hybits` whose metric it is read under. Refuses an empty register, one
+    past the amplitude guard, and a header whose (m, n) differs from the
+    register's sign counts, so the matrix has the register's dimension."""
+    A, (m, n) = parse_matrix_text(_read(path))
+    if qubits < 0 or hybits < 0 or qubits + hybits == 0:
         raise CliUsageError("need a register with at least one bit")
-    layout = RegisterLayout("q" * args.qubits + "h" * args.hybits)
+    layout = RegisterLayout("q" * qubits + "h" * hybits)
     _check_memory(layout)
     signs = metric_vector(layout)
     plus, minus = int(np.sum(signs > 0)), int(np.sum(signs < 0))
     if (m, n) != (plus, minus):
         raise CliUsageError(
             f"matrix signature ({m},{n}) does not match the "
-            f"{args.qubits}-qubit {args.hybits}-hybit register ({plus},{minus})"
+            f"{qubits}-qubit {hybits}-hybit register ({plus},{minus})"
         )
+    return A, layout
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    A, layout = _read_matrix(args.file, args.qubits, args.hybits)
     tol = args.approx
     result = synth_compile(A, layout, tol=tol)
     sys.stdout.write(serialize(result.circuit))
@@ -213,11 +221,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    M, _ = parse_matrix_text(_read(args.file))
-    if M.shape != (2, 2):
-        raise CliUsageError("approx target must be a 2x2 matrix")
-    kind = BitKind.QUBIT if args.kind == "qubit" else BitKind.HYBIT
-    word = word_search(M, kind, args.tol, args.depth)
+    M, layout = _read_matrix(args.file, *((1, 0) if args.kind == "qubit" else (0, 1)))
+    word = word_search(M, layout.kinds[0], args.tol, args.depth)
     sys.stdout.write(f"word = {word}\n")
     sys.stdout.write(f"projective_error = {word.error:.17g}\n")
     sys.stdout.write(f"tol_met = {'true' if word.tol_met else 'false'}\n")

@@ -14,7 +14,7 @@ from .su11 import (
     su11_classify,
     trotter_word,
 )
-from .words import GateWord, projective_distance, word_matrix, word_search
+from .words import GateWord, projective_distance, word_search
 from .gadgets import isometric_sqrt, lambda_k
 from .twolevel import TwoLevelFactor, lower, two_level_factorize
 from .compiler import CompileResult, CompileStage, compile, format_report
@@ -42,6 +42,5 @@ __all__ = [
     "su11_classify",
     "trotter_word",
     "two_level_factorize",
-    "word_matrix",
     "word_search",
 ]

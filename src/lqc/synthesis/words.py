@@ -187,12 +187,3 @@ def word_search(
         error=best_error,
         tol_met=best_error < tol,
     )
-
-
-def word_matrix(letters, bitkind: BitKind | str) -> np.ndarray:
-    """Product of generator matrices, letters reading left to right."""
-    gens = generator_matrices(bitkind)
-    out = np.eye(2, dtype=complex)
-    for name in letters:
-        out = out @ gens[name.upper()]
-    return out

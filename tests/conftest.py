@@ -1,11 +1,12 @@
 """Shared helpers: random layouts, random valid circuits, the whole-tensor
-run, the dense matrix of a two-level factor, a controlled lift, and the
-node-by-node word search that the stacked one is checked against."""
+run, the dense matrix of a two-level factor, a controlled lift, the matrix
+file writer, the product of a generator word, and the node-by-node word
+search that the stacked one is checked against."""
 
 import numpy as np
 from hypothesis import settings
 
-from lqc.circuit import Circuit, Instruction
+from lqc.circuit import Circuit, Instruction, _format_row
 from lqc.core import (
     EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
     LqcError, RegisterLayout, basis_state, metric_for_kinds,
@@ -95,6 +96,22 @@ def controlled(G, k):
     d = G.shape[0]
     out = np.eye((1 << k) * d, dtype=complex)
     out[-d:, -d:] = G
+    return out
+
+
+def format_matrix_text(matrix, m, n):
+    """Matrix file text of a matrix under the header "dim m n", in the row
+    format of `serialize`, which `parse_matrix_text` reads back exactly."""
+    rows = [_format_row(row) for row in np.asarray(matrix, dtype=complex)]
+    return "\n".join([f"dim {m} {n}"] + rows) + "\n"
+
+
+def word_matrix(letters, bitkind):
+    """Product of generator matrices, letters reading left to right."""
+    gens = generator_matrices(bitkind)
+    out = np.eye(2, dtype=complex)
+    for name in letters:
+        out = out @ gens[name.upper()]
     return out
 
 

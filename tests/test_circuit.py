@@ -650,6 +650,17 @@ class TestValidateOnce:
         assert repeated.instructions == a.instructions + b.instructions * 3
         assert a.concat(b, times=0) == a
 
+    @pytest.mark.parametrize("times", [-1, 1.0, "2", None])
+    def test_concat_refuses_a_bad_count(self, times):
+        # a negative count used to return the first circuit alone
+        a = Circuit(RegisterLayout("qh"), (Instruction("H", (0,)),))
+        with pytest.raises(LqcError, match="nonnegative integer count"):
+            a.concat(a, times=times)
+
+    def test_concat_takes_a_numpy_count(self):
+        a = Circuit(RegisterLayout("qh"), (Instruction("H", (0,)),))
+        assert a.concat(a, times=np.int64(2)) == a.concat(a, times=2)
+
     def test_compile_checks_each_emitted_instruction_once(self, checked):
         from lqc.core import metric_vector
         from lqc.gates import random_isometry_for_signs

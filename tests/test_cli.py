@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cartan_target
-from lqc.circuit import format_matrix_text, parse
+from conftest import cartan_target, format_matrix_text
+from lqc.circuit import parse
 from lqc.cli import main
 from lqc.gates import builtin
 from lqc.search import choose_k
@@ -545,6 +545,28 @@ class TestApprox:
         )
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            (
+                "hybit", format_matrix_text(builtin("BOOST", 0.7), 2, 0),
+                "matrix signature (2,0) does not match the 0-qubit 1-hybit register (1,1)",
+            ),
+            (
+                "qubit", format_matrix_text(builtin("H"), 1, 1),
+                "matrix signature (1,1) does not match the 1-qubit 0-hybit register (2,0)",
+            ),
+        ],
+        ids=["hybit", "qubit"],
+    )
+    def test_header_of_the_other_kind_exit_1(self, tmp_path, capsys, kind, text, message):
+        # each used to exit 0, the file read under the metric --kind names
+        f = put(tmp_path, "m.mat", text)
+        code, out, err = cli(
+            capsys, "approx", f, "--kind", kind, "--tol", "0.1", "--depth", "2"
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, _ = cli(

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import controlled
-from lqc.circuit import (
-    Instruction,
-    ParseError,
-    format_matrix_text,
-    parse_matrix_text,
-    validate_instruction,
-)
+from conftest import controlled, format_matrix_text
+from lqc.circuit import Instruction, ParseError, parse_matrix_text, validate_instruction
 from lqc.core import EPS_ISO, LqcError, RegisterLayout, metric_for_kinds
 from lqc.gates import (
     BUILTIN_ARITY,
@@ -351,10 +345,6 @@ class TestMatrixText:
             parse_matrix_text(text)
         [d] = exc.value.diagnostics
         assert (d.line, d.column, d.message) == diagnostic
-
-    def test_shape_must_match_signature(self):
-        with pytest.raises(LqcError, match="does not match dim 3"):
-            format_matrix_text(np.eye(2), 2, 1)
 
     def test_17_digit_fidelity(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,12 @@ package calls the kernel `apply_to_tensor`, no module imports a scipy
 submodule at module level, no CLI command loads `scipy.linalg`, and no
 module reads or writes the process environment.
 
+The API ledger: every top-level function and class of the package is read
+somewhere else in the package, is named in an `__all__` list, or waits in
+`PENDING` with a reason. Every name in an `__all__` resolves on its module,
+and the README's "API" section lists exactly those names, with a reason for
+each one that has no caller in the package.
+
 No linter runs on this code base, so this test stands in for an unused
 import check: each module of `src/lqc` is parsed with `ast`, and every name
 bound by a module-level `import` or `from ... import` must be read
@@ -18,7 +24,9 @@ imports and are skipped, as are `from __future__` imports.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +34,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import format_matrix_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src" / "lqc"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
@@ -340,6 +351,167 @@ def test_checker_flags_environment_access():
     assert environment_uses(source) == ["line 2", "line 3", "line 4", "line 6", "line 7"]
 
 
+# Functions and classes that have no caller in the package and are not
+# exported, each with the reason it stays for now. An entry that gains a
+# caller or goes away fails the ledger, so this can only shrink.
+PENDING = {
+    "lqc.gates.random_isometry_for_signs": (
+        "test input generator, the only reason src imports scipy; ROADMAP item 2 "
+        "moves it to tests once perfbench/run.py stops reading sys.modules['scipy']"
+    ),
+}
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def package_sources() -> dict[str, str]:
+    return {module_name(p): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+
+
+def _all_list(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def api_ledger(sources: dict[str, str]) -> tuple[set[str], dict[str, bool]]:
+    """The names in any `__all__` list, and for each top-level function
+    and class, as `module.name`, whether the package reads its name
+    somewhere outside its own definition. A read is an `ast.Name` or an
+    `ast.Attribute` in load context, matched by name alone: a recursive
+    call is no caller, and a read of `x.run` counts for every `run`. A read
+    of a name imported `as` another counts for the imported name."""
+    exported: set[str] = set()
+    reads: dict[str, set[tuple[str, int]]] = {}
+    defined: dict[str, tuple[str, int]] = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported.update(_all_list(tree) or ())
+        renamed = {
+            alias.asname: alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.asname
+        }
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{module}.{stmt.name}"] = (module, i)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = renamed.get(node.id, node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                reads.setdefault(name, set()).add((module, i))
+    called = {
+        name: bool(reads.get(name.rsplit(".", 1)[1], set()) - {where})
+        for name, where in defined.items()
+    }
+    return exported, called
+
+
+def ledger_faults(sources: dict[str, str], pending: dict[str, str]) -> list[str]:
+    exported, called = api_ledger(sources)
+    unaccounted = {
+        name for name, c in called.items() if not c and name.rsplit(".", 1)[1] not in exported
+    }
+    faults = [f"{name}: no caller and not exported" for name in unaccounted - pending.keys()]
+    faults += [f"{name}: pending, but not defined" for name in pending.keys() - called.keys()]
+    faults += [
+        f"{name}: pending, but has a caller or is exported"
+        for name in pending.keys() & called.keys() - unaccounted
+    ]
+    return sorted(faults)
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    assert ledger_faults(package_sources(), PENDING) == []
+
+
+def test_ledger_flags_uncalled_names_and_stale_pending_entries():
+    sources = {
+        "lqc": "__all__ = ['exported']\n",
+        "lqc.a": (
+            "def exported(): pass\n"
+            "def called(): pass\n"
+            "def uncalled(): called()\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Klass:\n"
+            "    def copy(self): return Klass()\n"
+            "def waits(): pass\n"
+            "def now_called(): pass\n"
+            "def now_exported(): pass\n"
+            "def aliased(): pass\n"
+        ),
+        "lqc.b": (
+            "from . import a\n"
+            "from .a import uncalled as renamed, aliased as other\n"
+            "__all__ = ['now_exported']\n"
+            "a.now_called()\n"
+            "other()\n"
+        ),
+    }
+    pending = {
+        "lqc.a.waits": "",
+        "lqc.a.now_called": "",
+        "lqc.a.now_exported": "",
+        "lqc.a.gone": "",
+    }
+    assert ledger_faults(sources, pending) == [
+        "lqc.a.Klass: no caller and not exported",
+        "lqc.a.gone: pending, but not defined",
+        "lqc.a.now_called: pending, but has a caller or is exported",
+        "lqc.a.now_exported: pending, but has a caller or is exported",
+        "lqc.a.recursive: no caller and not exported",
+        "lqc.a.uncalled: no caller and not exported",
+    ]
+
+
+EXPORTING = {
+    name: names
+    for name, names in ((m, _all_list(ast.parse(s))) for m, s in package_sources().items())
+    if names is not None
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTING))
+def test_every_exported_name_resolves(module):
+    missing = [n for n in EXPORTING[module] if not hasattr(importlib.import_module(module), n)]
+    assert missing == []
+
+
+def readme_api() -> tuple[dict[str, set[str]], set[str]]:
+    """The README's "API" section: the names it lists under each module,
+    and the names it gives a reason for having no caller in the package.
+    Each is a bullet `* head: text`, wrapped lines indented by two spaces;
+    a head naming a module lists that module's exports."""
+    section = README.read_text().split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    modules: dict[str, set[str]] = {}
+    reasons: set[str] = set()
+    for bullet in re.findall(r"^\* (.*(?:\n  .*)*)", section, re.MULTILINE):
+        head, _, text = bullet.partition(": ")
+        names = re.findall(r"`([\w.]+)`", head)
+        if names[0] in EXPORTING:
+            modules[names[0]] = set(re.findall(r"`(\w+)`", text))
+        else:
+            reasons.update(names)
+    return modules, reasons
+
+
+def test_readme_lists_the_exports_and_why_uncalled_ones_stay():
+    modules, reasons = readme_api()
+    assert modules == {module: set(names) for module, names in EXPORTING.items()}
+    exported, called = api_ledger(package_sources())
+    uncalled = {name.rsplit(".", 1)[1] for name, c in called.items() if not c}
+    assert reasons == uncalled & exported
+
+
 # Each CLI command once on a tiny input, in a fresh interpreter: the test
 # process itself has loaded scipy.linalg through other test modules.
 CLI_COMMANDS = """
@@ -368,7 +540,6 @@ print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
 
 def test_cli_commands_leave_scipy_linalg_unloaded(tmp_path):
     from lqc.core import RegisterLayout, metric_vector
-    from lqc.circuit import format_matrix_text
     from lqc.gates import builtin, random_isometry_for_signs
 
     lorentz = random_isometry_for_signs(metric_vector(RegisterLayout("qh")), seed=11)

@@ -5,17 +5,12 @@ import pytest
 
 from conftest import (
     cartan_target, reference_canonical_key, reference_projective_distance, reference_word_search,
+    word_matrix,
 )
 from lqc.core import EPS_DEGENERATE, IsometryError
 from lqc.gates import builtin
 from lqc.synthesis import words
-from lqc.synthesis.words import (
-    GateWord,
-    generator_matrices,
-    projective_distance,
-    word_matrix,
-    word_search,
-)
+from lqc.synthesis.words import GateWord, generator_matrices, projective_distance, word_search
 
 
 def rot_z(theta):
