@@ -39,9 +39,13 @@ EPS_AXIS_BASIS = 1e-9  # the three conjugated word axes are linearly dependent
 EPS_REAL_AXIS = 1e-7  # imaginary part of an extracted axis component that still counts as real
 EPS_EIGEN_MATCH = 1e-6  # two hyperbolic elements have equal eigenvalues, so they are conjugate
 EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta| below this
-MIN_PARTNER_MARGIN = 1e-3  # a hyperbolic partner clears both of its conditions by this
 EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this
 EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
+
+# word_search refuses a longer word bound. A hybit search takes about 0.8 s
+# and 110 MB at depth 24, and each four levels more multiply the time by six
+# and the memory by five (4.6 s and 550 MB at 28); qubit searches cost less.
+MAX_WORD_DEPTH = 24
 
 
 class LqcError(Exception):

@@ -13,7 +13,8 @@ plus one k-control phase corrector:
 
 with C@A = D@B = U and D@C@B@A a pure phase. For a qubit target the
 factors come from an eigenbasis swap of U; for a hybit target they come
-from a trace-matching conjugacy inside U(1,1). A gate that is an
+from a trace-matching conjugacy inside U(1,1), against a hyperbolic
+partner built in closed form at a few fixed rapidities. A gate that is an
 involution with det -1 (X, H, TAU, ...) is first conjugated into a
 controlled Z by two single-bit gates, which keeps the expansion of the
 common controlled flips short.
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..core import (
     EPS_DEGENERATE, EPS_EIGEN_MATCH, EPS_IDENTITY, EPS_ISO, EPS_RECON, EPS_SCALAR_SQUARE,
-    EPS_TARGET_ISO, EPS_ZERO, MIN_PARTNER_MARGIN, BitKind, IsometryError, LqcError, RegisterLayout,
+    EPS_TARGET_ISO, EPS_ZERO, BitKind, IsometryError, LqcError, RegisterLayout,
     metric_for_kinds,
 )
 from ..gates import builtin, isometry_residual
@@ -84,56 +85,32 @@ def _unitary_w_factors(U: np.ndarray):
     return _I2, swap, U, U @ swap, float(np.angle(_det2(U)))
 
 
-def _sphere_points(count: int) -> np.ndarray:
-    # deterministic golden-spiral covering of S^2
-    k = np.arange(count)
-    z = 1.0 - 2.0 * (k + 0.5) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    th = np.pi * (1.0 + np.sqrt(5.0)) * k
-    return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
+def _hyperbolic_partner(U0: np.ndarray, s: float, r: float) -> np.ndarray | None:
+    """M in SU(1,1) with tr M = 2 cosh r and tr(U0^2 M) = s tr M, or None.
 
-
-def _kernel(A: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of A. A singular value s
-    counts toward the rank when s > eps * max(M, N) * s_max, the rule of
-    scipy.linalg.null_space."""
-    _, sv, vh = np.linalg.svd(A)
-    rank = int(np.sum(sv > np.finfo(float).eps * max(A.shape) * sv.max(initial=0.0)))
-    return vh[rank:].conj().T
-
-
-def _hyperbolic_partner(U0: np.ndarray, s: float) -> np.ndarray | None:
-    """Hyperbolic M in SU(1,1) with tr(M (U0^2 - sI)) = 0, or None.
-
-    The SU(1,1) span {[[z, g], [conj g, conj z]]} is parametrized by
-    x = (Re z, Im z, Re g, Im g); the trace condition is one real linear
-    constraint, so its kernel is searched over a deterministic sphere.
+    In the basis e0 = iZ, e1 = X, e2 = -Y of traceless su(1,1), with
+    tr(ei ej) = 2 J_ij and J = diag(-1, 1, 1), M = cosh(r) I + mu.e has
+    det 1 when mu^T J mu = sinh(r)^2. For U0^2 = c I + nu.e and w = J nu the
+    trace condition is w.mu = -cosh(r) (c - s), which fixes mu along w; the
+    unit t orthogonal to w and e0 (so J t = t) carries the rest of the
+    norm. None when w vanishes or that rest would be negative.
     """
-    W = U0 @ U0 - s * _I2
-    w = W[0, 0]
-    q = W[0, 1]
-    row = np.array([[w.real, -w.imag, q.real, q.imag]])
-    kernel = _kernel(row)
-    if kernel.shape[1] < 3:
+    S = U0 @ U0
+    # c and nu of the nearest [[z, g], [conj g, conj z]], read off both rows
+    z, g = (S[0] + np.conj(S[1, ::-1])) / 2
+    w = np.array([-z.imag, g.real, g.imag])
+    norm = np.linalg.norm(w)
+    if norm < EPS_DEGENERATE:
         return None
-    best = None
-    best_margin = 0.0
-    for u in _sphere_points(512):
-        x = kernel[:, :3] @ u
-        z = x[0] + 1j * x[1]
-        g = x[2] + 1j * x[3]
-        qform = abs(z) ** 2 - abs(g) ** 2
-        hyper = z.real**2 - qform  # (Re z)^2 > qform after scaling
-        margin = min(qform, hyper)
-        if margin > best_margin:
-            best_margin = margin
-            best = (z, g)
-    if best is None or best_margin < MIN_PARTNER_MARGIN:
+    w /= norm
+    alpha = -np.cosh(r) * (z.real - s) / norm
+    beta_sq = np.sinh(r) ** 2 - alpha**2 * (w[1] ** 2 + w[2] ** 2 - w[0] ** 2)
+    if beta_sq < 0:
         return None
-    z, g = best
-    scale = 1.0 / np.sqrt(abs(z) ** 2 - abs(g) ** 2)
-    z *= scale
-    g *= scale
+    t = np.array([0.0, w[2], -w[1]])  # w x e0, or e1 when w lies along e0
+    t = t / np.linalg.norm(t) if np.linalg.norm(t) > EPS_DEGENERATE else np.array([0.0, 1.0, 0.0])
+    mu = alpha * w + np.sqrt(beta_sq) * t
+    z, g = np.cosh(r) + 1j * mu[0], mu[1] + 1j * mu[2]
     return np.array([[z, g], [np.conj(g), np.conj(z)]])
 
 
@@ -163,30 +140,33 @@ def _isotropic_conjugator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _su11_w_factors(U: np.ndarray):
-    """Factors (A,B,C,D,psi) for U in U(1,1), or None when the trace
-    search finds no well-conditioned hyperbolic partner."""
-    det = _det2(U)
-    phi = np.angle(det) / 2.0
+    """Factors (A,B,C,D,psi) for U in U(1,1), or None when no hyperbolic
+    partner at the rapidities tried gives a conjugator.
+
+    The partners have s = +-1 and rapidity 0.25, 0.5, 1 or 2 above 0 or
+    above the rapidity chi of U0; of their factor sets the one with the
+    smallest largest entry is kept, as the emitted gates inherit it."""
+    phi = np.angle(_det2(U)) / 2.0
     U0 = np.exp(-1j * phi) * U
-    U0sq = U0 @ U0
     for s in (1.0, -1.0):
-        if np.max(np.abs(U0sq - s * _I2)) < EPS_SCALAR_SQUARE:
-            psi = float(np.angle(s * np.exp(2j * phi)))
-            return _I2, _I2, U.copy(), U.copy(), psi
+        if np.max(np.abs(U0 @ U0 - s * _I2)) < EPS_SCALAR_SQUARE:
+            return _I2, _I2, U.copy(), U.copy(), float(np.angle(s * np.exp(2j * phi)))
+    chi = np.arccosh(max(1.0, abs(U0.trace()) / 2.0))
+    best, best_size = None, np.inf
     for s in (1.0, -1.0):
-        M = _hyperbolic_partner(U0, s)
-        if M is None:
-            continue
-        X = U0 @ M @ U0
-        try:
-            K = _isotropic_conjugator(X, s * M)
-        except LqcError:
-            continue
-        if np.max(np.abs(K)) > 100.0:
-            continue
-        psi = float(np.angle(s * np.exp(2j * phi)))
-        return K, np.linalg.inv(M), U @ np.linalg.inv(K), U @ M, psi
-    return None
+        for r in [base + step for base in (0.0, chi) for step in (0.25, 0.5, 1.0, 2.0)]:
+            M = _hyperbolic_partner(U0, s, r)
+            if M is None:
+                continue
+            try:
+                K = _isotropic_conjugator(U0 @ M @ U0, s * M)
+            except LqcError:
+                continue
+            factors = (K, np.linalg.inv(M), U @ np.linalg.inv(K), U @ M)
+            size = max(np.max(np.abs(F)) for F in factors)
+            if size < best_size:
+                best, best_size = (*factors, float(np.angle(s * np.exp(2j * phi)))), size
+    return best
 
 
 def _verify_w_factors(U, factors, eta):

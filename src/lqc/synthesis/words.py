@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import (
-    EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
-    metric_for_kinds,
+    EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, MAX_WORD_DEPTH, BitKind,
+    GuardError, IsometryError, LqcError, metric_for_kinds,
 )
 from ..gates import builtin, isometry_residual
 
@@ -134,8 +134,15 @@ def word_search(
     Always returns a word; tol_met reports whether the requested tolerance
     was reached. Ties at equal error break toward shorter, then
     lexicographically earlier words (guaranteed by enumeration order and
-    strict improvement).
+    strict improvement). Refuses a negative depth_max or a tol that is not
+    positive, and a depth_max past MAX_WORD_DEPTH with GuardError.
     """
+    if depth_max < 0:
+        raise LqcError(f"word depth must be nonnegative, got {depth_max}")
+    if depth_max > MAX_WORD_DEPTH:
+        raise GuardError(f"word depth {depth_max} exceeds the guard of {MAX_WORD_DEPTH}")
+    if not tol > 0:
+        raise LqcError("approximation tolerance must be positive")
     kind = BitKind(bitkind)
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):

@@ -575,6 +575,24 @@ class TestApprox:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "tol, depth, code, message",
+        [
+            ("0.1", "-3", 1, "word depth must be nonnegative, got -3"),
+            ("-1", "2", 1, "approximation tolerance must be positive"),
+            ("0", "2", 1, "approximation tolerance must be positive"),
+            ("nan", "2", 1, "approximation tolerance must be positive"),
+            ("0.1", "25", 4, "word depth 25 exceeds the guard of 24"),
+        ],
+        ids=["negative-depth", "negative-tol", "zero-tol", "nan-tol", "past-guard"],
+    )
+    def test_search_bounds_refused(self, tmp_path, capsys, tol, depth, code, message):
+        # each used to exit 0, the negative depth with word = <empty>; the
+        # guard refuses before any search starts
+        f = put(tmp_path, "t.mat", format_matrix_text(builtin("T"), 2, 0))
+        got = cli(capsys, "approx", f, "--kind", "qubit", "--tol", tol, "--depth", depth)
+        assert got == (code, "", f"error: {message}\n")
+
 
 # Stdout of `lqc approx --tol 1e-3` and `lqc synth --approx 0.05` on seeded
 # Cartan-form targets, recorded with the node-by-node word search at

@@ -13,6 +13,26 @@ from lqc.synthesis import gadgets
 from lqc.synthesis.gadgets import isometric_sqrt, lambda_k
 
 
+def rot_z(t):
+    return np.diag([np.exp(1j * t), np.exp(-1j * t)])
+
+
+def _rapidity_battery():
+    """Four U(1,1) targets e^{i phi} rot_z(a) BOOST(chi) rot_z(b) per rapidity
+    chi, with (a, b, phi) drawn in turn from one seeded stream."""
+    rng = np.random.default_rng(123)
+    out = {}
+    for chi in (0, 0.1, 0.5, 1, 2, 4, 6):
+        for _ in range(4):
+            a, b, phi = rng.uniform(-3, 3, 3)
+            V = np.exp(1j * phi) * rot_z(a) @ builtin("BOOST", chi) @ rot_z(b)
+            out.setdefault(chi, []).append(V)
+    return out
+
+
+RAPIDITY_BATTERY = _rapidity_battery()
+
+
 def haar_unitary(seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -185,7 +205,8 @@ class TestRandomTargets:
             assert np.max(np.abs(lifted(circ) - controlled(V, 2))) < 1e-9
 
     def test_near_identity_phase_on_hybit(self):
-        # diagonal arguments push the factor search through its split path
+        # diagonal arguments have diagonal squares, whose partner axis is
+        # the fallback e1
         layout = RegisterLayout("qqh")
         for phi in (0.01, 0.4, 2.9):
             V = np.diag([1.0, np.exp(1j * phi)]).astype(complex)
@@ -196,6 +217,18 @@ class TestRandomTargets:
         V = builtin("PHASE", 1.3)
         circ = lambda_k(3, V)
         assert np.max(np.abs(lifted(circ) - controlled(V, 3))) < 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("j", range(4))
+    def test_rapidity_6_targets_every_control_mix(self, j, k):
+        # the hybit partner search with a margin cut refused 20 of these 48
+        # calls: an emitted gate's residual above EPS_ISO, or a W residue
+        # that was not a pure phase
+        V = RAPIDITY_BATTERY[6][j]
+        for mix in itertools.product("qh", repeat=k):
+            circ = lambda_k(k, V, RegisterLayout("".join(mix) + "h"))
+            err = np.max(np.abs(lifted(circ) - controlled(V, k))) / max(1.0, np.max(np.abs(V)))
+            assert err <= 1e-9, mix
 
 
 class TestLayoutHandling:
@@ -299,9 +332,9 @@ def _unitaries_for_w_factors():
 
 
 class TestNumpyFactorSolvers:
-    """The eigenvector basis of the qubit W factors and the SVD kernel of
-    the hybit partner search, on the arguments where each is easiest to
-    get wrong."""
+    """The eigenvector basis of the qubit W factors, the closed-form
+    hyperbolic partner and the eigenvector conjugator of the hybit ones,
+    on the arguments where each is easiest to get wrong."""
 
     @pytest.mark.parametrize(
         "U", [pytest.param(U, id=name) for name, U in _unitaries_for_w_factors()]
@@ -309,17 +342,39 @@ class TestNumpyFactorSolvers:
     def test_unitary_w_factors_verify(self, U):
         gadgets._verify_w_factors(U, gadgets._unitary_w_factors(U), np.ones(2))
 
+    @pytest.mark.parametrize("r", [0.25, 2.0, 6.5])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
     @pytest.mark.parametrize(
-        "row,dim",
+        "U0",
         [
-            (np.random.default_rng(5).normal(size=(1, 4)), 3),
-            (1e-20 * np.random.default_rng(6).normal(size=(1, 4)), 3),
-            (np.zeros((1, 4)), 4),
+            pytest.param(rot_z(0.3), id="diagonal"),
+            pytest.param(rot_z(1.0) @ builtin("BOOST", 0.3), id="elliptic"),
+            pytest.param(rot_z(0.3) @ builtin("BOOST", 0.4), id="hyperbolic"),
+            pytest.param(builtin("BOOST", 3.0) @ rot_z(0.8), id="rapidity-3"),
         ],
-        ids=["generic", "tiny", "zero"],
     )
-    def test_kernel_is_orthonormal_and_annihilates(self, row, dim):
-        K = gadgets._kernel(row)
-        assert K.shape == (4, dim)
-        assert np.max(np.abs(K.conj().T @ K - np.eye(dim))) < 1e-14
-        assert np.max(np.abs(row @ K)) <= 1e-14 * max(1.0, np.max(np.abs(row)))
+    def test_hyperbolic_partner_meets_its_conditions(self, U0, s, r):
+        M = gadgets._hyperbolic_partner(U0, s, r)
+        if M is None:
+            # only a hyperbolic square can leave no real partner
+            assert abs(np.trace(U0 @ U0)) > 2
+            return
+        # bounds of a few rounding errors on the largest products involved
+        size = np.max(np.abs(M))
+        assert isometry_residual(M, np.array([1, -1])) < 1e-15 * size**2
+        assert abs(np.linalg.det(M) - 1) < 1e-15 * size**2
+        assert np.trace(M) == 2 * np.cosh(r)
+        bound = 1e-14 * size * np.max(np.abs(U0)) ** 2
+        assert abs(np.trace(U0 @ U0 @ M) - s * np.trace(M)) < bound
+
+    def test_hyperbolic_partner_of_a_scalar_square_is_none(self):
+        assert gadgets._hyperbolic_partner(1j * np.eye(2), -1.0, 1.0) is None
+
+    def test_isotropic_conjugator_refuses_unequal_traces(self):
+        with pytest.raises(LqcError, match="conjugacy eigenvalue mismatch"):
+            gadgets._isotropic_conjugator(builtin("BOOST", 0.5), builtin("BOOST", 1.0))
+
+    def test_isotropic_conjugator_refuses_the_identity(self):
+        # the eigenvectors of I are the basis vectors, orthogonal under eta
+        with pytest.raises(LqcError, match="degenerate eigenvector pairing"):
+            gadgets._isotropic_conjugator(np.eye(2), np.eye(2))

@@ -10,7 +10,8 @@ module reads or writes the process environment.
 
 The API ledger: every top-level function and class of the package is read
 somewhere else in the package, is named in an `__all__` list, or waits in
-`PENDING` with a reason. Every name in an `__all__` resolves on its module,
+`PENDING` with a reason. Every module-level UPPER_CASE constant is read
+somewhere in the package. Every name in an `__all__` resolves on its module,
 and the README's "API" section lists exactly those names, with a reason for
 each one that has no caller in the package.
 
@@ -380,27 +381,21 @@ def _all_list(tree: ast.Module) -> list[str] | None:
     return None
 
 
-def api_ledger(sources: dict[str, str]) -> tuple[set[str], dict[str, bool]]:
-    """The names in any `__all__` list, and for each top-level function
-    and class, as `module.name`, whether the package reads its name
-    somewhere outside its own definition. A read is an `ast.Name` or an
-    `ast.Attribute` in load context, matched by name alone: a recursive
-    call is no caller, and a read of `x.run` counts for every `run`. A read
-    of a name imported `as` another counts for the imported name."""
-    exported: set[str] = set()
+def _reads(sources: dict[str, str]) -> tuple[dict[str, ast.Module], dict[str, set]]:
+    """Each module's tree, and for each name the places `(module, index of
+    the top-level statement)` that read it. A read is an `ast.Name` or an
+    `ast.Attribute` in load context, matched by name alone, so a read of
+    `x.run` counts for every `run`. A read of a name imported `as` another
+    counts for the imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
     reads: dict[str, set[tuple[str, int]]] = {}
-    defined: dict[str, tuple[str, int]] = {}
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        exported.update(_all_list(tree) or ())
+    for module, tree in trees.items():
         renamed = {
             alias.asname: alias.name
             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
             for alias in node.names if alias.asname
         }
         for i, stmt in enumerate(tree.body):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[f"{module}.{stmt.name}"] = (module, i)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = renamed.get(node.id, node.id)
@@ -409,11 +404,77 @@ def api_ledger(sources: dict[str, str]) -> tuple[set[str], dict[str, bool]]:
                 else:
                     continue
                 reads.setdefault(name, set()).add((module, i))
+    return trees, reads
+
+
+def api_ledger(sources: dict[str, str]) -> tuple[set[str], dict[str, bool]]:
+    """The names in any `__all__` list, and for each top-level function
+    and class, as `module.name`, whether the package reads its name
+    somewhere outside its own definition (see `_reads`); a recursive call
+    is no caller."""
+    trees, reads = _reads(sources)
+    exported: set[str] = set()
+    defined: dict[str, tuple[str, int]] = {}
+    for module, tree in trees.items():
+        exported.update(_all_list(tree) or ())
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{module}.{stmt.name}"] = (module, i)
     called = {
         name: bool(reads.get(name.rsplit(".", 1)[1], set()) - {where})
         for name, where in defined.items()
     }
     return exported, called
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names, as `module.name`, that no statement of
+    the package reads outside their own assignment (see `_reads`). An
+    export does not count: a bound or tolerance nothing reads decides
+    nothing."""
+    trees, reads = _reads(sources)
+    found = []
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            else:
+                targets = [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            for target in targets:
+                if (
+                    isinstance(target, ast.Name)
+                    and target.id.lstrip("_").isupper()
+                    and not reads.get(target.id, set()) - {(module, i)}
+                ):
+                    found.append(f"{module}.{target.id}")
+    return sorted(found)
+
+
+def test_every_constant_is_read():
+    assert unread_constants(package_sources()) == []
+
+
+def test_checker_flags_unread_constants():
+    sources = {
+        "lqc.a": (
+            "EPS_READ = 1e-9\n"
+            "EPS_UNREAD = 1e-3\n"
+            "MAX_READ = MAX_UNREAD = 10\n"
+            "_PRIVATE = 2\n"
+            "LIMIT: int = 5\n"
+            "lower_case = 1\n"
+            "__all__ = ['EPS_UNREAD']\n"
+            "def f(x):\n"
+            "    MAX_LOCAL = 3\n"
+            "    return x < EPS_READ\n"
+        ),
+        "lqc.b": (
+            "from .a import _PRIVATE as P\n"
+            "from . import a\n"
+            "n = P + a.LIMIT + a.MAX_READ\n"
+        ),
+    }
+    assert unread_constants(sources) == ["lqc.a.EPS_UNREAD", "lqc.a.MAX_UNREAD"]
 
 
 def ledger_faults(sources: dict[str, str], pending: dict[str, str]) -> list[str]:
