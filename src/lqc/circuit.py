@@ -9,7 +9,8 @@ File grammar (line oriented, `#` comments, keywords case-insensitive,
 zero-based bit indices within each kind):
 
     file      := (decl NEWLINE)* (stmt NEWLINE)*
-    decl      := "qubits" INT | "hybits" INT     each at most once, default 0
+    decl      := "qubits" INT | "hybits" INT     each at most once, default 0;
+                                                 together at most MAX_REGISTER_BITS
     stmt      := simple | ctrl | defgate
     simple    := GATENAME param? bitref+
     ctrl      := "CTRL" ctrlref+ ":" simple
@@ -61,7 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    EPS_ISO, BitKind, GuardError, IsometryError, LqcError, RegisterLayout, metric_for_kinds,
+    EPS_ISO, MAX_REGISTER_BITS, BitKind, GuardError, IsometryError, LqcError, RegisterLayout,
+    metric_for_kinds,
 )
 from .gates import BUILTIN_ARITY, PARAMETRIC, builtin, isometry_residual
 from .simulator import apply_all
@@ -258,6 +260,12 @@ class ParseError(LqcError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
+
+
+class RegisterBoundError(ParseError, GuardError):
+    """A declared register past MAX_REGISTER_BITS: a parse diagnostic that
+    is a resource guard, like the CLI's refusal of a register too large to
+    simulate."""
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:
@@ -461,6 +469,11 @@ def parse(text: str) -> Circuit:
             if count < 0:
                 err(lineno, ccol, "count must be nonnegative")
                 continue
+            total = count + sum(decls.values())
+            if total > MAX_REGISTER_BITS:
+                # before any layout is built; no later line can name a bit of it
+                err(lineno, ccol, f"register of {total} bits exceeds the bound of {MAX_REGISTER_BITS}")
+                raise RegisterBoundError(sorted(errors, key=lambda d: d.line))
             decls[keyword] = count
             continue
 

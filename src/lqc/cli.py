@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -229,7 +230,9 @@ def cmd_approx(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on the first call and shared after it."""
     parser = _Parser(prog="lqc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

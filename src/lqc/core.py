@@ -42,10 +42,15 @@ EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta|
 EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this
 EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
 
-# word_search refuses a longer word bound. A hybit search takes about 0.8 s
-# and 110 MB at depth 24, and each four levels more multiply the time by six
-# and the memory by five (4.6 s and 550 MB at 28); qubit searches cost less.
+# word_search refuses a longer word bound. A hybit search takes about 0.3 s
+# and 75 MB at depth 24, and each four levels more multiply both by about
+# six (0.054 s and 12 MB at 20; one BLAS thread, 2-core Xeon); qubit
+# searches cost less.
 MAX_WORD_DEPTH = 24
+
+# `parse` refuses a declared register of more bits: a basis index, and the
+# hybit mask `metric_for_kinds` takes it through, is a uint64.
+MAX_REGISTER_BITS = 64
 
 
 class LqcError(Exception):

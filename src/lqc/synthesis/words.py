@@ -6,26 +6,35 @@ words grow slowly (H and TAU square to the identity, T has finite order
 up to phase), so the frontier stays small even at depth 20.
 
 The search takes one level at a time. The frontier, the words of the last
-length kept, is one (n, 2, 2) stack, and one stacked product with the
-generators gives the next level's candidates: frontier-major, names in
-sorted order. Each candidate gets a key that is equal for matrices that
-agree up to a global phase after rounding, and a key seen on this or an
-earlier level drops it, so within a level the first occurrence in that
-order is the one kept. One stacked `projective_distance` then scores the
-kept candidates, and the rule err < best - EPS_WORD_TIE is replayed over
-them in order: ties break toward the shorter, then the earlier, word.
+length kept, is one (n, 2, 2) stack, and one gemm per generator over its
+rows gives the next level's candidates: frontier-major, names in sorted
+order. Each candidate gets a key that is equal for matrices that agree up
+to a global phase after rounding, and a key seen on this or an earlier
+level drops it, so within a level the first occurrence in that order is
+the one kept. One stacked `projective_distance` then scores the kept
+candidates, and the rule err < best - EPS_WORD_TIE is replayed over them
+in order: ties break toward the shorter, then the earlier, word.
 
 Every result is bit-identical to scoring one node at a time, which the
-tests check against such a search. Each stacked step does the same float
-operations on each element as the single-matrix step: numpy's stacked
-matmul makes the same 2x2 product per element, and a stacked np.trace sums
-each diagonal as the single one does. The phases need care: each phase
-t/|t| must have the bits of the numpy scalar t / abs(t), the form the
-single-matrix step uses. A scalar's abs() is the C library's hypot of the
-parts, but np.abs on a complex array runs numpy's own vector loop, which
-can differ in the last bit; with t / np.abs(t), some printed errors change
-in their last digits. So the phases are t / np.hypot(t.real, t.imag), an
-array formula with the scalar's bits.
+tests check against such a search. Each array step is one BLAS call or one
+ufunc pass over the whole level. The products are (2n, 2) @ (2, 2), one
+gemm per generator, and every B^dag A is (2m, 2) @ (2, 2), one gemm over
+the rows of the stacked B^dag. That each row of such a gemm has the bits
+of the 2x2 product of its element alone is a property of the BLAS kernel,
+not something numpy promises; tests/test_words.py pins it on row counts
+that cover the kernel's tails, so a BLAS that breaks it fails there.
+Writing the product out as a*e + b*g is not the same: OpenBLAS fuses
+multiply-adds, so some entries differ in the last bit. The reductions are
+exact by construction. A 2x2 trace is the one addition M[0, 0] + M[1, 1]
+that np.trace makes on two entries, and the largest of four magnitudes is
+the same whatever order np.maximum takes them in, so neither needs a
+reduction over an axis of length 2 or 4. The phases need care:
+each phase t/|t| must have the bits of the numpy scalar t / abs(t), the
+form the single-matrix step uses. A scalar's abs() is the C library's
+hypot of the parts, but np.abs on a complex array runs numpy's own vector
+loop, which can differ in the last bit; with t / np.abs(t), some printed
+errors change in their last digits. So the phases are
+t / np.hypot(t.real, t.imag), an array formula with the scalar's bits.
 """
 from __future__ import annotations
 
@@ -78,11 +87,17 @@ def projective_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     B = np.asarray(B, dtype=complex)
     single = B.ndim == 2
     stack = B[None] if single else B
-    M = stack.conj().swapaxes(1, 2) @ A
-    t = np.trace(M, axis1=1, axis2=2)
+    m, d = stack.shape[:2]
+    # every B^dag in one fresh contiguous buffer, then B^dag A as one gemm
+    Bh = np.conj(stack.swapaxes(1, 2), out=np.empty(stack.shape, dtype=complex))
+    M = (Bh.reshape(m * d, d) @ A).reshape(m, d, d)
+    # np.trace sums more than 8 entries pairwise, not in order, so compile's
+    # single d x d matrix keeps it; d = 2 spells out its one addition
+    t = M[:, 0, 0] + M[:, 1, 1] if d == 2 else np.trace(M, axis1=1, axis2=2)
     for i in np.flatnonzero(_scalar_abs(t) < EPS_DEGENERATE):
         t[i] = _fallback_phase_ref(M[i])
-    worst = np.abs(A - _phases(t)[:, None, None] * stack).max(axis=(1, 2))
+    D = np.abs(A - _phases(t)[:, None, None] * stack)
+    worst = _max4(D.reshape(m, 4)) if d == 2 else D.max(axis=(1, 2))
     return float(worst[0]) if single else worst
 
 
@@ -110,14 +125,39 @@ def generator_matrices(bitkind: BitKind | str) -> dict[str, np.ndarray]:
     return {name: builtin(name) for name in names}
 
 
+def _level_products(frontier: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Every frontier[i] @ G[g] of an (n, 2, 2) frontier, frontier-major:
+    product i * len(G) + g. One gemm over the frontier's rows per generator."""
+    products = np.empty((len(frontier), len(G), 2, 2), dtype=complex)
+    rows = frontier.reshape(-1, 2)
+    for g in range(len(G)):
+        products[:, g] = (rows @ G[g]).reshape(-1, 2, 2)
+    return products.reshape(-1, 2, 2)
+
+
+def _max4(x: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of an (n, 4) float array."""
+    return np.maximum(np.maximum(x[:, 0], x[:, 1]), np.maximum(x[:, 2], x[:, 3]))
+
+
+def _first_true(flags: np.ndarray) -> np.ndarray:
+    """Index of the first True in each row of a C-contiguous (n, 4) bool
+    array, and 0 in a row with none: np.argmax(flags, axis=1)."""
+    # each row as the bytes of one little-endian uint32 v: the lowest set
+    # bit of v is bit 8 * (index of the first True), v ^ (v - 1) sets that
+    # bit and every one below it, and a row with none sets all 32
+    v = flags.view("<u4")[:, 0]
+    return (np.bitwise_count(v ^ (v - np.uint32(1))) >> 3) & 3
+
+
 def _canonical_keys(stack: np.ndarray) -> list[bytes]:
     """One dedup key per matrix of an (n, 2, 2) stack."""
     # fix the global phase by the first entry whose magnitude is at least
     # half the largest, then round; +0.0 squashes negative zeros
     flat = stack.reshape(len(stack), 4)
-    cutoff = 0.5 * np.abs(flat).max(axis=1)
-    first = np.argmax(_scalar_abs(flat) >= cutoff[:, None], axis=1)
-    ref = flat[np.arange(len(flat)), first]
+    cutoff = 0.5 * _max4(np.abs(flat))
+    first = _first_true(_scalar_abs(flat) >= cutoff[:, None])
+    ref = flat.ravel()[4 * np.arange(len(flat)) + first]
     rounded = np.round(stack / _phases(ref)[:, None, None], _DEDUP_DECIMALS) + 0.0
     # the bytes of each rounded matrix, as rounded[i].tobytes() gives them
     return rounded.reshape(len(stack), 4).view(np.dtype((np.void, 64))).ravel().tolist()
@@ -164,18 +204,19 @@ def word_search(
     seen = set(_canonical_keys(frontier))
     # per level, the index among its products of each kept word:
     # parent index * len(names) + letter index
-    kept_at: list[list[int]] = []
+    kept_at: list[np.ndarray] = []
     for _depth in range(depth_max):
         if not len(frontier):
             break
-        products = (frontier[:, None] @ G[None]).reshape(-1, 2, 2)
+        products = _level_products(frontier, G)
         keep = []
         for i, key in enumerate(_canonical_keys(products)):
             if key not in seen:
                 seen.add(key)
                 keep.append(i)
-        kept_at.append(keep)
-        frontier = products[keep]
+        kept_at.append(np.array(keep, dtype=np.intp))
+        frontier = products[kept_at[-1]]
+        del products  # freed before the distances allocate theirs: peak RSS
         errors = projective_distance(target, frontier)
         # only a word below the level's starting bound can improve on it
         for j in np.flatnonzero(errors < best_error - EPS_WORD_TIE).tolist():

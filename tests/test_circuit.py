@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lqc.circuit import (
 )
 from lqc.core import (
     EPS_ISO,
+    MAX_REGISTER_BITS,
     BitKind,
     GuardError,
     IsometryError,
@@ -160,6 +162,34 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert str(exc.value) == text
+
+
+class TestRegisterBound:
+    """`parse` refuses a declared register past MAX_REGISTER_BITS at the
+    count that takes it there, before it builds any layout."""
+
+    def test_million_qubits_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 1000000\nH q0\n")
+        assert time.perf_counter() - start < 0.01
+        assert str(exc.value) == "line 1, col 8: register of 1000000 bits exceeds the bound of 64"
+        # a resource guard, so the CLI exits 4 as it does past 2^24 amplitudes
+        assert isinstance(exc.value, GuardError)
+
+    def test_refused_at_the_count_that_crosses_the_bound(self):
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 40\nhybits 40\nH q0\n")
+        assert str(exc.value) == "line 2, col 8: register of 80 bits exceeds the bound of 64"
+
+    def test_earlier_diagnostics_are_kept(self):
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 1\nqubits 2\nhybits 64\n")
+        assert [d.line for d in exc.value.diagnostics] == [2, 3]
+
+    @pytest.mark.parametrize("src", ["qubits 64\n", "qubits 30\nhybits 34\n"])
+    def test_the_bound_itself_parses(self, src):
+        assert parse(src).layout.num_bits == MAX_REGISTER_BITS
 
 
 class TestPolarity:

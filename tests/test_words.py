@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -280,6 +281,47 @@ class TestStackedHelpers:
         assert np.array_equal(projective_distance(A, S), ref)
         array_phase = np.abs(A - (t / np.abs(t))[differs, None, None] * S).max(axis=(1, 2))
         assert not np.array_equal(array_phase, ref)
+
+
+class TestLevelForms:
+    """Each level is a few BLAS calls over rows: one gemm per generator for
+    the products, one for every B^dag A. That these give each element the
+    bits of its own 2x2 product is a property of the BLAS kernel, which
+    numpy does not promise; these cases cover the kernel's row tails. The
+    reductions over axes of length 4 are elementwise passes."""
+
+    def test_first_true_is_argmax(self):
+        flags = np.array(list(itertools.product([False, True], repeat=4)))
+        assert np.array_equal(words._first_true(flags), np.argmax(flags, axis=1))
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 17, 33, 1000])
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_level_products_are_the_single_products(self, kind, n):
+        gens = generator_matrices(kind)
+        names = sorted(gens)
+        rng = np.random.default_rng(n)
+        frontier = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        got = words._level_products(frontier, np.stack([gens[name] for name in names]))
+        want = [m @ gens[name] for m in frontier for name in names]
+        assert np.array_equal(got.view(float), np.array(want).view(float))
+
+    @pytest.mark.parametrize("d", [4, 8, 16, 32, 64])
+    def test_single_matrix_distance(self, d):
+        # compile's path: one d x d circuit matrix against its target
+        rng = np.random.default_rng(d)
+        bits = d.bit_length() - 1
+        kron = functools.partial(functools.reduce, np.kron)
+        cartan = kron([cartan_target(k, rng) for k in rng.choice(["q", "h"], size=bits)])
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        pairs = [
+            (noise, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))),
+            (cartan, np.exp(0.7j) * cartan + 1e-6 * noise),
+            (cartan, kron([cartan_target("q", rng) for _ in range(bits)])),
+        ]
+        for A, B in pairs:
+            got = projective_distance(A, B)
+            assert isinstance(got, float)
+            assert got == reference_projective_distance(A, B)
 
 
 class TestOneCallPerLevel:
