@@ -130,6 +130,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    # the draws are held in memory at once, like the amplitudes
+    if args.shots > MAX_AMPLITUDES:
+        raise GuardError(f"{args.shots} shots are past the guard of 2^24")
     circuit = _parse_circuit(args.file)
     state = run(circuit)
     result = sample(state, args.shots, args.seed)

@@ -58,6 +58,8 @@ def compile(
     turns on word substitution with that per-gate budget; the overall
     budget is tol times the number of substituted gates.
     """
+    if tol is not None and not tol > 0:  # a NaN tolerance fails too
+        raise LqcError("approximation tolerance must be positive")
     A = np.asarray(A, dtype=complex)
     dim = layout.dimension
     if A.shape != (dim, dim):
@@ -80,8 +82,6 @@ def compile(
             budget_met=total <= EPS_RECON,
         )
 
-    if tol <= 0:
-        raise LqcError("approximation tolerance must be positive")
     circuit, word_errs = _substitute_words(circuit, tol, WORD_DEPTH)
     if word_errs:
         R = to_matrix(circuit)

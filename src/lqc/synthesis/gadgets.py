@@ -140,8 +140,8 @@ def _isotropic_conjugator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _su11_w_factors(U: np.ndarray):
-    """Factors (A,B,C,D,psi) for U in U(1,1), or None when no hyperbolic
-    partner at the rapidities tried gives a conjugator.
+    """Factors (A,B,C,D,psi) for U in U(1,1), or None (refused by
+    `_w_factors`) when no hyperbolic partner tried gives a conjugator.
 
     The partners have s = +-1 and rapidity 0.25, 0.5, 1 or 2 above 0 or
     above the rapidity chi of U0; of their factor sets the one with the
@@ -181,25 +181,13 @@ def _verify_w_factors(U, factors, eta):
         raise LqcError("W-gadget residue is not a pure phase")
 
 
-def _w_factor_sets(U: np.ndarray, kind: BitKind) -> list[tuple]:
-    """One or two factor sets whose W-products compose to W(U), each
-    checked against the block it must realize."""
-    targets = [U]
-    if kind is BitKind.QUBIT:
-        sets = [_unitary_w_factors(U)]
-    else:
-        sets = [_su11_w_factors(U)]
-        if sets[0] is None:
-            # pathological argument: split through a fixed generic element
-            P = builtin("BOOST", 0.6) @ np.diag(np.exp([0.35j, -0.35j]))
-            targets = [P, U @ np.linalg.inv(P)]
-            sets = [_su11_w_factors(T) for T in targets]
-            if any(factors is None for factors in sets):
-                raise LqcError("hybit W-gadget factor search failed")
-    eta = metric_for_kinds([kind])
-    for target, factors in zip(targets, sets):
-        _verify_w_factors(target, factors, eta)
-    return sets
+def _w_factors(U: np.ndarray, kind: BitKind) -> tuple:
+    """The factor set (A,B,C,D,psi) of W(U), checked against U."""
+    factors = _unitary_w_factors(U) if kind is BitKind.QUBIT else _su11_w_factors(U)
+    if factors is None:
+        raise LqcError("hybit W-gadget factor search failed")
+    _verify_w_factors(U, factors, metric_for_kinds([kind]))
+    return factors
 
 
 def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
@@ -266,8 +254,6 @@ class Emitter:
 
     def emit(self, pattern: dict[int, int], target: int, M: np.ndarray) -> list[Instruction]:
         """M on `target` where every position of `pattern` holds its value."""
-        if np.max(np.abs(M - _I2)) < EPS_ZERO:
-            return []
         name, param, matrix = self._gate_name(M)
         controls = tuple(sorted(pattern))
         return [
@@ -303,17 +289,15 @@ def _lambda_rec(em: Emitter, controls: list[int], target: int, V: np.ndarray) ->
     R = isometric_sqrt(V)
     U = np.linalg.inv(R)
 
-    out: list[Instruction] = []
     # W(U) as four alternating factors plus a phase corrector
-    for factors in _w_factor_sets(U, kind):
-        A, B, C, D, psi = factors
-        out += _lambda_rec(em, G + [a], target, A)
-        out += _lambda_rec(em, G + [b], target, B)
-        out += _lambda_rec(em, G + [a], target, C)
-        out += _lambda_rec(em, G + [b], target, D)
-        if abs(psi) > EPS_ZERO:
-            corrector = np.diag([1.0, np.exp(-1j * psi)]).astype(complex)
-            out += _lambda_rec(em, G + [a], b, corrector)
+    A, B, C, D, psi = _w_factors(U, kind)
+    out = _lambda_rec(em, G + [a], target, A)
+    out += _lambda_rec(em, G + [b], target, B)
+    out += _lambda_rec(em, G + [a], target, C)
+    out += _lambda_rec(em, G + [b], target, D)
+    if abs(psi) > EPS_ZERO:
+        corrector = np.diag([1.0, np.exp(-1j * psi)]).astype(complex)
+        out += _lambda_rec(em, G + [a], b, corrector)
 
     # the two controlled square roots
     out += _lambda_rec(em, G + [b], target, R)

@@ -99,11 +99,15 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
         return Factorization([], float(err))
 
     work = A.copy()
-    ops: list[tuple[int, int, np.ndarray]] = []  # (x, y, M): work <- b_{x,y}(M) work
+    # A = raw_1 ... raw_t D, each factor the inverse of one elimination of
+    # work; last[i] is the position in raw of the last factor touching i
+    raw: list[tuple[int, int, np.ndarray]] = []
+    last: dict[int, int] = {}
 
     def apply_left(x: int, y: int, M: np.ndarray) -> None:
         work[[x, y], :] = M @ work[[x, y], :]
-        ops.append((x, y, M))
+        last[x] = last[y] = len(raw)
+        raw.append((x, y, _pair_inverse(M, s[[x, y]])))
 
     # same-sign pairs that lower directly: one bit apart, or two hybits apart,
     # where a hybit is an index bit whose flip flips every sign (only a
@@ -141,32 +145,23 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
                 M = np.array([[vn, -vp], [-np.conj(vp), np.conj(vn)]]) / rr
             apply_left(p_pivot, n_pivot, M)
 
-    # invert the recorded eliminations: A = inv(op_1) ... inv(op_t) D
-    raw: list[tuple[int, int, np.ndarray]] = []
-    for x, y, M in ops:
-        eta = np.array([s[x], s[y]])
-        raw.append((x, y, _pair_inverse(M, eta)))
-
-    # absorb the diagonal residue into the rightmost factor touching each
+    # absorb the diagonal residue D into the last factor touching each
     # index; a genuinely untouched index gets a fresh diagonal factor paired
     # with its low-bit neighbor
     for c in range(d):
         ph = work[c, c]
         if abs(ph - 1) <= EPS_PHASE_ONE:
             continue
-        for t in range(len(raw) - 1, -1, -1):
-            x, y, M = raw[t]
-            if c in (x, y):
-                M = M.copy()
-                M[:, 0 if x == c else 1] *= ph
-                raw[t] = (x, y, M)
-                break
-        else:
-            partner = c ^ 1
-            if partner >= d:
-                raise LqcError("cannot absorb phase: no pairing index")
-            M = np.diag([ph, 1.0]) if c < partner else np.diag([1.0, ph])
-            raw.append((min(c, partner), max(c, partner), M.astype(complex)))
+        if c in last:
+            x, _, M = raw[last[c]]
+            M[:, 0 if x == c else 1] *= ph
+            continue
+        partner = c ^ 1
+        if partner >= d:
+            raise LqcError("cannot absorb phase: no pairing index")
+        M = np.diag([ph, 1.0]) if c < partner else np.diag([1.0, ph])
+        last[c] = last[partner] = len(raw)
+        raw.append((min(c, partner), max(c, partner), M.astype(complex)))
 
     # one check of every block against its pair metric
     pairs = np.array([sorted((x, y)) for x, y, _ in raw], dtype=int).reshape(-1, 2)

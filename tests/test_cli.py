@@ -214,6 +214,16 @@ class TestSample:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_shots_past_guard_exit_4(self, tmp_path, capsys):
+        # the draws are one array: this used to end in numpy's uncaught
+        # _ArrayMemoryError ("Unable to allocate 728. TiB")
+        f = put(tmp_path, "c.lqc", "qubits 1\nH q0\n")
+        for shots in (str(2**24 + 1), "100000000000000"):
+            code, out, err = cli(capsys, "sample", f, "--shots", shots, "--seed", "1")
+            assert (code, out) == (4, "")
+            assert err.startswith(f"error: {shots} shots") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_tau_matrix_passes(self, tmp_path, capsys):
         f = put(tmp_path, "tau.mat", format_matrix_text(builtin("TAU"), 1, 1))
@@ -348,6 +358,21 @@ class TestSynth:
         code, _, err = cli(capsys, "synth", f, "--qubits", "1", "--hybits", "1")
         assert code == 1
         assert "signature" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("kinds", ["qh", "q"])
+    def test_bad_tolerance_exit_1(self, tmp_path, capsys, kinds, tol):
+        # a NaN tolerance used to run the whole pipeline on a 2-bit register
+        # and exit 0 with budget_met = false
+        from lqc.core import RegisterLayout, metric_vector
+        from lqc.gates import random_isometry_for_signs
+
+        A = random_isometry_for_signs(metric_vector(RegisterLayout(kinds)), seed=1)
+        m = len(A) if kinds == "q" else len(A) // 2
+        f = put(tmp_path, "a.mat", format_matrix_text(A, m, len(A) - m))
+        q, h = str(kinds.count("q")), str(kinds.count("h"))
+        got = cli(capsys, "synth", f, "--qubits", q, "--hybits", h, "--approx", tol)
+        assert got == (1, "", "error: approximation tolerance must be positive\n")
 
     def test_empty_register_exit_1(self, tmp_path, capsys):
         f = put(tmp_path, "one.mat", "dim 1 0\n1,0\n")
@@ -702,6 +727,28 @@ class TestSimGolden:
         code, out, _ = cli(capsys, "search", "--n", "12", "--x", "010011100101")
         assert code == 0
         assert out == SEARCH12_GOLDEN
+
+
+# Stdout of `synth --exact` on two committed register isometries
+# (`perfbench/gen.random_isometry` at default_rng(2024)), recorded before
+# `two_level_factorize` recorded each factor once. Both use the four-matrix
+# identity and absorb leftover phases. A change to the factors or their
+# lowering that is meant to change these bytes must record them anew.
+SYNTH_GOLDEN = {
+    "qqhh": ("a5b89e19cb0eab3db0f8d51725398972546ffcef02d9a3616893225b9b699f80", 37249),
+    "qhhh": ("ac04228d2e889aed4de574e1778ffeee377239ef91bca09771d7c4075a75b7d3", 44288),
+}
+
+
+class TestSynthGolden:
+    @pytest.mark.parametrize("kinds", sorted(SYNTH_GOLDEN))
+    def test_exact_stdout(self, capsys, kinds):
+        path = Path(__file__).parent / "data" / f"{kinds}.mat"
+        q, h = str(kinds.count("q")), str(kinds.count("h"))
+        code, out, _ = cli(capsys, "synth", str(path), "--qubits", q, "--hybits", h, "--exact")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert (digest, len(out)) == SYNTH_GOLDEN[kinds]
 
 
 class TestUsage:

@@ -153,6 +153,17 @@ class TestApproxMode:
         with pytest.raises(LqcError):
             compile(np.eye(2), layout, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
+    @pytest.mark.parametrize("kinds", ["q", "qh"])
+    def test_bad_tol_refused_before_factorizing(self, monkeypatch, kinds, tol):
+        def unreachable(A, signs):
+            raise AssertionError("factorized under a refused tolerance")
+
+        monkeypatch.setattr(compiler, "two_level_factorize", unreachable)
+        layout = RegisterLayout(kinds)
+        with pytest.raises(LqcError, match="tolerance must be positive"):
+            compile(np.eye(layout.dimension), layout, tol=tol)
+
     def test_hybit_words(self):
         layout = RegisterLayout("h")
         A = builtin("T") @ builtin("TAU")

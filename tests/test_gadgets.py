@@ -284,20 +284,12 @@ class TestWFactorCheck:
         with pytest.raises(LqcError, match="block equations"):
             lambda_k(2, haar_unitary(5))
 
-    def test_split_sets_check_against_their_halves(self, monkeypatch):
-        original = gadgets._su11_w_factors
-        calls = []
-
-        def no_direct_set(U):
-            calls.append(U)
-            return None if len(calls) == 1 else original(U)
-
-        monkeypatch.setattr(gadgets, "_su11_w_factors", no_direct_set)
-        U = random_isometry_for_signs(block_metric(1, 1), 7)
-        sets = gadgets._w_factor_sets(U, BitKind.HYBIT)
-        assert len(sets) == 2
-        # the halves are P and U P^-1, whose product is U
-        assert np.allclose(calls[2] @ calls[1], U, atol=1e-12)
+    def test_no_factor_set_is_refused(self, monkeypatch):
+        # a hybit argument no hyperbolic partner serves has no second route
+        monkeypatch.setattr(gadgets, "_su11_w_factors", lambda U: None)
+        V = random_isometry_for_signs(block_metric(1, 1), 7)
+        with pytest.raises(LqcError, match="factor search failed"):
+            lambda_k(2, V, RegisterLayout("qqh"))
 
     @pytest.mark.parametrize("kinds", ["qqh", "qhh", "hhh"])
     def test_scalar_square_takes_the_shortcut(self, kinds, monkeypatch):

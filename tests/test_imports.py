@@ -9,7 +9,8 @@ submodule at module level, no CLI command loads `scipy.linalg`, and no
 module reads or writes the process environment.
 
 The API ledger: every top-level function and class of the package is read
-somewhere else in the package, is named in an `__all__` list, or waits in
+somewhere else in the package, through a name or module the reader binds
+by import or definition, is named in an `__all__` list, or waits in
 `PENDING` with a reason. Every module-level UPPER_CASE constant is read
 somewhere in the package. Every name in an `__all__` resolves on its module,
 and the README's "API" section lists exactly those names, with a reason for
@@ -381,29 +382,71 @@ def _all_list(tree: ast.Module) -> list[str] | None:
     return None
 
 
-def _reads(sources: dict[str, str]) -> tuple[dict[str, ast.Module], dict[str, set]]:
-    """Each module's tree, and for each name the places `(module, index of
-    the top-level statement)` that read it. A read is an `ast.Name` or an
-    `ast.Attribute` in load context, matched by name alone, so a read of
-    `x.run` counts for every `run`. A read of a name imported `as` another
-    counts for the imported name."""
+def _bindings(module: str, tree: ast.Module, sources: dict[str, str]) -> dict[str, tuple]:
+    """What each name the module imports stands for: `(module, name)` for a
+    name of another module, `(module, None)` for a module itself. A name
+    the module does not import is its own."""
+    packages = {m.rpartition(".")[0] for m in sources}
+    bound: dict[str, tuple] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.name if alias.asname else alias.name.split(".")[0]
+                bound[alias.asname or name] = (name, None)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = module.split(".")[: None if module in packages else -1]
+                parts = parts[: len(parts) - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            for alias in node.names:
+                full = f"{base}.{alias.name}"
+                is_module = full in sources
+                bound[alias.asname or alias.name] = (full, None) if is_module else (base, alias.name)
+    return bound
+
+
+def _reads(sources: dict[str, str]) -> tuple[dict[str, ast.Module], dict[tuple, set]]:
+    """Each module's tree, and for each `(module, name)` the places
+    `(module, index of the top-level statement)` that read that name of
+    that module. A read is an `ast.Name` in load context, standing for the
+    name the reading module defines or imports (`as` another name too), or
+    an `ast.Attribute` in load context on a module the reader has bound. A
+    name a package re-exports counts for the module that defines it, so
+    `re.compile` reads no package function named `compile`."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    reads: dict[str, set[tuple[str, int]]] = {}
+    bindings = {module: _bindings(module, tree, sources) for module, tree in trees.items()}
+
+    def origin(module: str, name: str | None) -> tuple:
+        # follow re-exports to the module that defines the name
+        seen = set()
+        while name is not None and (module, name) not in seen:
+            seen.add((module, name))
+            nxt = bindings.get(module, {}).get(name)
+            if nxt is None:
+                break
+            module, name = nxt
+        return module, name
+
+    def target(node: ast.AST, reader: str) -> tuple | None:
+        if isinstance(node, ast.Name):
+            return origin(*bindings[reader].get(node.id, (reader, node.id)))
+        if isinstance(node, ast.Attribute):
+            outer = target(node.value, reader)
+            if outer is not None and outer[1] is None:
+                full = f"{outer[0]}.{node.attr}"
+                return (full, None) if full in sources else origin(outer[0], node.attr)
+        return None
+
+    reads: dict[tuple, set[tuple[str, int]]] = {}
     for module, tree in trees.items():
-        renamed = {
-            alias.asname: alias.name
-            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names if alias.asname
-        }
         for i, stmt in enumerate(tree.body):
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = renamed.get(node.id, node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    name = node.attr
-                else:
-                    continue
-                reads.setdefault(name, set()).add((module, i))
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    read = target(node, module)
+                    if read is not None:
+                        reads.setdefault(read, set()).add((module, i))
     return trees, reads
 
 
@@ -421,7 +464,7 @@ def api_ledger(sources: dict[str, str]) -> tuple[set[str], dict[str, bool]]:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[f"{module}.{stmt.name}"] = (module, i)
     called = {
-        name: bool(reads.get(name.rsplit(".", 1)[1], set()) - {where})
+        name: bool(reads.get(tuple(name.rsplit(".", 1)), set()) - {where})
         for name, where in defined.items()
     }
     return exported, called
@@ -444,7 +487,7 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
                 if (
                     isinstance(target, ast.Name)
                     and target.id.lstrip("_").isupper()
-                    and not reads.get(target.id, set()) - {(module, i)}
+                    and not reads.get((module, target.id), set()) - {(module, i)}
                 ):
                     found.append(f"{module}.{target.id}")
     return sorted(found)
@@ -517,6 +560,15 @@ def test_ledger_flags_uncalled_names_and_stale_pending_entries():
             "a.now_called()\n"
             "other()\n"
         ),
+        # a read counts only where the reader binds the function read
+        "lqc.c": "import re\ndef compile(): pass\nPATTERN = re.compile('x')\n",
+        "lqc.d": (
+            "from .pkg import reexported as r, m\n"
+            "import lqc.pkg.m as n\n"
+            "r(m.by_attr, n.by_alias)\n"
+        ),
+        "lqc.pkg": "from .m import reexported\n",
+        "lqc.pkg.m": "def reexported(): pass\ndef by_attr(): pass\ndef by_alias(): pass\n",
     }
     pending = {
         "lqc.a.waits": "",
@@ -531,6 +583,7 @@ def test_ledger_flags_uncalled_names_and_stale_pending_entries():
         "lqc.a.now_exported: pending, but has a caller or is exported",
         "lqc.a.recursive: no caller and not exported",
         "lqc.a.uncalled: no caller and not exported",
+        "lqc.c.compile: no caller and not exported",
     ]
 
 

@@ -123,6 +123,22 @@ class TestFactorize:
         assert (f.i, f.j) == (2, 3)
         assert np.max(np.abs(f.V - np.diag([1.0, -1.0]))) < 1e-14
 
+    def test_both_leftover_phases_land_in_one_factor(self):
+        # the elimination leaves a phase on both of its indices; each is
+        # absorbed into the one factor that touched it last
+        A = np.diag(np.exp([0.3j, -1.1j])) @ builtin("H")
+        factors = two_level_factorize(A, block_metric(2, 0))
+        assert [(f.i, f.j) for f in factors] == [(0, 1)]
+        assert np.max(np.abs(factors[0].V - A)) <= EPS_RECON
+
+    def test_untouched_pair_phases_share_a_fresh_factor(self):
+        # index 2 gets a fresh diagonal factor with its neighbor 3, which
+        # then takes index 3's phase as well
+        A = np.diag(np.exp([0, 0, 0.3j, -1.1j]))
+        factors = two_level_factorize(A, block_metric(4, 0))
+        assert [(f.i, f.j) for f in factors] == [(2, 3)]
+        assert np.max(np.abs(factors[0].V - A[2:, 2:])) <= EPS_RECON
+
     @pytest.mark.parametrize("factor", [1.001, np.nan], ids=["scaled", "nan"])
     def test_each_block_is_checked_against_its_pair_metric(self, monkeypatch, factor):
         # factors are built without the constructor's check, so the one
