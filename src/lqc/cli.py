@@ -102,14 +102,14 @@ def _parse_bits(text: str, want: int) -> list[int]:
     return [int(b) for b in text]
 
 
-def _parse_circuit(path: str) -> Circuit:
-    circuit = parse(_read(path))
+def _parse_circuit(text: str) -> Circuit:
+    circuit = parse(text)
     _check_memory(circuit.layout)
     return circuit
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    circuit = _parse_circuit(args.file)
+    circuit = _parse_circuit(_read(args.file))
     initial = None
     if args.init is not None:
         initial = basis_state(
@@ -133,7 +133,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     # the draws are held in memory at once, like the amplitudes
     if args.shots > MAX_AMPLITUDES:
         raise GuardError(f"{args.shots} shots are past the guard of 2^24")
-    circuit = _parse_circuit(args.file)
+    circuit = _parse_circuit(_read(args.file))
     state = run(circuit)
     result = sample(state, args.shots, args.seed)
     sys.stdout.write(format_counts(result))
@@ -160,8 +160,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
         eta = block_metric(m, n)
     else:
-        circuit = parse(text)
-        _check_memory(circuit.layout)
+        if args.metric is not None:
+            raise CliUsageError("--metric applies only to matrix files")
+        circuit = _parse_circuit(text)
         G = to_matrix(circuit)
         eta = metric_vector(circuit.layout).astype(float)
     residual = isometry_residual(G, eta)

@@ -31,7 +31,7 @@ EPS_PROB_SUM = 1e-9  # a nonzero outcome distribution sums to 1
 NEGLIGIBLE_MASS_RATIO = 1e-12  # observe() warns below this share of the positive mass
 EPS_ZERO = 1e-14  # an entry, or a gate's distance from I or a builtin, is exactly zero
 EPS_PHASE_ONE = 1e-13  # an elimination residue is exactly 1 and needs no absorbing
-EPS_IDENTITY = 1e-12  # a 2x2 identity holds: U^2 = I, det -1, cosh^2 - sinh^2 = 1, basis = I
+EPS_IDENTITY = 1e-12  # an identity holds: cosh^2 - sinh^2 = 1, a dimension-1 input is 1
 EPS_DEGENERATE = 1e-12  # a pivot, norm, trace or determinant to divide by is zero
 EPS_SCALAR_SQUARE = 1e-10  # U0^2 = +-I: the hybit W-gadget takes its trivial factors
 EPS_SU11 = 1e-9  # SU(1,1) family boundary: discriminant or half-trace near +-1 or 0

@@ -1,4 +1,4 @@
-"""Builtin gate matrices, the isometry residual, and controlled lifts.
+"""Builtin gate matrices and the isometry residual.
 
 Gate matrices are plain complex numpy arrays of shape (2^arity, 2^arity);
 metrics are +-1 sign vectors (see `core.metric_for_kinds`). A gate G is

@@ -14,10 +14,7 @@ plus one k-control phase corrector:
 with C@A = D@B = U and D@C@B@A a pure phase. For a qubit target the
 factors come from an eigenbasis swap of U; for a hybit target they come
 from a trace-matching conjugacy inside U(1,1), against a hyperbolic
-partner built in closed form at a few fixed rapidities. A gate that is an
-involution with det -1 (X, H, TAU, ...) is first conjugated into a
-controlled Z by two single-bit gates, which keeps the expansion of the
-common controlled flips short.
+partner built in closed form at a few fixed rapidities.
 
 Controls are only ever touched diagonally, so every construction is valid
 for any mixture of qubit and hybit control wires.
@@ -190,29 +187,6 @@ def _w_factors(U: np.ndarray, kind: BitKind) -> tuple:
     return factors
 
 
-def _involution_basis(U: np.ndarray, kind: BitKind) -> np.ndarray | None:
-    """V with U = V diag(1,-1) V^{-1} and V isometric, when U^2 = I and
-    det U = -1; None otherwise."""
-    if np.max(np.abs(U @ U - _I2)) > EPS_IDENTITY or abs(_det2(U) + 1.0) > EPS_IDENTITY:
-        return None
-    vals, vecs = np.linalg.eig(U)
-    order = np.argsort(-vals.real)  # eigenvalue +1 first
-    vecs = vecs[:, order]
-    if kind is BitKind.QUBIT:
-        v1 = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        v2 = vecs[:, 1] / np.linalg.norm(vecs[:, 1])
-        return np.stack([v1, v2], axis=1)
-    n1 = (vecs[:, 0].conj() @ (_ETA_H * vecs[:, 0])).real
-    n2 = (vecs[:, 1].conj() @ (_ETA_H * vecs[:, 1])).real
-    if n1 <= EPS_DEGENERATE or n2 >= -EPS_DEGENERATE:
-        # the +1 eigenvector must carry the positive metric norm for the
-        # sandwich to stay in U(1,1); otherwise fall back to the gadget
-        return None
-    v1 = vecs[:, 0] / np.sqrt(n1)
-    v2 = vecs[:, 1] / np.sqrt(-n2)
-    return np.stack([v1, v2], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Instruction emission
 
@@ -273,15 +247,6 @@ def _lambda_rec(em: Emitter, controls: list[int], target: int, V: np.ndarray) ->
         return []
     if len(controls) == 1:
         return em.emit(dict.fromkeys(controls, 1), target, V)
-    kind = em.layout.kinds[target]
-
-    # involutions with det -1 conjugate to a plain controlled Z
-    basis = _involution_basis(V, kind)
-    if basis is not None and np.max(np.abs(basis - _I2)) > EPS_IDENTITY:
-        out = em.emit({}, target, np.linalg.inv(basis))
-        out += _lambda_rec(em, controls, target, builtin("Z"))
-        out += em.emit({}, target, basis)
-        return out
 
     G = controls[:-2]
     a, b = controls[-2], controls[-1]
@@ -290,7 +255,7 @@ def _lambda_rec(em: Emitter, controls: list[int], target: int, V: np.ndarray) ->
     U = np.linalg.inv(R)
 
     # W(U) as four alternating factors plus a phase corrector
-    A, B, C, D, psi = _w_factors(U, kind)
+    A, B, C, D, psi = _w_factors(U, em.layout.kinds[target])
     out = _lambda_rec(em, G + [a], target, A)
     out += _lambda_rec(em, G + [b], target, B)
     out += _lambda_rec(em, G + [a], target, C)

@@ -262,6 +262,15 @@ class TestVerify:
         assert code == 0
         assert out.endswith("PASS\n")
 
+    @pytest.mark.parametrize("metric", [("9", "9"), ("1", "1")])
+    def test_metric_refused_for_a_circuit(self, tmp_path, capsys, metric):
+        # a circuit is read under its register's metric, never another
+        f = put(tmp_path, "c.lqc", "qubits 1\nhybits 1\nCTRL q0 : BOOST 0.5 h0\n")
+        code, out, err = cli(capsys, "verify", f, "--metric", *metric)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_non_finite_matrix_fails(self, tmp_path, capsys):
         f = put(tmp_path, "nan.mat", "dim 1 1\nnan,0 0,0\n0,0 1,0\n")
         code, out, _ = cli(capsys, "verify", f)

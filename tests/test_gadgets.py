@@ -17,12 +17,12 @@ def rot_z(t):
     return np.diag([np.exp(1j * t), np.exp(-1j * t)])
 
 
-def _rapidity_battery():
+def _rapidity_battery(seed, chis):
     """Four U(1,1) targets e^{i phi} rot_z(a) BOOST(chi) rot_z(b) per rapidity
     chi, with (a, b, phi) drawn in turn from one seeded stream."""
-    rng = np.random.default_rng(123)
+    rng = np.random.default_rng(seed)
     out = {}
-    for chi in (0, 0.1, 0.5, 1, 2, 4, 6):
+    for chi in chis:
         for _ in range(4):
             a, b, phi = rng.uniform(-3, 3, 3)
             V = np.exp(1j * phi) * rot_z(a) @ builtin("BOOST", chi) @ rot_z(b)
@@ -30,7 +30,11 @@ def _rapidity_battery():
     return out
 
 
-RAPIDITY_BATTERY = _rapidity_battery()
+RAPIDITY_BATTERY = _rapidity_battery(123, (0, 0.1, 0.5, 1, 2, 4, 6))
+
+
+def relative_error(circ, V, k):
+    return np.max(np.abs(lifted(circ) - controlled(V, k))) / max(1.0, np.max(np.abs(V)))
 
 
 def haar_unitary(seed):
@@ -138,7 +142,22 @@ class TestControlledZ:
             assert len(instr.controls) <= 3
 
 
-class TestInvolutionConjugation:
+def random_involution(kind, seed):
+    """Q diag(1, -1) Q^{-1}, an involution with det -1: Q is Haar on a
+    qubit, and in U(1,1) with rapidity up to 2 on a hybit."""
+    if kind == "q":
+        Q = haar_unitary(seed)
+    else:
+        rng = np.random.default_rng(seed)
+        a, b, phi = rng.uniform(-3, 3, 3)
+        Q = np.exp(1j * phi) * rot_z(a) @ builtin("BOOST", rng.uniform(0, 2)) @ rot_z(b)
+    return Q @ np.diag([1.0, -1.0]) @ np.linalg.inv(Q)
+
+
+class TestInvolutions:
+    """Involutions with det -1 take the same recursion as every other
+    target: two controlled square roots plus the W-gadget."""
+
     @pytest.mark.parametrize("name", ["X", "H"])
     @pytest.mark.parametrize("k", [2, 3])
     def test_qubit_involutions(self, name, k):
@@ -151,11 +170,29 @@ class TestInvolutionConjugation:
         circ = lambda_k(k, builtin("TAU"), layout)
         assert np.max(np.abs(lifted(circ) - controlled(builtin("TAU"), k))) < 1e-10
 
-    def test_involution_cost_stays_small(self):
-        # X conjugates to Z, so the count should match the Z count plus two
-        z_count = len(lambda_k(3, builtin("Z")).instructions)
-        x_count = len(lambda_k(3, builtin("X")).instructions)
-        assert x_count == z_count + 2
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_random_involutions_every_control_mix(self, kind, seed, k):
+        V = random_involution(kind, 400 + seed)
+        for mix in itertools.product("qh", repeat=k):
+            circ = lambda_k(k, V, RegisterLayout("".join(mix) + kind))
+            assert relative_error(circ, V, k) <= 1e-9, mix
+
+
+class TestGateCounts:
+    """The cost of one recursion rule: each level spends four W factors,
+    a phase corrector and two square roots on (k-1)-control gates."""
+
+    @pytest.mark.parametrize("name", ["X", "H", "Z"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_qubit_flips_cost_6_to_the_k_minus_1(self, name, k):
+        assert len(lambda_k(k, builtin(name)).instructions) == 6 ** (k - 1)
+
+    @pytest.mark.parametrize("k, count", [(2, 7), (3, 47), (4, 309)])
+    def test_tau_on_hybit(self, k, count):
+        layout = RegisterLayout("q" * k + "h")
+        assert len(lambda_k(k, builtin("TAU"), layout).instructions) == count
 
 
 class TestLambda2:
@@ -227,8 +264,24 @@ class TestRandomTargets:
         V = RAPIDITY_BATTERY[6][j]
         for mix in itertools.product("qh", repeat=k):
             circ = lambda_k(k, V, RegisterLayout("".join(mix) + "h"))
-            err = np.max(np.abs(lifted(circ) - controlled(V, k))) / max(1.0, np.max(np.abs(V)))
-            assert err <= 1e-9, mix
+            assert relative_error(circ, V, k) <= 1e-9, mix
+
+    # refusals out of 48 calls per rapidity; a bound may only go down
+    MAX_REFUSED = {6.5: 8, 7: 32, 8: 44}
+
+    @pytest.mark.parametrize("chi", sorted(MAX_REFUSED))
+    def test_high_rapidity_refusals_do_not_grow(self, chi):
+        refused = 0
+        for V in _rapidity_battery(5, sorted(self.MAX_REFUSED))[chi]:
+            for k in (2, 3):
+                for mix in itertools.product("qh", repeat=k):
+                    try:
+                        circ = lambda_k(k, V, RegisterLayout("".join(mix) + "h"))
+                    except LqcError:
+                        refused += 1
+                        continue
+                    assert relative_error(circ, V, k) <= 1e-9, (k, mix)
+        assert refused <= self.MAX_REFUSED[chi]
 
 
 class TestLayoutHandling:
