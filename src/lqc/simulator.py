@@ -109,7 +109,6 @@ from .core import (
 if TYPE_CHECKING:
     from .circuit import Circuit, Instruction
 
-RNG_ALGORITHM = "Philox"
 # output lines per %-format in format_distribution and format_counts
 FORMAT_BLOCK = 1 << 14
 # format_distribution formats each distinct probability once, and gives
@@ -450,7 +449,6 @@ class SampleResult:
     histogram: np.ndarray
     shots: int
     seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def counts(self) -> Counter:

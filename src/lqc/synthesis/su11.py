@@ -150,68 +150,33 @@ def conjugation_axis_basis() -> tuple[AxisVector, AxisVector, AxisVector]:
 # ---------------------------------------------------------------------------
 # Smallest power of an irrational rotation reaching a target angle.
 
-def circle_distance(a: float, b: float, period: float = 2 * math.pi) -> float:
-    d = (a - b) % period
-    return min(d, period - d)
+# powers per block of the scan, so its memory stays bounded whatever k_max is
+_SCAN_BLOCK = 1 << 14
 
 
-def _first_entry(alpha: float, y: float, eps: float, j_max: int, depth: int = 0):
-    """Smallest j in [0, j_max] with dist(y + j*alpha, 0) < eps on the unit
-    circle, or None. Each recursion level consumes one continued-fraction
-    digit of alpha, so the running time is logarithmic in the answer."""
-    if depth > 128:
-        raise LqcError("rotation renormalization failed to terminate")
-    if min(y, 1.0 - y) < eps:
-        return 0
-    if j_max < 1:
-        return None
-    if alpha > 0.5:
-        return _first_entry(1.0 - alpha, (1.0 - y) % 1.0, eps, j_max, depth + 1)
-    if alpha <= 0.0:
-        return None
-    if eps >= alpha:
-        # every step is smaller than the target arc, so the first approach hits
-        j = max(1, math.ceil((1.0 - eps - y) / alpha))
-        return j if j <= j_max else None
-
-    a1 = math.floor(1.0 / alpha)
-    beta = 1.0 / alpha - a1
-    k0 = math.ceil((1.0 - y) / alpha)  # first wrap
-    if k0 > j_max:
-        j = math.ceil((1.0 - eps - y) / alpha)
-        if j <= j_max and y + j * alpha > 1.0 - eps:
-            return j
-        return None
-    w0 = (y + k0 * alpha - 1.0) / alpha  # landing after the wrap, rescaled
-    w0 = min(max(w0, 0.0), math.nextafter(1.0, 0.0))  # largest float below 1
-
-    sub_max = (j_max - k0) // a1 + 2
-    j_star = _first_entry((1.0 - beta) % 1.0, w0, eps / alpha, sub_max, depth + 1)
-    if j_star is None:
-        return None
-    # wrap count j_star costs a1 steps plus one extra per landing below beta;
-    # the extras telescope to a floor sum
-    landing_k = k0 + j_star * a1 + math.ceil(j_star * beta - w0)
-    for j in range(max(0, landing_k - 2), landing_k + 3):
-        if j <= j_max and circle_distance(y + j * alpha, 0.0, 1.0) < eps:
-            return j
-    return None
+def circle_distance(a, b):
+    """Distance of angles a and b on the circle, in [0, pi]; either may be
+    an array."""
+    d = np.remainder(np.subtract(a, b), 2 * math.pi)
+    return np.minimum(d, 2 * math.pi - d)
 
 
 def approx_power(
     theta_target: float, theta0: float, tol: float, k_max: int
 ) -> tuple[int, float]:
-    """Smallest k <= k_max with circle-distance(k*theta0, theta_target) < tol,
-    plus the achieved error. k = 0 (the identity) is allowed."""
+    """Smallest k <= k_max with circle_distance(k*theta0, theta_target) < tol,
+    plus that distance. k = 0 (the identity) is allowed. The powers are
+    scanned in order, so the time grows with the answer k, or with k_max
+    when no power reaches tol."""
     if tol <= 0:
         raise LqcError("tolerance must be positive")
-    two_pi = 2 * math.pi
-    alpha = (theta0 / two_pi) % 1.0
-    y = (-theta_target / two_pi) % 1.0
-    k = _first_entry(alpha, y, tol / two_pi, k_max)
-    if k is None:
-        raise LqcError(f"no power up to {k_max} reaches tolerance {tol:g}")
-    return k, circle_distance(k * theta0, theta_target)
+    for start in range(0, k_max + 1, _SCAN_BLOCK):
+        k = np.arange(start, min(start + _SCAN_BLOCK, k_max + 1))
+        dist = circle_distance(k * theta0, theta_target)
+        hits = np.flatnonzero(dist < tol)
+        if hits.size:
+            return int(k[hits[0]]), float(dist[hits[0]])
+    raise LqcError(f"no power up to {k_max} reaches tolerance {tol:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,8 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
 
     # absorb the diagonal residue D into the last factor touching each
     # index; a genuinely untouched index gets a fresh diagonal factor paired
-    # with its low-bit neighbor
+    # with its low-bit neighbor, or with c - 1 when it is the last index of
+    # an odd dimension
     for c in range(d):
         ph = work[c, c]
         if abs(ph - 1) <= EPS_PHASE_ONE:
@@ -156,9 +157,7 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
             x, _, M = raw[last[c]]
             M[:, 0 if x == c else 1] *= ph
             continue
-        partner = c ^ 1
-        if partner >= d:
-            raise LqcError("cannot absorb phase: no pairing index")
+        partner = c ^ 1 if c ^ 1 < d else c - 1
         M = np.diag([ph, 1.0]) if c < partner else np.diag([1.0, ph])
         last[c] = last[partner] = len(raw)
         raw.append((min(c, partner), max(c, partner), M.astype(complex)))

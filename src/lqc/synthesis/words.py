@@ -68,9 +68,6 @@ class GateWord:
     error: float
     tol_met: bool
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __str__(self) -> str:
         return " ".join(self.letters) if self.letters else "<empty>"
 

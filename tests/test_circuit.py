@@ -486,6 +486,10 @@ class TestInstructionValidation:
         with pytest.raises(LqcError, match="out of range"):
             Circuit(RegisterLayout.of(2, 0), (instr,))
 
+    def test_instruction_needs_a_target(self):
+        with pytest.raises(LqcError, match="needs at least one target"):
+            Circuit(RegisterLayout.of(1, 0), (Instruction("X", ()),))
+
     def test_defgate_arity_bound(self):
         # parse refuses a DEFGATE on 11 bits, so serialize must never write one
         instr = Instruction("G", tuple(range(11)), matrix=np.eye(2, dtype=complex))

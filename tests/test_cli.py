@@ -213,6 +213,11 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_shots_exit_1(self, tmp_path, capsys):
+        f = put(tmp_path, "c.lqc", "qubits 1\nH q0\n")
+        code, out, err = cli(capsys, "sample", f, "--shots", "-1", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: shot count must be nonnegative\n"
 
     def test_shots_past_guard_exit_4(self, tmp_path, capsys):
         # the draws are one array: this used to end in numpy's uncaught

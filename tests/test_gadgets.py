@@ -266,6 +266,19 @@ class TestRandomTargets:
             circ = lambda_k(k, V, RegisterLayout("".join(mix) + "h"))
             assert relative_error(circ, V, k) <= 1e-9, mix
 
+    @pytest.mark.slow
+    @pytest.mark.xfail(
+        strict=True,
+        raises=LqcError,
+        reason="ROADMAP item 10: an emitted U gate is not metric-preserving at k = 4",
+    )
+    @pytest.mark.parametrize("mix", ["qqqq", "hqhq", "hhhh"])
+    @pytest.mark.parametrize("j", range(4))
+    def test_rapidity_6_targets_at_k4(self, j, mix):
+        V = RAPIDITY_BATTERY[6][j]
+        circ = lambda_k(4, V, RegisterLayout(mix + "h"))
+        assert relative_error(circ, V, 4) <= 1e-9
+
     # refusals out of 48 calls per rapidity; a bound may only go down
     MAX_REFUSED = {6.5: 8, 7: 32, 8: 44}
 
@@ -304,6 +317,10 @@ class TestLayoutHandling:
     def test_boost_on_qubit_target_rejected(self):
         with pytest.raises(IsometryError):
             lambda_k(2, builtin("BOOST", 0.5), RegisterLayout.of(3, 0))
+
+    def test_target_must_be_2x2(self):
+        with pytest.raises(LqcError, match="must be 2x2"):
+            lambda_k(2, np.eye(4))
 
     def test_nonisometry_rejected(self):
         with pytest.raises(IsometryError):

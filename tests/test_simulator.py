@@ -203,10 +203,6 @@ class TestSample:
         with pytest.raises(ZeroObservableMassError):
             sample(StateVector(layout, np.array([0.0, 1.0])), 10, seed=0)
 
-    def test_rng_algorithm_recorded(self):
-        res = sample(basis_state(RegisterLayout.of(1, 0), [0]), 1, seed=0)
-        assert res.rng_algorithm == "Philox"
-
 
 def sorted_dict_sample(probabilities, shots, seed):
     """The former sampler: inverse CDF over the sorted list of outcomes."""

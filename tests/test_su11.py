@@ -178,22 +178,23 @@ class TestApproxPower:
         with pytest.raises(LqcError):
             approx_power(math.pi, math.pi / 2 + 1e-9, tol=1e-12, k_max=100)
 
-    def test_landing_point_rounding_to_one_recurses_below_one(self, monkeypatch):
-        # y + 2 alpha - 1 rounds to alpha, so the rescaled landing point is
-        # 1.0000000000000002 before the clamp; 1 - 1e-18 would clamp it to 1.0
-        alpha, y = 0.15563274826795223, 0.8443672517320477
-        k0 = math.ceil((1.0 - y) / alpha)
-        assert (y + k0 * alpha - 1.0) / alpha >= 1.0
-        original = su11._first_entry
-        landings = []
-
-        def recording(alpha, y, *rest):
-            landings.append(y)
-            return original(alpha, y, *rest)
-
-        monkeypatch.setattr(su11, "_first_entry", recording)
-        original(alpha, y, 1e-6, 10**6)
-        assert landings and 0.0 <= landings[0] < 1.0
+    @pytest.mark.parametrize("below", [0, 1], ids=["k_max-at-hit", "k_max-below-hit"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_first_hit_at_a_block_edge(self, offset, below):
+        # the target sits on power `hit`, and tol is below every earlier
+        # power's distance, so the hit is first and k_max decides
+        theta0 = rotation_angle_of_word().theta0
+        hit = su11._SCAN_BLOCK + offset
+        target = (hit * theta0) % (2 * math.pi)
+        k_max = hit - below
+        expected = brute_force_min_power(target, theta0, 1e-6, k_max)
+        assert expected == (None if below else hit)
+        if below:
+            with pytest.raises(LqcError):
+                approx_power(target, theta0, 1e-6, k_max)
+        else:
+            k, err = approx_power(target, theta0, 1e-6, k_max)
+            assert k == hit and err < 1e-6
 
 
 class TestAxisDecompose:

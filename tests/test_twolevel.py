@@ -139,6 +139,29 @@ class TestFactorize:
         assert [(f.i, f.j) for f in factors] == [(2, 3)]
         assert np.max(np.abs(factors[0].V - A[2:, 2:])) <= EPS_RECON
 
+    @pytest.mark.parametrize(
+        "A, signs",
+        [
+            (np.diag([1, 1, 1j]), block_metric(2, 1)),
+            (np.diag([1, 1, 1j]), block_metric(1, 2)),
+            (np.diag([1, 1, 1, 1, 1j]), block_metric(3, 2)),
+            (
+                np.block([
+                    [random_isometry_for_signs(block_metric(1, 1), 8), np.zeros((2, 1))],
+                    [np.zeros((1, 2)), np.exp([[0.7j]])],
+                ]),
+                np.array([1.0, -1.0, 1.0]),
+            ),
+        ],
+        ids=["2-1", "1-2", "3-2", "U(1,1)-plus-phase"],
+    )
+    def test_last_index_of_an_odd_dimension_keeps_its_phase(self, A, signs):
+        # index d - 1 has no low-bit neighbor, so its phase pairs with d - 2
+        factors = two_level_factorize(A, signs)
+        d = len(A)
+        assert [(f.i, f.j) for f in factors][-1] == (d - 2, d - 1)
+        assert factors.error <= 1e-14
+
     @pytest.mark.parametrize("factor", [1.001, np.nan], ids=["scaled", "nan"])
     def test_each_block_is_checked_against_its_pair_metric(self, monkeypatch, factor):
         # factors are built without the constructor's check, so the one
@@ -172,6 +195,11 @@ class TestFactorize:
         eta = block_metric(2, 2)
         with pytest.raises(LqcError, match="reconstruction error nan"):
             two_level_factorize(random_isometry_for_signs(eta, 5), eta)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+    def test_rejects_a_non_square_input(self, shape):
+        with pytest.raises(LqcError, match="square"):
+            two_level_factorize(np.ones(shape), block_metric(2, 1))
 
     def test_rejects_non_isometry(self):
         with pytest.raises(IsometryError):
