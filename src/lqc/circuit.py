@@ -176,9 +176,10 @@ def validate_instruction(layout: RegisterLayout, instr: Instruction) -> None:
     elif instr.param is not None:
         raise LqcError(f"DEFGATE {instr.gate} takes no parameter")
     bits = instr.controls + instr.targets
+    num_bits = layout.num_bits
     for p in bits:
-        if type(p) is not int or not 0 <= p < layout.num_bits:
-            raise LqcError(f"bit {p!r} out of range: not an int in range({layout.num_bits})")
+        if type(p) is not int or not 0 <= p < num_bits:
+            raise LqcError(f"bit {p!r} out of range: not an int in range({num_bits})")
     if len(set(bits)) != len(bits):
         raise LqcError(f"duplicate bit in instruction {instr.gate}")
     if not instr.targets:
@@ -270,7 +271,13 @@ class RegisterBoundError(ParseError, GuardError):
 
 def _tokens(line: str) -> list[tuple[int, str]]:
     """(column, token) of each token of a line."""
-    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+    out, end = [], 0
+    for tok in line.split():
+        # only whitespace lies between `end` and the token, none inside it
+        start = line.index(tok, end)
+        end = start + len(tok)
+        out.append((start + 1, tok))
+    return out
 
 
 def _is_entry(token: str) -> bool:
@@ -281,9 +288,12 @@ def _is_entry(token: str) -> bool:
         return False
 
 
-def _format_row(row) -> str:
-    """One matrix row of 're,im' entries that `_Lines.read_rows` reads back exactly."""
-    return " ".join(f"{e.real:.17g},{e.imag:.17g}" for e in row)
+def _format_rows(matrix: np.ndarray) -> str:
+    """The rows of a matrix as lines of 're,im' entries that `_Lines.read_rows`
+    reads back exactly, by one %-format of the whole block."""
+    rows, cols = matrix.shape
+    line = " ".join(["%.17g,%.17g"] * cols)
+    return "\n".join([line] * rows) % tuple(matrix.ravel().view(float).tolist())
 
 
 class _Lines:
@@ -358,20 +368,28 @@ def parse(text: str) -> Circuit:
             layout = RegisterLayout.of(decls.get("QUBITS", 0), decls.get("HYBITS", 0))
         return layout
 
+    # (bang, position or None when out of range, bit name) of each bit
+    # reference token read so far; the layout is fixed once statements begin
+    bitrefs: dict[str, tuple[str, int | None, str]] = {}
+
     def parse_bitref(lineno: int, col: int, tok: str, allow_bang: bool):
-        m = _BITREF_RE.match(tok)
-        if not m:
-            err(lineno, col, f"expected bit reference, got {tok!r}")
-            return None
-        bang, kind, idx = m.group(1), m.group(2).lower(), int(m.group(3))
+        ref = bitrefs.get(tok)
+        if ref is None:
+            m = _BITREF_RE.match(tok)
+            if not m:
+                err(lineno, col, f"expected bit reference, got {tok!r}")
+                return None
+            bang, kind, idx = m.group(1), m.group(2).lower(), int(m.group(3))
+            places = get_layout().positions(BitKind(kind))
+            ref = bitrefs[tok] = (bang, places[idx] if idx < len(places) else None, f"{kind}{idx}")
+        bang, place, name = ref
         if bang and not allow_bang:
             err(lineno, col, "'!' polarity is only allowed on controls")
             return None
-        places = get_layout().positions(BitKind(kind))
-        if idx >= len(places):
-            err(lineno, col, f"bit {kind}{idx} out of range for declared register")
+        if place is None:
+            err(lineno, col, f"bit {name} out of range for declared register")
             return None
-        return (places[idx], 0 if bang else 1)
+        return (place, 0 if bang else 1)
 
     def parse_simple(lineno: int, toks: list[tuple[int, str]], controls, ctrl_state):
         col0, name_tok = toks[0]
@@ -561,9 +579,6 @@ def serialize(circuit: Circuit) -> str:
         kinds = "".join(circuit.layout.kinds)
         raise LqcError(f"cannot serialize register {kinds}: the format puts all qubits first")
 
-    def bit(p: int) -> str:
-        return f"q{p}" if p < nq else f"h{p - nq}"
-
     first_use: dict[str, Instruction] = {}
     for instr in circuit.instructions:
         if instr.matrix is not None:
@@ -575,16 +590,16 @@ def serialize(circuit: Circuit) -> str:
     if nh:
         out.append(f"hybits {nh}")
     for name, first in first_use.items():
-        out.append(f"DEFGATE {name} {len(first.targets)}")
-        out.extend(_format_row(row) for row in first.matrix)
+        out.append(f"DEFGATE {name} {len(first.targets)}\n{_format_rows(first.matrix)}")
+    names = [f"q{p}" for p in range(nq)] + [f"h{p}" for p in range(nh)]
     for instr in circuit.instructions:
         head = instr.gate
         if instr.param is not None:
             head += f" {instr.param:.17g}"
-        tail = " ".join(bit(t) for t in instr.targets)
+        tail = " ".join([names[t] for t in instr.targets])
         if instr.controls:
             ctl = " ".join(
-                f"{'' if v else '!'}{bit(c)}" for c, v in zip(instr.controls, instr.ctrl_state)
+                [names[c] if v else "!" + names[c] for c, v in zip(instr.controls, instr.ctrl_state)]
             )
             out.append(f"CTRL {ctl} : {head} {tail}")
         else:

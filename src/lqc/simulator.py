@@ -470,7 +470,11 @@ def sample(state: StateVector, shots: int, seed: int) -> SampleResult:
     # from the last possible outcome on, every draw u < 1 lands at or before it
     cdf[np.flatnonzero(dist.probs)[-1]:] = 1.0
     rng = np.random.Generator(np.random.Philox(seed))
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
+    u = rng.random(shots)
+    # sorted draws walk the CDF in order, which the search does far faster;
+    # the histogram does not depend on their order
+    u.sort()
+    draws = np.searchsorted(cdf, u, side="right")
     return SampleResult(np.bincount(draws, minlength=cdf.size), shots, seed)
 
 

@@ -190,63 +190,76 @@ def _w_factors(U: np.ndarray, kind: BitKind) -> tuple:
 # ---------------------------------------------------------------------------
 # Instruction emission
 
-
-class Emitter:
-    """Emits the instructions of one circuit, naming each new DEFGATE
-    matrix U0, U1, ... in the order it is first emitted."""
-
-    _RECOGNIZED = ("Z", "X", "SZ", "SZD", "H", "T", "TAU")
-    # their matrices, in that order, for one comparison per emitted gate
-    _RECOGNIZED_STACK = np.stack([builtin(name) for name in _RECOGNIZED])
-    _RECOGNIZED_STACK.flags.writeable = False
-
-    def __init__(self, layout: RegisterLayout):
-        self.layout = layout
-        self._by_key: dict[bytes, tuple[str, np.ndarray]] = {}
-
-    def _gate_name(self, M: np.ndarray) -> tuple[str, float | None, np.ndarray | None]:
-        """(name, param, DEFGATE matrix or None for a builtin) of M; the
-        first recognized builtin within EPS_ZERO names it."""
-        match = np.abs(M - self._RECOGNIZED_STACK).max(axis=(1, 2)) < EPS_ZERO
-        if match.any():
-            return self._RECOGNIZED[match.argmax()], None, None
-        if abs(M[0, 1]) < EPS_ZERO and abs(M[1, 0]) < EPS_ZERO and abs(M[0, 0] - 1) < EPS_ZERO:
-            return "PHASE", float(np.angle(M[1, 1])), None
-        if (
-            np.max(np.abs(M.imag)) < EPS_ZERO
-            and abs(M[0, 0] - M[1, 1]) < EPS_ZERO
-            and abs(M[0, 1] - M[1, 0]) < EPS_ZERO
-            and abs(M[0, 0].real ** 2 - M[0, 1].real ** 2 - 1) < EPS_IDENTITY
-            and M[0, 0].real > 0
-        ):
-            return "BOOST", float(np.arcsinh(M[0, 1].real)), None
-        key = (np.round(M, 12) + 0.0).tobytes()
-        if key not in self._by_key:
-            self._by_key[key] = (f"U{len(self._by_key)}", M.astype(complex))
-        name, matrix = self._by_key[key]
-        return name, None, matrix
-
-    def emit(self, pattern: dict[int, int], target: int, M: np.ndarray) -> list[Instruction]:
-        """M on `target` where every position of `pattern` holds its value."""
-        name, param, matrix = self._gate_name(M)
-        controls = tuple(sorted(pattern))
-        return [
-            Instruction(
-                gate=name,
-                targets=(target,),
-                controls=controls,
-                param=param,
-                matrix=matrix,
-                ctrl_state=tuple(pattern[c] for c in controls),
-            )
-        ]
+# builtins a 2x2 gate is named by, first match first, and their matrices
+_RECOGNIZED = ("Z", "X", "SZ", "SZD", "H", "T", "TAU")
+_RECOGNIZED_STACK = np.stack([builtin(name) for name in _RECOGNIZED])
+_RECOGNIZED_STACK.flags.writeable = False
 
 
-def _lambda_rec(em: Emitter, controls: list[int], target: int, V: np.ndarray) -> list[Instruction]:
+def emit(pattern: dict[int, int], target: int, M: np.ndarray) -> list[tuple]:
+    """The gate M on `target` where every position of `pattern` holds its
+    value, as a (controls, trigger values, target, M) record that
+    `named_circuit` names."""
+    controls = tuple(sorted(pattern))
+    return [(controls, tuple(pattern[c] for c in controls), target, M)]
+
+
+def named_circuit(layout: RegisterLayout, gates: list[tuple]) -> Circuit:
+    """The circuit of `emit` records, every gate named in one stacked pass:
+    the first recognized builtin within EPS_ZERO, else PHASE or BOOST with
+    its parameter, else a DEFGATE U0, U1, ... per distinct matrix (rounded
+    to 12 decimals) in the order it is first emitted. Entry magnitudes are
+    np.hypot, which is scalar abs() to the last bit."""
+    if not gates:
+        return Circuit(layout, ())
+    Ms = np.array([g[3] for g in gates], dtype=complex)
+    Ms.flags.writeable = False  # the U-gates' matrices are rows of it
+    re, im = Ms.real, Ms.imag
+    near = np.abs(Ms[:, None] - _RECOGNIZED_STACK).max(axis=(2, 3)) < EPS_ZERO
+    phase = (
+        (np.hypot(re[:, 0, 1], im[:, 0, 1]) < EPS_ZERO)
+        & (np.hypot(re[:, 1, 0], im[:, 1, 0]) < EPS_ZERO)
+        & (np.hypot(re[:, 0, 0] - 1, im[:, 0, 0]) < EPS_ZERO)
+    )
+    boost = (
+        (np.abs(im).max(axis=(1, 2)) < EPS_ZERO)
+        & (np.hypot(re[:, 0, 0] - re[:, 1, 1], im[:, 0, 0] - im[:, 1, 1]) < EPS_ZERO)
+        & (np.hypot(re[:, 0, 1] - re[:, 1, 0], im[:, 0, 1] - im[:, 1, 0]) < EPS_ZERO)
+        & (np.abs(re[:, 0, 0] ** 2 - re[:, 0, 1] ** 2 - 1) < EPS_IDENTITY)
+        & (re[:, 0, 0] > 0)
+    )
+    # the first condition that holds picks the label: a builtin, PHASE,
+    # BOOST, or None for a U-name
+    labels = _RECOGNIZED + ("PHASE", "BOOST", None)
+    which = np.select([near.any(axis=1), phase, boost], [near.argmax(axis=1), -3, -2], -1)
+    keys = (np.round(Ms, 12) + 0.0).reshape(len(gates), 4).view(np.dtype((np.void, 64)))[:, 0]
+    by_key: dict[bytes, tuple[str, np.ndarray]] = {}
+    instrs = []
+    for n, ((controls, state, target, M), w) in enumerate(zip(gates, which.tolist())):
+        name, param, matrix = labels[w], None, None
+        if name == "PHASE":
+            param = float(np.angle(M[1, 1]))
+        elif name == "BOOST":
+            param = float(np.arcsinh(M[0, 1].real))
+        elif name is None:
+            key = keys[n].tobytes()
+            if key not in by_key:
+                by_key[key] = (f"U{len(by_key)}", Ms[n])
+            name, matrix = by_key[key]
+        instrs.append(Instruction(
+            gate=name, targets=(target,), controls=controls,
+            param=param, matrix=matrix, ctrl_state=state,
+        ))
+    return Circuit(layout, tuple(instrs))
+
+
+def _lambda_rec(
+    layout: RegisterLayout, controls: list[int], target: int, V: np.ndarray
+) -> list[tuple]:
     if np.max(np.abs(V - _I2)) < EPS_ZERO:
         return []
     if len(controls) == 1:
-        return em.emit(dict.fromkeys(controls, 1), target, V)
+        return emit(dict.fromkeys(controls, 1), target, V)
 
     G = controls[:-2]
     a, b = controls[-2], controls[-1]
@@ -255,18 +268,18 @@ def _lambda_rec(em: Emitter, controls: list[int], target: int, V: np.ndarray) ->
     U = np.linalg.inv(R)
 
     # W(U) as four alternating factors plus a phase corrector
-    A, B, C, D, psi = _w_factors(U, em.layout.kinds[target])
-    out = _lambda_rec(em, G + [a], target, A)
-    out += _lambda_rec(em, G + [b], target, B)
-    out += _lambda_rec(em, G + [a], target, C)
-    out += _lambda_rec(em, G + [b], target, D)
+    A, B, C, D, psi = _w_factors(U, layout.kinds[target])
+    out = _lambda_rec(layout, G + [a], target, A)
+    out += _lambda_rec(layout, G + [b], target, B)
+    out += _lambda_rec(layout, G + [a], target, C)
+    out += _lambda_rec(layout, G + [b], target, D)
     if abs(psi) > EPS_ZERO:
         corrector = np.diag([1.0, np.exp(-1j * psi)]).astype(complex)
-        out += _lambda_rec(em, G + [a], b, corrector)
+        out += _lambda_rec(layout, G + [a], b, corrector)
 
     # the two controlled square roots
-    out += _lambda_rec(em, G + [b], target, R)
-    out += _lambda_rec(em, G + [a], target, R)
+    out += _lambda_rec(layout, G + [b], target, R)
+    out += _lambda_rec(layout, G + [a], target, R)
     return out
 
 
@@ -298,7 +311,5 @@ def lambda_k(k: int, V: np.ndarray, layout: RegisterLayout | None = None) -> Cir
         raise IsometryError(
             f"gate is not isometric for the target kind (residual {resid:.3g})"
         )
-    em = Emitter(layout)
-    instrs = _lambda_rec(em, list(range(k)), target, V)
-    return Circuit(layout, tuple(instrs))
+    return named_circuit(layout, _lambda_rec(layout, list(range(k)), target, V))
 

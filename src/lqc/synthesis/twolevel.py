@@ -28,8 +28,8 @@ from ..core import (
     IsometryError, LqcError, RegisterLayout,
 )
 from ..gates import builtin, isometry_residual
-from ..circuit import Circuit, Instruction
-from .gadgets import Emitter, isometric_sqrt
+from ..circuit import Circuit
+from .gadgets import emit, isometric_sqrt, named_circuit
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,52 +185,46 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
 # Lowering to multi-controlled instructions
 
 
-def _bit_at(layout: RegisterLayout, index: int, pos: int) -> int:
-    return (index >> (layout.num_bits - 1 - pos)) & 1
+def _bits(layout: RegisterLayout, index: int) -> list[int]:
+    """The value of each register bit in basis index `index`, bit 0 first."""
+    n = layout.num_bits
+    return [(index >> (n - 1 - pos)) & 1 for pos in range(n)]
 
 
-def _direct_pair(em: Emitter, x: int, y: int, W: np.ndarray) -> list[Instruction]:
+def _direct_pair(layout: RegisterLayout, x: int, y: int, W: np.ndarray) -> list[tuple]:
     """b_{x,y}(W) for Hamming-distance-1 indices; W's first slot belongs
-    to x. One instruction, controlled on the bits that x and y share."""
-    layout = em.layout
-    diff = x ^ y
-    p = layout.num_bits - diff.bit_length()  # position of the single set bit
-    if _bit_at(layout, x, p) == 1:
+    to x. One gate, controlled on the bits that x and y share."""
+    bits = _bits(layout, x)
+    p = layout.num_bits - (x ^ y).bit_length()  # position of the single set bit
+    if bits[p] == 1:
         W = builtin("X") @ W @ builtin("X")
-    pattern = {
-        q: _bit_at(layout, x, q) for q in range(layout.num_bits) if q != p
-    }
-    return em.emit(pattern, p, W)
+    return emit({q: v for q, v in enumerate(bits) if q != p}, p, W)
 
 
-def _basis_phase(em: Emitter, index: int, phase: complex) -> list[Instruction]:
+def _basis_phase(layout: RegisterLayout, index: int, phase: complex) -> list[tuple]:
     """Multiply basis state |index> by a unit phase: one diagonal gate on
     a bit of the index, controlled on the other bits' values."""
     if abs(phase - 1) <= EPS_ZERO:
         return []
-    layout = em.layout
-    nbits = layout.num_bits
-    ones = [q for q in range(nbits) if _bit_at(layout, index, q) == 1]
-    if ones:
-        target = ones[0]
+    bits = _bits(layout, index)
+    if 1 in bits:
+        target = bits.index(1)
         gate = np.diag([1.0, phase]).astype(complex)
     else:
-        target = nbits - 1
+        target = len(bits) - 1
         gate = np.diag([phase, 1.0]).astype(complex)
-    pattern = {q: _bit_at(layout, index, q) for q in range(nbits) if q != target}
-    return em.emit(pattern, target, gate)
+    return emit({q: v for q, v in enumerate(bits) if q != target}, target, gate)
 
 
-def _lower_factor(em: Emitter, i: int, j: int, V: np.ndarray) -> list[Instruction]:
-    """Gates of b_{i,j}(V) for a directly lowerable factor; LqcError names
-    any other pair."""
-    layout = em.layout
+def _lower_factor(layout: RegisterLayout, i: int, j: int, V: np.ndarray) -> list[tuple]:
+    """Gates of b_{i,j}(V) for a directly lowerable factor, as `emit`
+    records; LqcError names any other pair."""
     if abs(V[0, 1]) < EPS_ZERO and abs(V[1, 0]) < EPS_ZERO:
-        return _basis_phase(em, i, V[0, 0]) + _basis_phase(em, j, V[1, 1])
+        return _basis_phase(layout, i, V[0, 0]) + _basis_phase(layout, j, V[1, 1])
 
     diff = i ^ j
     if diff.bit_count() == 1:
-        return _direct_pair(em, i, j, V)
+        return _direct_pair(layout, i, j, V)
     if diff.bit_count() != 2 or diff & ~layout.hybit_index_mask:
         kinds = "".join(layout.kinds)
         raise LqcError(f"pair ({i}, {j}) on register {kinds} is not directly lowerable")
@@ -246,11 +240,11 @@ def _lower_factor(em: Emitter, i: int, j: int, V: np.ndarray) -> list[Instructio
     off = max(abs(V0[1, 0] + np.conj(gamma)), abs(V0[1, 1] - np.conj(zeta)))
     if off > EPS_RECON:
         raise IsometryError(f"two-level block ({i}, {j}) is not unitary (off by {off:.3g})")
-    out = _basis_phase(em, i, np.exp(1j * delta)) + _basis_phase(em, j, np.exp(1j * delta))
+    out = _basis_phase(layout, i, np.exp(1j * delta)) + _basis_phase(layout, j, np.exp(1j * delta))
     if abs(zeta) < EPS_SMALL_ZETA:
         # the identity divides by zeta; take two square-root passes instead
         R = isometric_sqrt(V0)
-        half = _lower_factor(em, i, j, R)
+        half = _lower_factor(layout, i, j, R)
         return out + half + half
     g = np.sqrt(1.0 + abs(gamma) ** 2)
     k = i ^ (1 << (diff.bit_length() - 1))
@@ -261,10 +255,10 @@ def _lower_factor(em: Emitter, i: int, j: int, V: np.ndarray) -> list[Instructio
     M2 = np.array([[s2, -1.0], [-1.0, s2]], dtype=complex)
     M3 = np.array([[g, gamma], [gc, g]])
     M4 = np.array([[s2 / zeta, g / zc], [g / zeta, s2 / zc]])
-    out += _direct_pair(em, j, k, M4)
-    out += _direct_pair(em, i, k, M3)
-    out += _direct_pair(em, j, k, M2)
-    out += _direct_pair(em, i, k, M1)
+    out += _direct_pair(layout, j, k, M4)
+    out += _direct_pair(layout, i, k, M3)
+    out += _direct_pair(layout, j, k, M2)
+    out += _direct_pair(layout, i, k, M1)
     return out
 
 
@@ -275,13 +269,12 @@ def lower(factors: list[TwoLevelFactor], layout: RegisterLayout) -> Circuit:
     Circuit time order is first-applied-first, so the rightmost factor
     comes first. The emitted gates are checked once, by `Circuit`."""
     dim = layout.dimension
-    em = Emitter(layout)
-    instrs: list[Instruction] = []
+    gates: list[tuple] = []
     for f in reversed(factors):
         if not (0 <= f.i < dim and 0 <= f.j < dim):
             raise LqcError(
                 f"factor on indices ({f.i},{f.j}) does not fit a "
                 f"{layout.num_bits}-bit register"
             )
-        instrs += _lower_factor(em, f.i, f.j, f.V)
-    return Circuit(layout, tuple(instrs))
+        gates += _lower_factor(layout, f.i, f.j, f.V)
+    return named_circuit(layout, gates)

@@ -6,7 +6,7 @@ search that the stacked one is checked against."""
 import numpy as np
 from hypothesis import settings
 
-from lqc.circuit import Circuit, Instruction, _format_row
+from lqc.circuit import Circuit, Instruction, _format_rows
 from lqc.core import (
     EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
     LqcError, RegisterLayout, basis_state, metric_for_kinds,
@@ -102,8 +102,7 @@ def controlled(G, k):
 def format_matrix_text(matrix, m, n):
     """Matrix file text of a matrix under the header "dim m n", in the row
     format of `serialize`, which `parse_matrix_text` reads back exactly."""
-    rows = [_format_row(row) for row in np.asarray(matrix, dtype=complex)]
-    return "\n".join([f"dim {m} {n}"] + rows) + "\n"
+    return f"dim {m} {n}\n{_format_rows(np.asarray(matrix, dtype=complex))}\n"
 
 
 def word_matrix(letters, bitkind):

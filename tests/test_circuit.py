@@ -164,6 +164,38 @@ class TestParse:
         assert str(exc.value) == text
 
 
+class TestDiagnosticsPerUse:
+    """`parse` reads each bit-reference token once per call; every use must
+    still get its own checks, each at its own line and column."""
+
+    @staticmethod
+    def diagnostics(src):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        return [(d.line, d.column, d.message) for d in exc.value.diagnostics]
+
+    def test_bang_accepted_on_a_control_is_refused_on_a_later_target(self):
+        src = "qubits 2\nCTRL !q0 : X q1\nX !q0\n"
+        assert self.diagnostics(src) == [(3, 3, "'!' polarity is only allowed on controls")]
+
+    def test_out_of_range_reference_is_reported_at_each_use(self):
+        src = "qubits 2\nZ q5\nH q0\nCTRL q5 : X q1\nX\t  q5\n"
+        message = "bit q5 out of range for declared register"
+        assert self.diagnostics(src) == [(2, 3, message), (4, 6, message), (5, 5, message)]
+
+    @pytest.mark.parametrize(
+        "rows, where, message",
+        [
+            ("1,0 0,0\n0,0  nope\n", (4, 6), "matrix entry 'nope' is not 're,im'"),
+            ("1,0 0,0 # first row\n\n\t0,0\n", (5, 2), "expected 2 matrix entries"),
+            ("1,0 0,0,1\n0,0 1,0\n", (3, 5), "matrix entry '0,0,1' is not 're,im'"),
+        ],
+    )
+    def test_bad_defgate_entry_keeps_its_place(self, rows, where, message):
+        src = "qubits 1\nDEFGATE G 1\n" + rows + "H q0\n"
+        assert self.diagnostics(src) == [(*where, message)]
+
+
 class TestRegisterBound:
     """`parse` refuses a declared register past MAX_REGISTER_BITS at the
     count that takes it there, before it builds any layout."""

@@ -765,6 +765,33 @@ class TestSynthGolden:
         assert (digest, len(out)) == SYNTH_GOLDEN[kinds]
 
 
+# SHA-256 and length of `synth` stdout on committed register isometries
+# (`perfbench/gen.random_isometry` at default_rng(2024)), recorded at
+# 8f5d386. The exact runs hold hundreds of DEFGATE blocks and the names of
+# builtins and U-gates; the one-bit approximate runs hold generator words.
+# These layouts have at most one hybit; an intended change to their gates
+# must record them anew.
+SYNTH_MODE_GOLDEN = {
+    ("qqqq", "--exact"): ("51fab40b78895e6cdbca734757094c9cf8bec967f9a956183d89602897358f99", 21650),
+    ("qqqqq", "--exact"): ("bd194d3d8d0e03689aa04e7a5e1bb5567ecdfe0f9679207cbc5427ea15391c80", 90423),
+    ("qqqqh", "--exact"): ("de3be9753a3a5f29fc069417c1a5016838d5f00d5ac19c81c9754cbbcbdf21a3", 91023),
+    ("q", "--approx"): ("1f7735aead226fa4d37388c1b458f559d74ef7355a964af6306cf4fdbf5d34f6", 79),
+    ("h", "--approx"): ("f380dd566a198017bc146b9818234f7e2293dc8753ad6862e4c23d5aba4d3f85", 125),
+}
+
+
+class TestSynthModeGolden:
+    @pytest.mark.parametrize("kinds, mode", sorted(SYNTH_MODE_GOLDEN))
+    def test_stdout(self, capsys, kinds, mode):
+        path = Path(__file__).parent / "data" / f"{kinds}.mat"
+        q, h = str(kinds.count("q")), str(kinds.count("h"))
+        flags = ["--exact"] if mode == "--exact" else ["--approx", "0.05"]
+        code, out, _ = cli(capsys, "synth", str(path), "--qubits", q, "--hybits", h, *flags)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert (digest, len(out)) == SYNTH_MODE_GOLDEN[kinds, mode]
+
+
 class TestUsage:
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = cli(capsys, "run", "x.lqc", "--frobnicate")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -342,6 +343,52 @@ class TestDeterminism:
         circ = lambda_k(2, V)
         reparsed = parse(serialize(circ))
         assert np.max(np.abs(lifted(reparsed) - lifted(circ))) < 1e-11
+
+
+def instruction_digest(circ) -> str:
+    """SHA-256 of every instruction's gate, bits, trigger values, parameter
+    repr and DEFGATE matrix bytes."""
+    h = hashlib.sha256()
+    for i in circ.instructions:
+        h.update(repr((i.gate, i.targets, i.controls, i.ctrl_state, repr(i.param))).encode())
+        if i.matrix is not None:
+            h.update(i.matrix.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_TARGETS = {
+    "X": builtin("X"),
+    "H": builtin("H"),
+    "TAU": builtin("TAU"),
+    "BOOST": builtin("BOOST", 1.1),
+    "diag": np.diag([np.exp(0.3j), np.exp(-1.1j)]),
+    "haar": haar_unitary(7),
+}
+# (gate count, instruction_digest) of lambda_k(k, target) on its default
+# register, recorded at 8f5d386; between them the lists hold builtins,
+# PHASE, BOOST and DEFGATE U-names, so a change in how emitted gates are
+# named or which matrix a name carries shows here
+LAMBDA_GOLDEN = {
+    (2, "X"): (6, "17b1eb0a6f3a59ec2c6c5e321983659b4d46a2a8519cd373cc1eb2b34f229b26"),
+    (2, "H"): (6, "ff0188c00329d06faf69a94fee8e80219baf367af6f03cff8d8b00fc56a72904"),
+    (2, "TAU"): (7, "5274abf0968fbda6aa23ec365efd41efe779af854b0ce4c5a5ba5adb89507db8"),
+    (2, "BOOST"): (6, "d3fe69259da94a85b2ba40433d647f184f9f5264172e882fa7d04480c4fa0d2c"),
+    (2, "diag"): (6, "c69017b9ee20e406ed6435b10df5da3507cec59bf922f5caf30a5f9b19cbaf88"),
+    (2, "haar"): (6, "a52b59a57104d7879b183ea4c9887b25a61e3c0bd4d852cd2e8667f21a083900"),
+    (3, "X"): (36, "265d4aa6e5a5a06d14418b8e0cd36fcecec7c5f53406d86f67f266eda7a64526"),
+    (3, "H"): (36, "47c744f1b18440e10bc151b96091b4e6129699d054602173ce3518c21198634c"),
+    (3, "TAU"): (47, "e3118701a24ee4d67a1f531a796b2c0072c4e589a9dd5165a86ad35183623da6"),
+    (3, "BOOST"): (38, "88f3e6a3e8b249f04fccbfd851666b9d25212804daa20be34daea7e0ca0c6c28"),
+    (3, "diag"): (36, "2b476f16b01e6c9c135705010870689e5fd5c198540bc95289b28d3379278794"),
+    (3, "haar"): (36, "43c8d58e4ab96e292c3c5e15fff7773e47a86f5b1add6198f7eb1df252d1eb54"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("k, name", sorted(LAMBDA_GOLDEN))
+    def test_instruction_lists(self, k, name):
+        circ = lambda_k(k, GOLDEN_TARGETS[name])
+        assert (len(circ.instructions), instruction_digest(circ)) == LAMBDA_GOLDEN[k, name]
 
 
 class TestWFactorCheck:

@@ -18,9 +18,10 @@ import pytest
 
 from conftest import random_circuit
 from lqc import circuit as circuit_module
+from lqc import synthesis
 from lqc.circuit import Circuit, Instruction, serialize
-from lqc.core import RegisterLayout
-from lqc.gates import BUILTIN_ARITY, PARAMETRIC, builtin
+from lqc.core import RegisterLayout, metric_vector
+from lqc.gates import BUILTIN_ARITY, PARAMETRIC, builtin, random_isometry_for_signs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,7 +31,11 @@ def spans():
     # spans.py imports its sibling `arith` as a top-level module
     sys.path.insert(0, str(PERFBENCH))
     try:
-        yield importlib.import_module("spans")
+        module = importlib.import_module("spans")
+        # installed() wraps functions in loaded modules only
+        for module_name, _ in module.wrappers(module.Tracer()):
+            importlib.import_module(module_name)
+        yield module
     finally:
         sys.path.remove(str(PERFBENCH))
 
@@ -89,6 +94,19 @@ def test_validation_is_traced(spans):
     assert tracer.calls("gates.isometry_residual") > built
     assert tracer.calls("circuit.parse") == 1
 
+    # synthesis names its gates in one pass, yet `Circuit` still validates
+    # each emitted gate once, and parse each read one once: the benchmark's
+    # per_emitted of 2.0 on `synth`
+    layout = RegisterLayout.of(3, 1)
+    A = random_isometry_for_signs(metric_vector(layout), 4)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        emitted = synthesis.compile(A, layout).circuit
+        circuit_module.parse(serialize(emitted))
+    assert len(emitted.instructions) > 100
+    assert tracer.counts["circuit.validate.instructions"] == 2 * len(emitted.instructions)
+    assert tracer.calls("synthesis.compile") == 1
+
 
 # 12 qubits + 2 hybits: an H layer, then gates of every kernel class. h1 is
 # untouched until its BOOST, so the first CTRL on it never triggers and the
@@ -109,9 +127,6 @@ def test_run_traces_each_acting_gate_by_its_class(spans):
     # would miss these counts
     from lqc import simulator
 
-    # installed() wraps functions in loaded modules only
-    for module_name, _ in spans.wrappers(spans.Tracer()):
-        importlib.import_module(module_name)
     circuit = circuit_module.parse(TRACED_RUN)
     tracer = spans.Tracer()
     with spans.installed(tracer):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqc.circuit import Circuit, serialize, to_matrix
+from lqc.circuit import serialize, to_matrix
 from lqc.core import (
     EPS_RECON,
     IsometryError,
@@ -11,7 +11,7 @@ from lqc.core import (
 )
 from lqc.gates import block_metric, builtin, random_isometry_for_signs
 from lqc.synthesis import compile, twolevel
-from lqc.synthesis.gadgets import Emitter
+from lqc.synthesis.gadgets import emit, named_circuit
 from lqc.synthesis.twolevel import TwoLevelFactor, lower, two_level_factorize
 
 from conftest import embed
@@ -214,18 +214,18 @@ class TestFactorize:
 
 class TestPatternControl:
     """A single-bit gate controlled on a pattern of trigger values is one
-    instruction, named by `Emitter`."""
+    instruction, named by `named_circuit`."""
 
     def test_no_zeros_single_instruction(self):
         layout = RegisterLayout.of(3, 0)
-        [instr] = Emitter(layout).emit({0: 1, 1: 1}, 2, builtin("H"))
+        [instr] = named_circuit(layout, emit({0: 1, 1: 1}, 2, builtin("H"))).instructions
         assert (instr.gate, instr.targets, instr.controls) == ("H", (2,), (0, 1))
         assert instr.ctrl_state == (1, 1)
 
     def test_zero_pattern_matches_oracle(self):
         layout = RegisterLayout.of(3, 0)
         V = random_su2_form(7)
-        circ = Circuit(layout, tuple(Emitter(layout).emit({0: 0, 1: 1}, 2, V)))
+        circ = named_circuit(layout, emit({0: 0, 1: 1}, 2, V))
         assert [i.ctrl_state for i in circ.instructions] == [(0, 1)]
         got = to_matrix(circ)
         want = np.eye(8, dtype=complex)
@@ -235,7 +235,7 @@ class TestPatternControl:
     def test_all_zero_pattern(self):
         layout = RegisterLayout.of(2, 0)
         V = random_su2_form(8)
-        circ = Circuit(layout, tuple(Emitter(layout).emit({0: 0}, 1, V)))
+        circ = named_circuit(layout, emit({0: 0}, 1, V))
         got = to_matrix(circ)
         want = np.eye(4, dtype=complex)
         want[np.ix_((0, 1), (0, 1))] = V
@@ -244,7 +244,7 @@ class TestPatternControl:
     def test_target_in_pattern_rejected(self):
         layout = RegisterLayout.of(2, 0)
         with pytest.raises(LqcError, match="duplicate bit"):
-            Circuit(layout, tuple(Emitter(layout).emit({1: 1}, 1, builtin("Z"))))
+            named_circuit(layout, emit({1: 1}, 1, builtin("Z")))
 
 
 def check_lowering(layout, i, j, V, tol=1e-8):
