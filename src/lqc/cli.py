@@ -27,7 +27,6 @@ from .search import (
     choose_k,
     predicted_success,
     run_search,
-    search_layout,
 )
 from .simulator import (
     ZeroObservableMassError,
@@ -86,11 +85,12 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _check_memory(layout: RegisterLayout) -> None:
-    if layout.dimension > MAX_AMPLITUDES:
+def _check_memory(num_bits: int) -> None:
+    """Refuse a register of `num_bits` bits past the amplitude guard; called
+    with the bit count before a layout of that size is built."""
+    if num_bits > MAX_AMPLITUDES.bit_length() - 1:
         raise GuardError(
-            f"register of {layout.num_bits} bits needs 2^{layout.num_bits} "
-            f"amplitudes; the guard is 2^24"
+            f"register of {num_bits} bits needs 2^{num_bits} amplitudes; the guard is 2^24"
         )
 
 
@@ -104,7 +104,7 @@ def _parse_bits(text: str, want: int) -> list[int]:
 
 def _parse_circuit(text: str) -> Circuit:
     circuit = parse(text)
-    _check_memory(circuit.layout)
+    _check_memory(circuit.layout.num_bits)
     return circuit
 
 
@@ -152,16 +152,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = _read(args.file)
     if _looks_like_matrix(text):
         G, (m, n) = parse_matrix_text(text)
-        if args.metric is not None:
-            m, n = args.metric
-            if m < 0 or n < 0 or m + n != G.shape[0]:
-                raise CliUsageError(
-                    f"--metric {m} {n} does not fit a {G.shape[0]}-dimensional matrix"
-                )
         eta = block_metric(m, n)
     else:
-        if args.metric is not None:
-            raise CliUsageError("--metric applies only to matrix files")
         circuit = _parse_circuit(text)
         G = to_matrix(circuit)
         eta = metric_vector(circuit.layout).astype(float)
@@ -180,8 +172,8 @@ def _read_matrix(path: str, qubits: int, hybits: int) -> tuple[np.ndarray, Regis
     A, (m, n) = parse_matrix_text(_read(path))
     if qubits < 0 or hybits < 0 or qubits + hybits == 0:
         raise CliUsageError("need a register with at least one bit")
+    _check_memory(qubits + hybits)
     layout = RegisterLayout("q" * qubits + "h" * hybits)
-    _check_memory(layout)
     signs = metric_vector(layout)
     plus, minus = int(np.sum(signs > 0)), int(np.sum(signs < 0))
     if (m, n) != (plus, minus):
@@ -208,7 +200,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise GuardError("search register must have at least 1 qubit")
-    _check_memory(search_layout(args.n))
+    # the n search qubits, the oracle qubit and the hybit of search_layout
+    _check_memory(args.n + 2)
     N = 2**args.n
     if args.k is not None:
         k = args.k
@@ -253,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a matrix or circuit preserves the metric")
     p.add_argument("file")
-    p.add_argument("--metric", nargs=2, type=int, metavar=("m", "n"), default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="compile a matrix into a circuit")

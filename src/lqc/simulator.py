@@ -52,20 +52,22 @@ Gates with two or more targets (CZ, multi-target DEFGATEs) move their
 target axes to the front and multiply by the gate matrix.
 
 `run` from a basis state (|0...0> or any state with one nonzero amplitude)
-leaves out the bits no instruction has targeted yet, as long as they hold
-their start values: a pass whose control on such a bit cannot trigger is
-skipped, and the others run on the view of the tensor with those axes
-sliced to length 1 at their start values (no renumbering, no view cache),
-since every amplitude outside it is zero and stays zero. An H layer
-on |0...0> then touches one block of the state per gate instead of all of
-it. Two limits keep the result bit-identical to passes over the whole
-tensor, apart from the sign of zero amplitudes outside the view (a
-whole-tensor Z turns them into -0.0, which no probability sees): a
-single-target pass fixes no more untouched bits than leave each
-target slice max(BLAS_DENSE_MAX, 2) amplitudes, because a smaller slice
-would take the BLAS branch or numpy's one-amplitude product, which round
-differently; a pass with two or more targets fixes none beyond its
-controls, because BLAS may round a matmul of another width differently.
+leaves out the bits no instruction has targeted yet while they hold their
+start values, since every amplitude where one differs is zero and stays
+zero. One rule covers a control on such a bit: a pass whose trigger there
+is not the start value is skipped, and any other runs unchanged, the
+kernel fixing that axis at its trigger value, which is the start value. A
+single-target pass also slices other untouched axes to length 1 at their
+start values (no renumbering, no view cache), so an H layer on |0...0>
+touches one block of the state per gate instead of all of it. Two limits
+keep the result bit-identical to passes over the whole tensor, apart from
+the sign of zero amplitudes outside the view (a whole-tensor Z turns them
+into -0.0, which no probability sees): a single-target pass fixes no more
+untouched bits than leave each target slice max(BLAS_DENSE_MAX, 2)
+amplitudes, because a smaller slice would take the BLAS branch or numpy's
+one-amplitude product, which round differently; a pass with two or more
+targets slices no axis, because BLAS may round a matmul of another width
+differently.
 
 Measurement keeps only amplitudes with every hybit in state 0 and
 renormalizes over that subspace. The outcome distribution is an array over
@@ -89,7 +91,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -250,18 +252,15 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     instruction has targeted yet, with their start values; from any other
     state no bit is untouched. An instruction with a control on an untouched
     bit is skipped when the trigger differs from the start value (its
-    control block is all zero) and loses that control when it matches. The
-    rest runs on the view of the tensor with untouched axes sliced to length
-    1 at their start values, keeping the circuit's bit positions (no view is
+    control block is all zero); otherwise it runs unchanged, and the kernel
+    fixes that control's axis at the start value. A single-target pass runs
+    on the view of the tensor with other untouched axes sliced to length 1
+    at their start values, keeping the circuit's bit positions (no view is
     cached); every amplitude outside the view is zero and stays zero.
-    The result is bit-identical to applying every instruction to the whole
-    tensor, except that a zero amplitude outside the view keeps +0.0 where a
-    whole-tensor pass may leave -0.0. Two limits keep it so: a single-target
-    pass fixes only as many extra untouched bits as leave each target slice
-    at least max(BLAS_DENSE_MAX, 2) amplitudes, since a smaller slice would
-    switch to the BLAS branch or to numpy's one-amplitude product, which
-    round differently; a pass with two or more targets fixes none beyond its
-    controls, since BLAS may round a matmul differently at another width."""
+    Under the two limits of the module docstring, the result is
+    bit-identical to applying every instruction to the whole tensor, except
+    that a zero amplitude outside the view keeps +0.0 where a whole-tensor
+    pass may leave -0.0."""
     layout = circuit.layout
     if initial is None:
         start = [0] * layout.num_bits
@@ -288,8 +287,9 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
               start: list[int] | None = None) -> None:
     """apply_to_tensor for each instruction: the one loop of `run` and
     `circuit.to_matrix`. When the tensor held the basis state `start` before
-    the first one, each pass is skipped or narrowed by the untouched bits as
-    `run` describes; with no `start`, every pass covers the whole tensor.
+    the first one, each instruction is skipped, or passed on unchanged to
+    the whole tensor or a view, as `run` describes; with no `start`, every
+    pass covers the whole tensor.
     Overflow is left to `observe` and `isometry_residual` to report."""
     untouched = {} if start is None else dict(enumerate(start))
     floor = max(BLAS_DENSE_MAX, 2)
@@ -297,30 +297,21 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
         for instr in instructions:
             view = tensor
             if untouched:
-                held = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state)
-                        if c in untouched]
-                if any(untouched[c] != v for c, v in held):
+                if any(untouched.get(c, v) != v
+                       for c, v in zip(instr.controls, instr.ctrl_state)):
                     continue
                 for t in instr.targets:
                     untouched.pop(t, None)
-                fixed = [c for c, _ in held]
                 if len(instr.targets) == 1:
+                    idx: list = [slice(None)] * tensor.ndim
                     size = 1 << (layout.num_bits - 1 - len(instr.controls))
-                    for p in untouched:
+                    for p, v in untouched.items():
                         if size >> 1 < floor:
                             break
                         if p not in instr.controls:
-                            fixed.append(p)
+                            idx[p] = slice(v, v + 1)
                             size >>= 1
-                idx: list = [slice(None)] * tensor.ndim
-                for p in fixed:
-                    idx[p] = slice(untouched[p], untouched[p] + 1)
-                view = tensor[tuple(idx)]
-                if held:
-                    free = [(c, v) for c, v in zip(instr.controls, instr.ctrl_state)
-                            if c not in untouched]
-                    instr = replace(instr, controls=tuple(c for c, _ in free),
-                                    ctrl_state=tuple(v for _, v in free))
+                    view = tensor[tuple(idx)]
             apply_to_tensor(layout, view, instr)
 
 

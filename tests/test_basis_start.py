@@ -162,6 +162,6 @@ def test_untriggerable_control_is_skipped(monkeypatch):
     circuit = parse("qubits 2\nhybits 1\nCTRL h0 : H q0\nCTRL !h0 : H q1\nCTRL h0 : X q0\n")
     state = run(circuit, basis_state(circuit.layout, [0, 0, 0]))
     # h0 holds 0 throughout: the first and last lines never trigger, and
-    # the middle one runs as a bare H on the view where h0 is 0
-    assert [(i.gate, i.targets, i.controls) for i in calls] == [("H", (1,), ())]
+    # the middle one runs unchanged, the kernel fixing h0 at 0
+    assert [(i.gate, i.targets, i.controls) for i in calls] == [("H", (1,), (2,))]
     assert np.array_equal(state.amps, reference_run(circuit).amps)

@@ -716,12 +716,16 @@ class TestValidateOnce:
         assert repeated.instructions == a.instructions + b.instructions * 3
         assert a.concat(b, times=0) == a
 
-    @pytest.mark.parametrize("times", [-1, 1.0, "2", None])
-    def test_concat_refuses_a_bad_count(self, times):
+    @pytest.mark.parametrize("kinds, times, match", [
         # a negative count used to return the first circuit alone
+        *[("qh", times, "nonnegative integer count") for times in (-1, 1.0, "2", None)],
+        ("qq", 1, "different layouts"),
+    ])
+    def test_concat_refuses(self, kinds, times, match):
         a = Circuit(RegisterLayout("qh"), (Instruction("H", (0,)),))
-        with pytest.raises(LqcError, match="nonnegative integer count"):
-            a.concat(a, times=times)
+        b = Circuit(RegisterLayout(kinds), (Instruction("H", (0,)),))
+        with pytest.raises(LqcError, match=match):
+            a.concat(b, times=times)
 
     def test_concat_takes_a_numpy_count(self):
         a = Circuit(RegisterLayout("qh"), (Instruction("H", (0,)),))

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -177,6 +178,22 @@ class TestRun:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "20000 bits" in err
 
+    @pytest.mark.parametrize("argv, bits", [
+        (["synth", "FILE", "--qubits", "1000000", "--hybits", "0"], 1000000),
+        (["search", "--n", "1000000", "--x", "0"], 1000002),
+    ], ids=["synth", "search"])
+    def test_register_flags_refused_before_a_layout(self, tmp_path, capsys, argv, bits):
+        # building a register of a million bits takes about a second, so
+        # the flags' bit count is checked before any register is built
+        matrix = put(tmp_path, "i.mat", "dim 2 0\n1,0 0,0\n0,0 1,0\n")
+        argv = [matrix if a == "FILE" else a for a in argv]
+        t0 = time.perf_counter()
+        code, out, err = cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.1
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert f"{bits} bits" in err
+
 
 class TestSample:
     def test_zero_shots(self, tmp_path, capsys):
@@ -248,18 +265,18 @@ class TestVerify:
         assert code == 3
         assert out.endswith("FAIL\n")
 
-    def test_metric_override(self, tmp_path, capsys):
+    def test_header_is_the_metric(self, tmp_path, capsys):
         unitary_header = CNOT_TEXT.replace("dim 3 1", "dim 4 0")
         f = put(tmp_path, "cnot.mat", unitary_header)
         code, out, _ = cli(capsys, "verify", f)
         assert code == 0 and out.endswith("PASS\n")
-        code, out, _ = cli(capsys, "verify", f, "--metric", "3", "1")
-        assert code == 3 and out.endswith("FAIL\n")
 
-    def test_metric_override_wrong_size(self, tmp_path, capsys):
+    def test_metric_refused_for_a_matrix(self, tmp_path, capsys):
+        # the header is the only metric of a matrix file
         f = put(tmp_path, "i.mat", "dim 2 0\n1,0 0,0\n0,0 1,0\n")
-        code, _, err = cli(capsys, "verify", f, "--metric", "2", "2")
-        assert code == 1
+        code, out, err = cli(capsys, "verify", f, "--metric", "1", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_circuit_mode(self, tmp_path, capsys):
         f = put(tmp_path, "c.lqc", "qubits 1\nhybits 1\nCTRL q0 : BOOST 0.5 h0\n")

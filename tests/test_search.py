@@ -270,6 +270,42 @@ class TestChooseK:
                     if k > 0:
                         assert predicted_success(N, chi, k - 1) < p_min
 
+    @staticmethod
+    def smallest_k(N, chi, p_min):
+        k = 0
+        while predicted_success(N, chi, k) < p_min:
+            k += 1
+        return k
+
+    @staticmethod
+    def closed_form(N, chi, p_min):
+        return math.ceil(math.acosh(math.sqrt(p_min * (N - 1) / (1.0 - p_min))) / chi)
+
+    @pytest.mark.parametrize("N, chi, closed, answer", [
+        # the closed form overshoots by one: the k -= 1 nudge runs
+        (4, float.fromhex("0x1.873dde30b84f2p-2"), 4, 3),
+        # the closed form falls one short: the k += 1 nudge runs
+        (8, float.fromhex("0x1.885381c38f2c4p-4"), 17, 18),
+    ])
+    def test_nudge_past_the_closed_form(self, N, chi, closed, answer):
+        assert self.closed_form(N, chi, 0.5) == closed
+        assert choose_k(N, chi, 0.5) == self.smallest_k(N, chi, 0.5) == answer
+
+    def test_boundary_rapidities(self):
+        # chi = arccosh(target)/k and its float neighbours put k*chi on the
+        # boundary, where the closed form misses by one both ways
+        misses = set()
+        for N in (4, 8, 64, 1000, 2**20, 2**40):
+            for p_min in (0.5, 0.9, 0.99):
+                edge = math.acosh(math.sqrt(p_min * (N - 1) / (1.0 - p_min)))
+                for k in range(1, 25):
+                    for chi in (math.nextafter(edge / k, 0), edge / k,
+                                math.nextafter(edge / k, 1)):
+                        answer = self.smallest_k(N, chi, p_min)
+                        assert choose_k(N, chi, p_min) == answer
+                        misses.add(self.closed_form(N, chi, p_min) - answer)
+        assert misses == {-1, 0, 1}
+
     def test_doubling_slope(self):
         # cosh^2(k chi) must track N, so k chi grows like arccosh(sqrt(N)):
         # half a ln(2) per doubling, i.e. steps of floor/ceil of ln2/(2 chi)

@@ -365,9 +365,13 @@ class TestDistributionFormat:
         text = format_counts(SampleResult(hist, int(hist.sum()), 0))
         assert text.splitlines(keepends=True) == want
 
-    def test_probability_check(self):
-        with pytest.raises(LqcError):
-            OutcomeDistribution(np.array([0.4, 0.0]), 1.0)
+    @pytest.mark.parametrize("probs, match", [
+        ([0.4, 0.0], "sum to"),
+        ([0.5, 0.25, 0.25], "2\\^n qubit indices"),
+    ])
+    def test_probability_check(self, probs, match):
+        with pytest.raises(LqcError, match=match):
+            OutcomeDistribution(np.array(probs), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probabilities_rejected(self, bad):

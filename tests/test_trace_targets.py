@@ -109,15 +109,16 @@ def test_validation_is_traced(spans):
 
 
 # 12 qubits + 2 hybits: an H layer, then gates of every kernel class. h1 is
-# untouched until its BOOST, so the first CTRL on it never triggers and the
-# second runs as a bare TAU.
+# untouched until its BOOST, so the first CTRL on it never triggers; the
+# second keeps its control, which the kernel fixes at h1's start value 0,
+# and is traced as a controlled pass.
 TRACED_RUN = (
     "qubits 12\nhybits 2\n"
     + "".join(f"H q{i}\n" for i in range(12))
     + "CTRL h1 : TAU h0\nCTRL !h1 : TAU h0\nT q3\nZ h0\nX q5\nY q7\nBOOST 0.4 h1\n"
     "CTRL q0 !q2 : X q4\nCTRL h0 : T q1\nCZ q1 h1\n"
 )
-TRACED_CLASSES = {"dense": 12 + 2, "diag": 3, "perm": 2, "ctrl": 2}
+TRACED_CLASSES = {"dense": 12 + 1, "diag": 3, "perm": 2, "ctrl": 3}
 
 
 def test_run_traces_each_acting_gate_by_its_class(spans):

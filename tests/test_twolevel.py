@@ -201,6 +201,14 @@ class TestFactorize:
         with pytest.raises(LqcError, match="square"):
             two_level_factorize(np.ones(shape), block_metric(2, 1))
 
+    def test_dimension_one(self):
+        # a 1x1 isometry is a phase: the identity takes no factor, and any
+        # other phase is refused
+        F = two_level_factorize(np.array([[1.0]]), [1.0])
+        assert (list(F), F.error) == ([], 0.0)
+        with pytest.raises(LqcError, match="identity scalar"):
+            two_level_factorize(np.array([[1j]]), [1.0])
+
     def test_rejects_non_isometry(self):
         with pytest.raises(IsometryError):
             two_level_factorize(np.ones((3, 3)), block_metric(2, 1))

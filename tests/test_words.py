@@ -115,11 +115,12 @@ class TestWordSearch:
         assert a.letters == b.letters
         assert a.error == b.error
 
-    def test_rejects_wrong_kind_target(self):
+    @pytest.mark.parametrize("target, kind", [
+        (builtin("TAU"), "q"), (builtin("H"), "h"), (np.eye(3), "q"),
+    ], ids=["tau-on-qubit", "h-on-hybit", "3x3"])
+    def test_rejects_wrong_kind_target(self, target, kind):
         with pytest.raises(IsometryError):
-            word_search(builtin("TAU"), "q", 0.05, 5)
-        with pytest.raises(IsometryError):
-            word_search(builtin("H"), "h", 0.05, 5)
+            word_search(target, kind, 0.05, 5)
 
     def test_hybit_boost_approximation_improves(self):
         # a small boost is not in the discrete group; the search still
