@@ -95,7 +95,7 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
     prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(spec.n)))
     full = observe(run(prep.concat(q_circuit(spec), times=spec.k)))
     # the oracle qubit is the last qubit, so the least significant index bit
-    return OutcomeDistribution(full.probs.reshape(-1, 2).sum(axis=1), full.observable_mass)
+    return OutcomeDistribution(full.probs[0::2] + full.probs[1::2], full.observable_mass)
 
 
 def predicted_success(N: int, chi: float, k: int) -> float:

@@ -16,7 +16,8 @@ without moving axes or copying the state. Its 2x2 entries pick the kernel:
 * anti-diagonal (X, Y): swap the slices through a temporary
 * dense (H, TAU, BOOST, general U): x0, x1 <- a x0 + b x1, c x0 + d x1
   through two temporaries; below BLAS_DENSE_MAX amplitudes per slice, as
-  one matmul on the stacked slice pair instead
+  one matmul on a contiguous (2, k) copy of the two slices instead, whose
+  rows are copied back
 
 A diagonal gate is one op per slice, already a single pass over it. The
 swap and the dense update take several ops per slice, so they run over
@@ -122,12 +123,13 @@ FORMAT_BLOCK = 1 << 14
 # at 0.5 distinct values per line, and 1.4x as much at 1.0 (medians of 7).
 DISTINCT_FORMAT_MAX = 0.5
 # Below this many amplitudes per target slice, a dense gate is one BLAS
-# matmul on the stacked slice pair, as multi-target gates are. At that size
-# it costs about what the slice update costs, and it rounds more tightly:
+# matmul, gate @ (2, k), on a contiguous copy of the two slices made by one
+# `np.array((x0, x1))` call, as multi-target gates are. At that size it
+# costs about what the slice update costs, and it rounds more tightly:
 # with the slice update, the metric residual of `to_matrix` on synthesized
 # circuits, which `lqc verify` compares with EPS_ISO, is about 1.3x larger
 # and flips some results near EPS_ISO. Above this size the chunked slice
-# update is 2-5x faster than stacking the pair.
+# update is 2-5x faster than copying the pair.
 BLAS_DENSE_MAX = 1 << 13
 # Amplitudes per target slice in one chunk of the slice update: the buffer
 # size of the iterator. A dense chunk holds x0 and x1 buffers and two
@@ -189,7 +191,7 @@ def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray) -> None:
     elif a == 0 and d == 0:
         _tiled(_swap, (b, c), x0, x1, 1)
     elif x0.size < BLAS_DENSE_MAX:
-        pair = gate @ np.stack((x0, x1)).reshape(2, -1)
+        pair = gate @ np.array((x0, x1)).reshape(2, -1)
         x0[...] = pair[0].reshape(x0.shape)
         x1[...] = pair[1].reshape(x1.shape)
     else:

@@ -45,9 +45,10 @@ class TwoLevelFactor:
     V: np.ndarray = field(repr=False)
 
 
-def _pair_inverse(M: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    # inverse of an isometry through its metric: M^-1 = eta M^dagger eta
-    return (eta[:, None] * M.conj().T) * eta[None, :]
+def _pair_inverses(M: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    # inverses of a stack of isometries through their metrics:
+    # M^-1 = eta M^dagger eta
+    return (eta[:, :, None] * M.conj().transpose(0, 2, 1)) * eta[:, None, :]
 
 
 class Factorization(list):
@@ -100,14 +101,17 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
 
     work = A.copy()
     # A = raw_1 ... raw_t D, each factor the inverse of one elimination of
-    # work; last[i] is the position in raw of the last factor touching i
+    # work; raw holds the eliminations until they are inverted in one pass.
+    # last[i] is the position in raw of the last factor touching i
     raw: list[tuple[int, int, np.ndarray]] = []
     last: dict[int, int] = {}
 
     def apply_left(x: int, y: int, M: np.ndarray) -> None:
-        work[[x, y], :] = M @ work[[x, y], :]
+        # rows x, y as a view, in that order also when x > y
+        rows = work[x::y - x][:2]
+        rows[...] = M @ rows
         last[x] = last[y] = len(raw)
-        raw.append((x, y, _pair_inverse(M, s[[x, y]])))
+        raw.append((x, y, M))
 
     # same-sign pairs that lower directly: one bit apart, or two hybits apart,
     # where a hybit is an index bit whose flip flips every sign (only a
@@ -145,6 +149,10 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
                 M = np.array([[vn, -vp], [-np.conj(vp), np.conj(vn)]]) / rr
             apply_left(p_pivot, n_pivot, M)
 
+    xy = np.array([(x, y) for x, y, _ in raw], dtype=int).reshape(-1, 2)
+    inverses = _pair_inverses(np.array([M for *_, M in raw]).reshape(-1, 2, 2), s[xy])
+    raw = [(x, y, M) for (x, y, _), M in zip(raw, inverses)]
+
     # absorb the diagonal residue D into the last factor touching each
     # index; a genuinely untouched index gets a fresh diagonal factor paired
     # with its low-bit neighbor, or with c - 1 when it is the last index of
@@ -173,8 +181,8 @@ def two_level_factorize(A: np.ndarray, signs) -> Factorization:
 
     recon = np.eye(d, dtype=complex)
     for f in factors:
-        ij = [f.i, f.j]
-        recon[:, ij] = recon[:, ij] @ f.V
+        cols = recon[:, f.i:f.j + 1:f.j - f.i]
+        cols[...] = cols @ f.V
     err = float(np.max(np.abs(recon - A)))
     if not err <= EPS_RECON:  # a NaN error fails too
         raise LqcError(f"factorization reconstruction error {err:.3g}")

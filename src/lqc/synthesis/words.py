@@ -199,6 +199,7 @@ def word_search(
     best_error = float(projective_distance(target, frontier)[0])
     best_at = (0, 0)  # (length, index in its level) of the best word
     seen = set(_canonical_keys(frontier))
+    add = seen.add  # returns None, so `not add(key)` records key and keeps it
     # per level, the index among its products of each kept word:
     # parent index * len(names) + letter index
     kept_at: list[np.ndarray] = []
@@ -206,11 +207,8 @@ def word_search(
         if not len(frontier):
             break
         products = _level_products(frontier, G)
-        keep = []
-        for i, key in enumerate(_canonical_keys(products)):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
+        keep = [i for i, key in enumerate(_canonical_keys(products))
+                if key not in seen and not add(key)]
         kept_at.append(np.array(keep, dtype=np.intp))
         frontier = products[kept_at[-1]]
         del products  # freed before the distances allocate theirs: peak RSS

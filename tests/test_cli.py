@@ -809,6 +809,63 @@ class TestSynthModeGolden:
         assert (digest, len(out)) == SYNTH_MODE_GOLDEN[kinds, mode]
 
 
+# SHA-256 and length of `synth --exact` stderr (the stage report and
+# `reconstruction_error`, each error at 17 digits) and of `verify` stdout on
+# the emitted circuit (the residual at 17 digits, then PASS/FAIL), for every
+# committed matrix file, recorded at 0b69863. They pin the rounding of
+# `two_level_factorize`'s rebuild and of `to_matrix`'s dense passes, which
+# stdout alone does not show.
+SYNTH_VERIFY_GOLDEN = {
+    "h": (
+        ("95cb9924dd27c3c678a774ffa66b4de2daef494ae60300e400a475f5babff2ba", 143),
+        ("1eccea32ba38edb2d456b8516589bb0f0fd516a8bddfdf80ba93a9e9ed210cdf", 39),
+    ),
+    "q": (
+        ("190149ef548886d1c7425f5a3180ccb862a1e1f61e0dd8053d62944408108c18", 143),
+        ("6861ac31058d607325a7c2c08b0e6574e1cfb0e0efb9031dfab130eca58d75df", 39),
+    ),
+    "qhhh": (
+        ("8fd8c9c3e55d1f6bf23739a01265f991999cad5a192f66c726ab4fa9787b3010", 146),
+        ("17b6fd7898925c7f9ec15a75d22ad28981e5087e85b867b8802263b0acc9e729", 39),
+    ),
+    "qqhh": (
+        ("d79ed00be6caaa25a017978ea97076097acfaa7b037a23e9f49a7f98884f815d", 149),
+        ("bb5b810a600f5964177cf672326325286ae952502341f11d30232955385780c1", 39),
+    ),
+    "qqqq": (
+        ("1a0c9e68f5bfa28bc8cc3f0d90a7044e61ce127ed2cd458cb89390ff4f3fc4cb", 149),
+        ("075766bef0a81f88ecc1b9fe16fac3fe9ab6220e977c9a5880f8b9da4829582a", 39),
+    ),
+    "qqqqh": (
+        ("7f0d89fa806593bb94695057bfb8ff3e5cedc3ae55343cbded6c027d6dcce93d", 149),
+        ("0008ab8f795185d14fab65278d77ba40c8aff861ca42c855f1a11c22e05c5d9f", 39),
+    ),
+    "qqqqq": (
+        ("dd432c8752e8fb978fe96f8cd43e1cf6e647a4acc4049092e421b5d1ce162062", 149),
+        ("075766bef0a81f88ecc1b9fe16fac3fe9ab6220e977c9a5880f8b9da4829582a", 39),
+    ),
+}
+
+
+class TestSynthVerifyGolden:
+    def test_covers_every_matrix_file(self):
+        files = {p.stem for p in (Path(__file__).parent / "data").glob("*.mat")}
+        assert files == set(SYNTH_VERIFY_GOLDEN)
+
+    @pytest.mark.parametrize("kinds", sorted(SYNTH_VERIFY_GOLDEN))
+    def test_report_and_residual(self, tmp_path, capsys, kinds):
+        path = Path(__file__).parent / "data" / f"{kinds}.mat"
+        q, h = str(kinds.count("q")), str(kinds.count("h"))
+        code, out, err = cli(capsys, "synth", str(path), "--qubits", q, "--hybits", h, "--exact")
+        assert code == 0
+        code, verdict, _ = cli(capsys, "verify", put(tmp_path, "c.lqc", out))
+        assert code == 0
+        got = tuple(
+            (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) for text in (err, verdict)
+        )
+        assert got == SYNTH_VERIFY_GOLDEN[kinds]
+
+
 class TestUsage:
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = cli(capsys, "run", "x.lqc", "--frobnicate")

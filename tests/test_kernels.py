@@ -5,7 +5,7 @@ as I + P_C (G_T - I): a sum of Kronecker products of one-bit factors, with
 the projector |v><v| on every control of trigger value v, the matrix units
 of G on the targets and the identity on every other bit. It shares no code with
 `apply_to_tensor` or `to_matrix`. Every case runs through both dense
-kernels: the slice update and the matmul on the stacked slice pair.
+kernels: the slice update and the matmul on a copy of the slice pair.
 
 The slice update runs in chunks of at most TILE amplitudes. Single-target
 passes are also checked bit for bit against the same update without
@@ -331,3 +331,70 @@ def test_dense_pass_temporaries_are_tiles(gate, target):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * simulator.TILE * tensor.itemsize
+
+
+def stacked_pass(layout, tensor, instr):
+    """The small-slice dense pass as first written: the two target slices
+    stacked with `np.stack`, one matmul, both rows copied back."""
+    idx = [slice(None)] * tensor.ndim
+    for p, value in zip(instr.controls, instr.ctrl_state):
+        idx[p] = value
+    t = instr.targets[0]
+    idx[t] = 0
+    x0 = tensor[(*idx, ...)].squeeze()
+    idx[t] = 1
+    x1 = tensor[(*idx, ...)].squeeze()
+    pair = instr.gate_matrix() @ np.stack((x0, x1)).reshape(2, -1)
+    x0[...] = pair[0].reshape(x0.shape)
+    x1[...] = pair[1].reshape(x1.shape)
+
+
+def assert_stacked_bits(layout, instr, batch, seed):
+    start = random_tensor(layout, batch, seed)
+    want = start.copy()
+    stacked_pass(layout, want, instr)
+    apply_to_tensor(layout, start, instr)
+    assert_same_bits(start, want)
+
+
+SMALL_SLICE_KINDS = "qqhqh"
+SMALL_SLICE_GATES = ("H", "TAU", "BOOST", "DENSE")
+
+
+def _small_slice_instructions(controls_of):
+    """Every dense single-target gate on every bit of SMALL_SLICE_KINDS, with
+    the controls that controls_of(target) gives, at a fixed trigger pattern."""
+    layout = RegisterLayout(tuple(SMALL_SLICE_KINDS))
+    for t, kind in enumerate(SMALL_SLICE_KINDS):
+        controls = controls_of(t)
+        ctrl_state = [(t + c) % 2 for c in controls]
+        for name in SMALL_SLICE_GATES:
+            if ONLY_ON.get(name, kind) == kind:
+                yield layout, make_instruction(layout, name, [t], controls, ctrl_state,
+                                               [0.3, 0.8, 0.1, 0.65])
+
+
+@pytest.mark.parametrize("ncontrols", [0, 2, 4])
+def test_small_slice_pass_with_batch_is_stacked_bits(ncontrols):
+    # the `to_matrix` case: a batch axis of one column per basis state, and
+    # synthesized gates controlled on every other bit
+    for layout, instr in _small_slice_instructions(
+            lambda t: [p for p in range(5) if p != t][:ncontrols]):
+        assert instr.gate_matrix()[0, 1] != 0  # the dense branch
+        assert_stacked_bits(layout, instr, layout.dimension, 7 + instr.targets[0])
+
+
+def test_small_slice_pass_on_zero_d_slices_is_stacked_bits():
+    # every other bit a control: each target slice is one amplitude, squeezed to 0-d
+    for layout, instr in _small_slice_instructions(lambda t: [p for p in range(5) if p != t]):
+        assert_stacked_bits(layout, instr, None, 11 + instr.targets[0])
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["vector", "batch"])
+def test_small_slice_pass_one_below_limit_is_stacked_bits(batch, monkeypatch):
+    # no control, so each slice holds half the tensor; the limit is set one
+    # above it, the largest slice that still takes the matmul
+    for layout, instr in _small_slice_instructions(lambda t: []):
+        half = layout.dimension // 2 * (batch or 1)
+        monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", half + 1)
+        assert_stacked_bits(layout, instr, batch, 13 + instr.targets[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lqc import search
 from lqc.circuit import Instruction
 from lqc.circuit import to_matrix
 from lqc.core import GuardError, LqcError, basis_state, pseudo_norm
@@ -17,7 +18,7 @@ from lqc.search import (
     run_search,
     search_layout,
 )
-from lqc.simulator import observe, run
+from lqc.simulator import OutcomeDistribution, observe, run
 
 
 class TestSpecValidation:
@@ -122,6 +123,20 @@ class TestRunSearch:
         full = observe(state)
         mass_1o = sum(p for key, p in full.probabilities.items() if key[3] == "1")
         assert mass_1o <= 1e-20
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_marginal_is_the_pair_sum_bit_for_bit(self, n, monkeypatch):
+        # the oracle qubit's |1> branch is zero after Q^k, so a random
+        # distribution over the n + 1 qubits stands in for the observed one:
+        # every pair sum then adds two nonzero values
+        rng = np.random.default_rng(n)
+        probs = rng.random(2 ** (n + 1))
+        full = OutcomeDistribution(probs / probs.sum(), 0.5)
+        monkeypatch.setattr(search, "observe", lambda state: full)
+        got = run_search(SearchSpec(n, "1" * n, 0.5, 1))
+        want = full.probs.reshape(-1, 2).sum(axis=1)
+        assert np.array_equal(got.probs.view(np.int64), want.view(np.int64))
+        assert got.observable_mass == 0.5
 
     @pytest.mark.parametrize("chi", [0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [2, 5, 8])

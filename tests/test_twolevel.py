@@ -167,19 +167,20 @@ class TestFactorize:
         # factors are built without the constructor's check, so the one
         # batched check has to catch a block that is off its metric; NaN
         # compares false with every bound, so it must read as a failure
-        original = twolevel._pair_inverse
+        original = twolevel._pair_inverses
         calls = []
 
         def scaling_third(M, eta):
             calls.append(M)
             out = original(M, eta)
-            return out * factor if len(calls) == 3 else out
+            out[2] *= factor
+            return out
 
-        monkeypatch.setattr(twolevel, "_pair_inverse", scaling_third)
+        monkeypatch.setattr(twolevel, "_pair_inverses", scaling_third)
         A = random_isometry_for_signs(block_metric(2, 2), 5)
         with pytest.raises(IsometryError, match="pair metric"):
             two_level_factorize(A, block_metric(2, 2))
-        assert len(calls) > 3
+        assert len(calls) == 1 and len(calls[0]) > 3
 
     def test_a_nan_reconstruction_is_refused(self, monkeypatch):
         # a factor that turns NaN after the pair check leaves the rebuilt
