@@ -30,8 +30,8 @@ from .search import (
 )
 from .simulator import (
     ZeroObservableMassError,
+    distribution_blocks,
     format_counts,
-    format_distribution,
     observe,
     run,
     sample,
@@ -52,7 +52,7 @@ MAX_AMPLITUDES = 2**24
 class RunReport:
     """Per-invocation accounting, printed on stderr so stdout stays a clean
     machine-readable distribution. `wall_time_s` covers run and observe,
-    `format_s` the text form of the distribution."""
+    `format_s` making the text form of the distribution and writing it."""
 
     circuit_path: str
     instruction_count: int
@@ -119,13 +119,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     state = run(circuit, initial)
     dist = observe(state)
     t1 = time.perf_counter()
-    text = format_distribution(dist)
+    # each block is written as it is made, so the whole text is never held
+    for block in distribution_blocks(dist):
+        sys.stdout.write(block)
     t2 = time.perf_counter()
     report = RunReport(
         args.file, len(circuit.instructions), t1 - t0, t2 - t1, dist.observable_mass
     )
     sys.stderr.write(report.format())
-    sys.stdout.write(text)
     return EXIT_NO_MASS if dist.observable_mass == 0.0 else EXIT_OK
 
 

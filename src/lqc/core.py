@@ -142,21 +142,40 @@ def metric_vector(layout: RegisterLayout) -> np.ndarray:
     return metric_for_kinds(layout.kinds)
 
 
-@dataclass
 class StateVector:
-    layout: RegisterLayout
-    amps: np.ndarray
+    """A register state. `tensor` holds the amplitudes with shape
+    [2]*num_bits, axis p being register bit p, in whatever memory order they
+    were made in (`simulator.run` makes them in the order its circuit works
+    on them). `amps` is the flat array in register index order: reading it
+    first lays `tensor` out in C order if it is not already, so that `amps`
+    is a view of `tensor` and writes through either are seen by both.
+    Assigning `amps` takes a flat array in register index order or a tensor
+    of shape [2]*num_bits in any memory order, without copying it."""
 
-    def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=np.complex128)
-        if self.amps.shape != (self.layout.dimension,):
+    def __init__(self, layout: RegisterLayout, amps: np.ndarray) -> None:
+        self.layout = layout
+        self.amps = amps
+
+    @property
+    def amps(self) -> np.ndarray:
+        if not self.tensor.flags.c_contiguous:
+            self.tensor = self.tensor.copy()
+        return self.tensor.reshape(-1)
+
+    @amps.setter
+    def amps(self, amps: np.ndarray) -> None:
+        amps = np.asarray(amps, dtype=np.complex128)
+        shape = (2,) * self.layout.num_bits
+        if amps.shape not in ((self.layout.dimension,), shape):
             raise ValueError(
-                f"amplitude array has shape {self.amps.shape}, "
-                f"expected ({self.layout.dimension},)"
+                f"amplitude array has shape {amps.shape}, "
+                f"expected ({self.layout.dimension},) or {shape}"
             )
+        self.tensor = amps.reshape(shape)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amps.copy())
+        """An independent state, laid out in C order."""
+        return StateVector(self.layout, self.tensor.copy())
 
 
 def pseudo_norm(state: StateVector) -> float:

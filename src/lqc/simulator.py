@@ -7,9 +7,21 @@ trigger value (1, or 0 for a "!" control), so only the control block where
 every control holds its value is touched; a 0-control costs what a
 1-control costs.
 
+`run` lays its tensor out in the order the circuit works on it: each
+instruction adds 2^-(its control count), the share of the state its pass
+touches, to the weight of each of its targets and controls, and the bits
+go on memory axes by descending weight (ties by position), so the most
+worked bits lead. The instructions see the register-order view of that
+tensor (axis p is register bit p), so they, the untouched-bit views below
+and every copy the kernel makes keep register order; only the memory
+behind them moves. A gate on a leading memory axis walks long contiguous
+stretches; on a trailing one, stretches of a few amplitudes. The state is
+never copied back: `StateVector` keeps the view, and `observe` reads it.
+
 A single-target gate [[a, b], [c, d]] updates the two target slices x0
 (target bit 0) and x1 (target bit 1) of the control block in place,
-without moving axes or copying the state. Its 2x2 entries pick the kernel:
+without copying the state. The slices are walked with their axes in memory
+order (by decreasing stride). Its 2x2 entries pick the kernel:
 
 * diagonal (T, Z, SZ, SZD, PHASE): scale each slice in one op, skipping a
   factor of exactly 1
@@ -17,7 +29,8 @@ without moving axes or copying the state. Its 2x2 entries pick the kernel:
 * dense (H, TAU, BOOST, general U): x0, x1 <- a x0 + b x1, c x0 + d x1
   through two temporaries; below BLAS_DENSE_MAX amplitudes per slice, as
   one matmul on a contiguous (2, k) copy of the two slices instead, whose
-  rows are copied back
+  rows are copied back; the copy is in the register order of the slices
+  whatever the memory order, so BLAS sees the same columns
 
 A diagonal gate is one op per slice, already a single pass over it. The
 swap and the dense update take several ops per slice, so they run over
@@ -40,14 +53,14 @@ longer than a multiple of TILE; the stretches of a state vector or of
 occur.)
 
 Where the adjacent amplitudes of a slice come in stretches of exactly 2
-(the second-to-last register bit is not an axis of the slice, being its
-target, a control or a fixed untouched bit, while the last bit is), the
+(the second-to-last memory axis is not an axis of the slice, being its
+target, a control or a fixed untouched bit, while the last one is), the
 swap, the dense update and the diagonal scaling iterate with that stretch
 axis moved to the front, in C order: inner loops then run along the long
-strided axes instead of over pairs. With the target at bit 18 of a 20-bit
-state that about halves a dense pass and cuts a diagonal one to a third;
-at stretches of 4 (bit 17) the same reorder measured slower, so it is kept
-to stretches of 2.
+strided axes instead of over pairs. With the target on the second-to-last
+axis of a 20-bit C-ordered state that about halved a dense pass and cut a
+diagonal one to a third; at stretches of 4 the same reorder measured
+slower, so it is kept to stretches of 2.
 
 Gates with two or more targets (CZ, multi-target DEFGATEs) move their
 target axes to the front and multiply by the gate matrix.
@@ -71,7 +84,10 @@ targets slices no axis, because BLAS may round a matmul of another width
 differently.
 
 Measurement keeps only amplitudes with every hybit in state 0 and
-renormalizes over that subspace. The outcome distribution is an array over
+renormalizes over that subspace. It reads the state's tensor in the memory
+order `run` left it in: the squared magnitudes keep that order, the
+visible ones are gathered into register index order, and the mass per
+hybit pattern sums in memory order. The outcome distribution is an array over
 qubit indices, whose order is sorted-bitstring order; bitstrings are built
 only for output. Sampling draws by inverse CDF over that array, so the
 draws equal those of an inverse CDF over the sorted list of outcomes. A
@@ -93,7 +109,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -105,7 +121,6 @@ from .core import (
     LqcError,
     RegisterLayout,
     StateVector,
-    basis_state,
     metric_for_kinds,
 )
 
@@ -235,19 +250,32 @@ def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
 
 
 def _loop_order(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-    """The target slices and the order to iterate them in. Where adjacent
-    amplitudes come in stretches of exactly 2 (register bit n-2 is absent
-    from the slice, as its target, a control or a fixed untouched bit, and
-    bit n-1 is present), that axis moves to the front and the iteration runs
-    in C order, so inner loops walk the long strided axes rather than pairs."""
-    if (x0.ndim > 1 and x0.shape[-1] == 2 and x0.strides[-1] == x0.itemsize
-            and x0.strides[-2] != 2 * x0.itemsize):
-        return np.moveaxis(x0, -1, 0), np.moveaxis(x1, -1, 0), "C"
+    """The target slices and the order to iterate them in. Order "K" walks
+    their axes by decreasing stride, which is memory order whatever order
+    the axes are listed in. Where adjacent amplitudes come in stretches of
+    exactly 2 (the last memory axis is contiguous, of length 2, and the one
+    before it is not next to it), that axis moves to the front, the others
+    follow in memory order, and the iteration runs in C order, so inner
+    loops walk the long strided axes rather than pairs. A slice whose last
+    axis is a longer batch axis, as in `to_matrix`, is C-ordered with that
+    axis contiguous, so it is passed over at the first test."""
+    strides, size = x0.strides, x0.itemsize
+    if x0.ndim > 1 and x0.shape[-1] == 2 and size in strides and 2 * size not in strides:
+        last = strides.index(size)
+        if x0.shape[last] == 2:
+            rest = sorted(set(range(x0.ndim)) - {last}, key=strides.__getitem__, reverse=True)
+            return x0.transpose(last, *rest), x1.transpose(last, *rest), "C"
     return x0, x1, "K"
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Run a circuit on a copy of the initial state (default |0...0>).
+
+    The copy is laid out in the memory order of the module docstring, the
+    most worked bits on the leading axes, and the state returned keeps it:
+    its `tensor` is the register-order view of that memory, and its `amps`
+    lays the amplitudes out in register index order on first access. The
+    initial state is left as it is.
 
     From a basis state (the default, or an initial state with exactly one
     nonzero amplitude) the run tracks the untouched bits, those no
@@ -264,25 +292,38 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     that a zero amplitude outside the view keeps +0.0 where a whole-tensor
     pass may leave -0.0."""
     layout = circuit.layout
+    order = _memory_order(layout, circuit.instructions)
+    tensor = np.zeros((2,) * layout.num_bits, dtype=np.complex128).transpose(np.argsort(order))
     if initial is None:
         start = [0] * layout.num_bits
-        state = basis_state(layout, start)
+        tensor[tuple(start)] = 1.0
     else:
         if initial.layout != layout:
             raise LqcError("initial state layout does not match circuit layout")
-        state = initial.copy()
-        start = _basis_bits(state)
-    apply_all(layout, state.amps.reshape([2] * layout.num_bits), circuit.instructions, start)
-    return state
+        tensor[...] = initial.tensor
+        start = _basis_bits(initial.tensor)
+    apply_all(layout, tensor, circuit.instructions, start)
+    return StateVector(layout, tensor)
 
 
-def _basis_bits(state: StateVector) -> list[int] | None:
+def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
+    """Register positions in the memory order of `run`'s tensor, leading
+    axis first. Each instruction adds 2^-(its control count) to the weight
+    of each of its targets and controls, the share of the state its pass
+    touches; bits go by descending weight, ties by position."""
+    weight = [0.0] * layout.num_bits
+    for instr in instructions:
+        share = 0.5 ** len(instr.controls)
+        for p in (*instr.targets, *instr.controls):
+            weight[p] += share
+    return sorted(range(layout.num_bits), key=lambda p: -weight[p])
+
+
+def _basis_bits(tensor: np.ndarray) -> list[int] | None:
     """The bits of the one nonzero amplitude of a basis state, else None."""
-    support = np.flatnonzero(state.amps)
-    if support.size != 1:
+    if np.count_nonzero(tensor) != 1:
         return None
-    n = state.layout.num_bits
-    return [(int(support[0]) >> (n - 1 - p)) & 1 for p in range(n)]
+    return np.argwhere(tensor)[0].tolist()
 
 
 def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
@@ -332,7 +373,7 @@ def _nonzero_items(values: np.ndarray) -> zip:
 
 
 def _format_blocks(tail: str, size: int, support: np.ndarray, args: np.ndarray,
-                   texts: np.ndarray | None = None) -> list[str]:
+                   texts: np.ndarray | None = None) -> Iterator[str]:
     """`bitstring + tail % arg` for each index in `support` (ascending) into
     an array of `size` = 2^nq outcomes, where arg is the index's entry of
     `args`, or texts[that entry] when `texts` is given. Each block of lines
@@ -342,7 +383,6 @@ def _format_blocks(tail: str, size: int, support: np.ndarray, args: np.ndarray,
     nq = size.bit_length() - 1
     shifts = np.arange(nq - 1, -1, -1)
     tail_bytes = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
-    blocks = []
     for start in range(0, support.size, FORMAT_BLOCK):
         block = support[start:start + FORMAT_BLOCK]
         line_args = args[start:start + FORMAT_BLOCK]
@@ -352,26 +392,26 @@ def _format_blocks(tail: str, size: int, support: np.ndarray, args: np.ndarray,
         rows[:, :nq] = (block[:, None] >> shifts) & 1
         rows[:, :nq] += ord("0")
         rows[:, nq:] = tail_bytes
-        blocks.append(rows.tobytes().decode("ascii") % tuple(line_args.tolist()))
-    return blocks
+        yield rows.tobytes().decode("ascii") % tuple(line_args.tolist())
 
 
-def _probability_blocks(probs: np.ndarray) -> list[str]:
+def _probability_blocks(probs: np.ndarray) -> Iterator[str]:
     """The bitstring/probability lines of format_distribution, in blocks.
     When there are at most DISTINCT_FORMAT_MAX distinct values per line,
     each distinct value goes through `%.17g` once and every line takes its
-    text. A function of its own, so that its index arrays are freed before
-    the caller joins the text."""
+    text."""
     support = np.flatnonzero(probs)
     nonzero = probs[support]
     # the plain unique is a sort, about 8x cheaper than the one that also
     # returns the inverse, so all-distinct values pay only for that
     if np.unique(nonzero).size > DISTINCT_FORMAT_MAX * support.size:
-        return _format_blocks("\t%.17g\n", probs.size, support, nonzero)
+        yield from _format_blocks("\t%.17g\n", probs.size, support, nonzero)
+        return
     # keyed on the exact float: values one ulp apart print differently
     distinct, codes = np.unique(nonzero, return_inverse=True)
     texts = ("%.17g\n" * distinct.size % tuple(distinct.tolist())).splitlines()
-    return _format_blocks("\t%s\n", probs.size, support, codes, np.array(texts, dtype=object))
+    yield from _format_blocks("\t%s\n", probs.size, support, codes,
+                              np.array(texts, dtype=object))
 
 
 @dataclass
@@ -406,9 +446,10 @@ def observe(state: StateVector) -> OutcomeDistribution:
     distribution rather than an error; a state whose squared magnitude is not
     finite raises GuardError."""
     layout = state.layout
+    tensor = state.tensor
     # an overflowing square raises the GuardError below, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        mag2 = (state.amps.real**2 + state.amps.imag**2).reshape([2] * layout.num_bits)
+        mag2 = tensor.real**2 + tensor.imag**2
     hybits = layout.positions(BitKind.HYBIT)
     idx = [slice(None)] * layout.num_bits
     for p in hybits:
@@ -471,12 +512,19 @@ def sample(state: StateVector, shots: int, seed: int) -> SampleResult:
     return SampleResult(np.bincount(draws, minlength=cdf.size), shots, seed)
 
 
+def distribution_blocks(dist: OutcomeDistribution) -> Iterator[str]:
+    """The text of format_distribution in pieces, each made when asked for:
+    the header, then blocks of at most FORMAT_BLOCK lines, so a caller that
+    writes each piece out holds one block of text at a time."""
+    yield f"# observable_mass = {dist.observable_mass:.17g}\n"
+    yield from _probability_blocks(dist.probs)
+
+
 def format_distribution(dist: OutcomeDistribution) -> str:
     """Shared text form: observable-mass header, then bitstring/probability
     lines (tab separated, 17 significant digits, sorted by bitstring) for the
     outcomes of nonzero probability."""
-    header = f"# observable_mass = {dist.observable_mass:.17g}\n"
-    return "".join([header, *_probability_blocks(dist.probs)])
+    return "".join(distribution_blocks(dist))
 
 
 def format_counts(result: SampleResult) -> str:

@@ -1,12 +1,13 @@
-"""Shared helpers: random layouts, random valid circuits, the whole-tensor
-run, the dense matrix of a two-level factor, a controlled lift, the matrix
-file writer, the product of a generator word, and the node-by-node word
-search that the stacked one is checked against."""
+"""Shared helpers: random layouts, random valid circuits, circuits shaped
+like the benchmark's sim circuits, the whole-tensor run, the dense matrix
+of a two-level factor, a controlled lift, the matrix file writer, the
+product of a generator word, and the node-by-node word search that the
+stacked one is checked against."""
 
 import numpy as np
 from hypothesis import settings
 
-from lqc.circuit import Circuit, Instruction, _format_rows
+from lqc.circuit import Circuit, Instruction, _format_rows, parse
 from lqc.core import (
     EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, BitKind, IsometryError,
     LqcError, RegisterLayout, basis_state, metric_for_kinds,
@@ -60,6 +61,32 @@ def reference_run(circuit, initial=None):
         for instr in circuit.instructions:
             apply_to_tensor(layout, tensor, instr)
     return state
+
+
+def sim_shaped_circuit(seed, nq, nh, lines=40):
+    """A circuit shaped like the benchmark's sim circuits: an H layer on
+    every qubit, then TAU and BOOST on the trailing hybits, diagonal gates
+    anywhere, X and Y on qubits, and controlled lines with 1-3 controls
+    (some `!`) on any bits."""
+    rng = np.random.default_rng(seed)
+    bits = [f"q{i}" for i in range(nq)] + [f"h{i}" for i in range(nh)]
+    out = [f"qubits {nq}", f"hybits {nh}"] + [f"H q{i}" for i in range(nq)]
+    for _ in range(lines):
+        cls = rng.choice(["dense", "diag", "perm", "ctrl"])
+        if cls == "dense":
+            out.append(f"BOOST {rng.uniform(-0.5, 0.5):.17g} h{rng.integers(nh)}"
+                       if rng.random() < 0.5 else f"TAU h{rng.integers(nh)}")
+        elif cls == "diag":
+            out.append(f"{rng.choice(['T', 'Z', 'SZ', 'SZD'])} {bits[rng.integers(len(bits))]}")
+        elif cls == "perm":
+            out.append(f"{rng.choice(['X', 'Y'])} q{rng.integers(nq)}")
+        else:
+            picks = rng.choice(len(bits), size=1 + rng.integers(1, 4), replace=False)
+            target = bits[picks[0]]
+            refs = [("!" if rng.random() < 1 / 3 else "") + bits[p] for p in picks[1:]]
+            gate = rng.choice(["TAU", "T", "Z"] if target[0] == "h" else ["X", "Y", "T", "Z"])
+            out.append(f"CTRL {' '.join(refs)} : {gate} {target}")
+    return parse("\n".join(out) + "\n")
 
 
 def cartan_target(kind, rng):

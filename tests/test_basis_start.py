@@ -1,17 +1,21 @@
 """`run` from a basis state leaves out the bits that no instruction has
 targeted yet: it skips a pass whose control on such a bit cannot trigger,
 and runs the others on the view of the tensor where those bits hold their
-start values. These tests hold it bit for bit to `reference_run`, the loop
-over the whole tensor, at the real BLAS_DENSE_MAX and with it forced to
-either kernel."""
+start values. It also lays its tensor out with the most-worked bits on the
+leading memory axes. These tests hold it bit for bit to `reference_run`,
+the loop over the whole C-ordered tensor, at the real BLAS_DENSE_MAX and
+with it forced to either kernel."""
 
 import numpy as np
 import pytest
 
-from conftest import HYBIT_GATES, QUBIT_GATES, cartan_target, reference_run
+from conftest import (
+    HYBIT_GATES, QUBIT_GATES, cartan_target, reference_run, sim_shaped_circuit,
+)
 from lqc import simulator
 from lqc.circuit import Circuit, Instruction, parse
 from lqc.core import BitKind, RegisterLayout, StateVector, basis_state
+from lqc.search import SearchSpec, choose_k, q_circuit, search_layout
 from lqc.simulator import run
 
 # BLAS_DENSE_MAX settings: the real one, and one that forces each dense kernel
@@ -165,3 +169,56 @@ def test_untriggerable_control_is_skipped(monkeypatch):
     # the middle one runs unchanged, the kernel fixing h0 at 0
     assert [(i.gate, i.targets, i.controls) for i in calls] == [("H", (1,), (2,))]
     assert np.array_equal(state.amps, reference_run(circuit).amps)
+
+
+def search_circuit(n):
+    """The circuit `run_search` runs for n search qubits."""
+    spec = SearchSpec(n, "10" * (n // 2) + "1" * (n % 2), 0.5, choose_k(2**n, 0.5, 0.99))
+    layout = search_layout(n)
+    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(n)))
+    return prep.concat(q_circuit(spec), times=spec.k)
+
+
+def memory_order(circuit):
+    return simulator._memory_order(circuit.layout, circuit.instructions)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("seed, nq, nh", [(1, 3, 2), (2, 6, 2), (3, 9, 3), (4, 12, 2), (5, 14, 2)])
+def test_sim_shaped_circuits_in_memory_order(seed, nq, nh, limit, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit = sim_shaped_circuit(seed, nq, nh)
+    assert memory_order(circuit) != list(range(nq + nh))
+    assert_matches_reference(circuit)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("n", range(3, 13))
+def test_search_circuits_in_memory_order(n, limit, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit = search_circuit(n)
+    assert memory_order(circuit) != list(range(n + 2))
+    assert_matches_reference(circuit)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+def test_two_amplitude_start_in_memory_order(limit, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit = sim_shaped_circuit(6, 10, 2)
+    assert memory_order(circuit) != list(range(12))
+    amps = np.zeros(circuit.layout.dimension, complex)
+    amps[[3, 2900]] = 0.6, 0.8j
+    initial = StateVector(circuit.layout, amps)
+    assert_matches_reference(circuit, initial)
+    assert initial.amps.tobytes() == amps.tobytes()
+
+
+def test_memory_order_rule():
+    # the boost on the hybit and the oracle qubit's share of every round
+    # outweigh the one H and the many-controlled shares of the search qubits
+    for n in range(3, 13):
+        assert memory_order(search_circuit(n)) == [n, n + 1, *range(n)]
+    assert memory_order(parse("qubits 3\nhybits 2\n")) == [0, 1, 2, 3, 4]
+    # q0 and q2 weigh 1, the controls q1 and h0 a half each
+    circuit = parse("qubits 3\nhybits 1\nH q2\nCTRL h0 : X q1\nH q0\n")
+    assert memory_order(circuit) == [0, 2, 1, 3]

@@ -760,6 +760,44 @@ class TestSimGolden:
         assert out == SEARCH12_GOLDEN
 
 
+# The same at the benchmark's sizes, recorded at 856c1c0, before `run` laid
+# its tensor out in the order the circuit works: `run` and `sample` on a
+# committed 14-qubit + 2-hybit circuit shaped like the `sim` workload's
+# (`perfbench/gen.sim_circuit` with 14 qubits at default_rng(16)), whose
+# target slices reach BLAS_DENSE_MAX, and three searches of the `search`
+# workload's sizes.
+GOLDEN16 = Path(__file__).parent / "data" / "golden16.lqc"
+SIM16_GOLDEN = {
+    "run": ("91c9c42c7bb7854140d22e62c0b79de8930d077a794c7b6273883614fefdc38d", 621030),
+    "sample": ("159091194047b78d20353cb301e89a855668c521ffdf1d4f220a7a33ee613dbc", 279530),
+}
+SEARCH_GOLDEN = {
+    "10100100101011": "k = 16\npredicted_success = 0.9926793339648522\n"
+                      "simulated = 0.9926793339648522\ndifference = 0\n",
+    "111001000011110": "k = 17\npredicted_success = 0.99460315090165574\n"
+                       "simulated = 0.99460315090165574\ndifference = 0\n",
+    "1011001010100110": "k = 18\npredicted_success = 0.99602348900122595\n"
+                        "simulated = 0.99602348900122595\ndifference = 0\n",
+}
+
+
+class TestBenchmarkSizeGolden:
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["sample", "--shots", "100000", "--seed", "5"]], ids=["run", "sample"]
+    )
+    def test_golden16_stdout(self, capsys, argv):
+        code, out, _ = cli(capsys, argv[0], str(GOLDEN16), *argv[1:])
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert (digest, len(out)) == SIM16_GOLDEN[argv[0]]
+
+    @pytest.mark.parametrize("x", sorted(SEARCH_GOLDEN, key=len))
+    def test_search_stdout(self, capsys, x):
+        code, out, _ = cli(capsys, "search", "--n", str(len(x)), "--x", x)
+        assert code == 0
+        assert out == SEARCH_GOLDEN[x]
+
+
 # Stdout of `synth --exact` on two committed register isometries
 # (`perfbench/gen.random_isometry` at default_rng(2024)), recorded before
 # `two_level_factorize` recorded each factor once. Both use the four-matrix

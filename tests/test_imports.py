@@ -361,6 +361,11 @@ PENDING = {
         "test input generator, the only reason src imports scipy; ROADMAP item 2 "
         "moves it to tests once perfbench/run.py stops reading sys.modules['scipy']"
     ),
+    "lqc.simulator.format_distribution": (
+        "the joined text of distribution_blocks, which `lqc run` writes block by block; "
+        "perfbench/spans.py traces it as simulator.format, and ROADMAP item 0 moves that "
+        "span to the streamed write, after which it is exported or deleted"
+    ),
 }
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import random_circuit, random_layout, random_state_amps
+from conftest import (
+    random_circuit, random_layout, random_state_amps, reference_run, sim_shaped_circuit,
+)
+from lqc import simulator
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
 from lqc.core import (
     GuardError,
@@ -107,6 +111,70 @@ class TestRun:
         before = pseudo_norm(state)
         after = pseudo_norm(run(circ, state))
         assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
+
+
+class TestStateLayout:
+    """`run` returns its tensor in the memory order it ran in; `amps` lays
+    it out in register index order on first access."""
+
+    def test_amps_are_contiguous_in_register_order(self):
+        circuit = sim_shaped_circuit(8, 8, 2)
+        state = run(circuit)
+        assert not state.tensor.flags.c_contiguous
+        amps = state.amps
+        assert amps.flags.c_contiguous
+        assert (amps + 0.0).tobytes() == (reference_run(circuit).amps + 0.0).tobytes()
+
+    def test_writes_through_amps_are_observed(self):
+        state = run(sim_shaped_circuit(9, 6, 2))
+        amps = state.amps
+        amps[:] = 0.0
+        amps[0b101101 << 2] = 1.0
+        dist = observe(state)
+        assert dist.observable_mass == 1.0
+        assert dist.probabilities == {"101101": 1.0}
+
+    def test_copy_is_independent(self):
+        state = run(sim_shaped_circuit(10, 6, 2))
+        before = state.amps.copy()
+        twin = state.copy()
+        twin.amps[:] = 0.0
+        twin.tensor[(0,) * 8] = 1.0
+        assert state.amps.tobytes() == before.tobytes()
+        state.amps[:] = 0.0
+        assert twin.amps[0] == 1.0
+
+    def test_run_result_as_initial_continues_the_circuit(self):
+        first, second = sim_shaped_circuit(11, 7, 2), sim_shaped_circuit(12, 7, 2)
+        chained = run(second, run(first)).amps + 0.0
+        whole = run(first.concat(second)).amps + 0.0
+        assert chained.tobytes() == whole.tobytes()
+
+
+class TestPeakMemory:
+    """tracemalloc peaks on a 16-bit circuit: the state and one kernel
+    pass's chunks (the margin of test_kernels' tile test), so neither `run`
+    nor `observe` copies the state back into register order."""
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_holds_one_state(self):
+        circuit = sim_shaped_circuit(7, 14, 2, lines=60)
+        state_bytes = circuit.layout.dimension * 16
+        assert self.peak(lambda: run(circuit)) <= state_bytes + 5 * simulator.TILE * 16
+
+    def test_observe_holds_the_state_and_its_magnitudes(self):
+        circuit = sim_shaped_circuit(7, 14, 2, lines=60)
+        state_bytes = circuit.layout.dimension * 16
+        peak = self.peak(lambda: observe(run(circuit)))
+        assert peak <= 2 * state_bytes + 5 * simulator.TILE * 16
 
 
 class TestObserve:
