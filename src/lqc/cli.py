@@ -30,8 +30,8 @@ from .search import (
 )
 from .simulator import (
     ZeroObservableMassError,
-    distribution_blocks,
     format_counts,
+    format_distribution,
     observe,
     run,
     sample,
@@ -52,7 +52,8 @@ MAX_AMPLITUDES = 2**24
 class RunReport:
     """Per-invocation accounting, printed on stderr so stdout stays a clean
     machine-readable distribution. `wall_time_s` covers run and observe,
-    `format_s` making the text form of the distribution and writing it."""
+    `format_s` the one `format_distribution` call that makes the text form
+    of the distribution and writes it to stdout block by block."""
 
     circuit_path: str
     instruction_count: int
@@ -116,12 +117,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             circuit.layout, _parse_bits(args.init, circuit.layout.num_bits)
         )
     t0 = time.perf_counter()
-    state = run(circuit, initial)
-    dist = observe(state)
+    dist = observe(run(circuit, initial))
     t1 = time.perf_counter()
-    # each block is written as it is made, so the whole text is never held
-    for block in distribution_blocks(dist):
-        sys.stdout.write(block)
+    format_distribution(dist, sys.stdout)
     t2 = time.perf_counter()
     report = RunReport(
         args.file, len(circuit.instructions), t1 - t0, t2 - t1, dist.observable_mass
@@ -135,9 +133,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.shots > MAX_AMPLITUDES:
         raise GuardError(f"{args.shots} shots are past the guard of 2^24")
     circuit = _parse_circuit(_read(args.file))
-    state = run(circuit)
-    result = sample(state, args.shots, args.seed)
-    sys.stdout.write(format_counts(result))
+    format_counts(sample(run(circuit), args.shots, args.seed), sys.stdout)
     return EXIT_OK
 
 

@@ -107,11 +107,11 @@ def predicted_success(N: int, chi: float, k: int) -> float:
 
 
 def choose_k(N: int, chi: float, p_min: float) -> int:
-    """Smallest round count whose predicted success reaches p_min.
-
-    Inverts the closed form (k = ceil(arccosh(sqrt(p_min (N-1)/(1-p_min)))/chi))
-    and then nudges against direct evaluation so float rounding near the
-    boundary cannot shift the answer off the true minimum.
+    """Smallest round count whose predicted success reaches p_min: the first
+    of k = 0, 1, 2, ... at which predicted_success reaches it. The closed
+    form k = ceil(arccosh(sqrt(p_min (N-1)/(1-p_min)))/chi) bounds the scan
+    at O(log N / chi) evaluations, and evaluating each k leaves no rounding
+    of an inverse to correct.
     """
     if N < 1:
         raise LqcError("N must be a positive item count")
@@ -120,26 +120,20 @@ def choose_k(N: int, chi: float, p_min: float) -> int:
     if not math.isfinite(chi):
         # 0 * inf is nan, which slips past every k*chi comparison below
         raise LqcError(f"chi must be finite, got {chi}")
-    if p_min <= 1.0 / N:
-        return 0
-    if not (chi > 0.0):
-        raise LqcError("chi must be positive to amplify")
-    target = math.sqrt(p_min * (N - 1) / (1.0 - p_min))
-    estimate = math.acosh(max(target, 1.0)) / chi
-    if not estimate <= MAX_ROUNDS:  # inf too, which math.ceil refuses
-        raise GuardError(f"reaching p_min={p_min} for N={N} needs about {estimate:.3g} "
-                         f"rounds at chi={chi}; the guard is {MAX_ROUNDS} rounds")
-    k = math.ceil(estimate)
-    # keep every cosh evaluation below the overflow guard
-    while k > 0 and k * chi <= MAX_K_CHI and predicted_success(N, chi, k - 1) >= p_min:
-        k -= 1
-    while k * chi <= MAX_K_CHI and predicted_success(N, chi, k) < p_min:
+    k = 0
+    while predicted_success(N, chi, k) < p_min:
+        if not (chi > 0.0):
+            raise LqcError("chi must be positive to amplify")
         k += 1
-    if k * chi > MAX_K_CHI:
-        raise GuardError(
-            f"reaching p_min={p_min} for N={N} needs k*chi > {MAX_K_CHI:g} "
-            f"(k={k}, chi={chi}); cosh overflows double precision there"
-        )
+        if k > MAX_ROUNDS:
+            raise GuardError(f"reaching p_min={p_min} for N={N} needs more than "
+                             f"{MAX_ROUNDS} rounds at chi={chi}; that is the guard")
+        # keep every cosh evaluation below the overflow guard
+        if k * chi > MAX_K_CHI:
+            raise GuardError(
+                f"reaching p_min={p_min} for N={N} needs k*chi > {MAX_K_CHI:g} "
+                f"(k={k}, chi={chi}); cosh overflows double precision there"
+            )
     return k
 
 

@@ -94,14 +94,20 @@ draws equal those of an inverse CDF over the sorted list of outcomes. A
 state whose total squared magnitude is not finite (its amplitudes
 overflowed) is refused with GuardError.
 
-The text form prints each nonzero probability at 17 significant digits, and
-a `%.17g` costs about 1 us. After an H layer, the 2^n probabilities often
-take only about a hundred distinct values. So when a distribution has at most
-DISTINCT_FORMAT_MAX distinct values per printed line, each distinct value
-(keyed on its exact float, never on rounded text) is formatted once and
-every line takes its text; otherwise each line's value is formatted. Both
-paths print the same bytes. Counts always take the per-line path: `%d` is
-cheap, and looking texts up measured slower.
+`format_distribution` and `format_counts` write the text forms to a stream
+one block of at most FORMAT_BLOCK lines at a time, so the whole text is
+never held. The text prints each nonzero probability at 17 significant
+digits, and a `%.17g` costs about 1 us. After an H layer, the 2^n
+probabilities often take only about a hundred distinct values. So when a
+distribution has at most DISTINCT_FORMAT_MAX distinct values per printed
+line, each distinct value (keyed on its exact float, never on rounded text)
+is formatted once and every line takes its text; otherwise each line's
+value is formatted. Both paths print the same bytes. One sort of the
+nonzero probabilities gives the distinct values and a binary search into
+them each line's text, the values and codes `np.unique` would give, without
+the second sort of `np.unique(..., return_inverse=True)` or its import of
+`numpy.ma`. Counts always take the per-line path: `%d` is cheap, and
+looking texts up measured slower.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
@@ -372,14 +378,15 @@ def _nonzero_items(values: np.ndarray) -> zip:
     return zip(_bitstrings(support, values.size), values[support].tolist())
 
 
-def _format_blocks(tail: str, size: int, support: np.ndarray, args: np.ndarray,
-                   texts: np.ndarray | None = None) -> Iterator[str]:
-    """`bitstring + tail % arg` for each index in `support` (ascending) into
-    an array of `size` = 2^nq outcomes, where arg is the index's entry of
-    `args`, or texts[that entry] when `texts` is given. Each block of lines
-    is one %-format of a template that already holds its bitstrings, written
-    as ASCII digit rows by numpy rather than as one string per line; the
-    block bounds the temporary objects."""
+def _format_blocks(out: TextIO, tail: str, size: int, support: np.ndarray,
+                   args: np.ndarray, texts: np.ndarray | None = None) -> None:
+    """Write `bitstring + tail % arg` to `out` for each index in `support`
+    (ascending) into an array of `size` = 2^nq outcomes, where arg is the
+    index's entry of `args`, or texts[that entry] when `texts` is given.
+    Each block of lines is one %-format of a template that already holds its
+    bitstrings, written as ASCII digit rows by numpy rather than as one
+    string per line, and is written as soon as it is made; the block bounds
+    the temporary objects and the text held at once."""
     nq = size.bit_length() - 1
     shifts = np.arange(nq - 1, -1, -1)
     tail_bytes = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
@@ -392,26 +399,7 @@ def _format_blocks(tail: str, size: int, support: np.ndarray, args: np.ndarray,
         rows[:, :nq] = (block[:, None] >> shifts) & 1
         rows[:, :nq] += ord("0")
         rows[:, nq:] = tail_bytes
-        yield rows.tobytes().decode("ascii") % tuple(line_args.tolist())
-
-
-def _probability_blocks(probs: np.ndarray) -> Iterator[str]:
-    """The bitstring/probability lines of format_distribution, in blocks.
-    When there are at most DISTINCT_FORMAT_MAX distinct values per line,
-    each distinct value goes through `%.17g` once and every line takes its
-    text."""
-    support = np.flatnonzero(probs)
-    nonzero = probs[support]
-    # the plain unique is a sort, about 8x cheaper than the one that also
-    # returns the inverse, so all-distinct values pay only for that
-    if np.unique(nonzero).size > DISTINCT_FORMAT_MAX * support.size:
-        yield from _format_blocks("\t%.17g\n", probs.size, support, nonzero)
-        return
-    # keyed on the exact float: values one ulp apart print differently
-    distinct, codes = np.unique(nonzero, return_inverse=True)
-    texts = ("%.17g\n" * distinct.size % tuple(distinct.tolist())).splitlines()
-    yield from _format_blocks("\t%s\n", probs.size, support, codes,
-                              np.array(texts, dtype=object))
+        out.write(rows.tobytes().decode("ascii") % tuple(line_args.tolist()))
 
 
 @dataclass
@@ -512,24 +500,32 @@ def sample(state: StateVector, shots: int, seed: int) -> SampleResult:
     return SampleResult(np.bincount(draws, minlength=cdf.size), shots, seed)
 
 
-def distribution_blocks(dist: OutcomeDistribution) -> Iterator[str]:
-    """The text of format_distribution in pieces, each made when asked for:
-    the header, then blocks of at most FORMAT_BLOCK lines, so a caller that
-    writes each piece out holds one block of text at a time."""
-    yield f"# observable_mass = {dist.observable_mass:.17g}\n"
-    yield from _probability_blocks(dist.probs)
+def format_distribution(dist: OutcomeDistribution, out: TextIO) -> None:
+    """Write the shared text form to `out`: observable-mass header, then
+    bitstring/probability lines (tab separated, 17 significant digits,
+    sorted by bitstring) for the outcomes of nonzero probability. When there
+    are at most DISTINCT_FORMAT_MAX distinct values per line, each distinct
+    value goes through `%.17g` once and every line takes its text."""
+    out.write(f"# observable_mass = {dist.observable_mass:.17g}\n")
+    probs = dist.probs
+    support = np.flatnonzero(probs)
+    nonzero = probs[support]
+    # one sort gives the distinct values, as np.unique would; the nan put
+    # before the first value makes its difference nan, which keeps it
+    ordered = np.sort(nonzero)
+    distinct = ordered[np.diff(ordered, prepend=np.nan) != 0]
+    if distinct.size > DISTINCT_FORMAT_MAX * support.size:
+        _format_blocks(out, "\t%.17g\n", probs.size, support, nonzero)
+        return
+    # keyed on the exact float: values one ulp apart print differently
+    texts = ("%.17g\n" * distinct.size % tuple(distinct.tolist())).splitlines()
+    _format_blocks(out, "\t%s\n", probs.size, support, np.searchsorted(distinct, nonzero),
+                   np.array(texts, dtype=object))
 
 
-def format_distribution(dist: OutcomeDistribution) -> str:
-    """Shared text form: observable-mass header, then bitstring/probability
-    lines (tab separated, 17 significant digits, sorted by bitstring) for the
-    outcomes of nonzero probability."""
-    return "".join(distribution_blocks(dist))
-
-
-def format_counts(result: SampleResult) -> str:
-    """bitstring/count lines (tab separated, sorted by bitstring) for the
-    outcomes drawn at least once."""
+def format_counts(result: SampleResult, out: TextIO) -> None:
+    """Write bitstring/count lines (tab separated, sorted by bitstring) to
+    `out` for the outcomes drawn at least once."""
     hist = result.histogram
     support = np.flatnonzero(hist)
-    return "".join(_format_blocks("\t%d\n", hist.size, support, hist[support]))
+    _format_blocks(out, "\t%d\n", hist.size, support, hist[support])

@@ -802,6 +802,11 @@ class TestOneHomePerMatrix:
         assert serialize(c) == "qubits 1\nDEFGATE G 1\n1,0 0,0\n0,0 0,1\nG q0\n"
         assert parse(serialize(c)) == c
 
+    def test_not_equal_to_another_type(self):
+        c = self.one("G", self.G)
+        assert (c == 3) is False
+        assert c != serialize(c)
+
     def test_name_with_two_matrices(self):
         a, b = self.one("G", self.G), self.one("G", np.diag([1.0, -1j]))
         assert a != b

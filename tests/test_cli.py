@@ -293,6 +293,12 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_comment_only_file_is_an_empty_circuit(self, tmp_path, capsys):
+        # no `dim` header, so it is read as a circuit on no bits: the 1x1 identity
+        f = put(tmp_path, "c.lqc", "# nothing here\n\n")
+        code, out, _ = cli(capsys, "verify", f)
+        assert (code, out) == (0, "residual = 0\nPASS\n")
+
     def test_non_finite_matrix_fails(self, tmp_path, capsys):
         f = put(tmp_path, "nan.mat", "dim 1 1\nnan,0 0,0\n0,0 1,0\n")
         code, out, _ = cli(capsys, "verify", f)
@@ -513,6 +519,12 @@ class TestSearch:
     def test_bad_target(self, capsys):
         code, _, _ = cli(capsys, "search", "--n", "2", "--x", "12", "--k", "1")
         assert code == 1
+
+    def test_zero_chi_cannot_amplify(self, capsys):
+        # k = 0 falls short of the default p_min, and no round can help
+        code, out, err = cli(capsys, "search", "--n", "2", "--x", "01", "--chi", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: chi must be positive to amplify\n"
 
     @pytest.mark.parametrize("chi", ["inf", "-inf", "nan"])
     def test_non_finite_chi(self, capsys, chi):

@@ -92,6 +92,16 @@ class TestPseudoNorm:
         assert pseudo_norm(state) == pytest.approx(expected, abs=1e-10)
 
 
+class TestStateVector:
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 2, 2), (8,)])
+    def test_wrong_shape_refused(self, shape):
+        # a flat array of 2^n amplitudes or a [2]*n tensor, nothing else
+        layout = RegisterLayout.of(1, 1)
+        assert StateVector(layout, np.zeros((2, 2))).amps.shape == (4,)
+        with pytest.raises(ValueError, match="expected"):
+            StateVector(layout, np.zeros(shape))
+
+
 class TestBasisState:
     def test_all_zero(self):
         state = basis_state(RegisterLayout.of(1, 1), [0, 0])
@@ -109,6 +119,10 @@ class TestBasisState:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             basis_state(RegisterLayout.of(2, 0), [0])
+
+    def test_entry_not_a_bit(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            basis_state(RegisterLayout.of(2, 0), [2, 0])
 
     def test_accepts_string(self):
         state = basis_state(RegisterLayout.of(2, 0), "01")
@@ -130,6 +144,18 @@ class TestLayout:
         assert layout.num_qubits == 2
         assert layout.num_hybits == 1
         assert layout.dimension == 8
+
+    @pytest.mark.parametrize("counts", [(-1, 0), (0, -1)])
+    def test_negative_counts_refused(self, counts):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RegisterLayout.of(*counts)
+
+    @pytest.mark.parametrize("position", [-1, 3])
+    def test_bit_weight_out_of_range(self, position):
+        layout = RegisterLayout.of(2, 1)
+        assert [layout.bit_weight(p) for p in range(3)] == [4, 2, 1]
+        with pytest.raises(IndexError, match="out of range"):
+            layout.bit_weight(position)
 
     def test_interleaved_accepted(self):
         layout = RegisterLayout((BitKind.HYBIT, BitKind.QUBIT))

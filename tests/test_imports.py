@@ -361,11 +361,6 @@ PENDING = {
         "test input generator, the only reason src imports scipy; ROADMAP item 2 "
         "moves it to tests once perfbench/run.py stops reading sys.modules['scipy']"
     ),
-    "lqc.simulator.format_distribution": (
-        "the joined text of distribution_blocks, which `lqc run` writes block by block; "
-        "perfbench/spans.py traces it as simulator.format, and ROADMAP item 0 moves that "
-        "span to the streamed write, after which it is exported or deleted"
-    ),
 }
 
 
@@ -632,7 +627,9 @@ def test_readme_lists_the_exports_and_why_uncalled_ones_stay():
 
 
 # Each CLI command once on a tiny input, in a fresh interpreter: the test
-# process itself has loaded scipy.linalg through other test modules.
+# process itself has loaded scipy.linalg through other test modules. No
+# command loads numpy.ma either (about 12 ms of import, which np.unique
+# pulls in); numpy.matrixlib, which numpy always loads, is not numpy.ma.
 CLI_COMMANDS = """
 import contextlib, io, sys
 import lqc.cli
@@ -653,7 +650,8 @@ with open(emitted, "w") as f:
 main("verify", emitted)
 main("synth", hadamard, "--qubits", "2", "--hybits", "0", "--approx", "0.05")
 main("approx", t_gate, "--kind", "qubit", "--tol", "1e-6", "--depth", "4")
-print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+print(sorted(name for name in sys.modules
+             if name == "numpy.ma" or name.startswith(("numpy.ma.", "scipy.linalg"))))
 """
 
 

@@ -31,6 +31,10 @@ class TestSpecValidation:
         with pytest.raises(LqcError):
             SearchSpec(3, "01", 0.5, 1)
 
+    def test_empty_register(self):
+        with pytest.raises(LqcError, match="at least one qubit"):
+            SearchSpec(0, "", 0.5, 1)
+
     def test_bad_target_chars(self):
         with pytest.raises(LqcError):
             SearchSpec(2, "0x", 0.5, 1)
@@ -197,6 +201,11 @@ class TestClosedForms:
     def test_predicted_k0(self):
         assert predicted_success(1024, 0.5, 0) == pytest.approx(1 / 1024, rel=1e-15)
 
+    @pytest.mark.parametrize("closed_form", [predicted_success, qk_amplitudes])
+    def test_no_items_refused(self, closed_form):
+        with pytest.raises(LqcError, match="positive item count"):
+            closed_form(0, 0.5, 1)
+
     def test_qk_amplitudes_k0(self):
         c, s, u = qk_amplitudes(256, 0.5, 0)
         assert c == pytest.approx(1 / 16)
@@ -249,6 +258,10 @@ class TestChooseK:
     def test_pmin_below_uniform(self):
         assert choose_k(256, 0.5, 1 / 256) == 0
         assert choose_k(256, 0.5, 1 / 300) == 0
+
+    def test_no_items_refused(self):
+        with pytest.raises(LqcError, match="positive item count"):
+            choose_k(0, 0.5, 0.99)
 
     def test_bad_pmin(self):
         with pytest.raises(LqcError):

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from collections import Counter
 
@@ -29,6 +30,13 @@ from lqc.simulator import (
     run,
     sample,
 )
+
+
+def written(write, value) -> str:
+    """The text that format_distribution or format_counts writes for `value`."""
+    out = io.StringIO()
+    write(value, out)
+    return out.getvalue()
 
 
 def run_one(state, instr):
@@ -326,7 +334,7 @@ class TestSampleDraws:
 class TestDistributionFormat:
     def test_layout(self):
         dist = OutcomeDistribution(np.array([0.25, 0.75]), 0.5)
-        text = format_distribution(dist)
+        text = written(format_distribution, dist)
         lines = text.splitlines()
         assert lines[0] == "# observable_mass = 0.5"
         assert lines[1] == "0\t0.25"
@@ -334,7 +342,7 @@ class TestDistributionFormat:
 
     def test_sorted_keys(self):
         dist = OutcomeDistribution(np.array([0.5, 0.0, 0.0, 0.5]), 1.0)
-        lines = format_distribution(dist).splitlines()
+        lines = written(format_distribution, dist).splitlines()
         assert lines[1].startswith("00") and lines[2].startswith("11")
         assert len(lines) == 3  # zero-probability outcomes are not printed
 
@@ -346,11 +354,12 @@ class TestDistributionFormat:
         probs /= probs.sum()
         lines = ["# observable_mass = 2.5"]
         lines += [f"{j:015b}\t{p:.17g}" for j, p in enumerate(probs) if p]
-        assert format_distribution(OutcomeDistribution(probs, 2.5)) == "\n".join(lines) + "\n"
+        text = written(format_distribution, OutcomeDistribution(probs, 2.5))
+        assert text == "\n".join(lines) + "\n"
 
         hist = rng.integers(0, 3, 1 << 15)
         want = "".join(f"{j:015b}\t{n}\n" for j, n in enumerate(hist) if n)
-        assert format_counts(SampleResult(hist, int(hist.sum()), 0)) == want
+        assert written(format_counts, SampleResult(hist, int(hist.sum()), 0)) == want
 
     @pytest.mark.parametrize("nq", [0, 1, 6])
     @pytest.mark.parametrize("support", ["full", "sparse"])
@@ -370,10 +379,10 @@ class TestDistributionFormat:
             return format(j, f"0{nq}b") if nq else ""
 
         want = "".join("%s\t%.17g\n" % (bits(j), p) for j, p in enumerate(probs) if p)
-        text = format_distribution(OutcomeDistribution(probs, 0.75))
+        text = written(format_distribution, OutcomeDistribution(probs, 0.75))
         assert text == "# observable_mass = 0.75\n" + want
         want = "".join("%s\t%d\n" % (bits(j), n) for j, n in enumerate(hist) if n)
-        assert format_counts(SampleResult(hist, int(hist.sum()), 0)) == want
+        assert written(format_counts, SampleResult(hist, int(hist.sum()), 0)) == want
 
     @staticmethod
     def _weights(case, rng):
@@ -423,14 +432,14 @@ class TestDistributionFormat:
         # compared as lists of lines: a failing diff of long strings is slow
         want = ["# observable_mass = 0.75\n"]
         want += ["%s\t%.17g\n" % (bits[j], p) for j, p in enumerate(probs) if p]
-        text = format_distribution(OutcomeDistribution(probs, 0.75))
+        text = written(format_distribution, OutcomeDistribution(probs, 0.75))
         assert text.splitlines(keepends=True) == want
 
         # a histogram with the same pattern of repeats
         hist = np.unique(w, return_inverse=True)[1] * (w != 0)
         hist += w != 0
         want = ["%s\t%d\n" % (bits[j], n) for j, n in enumerate(hist) if n]
-        text = format_counts(SampleResult(hist, int(hist.sum()), 0))
+        text = written(format_counts, SampleResult(hist, int(hist.sum()), 0))
         assert text.splitlines(keepends=True) == want
 
     @pytest.mark.parametrize("probs, match", [

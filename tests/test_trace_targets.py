@@ -10,6 +10,7 @@ carries its gate fails this test instead of a traced benchmark run.
 from __future__ import annotations
 
 import importlib
+import io
 import sys
 from pathlib import Path
 
@@ -135,3 +136,28 @@ def test_run_traces_each_acting_gate_by_its_class(spans):
     got = {cls: tracer.calls(f"simulator.apply.{cls}") for cls in spans.GATE_CLASSES}
     assert got == TRACED_CLASSES
     assert sum(got.values()) == len(circuit.instructions) - 1
+
+
+def test_run_writes_its_text_inside_the_format_span(spans, tmp_path, monkeypatch):
+    # the benchmark's simulator.format span must cover every byte `lqc run`
+    # prints, or the text time lands in cli.self_s and the span reads 0
+    import lqc.cli
+
+    path = tmp_path / "c.lqc"
+    path.write_text("qubits 3\nhybits 1\nH q0\nH q1\nCTRL q0 : BOOST 0.5 h0\n")
+    tracer = spans.Tracer()
+    # the innermost open span at each write to stdout
+    spans_at_write = []
+
+    class Stdout:
+        def write(self, text):
+            spans_at_write.append(tracer._stack[-1][0] if tracer._stack else None)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    with spans.installed(tracer):
+        assert lqc.cli.main(["run", str(path)]) == 0
+    assert spans_at_write
+    assert set(spans_at_write) == {"simulator.format"}
+    assert tracer.calls("simulator.format") == 1
