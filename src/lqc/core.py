@@ -146,7 +146,9 @@ class StateVector:
     """A register state. `tensor` holds the amplitudes with shape
     [2]*num_bits, axis p being register bit p, in whatever memory order they
     were made in (`simulator.run` makes them in the order its circuit works
-    on them). `amps` is the flat array in register index order: reading it
+    on them, and may return some axes reversed, a view with negative
+    strides, where its Pauli frame left bits flipped). `amps` is the flat
+    array in register index order: reading it
     first lays `tensor` out in C order if it is not already, so that `amps`
     is a view of `tensor` and writes through either are seen by both.
     Assigning `amps` takes a flat array in register index order or a tensor

@@ -25,7 +25,8 @@ order (by decreasing stride). Its 2x2 entries pick the kernel:
 
 * diagonal (T, Z, SZ, SZD, PHASE): scale each slice in one op, skipping a
   factor of exactly 1
-* anti-diagonal (X, Y): swap the slices through a temporary
+* anti-diagonal (X, Y): swap the slices through a temporary; `run` leaves
+  an uncontrolled X or Y to its Pauli frame (below) instead
 * dense (H, TAU, BOOST, general U): x0, x1 <- a x0 + b x1, c x0 + d x1
   through two temporaries; below BLAS_DENSE_MAX amplitudes per slice, as
   one matmul on a contiguous (2, k) copy of the two slices instead, whose
@@ -83,11 +84,35 @@ one-amplitude product, which round differently; a pass with two or more
 targets slices no axis, because BLAS may round a matmul of another width
 differently.
 
+Pauli frame. `run` applies no uncontrolled X to the state: it keeps a set
+of flipped register positions, and a bit's value is its stored one XOR its
+flag. An uncontrolled X toggles the flag and makes no pass; on an untouched
+bit the stored start value stays, so the bit stays untouched. An
+uncontrolled Y = X diag(i, -i) is a diagonal pass of diag(i, -i), the two
+complex products the swap makes, then the toggle. Every other instruction
+runs on the view of the tensor in which only its flipped targets and
+controls are reversed. The kernel indexes a single-target gate's target
+and every control away, so no slice it walks has a negative stride. A gate
+of two or more targets keeps its targets: numpy can reshape reversed target
+axes without a copy, and matmul rounds such a negative-stride operand
+otherwise than the copy BLAS gets. So it first takes its flipped targets
+out of the frame, with an X pass on each. A control on an untouched bit
+compares its trigger with the stored value XOR the flag. `run` returns the
+tensor with its flipped axes reversed, without a copy; `to_matrix` keeps no
+frame. The amplitudes are those of the passes without a frame, bit for
+bit, up to the sign of zeros.
+
 Measurement keeps only amplitudes with every hybit in state 0 and
-renormalizes over that subspace. It reads the state's tensor in the memory
-order `run` left it in: the squared magnitudes keep that order, the
-visible ones are gathered into register index order, and the mass per
-hybit pattern sums in memory order. The outcome distribution is an array over
+renormalizes over that subspace. It squares the state in memory order:
+every negative-stride axis (a flipped axis of the frame) is flipped back to
+give a positive-stride base, the base is squared, and the squares are read
+through the same flips, as a view. Squaring the reversed view itself took
+2.5x as long. The visible squares are gathered into register index order
+and summed there, so they and the mass keep their bits whatever the
+frame. The mass per hybit pattern is summed on the base's squares and then
+flipped into pattern order, so its order of summation moves with the
+frame; it feeds only the finite check and the negligible-mass warning. The
+outcome distribution is an array over
 qubit indices, whose order is sorted-bitstring order; bitstrings are built
 only for output. Sampling draws by inverse CDF over that array, so the
 draws equal those of an inverse CDF over the sorted list of outcomes. A
@@ -158,6 +183,10 @@ BLAS_DENSE_MAX = 1 << 13
 # slower on every target bit (spills from L2) and 2^12 slower on dense
 # passes (more calls per pass).
 TILE = 1 << 13
+# the diagonal half of Y = X diag(i, -i), which the Pauli frame applies as a
+# pass before it toggles the bit's flag
+Y_PHASES = np.diag([1j, -1j])
+Y_PHASES.setflags(write=False)
 
 
 class ZeroObservableMassError(LqcError):
@@ -296,7 +325,11 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     Under the two limits of the module docstring, the result is
     bit-identical to applying every instruction to the whole tensor, except
     that a zero amplitude outside the view keeps +0.0 where a whole-tensor
-    pass may leave -0.0."""
+    pass may leave -0.0.
+
+    Uncontrolled X and Y go to the Pauli frame of the module docstring, so
+    the returned `tensor` may have reversed axes, those of the bits left
+    flipped; it is still the state in register order, read through a view."""
     layout = circuit.layout
     order = _memory_order(layout, circuit.instructions)
     tensor = np.zeros((2,) * layout.num_bits, dtype=np.complex128).transpose(np.argsort(order))
@@ -308,8 +341,9 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
             raise LqcError("initial state layout does not match circuit layout")
         tensor[...] = initial.tensor
         start = _basis_bits(initial.tensor)
-    apply_all(layout, tensor, circuit.instructions, start)
-    return StateVector(layout, tensor)
+    flipped: set[int] = set()
+    apply_all(layout, tensor, circuit.instructions, start, flipped)
+    return StateVector(layout, tensor[tuple(_reversing(tensor.ndim, flipped))])
 
 
 def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
@@ -333,26 +367,32 @@ def _basis_bits(tensor: np.ndarray) -> list[int] | None:
 
 
 def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
-              start: list[int] | None = None) -> None:
+              start: list[int] | None = None, flipped: set[int] | None = None) -> None:
     """apply_to_tensor for each instruction: the one loop of `run` and
     `circuit.to_matrix`. When the tensor held the basis state `start` before
     the first one, each instruction is skipped, or passed on unchanged to
     the whole tensor or a view, as `run` describes; with no `start`, every
-    pass covers the whole tensor.
+    pass covers the whole tensor. Given an empty set `flipped`, the loop
+    keeps the Pauli frame of the module docstring in it: on return, the
+    state is the tensor with the axes in `flipped` reversed.
     Overflow is left to `observe` and `isometry_residual` to report."""
     untouched = {} if start is None else dict(enumerate(start))
+    if flipped is None:
+        flipped = set()
+    else:
+        instructions = _framed(instructions, flipped)
     floor = max(BLAS_DENSE_MAX, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for instr in instructions:
-            view = tensor
+            idx = _reversing(tensor.ndim, flipped.intersection((*instr.targets, *instr.controls)))
             if untouched:
-                if any(untouched.get(c, v) != v
+                # an untouched bit's logical value is its stored one XOR its flag
+                if any(c in untouched and untouched[c] ^ (c in flipped) != v
                        for c, v in zip(instr.controls, instr.ctrl_state)):
                     continue
                 for t in instr.targets:
                     untouched.pop(t, None)
                 if len(instr.targets) == 1:
-                    idx: list = [slice(None)] * tensor.ndim
                     size = 1 << (layout.num_bits - 1 - len(instr.controls))
                     for p, v in untouched.items():
                         if size >> 1 < floor:
@@ -360,8 +400,38 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                         if p not in instr.controls:
                             idx[p] = slice(v, v + 1)
                             size >>= 1
-                    view = tensor[tuple(idx)]
-            apply_to_tensor(layout, view, instr)
+            apply_to_tensor(layout, tensor[tuple(idx)], instr)
+
+
+def _framed(instructions, flipped: set[int]):
+    """The passes `instructions` leave once their uncontrolled X and Y join
+    the Pauli frame `flipped`, which they update as the passes are applied:
+    an X toggles its bit's flag and makes no pass, and a Y is its diagonal
+    half diag(i, -i) as a pass, then the toggle. A gate of two or more
+    targets first takes its flipped targets out of the frame, with an X
+    pass each on the stored axis."""
+    for instr in instructions:
+        # Instruction, which this module cannot import: circuit imports it
+        make = type(instr)
+        if instr.controls or instr.matrix is not None or instr.gate not in ("X", "Y"):
+            if len(instr.targets) > 1:
+                for t in flipped.intersection(instr.targets):
+                    flipped.discard(t)
+                    yield make("X", (t,))
+            yield instr
+            continue
+        (t,) = instr.targets
+        if instr.gate == "Y":
+            yield make("Y", (t,), matrix=Y_PHASES)
+        flipped.symmetric_difference_update((t,))
+
+
+def _reversing(ndim: int, axes) -> list:
+    """An index over `ndim` axes that reverses `axes` and keeps the rest."""
+    idx: list = [slice(None)] * ndim
+    for p in axes:
+        idx[p] = slice(None, None, -1)
+    return idx
 
 
 def _bitstrings(indices: np.ndarray, size: int) -> list[str]:
@@ -388,7 +458,9 @@ def _format_blocks(out: TextIO, tail: str, size: int, support: np.ndarray,
     string per line, and is written as soon as it is made; the block bounds
     the temporary objects and the text held at once."""
     nq = size.bit_length() - 1
-    shifts = np.arange(nq - 1, -1, -1)
+    # the digits are the low nq bits of each index's big-endian bytes, of
+    # which only the low ceil(nq / 8) are unpacked
+    nbytes = -(-nq // 8)
     tail_bytes = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
     for start in range(0, support.size, FORMAT_BLOCK):
         block = support[start:start + FORMAT_BLOCK]
@@ -396,8 +468,8 @@ def _format_blocks(out: TextIO, tail: str, size: int, support: np.ndarray,
         if texts is not None:
             line_args = texts[line_args]
         rows = np.empty((block.size, nq + tail_bytes.size), dtype=np.uint8)
-        rows[:, :nq] = (block[:, None] >> shifts) & 1
-        rows[:, :nq] += ord("0")
+        low = block.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
+        np.add(np.unpackbits(low, axis=1)[:, 8 * nbytes - nq:], ord("0"), out=rows[:, :nq])
         rows[:, nq:] = tail_bytes
         out.write(rows.tobytes().decode("ascii") % tuple(line_args.tolist()))
 
@@ -417,6 +489,9 @@ class OutcomeDistribution:
             raise LqcError("probabilities must be a vector over 2^n qubit indices")
         if not np.isfinite(self.probs).all():
             raise LqcError("probabilities must be finite")
+        # -0.0 is not below 0, so it passes
+        if (self.probs < 0).any():
+            raise LqcError("probabilities must be nonnegative")
         if self.probs.any():
             total = float(self.probs.sum())
             if abs(total - 1.0) > EPS_PROB_SUM:
@@ -435,17 +510,24 @@ def observe(state: StateVector) -> OutcomeDistribution:
     finite raises GuardError."""
     layout = state.layout
     tensor = state.tensor
+    # squared in memory order: `base` is the tensor with its reversed axes
+    # flipped back, and `mag2` reads its squares through the same flips
+    flips = _reversing(tensor.ndim, [p for p, s in enumerate(tensor.strides) if s < 0])
+    base = tensor[tuple(flips)]
     # an overflowing square raises the GuardError below, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        mag2 = tensor.real**2 + tensor.imag**2
+        base2 = base.real**2 + base.imag**2
+    mag2 = base2[tuple(flips)]
     hybits = layout.positions(BitKind.HYBIT)
     idx = [slice(None)] * layout.num_bits
     for p in hybits:
         idx[p] = 0
     visible = np.ascontiguousarray(mag2[tuple(idx)]).reshape(-1)
     mass = float(visible.sum())
-    # mass per hybit pattern; the positive patterns have even parity
-    per_pattern = mag2.sum(axis=layout.positions(BitKind.QUBIT)).reshape(-1)
+    # mass per hybit pattern, summed on the base and then flipped into
+    # pattern order; the positive patterns have even parity
+    per_pattern = base2.sum(axis=layout.positions(BitKind.QUBIT))
+    per_pattern = per_pattern[tuple(flips[p] for p in hybits)].reshape(-1)
     total = float(per_pattern.sum())
     if not np.isfinite(total):
         raise GuardError(f"the state's total squared magnitude is {total}, not finite")

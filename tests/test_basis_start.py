@@ -2,9 +2,12 @@
 targeted yet: it skips a pass whose control on such a bit cannot trigger,
 and runs the others on the view of the tensor where those bits hold their
 start values. It also lays its tensor out with the most-worked bits on the
-leading memory axes. These tests hold it bit for bit to `reference_run`,
+leading memory axes, and keeps uncontrolled X and Y in a Pauli frame
+instead of applying them. These tests hold it bit for bit to `reference_run`,
 the loop over the whole C-ordered tensor, at the real BLAS_DENSE_MAX and
 with it forced to either kernel."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +16,10 @@ from conftest import (
     HYBIT_GATES, QUBIT_GATES, cartan_target, reference_run, sim_shaped_circuit,
 )
 from lqc import simulator
-from lqc.circuit import Circuit, Instruction, parse
+from lqc.circuit import Circuit, Instruction, parse, to_matrix
 from lqc.core import BitKind, RegisterLayout, StateVector, basis_state
 from lqc.search import SearchSpec, choose_k, q_circuit, search_layout
-from lqc.simulator import run
+from lqc.simulator import NegligibleMassWarning, observe, run
 
 # BLAS_DENSE_MAX settings: the real one, and one that forces each dense kernel
 LIMITS = {"real": simulator.BLAS_DENSE_MAX, "slices": 0, "matmul": np.inf}
@@ -222,3 +225,127 @@ def test_memory_order_rule():
     # q0 and q2 weigh 1, the controls q1 and h0 a half each
     circuit = parse("qubits 3\nhybits 1\nH q2\nCTRL h0 : X q1\nH q0\n")
     assert memory_order(circuit) == [0, 2, 1, 3]
+
+
+# The Pauli frame: `run` tracks uncontrolled X and Y as flags on their bits
+# and returns the tensor with the flagged axes reversed.
+
+FRAME_STARTS = ("zero", "basis", "scaled", "two", "framed")
+
+
+def framed_gates(rng, layout, count):
+    """`random_gates` with runs of uncontrolled X and Y on random qubits
+    before about half of its lines, so that later lines target and control
+    flipped bits, untouched ones among them."""
+    qubits = layout.positions(BitKind.QUBIT)
+    instrs = []
+    for instr in random_gates(rng, layout, count):
+        while rng.random() < 0.5:
+            instrs.append(Instruction(str(rng.choice(["X", "Y"])), (int(rng.choice(qubits)),)))
+        instrs.append(instr)
+    return instrs
+
+
+def framed_case(seed, nbits, count, start):
+    """A seeded circuit of `framed_gates` over at least one qubit, and its
+    initial state of the kind `start` names: None, a basis state, a basis
+    state scaled by 0.6 - 0.8j, two nonzero amplitudes, or the state `run`
+    returns for another framed circuit."""
+    rng = np.random.default_rng(seed)
+    layout = RegisterLayout(tuple(rng.permutation(["q", *rng.choice(["q", "h"], size=nbits - 1)])))
+    circuit = Circuit(layout, tuple(framed_gates(rng, layout, count)))
+    if start == "zero":
+        return circuit, None
+    if start == "two":
+        amps = np.zeros(layout.dimension, complex)
+        amps[rng.choice(layout.dimension, size=min(2, layout.dimension), replace=False)] = 0.6, 0.8j
+        return circuit, StateVector(layout, amps)
+    if start == "framed":
+        return circuit, run(Circuit(layout, tuple(framed_gates(rng, layout, 8))))
+    initial = basis_state(layout, rng.integers(0, 2, size=nbits).tolist())
+    if start == "scaled":
+        initial.amps *= 0.6 - 0.8j
+    return circuit, initial
+
+
+def assert_observe_reads_the_amps(state):
+    """`observe` of a state `run` returned, against `observe` of its amps
+    laid out in register index order: probs and mass to the bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegligibleMassWarning)
+        got = observe(state)
+        want = observe(StateVector(state.layout, state.amps))
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.observable_mass == want.observable_mass
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("start", FRAME_STARTS)
+@pytest.mark.parametrize("seed", range(30))
+def test_frame_on_small_registers(seed, start, limit, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit, initial = framed_case(seed, 1 + seed % 9, 20, start)
+    assert_matches_reference(circuit, initial)
+    assert_observe_reads_the_amps(run(circuit, initial))
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("start", ["zero", "basis", "two"])
+def test_frame_on_large_registers(start, limit, monkeypatch):
+    # at 14 bits a target slice of the whole tensor reaches BLAS_DENSE_MAX,
+    # so untouched bits that an X left untouched are fixed in the views
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit, initial = framed_case(7, 14, 30, start)
+    assert_matches_reference(circuit, initial)
+
+
+def test_frame_reverses_the_returned_axes():
+    # X q0 makes no pass: the state is |10> read through a reversed q0 axis,
+    # and it runs on as the initial state of a circuit with a control on q0
+    layout = RegisterLayout.of(2, 0)
+    state = run(parse("qubits 2\nX q0\n"))
+    assert [s < 0 for s in state.tensor.strides] == [True, False]
+    assert state.tensor[1, 0] == 1
+    circuit = parse("qubits 2\nCTRL q0 : H q1\nY q0\nCTRL !q0 : T q1\n")
+    assert_matches_reference(circuit, state)
+    assert np.array_equal(state.amps, basis_state(layout, [1, 0]).amps)
+
+
+@pytest.mark.parametrize("nq", [2, 3])
+def test_two_target_gates_on_flipped_targets(nq):
+    # q0 and q1 lead the memory order; flipped and reversed, both target
+    # axes would reshape into a negative-stride view, which numpy's matmul
+    # rounds otherwise than it rounds a copy, so a gate of two or more
+    # targets takes its flipped targets out of the frame first
+    rng = np.random.default_rng(nq)
+    layout = RegisterLayout.of(nq, 0)
+    gate = np.kron(cartan_target("q", rng), cartan_target("q", rng))
+    layer = [Instruction("H", (p,)) for p in range(nq)]
+    for flips in ([0], [1], [0, 1]):
+        instrs = [*layer, *(Instruction("X", (p,)) for p in flips),
+                  Instruction("G", (0, 1), matrix=gate), Instruction("CZ", (1, 0))]
+        assert_matches_reference(Circuit(layout, tuple(instrs)))
+
+
+@pytest.mark.parametrize("seed, nq, nh", [(1, 3, 2), (2, 6, 2), (3, 9, 3), (4, 12, 2)])
+def test_observe_reads_framed_sim_states(seed, nq, nh):
+    state = run(sim_shaped_circuit(seed, nq, nh))
+    assert any(s < 0 for s in state.tensor.strides)
+    assert_observe_reads_the_amps(state)
+
+
+def test_uncontrolled_x_makes_no_pass(monkeypatch):
+    # the pass-count guard: n H passes and m X gates cost `run` n passes,
+    # and `to_matrix`, which keeps no frame, n + m
+    n, m = 5, 7
+    calls = []
+    apply = simulator.apply_to_tensor
+    monkeypatch.setattr(simulator, "apply_to_tensor",
+                        lambda *args: calls.append(args[2]) or apply(*args))
+    layer = tuple(Instruction("H", (p,)) for p in range(n))
+    circuit = Circuit(RegisterLayout.of(n, 0), layer + tuple(Instruction("X", (p % n,)) for p in range(m)))
+    run(circuit)
+    assert len(calls) == n
+    calls.clear()
+    to_matrix(circuit)
+    assert len(calls) == n + m

@@ -450,6 +450,32 @@ class TestDistributionFormat:
         with pytest.raises(LqcError, match=match):
             OutcomeDistribution(np.array(probs), 1.0)
 
+    def test_negative_probabilities_rejected(self):
+        with pytest.raises(LqcError, match="nonnegative"):
+            OutcomeDistribution(np.array([-1.0, 2.0]), 1.0)
+        # a zero amplitude of either sign squares to +0.0, yet -0.0 is no
+        # negative probability and prints as any zero does: not at all
+        dist = OutcomeDistribution(np.array([-0.0, 1.0]), 1.0)
+        assert written(format_distribution, dist) == "# observable_mass = 1\n1\t1\n"
+
+    @pytest.mark.parametrize("nq", [0, 1, 9, 24])
+    def test_digits_match_the_shift_form(self, nq):
+        # each index's digits, unpacked from its low big-endian bytes,
+        # against the bits shifted out of it one by one; at 24 bits (the
+        # register guard) over more lines than one block
+        rng = np.random.default_rng(nq)
+        if nq < 24:
+            support = np.arange(1 << nq)
+        else:
+            inner = rng.choice(np.arange(1, (1 << nq) - 1), size=2 * FORMAT_BLOCK + 5, replace=False)
+            support = np.sort(np.concatenate([[0, (1 << nq) - 1], inner]))
+        args = rng.integers(0, 1000, support.size)
+        digits = (support[:, None] >> np.arange(nq - 1, -1, -1)) & 1
+        want = "".join("".join(map(str, row)) + "\t%d\n" % a for row, a in zip(digits.tolist(), args))
+        out = io.StringIO()
+        simulator._format_blocks(out, "\t%d\n", 1 << nq, support, args)
+        assert out.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probabilities_rejected(self, bad):
         # nan - 1 compares False against any bound, so the sum check alone
