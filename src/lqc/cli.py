@@ -133,7 +133,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.shots > MAX_AMPLITUDES:
         raise GuardError(f"{args.shots} shots are past the guard of 2^24")
     circuit = _parse_circuit(_read(args.file))
-    format_counts(sample(run(circuit), args.shots, args.seed), sys.stdout)
+    # nothing holds the state once observe returns: the draws need only
+    # the probabilities
+    format_counts(sample(observe(run(circuit)), args.shots, args.seed), sys.stdout)
     return EXIT_OK
 
 

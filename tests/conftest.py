@@ -105,6 +105,11 @@ def random_state_amps(rng, dim):
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
 
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(random_state_amps(rng, (dim, dim)))
+    return q
+
+
 def embed(factor, dim):
     """Dense ambient matrix of a two-level factor: the reference that tests
     rebuild factor products with."""

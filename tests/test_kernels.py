@@ -10,7 +10,10 @@ kernels: the slice update and the matmul on a copy of the slice pair.
 The slice update runs in chunks of at most TILE amplitudes. Single-target
 passes are also checked bit for bit against the same update without
 chunks, written out below, at the real TILE and at sizes small enough that
-registers of a few bits cross every chunk shape.
+registers of a few bits cross every chunk shape. Multi-target passes run
+in tiles of columns; they are checked bit for bit against the product of
+the whole control block, at the real TILE, which pins the BLAS property
+that a column rounds alike in a tile and in the whole product.
 """
 
 import functools
@@ -22,8 +25,10 @@ import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_state_amps, random_unitary
+
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
-from lqc.core import EPS_ISO, RegisterLayout, metric_for_kinds
+from lqc.core import EPS_ISO, RegisterLayout, StateVector, metric_for_kinds
 from lqc.gates import BUILTIN_ARITY, isometry_residual
 from lqc import simulator
 from lqc.simulator import apply_to_tensor, observe, run
@@ -398,3 +403,80 @@ def test_small_slice_pass_one_below_limit_is_stacked_bits(batch, monkeypatch):
         half = layout.dimension // 2 * (batch or 1)
         monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", half + 1)
         assert_stacked_bits(layout, instr, batch, 13 + instr.targets[0])
+
+
+def untiled_multi_pass(layout, tensor, instr):
+    """The multi-target pass as one product: the target axes moved to the
+    front and the whole control block multiplied by the gate at once."""
+    idx = [slice(None)] * tensor.ndim
+    for p, value in zip(instr.controls, instr.ctrl_state):
+        idx[p] = value
+    remaining = [p for p in range(layout.num_bits) if p not in instr.controls]
+    k = len(instr.targets)
+    moved = np.moveaxis(tensor[tuple(idx)], [remaining.index(p) for p in instr.targets], range(k))
+    moved[...] = (instr.gate_matrix() @ moved.reshape(1 << k, -1)).reshape(moved.shape)
+
+
+MULTI_GATES = {"CZ": 2, "U2": 2, "U3": 3}
+# column counts of the control block, batch axis included, with the batch
+# axis of `to_matrix` (one column per basis state of 6 bits) or without one
+MULTI_BLOCKS = {
+    f"{name}-{'batch' if batch else 'vector'}": (cols, batch)
+    for name, cols in (("1", 1), ("TILE/2", simulator.TILE // 2), ("TILE", simulator.TILE),
+                       ("2TILE", 2 * simulator.TILE), ("8TILE", 8 * simulator.TILE))
+    for batch in (None, 64) if cols >= (batch or 1)
+}
+
+
+def multi_instruction(name, targets, controls, ctrl_state, rng):
+    matrix = None if name == "CZ" else random_unitary(rng, 1 << MULTI_GATES[name])
+    return Instruction(name, tuple(targets), tuple(controls), None, matrix, tuple(ctrl_state))
+
+
+@pytest.mark.parametrize("block", MULTI_BLOCKS.values(), ids=MULTI_BLOCKS.keys())
+@pytest.mark.parametrize("ncontrols", [0, 1])
+@pytest.mark.parametrize("name", MULTI_GATES)
+def test_tiled_multi_target_pass_is_bit_identical(name, ncontrols, block):
+    # the control block is cut into tiles; each tile's product must round
+    # as the whole block's does
+    cols, batch = block
+    k = MULTI_GATES[name]
+    nbits = k + ncontrols + (cols // (batch or 1)).bit_length() - 1
+    layout = RegisterLayout.of(nbits, 0)
+    rng = np.random.default_rng(cols + 7 * ncontrols + k)
+    spread = list(range(0, nbits, 2))[::-1] + list(range(1, nbits, 2))
+    # the targets on the last bits, on the first ones, and spread out of
+    # order; a 0-control on the next bit
+    for order in (list(range(nbits))[::-1], list(range(nbits)), spread):
+        targets, controls = order[:k], order[k:k + ncontrols]
+        instr = multi_instruction(name, targets, controls, [0] * ncontrols, rng)
+        start = random_tensor(layout, batch, len(targets) + order[0])
+        want = start.copy()
+        untiled_multi_pass(layout, want, instr)
+        apply_to_tensor(layout, start, instr)
+        assert_same_bits(start, want)
+
+
+@pytest.mark.parametrize("nbits", [14, 18])
+def test_tiled_multi_target_run_is_bit_identical(nbits, monkeypatch):
+    # `run` lays the state out in its own memory order and takes flipped
+    # targets out of the Pauli frame before a multi-target gate; a flipped
+    # control stays reversed
+    rng = np.random.default_rng(nbits)
+    layout = RegisterLayout.of(nbits, 0)
+    a, b, c, e = 1, nbits - 2, nbits // 2, nbits - 1
+    instrs = [Instruction("X", (a,)), Instruction("X", (c,)), Instruction("H", (e,)),
+              Instruction("CZ", (a, b)),
+              Instruction("X", (b,)), multi_instruction("U2", [b, 0], [], [], rng),
+              Instruction("X", (e,)), multi_instruction("U3", [e, a, 2], [c], [0], rng),
+              multi_instruction("U2", [3, c], [b], [1], rng), Instruction("X", (3,))]
+    circuit = Circuit(layout, tuple(instrs))
+    initial = StateVector(layout, random_state_amps(rng, layout.dimension))
+    tiled = np.ascontiguousarray(run(circuit, initial).tensor)
+    kernel = simulator.apply_to_tensor
+
+    def untiled(layout, tensor, instr):
+        (untiled_multi_pass if len(instr.targets) > 1 else kernel)(layout, tensor, instr)
+
+    monkeypatch.setattr(simulator, "apply_to_tensor", untiled)
+    assert_same_bits(tiled, np.ascontiguousarray(run(circuit, initial).tensor))

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import (
-    random_circuit, random_layout, random_state_amps, reference_run, sim_shaped_circuit,
+    random_circuit, random_layout, random_state_amps, random_unitary, reference_run,
+    sim_shaped_circuit,
 )
-from lqc import simulator
-from lqc.circuit import Circuit, Instruction, parse, to_matrix
+from lqc import cli, simulator
+from lqc.circuit import Circuit, Instruction, parse, serialize, to_matrix
 from lqc.core import (
+    BitKind,
     GuardError,
     LqcError,
     RegisterLayout,
     StateVector,
     basis_state,
+    metric_vector,
     pseudo_norm,
 )
 from lqc.simulator import (
@@ -160,9 +163,11 @@ class TestStateLayout:
 
 
 class TestPeakMemory:
-    """tracemalloc peaks on a 16-bit circuit: the state and one kernel
-    pass's chunks (the margin of test_kernels' tile test), so neither `run`
-    nor `observe` copies the state back into register order."""
+    """tracemalloc peaks on 16-bit circuits: the state, its visible
+    probabilities and one kernel pass's chunks (the margin of test_kernels'
+    tile test). So neither `run` nor `observe` copies the state back into
+    register order or squares all of it, a multi-target pass runs in tiles,
+    and `lqc sample` holds no state while it draws."""
 
     @staticmethod
     def peak(fn):
@@ -173,6 +178,11 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def bound(circuit):
+        layout = circuit.layout
+        return layout.dimension * 16 + (1 << layout.num_qubits) * 8 + 5 * simulator.TILE * 16
+
     def test_run_holds_one_state(self):
         circuit = sim_shaped_circuit(7, 14, 2, lines=60)
         state_bytes = circuit.layout.dimension * 16
@@ -180,9 +190,22 @@ class TestPeakMemory:
 
     def test_observe_holds_the_state_and_its_magnitudes(self):
         circuit = sim_shaped_circuit(7, 14, 2, lines=60)
-        state_bytes = circuit.layout.dimension * 16
-        peak = self.peak(lambda: observe(run(circuit)))
-        assert peak <= 2 * state_bytes + 5 * simulator.TILE * 16
+        assert self.peak(lambda: observe(run(circuit))) <= self.bound(circuit)
+
+    def test_sample_command_holds_no_state_while_it_draws(self, tmp_path, capsys):
+        circuit = sim_shaped_circuit(7, 14, 2, lines=60)
+        path = tmp_path / "c.lqc"
+        path.write_text(serialize(circuit))
+        argv = ["sample", str(path), "--shots", "1000", "--seed", "1"]
+        assert self.peak(lambda: cli.main(argv)) <= self.bound(circuit)
+        assert len(capsys.readouterr().out.splitlines()) > 100
+
+    def test_multi_target_passes_run_in_tiles(self):
+        circuit = sim_shaped_circuit(7, 14, 2, lines=60)
+        u2 = random_unitary(np.random.default_rng(3), 4)
+        extra = (Instruction("CZ", (2, 9)), Instruction("U2", (12, 4), matrix=u2))
+        circuit = Circuit(circuit.layout, circuit.instructions + extra)
+        assert self.peak(lambda: observe(run(circuit))) <= self.bound(circuit)
 
 
 class TestObserve:
@@ -250,34 +273,125 @@ class TestObserve:
             observe(StateVector(layout, amps))
 
 
+def scrambled(amps, nbits, rng):
+    """The tensor of `amps` in a random memory order with random axes stored
+    reversed: the same amplitudes by register index, another layout."""
+    perm = rng.permutation(nbits)
+    flips = tuple(p for p in range(nbits) if rng.random() < 0.5)
+    stored = np.ascontiguousarray(np.flip(amps.reshape((2,) * nbits), flips).transpose(perm))
+    return np.flip(stored.transpose(np.argsort(perm)), flips)
+
+
+def register_order_distribution(layout, amps):
+    """probs and observable mass from the squares of the amplitudes taken in
+    register index order: the formula `observe` must match bit for bit."""
+    mag2 = (amps.real**2 + amps.imag**2).reshape((2,) * layout.num_bits)
+    idx = [slice(None)] * layout.num_bits
+    for p in layout.positions(BitKind.HYBIT):
+        idx[p] = 0
+    visible = np.ascontiguousarray(mag2[(*idx, ...)]).reshape(-1)
+    mass = float(visible.sum())
+    return visible / mass, mass
+
+
+OBSERVE_LAYOUTS = ["hhqqqq", "qqhqhq", "qqqqhh", "hhhh", "qqqqq", "hqqqqqqqqqqqqqqh"]
+
+
+class TestObserveLayouts:
+    @pytest.mark.parametrize("kinds", OBSERVE_LAYOUTS)
+    def test_scrambled_tensor_matches_register_order_squares(self, kinds):
+        layout = RegisterLayout(tuple(kinds))
+        rng = np.random.default_rng(len(kinds))
+        for _ in range(4):
+            amps = random_state_amps(rng, layout.dimension)
+            for tensor in (amps, scrambled(amps, layout.num_bits, rng)):
+                dist = observe(StateVector(layout, tensor))
+                probs, mass = register_order_distribution(layout, amps)
+                assert dist.probs.tobytes() == probs.tobytes()
+                assert dist.observable_mass == mass
+
+    @pytest.mark.parametrize("kinds", OBSERVE_LAYOUTS)
+    def test_framed_run_matches_register_order_squares(self, kinds):
+        layout = RegisterLayout(tuple(kinds))
+        rng = np.random.default_rng(10 + len(kinds))
+        for _ in range(4):
+            circuit = random_circuit(rng, layout, 30)
+            qubits = layout.positions(BitKind.QUBIT)
+            flips = tuple(Instruction("X", (p,)) for p in qubits if rng.random() < 0.6)
+            circuit = Circuit(layout, circuit.instructions + flips)
+            initial = StateVector(layout, random_state_amps(rng, layout.dimension))
+            state = run(circuit, initial)
+            amps = np.ascontiguousarray(state.tensor).reshape(-1)
+            dist = observe(state)
+            probs, mass = register_order_distribution(layout, amps)
+            assert dist.probs.tobytes() == probs.tobytes()
+            assert dist.observable_mass == mass
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kinds", OBSERVE_LAYOUTS)
+    def test_overflow_is_a_guard_error(self, kinds):
+        layout = RegisterLayout(tuple(kinds))
+        rng = np.random.default_rng(20)
+        amps = random_state_amps(rng, layout.dimension)
+        amps[rng.integers(layout.dimension)] = 1e200
+        with pytest.raises(GuardError, match="not finite"):
+            observe(StateVector(layout, scrambled(amps, layout.num_bits, rng)))
+
+    @pytest.mark.parametrize("kinds", [k for k in OBSERVE_LAYOUTS if "h" in k])
+    def test_tiny_observable_mass_warns(self, kinds):
+        layout = RegisterLayout(tuple(kinds))
+        rng = np.random.default_rng(30)
+        hidden = layout.positions(BitKind.HYBIT)[-1]
+        amps = random_state_amps(rng, layout.dimension).reshape((2,) * layout.num_bits)
+        # the half where the last hybit reads 0 holds the observable slice;
+        # scaled by 1e-8, it leaves the positive mass where that hybit and
+        # one other read 1
+        idx = [slice(None)] * layout.num_bits
+        idx[hidden] = 0
+        amps[tuple(idx)] *= 1e-8
+        with pytest.warns(NegligibleMassWarning):
+            observe(StateVector(layout, scrambled(amps.reshape(-1), layout.num_bits, rng)))
+
+    @pytest.mark.parametrize("kinds", OBSERVE_LAYOUTS)
+    def test_pseudo_norm_matches_the_metric_formula(self, kinds):
+        layout = RegisterLayout(tuple(kinds))
+        rng = np.random.default_rng(40 + len(kinds))
+        for _ in range(4):
+            amps = random_state_amps(rng, layout.dimension)
+            mag2 = amps.real**2 + amps.imag**2
+            want = float(np.dot(metric_vector(layout).astype(np.float64), mag2))
+            got = pseudo_norm(StateVector(layout, scrambled(amps, layout.num_bits, rng)))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * mag2.sum())
+
+
 class TestSample:
     def test_deterministic_state(self):
-        res = sample(basis_state(RegisterLayout.of(2, 0), [1, 0]), 50, seed=1)
+        res = sample(observe(basis_state(RegisterLayout.of(2, 0), [1, 0])), 50, seed=1)
         assert res.counts == {"10": 50}
 
     def test_same_seed_same_result(self):
         layout = RegisterLayout.of(1, 0)
         state = StateVector(layout, np.array([1, 1]) / np.sqrt(2))
-        a = sample(state, 1000, seed=9)
-        b = sample(state, 1000, seed=9)
+        a = sample(observe(state), 1000, seed=9)
+        b = sample(observe(state), 1000, seed=9)
         assert a.counts == b.counts
 
     def test_binomial_bound(self):
         layout = RegisterLayout.of(1, 0)
         state = StateVector(layout, np.array([1, 1]) / np.sqrt(2))
         shots = 100_000
-        res = sample(state, shots, seed=123)
+        res = sample(observe(state), shots, seed=123)
         sigma = np.sqrt(shots * 0.25)
         assert abs(res.counts["0"] - shots / 2) <= 5 * sigma
 
     def test_zero_shots(self):
-        res = sample(basis_state(RegisterLayout.of(1, 0), [0]), 0, seed=0)
+        res = sample(observe(basis_state(RegisterLayout.of(1, 0), [0])), 0, seed=0)
         assert res.counts == {}
 
     def test_zero_mass_raises(self):
         layout = RegisterLayout.of(0, 1)
         with pytest.raises(ZeroObservableMassError):
-            sample(StateVector(layout, np.array([0.0, 1.0])), 10, seed=0)
+            sample(observe(StateVector(layout, np.array([0.0, 1.0]))), 10, seed=0)
 
 
 def sorted_dict_sample(probabilities, shots, seed):
@@ -300,13 +414,13 @@ class TestSampleDraws:
         amps[0] = 1.0  # keeps some observable mass
         state = StateVector(layout, amps)
         want = sorted_dict_sample(observe(state).probabilities, 5000, seed)
-        assert sample(state, 5000, seed).counts == want
+        assert sample(observe(state), 5000, seed).counts == want
 
     def test_zero_probability_never_drawn(self):
         # the last qubit stays 0, so every odd index, the last one included,
         # has probability zero
         state = run(parse("qubits 3\nH q0\nH q1\n"))
-        res = sample(state, 20000, seed=3)
+        res = sample(observe(state), 20000, seed=3)
         assert set(res.counts) == {"000", "010", "100", "110"}
         assert res.histogram[1::2].sum() == 0
 
@@ -328,7 +442,7 @@ class TestSampleDraws:
                 return np.resize([0.0, np.nextafter(1.0, 0.0)], n)
 
         monkeypatch.setattr(np.random, "Generator", ExtremeDraws)
-        assert sample(state, 4, seed=0).counts == {"0011": 2, "1100": 2}
+        assert sample(observe(state), 4, seed=0).counts == {"0011": 2, "1100": 2}
 
 
 class TestDistributionFormat:
