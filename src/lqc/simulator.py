@@ -74,8 +74,11 @@ thread, 2-core Intel Xeon). A tile has as many columns as keep its product
 at 4 * TILE multiply-adds, TILE amplitudes for two targets: the OpenBLAS of
 numpy 2.4.6 ran products of 2^15 multiply-adds on one thread and handed
 those of 2^16 to a second, which took about 8 ms a call while the other
-core was busy. A block no larger than a tile is one product, as it always
-was. Each column rounds as it does in the whole block's product;
+core was busy. When only the last memory axis is left and it is wider
+than a tile (the batch axis of `to_matrix`, 4096 columns at 12 bits), it
+is cut into slices of a tile's width. A block no larger than a tile is one
+tile: one copy and one product. Each column rounds as it does in the whole
+block's product;
 tests/test_kernels.py pins this on power-of-two tiles (a one-column
 product, which BLAS runs as a matrix-vector product, rounds otherwise).
 
@@ -152,6 +155,7 @@ looking texts up measured slower.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -238,37 +242,39 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
     tpos_sub = [remaining.index(p) for p in instr.targets]
     k = len(tpos_sub)
     moved = np.moveaxis(sub, tpos_sub, range(k))
+    _multiply_tiles(gate, moved, k)
+
+
+def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
+    """moved <- gate @ moved over its first k axes, a tile of at most
+    `width` columns at a time, so a tile's product makes at most 4 * TILE
+    multiply-adds, as a two-target tile of TILE amplitudes does. The other
+    axes are taken in memory order, and the leading ones are fixed until the
+    trailing ones hold at most `width` columns; if only the last axis is
+    left and it holds more (the batch axis of `to_matrix`), it is cut into
+    slices of `width`. Each tile is copied to a contiguous buffer,
+    multiplied into a second one and written back. A block of at most
+    `width` columns is one tile: one copy and one product."""
     d = 1 << k
-    # columns per tile: a tile's product makes at most 4 * TILE
-    # multiply-adds, as a two-target tile of TILE amplitudes does
     width = max(4 * TILE // (d * d), 1)
-    if moved.size <= d * width:
-        updated = gate @ moved.reshape(d, -1)
-        moved[...] = updated.reshape(moved.shape)
-    else:
-        _multiply_tiles(gate, moved, k, width)
-
-
-def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int, width: int) -> None:
-    """moved <- gate @ moved over its first k axes, a tile of columns at a
-    time. The other axes are taken in memory order, and the leading ones
-    are fixed until the trailing ones hold at most `width` columns (or only
-    the last axis is left); each tile is copied to a contiguous buffer,
-    multiplied into a second one and written back."""
-    d = 1 << k
-    rest = sorted(range(k, moved.ndim), key=lambda a: -moved.strides[a])
+    rest = sorted(range(k, moved.ndim), key=lambda a: -abs(moved.strides[a]))
     moved = moved.transpose(*range(k), *rest)
     lead, cols = k, moved.size // d
     while cols > width and lead < moved.ndim - 1:
         cols //= moved.shape[lead]
         lead += 1
-    buf = np.empty((d, cols), moved.dtype)
+    buf = np.empty((d, min(cols, width)), moved.dtype)
     prod = np.empty_like(buf)
-    for fixed in np.ndindex(moved.shape[k:lead]):
-        tile = moved[(slice(None),) * k + fixed]
-        buf.reshape(tile.shape)[...] = tile
-        np.matmul(gate, buf, out=prod)
-        tile[...] = prod.reshape(tile.shape)
+    for fixed in itertools.product(*map(range, moved.shape[k:lead])):
+        block = moved[(slice(None),) * k + fixed]
+        for start in range(0, cols, width):
+            tile = block if cols <= width else block[..., start:start + width]
+            # the last slice of the batch axis may be narrower
+            b, p = (buf, prod) if tile.size == buf.size else (buf[:, :tile.size // d],
+                                                              prod[:, :tile.size // d])
+            b.reshape(tile.shape)[...] = tile
+            np.matmul(gate, b, out=p)
+            tile[...] = p.reshape(tile.shape)
 
 
 def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray) -> None:
@@ -617,6 +623,9 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleResult:
     deterministic per seed (counter-based generator, inverse CDF over the
     outcome indices). It takes the distribution, not the state, so a caller
     that writes sample(observe(state), ...) holds no state while it draws."""
+    if not isinstance(dist, OutcomeDistribution):
+        raise LqcError(f"sample takes the OutcomeDistribution of observe(state), "
+                       f"got {type(dist).__name__}")
     if shots < 0:
         raise LqcError("shot count must be nonnegative")
     if seed < 0:

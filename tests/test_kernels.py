@@ -426,6 +426,10 @@ MULTI_BLOCKS = {
                        ("2TILE", 2 * simulator.TILE), ("8TILE", 8 * simulator.TILE))
     for batch in (None, 64) if cols >= (batch or 1)
 }
+# a batch axis alone wider than a tile, as `to_matrix` has at 12 bits, cut
+# into slices of the tile's width; one whose width does not divide it
+MULTI_BLOCKS["8TILE-wide-batch"] = (8 * simulator.TILE, 8 * simulator.TILE)
+MULTI_BLOCKS["odd-wide-batch"] = (2 * simulator.TILE + 3, 2 * simulator.TILE + 3)
 
 
 def multi_instruction(name, targets, controls, ctrl_state, rng):
@@ -455,6 +459,45 @@ def test_tiled_multi_target_pass_is_bit_identical(name, ncontrols, block):
         untiled_multi_pass(layout, want, instr)
         apply_to_tensor(layout, start, instr)
         assert_same_bits(start, want)
+
+
+@pytest.mark.parametrize("name", MULTI_GATES)
+def test_multi_target_tiles_stay_within_width(name, monkeypatch):
+    # a tile's product makes at most 4 * TILE multiply-adds, also when the
+    # batch axis alone is wider than a tile
+    k = MULTI_GATES[name]
+    layout = RegisterLayout.of(k + 1, 0)
+    instr = multi_instruction(name, list(range(k)), [], [], np.random.default_rng(k))
+    products = []
+    matmul = np.matmul
+
+    def recording(a, b, out):
+        products.append(a.shape[0] * b.shape[0] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    apply_to_tensor(layout, random_tensor(layout, 8 * simulator.TILE, k), instr)
+    assert sum(products) == (1 << 2 * k) * 2 * 8 * simulator.TILE
+    assert max(products) == 4 * simulator.TILE
+
+
+def test_tiled_multi_target_to_matrix_is_bit_identical(monkeypatch):
+    # 10 bits: a 3-target tile is 512 columns wide, so the 1024-column batch
+    # axis is cut in two; a CZ tile holds whole columns of the batch axis
+    rng = np.random.default_rng(10)
+    layout = RegisterLayout.of(10, 0)
+    circuit = Circuit(layout, (
+        Instruction("H", (0,)), Instruction("CZ", (0, 9)),
+        multi_instruction("U3", [3, 8, 1], [], [], rng), Instruction("CZ", (5, 2)),
+        multi_instruction("U3", [9, 0, 4], [6], [0], rng)))
+    tiled = to_matrix(circuit)
+    kernel = simulator.apply_to_tensor
+
+    def untiled(layout, tensor, instr):
+        (untiled_multi_pass if len(instr.targets) > 1 else kernel)(layout, tensor, instr)
+
+    monkeypatch.setattr(simulator, "apply_to_tensor", untiled)
+    assert_same_bits(tiled, to_matrix(circuit))
 
 
 @pytest.mark.parametrize("nbits", [14, 18])

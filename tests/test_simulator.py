@@ -388,6 +388,11 @@ class TestSample:
         res = sample(observe(basis_state(RegisterLayout.of(1, 0), [0])), 0, seed=0)
         assert res.counts == {}
 
+    def test_state_instead_of_distribution_raises(self):
+        # sample takes what observe returns; a state is named in the error
+        with pytest.raises(LqcError, match="OutcomeDistribution.*StateVector"):
+            sample(basis_state(RegisterLayout.of(1, 0), [0]), 10, seed=0)
+
     def test_zero_mass_raises(self):
         layout = RegisterLayout.of(0, 1)
         with pytest.raises(ZeroObservableMassError):
