@@ -620,7 +620,8 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
             "dense-elaboration guard"
         )
     dim = circuit.layout.dimension
-    mat = np.eye(dim, dtype=complex)
     # columns are a batch of basis states; one kernel pass per instruction
-    apply_all(circuit.layout, mat.reshape([2] * nbits + [dim]), circuit.instructions)
-    return mat
+    batch = np.eye(dim, dtype=complex).reshape([2] * nbits + [dim])
+    state = apply_all(circuit.layout, batch, circuit.instructions)
+    # with every bit left flipped, the state reshapes to a negative-stride view
+    return np.ascontiguousarray(state).reshape(dim, dim)

@@ -78,9 +78,9 @@ core was busy. When only the last memory axis is left and it is wider
 than a tile (the batch axis of `to_matrix`, 4096 columns at 12 bits), it
 is cut into slices of a tile's width. A block no larger than a tile is one
 tile: one copy and one product. Each column rounds as it does in the whole
-block's product;
-tests/test_kernels.py pins this on power-of-two tiles (a one-column
-product, which BLAS runs as a matrix-vector product, rounds otherwise).
+block's product; tests/test_kernels.py pins this on power-of-two tiles (a
+one-column product, which BLAS runs as a matrix-vector product, rounds
+otherwise).
 
 `run` from a basis state (|0...0> or any state with one nonzero amplitude)
 leaves out the bits no instruction has targeted yet while they hold their
@@ -100,23 +100,22 @@ one-amplitude product, which round differently; a pass with two or more
 targets slices no axis, because BLAS may round a matmul of another width
 differently.
 
-Pauli frame. `run` applies no uncontrolled X to the state: it keeps a set
-of flipped register positions, and a bit's value is its stored one XOR its
-flag. An uncontrolled X toggles the flag and makes no pass; on an untouched
-bit the stored start value stays, so the bit stays untouched. An
-uncontrolled Y = X diag(i, -i) is a diagonal pass of diag(i, -i), the two
-complex products the swap makes, then the toggle. Every other instruction
-runs on the view of the tensor in which only its flipped targets and
-controls are reversed. The kernel indexes a single-target gate's target
-and every control away, so no slice it walks has a negative stride. A gate
-of two or more targets keeps its targets: numpy can reshape reversed target
-axes without a copy, and matmul rounds such a negative-stride operand
-otherwise than the copy BLAS gets. So it first takes its flipped targets
-out of the frame, with an X pass on each. A control on an untouched bit
-compares its trigger with the stored value XOR the flag. `run` returns the
-tensor with its flipped axes reversed, without a copy; `to_matrix` keeps no
-frame. The amplitudes are those of the passes without a frame, bit for
-bit, up to the sign of zeros.
+Pauli frame. The pass loop of `run` and `to_matrix` applies no
+uncontrolled X to the state: it keeps a set of flipped register positions,
+and a bit's value is its stored one XOR its flag. An uncontrolled X toggles
+the flag and makes no pass; on an untouched bit the stored start value
+stays, so the bit stays untouched. An uncontrolled Y = X diag(i, -i) is a
+diagonal pass of diag(i, -i), the two complex products the swap makes,
+then the toggle. Every other instruction runs on the view of the tensor in
+which only its flipped targets and controls are reversed. The kernel
+indexes a single-target gate's target and every control away, so no slice
+it walks has a negative stride. A gate of two or more targets keeps its
+reversed targets, but each tile is copied to the contiguous buffer before
+the product, so BLAS multiplies the same logical rows as without a frame.
+A control on an untouched bit compares its trigger with the stored value
+XOR the flag. The loop returns the tensor with its flipped axes reversed,
+without a copy. The amplitudes are those of the passes without a frame,
+bit for bit, up to the sign of zeros.
 
 Measurement keeps only amplitudes with every hybit in state 0 and
 renormalizes over that subspace, and it squares only those. Each hybit
@@ -222,7 +221,9 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
     (optionally with trailing batch axes). Each control fixes its axis at its
     trigger value, so only the control block where every control holds its
     value is touched. One target updates its two slices in place, with
-    length-1 axes squeezed out; more targets move to the front for a matmul."""
+    length-1 axes squeezed out; more targets move to the front for a matmul
+    in tiles of columns. A batch axis wider than a tile must be a power of
+    two long, as `to_matrix`'s 2^n columns are, so that tiles cut it evenly."""
     gate = instr.gate_matrix()
     idx: list = [slice(None)] * tensor.ndim
     for c, value in zip(instr.controls, instr.ctrl_state):
@@ -252,8 +253,9 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
     axes are taken in memory order, and the leading ones are fixed until the
     trailing ones hold at most `width` columns; if only the last axis is
     left and it holds more (the batch axis of `to_matrix`), it is cut into
-    slices of `width`. Each tile is copied to a contiguous buffer,
-    multiplied into a second one and written back. A block of at most
+    slices of `width`, which divides it. Each tile, reversed axes and all,
+    is copied to a contiguous buffer, multiplied into a second one and
+    written back. A block of at most
     `width` columns is one tile: one copy and one product."""
     d = 1 << k
     width = max(4 * TILE // (d * d), 1)
@@ -269,12 +271,9 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
         block = moved[(slice(None),) * k + fixed]
         for start in range(0, cols, width):
             tile = block if cols <= width else block[..., start:start + width]
-            # the last slice of the batch axis may be narrower
-            b, p = (buf, prod) if tile.size == buf.size else (buf[:, :tile.size // d],
-                                                              prod[:, :tile.size // d])
-            b.reshape(tile.shape)[...] = tile
-            np.matmul(gate, b, out=p)
-            tile[...] = p.reshape(tile.shape)
+            buf.reshape(tile.shape)[...] = tile
+            np.matmul(gate, buf, out=prod)
+            tile[...] = prod.reshape(tile.shape)
 
 
 def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray) -> None:
@@ -392,9 +391,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
             raise LqcError("initial state layout does not match circuit layout")
         tensor[...] = initial.tensor
         start = _basis_bits(initial.tensor)
-    flipped: set[int] = set()
-    apply_all(layout, tensor, circuit.instructions, start, flipped)
-    return StateVector(layout, tensor[tuple(_reversing(tensor.ndim, flipped))])
+    return StateVector(layout, apply_all(layout, tensor, circuit.instructions, start))
 
 
 def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
@@ -418,23 +415,20 @@ def _basis_bits(tensor: np.ndarray) -> list[int] | None:
 
 
 def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
-              start: list[int] | None = None, flipped: set[int] | None = None) -> None:
+              start: list[int] | None = None) -> np.ndarray:
     """apply_to_tensor for each instruction: the one loop of `run` and
     `circuit.to_matrix`. When the tensor held the basis state `start` before
     the first one, each instruction is skipped, or passed on unchanged to
     the whole tensor or a view, as `run` describes; with no `start`, every
-    pass covers the whole tensor. Given an empty set `flipped`, the loop
-    keeps the Pauli frame of the module docstring in it: on return, the
-    state is the tensor with the axes in `flipped` reversed.
+    pass covers the whole tensor. The loop keeps uncontrolled X and Y in the
+    Pauli frame of the module docstring and returns the state: the tensor
+    with the axes of the bits left flipped reversed, a view.
     Overflow is left to `observe` and `isometry_residual` to report."""
     untouched = {} if start is None else dict(enumerate(start))
-    if flipped is None:
-        flipped = set()
-    else:
-        instructions = _framed(instructions, flipped)
+    flipped: set[int] = set()
     floor = max(BLAS_DENSE_MAX, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for instr in instructions:
+        for instr in _framed(instructions, flipped):
             idx = _reversing(tensor.ndim, flipped.intersection((*instr.targets, *instr.controls)))
             if untouched:
                 # an untouched bit's logical value is its stored one XOR its flag
@@ -452,28 +446,23 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                             idx[p] = slice(v, v + 1)
                             size >>= 1
             apply_to_tensor(layout, tensor[tuple(idx)], instr)
+    return tensor[tuple(_reversing(tensor.ndim, flipped))]
 
 
 def _framed(instructions, flipped: set[int]):
     """The passes `instructions` leave once their uncontrolled X and Y join
     the Pauli frame `flipped`, which they update as the passes are applied:
     an X toggles its bit's flag and makes no pass, and a Y is its diagonal
-    half diag(i, -i) as a pass, then the toggle. A gate of two or more
-    targets first takes its flipped targets out of the frame, with an X
-    pass each on the stored axis."""
+    half diag(i, -i) as a pass, then the toggle. Every other instruction is
+    a pass as it stands, on flipped targets too."""
     for instr in instructions:
-        # Instruction, which this module cannot import: circuit imports it
-        make = type(instr)
         if instr.controls or instr.matrix is not None or instr.gate not in ("X", "Y"):
-            if len(instr.targets) > 1:
-                for t in flipped.intersection(instr.targets):
-                    flipped.discard(t)
-                    yield make("X", (t,))
             yield instr
             continue
         (t,) = instr.targets
         if instr.gate == "Y":
-            yield make("Y", (t,), matrix=Y_PHASES)
+            # Instruction, which this module cannot import: circuit imports it
+            yield type(instr)("Y", (t,), matrix=Y_PHASES)
         flipped.symmetric_difference_update((t,))
 
 

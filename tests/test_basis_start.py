@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    HYBIT_GATES, QUBIT_GATES, cartan_target, reference_run, sim_shaped_circuit,
+    HYBIT_GATES, QUBIT_GATES, cartan_target, random_unitary, reference_run, sim_shaped_circuit,
 )
 from lqc import simulator
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
@@ -313,10 +313,9 @@ def test_frame_reverses_the_returned_axes():
 
 @pytest.mark.parametrize("nq", [2, 3])
 def test_two_target_gates_on_flipped_targets(nq):
-    # q0 and q1 lead the memory order; flipped and reversed, both target
-    # axes would reshape into a negative-stride view, which numpy's matmul
-    # rounds otherwise than it rounds a copy, so a gate of two or more
-    # targets takes its flipped targets out of the frame first
+    # q0 and q1 lead the memory order; flipped, both target axes stay
+    # reversed in the gate's view, and the tile copy the kernel multiplies
+    # holds them in register order, so the product rounds as without a frame
     rng = np.random.default_rng(nq)
     layout = RegisterLayout.of(nq, 0)
     gate = np.kron(cartan_target("q", rng), cartan_target("q", rng))
@@ -336,7 +335,7 @@ def test_observe_reads_framed_sim_states(seed, nq, nh):
 
 def test_uncontrolled_x_makes_no_pass(monkeypatch):
     # the pass-count guard: n H passes and m X gates cost `run` n passes,
-    # and `to_matrix`, which keeps no frame, n + m
+    # and `to_matrix`, which keeps the same frame, n
     n, m = 5, 7
     calls = []
     apply = simulator.apply_to_tensor
@@ -348,4 +347,64 @@ def test_uncontrolled_x_makes_no_pass(monkeypatch):
     assert len(calls) == n
     calls.clear()
     to_matrix(circuit)
-    assert len(calls) == n + m
+    assert len(calls) == n
+
+
+def frameless_matrix(circuit):
+    """`to_matrix` without a frame: one `apply_to_tensor` pass per
+    instruction, uncontrolled X and Y included, on the C-ordered identity
+    batch."""
+    layout = circuit.layout
+    mat = np.eye(layout.dimension, dtype=complex)
+    batch = mat.reshape([2] * layout.num_bits + [layout.dimension])
+    for instr in circuit.instructions:
+        simulator.apply_to_tensor(layout, batch, instr)
+    return mat
+
+
+def assert_matrix_matches_frameless(circuit):
+    got = to_matrix(circuit)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.tobytes() == frameless_matrix(circuit).tobytes()
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("seed", range(12))
+def test_to_matrix_frame_matches_frameless_loop(seed, limit, monkeypatch):
+    # `framed_gates` puts uncontrolled X and Y before CZ, 2-target DEFGATEs
+    # and controlled gates; a 3-target DEFGATE on random qubits, a
+    # controlled X among them, follows some lines
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    rng = np.random.default_rng(seed)
+    nbits = 3 + seed % 5
+    kinds = ["q"] * 3 + list(rng.choice(["q", "h"], size=nbits - 3))
+    layout = RegisterLayout(tuple(rng.permutation(kinds)))
+    qubits = layout.positions(BitKind.QUBIT)
+    instrs = []
+    for instr in framed_gates(rng, layout, 12):
+        instrs.append(instr)
+        if rng.random() < 0.3:
+            targets = tuple(int(p) for p in rng.choice(qubits, size=3, replace=False))
+            instrs += [Instruction("U3", targets, matrix=random_unitary(rng, 8)),
+                       Instruction("X", targets[:1], targets[1:2], ctrl_state=(int(seed % 2),))]
+    assert_matrix_matches_frameless(Circuit(layout, tuple(instrs)))
+
+
+@pytest.mark.parametrize("text", ["qubits 1\nX q0\n", "qubits 2\nY q0\nX q1\nCZ q0 q1\n"])
+def test_to_matrix_with_every_bit_flipped_is_c_ordered(text):
+    # every register axis reversed: the state alone would reshape into a
+    # negative-stride view
+    assert_matrix_matches_frameless(parse(text))
+
+
+def test_to_matrix_frame_on_sliced_batch_axis():
+    # 11 bits: a 3-target tile is 512 columns wide, so the 2048-column batch
+    # axis is cut in four while the gate's flipped target axes are reversed
+    rng = np.random.default_rng(11)
+    layout = RegisterLayout.of(11, 0)
+    instrs = [*(Instruction("H", (p,)) for p in range(0, 11, 2)),
+              Instruction("X", (1,)), Instruction("Y", (9,)), Instruction("X", (4,)),
+              Instruction("U3", (9, 1, 4), matrix=random_unitary(rng, 8)),
+              Instruction("CZ", (4, 1)), Instruction("Y", (0,)),
+              Instruction("U3", (0, 7, 9), (2,), matrix=random_unitary(rng, 8))]
+    assert_matrix_matches_frameless(Circuit(layout, tuple(instrs)))

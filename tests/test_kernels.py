@@ -427,9 +427,8 @@ MULTI_BLOCKS = {
     for batch in (None, 64) if cols >= (batch or 1)
 }
 # a batch axis alone wider than a tile, as `to_matrix` has at 12 bits, cut
-# into slices of the tile's width; one whose width does not divide it
+# into slices of the tile's width
 MULTI_BLOCKS["8TILE-wide-batch"] = (8 * simulator.TILE, 8 * simulator.TILE)
-MULTI_BLOCKS["odd-wide-batch"] = (2 * simulator.TILE + 3, 2 * simulator.TILE + 3)
 
 
 def multi_instruction(name, targets, controls, ctrl_state, rng):
@@ -502,9 +501,10 @@ def test_tiled_multi_target_to_matrix_is_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("nbits", [14, 18])
 def test_tiled_multi_target_run_is_bit_identical(nbits, monkeypatch):
-    # `run` lays the state out in its own memory order and takes flipped
-    # targets out of the Pauli frame before a multi-target gate; a flipped
-    # control stays reversed
+    # `run` lays the state out in its own memory order, and a multi-target
+    # gate runs on the view with its flipped targets and controls reversed;
+    # the tile copy holds the targets in register order, so the result is
+    # bit-identical
     rng = np.random.default_rng(nbits)
     layout = RegisterLayout.of(nbits, 0)
     a, b, c, e = 1, nbits - 2, nbits // 2, nbits - 1
