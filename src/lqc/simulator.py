@@ -12,8 +12,8 @@ instruction adds 2^-(its control count), the share of the state its pass
 touches, to the weight of each of its targets and controls, and the bits
 go on memory axes by descending weight (ties by position), so the most
 worked bits lead. The instructions see the register-order view of that
-tensor (axis p is register bit p), so they, the untouched-bit views below
-and every copy the kernel makes keep register order; only the memory
+tensor (axis p is register bit p), so they, the narrowed views below and
+every copy the kernel makes keep register order; only the memory
 behind them moves. A gate on a leading memory axis walks long contiguous
 stretches; on a trailing one, stretches of a few amplitudes. The state is
 never copied back: `StateVector` keeps the view, and `observe` reads it.
@@ -28,7 +28,8 @@ order (by decreasing stride). Its 2x2 entries pick the kernel:
 * anti-diagonal (X, Y): swap the slices through a temporary; `run` leaves
   an uncontrolled X or Y to its Pauli frame (below) instead
 * dense (H, TAU, BOOST, general U): x0, x1 <- a x0 + b x1, c x0 + d x1
-  through two temporaries; below BLAS_DENSE_MAX amplitudes per slice, as
+  through two temporaries; below BLAS_DENSE_MAX amplitudes per target
+  slice of the whole tensor (of the view too, when `run` narrows it), as
   one matmul on a contiguous (2, k) copy of the two slices instead, whose
   rows are copied back; the copy is in the register order of the slices
   whatever the memory order, so BLAS sees the same columns
@@ -55,7 +56,7 @@ occur.)
 
 Where the adjacent amplitudes of a slice come in stretches of exactly 2
 (the second-to-last memory axis is not an axis of the slice, being its
-target, a control or a fixed untouched bit, while the last one is), the
+target, a control or a bit a narrowed view fixes, while the last one is), the
 swap, the dense update and the diagonal scaling iterate with that stretch
 axis moved to the front, in C order: inner loops then run along the long
 strided axes instead of over pairs. With the target on the second-to-last
@@ -83,39 +84,50 @@ one-column product, which BLAS runs as a matrix-vector product, rounds
 otherwise).
 
 `run` from a basis state (|0...0> or any state with one nonzero amplitude)
-leaves out the bits no instruction has targeted yet while they hold their
-start values, since every amplitude where one differs is zero and stays
-zero. One rule covers a control on such a bit: a pass whose trigger there
-is not the start value is skipped, and any other runs unchanged, the
-kernel fixing that axis at its trigger value, which is the start value. A
-single-target pass also slices other untouched axes to length 1 at their
-start values (no renumbering, no view cache), so an H layer on |0...0>
-touches one block of the state per gate instead of all of it. Two limits
-keep the result bit-identical to passes over the whole tensor, apart from
+tracks its support: a list of cubes, each fixing some bits at stored
+values, outside whose union every amplitude is zero. It starts as the one
+cube of the start, which fixes every bit; a cube is a pair of bit masks,
+the fixed bits and their values. A pass whose control block meets no cube
+is skipped, since every amplitude it would touch is zero. Any other pass
+runs on the view narrowed to the bounding cube of the cubes it meets: the
+axes that cube fixes, other than the pass's targets and controls, are
+sliced to length 1 at their values (no renumbering, no view cache), and
+the kernel fixes the controls. Only amplitudes in that cube with the
+targets free and the controls fixed can come out nonzero, so that cube
+joins the support, unless one already listed holds it, and the cubes
+inside it leave. A diagonal single-target pass turns no zero into a
+nonzero, so it leaves the support as it is, its target fixed where it was.
+Past SUPPORT_CUBES_MAX cubes the list merges into its bounding cube, and
+once a cube covers the whole register the tracking stops. So a search
+round, whose oracle X leaves the marked item's cube beside the cube of the
+rest, touches a few amplitudes per pass instead of half the register, and
+an H layer on |0...0> touches one block of the state per gate.
+
+The result is bit-identical to passes over the whole tensor, apart from
 the sign of zero amplitudes outside the view (a whole-tensor Z turns them
-into -0.0, which no probability sees): a single-target pass fixes no more
-untouched bits than leave each target slice max(BLAS_DENSE_MAX, 2)
-amplitudes, because a smaller slice would take the BLAS branch or numpy's
-one-amplitude product, which round differently; a pass with two or more
-targets slices no axis, because BLAS may round a matmul of another width
+into -0.0, which no probability sees). The kernel picks the dense branch by
+the size of a target slice of the whole tensor, not of the view, and three
+limits hold: a view leaves each target slice at least 2 amplitudes, since
+numpy rounds an in-place product on one amplitude differently; a dense
+pass on the BLAS branch is not narrowed, and neither is a pass with two or
+more targets, because BLAS may round a matmul of another width
 differently.
 
 Pauli frame. The pass loop of `run` and `to_matrix` applies no
 uncontrolled X to the state: it keeps a set of flipped register positions,
 and a bit's value is its stored one XOR its flag. An uncontrolled X toggles
-the flag and makes no pass; on an untouched bit the stored start value
-stays, so the bit stays untouched. An uncontrolled Y = X diag(i, -i) is a
-diagonal pass of diag(i, -i), the two complex products the swap makes,
-then the toggle. Every other instruction runs on the view of the tensor in
-which only its flipped targets and controls are reversed. The kernel
-indexes a single-target gate's target and every control away, so no slice
-it walks has a negative stride. A gate of two or more targets keeps its
-reversed targets, but each tile is copied to the contiguous buffer before
-the product, so BLAS multiplies the same logical rows as without a frame.
-A control on an untouched bit compares its trigger with the stored value
-XOR the flag. The loop returns the tensor with its flipped axes reversed,
-without a copy. The amplitudes are those of the passes without a frame,
-bit for bit, up to the sign of zeros.
+the flag and makes no pass; the support holds stored values, so it stays.
+An uncontrolled Y = X diag(i, -i) is a diagonal pass of diag(i, -i), the
+two complex products the swap makes, then the toggle. Every other
+instruction runs on the view of the tensor in which only its flipped
+targets and controls are reversed. The kernel indexes a single-target
+gate's target and every control away, so no slice it walks has a negative
+stride. A gate of two or more targets keeps its reversed targets, but each
+tile is copied to the contiguous buffer before the product, so BLAS
+multiplies the same logical rows as without a frame. A control compares
+its trigger with a cube's stored value XOR the flag. The loop returns the
+tensor with its flipped axes reversed, without a copy. The amplitudes are
+those of the passes without a frame, bit for bit, up to the sign of zeros.
 
 Measurement keeps only amplitudes with every hybit in state 0 and
 renormalizes over that subspace, and it squares only those. Each hybit
@@ -155,6 +167,7 @@ looking texts up measured slower.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -187,14 +200,16 @@ FORMAT_BLOCK = 1 << 14
 # calls). On 2^18 lines the distinct path costs as much as the per-line one
 # at 0.5 distinct values per line, and 1.4x as much at 1.0 (medians of 7).
 DISTINCT_FORMAT_MAX = 0.5
-# Below this many amplitudes per target slice, a dense gate is one BLAS
-# matmul, gate @ (2, k), on a contiguous copy of the two slices made by one
-# `np.array((x0, x1))` call, as multi-target gates are. At that size it
+# Below this many amplitudes per target slice of the whole tensor, a dense
+# gate is one BLAS matmul, gate @ (2, k), on a contiguous copy of the two
+# slices made by one `np.array((x0, x1))` call, as multi-target gates are. At that size it
 # costs about what the slice update costs, and it rounds more tightly:
 # with the slice update, the metric residual of `to_matrix` on synthesized
 # circuits, which `lqc verify` compares with EPS_ISO, is about 1.3x larger
 # and flips some results near EPS_ISO. Above this size the chunked slice
-# update is 2-5x faster than copying the pair.
+# update is 2-5x faster than copying the pair. The branch follows the whole
+# slice even when `run` narrows the view, so a narrowed pass rounds as a
+# whole one; `run` narrows no pass that takes the matmul.
 BLAS_DENSE_MAX = 1 << 13
 # Amplitudes per target slice in one chunk of the slice update: the buffer
 # size of the iterator. A dense chunk holds x0 and x1 buffers and two
@@ -202,6 +217,10 @@ BLAS_DENSE_MAX = 1 << 13
 # slower on every target bit (spills from L2) and 2^12 slower on dense
 # passes (more calls per pass).
 TILE = 1 << 13
+# `run` tracks at most this many cubes of its support, and merges them into
+# their bounding cube past it: every pass scans the list, and a search round
+# needs 2
+SUPPORT_CUBES_MAX = 8
 # the diagonal half of Y = X diag(i, -i), which the Pauli frame applies as a
 # pass before it toggles the bit's flag
 Y_PHASES = np.diag([1j, -1j])
@@ -218,12 +237,16 @@ class NegligibleMassWarning(UserWarning):
 
 def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instruction) -> None:
     """Apply one instruction in place to a state tensor of shape [2]*num_bits
-    (optionally with trailing batch axes). Each control fixes its axis at its
-    trigger value, so only the control block where every control holds its
-    value is touched. One target updates its two slices in place, with
-    length-1 axes squeezed out; more targets move to the front for a matmul
-    in tiles of columns. A batch axis wider than a tile must be a power of
-    two long, as `to_matrix`'s 2^n columns are, so that tiles cut it evenly."""
+    (optionally with trailing batch axes), or to a view of one with some
+    axes sliced to length 1. Each control fixes its axis at its trigger
+    value, so only the control block where every control holds its value is
+    touched. One target updates its two slices in place, with length-1 axes
+    squeezed out; the dense update picks its branch by the amplitudes of a
+    target slice of the whole tensor, worked out from the layout, the
+    control count and the batch axes, so a view takes the branch the whole
+    tensor would. More targets move to the front for a matmul in tiles of
+    columns. A batch axis wider than a tile must be a power of two long, as
+    `to_matrix`'s 2^n columns are, so that tiles cut it evenly."""
     gate = instr.gate_matrix()
     idx: list = [slice(None)] * tensor.ndim
     for c, value in zip(instr.controls, instr.ctrl_state):
@@ -235,7 +258,10 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
         x0 = tensor[(*idx, ...)].squeeze()
         idx[t] = 1
         x1 = tensor[(*idx, ...)].squeeze()
-        _apply_pair(x0, x1, gate)
+        # the amplitudes of a target slice of the whole tensor, batch included
+        batch = math.prod(tensor.shape[layout.num_bits:])
+        whole = batch << layout.num_bits - 1 - len(instr.controls)
+        _apply_pair(x0, x1, gate, whole < BLAS_DENSE_MAX)
         return
 
     sub = tensor[tuple(idx)]
@@ -276,10 +302,11 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
             tile[...] = prod.reshape(tile.shape)
 
 
-def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray) -> None:
+def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool) -> None:
     """x0, x1 <- a x0 + b x1, c x0 + d x1 in place, for the target slices
-    t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]. Factors of exactly 1 are
-    skipped: X only swaps the slices, and SZ scales only x1."""
+    t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
+    when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
+    slices, and SZ scales only x1."""
     (a, b), (c, d) = gate.tolist()
     if b == 0 and c == 0:
         # one op per slice, each already a single pass over that slice
@@ -290,7 +317,7 @@ def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray) -> None:
             np.multiply(x1, d, out=x1, order=order)
     elif a == 0 and d == 0:
         _tiled(_swap, (b, c), x0, x1, 1)
-    elif x0.size < BLAS_DENSE_MAX:
+    elif blas:
         pair = gate @ np.array((x0, x1)).reshape(2, -1)
         x0[...] = pair[0].reshape(x0.shape)
         x1[...] = pair[1].reshape(x1.shape)
@@ -363,19 +390,15 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     initial state is left as it is.
 
     From a basis state (the default, or an initial state with exactly one
-    nonzero amplitude) the run tracks the untouched bits, those no
-    instruction has targeted yet, with their start values; from any other
-    state no bit is untouched. An instruction with a control on an untouched
-    bit is skipped when the trigger differs from the start value (its
-    control block is all zero); otherwise it runs unchanged, and the kernel
-    fixes that control's axis at the start value. A single-target pass runs
-    on the view of the tensor with other untouched axes sliced to length 1
-    at their start values, keeping the circuit's bit positions (no view is
-    cached); every amplitude outside the view is zero and stays zero.
-    Under the two limits of the module docstring, the result is
-    bit-identical to applying every instruction to the whole tensor, except
-    that a zero amplitude outside the view keeps +0.0 where a whole-tensor
-    pass may leave -0.0.
+    nonzero amplitude) the run tracks the support of the module docstring,
+    the cubes outside which every amplitude is zero; from any other state
+    it tracks none. A pass whose control block meets no cube is skipped;
+    any other runs on the view of the tensor narrowed to the bounding cube
+    of the cubes it meets, keeping the circuit's bit positions, and every
+    amplitude outside the view is zero and stays zero. Under the limits of
+    the module docstring, the result is bit-identical to applying every
+    instruction to the whole tensor, except that a zero amplitude outside
+    the view keeps +0.0 where a whole-tensor pass may leave -0.0.
 
     Uncontrolled X and Y go to the Pauli frame of the module docstring, so
     the returned `tensor` may have reversed axes, those of the bits left
@@ -418,35 +441,86 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
               start: list[int] | None = None) -> np.ndarray:
     """apply_to_tensor for each instruction: the one loop of `run` and
     `circuit.to_matrix`. When the tensor held the basis state `start` before
-    the first one, each instruction is skipped, or passed on unchanged to
-    the whole tensor or a view, as `run` describes; with no `start`, every
-    pass covers the whole tensor. The loop keeps uncontrolled X and Y in the
-    Pauli frame of the module docstring and returns the state: the tensor
-    with the axes of the bits left flipped reversed, a view.
-    Overflow is left to `observe` and `isometry_residual` to report."""
-    untouched = {} if start is None else dict(enumerate(start))
+    the first one, the loop tracks the support of the module docstring and
+    skips each pass, or passes it on to the whole tensor or a view, as `run`
+    describes; with no `start`, every pass covers the whole tensor. The loop
+    keeps uncontrolled X and Y in the Pauli frame of the module docstring
+    and returns the state: the tensor with the axes of the bits left flipped
+    reversed, a view. Overflow is left to `observe` and `isometry_residual`
+    to report."""
+    nbits = layout.num_bits
+    # cubes of (mask of fixed bits, their stored values) as in the docstring
+    support = None
+    if start is not None:
+        support = [((1 << nbits) - 1, sum(v << p for p, v in enumerate(start)))]
     flipped: set[int] = set()
-    floor = max(BLAS_DENSE_MAX, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for instr in _framed(instructions, flipped):
             idx = _reversing(tensor.ndim, flipped.intersection((*instr.targets, *instr.controls)))
-            if untouched:
-                # an untouched bit's logical value is its stored one XOR its flag
-                if any(c in untouched and untouched[c] ^ (c in flipped) != v
-                       for c, v in zip(instr.controls, instr.ctrl_state)):
+            if support is not None:
+                cmask = cvals = 0
+                for c, v in zip(instr.controls, instr.ctrl_state):
+                    cmask |= 1 << c
+                    # a bit's logical value is its stored one XOR its flag
+                    cvals |= (v ^ (c in flipped)) << c
+                met = [(m, v) for m, v in support if not (v ^ cvals) & m & cmask]
+                if not met:
                     continue
+                fixed, vals = _bounding(met)
                 for t in instr.targets:
-                    untouched.pop(t, None)
+                    fixed &= ~(1 << t)
+                diagonal = False
                 if len(instr.targets) == 1:
-                    size = 1 << (layout.num_bits - 1 - len(instr.controls))
-                    for p, v in untouched.items():
-                        if size >> 1 < floor:
-                            break
-                        if p not in instr.controls:
-                            idx[p] = slice(v, v + 1)
-                            size >>= 1
+                    (a, b), (c, d) = instr.gate_matrix().tolist()
+                    diagonal = b == 0 and c == 0
+                    axes = nbits - 1 - len(instr.controls)
+                    # a matmul may round otherwise at another width, so a
+                    # dense pass on the BLAS branch keeps the whole tensor
+                    if diagonal or a == d == 0 or 1 << axes >= BLAS_DENSE_MAX:
+                        _narrow(idx, fixed & ~cmask, vals, axes)
+                # a diagonal pass turns no zero amplitude into a nonzero
+                if not diagonal:
+                    support = _joined(support, fixed | cmask, vals & fixed | cvals)
             apply_to_tensor(layout, tensor[tuple(idx)], instr)
     return tensor[tuple(_reversing(tensor.ndim, flipped))]
+
+
+def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
+    """The smallest cube holding `cubes`: it fixes the bits that every one
+    of them fixes at the same value."""
+    mask, vals = cubes[0]
+    for m, v in cubes[1:]:
+        mask &= m & ~(v ^ vals)
+    return mask, vals & mask
+
+
+def _narrow(idx: list, fix: int, vals: int, axes: int) -> None:
+    """Slice the axes of the bits in `fix` to length 1 at their values in
+    `vals`, leaving the lowest free if `fix` holds every one of the `axes`
+    axes a target slice spans, so that each slice keeps 2 amplitudes."""
+    if fix.bit_count() == axes:
+        fix &= fix - 1
+    while fix:
+        p = (fix & -fix).bit_length() - 1
+        fix &= fix - 1
+        v = vals >> p & 1
+        idx[p] = slice(v, v + 1)
+
+
+def _joined(support: list[tuple[int, int]], mask: int, vals: int) -> list[tuple[int, int]] | None:
+    """The support once the cube (mask, vals) joins it: the cubes inside it
+    leave, and past SUPPORT_CUBES_MAX the list merges into its bounding
+    cube. None, which tracks nothing, once a cube covers the register."""
+    if not mask:
+        return None
+    if any(m & mask == m and vals & m == v for m, v in support):
+        return support
+    support = [(m, v) for m, v in support if not (m & mask == mask and v & mask == vals)]
+    support.append((mask, vals))
+    if len(support) > SUPPORT_CUBES_MAX:
+        mask, vals = _bounding(support)
+        return [(mask, vals)] if mask else None
+    return support
 
 
 def _framed(instructions, flipped: set[int]):

@@ -1,10 +1,12 @@
 """Shared helpers: random layouts, random valid circuits, circuits shaped
-like the benchmark's sim circuits, the whole-tensor run, the dense matrix
+like the benchmark's sim circuits, the whole-tensor run, a spy on the
+kernel's passes, the dense matrix
 of a two-level factor, a controlled lift, the matrix file writer, the
 product of a generator word, and the node-by-node word search that the
 stacked one is checked against."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from lqc.circuit import Circuit, Instruction, _format_rows, parse
@@ -13,6 +15,7 @@ from lqc.core import (
     LqcError, RegisterLayout, basis_state, metric_for_kinds,
 )
 from lqc.gates import isometry_residual
+from lqc import simulator
 from lqc.simulator import apply_to_tensor
 from lqc.synthesis.words import GateWord, generator_matrices
 
@@ -61,6 +64,22 @@ def reference_run(circuit, initial=None):
         for instr in circuit.instructions:
             apply_to_tensor(layout, tensor, instr)
     return state
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The passes of `run` and `to_matrix`, as they make them: a list of
+    (instruction, amplitudes it touches) pairs, the second the size of the
+    control block of the view the kernel gets."""
+    seen = []
+    apply = simulator.apply_to_tensor
+
+    def spy(layout, tensor, instr):
+        seen.append((instr, tensor.size >> len(instr.controls)))
+        apply(layout, tensor, instr)
+
+    monkeypatch.setattr(simulator, "apply_to_tensor", spy)
+    return seen
 
 
 def sim_shaped_circuit(seed, nq, nh, lines=40):

@@ -1,11 +1,12 @@
-"""`run` from a basis state leaves out the bits that no instruction has
-targeted yet: it skips a pass whose control on such a bit cannot trigger,
-and runs the others on the view of the tensor where those bits hold their
-start values. It also lays its tensor out with the most-worked bits on the
-leading memory axes, and keeps uncontrolled X and Y in a Pauli frame
-instead of applying them. These tests hold it bit for bit to `reference_run`,
-the loop over the whole C-ordered tensor, at the real BLAS_DENSE_MAX and
-with it forced to either kernel."""
+"""`run` from a basis state tracks its support, a short list of cubes
+outside which every amplitude is zero: it skips a pass whose control block
+meets no cube, and runs the others on the view of the tensor narrowed to
+the bounding cube of the cubes they meet. It also lays its tensor out with
+the most-worked bits on the leading memory axes, and keeps uncontrolled X
+and Y in a Pauli frame instead of applying them. These tests hold it bit for
+bit to `reference_run`, the loop over the whole C-ordered tensor, at the
+real BLAS_DENSE_MAX and with it forced to either kernel, and count the
+amplitudes its passes touch."""
 
 import warnings
 
@@ -18,7 +19,7 @@ from conftest import (
 from lqc import simulator
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
 from lqc.core import BitKind, RegisterLayout, StateVector, basis_state
-from lqc.search import SearchSpec, choose_k, q_circuit, search_layout
+from lqc.search import SearchSpec, choose_k, q_circuit, run_search, search_layout
 from lqc.simulator import NegligibleMassWarning, observe, run
 
 # BLAS_DENSE_MAX settings: the real one, and one that forces each dense kernel
@@ -99,7 +100,7 @@ def test_small_registers(seed, limit, monkeypatch):
 )
 def test_large_registers(nbits, limit, monkeypatch):
     # from 14 bits a target slice of the whole tensor reaches BLAS_DENSE_MAX,
-    # so the real limit fixes some untouched bits and not others
+    # so at the real limit a dense pass is narrowed there and whole below
     monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
     for seed in (nbits, nbits + 100, nbits + 200):
         assert_matches_reference(*random_case(seed, nbits, 30))
@@ -121,18 +122,14 @@ def test_slices_of_one_amplitude_are_not_made(text, limit, monkeypatch):
     assert_matches_reference(circuit, basis_state(circuit.layout, [1] * circuit.layout.num_bits))
 
 
-def test_non_basis_start_runs_whole_tensor(monkeypatch):
-    sizes = []
-    apply = simulator.apply_to_tensor
-    monkeypatch.setattr(simulator, "apply_to_tensor",
-                        lambda *args: sizes.append(args[1].size) or apply(*args))
+def test_non_basis_start_runs_whole_tensor(passes):
     layout = RegisterLayout.of(3, 1)
     amps = np.zeros(layout.dimension, complex)
     amps[[0, 5]] = 0.6, 0.8
     circuit = parse("qubits 3\nhybits 1\nCTRL q1 : H q0\nTAU h0\nCTRL !q2 : X q1\n")
     assert_matches_reference(circuit, StateVector(layout, amps))
-    # two nonzero amplitudes: no bit is untouched, so no pass is narrowed
-    assert sizes == [16] * 3
+    # two nonzero amplitudes: no support is tracked, so no pass is narrowed
+    assert [size for _, size in passes] == [8, 16, 8]
 
 
 def test_zeros_outside_the_view_differ_at_most_in_sign():
@@ -144,33 +141,21 @@ def test_zeros_outside_the_view_differ_at_most_in_sign():
     assert_matches_reference(circuit)
 
 
-def test_h_layer_passes_see_narrowed_views(monkeypatch):
-    # 16 qubits: each whole-tensor slice of H holds 2^15 amplitudes, so each
-    # pass fixes two untouched bits and sees 2^14 amplitudes, until fewer
-    # than two are left
-    sizes = []
-
-    def recording(layout, tensor, instr):
-        sizes.append(tensor.size)
-        return apply(layout, tensor, instr)
-
-    apply = simulator.apply_to_tensor
-    monkeypatch.setattr(simulator, "apply_to_tensor", recording)
+def test_h_layer_passes_see_narrowed_views(passes):
+    # 16 qubits: H on q0 fixes all other bits but one, which is left free so
+    # that each target slice holds 2 amplitudes; H on q<k> then sees the k
+    # bits before it free, until the last sees the whole register
     layout = RegisterLayout.of(16, 0)
     run(Circuit(layout, tuple(Instruction("H", (p,)) for p in range(16))))
-    assert sizes == [1 << 14] * 14 + [1 << 15, 1 << 16]
+    assert [size for _, size in passes] == [4] + [2 << k for k in range(1, 16)]
 
 
-def test_untriggerable_control_is_skipped(monkeypatch):
-    calls = []
-    apply = simulator.apply_to_tensor
-    monkeypatch.setattr(simulator, "apply_to_tensor",
-                        lambda *args: calls.append(args[2]) or apply(*args))
+def test_untriggerable_control_is_skipped(passes):
     circuit = parse("qubits 2\nhybits 1\nCTRL h0 : H q0\nCTRL !h0 : H q1\nCTRL h0 : X q0\n")
     state = run(circuit, basis_state(circuit.layout, [0, 0, 0]))
     # h0 holds 0 throughout: the first and last lines never trigger, and
     # the middle one runs unchanged, the kernel fixing h0 at 0
-    assert [(i.gate, i.targets, i.controls) for i in calls] == [("H", (1,), (2,))]
+    assert [(i.gate, i.targets, i.controls) for i, _ in passes] == [("H", (1,), (2,))]
     assert np.array_equal(state.amps, reference_run(circuit).amps)
 
 
@@ -225,6 +210,108 @@ def test_memory_order_rule():
     # q0 and q2 weigh 1, the controls q1 and h0 a half each
     circuit = parse("qubits 3\nhybits 1\nH q2\nCTRL h0 : X q1\nH q0\n")
     assert memory_order(circuit) == [0, 2, 1, 3]
+
+
+# The support: oracle-shaped circuits, whose many-controlled X leaves the
+# marked item's cube beside the cube of the rest.
+
+SUPPORT_STARTS = ("zero", "basis", "framed")
+
+
+def oracle_case(seed, nbits, start):
+    """A circuit shaped like a search, on a random layout of `nbits` bits
+    with 1-3 hybits: H on some qubits, then rounds of a many-controlled X
+    with random `!` triggers onto a fresh qubit, a gate controlled by that
+    qubit, a diagonal gate on a hybit (untouched ones among them) and
+    uncontrolled X and Y lines, the oracle line sometimes repeated. Its
+    start is |0...0>, a basis state, or the basis state a circuit of X and Y
+    lines leaves, read through reversed axes."""
+    rng = np.random.default_rng(seed)
+    nh = int(rng.integers(1, 4))
+    layout = RegisterLayout(tuple(rng.permutation(["q"] * (nbits - nh) + ["h"] * nh)))
+    qubits, hybits = layout.positions(BitKind.QUBIT), layout.positions(BitKind.HYBIT)
+    fresh = [int(p) for p in rng.choice(qubits, size=3, replace=False)]
+    searched = [p for p in qubits if p not in fresh]
+    instrs = [Instruction("H", (p,)) for p in searched]
+    for _ in range(4):
+        o = int(rng.choice(fresh))
+        trigger = tuple(int(v) for v in rng.integers(0, 2, size=len(searched)))
+        marked = Instruction("X", (o,), tuple(searched), ctrl_state=trigger)
+        t = int(rng.choice([*hybits, *(p for p in fresh if p != o)]))
+        gate, param = (str(rng.choice(["BOOST", "TAU", "T"])), None) if t in hybits else ("H", None)
+        if gate == "BOOST":
+            param = float(rng.uniform(-1.5, 1.5))
+        controlled = Instruction(gate, (t,), (o,), param, ctrl_state=(int(rng.random() < 0.8),))
+        diagonal = Instruction(str(rng.choice(["T", "Z", "SZ", "SZD"])), (int(rng.choice(hybits)),))
+        frame = [Instruction(str(rng.choice(["X", "Y"])), (int(rng.choice(qubits)),))
+                 for _ in range(int(rng.integers(0, 3)))]
+        instrs += [*frame, marked, controlled, diagonal] + [marked] * int(rng.random() < 0.5)
+    circuit = Circuit(layout, tuple(instrs))
+    if start == "zero":
+        return circuit, None
+    if start == "basis":
+        return circuit, basis_state(layout, rng.integers(0, 2, size=nbits).tolist())
+    flips = [Instruction(str(rng.choice(["X", "Y"])), (int(p),)) for p in rng.choice(qubits, size=4)]
+    return circuit, run(Circuit(layout, tuple(flips)))
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("start", SUPPORT_STARTS)
+@pytest.mark.parametrize("nbits", range(12, 19))
+def test_oracle_shaped_circuits(nbits, start, limit, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    assert_matches_reference(*oracle_case(nbits, nbits, start))
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("start", SUPPORT_STARTS)
+def test_support_past_the_cube_cap(start, limit, monkeypatch):
+    # each oracle marks another item onto another fresh qubit and adds a
+    # cube, so the list passes SUPPORT_CUBES_MAX and merges into its
+    # bounding cube, which keeps the hybits fixed until the boosts
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    merged = []
+    bounding = simulator._bounding
+    monkeypatch.setattr(simulator, "_bounding", lambda cubes: merged.append(len(cubes)) or bounding(cubes))
+    nfresh = simulator.SUPPORT_CUBES_MAX + 2
+    layout = RegisterLayout.of(5 + nfresh, 2)
+    rng = np.random.default_rng(9)
+    instrs = [Instruction("H", (p,)) for p in range(5)]
+    for o in range(5, 5 + nfresh):
+        trigger = tuple(int(v) for v in rng.integers(0, 2, size=5))
+        instrs += [Instruction("X", (o,), tuple(range(5)), ctrl_state=trigger),
+                   Instruction("T", (5 + nfresh,), (o,))]
+    instrs += [Instruction("BOOST", (6 + nfresh,), (o,), 0.7) for o in range(5, 5 + nfresh, 3)]
+    instrs += [Instruction("H", (2,), (5,)), Instruction("TAU", (5 + nfresh,), (6,), ctrl_state=(0,))]
+    circuit = Circuit(layout, tuple(instrs))
+    initial = {"zero": None, "basis": basis_state(layout, [p % 3 & 1 for p in range(layout.num_bits)]),
+               "framed": run(parse(f"qubits {5 + nfresh}\nhybits 2\nX q6\nY q1\n"))}[start]
+    assert_matches_reference(circuit, initial)
+    assert max(merged) > simulator.SUPPORT_CUBES_MAX
+
+
+@pytest.mark.parametrize("limit", ["real", "slices"])
+@pytest.mark.parametrize("n", range(8, 17))
+def test_search_rounds_touch_the_marked_item(n, limit, passes, monkeypatch):
+    # a round's oracle X and BOOST touch the marked item and its oracle and
+    # hybit neighbours, not half the register; a BOOST on the BLAS branch
+    # (below 13 search qubits at the real limit) is not narrowed
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", LIMITS[limit])
+    run_search(SearchSpec(n, "01" * (n // 2) + "1" * (n % 2), 0.5, choose_k(2**n, 0.5, 0.99)))
+    rounds = [(instr.gate, size) for instr, size in passes if instr.controls]
+    blas = 1 << n < simulator.BLAS_DENSE_MAX
+    assert {gate for gate, _ in rounds} == {"X", "BOOST"}
+    assert all(size <= 4 or gate == "BOOST" and blas and size == 2 << n for gate, size in rounds)
+
+
+def test_diagonal_gate_leaves_its_untouched_bit_fixed(passes):
+    # T on the untouched h0 scales the slice where h0 holds 0 and leaves h0
+    # fixed, so the H after it sees both hybits fixed, a quarter of the state
+    circuit = parse("qubits 14\nhybits 2\n" + "".join(f"H q{p}\n" for p in range(14))
+                    + "T h0\nSZ h1\nH q5\n")
+    run(circuit)
+    assert [size for _, size in passes[14:]] == [1 << 15, 1 << 15, 1 << 14]
+    assert_matches_reference(circuit)
 
 
 # The Pauli frame: `run` tracks uncontrolled X and Y as flags on their bits
@@ -333,21 +420,17 @@ def test_observe_reads_framed_sim_states(seed, nq, nh):
     assert_observe_reads_the_amps(state)
 
 
-def test_uncontrolled_x_makes_no_pass(monkeypatch):
+def test_uncontrolled_x_makes_no_pass(passes):
     # the pass-count guard: n H passes and m X gates cost `run` n passes,
     # and `to_matrix`, which keeps the same frame, n
     n, m = 5, 7
-    calls = []
-    apply = simulator.apply_to_tensor
-    monkeypatch.setattr(simulator, "apply_to_tensor",
-                        lambda *args: calls.append(args[2]) or apply(*args))
     layer = tuple(Instruction("H", (p,)) for p in range(n))
     circuit = Circuit(RegisterLayout.of(n, 0), layer + tuple(Instruction("X", (p % n,)) for p in range(m)))
     run(circuit)
-    assert len(calls) == n
-    calls.clear()
+    assert len(passes) == n
+    passes.clear()
     to_matrix(circuit)
-    assert len(calls) == n
+    assert len(passes) == n
 
 
 def frameless_matrix(circuit):

@@ -790,6 +790,12 @@ SEARCH_GOLDEN = {
                        "simulated = 0.99460315090165574\ndifference = 0\n",
     "1011001010100110": "k = 18\npredicted_success = 0.99602348900122595\n"
                         "simulated = 0.99602348900122595\ndifference = 0\n",
+    # recorded at 61a603c, before `run` tracked a support of cubes: at these
+    # sizes a round's passes touch the marked item, not half the register
+    "101101001110010110": "k = 19\npredicted_success = 0.9941593778773985\n"
+                          "simulated = 0.9941593778773985\ndifference = 0\n",
+    "10011101000110101101": "k = 20\npredicted_success = 0.99142900051557048\n"
+                            "simulated = 0.99142900051557048\ndifference = 0\n",
 }
 
 
