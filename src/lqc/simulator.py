@@ -78,10 +78,11 @@ those of 2^16 to a second, which took about 8 ms a call while the other
 core was busy. When only the last memory axis is left and it is wider
 than a tile (the batch axis of `to_matrix`, 4096 columns at 12 bits), it
 is cut into slices of a tile's width. A block no larger than a tile is one
-tile: one copy and one product. Each column rounds as it does in the whole
-block's product; tests/test_kernels.py pins this on power-of-two tiles (a
-one-column product, which BLAS runs as a matrix-vector product, rounds
-otherwise).
+tile: one copy and one product. The OpenBLAS of numpy 2.4.6 rounds a
+column alike in every product of a multiple of 4 columns, but the last
+w mod 4 columns of a w-column product otherwise: a tile's columns round as
+in the whole block's product, and tiles of 1 or 2 columns (7 or more
+targets) as in any other tile of their width. tests/test_kernels.py pins it.
 
 `run` from a basis state (|0...0> or any state with one nonzero amplitude)
 tracks its support: a list of cubes, each fixing some bits at stored
@@ -105,13 +106,12 @@ an H layer on |0...0> touches one block of the state per gate.
 
 The result is bit-identical to passes over the whole tensor, apart from
 the sign of zero amplitudes outside the view (a whole-tensor Z turns them
-into -0.0, which no probability sees). The kernel picks the dense branch by
-the size of a target slice of the whole tensor, not of the view, and three
-limits hold: a view leaves each target slice at least 2 amplitudes, since
-numpy rounds an in-place product on one amplitude differently; a dense
-pass on the BLAS branch is not narrowed, and neither is a pass with two or
-more targets, because BLAS may round a matmul of another width
-differently.
+into -0.0, which no probability sees). Two rules hold for every pass: the
+kernel picks the dense branch by the size of a target slice of the whole
+tensor, not of the view, so narrowing never switches a branch; and a view
+leaves two axes of each target slice free, or all it has, so a product
+keeps a power of two of at least 4 columns, each rounding as in the whole
+product (above), and no chunk is the one amplitude numpy rounds otherwise.
 
 Pauli frame. The pass loop of `run` and `to_matrix` applies no
 uncontrolled X to the state: it keeps a set of flipped register positions,
@@ -208,8 +208,8 @@ DISTINCT_FORMAT_MAX = 0.5
 # circuits, which `lqc verify` compares with EPS_ISO, is about 1.3x larger
 # and flips some results near EPS_ISO. Above this size the chunked slice
 # update is 2-5x faster than copying the pair. The branch follows the whole
-# slice even when `run` narrows the view, so a narrowed pass rounds as a
-# whole one; `run` narrows no pass that takes the matmul.
+# slice even when `run` narrows the view, and a view keeps at least 4
+# columns, so a narrowed matmul rounds each column as the whole one does.
 BLAS_DENSE_MAX = 1 << 13
 # Amplitudes per target slice in one chunk of the slice update: the buffer
 # size of the iterator. A dense chunk holds x0 and x1 buffers and two
@@ -395,8 +395,8 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     it tracks none. A pass whose control block meets no cube is skipped;
     any other runs on the view of the tensor narrowed to the bounding cube
     of the cubes it meets, keeping the circuit's bit positions, and every
-    amplitude outside the view is zero and stays zero. Under the limits of
-    the module docstring, the result is bit-identical to applying every
+    amplitude outside the view is zero and stays zero. By the rules of the
+    module docstring, the result is bit-identical to applying every
     instruction to the whole tensor, except that a zero amplitude outside
     the view keeps +0.0 where a whole-tensor pass may leave -0.0.
 
@@ -442,8 +442,8 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
     """apply_to_tensor for each instruction: the one loop of `run` and
     `circuit.to_matrix`. When the tensor held the basis state `start` before
     the first one, the loop tracks the support of the module docstring and
-    skips each pass, or passes it on to the whole tensor or a view, as `run`
-    describes; with no `start`, every pass covers the whole tensor. The loop
+    skips each pass or narrows its view, as `run` describes; with no
+    `start`, every pass covers the whole tensor. The loop
     keeps uncontrolled X and Y in the Pauli frame of the module docstring
     and returns the state: the tensor with the axes of the bits left flipped
     reversed, a view. Overflow is left to `observe` and `isometry_residual`
@@ -469,15 +469,11 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                 fixed, vals = _bounding(met)
                 for t in instr.targets:
                     fixed &= ~(1 << t)
+                _narrow(idx, fixed & ~cmask, vals, nbits - len(instr.targets) - len(instr.controls))
                 diagonal = False
                 if len(instr.targets) == 1:
-                    (a, b), (c, d) = instr.gate_matrix().tolist()
+                    (_, b), (c, _) = instr.gate_matrix().tolist()
                     diagonal = b == 0 and c == 0
-                    axes = nbits - 1 - len(instr.controls)
-                    # a matmul may round otherwise at another width, so a
-                    # dense pass on the BLAS branch keeps the whole tensor
-                    if diagonal or a == d == 0 or 1 << axes >= BLAS_DENSE_MAX:
-                        _narrow(idx, fixed & ~cmask, vals, axes)
                 # a diagonal pass turns no zero amplitude into a nonzero
                 if not diagonal:
                     support = _joined(support, fixed | cmask, vals & fixed | cvals)
@@ -496,9 +492,9 @@ def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
 
 def _narrow(idx: list, fix: int, vals: int, axes: int) -> None:
     """Slice the axes of the bits in `fix` to length 1 at their values in
-    `vals`, leaving the lowest free if `fix` holds every one of the `axes`
-    axes a target slice spans, so that each slice keeps 2 amplitudes."""
-    if fix.bit_count() == axes:
+    `vals`, freeing the lowest until two of the `axes` axes a target slice
+    spans are free, or all, so that each slice keeps 4 amplitudes or more."""
+    while fix and fix.bit_count() > axes - 2:
         fix &= fix - 1
     while fix:
         p = (fix & -fix).bit_length() - 1

@@ -100,7 +100,8 @@ def test_small_registers(seed, limit, monkeypatch):
 )
 def test_large_registers(nbits, limit, monkeypatch):
     # from 14 bits a target slice of the whole tensor reaches BLAS_DENSE_MAX,
-    # so at the real limit a dense pass is narrowed there and whole below
+    # so at the real limit a dense pass takes the slice update there and the
+    # matmul below, on a narrowed view either way
     monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
     for seed in (nbits, nbits + 100, nbits + 200):
         assert_matches_reference(*random_case(seed, nbits, 30))
@@ -142,12 +143,26 @@ def test_zeros_outside_the_view_differ_at_most_in_sign():
 
 
 def test_h_layer_passes_see_narrowed_views(passes):
-    # 16 qubits: H on q0 fixes all other bits but one, which is left free so
-    # that each target slice holds 2 amplitudes; H on q<k> then sees the k
-    # bits before it free, until the last sees the whole register
+    # 16 qubits: H on q0 fixes all other bits but two, which are left free so
+    # that each target slice holds 4 amplitudes, and H on q1 all but q0 and
+    # one more; H on q<k> then sees the k bits before it free, until the last
+    # sees the whole register
     layout = RegisterLayout.of(16, 0)
     run(Circuit(layout, tuple(Instruction("H", (p,)) for p in range(16))))
-    assert [size for _, size in passes] == [4] + [2 << k for k in range(1, 16)]
+    assert [size for _, size in passes] == [8, 8] + [2 << k for k in range(2, 16)]
+
+
+def test_multi_target_passes_see_narrowed_views(passes):
+    # 14 qubits, H on q0-q3: the CZ and the 2-target DEFGATE see the four
+    # free bits, the other ten fixed, as a single-target pass would
+    rng = np.random.default_rng(14)
+    gate = np.kron(cartan_target("q", rng), cartan_target("q", rng))
+    circuit = Circuit(RegisterLayout.of(14, 0), (
+        *(Instruction("H", (p,)) for p in range(4)),
+        Instruction("CZ", (0, 1)), Instruction("G", (2, 3), matrix=gate)))
+    run(circuit)
+    assert [size for _, size in passes[4:]] == [16, 16]
+    assert_matches_reference(circuit)
 
 
 def test_untriggerable_control_is_skipped(passes):
@@ -290,18 +305,71 @@ def test_support_past_the_cube_cap(start, limit, monkeypatch):
     assert max(merged) > simulator.SUPPORT_CUBES_MAX
 
 
-@pytest.mark.parametrize("limit", ["real", "slices"])
+def wide_case(seed, k, start):
+    """A circuit around a k-target DEFGATE on k + 4 qubits and 2 hybits: H
+    on at most two qubits, uncontrolled X and Y lines, then the gate on
+    random qubits, the H'd and untouched ones among them, so that its view
+    often has fewer than two free axes besides its targets; a second one
+    with a random control, a boost controlled by a qubit, one more H and a
+    third. Its start is |0...0>, a basis state, or the basis state a circuit
+    of X and Y lines leaves, read through reversed axes."""
+    rng = np.random.default_rng(seed)
+    layout = RegisterLayout.of(k + 4, 2)
+    qubits = layout.positions(BitKind.QUBIT)
+    hybits = layout.positions(BitKind.HYBIT)
+
+    def frame():
+        return [Instruction(str(rng.choice(["X", "Y"])), (int(rng.choice(qubits)),))
+                for _ in range(int(rng.integers(0, 3)))]
+
+    def wide(controls=()):
+        free = [p for p in qubits if p not in controls]
+        targets = tuple(int(p) for p in rng.choice(free, size=k, replace=False))
+        ctrl_state = tuple(int(v) for v in rng.integers(0, 2, size=len(controls)))
+        return Instruction(f"U{k}", targets, controls, matrix=random_unitary(rng, 1 << k),
+                           ctrl_state=ctrl_state)
+
+    picked = rng.choice(qubits, size=int(rng.integers(0, 3)), replace=False)
+    instrs = [Instruction("H", (int(p),)) for p in picked]
+    instrs += [*frame(), wide(), *frame(), wide((int(rng.choice(qubits)),)),
+               Instruction("BOOST", (int(rng.choice(hybits)),), (int(rng.choice(qubits)),), 0.8),
+               *frame(), Instruction("H", (int(rng.choice(qubits)),)), wide()]
+    circuit = Circuit(layout, tuple(instrs))
+    if start == "zero":
+        return circuit, None
+    if start == "basis":
+        return circuit, basis_state(layout, rng.integers(0, 2, size=layout.num_bits).tolist())
+    flips = [Instruction(str(rng.choice(["X", "Y"])), (int(p),)) for p in rng.choice(qubits, size=4)]
+    return circuit, run(Circuit(layout, tuple(flips)))
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("start", SUPPORT_STARTS)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [3, 7])
+def test_wide_gates_on_narrowed_views(k, seed, start, limit, passes, monkeypatch):
+    # a 7-target tile is 2 columns wide in the whole tensor and in a view,
+    # a 3-target one holds every column of the view
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit, initial = wide_case(seed + 10 * k, k, start)
+    passes.clear()
+    assert_matches_reference(circuit, initial)
+    nbits = circuit.layout.num_bits
+    assert any(size < 1 << nbits - len(instr.controls)
+               for instr, size in passes if len(instr.targets) == k)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
 @pytest.mark.parametrize("n", range(8, 17))
 def test_search_rounds_touch_the_marked_item(n, limit, passes, monkeypatch):
     # a round's oracle X and BOOST touch the marked item and its oracle and
-    # hybit neighbours, not half the register; a BOOST on the BLAS branch
-    # (below 13 search qubits at the real limit) is not narrowed
-    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", LIMITS[limit])
+    # hybit neighbours, not half the register, on either dense branch: each
+    # target slice keeps the 4 amplitudes of two free bits
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
     run_search(SearchSpec(n, "01" * (n // 2) + "1" * (n % 2), 0.5, choose_k(2**n, 0.5, 0.99)))
     rounds = [(instr.gate, size) for instr, size in passes if instr.controls]
-    blas = 1 << n < simulator.BLAS_DENSE_MAX
     assert {gate for gate, _ in rounds} == {"X", "BOOST"}
-    assert all(size <= 4 or gate == "BOOST" and blas and size == 2 << n for gate, size in rounds)
+    assert all(size <= 8 for _, size in rounds)
 
 
 def test_diagonal_gate_leaves_its_untouched_bit_fixed(passes):
@@ -380,7 +448,7 @@ def test_frame_on_small_registers(seed, start, limit, monkeypatch):
 @pytest.mark.parametrize("start", ["zero", "basis", "two"])
 def test_frame_on_large_registers(start, limit, monkeypatch):
     # at 14 bits a target slice of the whole tensor reaches BLAS_DENSE_MAX,
-    # so untouched bits that an X left untouched are fixed in the views
+    # so at the real limit the views hold passes of both dense branches
     monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
     circuit, initial = framed_case(7, 14, 30, start)
     assert_matches_reference(circuit, initial)

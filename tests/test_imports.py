@@ -4,7 +4,8 @@ Every module-level import in the package is used by its module, no module
 imports another lqc module's private (underscore-prefixed) name, no
 function imports an lqc module, `lqc.simulator` loads without
 `lqc.circuit`, no module reaches numpy's stride tricks, one function of the
-package calls the kernel `apply_to_tensor`, no module imports a scipy
+package calls the kernel `apply_to_tensor`, that function reads none of the
+kernel's constants, no module imports a scipy
 submodule at module level, no CLI command loads `scipy.linalg`, and no
 module reads or writes the process environment.
 
@@ -266,6 +267,46 @@ def test_checker_flags_kernel_callers():
         "apply_to_tensor(None, None, None)\n"
     )
     assert kernel_callers(source) == ["<lambda>", "<module>", "inner", "loop"]
+
+
+KERNEL_CONSTANTS = ("BLAS_DENSE_MAX", "TILE")
+
+
+def kernel_constants_read(source: str) -> list[str]:
+    """The kernel constants that `apply_all` reads, by name or as an
+    attribute, with their lines, nested functions included."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name != "apply_all":
+            continue
+        for node in ast.walk(func):
+            # only an ast.Name has `id`, and only an ast.Attribute `attr`
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in KERNEL_CONSTANTS:
+                found.append(f"line {node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_pass_loop_reads_no_kernel_constant():
+    # the kernel alone picks its branch and its tiles; the loop narrows
+    # every pass by one rule, whichever it takes
+    assert kernel_constants_read((SRC / "simulator.py").read_text()) == []
+
+
+def test_checker_flags_kernel_constants():
+    source = (
+        "from . import simulator\n"
+        "BLAS_DENSE_MAX = TILE = 1\n"
+        "def apply_all(layout, tensor, instrs, start=None):\n"
+        "    if 1 << 3 >= BLAS_DENSE_MAX:\n"
+        "        pass\n"
+        "    def chunk():\n"
+        "        return simulator.TILE\n"
+        "    return TILE_COUNT, chunk\n"
+        "def apply_to_tensor(layout, tensor, instr):\n"
+        "    return BLAS_DENSE_MAX, TILE\n"
+    )
+    assert kernel_constants_read(source) == ["line 4: BLAS_DENSE_MAX", "line 7: TILE"]
 
 
 def scipy_submodule_imports(source: str) -> list[str]:

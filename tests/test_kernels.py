@@ -13,7 +13,12 @@ chunks, written out below, at the real TILE and at sizes small enough that
 registers of a few bits cross every chunk shape. Multi-target passes run
 in tiles of columns; they are checked bit for bit against the product of
 the whole control block, at the real TILE, which pins the BLAS property
-that a column rounds alike in a tile and in the whole product.
+that a column rounds alike in a tile and in the whole product. `run`
+narrows a pass to a view whose products keep at least 4 columns, so the
+products of both matmul kernels are also checked on random subsets of 4 or
+more columns against the whole product's columns. A product of 1 or 2
+columns, or the last columns of a width that is no multiple of 4, may
+round otherwise.
 """
 
 import functools
@@ -523,3 +528,39 @@ def test_tiled_multi_target_run_is_bit_identical(nbits, monkeypatch):
 
     monkeypatch.setattr(simulator, "apply_to_tensor", untiled)
     assert_same_bits(tiled, np.ascontiguousarray(run(circuit, initial).tensor))
+
+
+def column_subsets(rng, cols):
+    """Three random subsets of each power-of-two size from 4, the fewest
+    columns a narrowed view of `run` leaves, to `cols`, in random order."""
+    for width in (1 << e for e in range(2, cols.bit_length())):
+        for _ in range(3):
+            yield rng.choice(cols, size=width, replace=False)
+
+
+@pytest.mark.parametrize("kind", ["q", "h"])
+def test_pair_matmul_columns_round_as_the_whole_product(kind):
+    rng = np.random.default_rng(ord(kind))
+    gate, _ = make_gate("DENSE", [kind], rng.random(4))
+    start = random_tensor(RegisterLayout.of(11, 0), None, 3).reshape(2, -1)
+    whole = start.copy()
+    simulator._apply_pair(whole[0], whole[1], gate, True)
+    for cols in column_subsets(rng, start.shape[1]):
+        part = np.ascontiguousarray(start[:, cols])
+        simulator._apply_pair(part[0], part[1], gate, True)
+        assert_same_bits(part, np.ascontiguousarray(whole[:, cols]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_tile_columns_round_as_the_whole_product(k):
+    # tiles of at most 2048, 512 and 2 columns: 1024 columns make one tile,
+    # two, and 512
+    rng = np.random.default_rng(k)
+    gate = random_unitary(rng, 1 << k)
+    start = random_tensor(RegisterLayout.of(k + 10, 0), None, k).reshape(1 << k, -1)
+    whole = start.copy()
+    simulator._multiply_tiles(gate, whole.reshape((2,) * k + (-1,)), k)
+    for cols in column_subsets(rng, start.shape[1]):
+        part = np.ascontiguousarray(start[:, cols])
+        simulator._multiply_tiles(gate, part.reshape((2,) * k + (-1,)), k)
+        assert_same_bits(part, np.ascontiguousarray(whole[:, cols]))
