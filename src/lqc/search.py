@@ -12,6 +12,7 @@ and k = O(arccosh(sqrt(N)) / chi) = O(log N) rounds suffice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,10 +34,11 @@ __all__ = [
 # choose_k and SearchSpec refuse schedules past this; cosh(x)^2 overflows a
 # little above 354 and everything near there is numerically meaningless
 MAX_K_CHI = 300.0
-# 10^5 rounds of three passes took 5.3 s at n = 1 and 8.5 s at n = 16 (2-core
-# Intel Xeon): from |0...0> a round's passes touch 4 amplitudes whatever n,
-# so building the circuit is most of it. Only chi below about 1e-4, where a
-# round barely moves the state, needs more
+# 10^5 rounds of three passes took 1.9 s at n = 1 and 2.1 s at n = 16 (2-core
+# Intel Xeon, one BLAS thread): from |0...0> a round's passes touch 4, 8 and
+# 4 amplitudes whatever n, and from the second round on each pass makes only
+# its kernel's numpy calls, about 6 us; building the circuit takes 5 ms. Only
+# chi below about 1e-4, where a round barely moves the state, needs more
 MAX_ROUNDS = 10**5
 
 
@@ -67,32 +69,42 @@ class SearchSpec:
             raise GuardError(f"k*chi = {self.k * self.chi:g} exceeds {MAX_K_CHI:g}; cosh overflows")
 
 
+@functools.lru_cache(maxsize=None)
 def search_layout(n: int) -> RegisterLayout:
     """n search qubits, one oracle qubit, one hybit (in that bit order): the
-    oracle qubit is position n and the hybit position n + 1."""
+    oracle qubit is position n and the hybit position n + 1. Built once per
+    n and shared; a layout is immutable."""
     return RegisterLayout("q" * (n + 1) + "h")
+
+
+def _marked(spec: SearchSpec) -> Instruction:
+    """The X that flips the oracle qubit exactly on |target_x>: controlled on
+    every search qubit, with target_x as the trigger values."""
+    return Instruction(
+        "X", (spec.n,), tuple(range(spec.n)), ctrl_state=tuple(int(bit) for bit in spec.target_x)
+    )
 
 
 def oracle_circuit(spec: SearchSpec) -> Circuit:
     """O: flip the oracle qubit exactly on |target_x>, as one X controlled on
     every search qubit with target_x as the trigger values, so O^2 = I."""
-    marked = Instruction(
-        "X", (spec.n,), tuple(range(spec.n)), ctrl_state=tuple(int(bit) for bit in spec.target_x)
-    )
-    return Circuit(search_layout(spec.n), (marked,))
+    return Circuit(search_layout(spec.n), (_marked(spec),))
 
 
 def q_circuit(spec: SearchSpec) -> Circuit:
     """One amplification round Q = O . CTRL-BOOST(chi) . O, with the boost on
-    the hybit controlled by the oracle qubit."""
-    oracle = oracle_circuit(spec)
+    the hybit controlled by the oracle qubit. Both oracles are one
+    instruction object, and the round is validated once."""
+    marked = _marked(spec)
     boost = Instruction("BOOST", (spec.n + 1,), controls=(spec.n,), param=spec.chi)
-    return oracle.concat(Circuit(oracle.layout, (boost,))).concat(oracle)
+    return Circuit(search_layout(spec.n), (marked, boost, marked))
 
 
 def run_search(spec: SearchSpec) -> OutcomeDistribution:
     """Prepare the uniform superposition, apply Q^k, hyper-postselect, and
-    marginalize out the oracle qubit. Outcomes are the n-bit search strings."""
+    marginalize out the oracle qubit. Outcomes are the n-bit search strings.
+    The circuit is validated in two stacked metric checks, one for the H
+    layer and one for the round."""
     layout = search_layout(spec.n)
     prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(spec.n)))
     full = observe(run(prep.concat(q_circuit(spec), times=spec.k)))

@@ -42,7 +42,17 @@ once. numpy's buffered iterator (`np.nditer`) cuts the chunks. A chunk is
 a piece of the slice itself, or a contiguous buffer that the iterator fills
 from the slice and writes back, where the slice's amplitudes lie too
 scattered to walk in one stride (a target near the end of the register
-leaves stretches of a few adjacent amplitudes).
+leaves stretches of a few adjacent amplitudes). A slice of at most TILE
+amplitudes that walks in one stride (one axis, or contiguous) is the one
+chunk the iterator would hand over as it lies, so it is updated in place
+without the iterator: each op runs on the very array the chunk would be,
+and so takes the same numpy loop. On a 16-bit state that took 0.4-0.8x the
+time of the iterator from 2 to 8192 amplitudes (one BLAS thread, 2-core
+Intel Xeon). Other slices keep the iterator. Updated in place, a dense
+gate on scattered amplitudes took 1.1-1.8x as long from 8 amplitudes, and
+numpy multiplies without SIMD, rounding otherwise, where a product's input
+and output ranges interleave, as the swap's product of x1 into x0 does on
+slices of stretches of 2 that the iterator would buffer.
 
 Each chunk goes through the same ops, with the same scalar factors, as the
 whole slice would: the arithmetic of every element is unchanged, only the
@@ -92,17 +102,22 @@ the fixed bits and their values. A pass whose control block meets no cube
 is skipped, since every amplitude it would touch is zero. Any other pass
 runs on the view narrowed to the bounding cube of the cubes it meets: the
 axes that cube fixes, other than the pass's targets and controls, are
-sliced to length 1 at their values (no renumbering, no view cache), and
-the kernel fixes the controls. Only amplitudes in that cube with the
-targets free and the controls fixed can come out nonzero, so that cube
-joins the support, unless one already listed holds it, and the cubes
-inside it leave. A diagonal single-target pass turns no zero into a
-nonzero, so it leaves the support as it is, its target fixed where it was.
+sliced to length 1 at their values (no renumbering), and the kernel fixes
+the controls. Only amplitudes in that cube with the targets free and the
+controls fixed can come out nonzero, so that cube joins the support,
+unless one already listed holds it, and the cubes inside it leave. A
+diagonal single-target pass turns no zero into a nonzero, so it leaves the
+support as it is, its target fixed where it was.
 Past SUPPORT_CUBES_MAX cubes the list merges into its bounding cube, and
 once a cube covers the whole register the tracking stops. So a search
 round, whose oracle X leaves the marked item's cube beside the cube of the
 rest, touches a few amplitudes per pass instead of half the register, and
-an H layer on |0...0> touches one block of the state per gate.
+an H layer on |0...0> touches one block of the state per gate. Where the
+view must leave fixed axes free (below), it frees those of the trailing
+memory axes first, so that a small view lies in one stretch of memory
+where the layout allows: a round's BOOST at n = 14 walks one stretch of 4
+amplitudes per slice where it walked 4 amplitudes 64 KiB apart, and a
+round took 23 us where it took 47.
 
 The result is bit-identical to passes over the whole tensor, apart from
 the sign of zero amplitudes outside the view (a whole-tensor Z turns them
@@ -114,9 +129,10 @@ keeps a power of two of at least 4 columns, each rounding as in the whole
 product (above), and no chunk is the one amplitude numpy rounds otherwise.
 
 Pauli frame. The pass loop of `run` and `to_matrix` applies no
-uncontrolled X to the state: it keeps a set of flipped register positions,
-and a bit's value is its stored one XOR its flag. An uncontrolled X toggles
-the flag and makes no pass; the support holds stored values, so it stays.
+uncontrolled X to the state: it keeps the mask of flipped register
+positions, and a bit's value is its stored one XOR its flag. An
+uncontrolled X toggles the flag and makes no pass; the support holds
+stored values, so it stays.
 An uncontrolled Y = X diag(i, -i) is a diagonal pass of diag(i, -i), the
 two complex products the swap makes, then the toggle. Every other
 instruction runs on the view of the tensor in which only its flipped
@@ -128,6 +144,25 @@ multiplies the same logical rows as without a frame. A control compares
 its trigger with a cube's stored value XOR the flag. The loop returns the
 tensor with its flipped axes reversed, without a copy. The amplitudes are
 those of the passes without a frame, bit for bit, up to the sign of zeros.
+
+Plans. The pass loop works out what the passes of an instruction need of
+it once per distinct instruction object in a call, as a plan kept by the
+object's id; the plan holds the object, so the id is not reused while it
+lives, and an instruction equal to another but for its matrix gets its
+own. A plan holds whether the frame takes the instruction, the index of
+its target slices (or of its control block) with each control at its
+trigger value, and its kernel and 2x2 coefficients from one `tolist()` of
+the gate. `apply_to_tensor` finds the plan of the running call; called on
+its own, it works one out. A plan also keeps the support and frame its
+last pass started from, with the view and the support they gave, and the
+target slices it last cut from that view, so a pass of the same plan from
+the same state reuses them. A search circuit of 3k + n instructions holds
+n + 2 distinct objects, and from the second round on the state repeats:
+a round's passes make only the kernel's ufunc calls. A round at n = 14
+took 14-18 us, against 91-96 us when every pass worked its instruction
+out afresh (one BLAS thread, 2-core Intel Xeon). A plan for an
+instruction object that occurs once costs what that did, and it leaves
+after its pass, so the plans alive hold the circuit's repeated objects.
 
 Measurement keeps only amplitudes with every hybit in state 0 and
 renormalizes over that subspace, and it squares only those. Each hybit
@@ -168,6 +203,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -225,6 +261,12 @@ SUPPORT_CUBES_MAX = 8
 # pass before it toggles the bit's flag
 Y_PHASES = np.diag([1j, -1j])
 Y_PHASES.setflags(write=False)
+# the index of an axis a pass keeps whole, of one it reverses, and the two
+# pinned slices that fix an axis of a narrowed view at 0 or 1 as a length-1
+# axis; shared by every pass
+_ALL = slice(None)
+_REVERSED = slice(None, None, -1)
+_PINNED = (slice(0, 1), slice(1, 2))
 
 
 class ZeroObservableMassError(LqcError):
@@ -233,6 +275,16 @@ class ZeroObservableMassError(LqcError):
 
 class NegligibleMassWarning(UserWarning):
     pass
+
+
+class _Running(threading.local):
+    """The plans of the `apply_all` call running in this thread, by the id of
+    their instruction; none outside a call."""
+
+    plans: dict[int, _Plan] = {}
+
+
+_running = _Running()
 
 
 def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instruction) -> None:
@@ -246,30 +298,89 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
     control count and the batch axes, so a view takes the branch the whole
     tensor would. More targets move to the front for a matmul in tiles of
     columns. A batch axis wider than a tile must be a power of two long, as
-    `to_matrix`'s 2^n columns are, so that tiles cut it evenly."""
-    gate = instr.gate_matrix()
-    idx: list = [slice(None)] * tensor.ndim
-    for c, value in zip(instr.controls, instr.ctrl_state):
-        idx[c] = value
-    if len(instr.targets) == 1:
-        t = instr.targets[0]
-        # the trailing Ellipsis keeps a view even when every axis is indexed
-        idx[t] = 0
-        x0 = tensor[(*idx, ...)].squeeze()
-        idx[t] = 1
-        x1 = tensor[(*idx, ...)].squeeze()
-        # the amplitudes of a target slice of the whole tensor, batch included
-        batch = math.prod(tensor.shape[layout.num_bits:])
-        whole = batch << layout.num_bits - 1 - len(instr.controls)
-        _apply_pair(x0, x1, gate, whole < BLAS_DENSE_MAX)
+    `to_matrix`'s 2^n columns are, so that tiles cut it evenly. Inside
+    `apply_all` the instruction's plan is looked up, not worked out again,
+    and a view the pass's plan saw last gives the same target slices."""
+    # the running call's plans hold their instructions, so an id found there
+    # is this instruction's
+    plan = _running.plans.get(id(instr)) or _Plan(instr)
+    if plan.kernel is None:
+        _multiply_tiles(plan.gate, np.moveaxis(tensor[plan.block], plan.moved, plan.front),
+                        len(plan.front))
         return
+    slices = plan.slices
+    if slices is None or slices[0] is not tensor:
+        slices = plan.slices = (tensor, tensor[plan.at0].squeeze(), tensor[plan.at1].squeeze())
+    _, x0, x1 = slices
+    blas = False
+    if plan.kernel[0] is _mix:
+        # the amplitudes of a target slice of the whole tensor, batch included
+        nbits = layout.num_bits
+        whole = math.prod(tensor.shape[nbits:]) << nbits - 1 - len(instr.controls)
+        blas = whole < BLAS_DENSE_MAX
+    _apply_pair(x0, x1, plan.gate, blas, plan.kernel)
 
-    sub = tensor[tuple(idx)]
-    remaining = [p for p in range(layout.num_bits) if p not in instr.controls]
-    tpos_sub = [remaining.index(p) for p in instr.targets]
-    k = len(tpos_sub)
-    moved = np.moveaxis(sub, tpos_sub, range(k))
-    _multiply_tiles(gate, moved, k)
+
+class _Plan:
+    """What the passes of one instruction object need of it, worked out once
+    per `apply_all` call (or per pass, for an `apply_to_tensor` called on its
+    own): whether the Pauli frame takes it, the indices of its target slices
+    or of its control block, and its kernel from one `tolist()` of the gate.
+    It also keeps the last view `apply_all` worked out for it and the last
+    target slices `apply_to_tensor` cut from a view. It holds the
+    instruction, so the id it is kept under is not reused while it lives."""
+
+    __slots__ = ("instr", "toggle", "phases", "gate", "kernel", "diagonal", "at0", "at1",
+                 "block", "moved", "front", "memo", "slices")
+
+    def __init__(self, instr: Instruction) -> None:
+        self.instr = instr
+        # (support, frame, view, support after) of the last pass in
+        # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`
+        self.memo = self.slices = None
+        targets, controls = instr.targets, instr.controls
+        # an uncontrolled builtin X or Y toggles its flag in the Pauli frame;
+        # a Y first makes the pass of its diagonal half
+        self.toggle, self.phases = 0, None
+        if not controls and instr.matrix is None and instr.gate in ("X", "Y"):
+            self.toggle = 1 << targets[0]
+            if instr.gate == "Y":
+                # Instruction, which this module cannot import: circuit imports it
+                self.phases = _Plan(type(instr)("Y", targets, matrix=Y_PHASES))
+        # an index over the axes up to the instruction's last bit, with each
+        # control at its trigger value; a trailing Ellipsis takes the rest
+        index = [_ALL] * (max(targets + controls) + 1)
+        for c, v in zip(controls, instr.ctrl_state):
+            index[c] = v
+        self.gate = gate = instr.gate_matrix()
+        if len(targets) == 1:
+            self.kernel = _pair_kernel(gate)
+            # a diagonal pass turns no zero amplitude into a nonzero
+            self.diagonal = self.kernel[0] is None
+            (t,) = targets
+            index[t] = 0
+            self.at0 = (*index, ...)
+            index[t] = 1
+            self.at1 = (*index, ...)
+        else:
+            self.kernel, self.diagonal = None, False
+            self.block = (*index, ...)
+            # the targets' axes in the control block, which has no control axes
+            self.moved = [t - sum(c < t for c in controls) for t in targets]
+            self.front = range(len(targets))
+
+
+def _pair_kernel(gate: np.ndarray) -> tuple:
+    """(update, coefficients, temporaries) of the slice update of a 2x2 gate
+    [[a, b], [c, d]], read from one `tolist()`: no update for a diagonal gate,
+    which scales each slice in one op; `_swap` for an anti-diagonal one;
+    `_mix` for a dense one."""
+    (a, b), (c, d) = gate.tolist()
+    if b == 0 and c == 0:
+        return None, (a, d), 0
+    if a == 0 and d == 0:
+        return _swap, (b, c), 1
+    return _mix, (a, b, c, d), 2
 
 
 def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
@@ -302,27 +413,28 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
             tile[...] = prod.reshape(tile.shape)
 
 
-def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool) -> None:
+def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
+                kernel: tuple | None = None) -> None:
     """x0, x1 <- a x0 + b x1, c x0 + d x1 in place, for the target slices
     t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
     when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
-    slices, and SZ scales only x1."""
-    (a, b), (c, d) = gate.tolist()
-    if b == 0 and c == 0:
+    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`, passed
+    by a caller that has it."""
+    update, coeffs, ntemps = kernel or _pair_kernel(gate)
+    if update is None:
         # one op per slice, each already a single pass over that slice
+        a, d = coeffs
         x0, x1, order = _loop_order(x0, x1)
         if a != 1:
             np.multiply(x0, a, out=x0, order=order)
         if d != 1:
             np.multiply(x1, d, out=x1, order=order)
-    elif a == 0 and d == 0:
-        _tiled(_swap, (b, c), x0, x1, 1)
-    elif blas:
+    elif update is _mix and blas:
         pair = gate @ np.array((x0, x1)).reshape(2, -1)
         x0[...] = pair[0].reshape(x0.shape)
         x1[...] = pair[1].reshape(x1.shape)
     else:
-        _tiled(_mix, (a, b, c, d), x0, x1, 2)
+        _tiled(update, coeffs, x0, x1, ntemps)
 
 
 def _swap(b, c, x0, x1, tmp) -> None:
@@ -349,10 +461,21 @@ def _mix(a, b, c, d, x0, x1, tmp, prod) -> None:
 
 def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
     """update(*coeffs, c0, c1, *temps) over the chunks c0, c1 of at most TILE
-    amplitudes that numpy's buffered iterator cuts from each slice, with
-    `ntemps` scratch arrays of the chunk's size. A chunk is a piece of the
-    slice itself or a contiguous buffer that the iterator fills from the
-    slice and writes back."""
+    amplitudes of each slice, with `ntemps` scratch arrays of the chunk's
+    size. A slice of at most TILE amplitudes that walks in one stride (one
+    axis, or contiguous) is the one chunk numpy's iterator would hand over
+    as it lies: it is updated in place without the iterator, with
+    temporaries of its shape. Any other slice goes through `_chunked`."""
+    if x0.size <= TILE and (x0.ndim <= 1 or x0.flags.forc):
+        update(*coeffs, x0, x1, *[np.empty_like(x0) for _ in range(ntemps)])
+    else:
+        _chunked(update, coeffs, x0, x1, ntemps)
+
+
+def _chunked(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
+    """`_tiled` over the chunks that numpy's buffered iterator cuts from each
+    slice. A chunk is a piece of the slice itself or a contiguous buffer that
+    the iterator fills from the slice and writes back."""
     x0, x1, order = _loop_order(x0, x1)
     temps = [np.empty(min(TILE, x0.size), x0.dtype) for _ in range(ntemps)]
     with np.nditer((x0, x1), ("external_loop", "buffered"), [["readwrite"]] * 2,
@@ -421,13 +544,17 @@ def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
     """Register positions in the memory order of `run`'s tensor, leading
     axis first. Each instruction adds 2^-(its control count) to the weight
     of each of its targets and controls, the share of the state its pass
-    touches; bits go by descending weight, ties by position."""
-    weight = [0.0] * layout.num_bits
-    for instr in instructions:
-        share = 0.5 ** len(instr.controls)
+    touches; bits go by descending weight, ties by position. The weights
+    are counted in units of 2^-num_bits, exactly, once per distinct
+    instruction object times its count."""
+    nbits = layout.num_bits
+    counts = Counter(map(id, instructions))
+    weight = [0] * nbits
+    for instr in dict(zip(map(id, instructions), instructions)).values():
+        share = counts[id(instr)] << nbits - len(instr.controls)
         for p in (*instr.targets, *instr.controls):
             weight[p] += share
-    return sorted(range(layout.num_bits), key=lambda p: -weight[p])
+    return sorted(range(nbits), key=lambda p: -weight[p])
 
 
 def _basis_bits(tensor: np.ndarray) -> list[int] | None:
@@ -447,38 +574,91 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
     keeps uncontrolled X and Y in the Pauli frame of the module docstring
     and returns the state: the tensor with the axes of the bits left flipped
     reversed, a view. Overflow is left to `observe` and `isometry_residual`
-    to report."""
+    to report.
+
+    Each distinct instruction object gets one plan (`_Plan`) per call, kept
+    by its id where `apply_to_tensor` finds it while the call runs; the
+    objects are counted first, so `instructions` is a sequence. A pass
+    from the support and frame its plan's last pass started from reuses
+    that pass's view and support, and a pass with no support to track and
+    no flipped bit gets the tensor itself."""
     nbits = layout.num_bits
     # cubes of (mask of fixed bits, their stored values) as in the docstring
     support = None
     if start is not None:
         support = [((1 << nbits) - 1, sum(v << p for p, v in enumerate(start)))]
-    flipped: set[int] = set()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for instr in _framed(instructions, flipped):
-            idx = _reversing(tensor.ndim, flipped.intersection((*instr.targets, *instr.controls)))
-            if support is not None:
-                cmask = cvals = 0
-                for c, v in zip(instr.controls, instr.ctrl_state):
-                    cmask |= 1 << c
-                    # a bit's logical value is its stored one XOR its flag
-                    cvals |= (v ^ (c in flipped)) << c
-                met = [(m, v) for m, v in support if not (v ^ cvals) & m & cmask]
-                if not met:
-                    continue
-                fixed, vals = _bounding(met)
-                for t in instr.targets:
-                    fixed &= ~(1 << t)
-                _narrow(idx, fixed & ~cmask, vals, nbits - len(instr.targets) - len(instr.controls))
-                diagonal = False
-                if len(instr.targets) == 1:
-                    (_, b), (c, _) = instr.gate_matrix().tolist()
-                    diagonal = b == 0 and c == 0
-                # a diagonal pass turns no zero amplitude into a nonzero
-                if not diagonal:
-                    support = _joined(support, fixed | cmask, vals & fixed | cvals)
-            apply_to_tensor(layout, tensor[tuple(idx)], instr)
+    # the Pauli frame: the mask of the flipped bits
+    flipped = 0
+    trailing = [1 << p for p in sorted(range(nbits), key=lambda p: abs(tensor.strides[p]))]
+    # the plans of an instruction object that occurs once leave after its
+    # pass (a Y's and its phase pass's), so plans and the views they keep
+    # add up for repeated objects only
+    counts = Counter(map(id, instructions))
+    outer = _running.plans
+    _running.plans = plans = {}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for instr in instructions:
+                plan = plans.get(id(instr))
+                if plan is None:
+                    plan = plans[id(instr)] = _Plan(instr)
+                    if plan.phases is not None:
+                        plans[id(plan.phases.instr)] = plan.phases
+                toggle = plan.toggle
+                if toggle:
+                    if plan.phases is None:
+                        flipped ^= toggle
+                        continue
+                    plan = plan.phases
+                if support is None and not flipped:
+                    view = tensor
+                else:
+                    # a pass of the same plan from the same support and frame
+                    # gets the same view, and leaves the same support
+                    memo = plan.memo
+                    if memo is None or memo[0] is not support or memo[1] != flipped:
+                        memo = plan.memo = (support, flipped,
+                                            *_pass_view(tensor, plan, support, flipped, trailing))
+                    view, support = memo[2], memo[3]
+                if view is not None:
+                    apply_to_tensor(layout, view, plan.instr)
+                    if counts[id(instr)] == 1:
+                        del plans[id(instr)]
+                        plans.pop(id(plan.instr), None)
+                flipped ^= toggle
+    finally:
+        _running.plans = outer
     return tensor[tuple(_reversing(tensor.ndim, flipped))]
+
+
+def _pass_view(tensor: np.ndarray, plan: _Plan, support: list[tuple[int, int]] | None,
+               flipped: int, trailing: list[int]) -> tuple:
+    """(view, support): the view of `tensor` a pass of `plan` runs on, in
+    the frame `flipped`, or None when its control block meets no cube of
+    `support`; and the support after the pass. `trailing` holds a mask per
+    register bit, by ascending stride."""
+    instr = plan.instr
+    tmask = cmask = cvals = 0
+    for t in instr.targets:
+        tmask |= 1 << t
+    for c, v in zip(instr.controls, instr.ctrl_state):
+        cmask |= 1 << c
+        # a bit's logical value is its stored one XOR its flag
+        cvals |= (v ^ (flipped >> c & 1)) << c
+    idx = None
+    if flipped & (tmask | cmask):
+        idx = _reversing(tensor.ndim, flipped & (tmask | cmask))
+    if support is not None:
+        met = [(m, v) for m, v in support if not (v ^ cvals) & m & cmask]
+        if not met:
+            return None, support
+        fixed, vals = _bounding(met)
+        fixed &= ~tmask
+        idx = _narrow(idx, tensor.ndim, fixed & ~cmask, vals,
+                      len(trailing) - len(instr.targets) - len(instr.controls), trailing)
+        if not plan.diagonal:
+            support = _joined(support, fixed | cmask, vals & fixed | cvals)
+    return (tensor if idx is None else tensor[tuple(idx)]), support
 
 
 def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
@@ -490,17 +670,30 @@ def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
     return mask, vals & mask
 
 
-def _narrow(idx: list, fix: int, vals: int, axes: int) -> None:
-    """Slice the axes of the bits in `fix` to length 1 at their values in
-    `vals`, freeing the lowest until two of the `axes` axes a target slice
-    spans are free, or all, so that each slice keeps 4 amplitudes or more."""
-    while fix and fix.bit_count() > axes - 2:
-        fix &= fix - 1
+def _narrow(idx: list | None, ndim: int, fix: int, vals: int, axes: int,
+            trailing: list[int]) -> list | None:
+    """`idx` (None: an index that keeps all `ndim` axes) with the axes of
+    the bits in `fix` sliced to length 1 at their values in `vals`. Bits are
+    freed, those of the trailing memory axes first (`trailing` lists one mask
+    per bit, by ascending stride), until two of the `axes` axes a target
+    slice spans are free, or all, so that each slice keeps 4 amplitudes or
+    more, as close together as the layout lets them lie. The slices are the
+    two shared pinned ones."""
+    extra = fix.bit_count() - max(axes - 2, 0)
+    for bit in trailing:
+        if extra <= 0:
+            break
+        if fix & bit:
+            fix ^= bit
+            extra -= 1
+    if fix and idx is None:
+        idx = [_ALL] * ndim
     while fix:
-        p = (fix & -fix).bit_length() - 1
-        fix &= fix - 1
-        v = vals >> p & 1
-        idx[p] = slice(v, v + 1)
+        low = fix & -fix
+        fix ^= low
+        p = low.bit_length() - 1
+        idx[p] = _PINNED[vals >> p & 1]
+    return idx
 
 
 def _joined(support: list[tuple[int, int]], mask: int, vals: int) -> list[tuple[int, int]] | None:
@@ -519,28 +712,14 @@ def _joined(support: list[tuple[int, int]], mask: int, vals: int) -> list[tuple[
     return support
 
 
-def _framed(instructions, flipped: set[int]):
-    """The passes `instructions` leave once their uncontrolled X and Y join
-    the Pauli frame `flipped`, which they update as the passes are applied:
-    an X toggles its bit's flag and makes no pass, and a Y is its diagonal
-    half diag(i, -i) as a pass, then the toggle. Every other instruction is
-    a pass as it stands, on flipped targets too."""
-    for instr in instructions:
-        if instr.controls or instr.matrix is not None or instr.gate not in ("X", "Y"):
-            yield instr
-            continue
-        (t,) = instr.targets
-        if instr.gate == "Y":
-            # Instruction, which this module cannot import: circuit imports it
-            yield type(instr)("Y", (t,), matrix=Y_PHASES)
-        flipped.symmetric_difference_update((t,))
-
-
-def _reversing(ndim: int, axes) -> list:
-    """An index over `ndim` axes that reverses `axes` and keeps the rest."""
-    idx: list = [slice(None)] * ndim
-    for p in axes:
-        idx[p] = slice(None, None, -1)
+def _reversing(ndim: int, mask: int) -> list:
+    """An index over `ndim` axes that reverses the axes of the bits in
+    `mask` and keeps the rest."""
+    idx: list = [_ALL] * ndim
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        idx[low.bit_length() - 1] = _REVERSED
     return idx
 
 

@@ -8,13 +8,16 @@ bit to `reference_run`, the loop over the whole C-ordered tensor, at the
 real BLAS_DENSE_MAX and with it forced to either kernel, and count the
 amplitudes its passes touch."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
-    HYBIT_GATES, QUBIT_GATES, cartan_target, random_unitary, reference_run, sim_shaped_circuit,
+    HYBIT_GATES, QUBIT_GATES, cartan_target, random_state_amps, random_unitary, reference_run,
+    sim_shaped_circuit,
 )
 from lqc import simulator
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
@@ -559,3 +562,163 @@ def test_to_matrix_frame_on_sliced_batch_axis():
               Instruction("CZ", (4, 1)), Instruction("Y", (0,)),
               Instruction("U3", (0, 7, 9), (2,), matrix=random_unitary(rng, 8))]
     assert_matrix_matches_frameless(Circuit(layout, tuple(instrs)))
+
+
+# Small slices. A slice of at most TILE amplitudes that walks in one stride
+# is updated in place without numpy's iterator. These cases hold that update
+# bit for bit to the iterator's: `reference_run` and the kernel with every
+# slice sent through `_chunked`.
+
+def chunked(monkeypatch, fn, *args):
+    """fn(*args) with every slice update cut by numpy's iterator."""
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_tiled", simulator._chunked)
+        return fn(*args)
+
+
+def assert_matches_chunked_reference(monkeypatch, circuit, initial=None):
+    got = run(circuit, initial).amps + 0.0
+    want = chunked(monkeypatch, reference_run, circuit, initial).amps + 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+def slice_gates(rng, target, controls):
+    """One gate of each slice-update kernel on a qubit target, with
+    controls of trigger value 1: diagonal (T, PHASE), swap (X, Y and an
+    anti-diagonal DEFGATE with no factor of 1) and dense (H and a DEFGATE)."""
+    anti = np.array([[0, np.exp(0.3j)], [np.exp(-0.8j), 0]])
+    gates = [("T", None, None), ("PHASE", 0.3, None), ("X", None, None), ("Y", None, None),
+             ("A", None, anti), ("H", None, None), ("U", None, cartan_target("q", rng))]
+    return [Instruction(name, (target,), controls, param, matrix)
+            for name, param, matrix in gates]
+
+
+def iterators(monkeypatch):
+    """A list that gets one entry per `np.nditer` made while the test runs."""
+    made = []
+    nditer = np.nditer
+    monkeypatch.setattr(np, "nditer", lambda *a, **k: made.append(1) or nditer(*a, **k))
+    return made
+
+
+def assert_direct_as_chunked(monkeypatch, made, layout, start, idx, instr, direct):
+    """One pass of `instr` on the view start[idx] against the same pass
+    through the iterator, bit for bit. A swap, or a dense pass that takes
+    the slice update, makes an iterator (an entry of `made`) unless
+    `direct` is set."""
+    got, want = start.copy(), start.copy()
+    made.clear()
+    simulator.apply_to_tensor(layout, got[idx], instr)
+    iterated = bool(made)
+    chunked(monkeypatch, simulator.apply_to_tensor, layout, want[idx], instr)
+    assert got.tobytes() == want.tobytes()
+    # the amplitudes of a target slice of the whole tensor pick the matmul
+    matmul = instr.gate in ("H", "U") and start.size >> 1 + len(instr.controls) < \
+        simulator.BLAS_DENSE_MAX
+    if instr.gate not in ("T", "PHASE") and not matmul:
+        assert iterated != direct
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_slices_around_the_direct_bound(offset, limit, monkeypatch):
+    # a batch axis of TILE + offset columns and a control on every other
+    # bit: each target slice is one stretch of that many amplitudes, which
+    # the direct update takes up to TILE and the iterator above it
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    width = simulator.TILE + offset
+    rng = np.random.default_rng(width)
+    start = random_state_amps(rng, 8 * width).reshape(2, 2, 2, width)
+    made = iterators(monkeypatch)
+    for instr in slice_gates(rng, 1, (0, 2)):
+        assert_direct_as_chunked(monkeypatch, made, RegisterLayout.of(3, 0), start, (...,),
+                                 instr, offset <= 0)
+
+
+# (target, controls) on a C-ordered 7-bit tensor, the amplitudes each target
+# slice walks, and whether they walk in one stride
+SLICE_LAYOUTS = {
+    "contiguous": ((0, (1, 2)), True),       # one stretch of 16
+    "one-axis": ((6, (1, 2, 3, 4, 5)), True),  # 2 amplitudes 64 apart, x1's between
+    "stretch-2": ((5, (0, 1)), False),       # stretches of 2, x1's between them
+    "scattered": ((6, (0, 1)), False),       # every amplitude alone, x1's beside it
+    "strided": ((3, (5, 6)), False),         # stretches of 1 at a stride of 4
+}
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("shape", SLICE_LAYOUTS)
+def test_direct_update_of_every_slice_layout(shape, limit, monkeypatch):
+    # an anti-diagonal pass writes x1's products into x0: numpy computes a
+    # product whose input and output ranges interleave without SIMD, which
+    # rounds otherwise, so only a slice the iterator would not buffer may
+    # skip it; stretch-2 slices rounded otherwise when updated directly
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    (target, controls), one_stride = SLICE_LAYOUTS[shape]
+    rng = np.random.default_rng(7)
+    start = random_state_amps(rng, 128).reshape((2,) * 7)
+    made = iterators(monkeypatch)
+    for instr in slice_gates(rng, target, controls):
+        # the whole tensor, and a view with the instruction's axes reversed
+        # as the Pauli frame leaves them
+        for rev in (False, True):
+            idx = tuple(slice(None, None, -1) if rev and p in (target, *controls) else slice(None)
+                        for p in range(7))
+            assert_direct_as_chunked(monkeypatch, made, RegisterLayout.of(7, 0), start, idx,
+                                     instr, one_stride)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("nbits", [6, 7, 8])
+def test_registers_of_small_slices(nbits, limit, monkeypatch):
+    # a target slice of the whole tensor holds 32, 64 or 128 amplitudes;
+    # narrowed views and controls cut smaller ones, of every layout
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    for seed in range(nbits, nbits + 40, 4):
+        assert_matches_chunked_reference(monkeypatch, *random_case(seed, nbits, 24))
+        circuit, initial = framed_case(seed, nbits, 20, FRAME_STARTS[seed % 5])
+        assert_matches_chunked_reference(monkeypatch, circuit, initial)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("nbits", [1, 2])
+def test_one_amplitude_slices_take_the_iterators_rounding(nbits, limit, monkeypatch):
+    # a 1-bit register, or a 2-bit one with a control, leaves target slices
+    # of one amplitude, which numpy multiplies in place with other rounding
+    # than longer ones: the direct update must round them as the iterator's
+    # one-amplitude chunks do
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    for seed in range(30):
+        assert_matches_chunked_reference(monkeypatch, *random_case(seed, nbits, 24))
+        circuit, initial = framed_case(seed, nbits, 20, FRAME_STARTS[seed % 5])
+        assert_matches_chunked_reference(monkeypatch, circuit, initial)
+
+
+# The sizes of the views `apply_to_tensor` gets, pass by pass, over a
+# search, a circuit shaped like the benchmark's sim circuits and a
+# `to_matrix`: plans and reused views change neither which passes are made
+# nor what they touch, and the perfbench tracer counts a workload's passes
+# and bytes through them.
+PASS_SIZES = json.loads((Path(__file__).parent / "data" / "pass_sizes.json").read_text())
+
+
+def test_view_sizes_match_the_recorded_passes(monkeypatch):
+    sizes = []
+    apply = simulator.apply_to_tensor
+
+    def spy(layout, tensor, instr):
+        sizes.append(tensor.size)
+        apply(layout, tensor, instr)
+
+    monkeypatch.setattr(simulator, "apply_to_tensor", spy)
+    got = {}
+    for name, call in (
+        ("run_search", lambda: run_search(SearchSpec(10, "1011001110", 0.5,
+                                                     choose_k(2**10, 0.5, 0.99)))),
+        ("run", lambda: run(sim_shaped_circuit(5, 12, 2))),
+        ("to_matrix", lambda: to_matrix(sim_shaped_circuit(6, 6, 2))),
+    ):
+        sizes.clear()
+        call()
+        got[name] = list(sizes)
+    assert got == PASS_SIZES

@@ -309,6 +309,62 @@ def test_checker_flags_kernel_constants():
     assert kernel_constants_read(source) == ["line 4: BLAS_DENSE_MAX", "line 7: TILE"]
 
 
+# the kernel's helpers, which only `apply_to_tensor` may call for a pass:
+# the perfbench tracer swaps `apply_to_tensor` to count passes and bytes
+KERNEL_HELPERS = ("_apply_pair", "_tiled", "_chunked", "_multiply_tiles", "_swap", "_mix")
+
+
+def kernel_helpers_reached(source: str) -> list[str]:
+    """`caller: helper` for each call of a kernel helper, by name or as an
+    attribute, in the body of `apply_all` or of a module-level function or
+    class it reaches through calls other than `apply_to_tensor`, nested
+    functions included."""
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found, seen, todo = set(), set(), ["apply_all"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in KERNEL_HELPERS:
+                    found.add(f"{name}: {callee}")
+                elif callee != "apply_to_tensor":
+                    todo.append(callee)
+    return sorted(found)
+
+
+def test_pass_loop_calls_the_kernel_only_through_apply_to_tensor():
+    assert kernel_helpers_reached((SRC / "simulator.py").read_text()) == []
+
+
+def test_checker_flags_kernel_helpers_outside_apply_to_tensor():
+    source = (
+        "from . import simulator\n"
+        "def apply_to_tensor(layout, tensor, instr):\n"
+        "    _apply_pair(tensor[0], tensor[1], instr.gate_matrix(), False)\n"
+        "def _view(tensor, plan):\n"
+        "    _tiled(None, (), tensor[0], tensor[1], 1)\n"
+        "    return _Plan(plan)\n"
+        "class _Plan:\n"
+        "    def __init__(self, instr):\n"
+        "        simulator._multiply_tiles(None, None, 2)\n"
+        "def unreached(tensor):\n"
+        "    _mix(1, 1, 1, 1, tensor, tensor, None, None)\n"
+        "def apply_all(layout, tensor, instrs, start=None):\n"
+        "    def inner(x0, x1):\n"
+        "        _swap(1, 1, x0, x1, None)\n"
+        "    for instr in instrs:\n"
+        "        apply_to_tensor(layout, _view(tensor, instr), instr)\n"
+        "    return inner\n"
+    )
+    assert kernel_helpers_reached(source) == [
+        "_Plan: _multiply_tiles", "_view: _tiled", "apply_all: _swap"]
+
+
 def scipy_submodule_imports(source: str) -> list[str]:
     """Module-level lines that import more of scipy than the bare package:
     `import scipy.x` or `from scipy... import ...`. A submodule imported at

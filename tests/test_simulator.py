@@ -124,6 +124,61 @@ class TestRun:
         assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
 
 
+class TestInstructionIdentity:
+    """`apply_all` works out each distinct instruction object once per call
+    and keeps it by identity. `Instruction.__eq__` ignores `matrix`, and the
+    Pauli frame makes a fresh Y pass instruction, so neither equality nor an
+    id left without its object may pick the plan."""
+
+    @staticmethod
+    def lifted(gate):
+        """The 3-qubit matrix of `gate` on q2 controlled by q1 (q0 the most
+        significant index bit)."""
+        return np.kron(np.eye(2), np.kron(np.diag([1, 0]), np.eye(2))
+                       + np.kron(np.diag([0, 1]), gate))
+
+    def test_equal_defgates_with_different_matrices(self):
+        rng = np.random.default_rng(5)
+        u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+        a = Instruction("G", (2,), (1,), matrix=u)
+        b = Instruction("G", (2,), (1,), matrix=v)
+        assert a == b and not np.array_equal(a.matrix, b.matrix)
+        h = [Instruction("H", (p,)) for p in range(3)]
+        circuit = Circuit(RegisterLayout.of(3, 0), (*h, a, b, a, b, b))
+        got = run(circuit).amps
+        assert got.tobytes() == reference_run(circuit).amps.tobytes()
+        H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        A, B = self.lifted(u), self.lifted(v)
+        want = B @ B @ A @ B @ A @ np.kron(np.kron(H, H), H)
+        assert np.allclose(to_matrix(circuit), want, atol=1e-13)
+        assert np.allclose(got, want[:, 0], atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_many_uncontrolled_y_between_controlled_gates(self, seed):
+        # one Y object used again and again, fresh ones, and controlled lines
+        # on flipped bits: every Y pass is a fresh diagonal instruction
+        rng = np.random.default_rng(seed)
+        layout = RegisterLayout.of(5, 1)
+        again = Instruction("Y", (int(rng.integers(5)),))
+        controlled = [Instruction("H", (1,), (0,)), Instruction("TAU", (5,), (1,)),
+                      Instruction("X", (3,), (2, 4), ctrl_state=(0, 1)),
+                      Instruction("Y", (0,), (3,))]
+        instrs = [Instruction("H", (p,)) for p in range(0, 5, 2)]
+        for _ in range(40):
+            pick = rng.random()
+            if pick < 0.3:
+                instrs.append(again)
+            elif pick < 0.6:
+                instrs.append(Instruction("Y", (int(rng.integers(5)),)))
+            else:
+                instrs.append(controlled[int(rng.integers(len(controlled)))])
+        circuit = Circuit(layout, tuple(instrs))
+        initial = StateVector(layout, random_state_amps(rng, layout.dimension))
+        for start in (None, basis_state(layout, [1, 0, 1, 1, 0, 0]), initial):
+            got = run(circuit, start).amps + 0.0
+            assert got.tobytes() == (reference_run(circuit, start).amps + 0.0).tobytes()
+
+
 class TestStateLayout:
     """`run` returns its tensor in the memory order it ran in; `amps` lays
     it out in register index order on first access."""
@@ -206,6 +261,21 @@ class TestPeakMemory:
         extra = (Instruction("CZ", (2, 9)), Instruction("U2", (12, 4), matrix=u2))
         circuit = Circuit(circuit.layout, circuit.instructions + extra)
         assert self.peak(lambda: observe(run(circuit))) <= self.bound(circuit)
+
+
+    def test_plans_of_distinct_instructions_leave_after_their_pass(self):
+        # 4000 distinct instruction objects on 8 bits: the pass loop keeps
+        # the plan of an object that occurs once only until its pass is
+        # made, so the peak grows by the loop's count of objects, not by a
+        # plan, its indices and its slices per instruction (about 650 bytes)
+        rng = np.random.default_rng(1)
+        instrs = []
+        for n in range(4000):
+            t = int(rng.integers(8))
+            controls = ((t + 1 + int(rng.integers(7))) % 8,) if n % 3 else ()
+            instrs.append(Instruction(("H", "T", "X", "Y")[n % 4], (t,), controls))
+        circuit = Circuit(RegisterLayout.of(8, 0), tuple(instrs))
+        assert self.peak(lambda: run(circuit)) <= 256 * len(instrs)
 
 
 class TestObserve:
