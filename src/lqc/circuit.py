@@ -42,9 +42,14 @@ matrix must preserve the metric of its target bits (the same DEFGATE may
 be legal on one bit-kind combination and illegal on another). The pass
 lists each failure by index, and `Circuit` raises the first, as if each
 instruction were checked in full in turn. `parse` runs it on every
-statement it read and reports each failure at its statement's line and
-column, in order of line with the faults of the text itself. `parse` and
-`concat` return circuits without a second check.
+statement it read and reports each failure at its statement's gate token,
+in order of line with the faults of the text itself. `parse` and `concat`
+return circuits without a second check.
+
+A fault of the text is raised where it is found, as a private exception
+holding its token index and message. `parse`'s statement loop and
+`parse_matrix_text` catch it, and only there is a column worked out.
+`parse` goes on at the next line; `parse_matrix_text` stops at the fault.
 
 A matrix file is a header "dim m n", the signature of the block metric
 diag(+1 x m, -1 x n), then m + n rows. Its rows and DEFGATE rows alike are
@@ -269,15 +274,27 @@ class RegisterBoundError(ParseError, GuardError):
     simulate."""
 
 
-def _tokens(line: str) -> list[tuple[int, str]]:
-    """(column, token) of each token of a line."""
-    out, end = [], 0
+class _Fault(Exception):
+    """Raised at a fault of the text: its (token index, message), a missing
+    token's index being the token count, and its line as (number, text)
+    when that is not the statement's. A CTRL line's bad controls share one."""
+
+    def __init__(self, index: int, message: str, line: tuple[int, str] | None = None):
+        self.faults = [(index, message)]
+        self.line = line
+
+
+def _placed(lineno: int, line: str, faults: list[tuple[int, str]]) -> list[Diagnostic]:
+    """Diagnostics of (token index, message) faults on one line, the token
+    count's column just past the last token."""
+    starts, end = [], 0
     for tok in line.split():
         # only whitespace lies between `end` and the token, none inside it
         start = line.index(tok, end)
         end = start + len(tok)
-        out.append((start + 1, tok))
-    return out
+        starts.append(start + 1)
+    starts.append(end + 1)
+    return [Diagnostic(lineno, starts[index], message) for index, message in faults]
 
 
 def _is_entry(token: str) -> bool:
@@ -297,7 +314,7 @@ def _format_rows(matrix: np.ndarray) -> str:
 
 
 class _Lines:
-    """Comment-stripped source lines, with token columns for diagnostics."""
+    """Comment-stripped source lines."""
 
     def __init__(self, text: str):
         self.raw = text.splitlines()
@@ -312,17 +329,15 @@ class _Lines:
                 return self.pos, line
         return None
 
-    def read_rows(self, dim: int, err, missing: tuple[int, int, str]) -> np.ndarray | None:
-        """The next `dim` lines as a dim x dim matrix of 're,im' entries, or
-        None once `err` has the first fault: `missing` (line, column, message)
-        if rows run out, else the row or entry at fault."""
+    def read_rows(self, dim: int, missing: _Fault) -> np.ndarray:
+        """The next `dim` lines as a dim x dim matrix of 're,im' entries;
+        raises `missing` if rows run out, else the row or entry at fault."""
         values: list[float] = []
         for _ in range(dim):
             item = self.next_line()
             if item is None:
-                return err(*missing)
-            lineno, line = item
-            fields = line.split()
+                raise missing
+            fields = item[1].split()
             parts = ",".join(fields).split(",")
             # dim fields holding dim commas, none without one: one comma each
             if len(fields) == dim and len(parts) == 2 * dim and all("," in f for f in fields):
@@ -331,12 +346,10 @@ class _Lines:
                     continue
                 except ValueError:
                     pass
-            # a column is worked out only for a diagnostic
-            toks = _tokens(line)
-            if len(toks) != dim:
-                return err(lineno, toks[0][0], f"expected {dim} matrix entries")
-            col, tok = next((col, tok) for col, tok in toks if not _is_entry(tok))
-            return err(lineno, col, f"matrix entry {tok!r} is not 're,im'")
+            if len(fields) != dim:
+                raise _Fault(0, f"expected {dim} matrix entries", item)
+            i = next(i for i, tok in enumerate(fields) if not _is_entry(tok))
+            raise _Fault(i, f"matrix entry {fields[i]!r} is not 're,im'", item)
         return np.array(values).view(complex).reshape(dim, dim)
 
     def skip_matrix_rows(self) -> None:
@@ -355,12 +368,9 @@ def parse(text: str) -> Circuit:
     decls: dict[str, int] = {}
     defs: dict[str, tuple[int, np.ndarray]] = {}
     instructions: list[Instruction] = []
-    # (line, column) of each statement in `instructions`
-    statements: list[tuple[int, int]] = []
+    # (line number, line, gate token index) of each statement in `instructions`
+    statements: list[tuple[int, str, int]] = []
     layout: RegisterLayout | None = None
-
-    def err(line: int, col: int, message: str) -> None:
-        errors.append(Diagnostic(line, col, message))
 
     def get_layout() -> RegisterLayout:
         nonlocal layout
@@ -372,161 +382,130 @@ def parse(text: str) -> Circuit:
     # reference token read so far; the layout is fixed once statements begin
     bitrefs: dict[str, tuple[str, int | None, str]] = {}
 
-    def parse_bitref(lineno: int, col: int, tok: str, allow_bang: bool):
+    def parse_bitref(toks: list[str], i: int, allow_bang: bool) -> tuple[int, int]:
+        """(position, trigger value) of the bit reference toks[i]."""
+        tok = toks[i]
         ref = bitrefs.get(tok)
         if ref is None:
             m = _BITREF_RE.match(tok)
             if not m:
-                err(lineno, col, f"expected bit reference, got {tok!r}")
-                return None
+                raise _Fault(i, f"expected bit reference, got {tok!r}")
             bang, kind, idx = m.group(1), m.group(2).lower(), int(m.group(3))
             places = get_layout().positions(BitKind(kind))
             ref = bitrefs[tok] = (bang, places[idx] if idx < len(places) else None, f"{kind}{idx}")
         bang, place, name = ref
         if bang and not allow_bang:
-            err(lineno, col, "'!' polarity is only allowed on controls")
-            return None
+            raise _Fault(i, "'!' polarity is only allowed on controls")
         if place is None:
-            err(lineno, col, f"bit {name} out of range for declared register")
-            return None
-        return (place, 0 if bang else 1)
+            raise _Fault(i, f"bit {name} out of range for declared register")
+        return place, 0 if bang else 1
 
-    def parse_simple(lineno: int, toks: list[tuple[int, str]], controls, ctrl_state):
-        col0, name_tok = toks[0]
-        name = name_tok.upper()
+    def parse_simple(toks: list[str], at: int, controls: list[tuple[int, int]]) -> Instruction:
+        """The statement whose gate name is toks[at], on `controls` as
+        (position, trigger value) pairs."""
+        name = toks[at].upper()
         if name in BUILTIN_ARITY:
             matrix, arity = None, BUILTIN_ARITY[name]
         elif name in defs:
             arity, matrix = defs[name]
         else:
-            err(lineno, col0, f"unknown gate {name_tok!r}")
-            return
-        rest = toks[1:]
+            raise _Fault(at, f"unknown gate {toks[at]!r}")
+        first = at + 1  # the first target's index
         param = None
         if name in PARAMETRIC:
-            if not rest:
-                err(lineno, col0, f"gate {name} requires a parameter")
-                return
-            pcol, ptok = rest[0]
+            if first == len(toks):
+                raise _Fault(at, f"gate {name} requires a parameter")
             try:
-                param = float(ptok)
+                param = float(toks[first])
             except ValueError:
-                err(lineno, pcol, f"bad parameter {ptok!r}")
-                return
+                raise _Fault(first, f"bad parameter {toks[first]!r}")
             if not math.isfinite(param):
-                err(lineno, pcol, f"parameter {ptok!r} is not finite")
-                return
-            rest = rest[1:]
-        if len(rest) != arity:
-            where = rest[0][0] if rest else (toks[-1][0] + len(toks[-1][1]))
-            err(lineno, where, f"gate {name} expects {arity} target(s), got {len(rest)}")
-            return
-        targets = []
-        for col, tok in rest:
-            got = parse_bitref(lineno, col, tok, allow_bang=False)
-            if got is None:
-                return
-            targets.append(got[0])
-        instructions.append(Instruction(
-            gate=name, targets=tuple(targets), controls=tuple(controls),
-            param=param, matrix=matrix, ctrl_state=tuple(ctrl_state),
-        ))
-        statements.append((lineno, col0))
-
-    def parse_defgate(lineno: int, toks: list[tuple[int, str]]) -> bool:
-        """Read one DEFGATE block into `defs`; False when it is refused."""
-        if len(toks) != 3:
-            err(lineno, toks[0][0], "expected: DEFGATE NAME ARITY")
-            return False
-        (_, _), (ncol, name_tok), (acol, arity_tok) = toks
-        name = name_tok.upper()
-        # upper() maps a few non-ASCII letters to ASCII ones
-        if not name_tok.isascii() or not _is_gate_name(name) or name in BUILTIN_ARITY:
-            err(lineno, ncol, f"invalid gate name {name_tok!r}")
-            return False
-        if name in defs:
-            err(lineno, ncol, f"gate {name} already defined")
-            return False
-        try:
-            arity = int(arity_tok)
-        except ValueError:
-            err(lineno, acol, f"bad arity {arity_tok!r}")
-            return False
-        if not 1 <= arity <= MAX_DEFGATE_ARITY:
-            err(lineno, acol, f"arity {arity} out of range 1..{MAX_DEFGATE_ARITY}")
-            return False
-        dim = 1 << arity
-        missing = f"DEFGATE {name}: expected {dim} matrix rows"
-        matrix = lines.read_rows(dim, err, (lineno, ncol, missing))
-        if matrix is None:
-            return False
-        defs[name] = (arity, matrix)
-        return True
+                raise _Fault(first, f"parameter {toks[first]!r} is not finite")
+            first += 1
+        if len(toks) - first != arity:
+            raise _Fault(first, f"gate {name} expects {arity} target(s), got {len(toks) - first}")
+        targets = tuple(parse_bitref(toks, i, allow_bang=False)[0] for i in range(first, len(toks)))
+        return Instruction(
+            gate=name, targets=targets, controls=tuple(c for c, _ in controls),
+            param=param, matrix=matrix, ctrl_state=tuple(v for _, v in controls),
+        )
 
     while (item := lines.next_line()) is not None:
-        lineno, toks = item[0], _tokens(item[1])
-        col0, head = toks[0]
-        keyword = head.upper()
-
-        if keyword in ("QUBITS", "HYBITS"):
-            if layout is not None:
-                err(lineno, col0, f"{keyword.lower()} declaration must precede statements")
+        lineno, line = item
+        toks = line.split()
+        keyword = toks[0].upper()
+        try:
+            if keyword in ("QUBITS", "HYBITS"):
+                decl = keyword.lower()
+                if layout is not None:
+                    raise _Fault(0, f"{decl} declaration must precede statements")
+                if keyword in decls:
+                    raise _Fault(0, f"duplicate {decl} declaration")
+                if len(toks) != 2:
+                    raise _Fault(0, f"expected: {decl} INT")
+                try:
+                    count = int(toks[1])
+                except ValueError:
+                    raise _Fault(1, f"bad count {toks[1]!r}")
+                if count < 0:
+                    raise _Fault(1, "count must be nonnegative")
+                decls[keyword] = count
+                if (total := sum(decls.values())) > MAX_REGISTER_BITS:
+                    raise _Fault(1, f"register of {total} bits exceeds the bound of {MAX_REGISTER_BITS}")
                 continue
-            if keyword in decls:
-                err(lineno, col0, f"duplicate {keyword.lower()} declaration")
+            get_layout()
+            if keyword == "DEFGATE":
+                if len(toks) != 3:
+                    raise _Fault(0, "expected: DEFGATE NAME ARITY")
+                name = toks[1].upper()
+                # upper() maps a few non-ASCII letters to ASCII ones
+                if not toks[1].isascii() or not _is_gate_name(name) or name in BUILTIN_ARITY:
+                    raise _Fault(1, f"invalid gate name {toks[1]!r}")
+                if name in defs:
+                    raise _Fault(1, f"gate {name} already defined")
+                try:
+                    arity = int(toks[2])
+                except ValueError:
+                    raise _Fault(2, f"bad arity {toks[2]!r}")
+                if not 1 <= arity <= MAX_DEFGATE_ARITY:
+                    raise _Fault(2, f"arity {arity} out of range 1..{MAX_DEFGATE_ARITY}")
+                dim = 1 << arity
+                missing = _Fault(1, f"DEFGATE {name}: expected {dim} matrix rows")
+                defs[name] = (arity, lines.read_rows(dim, missing))
                 continue
-            if len(toks) != 2:
-                err(lineno, col0, f"expected: {keyword.lower()} INT")
-                continue
-            ccol, count_tok = toks[1]
-            try:
-                count = int(count_tok)
-            except ValueError:
-                err(lineno, ccol, f"bad count {count_tok!r}")
-                continue
-            if count < 0:
-                err(lineno, ccol, "count must be nonnegative")
-                continue
-            total = count + sum(decls.values())
-            if total > MAX_REGISTER_BITS:
+            at, controls = 0, []
+            if keyword == "CTRL":
+                # controls up to the ':' token, simple statement after it
+                if ":" not in toks:
+                    raise _Fault(0, "CTRL statement needs a ':' before the gate")
+                at = toks.index(":") + 1
+                if at == 2:
+                    raise _Fault(0, "CTRL needs at least one control bit")
+                bad = []
+                for i in range(1, at - 1):
+                    try:
+                        controls.append(parse_bitref(toks, i, allow_bang=True))
+                    except _Fault as fault:
+                        bad.append(fault)
+                if bad:
+                    # every control is read, and each bad one reported
+                    bad[0].faults = [f for fault in bad for f in fault.faults]
+                    raise bad[0]
+                if at == len(toks):
+                    raise _Fault(at - 1, "missing gate after ':'")
+            instructions.append(parse_simple(toks, at, controls))
+            statements.append((lineno, line, at))
+        except _Fault as fault:
+            errors += _placed(*(fault.line or item), fault.faults)
+            if sum(decls.values()) > MAX_REGISTER_BITS:
                 # before any layout is built; no later line can name a bit of it
-                err(lineno, ccol, f"register of {total} bits exceeds the bound of {MAX_REGISTER_BITS}")
-                raise RegisterBoundError(sorted(errors, key=lambda d: d.line))
-            decls[keyword] = count
-            continue
-
-        get_layout()
-        if keyword == "DEFGATE":
-            if not parse_defgate(lineno, toks):
+                raise RegisterBoundError(sorted(errors, key=lambda d: d.line)) from None
+            if keyword == "DEFGATE":
                 lines.skip_matrix_rows()
-        elif keyword == "CTRL":
-            # controls up to the ':' token, simple statement after it
-            split = next((i for i, (_, tok) in enumerate(toks) if tok == ":"), None)
-            if split is None:
-                err(lineno, col0, "CTRL statement needs a ':' before the gate")
-                continue
-            if split == 1:
-                err(lineno, col0, "CTRL needs at least one control bit")
-                continue
-            controls, ctrl_state, bad = [], [], False
-            for col, tok in toks[1:split]:
-                got = parse_bitref(lineno, col, tok, allow_bang=True)
-                if got is None:
-                    bad = True
-                    continue
-                controls.append(got[0])
-                ctrl_state.append(got[1])
-            if bad:
-                continue
-            if split + 1 >= len(toks):
-                err(lineno, toks[split][0], "missing gate after ':'")
-                continue
-            parse_simple(lineno, toks[split + 1:], controls, ctrl_state)
-        else:
-            parse_simple(lineno, toks, [], [])
 
     for n, exc in _failures(get_layout(), instructions):
-        err(*statements[n], str(exc))
+        lineno, line, at = statements[n]
+        errors += _placed(lineno, line, [(at, str(exc))])
     if errors:
         # stable: the faults of one line keep the order they were found in
         raise ParseError(sorted(errors, key=lambda d: d.line))
@@ -538,27 +517,26 @@ def parse_matrix_text(text: str) -> tuple[np.ndarray, tuple[int, int]]:
     """Parse the matrix text format: the matrix and its signature (m, n).
     Raises ParseError with the line and column of the first fault."""
     lines = _Lines(text)
-
-    def fail(line: int, col: int, message: str):
-        raise ParseError([Diagnostic(line, col, message)])
-
-    item = lines.next_line()
-    if item is None:
-        fail(1, 1, "empty matrix file")
-    lineno, toks = item[0], _tokens(item[1])
-    if len(toks) != 3 or toks[0][1].lower() != "dim":
-        fail(lineno, toks[0][0], "expected header 'dim m n'")
+    item = lines.next_line() or (1, "")
+    toks = item[1].split()
     try:
-        m, n = int(toks[1][1]), int(toks[2][1])
-    except ValueError:
-        fail(lineno, toks[1][0], "metric counts must be integers")
-    if m < 0 or n < 0 or m + n < 1:
-        fail(lineno, toks[1][0], f"bad metric signature ({m}, {n})")
-    dim = m + n
-    matrix = lines.read_rows(dim, fail, (lineno, toks[0][0], f"expected {dim} matrix rows"))
-    extra = lines.next_line()
-    if extra is not None:
-        fail(extra[0], _tokens(extra[1])[0][0], f"more than {dim} matrix rows")
+        if not toks:
+            raise _Fault(0, "empty matrix file")
+        if len(toks) != 3 or toks[0].lower() != "dim":
+            raise _Fault(0, "expected header 'dim m n'")
+        try:
+            m, n = int(toks[1]), int(toks[2])
+        except ValueError:
+            raise _Fault(1, "metric counts must be integers")
+        if m < 0 or n < 0 or m + n < 1:
+            raise _Fault(1, f"bad metric signature ({m}, {n})")
+        dim = m + n
+        matrix = lines.read_rows(dim, _Fault(0, f"expected {dim} matrix rows"))
+        extra = lines.next_line()
+        if extra is not None:
+            raise _Fault(0, f"more than {dim} matrix rows", extra)
+    except _Fault as fault:
+        raise ParseError(_placed(*(fault.line or item), fault.faults)) from None
     return matrix, (m, n)
 
 

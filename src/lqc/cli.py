@@ -14,6 +14,7 @@ import numpy as np
 from .circuit import Circuit, ParseError, parse, parse_matrix_text, serialize, to_matrix
 from .core import (
     EPS_ISO,
+    EPS_RECON,
     GuardError,
     IsometryError,
     LqcError,
@@ -193,6 +194,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     sys.stderr.write(f"reconstruction_error = {result.total_error:.17g}\n")
     if tol is not None:
         sys.stderr.write(f"budget_met = {'true' if result.budget_met else 'false'}\n")
+    elif not result.budget_met:
+        # the printed circuit is the one `verify` reads back, bit for bit
+        raise IsometryError(
+            f"emitted circuit not certified: metric residual {result.residual:.17g} "
+            f"(EPS_ISO {EPS_ISO:g}), reconstruction error {result.total_error:.17g} "
+            f"(EPS_RECON {EPS_RECON:g})"
+        )
     return EXIT_OK
 
 

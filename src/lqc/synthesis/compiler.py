@@ -6,7 +6,8 @@ equal-sign pair two hybits apart is four gates and two phases, and a
 diagonal factor is one phase per index. A generic isometry on d = 2^n
 indices gives d(d-1)/2 factors, so on a register with fewer than two
 hybits it compiles to d(d-1)/2 gates. Exact mode stops after lowering, so the only error is
-float accumulation.
+float accumulation; its `budget_met` also asks that the circuit's matrix
+preserve the metric within EPS_ISO, as `lqc verify` checks it.
 
 Approximate mode additionally rewrites every uncontrolled single-bit gate
 as a generator word ({H,T} on qubits, {TAU,T} on hybits) found by
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import EPS_RECON, LqcError, RegisterLayout, metric_vector
+from ..core import EPS_ISO, EPS_RECON, LqcError, RegisterLayout, metric_vector
 from ..circuit import Circuit, Instruction, to_matrix
+from ..gates import isometry_residual
 from .twolevel import lower, two_level_factorize
 from .words import projective_distance, word_search
 
@@ -45,6 +47,8 @@ class CompileResult:
     stages: tuple[CompileStage, ...]
     total_error: float
     budget_met: bool
+    # metric residual of the circuit's matrix, `lqc verify`'s own figure
+    residual: float
 
 
 def compile(
@@ -65,7 +69,8 @@ def compile(
     if A.shape != (dim, dim):
         raise LqcError(f"matrix is {A.shape[0]}x{A.shape[1]}, register wants {dim}x{dim}")
 
-    factors = two_level_factorize(A, metric_vector(layout))
+    signs = metric_vector(layout)
+    factors = two_level_factorize(A, signs)
     stage_fact = CompileStage("factorize", len(factors), factors.error)
 
     circuit = lower(factors, layout)
@@ -74,12 +79,13 @@ def compile(
     stage_lower = CompileStage("lower", len(circuit.instructions), lower_err)
 
     if tol is None:
-        total = lower_err
+        residual = isometry_residual(R, signs)
         return CompileResult(
             circuit=circuit,
             stages=(stage_fact, stage_lower),
-            total_error=total,
-            budget_met=total <= EPS_RECON,
+            total_error=lower_err,
+            budget_met=lower_err <= EPS_RECON and residual <= EPS_ISO,
+            residual=residual,
         )
 
     circuit, word_errs = _substitute_words(circuit, tol, WORD_DEPTH)
@@ -95,6 +101,7 @@ def compile(
         stages=(stage_fact, stage_lower, stage_words),
         total_error=total,
         budget_met=total <= budget,
+        residual=isometry_residual(R, signs),
     )
 
 

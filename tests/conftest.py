@@ -2,8 +2,15 @@
 like the benchmark's sim circuits, the whole-tensor run, a spy on the
 kernel's passes, the dense matrix
 of a two-level factor, a controlled lift, the matrix file writer, the
-product of a generator word, and the node-by-node word search that the
-stacked one is checked against."""
+product of a generator word, the node-by-node word search that the
+stacked one is checked against, the benchmark's own modules, and seeded
+mutants of source text."""
+
+import importlib
+import random
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +256,87 @@ def reference_word_search(target, bitkind, tol, depth_max):
         error=best_error,
         tol_met=best_error < tol,
     )
+
+
+def perfbench_modules(*names):
+    """The named modules of `perfbench/`, which import each other as
+    top-level modules."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(path)
+
+
+# small circuits with CTRL, "!", DEFGATE and BOOST lines, for mutants
+SMALL_CIRCUITS = {
+    "small_a": (
+        "# a register of each kind\nqubits 2\nhybits 1\nDEFGATE G 1\n0,0 1,0\n1,0 0,0\n"
+        "H q0\nCTRL q0 : G q1\nCTRL !q1 h0 : X q0\nBOOST 0.5 h0\n"
+        "CTRL q0 !q1 : BOOST -0.25 h0\nCZ q0 q1\n"
+    ),
+    "small_b": (
+        "qubits 1\nhybits 2\nDEFGATE SW 2\n1,0 0,0 0,0 0,0\n0,0 0,0 1,0 0,0\n"
+        "0,0 1,0 0,0 0,0\n0,0 0,0 0,0 1,0\nSW h0 h1\nCTRL !q0 : SW h1 h0\n"
+        "CTRL q0 : BOOST 1.5 h1\nTAU h0\nT q0\n"
+    ),
+    "small_c": (
+        "QUBITS 3 # three\n\nCTRL q0 q1 : X q2\nCTRL !q2 !q0 : Z q1\nDEFGATE PH 1\n"
+        "1,0 0,0   # first row\n0,0 0,1\nPH q2\nctrl q1 : PH q0\nPHASE 0.25 q1\n"
+        "CTRL\tq2 :\tPHASE -1 q0\n"
+    ),
+}
+
+# what a mutant's edits insert
+_TOKENS = [
+    "q0", "q1", "q2", "h0", "h1", "!q0", "!h1", "q9", "h7", "Q1", "!!q0", "q-1", ":", "::",
+    "CTRL", "ctrl", "DEFGATE", "qubits", "hybits", "X", "H", "Z", "CZ", "T", "TAU", "BOOST",
+    "PHASE", "G", "SW", "NEW", "1", "2", "0", "-1", "11", "99", "0.5", "-3e2", "nan", "inf", "1e400",
+    "1,0", "0,0", "0,1", "1,0,0", "x,0", "#", "abc", "dim", "é",
+]
+_CHARS = "qh!:#,.-_ \t019eXZ"
+_LINES = [
+    "qubits 2", "hybits 1", "qubits 40", "DEFGATE G 1", "DEFGATE NEW 1", "1,0 0,0", "0,0 1,0",
+    "CTRL q0 : X q1", "X q0", "BOOST 0.5 h0", "dim 2 0", "hybits 30", "", "# note",
+]
+
+
+def _pick(rng: random.Random, seq):
+    # only `random()` is reproducible across Python versions for one seed
+    return seq[int(rng.random() * len(seq))]
+
+
+def _edit(rng: random.Random, lines: list[str]) -> None:
+    """Apply one seeded edit to `lines` in place."""
+    op = _pick(rng, ["drop", "insert", "replace", "drop_char", "insert_char", "replace_char",
+                     "delete_line", "insert_line"])
+    if op == "insert_line" or not lines:
+        lines.insert(int(rng.random() * (len(lines) + 1)), _pick(rng, _LINES + lines))
+        return
+    n = int(rng.random() * len(lines))
+    line = lines[n]
+    if op == "delete_line":
+        del lines[n]
+    elif op.endswith("_char"):
+        at = int(rng.random() * (len(line) + 1))
+        keep = at + (op != "insert_char")
+        new = "" if op == "drop_char" else _pick(rng, _CHARS)
+        lines[n] = line[:at] + new + line[keep:]
+    else:
+        spans = [m.span() for m in re.finditer(r"\S+", line)] or [(len(line), len(line))]
+        start, end = _pick(rng, spans)
+        if op == "insert":
+            start = end
+        new = "" if op == "drop" else (" " if op == "insert" else "") + _pick(rng, _TOKENS)
+        lines[n] = line[:start] + new + line[end:]
+
+
+def mutant(text: str, seed: str) -> str:
+    """`text` after one to three seeded edits: a token or a character
+    dropped, inserted or replaced, or a line deleted or inserted."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    for _ in range(1 + int(rng.random() * 3)):
+        _edit(rng, lines)
+    return "\n".join(lines) + "\n"

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cartan_target, format_matrix_text
+from conftest import cartan_target, format_matrix_text, perfbench_modules
 from lqc.circuit import parse
 from lqc.cli import main
-from lqc.gates import builtin
+from lqc.core import RegisterLayout, metric_vector
+from lqc.gates import builtin, random_isometry_for_signs
 from lqc.search import choose_k
 from lqc.simulator import observe, run
 from lqc.synthesis import projective_distance
@@ -920,6 +921,48 @@ class TestSynthVerifyGolden:
             (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) for text in (err, verdict)
         )
         assert got == SYNTH_VERIFY_GOLDEN[kinds]
+
+
+class TestSynthCertifies:
+    """`synth --exact` exits 3 when the circuit it prints would FAIL
+    `verify` or misses its input by more than EPS_RECON, and still prints
+    it. The inputs are six `perfbench/gen` isometries on which `synth`
+    once exited 0 and `verify` 3, and the xfail cases of
+    `test_hybit_registers_pass_verify`."""
+
+    @pytest.mark.parametrize("source, kinds, seed", [
+        *[("gen", kinds, seed) for kinds in ("qqqhh", "qqhhh", "hhhhh") for seed in (100, 101)],
+        *[("signs", kinds, seed) for kinds, seed in [
+            ("qqqhh", 600), ("qqqhh", 601), ("qqhhh", 601), ("hhhhh", 600), ("hhhhh", 601)
+        ]],
+    ])
+    def test_exit_code_agrees_with_verify(self, tmp_path, capsys, source, kinds, seed):
+        signs = metric_vector(RegisterLayout(kinds)).astype(float)
+        if source == "gen":
+            [gen] = perfbench_modules("gen")
+            text = gen.matrix_text(gen.random_isometry(kinds, np.random.default_rng(seed)), kinds)
+        else:
+            A = random_isometry_for_signs(signs, seed)
+            text = format_matrix_text(A, int((signs > 0).sum()), int((signs < 0).sum()))
+        q, h = str(kinds.count("q")), str(kinds.count("h"))
+        f = put(tmp_path, "a.mat", text)
+        code, out, err = cli(capsys, "synth", f, "--qubits", q, "--hybits", h, "--exact")
+        verify_code, verdict, _ = cli(capsys, "verify", put(tmp_path, "c.lqc", out))
+        assert code == verify_code
+        if code:
+            # the residual of the reason is `verify`'s, bit for bit
+            assert f"metric residual {verdict.split()[2]} " in err.splitlines()[-1]
+
+    def test_reason_is_one_line_on_stderr(self, capsys):
+        path = Path(__file__).parent / "data" / "uncertified" / "qqhhh.mat"
+        code, out, err = cli(capsys, "synth", str(path), "--qubits", "2", "--hybits", "3", "--exact")
+        assert code == 3
+        assert out.startswith("qubits 2\nhybits 3\n")
+        assert err.splitlines()[-2:] == [
+            "reconstruction_error = 4.237916471523223e-08",
+            "error: emitted circuit not certified: metric residual 5.6319191901822548e-09 "
+            "(EPS_ISO 1e-10), reconstruction error 4.237916471523223e-08 (EPS_RECON 1e-08)",
+        ]
 
 
 class TestUsage:

@@ -17,34 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
-import re
 from pathlib import Path
 
 import pytest
 
+from conftest import SMALL_CIRCUITS, mutant
 from lqc.circuit import ParseError, parse, parse_matrix_text, serialize
 
 DATA = Path(__file__).parent / "data"
 OUTCOMES = DATA / "parse_outcomes.json"
-
-SMALL = {
-    "small_a": (
-        "# a register of each kind\nqubits 2\nhybits 1\nDEFGATE G 1\n0,0 1,0\n1,0 0,0\n"
-        "H q0\nCTRL q0 : G q1\nCTRL !q1 h0 : X q0\nBOOST 0.5 h0\n"
-        "CTRL q0 !q1 : BOOST -0.25 h0\nCZ q0 q1\n"
-    ),
-    "small_b": (
-        "qubits 1\nhybits 2\nDEFGATE SW 2\n1,0 0,0 0,0 0,0\n0,0 0,0 1,0 0,0\n"
-        "0,0 1,0 0,0 0,0\n0,0 0,0 0,0 1,0\nSW h0 h1\nCTRL !q0 : SW h1 h0\n"
-        "CTRL q0 : BOOST 1.5 h1\nTAU h0\nT q0\n"
-    ),
-    "small_c": (
-        "QUBITS 3 # three\n\nCTRL q0 q1 : X q2\nCTRL !q2 !q0 : Z q1\nDEFGATE PH 1\n"
-        "1,0 0,0   # first row\n0,0 0,1\nPH q2\nctrl q1 : PH q0\nPHASE 0.25 q1\n"
-        "CTRL\tq2 :\tPHASE -1 q0\n"
-    ),
-}
 
 # (name, kind, mutant count) of each source
 SOURCES = [
@@ -58,51 +39,9 @@ SOURCES = [
     ("q.mat", "mat", 200),
 ]
 
-TOKENS = [
-    "q0", "q1", "q2", "h0", "h1", "!q0", "!h1", "q9", "h7", "Q1", "!!q0", "q-1", ":", "::",
-    "CTRL", "ctrl", "DEFGATE", "qubits", "hybits", "X", "H", "Z", "CZ", "T", "TAU", "BOOST",
-    "PHASE", "G", "SW", "NEW", "1", "2", "0", "-1", "11", "99", "0.5", "-3e2", "nan", "inf", "1e400",
-    "1,0", "0,0", "0,1", "1,0,0", "x,0", "#", "abc", "dim", "é",
-]
-CHARS = "qh!:#,.-_ \t019eXZ"
-LINES = [
-    "qubits 2", "hybits 1", "qubits 40", "DEFGATE G 1", "DEFGATE NEW 1", "1,0 0,0", "0,0 1,0",
-    "CTRL q0 : X q1", "X q0", "BOOST 0.5 h0", "dim 2 0", "hybits 30", "", "# note",
-]
-
 
 def source_text(name: str) -> str:
-    return SMALL[name] if name in SMALL else (DATA / name).read_text()
-
-
-def _pick(rng: random.Random, seq):
-    # only `random()` is reproducible across Python versions for one seed
-    return seq[int(rng.random() * len(seq))]
-
-
-def _edit(rng: random.Random, lines: list[str]) -> None:
-    """Apply one seeded edit to `lines` in place."""
-    op = _pick(rng, ["drop", "insert", "replace", "drop_char", "insert_char", "replace_char",
-                     "delete_line", "insert_line"])
-    if op == "insert_line" or not lines:
-        lines.insert(int(rng.random() * (len(lines) + 1)), _pick(rng, LINES + lines))
-        return
-    n = int(rng.random() * len(lines))
-    line = lines[n]
-    if op == "delete_line":
-        del lines[n]
-    elif op.endswith("_char"):
-        at = int(rng.random() * (len(line) + 1))
-        keep = at + (op != "insert_char")
-        new = "" if op == "drop_char" else _pick(rng, CHARS)
-        lines[n] = line[:at] + new + line[keep:]
-    else:
-        spans = [m.span() for m in re.finditer(r"\S+", line)] or [(len(line), len(line))]
-        start, end = _pick(rng, spans)
-        if op == "insert":
-            start = end
-        new = "" if op == "drop" else (" " if op == "insert" else "") + _pick(rng, TOKENS)
-        lines[n] = line[:start] + new + line[end:]
+    return SMALL_CIRCUITS[name] if name in SMALL_CIRCUITS else (DATA / name).read_text()
 
 
 def mutants():
@@ -110,11 +49,7 @@ def mutants():
     for name, kind, count in SOURCES:
         text = source_text(name)
         for i in range(count):
-            rng = random.Random(f"{name}:{i}")
-            lines = text.splitlines()
-            for _ in range(1 + int(rng.random() * 3)):
-                _edit(rng, lines)
-            yield f"{name}:{i}", kind, "\n".join(lines) + "\n"
+            yield f"{name}:{i}", kind, mutant(text, f"{name}:{i}")
 
 
 def _digest(data: bytes) -> str:
@@ -155,7 +90,7 @@ def test_every_mutant_keeps_its_outcome():
     for key, kind, text in mutants():
         try:
             got[key] = outcome(kind, text)
-        except Exception as e:  # noqa: BLE001 - any other escape is the failure
+        except Exception as e:  # any escape but ParseError fails, naming the mutant
             pytest.fail(f"{key}: {type(e).__name__} escaped: {e}")
     assert len(got) == len(recorded) >= 2000
     assert got == recorded

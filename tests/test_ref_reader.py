@@ -10,30 +10,15 @@ of a benchmark run.
 
 from __future__ import annotations
 
-import importlib
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import perfbench_modules
 from lqc.circuit import parse, serialize
 from lqc.core import RegisterLayout
 from lqc.synthesis import compile
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _perfbench(*names):
-    # the perfbench modules import each other as top-level modules
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return [importlib.import_module(name) for name in names]
-    finally:
-        sys.path.remove(str(PERFBENCH))
-
-
-gen, ref, workloads = _perfbench("gen", "ref", "workloads")
+gen, ref, workloads = perfbench_modules("gen", "ref", "workloads")
 
 
 @pytest.mark.parametrize("seed", [41, 42])
