@@ -524,12 +524,16 @@ def parse_matrix_text(text: str) -> tuple[np.ndarray, tuple[int, int]]:
             raise _Fault(0, "empty matrix file")
         if len(toks) != 3 or toks[0].lower() != "dim":
             raise _Fault(0, "expected header 'dim m n'")
-        try:
-            m, n = int(toks[1]), int(toks[2])
-        except ValueError:
-            raise _Fault(1, "metric counts must be integers")
+        counts = []
+        for at in (1, 2):
+            try:
+                counts.append(int(toks[at]))
+            except ValueError:
+                raise _Fault(at, "metric counts must be integers")
+        m, n = counts
         if m < 0 or n < 0 or m + n < 1:
-            raise _Fault(1, f"bad metric signature ({m}, {n})")
+            # at the first negative count; at m when both are zero
+            raise _Fault(2 if n < 0 <= m else 1, f"bad metric signature ({m}, {n})")
         dim = m + n
         matrix = lines.read_rows(dim, _Fault(0, f"expected {dim} matrix rows"))
         extra = lines.next_line()

@@ -194,13 +194,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     sys.stderr.write(f"reconstruction_error = {result.total_error:.17g}\n")
     if tol is not None:
         sys.stderr.write(f"budget_met = {'true' if result.budget_met else 'false'}\n")
-    elif not result.budget_met:
-        # the printed circuit is the one `verify` reads back, bit for bit
-        raise IsometryError(
-            f"emitted circuit not certified: metric residual {result.residual:.17g} "
-            f"(EPS_ISO {EPS_ISO:g}), reconstruction error {result.total_error:.17g} "
-            f"(EPS_RECON {EPS_RECON:g})"
-        )
+    # the printed circuit is the one `verify` reads back, bit for bit; approx
+    # mode holds its error to the budget, not to EPS_RECON
+    certified = result.budget_met if tol is None else result.residual <= EPS_ISO
+    if not certified:
+        reason = (f"emitted circuit not certified: metric residual {result.residual:.17g} "
+                  f"(EPS_ISO {EPS_ISO:g})")
+        if tol is None:
+            reason += f", reconstruction error {result.total_error:.17g} (EPS_RECON {EPS_RECON:g})"
+        raise IsometryError(reason)
     return EXIT_OK
 
 

@@ -40,12 +40,20 @@ EPS_REAL_AXIS = 1e-7  # imaginary part of an extracted axis component that still
 EPS_EIGEN_MATCH = 1e-6  # two hyperbolic elements have equal eigenvalues, so they are conjugate
 EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta| below this
 EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this
+EPS_WORD_BOUND = 1e-5  # margin of the bound that skips generator words that cannot win (below)
 EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
 
-# word_search refuses a longer word bound. A hybit search takes about 0.3 s
-# and 75 MB at depth 24, and each four levels more multiply both by about
-# six (0.054 s and 12 MB at 20; one BLAS thread, 2-core Xeon); qubit
-# searches cost less.
+# word_search neither scores nor, on its last level, keys a word B with
+# top(B) - top(A) >= best - EPS_WORD_TIE + EPS_WORD_BOUND * (1 + top(A) + top(B)),
+# top being the largest entry magnitude and A the target. The absolute term
+# covers the dedup rounding (equal keys are within sqrt(2) * 1e-6), the
+# relative one a computed distance's float error, a few ulps of
+# top(A) + top(B); entries reach about 1e9 at MAX_WORD_DEPTH.
+
+# word_search refuses a longer word bound. A hybit search takes about 0.2 s
+# and 44 MB of peak RSS growth at depth 24, and each four levels more
+# multiply its time by about six and its memory by about five (0.04 s and
+# 9 MB at 20; one BLAS thread, 2-core Xeon); qubit searches cost less.
 MAX_WORD_DEPTH = 24
 
 # `parse` refuses a declared register of more bits: a basis index, and the

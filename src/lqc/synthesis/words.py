@@ -12,8 +12,32 @@ order. Each candidate gets a key that is equal for matrices that agree up
 to a global phase after rounding, and a key seen on this or an earlier
 level drops it, so within a level the first occurrence in that order is
 the one kept. One stacked `projective_distance` then scores the kept
-candidates, and the rule err < best - EPS_WORD_TIE is replayed over them
-in order: ties break toward the shorter, then the earlier, word.
+candidates that can still win, and the rule err < best - EPS_WORD_TIE is
+replayed over them in order: ties break toward the shorter, then the
+earlier, word.
+
+Most words cannot win, and their scores are skipped. Write top(M) for the
+largest entry magnitude of M. For every unit phase z, max|A - zB| >=
+|B_kl| - |A_kl| >= top(B) - top(A) at the entry kl where top(B) sits. Take
+margin = EPS_WORD_BOUND * (1 + top(A) + top(B)), far above the float error
+of a computed distance, a few ulps of top(A) + top(B). A word B with
+top(B) - top(A) >= best - EPS_WORD_TIE + margin then has a distance of at
+least best - EPS_WORD_TIE, and since the best only falls during a level,
+it cannot replace the best. Two rules follow; the tops come from the np.abs
+that the keys take their cutoff from, so they add no pass.
+- Every level keys, dedups and keeps every product, so the frontier and
+  `seen` are those of a search that scores every word, but only the kept
+  words that pass the bound against the level's starting best are scored.
+- The last level (depth_max) keys none of the products that fail the
+  bound. No level follows, so such a key could only have dropped a later
+  product of the same level with an equal key. Equal keys mean entries
+  within sqrt(2) * 10^-_DEDUP_DECIMALS after the phase fix, below the
+  margin's absolute term, so that product also fails the bound, by the
+  margin less that amount. It is kept and scored, and it cannot win.
+A word scored gets the distance bits it would get in the full stack, since
+each element's distance is that of the element alone (below), and the
+replay visits the scored words in enumeration order, so the result does
+not change.
 
 Every result is bit-identical to scoring one node at a time, which the
 tests check against such a search. Each array step is one BLAS call or one
@@ -43,8 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import (
-    EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_TIE, MAX_WORD_DEPTH, BitKind,
-    GuardError, IsometryError, LqcError, metric_for_kinds,
+    EPS_DEGENERATE, EPS_NO_PHASE_REF, EPS_TARGET_ISO, EPS_WORD_BOUND, EPS_WORD_TIE,
+    MAX_WORD_DEPTH, BitKind, GuardError, IsometryError, LqcError, metric_for_kinds,
 )
 from ..gates import builtin, isometry_residual
 
@@ -147,17 +171,36 @@ def _first_true(flags: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(v ^ (v - np.uint32(1))) >> 3) & 3
 
 
-def _canonical_keys(stack: np.ndarray) -> list[bytes]:
-    """One dedup key per matrix of an (n, 2, 2) stack."""
+def _tops(stack: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix of an (n, 2, 2) stack."""
+    return _max4(np.abs(stack.reshape(len(stack), 4)))
+
+
+def _canonical_keys(stack: np.ndarray, top: np.ndarray | None = None) -> list[bytes]:
+    """One dedup key per matrix of an (n, 2, 2) stack; top is its _tops,
+    when the caller has them."""
     # fix the global phase by the first entry whose magnitude is at least
     # half the largest, then round; +0.0 squashes negative zeros
     flat = stack.reshape(len(stack), 4)
-    cutoff = 0.5 * _max4(np.abs(flat))
+    cutoff = 0.5 * (_tops(stack) if top is None else top)
     first = _first_true(_scalar_abs(flat) >= cutoff[:, None])
-    ref = flat.ravel()[4 * np.arange(len(flat)) + first]
+    ref = flat.ravel().take(4 * np.arange(len(flat)) + first)
     rounded = np.round(stack / _phases(ref)[:, None, None], _DEDUP_DECIMALS) + 0.0
     # the bytes of each rounded matrix, as rounded[i].tobytes() gives them
     return rounded.reshape(len(stack), 4).view(np.dtype((np.void, 64))).ravel().tolist()
+
+
+def _reach(best_error: float, top_target: float) -> float:
+    """The top a word must stay below to beat best_error, for a target whose
+    top is top_target: the bound of the module docstring, solved for top(B)."""
+    slack = best_error - EPS_WORD_TIE + EPS_WORD_BOUND * (1 + top_target) + top_target
+    return slack / (1 - EPS_WORD_BOUND)
+
+
+def _rows(stack: np.ndarray, at: np.ndarray | None) -> np.ndarray:
+    """The rows at of stack, or stack as it is when at is None or takes
+    every row: no copy when nothing is pruned."""
+    return stack if at is None or len(at) == len(stack) else stack.take(at, 0)
 
 
 def word_search(
@@ -198,26 +241,40 @@ def word_search(
     best_matrix = frontier[0].copy()
     best_error = float(projective_distance(target, frontier)[0])
     best_at = (0, 0)  # (length, index in its level) of the best word
+    top_target = float(np.abs(target).max())
     seen = set(_canonical_keys(frontier))
     add = seen.add  # returns None, so `not add(key)` records key and keeps it
     # per level, the index among its products of each kept word:
     # parent index * len(names) + letter index
     kept_at: list[np.ndarray] = []
-    for _depth in range(depth_max):
+    for depth in range(1, depth_max + 1):
         if not len(frontier):
             break
         products = _level_products(frontier, G)
-        keep = [i for i, key in enumerate(_canonical_keys(products))
-                if key not in seen and not add(key)]
-        kept_at.append(np.array(keep, dtype=np.intp))
-        frontier = products[kept_at[-1]]
+        top = _tops(products)
+        # only these can beat the level's starting best
+        can_win = top < _reach(best_error, top_target)
+        # no level follows the last, so a product there that cannot win needs no key
+        keyed = can_win.nonzero()[0] if depth == depth_max else None
+        keys = _canonical_keys(_rows(products, keyed), _rows(top, keyed))
+        keep = np.array([i for i, key in enumerate(keys) if key not in seen and not add(key)],
+                        dtype=np.intp)
+        if keyed is not None:
+            keep = keyed.take(keep)
+        kept_at.append(keep)
+        frontier = products.take(keep, 0)
         del products  # freed before the distances allocate theirs: peak RSS
-        errors = projective_distance(target, frontier)
+        live = can_win.take(keep).nonzero()[0]
+        if not len(live):
+            continue
+        scored = _rows(frontier, live)
+        errors = projective_distance(target, scored)
         # only a word below the level's starting bound can improve on it
-        for j in np.flatnonzero(errors < best_error - EPS_WORD_TIE).tolist():
+        for j in (errors < best_error - EPS_WORD_TIE).nonzero()[0].tolist():
             if errors[j] < best_error - EPS_WORD_TIE:
-                best_at, best_error = (len(kept_at), j), float(errors[j])
-                best_matrix = frontier[j].copy()  # not a view of the level
+                best_error = float(errors[j])
+                best_at = (len(kept_at), int(live[j]))
+                best_matrix = scored[j].copy()  # not a view of the level
 
     length, j = best_at
     letters = []

@@ -924,9 +924,9 @@ class TestSynthVerifyGolden:
 
 
 class TestSynthCertifies:
-    """`synth --exact` exits 3 when the circuit it prints would FAIL
-    `verify` or misses its input by more than EPS_RECON, and still prints
-    it. The inputs are six `perfbench/gen` isometries on which `synth`
+    """`synth` exits 3 when the circuit it prints would FAIL `verify`, and
+    `synth --exact` also when it misses its input by more than EPS_RECON;
+    both still print it. The inputs are six `perfbench/gen` isometries on which `synth`
     once exited 0 and `verify` 3, and the xfail cases of
     `test_hybit_registers_pass_verify`."""
 
@@ -963,6 +963,25 @@ class TestSynthCertifies:
             "error: emitted circuit not certified: metric residual 5.6319191901822548e-09 "
             "(EPS_ISO 1e-10), reconstruction error 4.237916471523223e-08 (EPS_RECON 1e-08)",
         ]
+
+    @pytest.mark.parametrize("source", ["uncertified", "hybit word"])
+    def test_approx_exit_code_agrees_with_verify(self, tmp_path, capsys, source):
+        # approx mode holds the error to its budget, and the circuit to EPS_ISO
+        if source == "uncertified":
+            path, q, h = str(Path(__file__).parent / "data" / "uncertified" / "qqhhh.mat"), "2", "3"
+        else:
+            [gen] = perfbench_modules("gen")
+            target = gen.random_isometry("h", np.random.default_rng(5))
+            path, q, h = put(tmp_path, "a.mat", gen.matrix_text(target, "h")), "0", "1"
+        code, out, err = cli(capsys, "synth", path, "--qubits", q, "--hybits", h, "--approx", "0.05")
+        verify_code, verdict, _ = cli(capsys, "verify", put(tmp_path, "c.lqc", out))
+        assert code == verify_code == (3 if source == "uncertified" else 0)
+        assert "budget_met = true" in err.splitlines()
+        if code:
+            assert err.splitlines()[-1] == (
+                f"error: emitted circuit not certified: metric residual {verdict.split()[2]} "
+                "(EPS_ISO 1e-10)"
+            )
 
 
 class TestUsage:

@@ -331,13 +331,17 @@ class TestMatrixText:
             ("# only a comment\n", (1, 1, "empty matrix file")),
             ("\n  dom 1 1\n", (2, 3, "expected header 'dim m n'")),
             ("dim 1\n", (1, 1, "expected header 'dim m n'")),
-            ("dim 1 x\n1,0\n", (1, 5, "metric counts must be integers")),
+            ("dim 1 x\n1,0\n", (1, 7, "metric counts must be integers")),
             ("dim 0 0\n", (1, 5, "bad metric signature (0, 0)")),
             ("dim 2 0\n1,0 0,0\n", (1, 1, "expected 2 matrix rows")),
             ("dim 2 0\n1,0 0,0\n  0,0\n", (3, 3, "expected 2 matrix entries")),
             ("dim 2 0\n1,0 0,0\n0,0  1,0,0\n", (3, 6, "matrix entry '1,0,0' is not 're,im'")),
             ("dim 2 0\n1,0 0,0 # ok\n0,0 ,1\n", (3, 5, "matrix entry ',1' is not 're,im'")),
             ("dim 1 0\n1,0\n\n  -1,0\n2,0\n", (4, 3, "more than 1 matrix rows")),
+            ("dim x 1\n1,0\n", (1, 5, "metric counts must be integers")),
+            ("dim 2 -1\n", (1, 7, "bad metric signature (2, -1)")),
+            ("dim -1 2\n", (1, 5, "bad metric signature (-1, 2)")),
+            ("dim -1 -1\n", (1, 5, "bad metric signature (-1, -1)")),
         ],
     )
     def test_each_fault_has_line_and_column(self, text, diagnostic):

@@ -4,7 +4,8 @@ Each mutant is a committed source with one to three seeded edits: a token
 or a character dropped, inserted or replaced, or a line deleted or
 inserted. Its outcome is the class and text of every diagnostic, or a
 digest of the parsed circuit or matrix. `data/parse_outcomes.json` holds
-the outcome of every mutant, recorded at 40fa77a, so a change to how
+the outcome of every mutant, recorded at 40fa77a (a bad metric count of a
+matrix header placed at that count since), so a change to how
 `parse` and `parse_matrix_text` find and place their faults must keep every
 diagnostic byte for byte. Nothing but `ParseError` may escape either one.
 

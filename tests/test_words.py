@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import (
     cartan_target, reference_canonical_key, reference_projective_distance, reference_word_search,
     word_matrix,
 )
-from lqc.core import EPS_DEGENERATE, IsometryError
+from lqc.core import EPS_DEGENERATE, EPS_WORD_BOUND, EPS_WORD_TIE, MAX_WORD_DEPTH, IsometryError
 from lqc.gates import builtin
 from lqc.synthesis import words
 from lqc.synthesis.words import GateWord, generator_matrices, projective_distance, word_search
@@ -179,6 +180,15 @@ class TestMatchesNodeByNodeSearch:
     def test_small_and_large_tol(self, kind, tol):
         assert_same_search(cartan_target(kind, np.random.default_rng(7)), kind, tol, 12)
 
+    @pytest.mark.parametrize("rapidity", [0.1, 3.0], ids=["small-entries", "large-entries"])
+    def test_hybit_targets_the_last_level_skips_most_and_least_of(self, rapidity):
+        # at depth 16, the last level keys 76 of its 2,834 products for the
+        # first and 2,802 for the second: the small target's best error is
+        # soon below the top of most words, the large one's is not
+        target = np.diag(np.exp(1j * np.array([0.3, -1.1]))) @ builtin("BOOST", rapidity)
+        for depth in range(17):
+            assert_same_search(target, "h", 1e-3, depth)
+
 
 @functools.cache
 def searched_products(kind, depth):
@@ -284,6 +294,57 @@ class TestStackedHelpers:
         assert not np.array_equal(array_phase, ref)
 
 
+def bound_targets():
+    rng = np.random.default_rng(21)
+    return [
+        cartan_target("q", rng), cartan_target("h", rng), builtin("X"), builtin("Y"),
+        builtin("Z"), np.eye(2), builtin("BOOST", 2.0),
+    ]
+
+
+class TestWinBound:
+    """For every unit phase z, max|A - zB| >= top(B) - top(A), top being the
+    largest entry magnitude, and the computed distance keeps that within
+    EPS_WORD_BOUND * (1 + top(A) + top(B)): the bound by which word_search
+    leaves out the words that cannot win."""
+
+    @pytest.mark.parametrize("name", ["random", "q", "h"])
+    def test_distance_is_at_least_the_top_gap(self, name):
+        S = stack(name)
+        top = words._tops(S)
+        assert np.array_equal(top, np.abs(S).max(axis=(1, 2)))
+        for A in bound_targets():
+            top_a = np.abs(A).max()
+            d = projective_distance(A, S)
+            assert np.all(d >= top - top_a - EPS_WORD_BOUND * (1 + top_a + top))
+            # as word_search applies it: a word at or past the reach of a
+            # best error e cannot get below e - EPS_WORD_TIE
+            assert np.all(top <= words._reach(d + EPS_WORD_TIE, top_a))
+
+    def test_the_bound_is_tight(self):
+        # words equal to the identity up to phase sit on the bound against I
+        S = stack("h")
+        gap = projective_distance(np.eye(2), S) - (words._tops(S) - 1)
+        assert gap.min() < EPS_WORD_BOUND
+
+
+class TestSearchMemory:
+    """The tracemalloc peak of the deepest search MAX_WORD_DEPTH allows, a
+    hybit one, where the keys and the `seen` set are most of the memory.
+    Keying every product of the last level, the ones that cannot win
+    included, peaks at 67 MB; leaving those out, at about 42 MB."""
+
+    def test_deepest_hybit_search(self):
+        target = cartan_target("h", np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            word_search(target, "h", 1e-3, MAX_WORD_DEPTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
 class TestLevelForms:
     """Each level is a few BLAS calls over rows: one gemm per generator for
     the products, one for every B^dag A. That these give each element the
@@ -349,14 +410,20 @@ class TestOneCallPerLevel:
         distances = self.spy(monkeypatch, "projective_distance")
         keys = self.spy(monkeypatch, "_canonical_keys")
         fallbacks = self.spy(monkeypatch, "_fallback_phase_ref")
+        levels = self.spy(monkeypatch, "_level_products")
         word_search(target, kind, 1e-3, depth)
         # the identity, then one stack per level
         assert 1 < len(distances) <= depth + 1
         assert 1 < len(keys) <= depth + 1
         assert all(B.ndim == 3 for _, B in distances)
-        assert all(S.ndim == 3 for (S,) in keys)
+        assert all(S.ndim == 3 for S, *_ in keys)
+        keyed = sum(len(S) for S, *_ in keys)
+        assert keyed > 10 * (depth + 1)
+        # only the words that can still win are scored: on a hybit, fewer
+        # than the levels before the last keep, each the next one's frontier
         nodes = sum(len(B) for _, B in distances)
-        assert nodes > 10 * (depth + 1)
+        if kind == "h":
+            assert nodes < sum(len(frontier) for frontier, _ in levels[1:]) < keyed
         # the per-element fallback runs for exactly the degenerate traces
         degenerate = sum(
             abs(np.trace(B.conj().T @ A)) < EPS_DEGENERATE
