@@ -23,7 +23,6 @@ from .simulator import OutcomeDistribution, observe, run
 __all__ = [
     "SearchSpec",
     "search_layout",
-    "oracle_circuit",
     "q_circuit",
     "run_search",
     "predicted_success",
@@ -83,12 +82,6 @@ def _marked(spec: SearchSpec) -> Instruction:
     return Instruction(
         "X", (spec.n,), tuple(range(spec.n)), ctrl_state=tuple(int(bit) for bit in spec.target_x)
     )
-
-
-def oracle_circuit(spec: SearchSpec) -> Circuit:
-    """O: flip the oracle qubit exactly on |target_x>, as one X controlled on
-    every search qubit with target_x as the trigger values, so O^2 = I."""
-    return Circuit(search_layout(spec.n), (_marked(spec),))
 
 
 def q_circuit(spec: SearchSpec) -> Circuit:

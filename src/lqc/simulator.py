@@ -414,13 +414,12 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
 
 
 def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
-                kernel: tuple | None = None) -> None:
+                kernel: tuple) -> None:
     """x0, x1 <- a x0 + b x1, c x0 + d x1 in place, for the target slices
     t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
     when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
-    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`, passed
-    by a caller that has it."""
-    update, coeffs, ntemps = kernel or _pair_kernel(gate)
+    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`."""
+    update, coeffs, ntemps = kernel
     if update is None:
         # one op per slice, each already a single pass over that slice
         a, d = coeffs

@@ -9,14 +9,13 @@ hybits it compiles to d(d-1)/2 gates. Exact mode stops after lowering, so the on
 float accumulation; its `budget_met` also asks that the circuit's matrix
 preserve the metric within EPS_ISO, as `lqc verify` checks it.
 
-Approximate mode additionally rewrites every uncontrolled single-bit gate
-as a generator word ({H,T} on qubits, {TAU,T} on hybits) found by
-word_search; controlled gates are kept, since words are products of bare
-generators. The final comparison is projective because words only match
-their targets up to a global phase. Lowering a register of two or more
-bits emits only gates controlled on every other bit, so on those
-registers approximate mode substitutes no word and returns the exact
-circuit; word search runs only for 1-bit registers.
+Approximate mode additionally rewrites each gate of a 1-bit register as a
+generator word ({H,T} on qubits, {TAU,T} on hybits) found by word_search.
+The final comparison is projective because words only match their targets
+up to a global phase. Words are products of bare generators, and lowering
+a register of two or more bits controls every gate on every other bit, so
+there approximate mode keeps the lowered circuit and its matrix: the exact
+circuit.
 """
 from __future__ import annotations
 
@@ -88,8 +87,10 @@ def compile(
             residual=residual,
         )
 
-    circuit, word_errs = _substitute_words(circuit, tol, WORD_DEPTH)
-    if word_errs:
+    # a wider register's gates are all controlled: no word replaces one
+    word_errs: list[float] = []
+    if layout.num_bits == 1:
+        circuit, word_errs = _substitute_words(circuit, tol, WORD_DEPTH)
         R = to_matrix(circuit)
     total = float(projective_distance(R, A))
     stage_words = CompileStage(
@@ -106,20 +107,18 @@ def compile(
 
 
 def _substitute_words(circuit: Circuit, tol: float, depth: int):
-    layout = circuit.layout
+    """Each gate of a 1-bit circuit as its generator word, and each word's
+    error."""
+    kind = circuit.layout.kinds[0]
     out: list[Instruction] = []
     errors: list[float] = []
     for instr in circuit.instructions:
-        if instr.controls or len(instr.targets) != 1:
-            out.append(instr)
-            continue
-        kind = layout.kinds[instr.targets[0]]
         word = word_search(instr.gate_matrix(), kind, tol, depth)
         errors.append(word.error)
         # letters multiply left to right onto the state, rightmost first
         for letter in reversed(word.letters):
             out.append(Instruction(letter, instr.targets))
-    return Circuit(layout, tuple(out)), errors
+    return Circuit(circuit.layout, tuple(out)), errors
 
 
 def format_report(result: CompileResult) -> str:

@@ -176,13 +176,12 @@ def _tops(stack: np.ndarray) -> np.ndarray:
     return _max4(np.abs(stack.reshape(len(stack), 4)))
 
 
-def _canonical_keys(stack: np.ndarray, top: np.ndarray | None = None) -> list[bytes]:
-    """One dedup key per matrix of an (n, 2, 2) stack; top is its _tops,
-    when the caller has them."""
+def _canonical_keys(stack: np.ndarray, top: np.ndarray) -> list[bytes]:
+    """One dedup key per matrix of an (n, 2, 2) stack whose _tops are top."""
     # fix the global phase by the first entry whose magnitude is at least
     # half the largest, then round; +0.0 squashes negative zeros
     flat = stack.reshape(len(stack), 4)
-    cutoff = 0.5 * (_tops(stack) if top is None else top)
+    cutoff = 0.5 * top
     first = _first_true(_scalar_abs(flat) >= cutoff[:, None])
     ref = flat.ravel().take(4 * np.arange(len(flat)) + first)
     rounded = np.round(stack / _phases(ref)[:, None, None], _DEDUP_DECIMALS) + 0.0
@@ -242,7 +241,7 @@ def word_search(
     best_error = float(projective_distance(target, frontier)[0])
     best_at = (0, 0)  # (length, index in its level) of the best word
     top_target = float(np.abs(target).max())
-    seen = set(_canonical_keys(frontier))
+    seen = set(_canonical_keys(frontier, _tops(frontier)))
     add = seen.add  # returns None, so `not add(key)` records key and keeps it
     # per level, the index among its products of each kept word:
     # parent index * len(names) + letter index

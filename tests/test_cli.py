@@ -817,35 +817,17 @@ class TestBenchmarkSizeGolden:
         assert out == SEARCH_GOLDEN[x]
 
 
-# Stdout of `synth --exact` on two committed register isometries
-# (`perfbench/gen.random_isometry` at default_rng(2024)), recorded before
-# `two_level_factorize` recorded each factor once. Both use the four-matrix
-# identity and absorb leftover phases. A change to the factors or their
-# lowering that is meant to change these bytes must record them anew.
-SYNTH_GOLDEN = {
-    "qqhh": ("a5b89e19cb0eab3db0f8d51725398972546ffcef02d9a3616893225b9b699f80", 37249),
-    "qhhh": ("ac04228d2e889aed4de574e1778ffeee377239ef91bca09771d7c4075a75b7d3", 44288),
-}
-
-
-class TestSynthGolden:
-    @pytest.mark.parametrize("kinds", sorted(SYNTH_GOLDEN))
-    def test_exact_stdout(self, capsys, kinds):
-        path = Path(__file__).parent / "data" / f"{kinds}.mat"
-        q, h = str(kinds.count("q")), str(kinds.count("h"))
-        code, out, _ = cli(capsys, "synth", str(path), "--qubits", q, "--hybits", h, "--exact")
-        assert code == 0
-        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-        assert (digest, len(out)) == SYNTH_GOLDEN[kinds]
-
-
 # SHA-256 and length of `synth` stdout on committed register isometries
-# (`perfbench/gen.random_isometry` at default_rng(2024)), recorded at
-# 8f5d386. The exact runs hold hundreds of DEFGATE blocks and the names of
-# builtins and U-gates; the one-bit approximate runs hold generator words.
-# These layouts have at most one hybit; an intended change to their gates
-# must record them anew.
+# (`perfbench/gen.random_isometry` at default_rng(2024)). An intended change
+# to their gates must record them anew.
 SYNTH_MODE_GOLDEN = {
+    # recorded before `two_level_factorize` recorded each factor once. Both
+    # use the four-matrix identity and absorb leftover phases.
+    ("qqhh", "--exact"): ("a5b89e19cb0eab3db0f8d51725398972546ffcef02d9a3616893225b9b699f80", 37249),
+    ("qhhh", "--exact"): ("ac04228d2e889aed4de574e1778ffeee377239ef91bca09771d7c4075a75b7d3", 44288),
+    # recorded at 8f5d386, on layouts with at most one hybit. The exact runs
+    # hold hundreds of DEFGATE blocks and the names of builtins and U-gates;
+    # the one-bit approximate runs hold generator words.
     ("qqqq", "--exact"): ("51fab40b78895e6cdbca734757094c9cf8bec967f9a956183d89602897358f99", 21650),
     ("qqqqq", "--exact"): ("bd194d3d8d0e03689aa04e7a5e1bb5567ecdfe0f9679207cbc5427ea15391c80", 90423),
     ("qqqqh", "--exact"): ("de3be9753a3a5f29fc069417c1a5016838d5f00d5ac19c81c9754cbbcbdf21a3", 91023),
@@ -864,6 +846,49 @@ class TestSynthModeGolden:
         assert code == 0
         digest = hashlib.sha256(out.encode("ascii")).hexdigest()
         assert (digest, len(out)) == SYNTH_MODE_GOLDEN[kinds, mode]
+
+
+# SHA-256 and length of `synth --approx 0.05` stdout and stderr on the
+# committed register isometries of two or more bits, recorded at f1c252f.
+# Lowering controls every gate there on every other bit, so no gate is a
+# bare one for a generator word to replace: stdout is the exact circuit,
+# and stderr's "words" stage reports an error of 0.
+SYNTH_APPROX_WIDE_GOLDEN = {
+    "qhhh": (
+        ("ac04228d2e889aed4de574e1778ffeee377239ef91bca09771d7c4075a75b7d3", 44288),
+        ("fb693b73691ba8cd3bac47bf1d8833b41d2f8ea178d3e6758f7a88877a33132e", 178),
+    ),
+    "qqhh": (
+        ("a5b89e19cb0eab3db0f8d51725398972546ffcef02d9a3616893225b9b699f80", 37249),
+        ("c43c492628dfc0d6d436a1b3c09d67c2ce06ffe51fe9862aa3a2224011382cab", 175),
+    ),
+    "qqqq": (
+        ("51fab40b78895e6cdbca734757094c9cf8bec967f9a956183d89602897358f99", 21650),
+        ("32fa32c98c41a93a17469747fdee32a97a912934ecfe54d686c134466f6aa987", 179),
+    ),
+    "qqqqh": (
+        ("de3be9753a3a5f29fc069417c1a5016838d5f00d5ac19c81c9754cbbcbdf21a3", 91023),
+        ("d4d2de2503e3ef1896a6b32dc6bac9975645bc0d463a8cc498e5a0d160ffe3cd", 179),
+    ),
+    "qqqqq": (
+        ("bd194d3d8d0e03689aa04e7a5e1bb5567ecdfe0f9679207cbc5427ea15391c80", 90423),
+        ("750fecb15cf1bc1610ff99c4e0e01ee8ebf074ccaa3a7e7c9a66458977212874", 179),
+    ),
+}
+
+
+class TestSynthApproxWideGolden:
+    @pytest.mark.parametrize("kinds", sorted(SYNTH_APPROX_WIDE_GOLDEN))
+    def test_stdout_and_stderr(self, capsys, kinds):
+        path = Path(__file__).parent / "data" / f"{kinds}.mat"
+        q, h = str(kinds.count("q")), str(kinds.count("h"))
+        code, out, err = cli(capsys, "synth", str(path), "--qubits", q, "--hybits", h,
+                             "--approx", "0.05")
+        assert code == 0
+        got = tuple(
+            (hashlib.sha256(text.encode("ascii")).hexdigest(), len(text)) for text in (out, err)
+        )
+        assert got == SYNTH_APPROX_WIDE_GOLDEN[kinds]
 
 
 # SHA-256 and length of `synth --exact` stderr (the stage report and

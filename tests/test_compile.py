@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import controlled
+from conftest import controlled, perfbench_modules
 from lqc.circuit import to_matrix
 from lqc.core import (
     EPS_ISO,
@@ -83,6 +83,40 @@ class TestExactMode:
         circuit = compile(A, layout).circuit
         assert len(circuit.instructions) == 496
         assert all(len(i.controls) == 4 for i in circuit.instructions)
+
+    # the rule that lets approximate mode skip word search on registers of
+    # two or more bits: there is no bare gate for a word to replace
+    @pytest.mark.parametrize(
+        "kinds", ["".join(k) for n in range(1, 5) for k in itertools.product("qh", repeat=n)]
+    )
+    @pytest.mark.parametrize("seed", [600, 601])
+    def test_each_gate_controlled_on_every_other_bit(self, kinds, seed):
+        layout = RegisterLayout(kinds)
+        A = random_isometry_for_signs(metric_vector(layout).astype(float), seed)
+        circuit = compile(A, layout).circuit
+        assert circuit.instructions
+        # on one bit: one target and no control
+        for instr in circuit.instructions:
+            assert len(instr.targets) == 1
+            assert sorted(instr.controls + instr.targets) == list(range(layout.num_bits))
+
+    # 7 bits, on the benchmark's generator: `random_isometry_for_signs` at 7
+    # bits with a hybit is no isometry (residuals of 1e-7 and more). With two
+    # hybits or more synthesis fails (ROADMAP items 9 and 19): `qqqqqhh`
+    # misses EPS_ISO (residual 4.7e-9), and on `qqqqhhh` `lower` raises, since
+    # the emitted gate U13568 has a residual of 3.0e-10 on its hybit target.
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kinds", [
+        "qqqqqqq",
+        "qqqqqqh",
+        pytest.param("qqqqqhh", marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
+        pytest.param("qqqqhhh", marks=pytest.mark.xfail(strict=True, raises=IsometryError)),
+    ])
+    def test_seven_bits(self, kinds):
+        [gen] = perfbench_modules("gen")
+        res = compile(gen.random_isometry(kinds, np.random.default_rng(100)), RegisterLayout(kinds))
+        assert res.budget_met
+        assert len(res.circuit.instructions) == 128 * 127 // 2
 
     def test_2q1h_spec_example(self):
         layout = RegisterLayout("qqh")

@@ -544,10 +544,11 @@ def test_pair_matmul_columns_round_as_the_whole_product(kind):
     gate, _ = make_gate("DENSE", [kind], rng.random(4))
     start = random_tensor(RegisterLayout.of(11, 0), None, 3).reshape(2, -1)
     whole = start.copy()
-    simulator._apply_pair(whole[0], whole[1], gate, True)
+    kernel = simulator._pair_kernel(gate)
+    simulator._apply_pair(whole[0], whole[1], gate, True, kernel)
     for cols in column_subsets(rng, start.shape[1]):
         part = np.ascontiguousarray(start[:, cols])
-        simulator._apply_pair(part[0], part[1], gate, True)
+        simulator._apply_pair(part[0], part[1], gate, True, kernel)
         assert_same_bits(part, np.ascontiguousarray(whole[:, cols]))
 
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from lqc import search
-from lqc.circuit import Instruction
+from lqc.circuit import Circuit, Instruction
 from lqc.circuit import to_matrix
 from lqc.core import GuardError, LqcError, basis_state, pseudo_norm
 from lqc.search import (
     MAX_ROUNDS,
     SearchSpec,
     choose_k,
-    oracle_circuit,
     predicted_success,
     q_circuit,
     qk_amplitudes,
@@ -53,6 +52,11 @@ class TestSpecValidation:
             SearchSpec(2, "01", 0.0, MAX_ROUNDS + 1)
         with pytest.raises(GuardError, match="k\\*chi"):
             SearchSpec(2, "01", 1.0, 400)
+
+
+def oracle_circuit(spec):
+    """O alone: the oracle instruction of a round, in a circuit of its own."""
+    return Circuit(search_layout(spec.n), q_circuit(spec).instructions[:1])
 
 
 class TestOracle:

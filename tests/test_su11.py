@@ -105,6 +105,9 @@ class TestDecompose:
 
 
 class TestWordRotation:
+    def test_word_is_a_space_rotation(self):
+        assert decompose_su11(builtin("T") @ builtin("TAU")).family == "space"
+
     def test_theta0_closed_form(self):
         rot = rotation_angle_of_word()
         assert rot.theta0 == pytest.approx(math.acos(math.sqrt(2) * math.sin(math.pi / 8)), abs=1e-12)

@@ -250,7 +250,7 @@ class TestStackedHelpers:
     @pytest.mark.parametrize("name", ["random", "q", "h"])
     def test_key(self, name):
         S = stack(name)
-        assert words._canonical_keys(S) == [reference_canonical_key(B) for B in S]
+        assert words._canonical_keys(S, words._tops(S)) == [reference_canonical_key(B) for B in S]
 
     def test_degenerate_traces(self):
         S = degenerate_stack()
@@ -259,8 +259,8 @@ class TestStackedHelpers:
         assert 0 < sum(t < EPS_DEGENERATE for t in traces) < len(S)
         got = projective_distance(A, S)
         assert np.array_equal(got, [reference_projective_distance(A, B) for B in S])
-        nonzero = [B for B in S if np.abs(B).max() > 0]
-        assert words._canonical_keys(np.array(nonzero)) == [
+        nonzero = np.array([B for B in S if np.abs(B).max() > 0])
+        assert words._canonical_keys(nonzero, words._tops(nonzero)) == [
             reference_canonical_key(B) for B in nonzero
         ]
 
@@ -268,12 +268,14 @@ class TestStackedHelpers:
         A = builtin("H")
         empty = np.empty((0, 2, 2), dtype=complex)
         assert projective_distance(A, empty).shape == (0,)
-        assert words._canonical_keys(empty) == []
+        assert words._canonical_keys(empty, words._tops(empty)) == []
         B = builtin("T")
         one = projective_distance(A, B[None])
         assert one.shape == (1,) and one[0] == reference_projective_distance(A, B)
         assert isinstance(projective_distance(A, B), float)
-        assert words._canonical_keys(B[None]) == [reference_canonical_key(B)]
+        assert words._canonical_keys(B[None], words._tops(B[None])) == [
+            reference_canonical_key(B)
+        ]
 
     def test_array_phase_is_not_the_scalar_phase(self):
         # abs() of a numpy complex scalar is the C library's hypot, and
