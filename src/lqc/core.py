@@ -189,20 +189,34 @@ class StateVector:
 
 def pattern_masses(state: StateVector) -> np.ndarray:
     """Squared magnitude of each hybit pattern's slice of the state, as an
-    array over hybit indices (first hybit most significant). The real and
-    imaginary parts each go through one `np.einsum` that keeps the hybit
-    axes, so no temporary of the state's size is made; the tensor's
-    negative-stride axes are flipped back first, which einsum walks several
-    times faster, and the masses flipped into pattern order after. The order
-    of summation follows the memory layout. An overflowing square gives inf
-    or nan, without numpy warnings."""
+    array over hybit indices (first hybit most significant). The tensor's
+    negative-stride axes are flipped back first and the masses flipped into
+    pattern order after. Where the last memory axis then has unit stride
+    (every state `run` returns, and every state built from a flat array),
+    the axes are taken in memory order and read as float64, each
+    amplitude's real and imaginary parts on a trailing axis of length 2,
+    and one `np.einsum` that keeps the hybit axes sums the squares: one
+    pass over the state, in memory order, copying nothing. A tensor with
+    no unit-stride axis (a strided view a caller built) takes one einsum
+    over the real parts and one over the imaginary parts instead. Either
+    way no temporary of the state's size is made, the order of summation
+    follows the memory layout, and each axis keeps its register position
+    as its einsum label, so the masses come out in pattern order. An
+    overflowing square gives inf or nan, without numpy warnings."""
     tensor = state.tensor
     flipped = [p for p, s in enumerate(tensor.strides) if s < 0]
     base = np.flip(tensor, flipped)
-    axes, hybits = list(range(tensor.ndim)), list(state.layout.positions(BitKind.HYBIT))
+    hybits = list(state.layout.positions(BitKind.HYBIT))
+    order = sorted(range(base.ndim), key=lambda p: -base.strides[p])
     with np.errstate(over="ignore", invalid="ignore"):
-        masses = (np.einsum(base.real, axes, base.real, axes, hybits)
-                  + np.einsum(base.imag, axes, base.imag, axes, hybits))
+        if order and base.strides[order[-1]] == base.itemsize:
+            parts = base.transpose(order).view(np.float64).reshape(*base.shape, 2)
+            labels = [*order, base.ndim]
+            masses = np.einsum(parts, labels, parts, labels, hybits)
+        else:
+            axes = list(range(base.ndim))
+            masses = (np.einsum(base.real, axes, base.real, axes, hybits)
+                      + np.einsum(base.imag, axes, base.imag, axes, hybits))
     return np.flip(masses, [hybits.index(p) for p in flipped if p in hybits]).reshape(-1)
 
 

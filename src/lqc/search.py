@@ -97,9 +97,17 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
     """Prepare the uniform superposition, apply Q^k, hyper-postselect, and
     marginalize out the oracle qubit. Outcomes are the n-bit search strings.
     The circuit is validated in two stacked metric checks, one for the H
-    layer and one for the round."""
+    layer and one for the round.
+
+    The H layer runs from q_{n-1} down to q0. Every search qubit carries
+    the same weight in `run`'s memory order, whose ties go by position, so
+    q_{n-1} lies on the unit-stride axis and q0 on the leading search axis:
+    from q_{n-1} each H widens one trailing stretch of the support, where
+    from q0 the H on q_k would update 2^k amplitudes spread over the state.
+    The amplitudes are the same bit for bit in either order, and so is the
+    memory order, since the weights do not depend on instruction order."""
     layout = search_layout(spec.n)
-    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(spec.n)))
+    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in reversed(range(spec.n))))
     full = observe(run(prep.concat(q_circuit(spec), times=spec.k)))
     # the oracle qubit is the last qubit, so the least significant index bit
     return OutcomeDistribution(full.probs[0::2] + full.probs[1::2], full.observable_mass)

@@ -173,15 +173,18 @@ axes the frame left reversed. The visible squares are summed in register
 index order, so they and the mass keep their bits whatever the memory
 order, and are divided by the mass in place. The mass per hybit pattern,
 which feeds only the finite check and the negligible-mass warning, comes
-from `core.pattern_masses`, summed in memory order with no temporary of
-the state's size. So `observe` holds the state, the visible probabilities
-and a chunk. `sample` takes the distribution, not the state, so `lqc
-sample` frees the state before it draws. The outcome distribution is an
-array over qubit indices, whose order is sorted-bitstring order;
-bitstrings are built only for output. Sampling draws by inverse CDF over
-that array, so the draws equal those of an inverse CDF over the sorted
-list of outcomes. A state whose total squared magnitude is not finite (its
-amplitudes overflowed) is refused with GuardError.
+from `core.pattern_masses`: one einsum pass over the state in memory
+order, each amplitude's real and imaginary parts read together as float64
+pairs, with no temporary of the state's size. The distribution is then
+checked in two sweeps, its sum and its minimum. So `observe` holds the
+state, the visible probabilities and a chunk. `sample` takes the
+distribution, not the state, so `lqc sample` frees the state before it
+draws. The outcome distribution is an array over qubit indices, whose
+order is sorted-bitstring order; bitstrings are built only for output.
+Sampling draws by inverse CDF over that array, so the draws equal those
+of an inverse CDF over the sorted list of outcomes. A state whose total
+squared magnitude is not finite (its amplitudes overflowed) is refused
+with GuardError.
 
 `format_distribution` and `format_counts` write the text forms to a stream
 one block of at most FORMAT_BLOCK lines at a time, so the whole text is
@@ -773,17 +776,22 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1 or self.probs.size & (self.probs.size - 1):
+        size = self.probs.size
+        if self.probs.ndim != 1 or not size or size & (size - 1):
             raise LqcError("probabilities must be a vector over 2^n qubit indices")
-        if not np.isfinite(self.probs).all():
+        # two sweeps, the sum and the minimum: a finite sum has only finite
+        # entries, so only a sum that is not (a non-finite entry, or finite
+        # ones that overflow) needs the elementwise check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self.probs.sum())
+        if not math.isfinite(total) and not np.isfinite(self.probs).all():
             raise LqcError("probabilities must be finite")
         # -0.0 is not below 0, so it passes
-        if (self.probs < 0).any():
+        if self.probs.min() < 0:
             raise LqcError("probabilities must be nonnegative")
-        if self.probs.any():
-            total = float(self.probs.sum())
-            if abs(total - 1.0) > EPS_PROB_SUM:
-                raise LqcError(f"probabilities sum to {total}, not 1")
+        # with no negative entry, a zero sum means every entry is zero
+        if total != 0.0 and abs(total - 1.0) > EPS_PROB_SUM:
+            raise LqcError(f"probabilities sum to {total}, not 1")
 
     @property
     def probabilities(self) -> dict[str, float]:

@@ -177,11 +177,13 @@ def test_untriggerable_control_is_skipped(passes):
     assert np.array_equal(state.amps, reference_run(circuit).amps)
 
 
-def search_circuit(n):
-    """The circuit `run_search` runs for n search qubits."""
+def search_circuit(n, layer=None):
+    """The circuit `run_search` runs for n search qubits, its H layer from
+    q_{n-1} down to q0; `layer` gives the layer's qubits in another order."""
     spec = SearchSpec(n, "10" * (n // 2) + "1" * (n % 2), 0.5, choose_k(2**n, 0.5, 0.99))
     layout = search_layout(n)
-    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(n)))
+    order = reversed(range(n)) if layer is None else layer
+    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in order))
     return prep.concat(q_circuit(spec), times=spec.k)
 
 
@@ -205,6 +207,17 @@ def test_search_circuits_in_memory_order(n, limit, monkeypatch):
     circuit = search_circuit(n)
     assert memory_order(circuit) != list(range(n + 2))
     assert_matches_reference(circuit)
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("n", range(1, 13))
+def test_search_h_layer_order_keeps_every_bit(n, limit, monkeypatch):
+    # the layer from q0 up and from q_{n-1} down, as `run_search` runs it:
+    # the same memory order and the same bytes
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    forward, reversed_ = search_circuit(n, range(n)), search_circuit(n)
+    assert memory_order(forward) == memory_order(reversed_)
+    assert run(forward).amps.tobytes() == run(reversed_).amps.tobytes()
 
 
 @pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())

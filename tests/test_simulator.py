@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
 from lqc import cli, simulator
 from lqc.circuit import Circuit, Instruction, parse, serialize, to_matrix
 from lqc.core import (
+    EPS_PROB_SUM,
     BitKind,
     GuardError,
     LqcError,
@@ -19,6 +21,7 @@ from lqc.core import (
     StateVector,
     basis_state,
     metric_vector,
+    pattern_masses,
     pseudo_norm,
 )
 from lqc.simulator import (
@@ -432,6 +435,149 @@ class TestObserveLayouts:
             want = float(np.dot(metric_vector(layout).astype(np.float64), mag2))
             got = pseudo_norm(StateVector(layout, scrambled(amps, layout.num_bits, rng)))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * mag2.sum())
+
+
+def pattern_squares(layout, amps):
+    """re*re + im*im of `amps`, taken in register index order, summed over
+    each hybit pattern: the masses `pattern_masses` must give."""
+    mag2 = (amps.real**2 + amps.imag**2).reshape((2,) * layout.num_bits)
+    order = (*layout.positions(BitKind.HYBIT), *layout.positions(BitKind.QUBIT))
+    return mag2.transpose(order).reshape(1 << layout.num_hybits, -1).sum(axis=1)
+
+
+class TestPatternMasses:
+    """`pattern_masses` sums each amplitude's interleaved real and imaginary
+    parts in one einsum where the tensor's last memory axis has unit
+    stride, and the two parts in one einsum each where no axis has."""
+
+    @staticmethod
+    def einsums(monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].dtype)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        return calls
+
+    @staticmethod
+    def framed_states(nh, rng):
+        """`run` states on 7 qubits and `nh` hybits in a random order, some
+        qubits left flipped by the Pauli frame, from |0...0> and from a
+        random state."""
+        layout = RegisterLayout(tuple(rng.permutation(["q"] * 7 + ["h"] * nh)))
+        for initial in (None, StateVector(layout, random_state_amps(rng, layout.dimension))):
+            circuit = random_circuit(rng, layout, 30)
+            flips = tuple(Instruction("X", (p,)) for p in layout.positions(BitKind.QUBIT)
+                          if rng.random() < 0.6)
+            yield run(Circuit(layout, circuit.instructions + flips), initial)
+
+    @pytest.mark.parametrize("nh", range(4))
+    def test_run_states_take_one_einsum(self, nh, monkeypatch):
+        rng = np.random.default_rng(60 + nh)
+        for _ in range(3):
+            for state in self.framed_states(nh, rng):
+                assert any(s < 0 for s in state.tensor.strides)
+                want = pattern_squares(state.layout, state.amps)
+                calls = self.einsums(monkeypatch)
+                got = pattern_masses(state)
+                monkeypatch.undo()
+                assert calls == [np.float64]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kinds", ["qq", "qhqh", "hhqqqh", "qqqqqqqq"])
+    @pytest.mark.parametrize("step", [2, -2])
+    def test_strided_tensors_take_two_einsums(self, kinds, step, monkeypatch):
+        layout = RegisterLayout(tuple(kinds))
+        big = random_state_amps(np.random.default_rng(len(kinds)), 2 * layout.dimension)
+        state = StateVector(layout, big[::step])
+        assert all(abs(s) != big.itemsize for s in state.tensor.strides)
+        calls = self.einsums(monkeypatch)
+        got = pattern_masses(state)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        np.testing.assert_allclose(got, pattern_squares(layout, big[::step]), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kinds", ["q", "h", "qhqh", "hhqqqh"])
+    def test_all_zero_state(self, kinds):
+        layout = RegisterLayout(tuple(kinds))
+        zero = np.zeros(2 * layout.dimension, complex)
+        for amps in (zero[:layout.dimension], zero[::2]):
+            got = pattern_masses(StateVector(layout, amps))
+            assert got.tolist() == [0.0] * (1 << layout.num_hybits)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad, want", [(1e200, np.inf), (np.inf, np.inf), (np.nan, np.nan)])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_overflow_gives_non_finite_masses_without_warnings(self, bad, want, step):
+        layout = RegisterLayout(tuple("qhqh"))
+        big = random_state_amps(np.random.default_rng(5), step * layout.dimension)
+        big[step * 5] = bad * (1 - 1j)  # index 5 = 0101: both hybits 1, pattern 3
+        got = pattern_masses(StateVector(layout, big[::step]))
+        assert np.isfinite(got[:3]).all()
+        np.testing.assert_equal(got[3], want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_run_state(self):
+        # each BOOST 7 clears the isometry check, but 120 of them overflow;
+        # test_cli's test_non_finite_state_exit_4 runs the same circuit
+        # through `lqc run` and `lqc sample`, which exit 4
+        state = run(parse("qubits 1\nhybits 1\nH q0\n" + "BOOST 7 h0\n" * 120))
+        assert not np.isfinite(pattern_masses(state)).all()
+
+    def test_one_pass_copies_nothing(self):
+        # a 16-bit `run` state is 1 MiB; the masses take a few KiB
+        state = run(sim_shaped_circuit(7, 14, 2, lines=60))
+        tracemalloc.start()
+        try:
+            pattern_masses(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.layout.dimension * 16 // 8
+
+
+class TestOutcomeDistributionChecks:
+    """The refusals of `OutcomeDistribution` and their precedence: non-finite
+    entries, then negative ones, then a sum off 1, with no numpy warning on
+    the way."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("probs, message", [
+        ([np.nan, 0.0], "probabilities must be finite"),
+        ([np.nan, 1.0], "probabilities must be finite"),
+        ([np.inf, 0.0], "probabilities must be finite"),
+        ([-np.inf, 1.0], "probabilities must be finite"),
+        ([-np.inf, np.inf], "probabilities must be finite"),
+        ([-0.5, 1.5], "probabilities must be nonnegative"),
+        ([-1e-300, 1.0], "probabilities must be nonnegative"),
+        ([-1.0, 1.0], "probabilities must be nonnegative"),
+        ([0.5, 0.5 + 2 * EPS_PROB_SUM], "probabilities sum to 1.0000000020000002, not 1"),
+        ([0.5, 0.5 - 2 * EPS_PROB_SUM], "probabilities sum to 0.9999999980000001, not 1"),
+        # finite entries whose sum overflows
+        ([np.finfo(float).max] * 2, "probabilities sum to inf, not 1"),
+        # the finite check comes first
+        ([np.nan, -1.0, 2.0, 0.0], "probabilities must be finite"),
+        ([-1.0, np.nan], "probabilities must be finite"),
+        ([-1.0, np.inf], "probabilities must be finite"),
+        # even the smallest register, of no qubits, has one outcome
+        ([], "probabilities must be a vector over 2^n qubit indices"),
+    ])
+    def test_refused(self, probs, message):
+        with pytest.raises(LqcError) as caught:
+            OutcomeDistribution(np.array(probs), 1.0)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("probs", [
+        [-0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [-0.0, -0.0], [0.5, 0.5 + 0.9 * EPS_PROB_SUM],
+    ])
+    def test_accepted(self, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = OutcomeDistribution(np.array(probs), 1.0)
+        assert dist.probs.tobytes() == np.array(probs).tobytes()
 
 
 class TestSample:
