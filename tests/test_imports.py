@@ -697,11 +697,15 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-def readme_api() -> tuple[dict[str, set[str]], set[str]]:
+NUMBER_WORDS = "zero one two three four five six seven eight nine ten eleven twelve".split()
+
+
+def readme_api() -> tuple[dict[str, set[str]], set[str], int]:
     """The README's "API" section: the names it lists under each module,
-    and the names it gives a reason for having no caller in the package.
-    Each is a bullet `* head: text`, wrapped lines indented by two spaces;
-    a head naming a module lists that module's exports."""
+    the names it gives a reason for having no caller in the package, and
+    the count its "<Number> of these have no caller" sentence states.
+    Each list is a bullet `* head: text`, wrapped lines indented by two
+    spaces; a head naming a module lists that module's exports."""
     section = README.read_text().split("\n## API\n", 1)[1].split("\n## ", 1)[0]
     modules: dict[str, set[str]] = {}
     reasons: set[str] = set()
@@ -712,15 +716,17 @@ def readme_api() -> tuple[dict[str, set[str]], set[str]]:
             modules[names[0]] = set(re.findall(r"`(\w+)`", text))
         else:
             reasons.update(names)
-    return modules, reasons
+    stated = re.search(r"^(\w+) of these have no\s+caller", section, re.MULTILINE)
+    return modules, reasons, NUMBER_WORDS.index(stated.group(1).lower())
 
 
 def test_readme_lists_the_exports_and_why_uncalled_ones_stay():
-    modules, reasons = readme_api()
+    modules, reasons, stated = readme_api()
     assert modules == {module: set(names) for module, names in EXPORTING.items()}
     exported, called = api_ledger(package_sources())
     uncalled = {name.rsplit(".", 1)[1] for name, c in called.items() if not c}
     assert reasons == uncalled & exported
+    assert stated == len(reasons)
 
 
 # Each CLI command once on a tiny input, in a fresh interpreter: the test

@@ -210,6 +210,36 @@ class TestClosedForms:
         with pytest.raises(LqcError, match="positive item count"):
             closed_form(0, 0.5, 1)
 
+    @pytest.mark.parametrize("k", [-3, 356, 711])
+    def test_schedule_refused_as_the_spec_refuses_it(self, k):
+        # cosh(k chi)^2 overflows a double from k = 356 at chi = 1, cosh(k chi)
+        # from k = 711
+        with pytest.raises(LqcError) as spec_error:
+            SearchSpec(3, "101", 1.0, k)
+        for closed_form in (predicted_success, qk_amplitudes):
+            with pytest.raises(LqcError) as closed_error:
+                closed_form(8, 1.0, k)
+            assert type(closed_error.value) is type(spec_error.value)
+            assert str(closed_error.value) == str(spec_error.value)
+
+    @pytest.mark.parametrize("closed_form", [predicted_success, qk_amplitudes])
+    def test_negative_chi_guarded_by_its_size(self, closed_form):
+        with pytest.raises(GuardError, match="k\\*chi = 356 exceeds 300"):
+            closed_form(8, -1.0, 356)
+        assert all(math.isfinite(v) for v in np.atleast_1d(closed_form(8, -1.0, 300)))
+
+    @pytest.mark.parametrize("closed_form", [predicted_success, qk_amplitudes])
+    @pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_finite_chi_refused(self, closed_form, chi, k):
+        with pytest.raises(LqcError, match="chi must be finite"):
+            closed_form(8, chi, k)
+
+    @pytest.mark.parametrize("closed_form", [predicted_success, qk_amplitudes])
+    def test_item_count_refused_first(self, closed_form):
+        with pytest.raises(LqcError, match="positive item count"):
+            closed_form(0, math.nan, -1)
+
     def test_qk_amplitudes_k0(self):
         c, s, u = qk_amplitudes(256, 0.5, 0)
         assert c == pytest.approx(1 / 16)
