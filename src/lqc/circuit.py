@@ -604,6 +604,6 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
     dim = circuit.layout.dimension
     # columns are a batch of basis states; one kernel pass per instruction
     batch = np.eye(dim, dtype=complex).reshape([2] * nbits + [dim])
-    state = apply_all(circuit.layout, batch, circuit.instructions)
+    state, _ = apply_all(circuit.layout, batch, circuit.instructions)
     # with every bit left flipped, the state reshapes to a negative-stride view
     return np.ascontiguousarray(state).reshape(dim, dim)

@@ -157,17 +157,38 @@ class StateVector:
     first lays `tensor` out in C order if it is not already, so that `amps`
     is a view of `tensor` and writes through either are seen by both.
     Assigning `amps` takes a flat array in register index order or a tensor
-    of shape [2]*num_bits in any memory order, without copying it."""
+    of shape [2]*num_bits in any memory order, without copying it.
 
-    def __init__(self, layout: RegisterLayout, amps: np.ndarray) -> None:
+    A state may carry a support: a list of cubes (mask of fixed register
+    bits, their values; bit p of each is register bit p), outside whose
+    union every amplitude is zero. `simulator.run` records the one it
+    tracked, and `observe` reads only those cubes. Reading or assigning
+    `tensor` or `amps` drops it, since the caller may then write the state;
+    `read` hands out the tensor read-only and keeps it. A state a caller
+    builds without one, and every `copy()`, carries none."""
+
+    def __init__(self, layout: RegisterLayout, amps: np.ndarray, *,
+                 support: list[tuple[int, int]] | None = None) -> None:
         self.layout = layout
         self.amps = amps
+        self._support = support
+
+    @property
+    def tensor(self) -> np.ndarray:
+        self._support = None
+        return self._tensor
+
+    @tensor.setter
+    def tensor(self, tensor: np.ndarray) -> None:
+        self._support = None
+        self._tensor = tensor
 
     @property
     def amps(self) -> np.ndarray:
-        if not self.tensor.flags.c_contiguous:
-            self.tensor = self.tensor.copy()
-        return self.tensor.reshape(-1)
+        tensor = self.tensor
+        if not tensor.flags.c_contiguous:
+            tensor = self.tensor = tensor.copy()
+        return tensor.reshape(-1)
 
     @amps.setter
     def amps(self, amps: np.ndarray) -> None:
@@ -180,9 +201,16 @@ class StateVector:
             )
         self.tensor = amps.reshape(shape)
 
+    def read(self) -> tuple[np.ndarray, list[tuple[int, int]] | None]:
+        """The tensor as a read-only view, and the support (None if the
+        state carries none), which this read keeps."""
+        view = self._tensor.view()
+        view.flags.writeable = False
+        return view, self._support
+
     def copy(self) -> "StateVector":
-        """An independent state, laid out in C order."""
-        return StateVector(self.layout, self.tensor.copy())
+        """An independent state, laid out in C order, with no support."""
+        return StateVector(self.layout, self._tensor.copy())
 
 
 def pattern_masses(state: StateVector) -> np.ndarray:
@@ -200,8 +228,9 @@ def pattern_masses(state: StateVector) -> np.ndarray:
     way no temporary of the state's size is made, the order of summation
     follows the memory layout, and each axis keeps its register position
     as its einsum label, so the masses come out in pattern order. An
-    overflowing square gives inf or nan, without numpy warnings."""
-    tensor = state.tensor
+    overflowing square gives inf or nan, without numpy warnings. It reads
+    the whole tensor, and keeps the state's support."""
+    tensor, _ = state.read()
     flipped = [p for p, s in enumerate(tensor.strides) if s < 0]
     base = np.flip(tensor, flipped)
     hybits = list(state.layout.positions(BitKind.HYBIT))

@@ -33,7 +33,9 @@ def phase_gate(phi: float) -> np.ndarray:
 #: function of each builtin that takes a parameter.
 _FIXED = {
     "H": np.array([[1, 1], [1, -1]]) / SQRT2,
-    # pi/8 gate written with its overall phase, so the matrix is diag(1, e^{-i pi/4})
+    # pi/8 gate written with its overall phase: e^{-i pi/8} diag(e^{i pi/8}, e^{-i pi/8})
+    # is diag(1, e^{-i pi/4}) up to rounding, but its (0, 0) entry rounds to
+    # 1 - 2.2e-17j, not 1, so a T pass scales its 0 slice too (ROADMAP)
     "T": np.exp(-1j * np.pi / 8) * np.diag([np.exp(1j * np.pi / 8), np.exp(-1j * np.pi / 8)]),
     "TAU": np.array([[SQRT2, 1j], [1j, -SQRT2]]),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -36,8 +36,10 @@ MAX_K_CHI = 300.0
 # 10^5 rounds of three passes took 1.9 s at n = 1 and 2.1 s at n = 16 (2-core
 # Intel Xeon, one BLAS thread): from |0...0> a round's passes touch 4, 8 and
 # 4 amplitudes whatever n, and from the second round on each pass makes only
-# its kernel's numpy calls, about 6 us; building the circuit takes 5 ms. Only
-# chi below about 1e-4, where a round barely moves the state, needs more
+# its kernel's numpy calls, about 6 us; building the circuit takes 5 ms. The
+# oracle pairs between rounds make no pass (`simulator`'s X pairs), so a
+# round is one pass and those times bound it from above. Only chi below
+# about 1e-4, where a round barely moves the state, needs more
 MAX_ROUNDS = 10**5
 
 
@@ -115,7 +117,13 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
     from q_{n-1} each H widens one trailing stretch of the support, where
     from q0 the H on q_k would update 2^k amplitudes spread over the state.
     The amplitudes are the same bit for bit in either order, and so is the
-    memory order, since the weights do not depend on instruction order."""
+    memory order, since the weights do not depend on instruction order.
+
+    The circuit holds n + 3k instructions but makes n + k + 2 passes: each
+    H of the layer meets its target fixed at 0 and updates only the nonzero
+    half of its view, and the oracles that meet between rounds form k - 1
+    X pairs, which make no pass (`simulator`'s module docstring). `observe`
+    then reads the (oracle 0, hybit 0) block and the marked item's cube."""
     layout = search_layout(spec.n)
     prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in reversed(range(spec.n))))
     full = observe(run(prep.concat(q_circuit(spec), times=spec.k)))

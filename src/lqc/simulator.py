@@ -119,14 +119,37 @@ where the layout allows: a round's BOOST at n = 14 walks one stretch of 4
 amplitudes per slice where it walked 4 amplitudes 64 KiB apart, and a
 round took 23 us where it took 47.
 
+Half-zero passes. When every cube a single-target pass meets fixes its
+target at one value v (in the frame below), the view's target slice at
+1 - v is all zero. A dense pass that takes the slice update then makes
+only the products of x_v: x_{1-v} <- m[1-v][v] x_v into a chunk
+temporary, x_v <- m[v][v] x_v in place (skipped for a factor of exactly
+1), and a copy of the temporary into x_{1-v}, three ufunc calls and one
+temporary per chunk where the full update makes six and two. Those are the very products the full update makes; the
+terms it drops multiply zeros, so only the sign of a zero can differ. The
+product is not written straight into x_{1-v}: on slices of stretches of 2
+its range interleaves with x_v's, which numpy multiplies without SIMD and
+rounds otherwise. The matmul branch keeps its matmul, which rounds
+otherwise than these products. Every H of a search's layer takes this
+path, as does the first dense gate on each still-fixed bit of any run from
+a basis state (the H layer of a `sim` circuit, and its first TAU or BOOST
+on each hybit).
+
 The result is bit-identical to passes over the whole tensor, apart from
 the sign of zero amplitudes outside the view (a whole-tensor Z turns them
-into -0.0, which no probability sees). Two rules hold for every pass: the
-kernel picks the dense branch by the size of a target slice of the whole
-tensor, not of the view, so narrowing never switches a branch; and a view
-leaves two axes of each target slice free, or all it has, so a product
-keeps a power of two of at least 4 columns, each rounding as in the whole
-product (above), and no chunk is the one amplitude numpy rounds otherwise.
+into -0.0, which no probability sees) and of zeros a half-zero pass leaves.
+Two rules hold for every pass: the kernel picks the dense branch by the
+size of a target slice of the whole tensor, not of the view, so narrowing
+never switches a branch; and a view leaves two axes of each target slice
+free, or all it has, so a product keeps a power of two of at least 4
+columns, each rounding as in the whole product (above), and no chunk is
+the one amplitude numpy rounds otherwise.
+
+`run` hands the support it ends with to the `StateVector` it returns, in
+the values of the view it returns (stored value XOR frame flag), and
+`observe` reads only its cubes (below). Reading or assigning the state's
+`tensor` or `amps` drops the support, since the caller may then write the
+state; `copy()`, `basis_state` and a state a caller builds carry none.
 
 Pauli frame. The pass loop of `run` and `to_matrix` applies no
 uncontrolled X to the state: it keeps the mask of flipped register
@@ -144,6 +167,17 @@ multiplies the same logical rows as without a frame. A control compares
 its trigger with a cube's stored value XOR the flag. The loop returns the
 tensor with its flipped axes reversed, without a copy. The amplitudes are
 those of the passes without a frame, bit for bit, up to the sign of zeros.
+
+X pairs. A pass of a builtin X that the frame does not take (a controlled
+X) swaps the slices of its control block by copies, which are exact. When
+the same instruction object, or an equal builtin X, comes right after it,
+the second swap restores every bit, NaNs and signed zeros included, so the
+loop makes neither pass, and the support from before the pair still holds;
+pairs are taken from the left, and one that closes brings the instructions
+around it together. A search's Q^k holds k - 1 such pairs of its oracle, so
+its rounds make k + 2 passes where they made 3k. A pair of Z, Y or CZ
+multiplies by -1 or +-i, which need not restore the sign of a zero, and a
+DEFGATE is not matched against X; those pairs make their passes.
 
 Plans. The pass loop works out what the passes of an instruction need of
 it once per distinct instruction object in a call, as a plan kept by the
@@ -175,7 +209,17 @@ order, and are divided by the mass in place. The mass per hybit pattern,
 which feeds only the finite check and the negligible-mass warning, comes
 from `core.pattern_masses`: one einsum pass over the state in memory
 order, each amplitude's real and imaginary parts read together as float64
-pairs, with no temporary of the state's size. The distribution is then
+pairs, with no temporary of the state's size. A state that carries a
+support is read over its cubes alone, first split into disjoint ones (at
+most OBSERVE_CUBES_MAX, else the whole state is read): each cube that
+fixes no hybit at 1 is squared, its hybits at 0, into its block of a
+zeroed output, whose entries outside the cubes are +0.0, as the squares of
+the zeros there are, so the probabilities and the mass keep their bits.
+The pattern of every hybit at 0 takes the visible mass, and each cube
+that fixes a hybit at 1 or leaves one free adds its other patterns' masses,
+a sum in another order than the whole state's. After a search of n = 16
+that reads a block of 2^16 amplitudes and a cube of 4, where the whole
+state squares 2^17 and sums 2^18. The distribution is then
 checked in two sweeps, its sum and its minimum. So `observe` holds the
 state, the visible probabilities and a chunk. `sample` takes the
 distribution, not the state, so `lqc sample` frees the state before it
@@ -260,6 +304,9 @@ TILE = 1 << 13
 # their bounding cube past it: every pass scans the list, and a search round
 # needs 2
 SUPPORT_CUBES_MAX = 8
+# `observe` reads a support split into at most this many disjoint cubes, one
+# pass over each; a support that splits into more is read whole instead
+OBSERVE_CUBES_MAX = 32
 # the diagonal half of Y = X diag(i, -i), which the Pauli frame applies as a
 # pass before it toggles the bit's flag
 Y_PHASES = np.diag([1j, -1j])
@@ -321,7 +368,7 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
         nbits = layout.num_bits
         whole = math.prod(tensor.shape[nbits:]) << nbits - 1 - len(instr.controls)
         blas = whole < BLAS_DENSE_MAX
-    _apply_pair(x0, x1, plan.gate, blas, plan.kernel)
+    _apply_pair(x0, x1, plan.gate, blas, plan.kernel, plan.half)
 
 
 class _Plan:
@@ -334,13 +381,15 @@ class _Plan:
     instruction, so the id it is kept under is not reused while it lives."""
 
     __slots__ = ("instr", "toggle", "phases", "gate", "kernel", "diagonal", "at0", "at1",
-                 "block", "moved", "front", "memo", "slices")
+                 "block", "moved", "front", "memo", "slices", "half")
 
     def __init__(self, instr: Instruction) -> None:
         self.instr = instr
-        # (support, frame, view, support after) of the last pass in
-        # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`
-        self.memo = self.slices = None
+        # (support, frame, view, support after, half) of the last pass in
+        # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`;
+        # `half` is the target value whose slice of the running pass's view
+        # alone can hold a nonzero amplitude, or None
+        self.memo = self.slices = self.half = None
         targets, controls = instr.targets, instr.controls
         # an uncontrolled builtin X or Y toggles its flag in the Pauli frame;
         # a Y first makes the pass of its diagonal half
@@ -417,11 +466,13 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
 
 
 def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
-                kernel: tuple) -> None:
+                kernel: tuple, half: int | None = None) -> None:
     """x0, x1 <- a x0 + b x1, c x0 + d x1 in place, for the target slices
     t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
     when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
-    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`."""
+    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`. With
+    `half` = v, the slice at 1 - v is zero, and a dense slice update makes
+    only the products of x_v that `_mix` makes (`_spread`)."""
     update, coeffs, ntemps = kernel
     if update is None:
         # one op per slice, each already a single pass over that slice
@@ -435,6 +486,12 @@ def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
         pair = gate @ np.array((x0, x1)).reshape(2, -1)
         x0[...] = pair[0].reshape(x0.shape)
         x1[...] = pair[1].reshape(x1.shape)
+    elif update is _mix and half is not None:
+        a, b, c, d = coeffs
+        if half:
+            _tiled(_spread, (b, d), x1, x0, 1)
+        else:
+            _tiled(_spread, (c, a), x0, x1, 1)
     else:
         _tiled(update, coeffs, x0, x1, ntemps)
 
@@ -459,6 +516,17 @@ def _mix(a, b, c, d, x0, x1, tmp, prod) -> None:
     if d != 1:
         x1 *= d
     x1 += tmp
+
+
+def _spread(f, s, x, zero, tmp) -> None:
+    """zero, x <- f x, s x, where `zero` is all zero: the products `_mix`
+    makes of x, less the terms that multiply zeros. The product goes
+    through `tmp`: written straight into `zero`, whose range interleaves
+    with x's on slices of stretches of 2, numpy would round it otherwise."""
+    np.multiply(x, f, out=tmp)
+    if s != 1:
+        x *= s
+    zero[...] = tmp
 
 
 def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
@@ -523,7 +591,9 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     amplitude outside the view is zero and stays zero. By the rules of the
     module docstring, the result is bit-identical to applying every
     instruction to the whole tensor, except that a zero amplitude outside
-    the view keeps +0.0 where a whole-tensor pass may leave -0.0.
+    the view keeps +0.0 where a whole-tensor pass may leave -0.0. The state
+    returned carries the support the run ended with, which `observe` reads
+    until the state's `tensor` or `amps` is read or assigned.
 
     Uncontrolled X and Y go to the Pauli frame of the module docstring, so
     the returned `tensor` may have reversed axes, those of the bits left
@@ -537,9 +607,11 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     else:
         if initial.layout != layout:
             raise LqcError("initial state layout does not match circuit layout")
-        tensor[...] = initial.tensor
-        start = _basis_bits(initial.tensor)
-    return StateVector(layout, apply_all(layout, tensor, circuit.instructions, start))
+        amps, _ = initial.read()
+        tensor[...] = amps
+        start = _basis_bits(amps)
+    state, support = apply_all(layout, tensor, circuit.instructions, start)
+    return StateVector(layout, state, support=support)
 
 
 def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
@@ -567,16 +639,17 @@ def _basis_bits(tensor: np.ndarray) -> list[int] | None:
 
 
 def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
-              start: list[int] | None = None) -> np.ndarray:
+              start: list[int] | None = None) -> tuple[np.ndarray, list[tuple[int, int]] | None]:
     """apply_to_tensor for each instruction: the one loop of `run` and
     `circuit.to_matrix`. When the tensor held the basis state `start` before
     the first one, the loop tracks the support of the module docstring and
     skips each pass or narrows its view, as `run` describes; with no
     `start`, every pass covers the whole tensor. The loop
-    keeps uncontrolled X and Y in the Pauli frame of the module docstring
-    and returns the state: the tensor with the axes of the bits left flipped
-    reversed, a view. Overflow is left to `observe` and `isometry_residual`
-    to report.
+    keeps uncontrolled X and Y in the Pauli frame of the module docstring,
+    skips the X pairs it describes, and returns the state and its support:
+    the tensor with the axes of the bits left flipped reversed, a view, and
+    the cubes in that view's values (None when none is tracked). Overflow is
+    left to `observe` and `isometry_residual` to report.
 
     Each distinct instruction object gets one plan (`_Plan`) per call, kept
     by its id where `apply_to_tensor` finds it while the call runs; the
@@ -585,6 +658,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
     that pass's view and support, and a pass with no support to track and
     no flipped bit gets the tensor itself."""
     nbits = layout.num_bits
+    instructions = _without_x_pairs(instructions)
     # cubes of (mask of fixed bits, their stored values) as in the docstring
     support = None
     if start is not None:
@@ -613,7 +687,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                         continue
                     plan = plan.phases
                 if support is None and not flipped:
-                    view = tensor
+                    view, plan.half = tensor, None
                 else:
                     # a pass of the same plan from the same support and frame
                     # gets the same view, and leaves the same support
@@ -621,7 +695,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                     if memo is None or memo[0] is not support or memo[1] != flipped:
                         memo = plan.memo = (support, flipped,
                                             *_pass_view(tensor, plan, support, flipped, trailing))
-                    view, support = memo[2], memo[3]
+                    view, support, plan.half = memo[2:]
                 if view is not None:
                     apply_to_tensor(layout, view, plan.instr)
                     if counts[id(instr)] == 1:
@@ -630,15 +704,34 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                 flipped ^= toggle
     finally:
         _running.plans = outer
-    return tensor[tuple(_reversing(tensor.ndim, flipped))]
+    if support is not None:
+        support = [(m, v ^ flipped & m) for m, v in support]
+    return tensor[tuple(_reversing(tensor.ndim, flipped))], support
+
+
+def _without_x_pairs(instructions) -> list:
+    """The instructions less the X pairs of the module docstring: an X the
+    Pauli frame does not take (a controlled builtin X) and, right after it
+    once earlier pairs are gone, the same object or an equal builtin X."""
+    kept: list = []
+    for instr in instructions:
+        last = kept[-1] if kept else None
+        if (last is not None and last.controls and last.gate == "X" and last.matrix is None
+                and (instr is last or instr.matrix is None and instr == last)):
+            kept.pop()
+        else:
+            kept.append(instr)
+    return kept
 
 
 def _pass_view(tensor: np.ndarray, plan: _Plan, support: list[tuple[int, int]] | None,
                flipped: int, trailing: list[int]) -> tuple:
-    """(view, support): the view of `tensor` a pass of `plan` runs on, in
-    the frame `flipped`, or None when its control block meets no cube of
-    `support`; and the support after the pass. `trailing` holds a mask per
-    register bit, by ascending stride."""
+    """(view, support, half): the view of `tensor` a pass of `plan` runs on,
+    in the frame `flipped`, or None when its control block meets no cube of
+    `support`; the support after the pass; and, when every cube it meets
+    fixes a single target at one value, that value in the frame, the only
+    one at which the view's target slice can hold a nonzero amplitude, else
+    None. `trailing` holds a mask per register bit, by ascending stride."""
     instr = plan.instr
     tmask = cmask = cvals = 0
     for t in instr.targets:
@@ -647,20 +740,22 @@ def _pass_view(tensor: np.ndarray, plan: _Plan, support: list[tuple[int, int]] |
         cmask |= 1 << c
         # a bit's logical value is its stored one XOR its flag
         cvals |= (v ^ (flipped >> c & 1)) << c
-    idx = None
+    idx = half = None
     if flipped & (tmask | cmask):
         idx = _reversing(tensor.ndim, flipped & (tmask | cmask))
     if support is not None:
         met = [(m, v) for m, v in support if not (v ^ cvals) & m & cmask]
         if not met:
-            return None, support
+            return None, support, None
         fixed, vals = _bounding(met)
+        if fixed & tmask and len(instr.targets) == 1:
+            half = (vals ^ flipped) & tmask != 0
         fixed &= ~tmask
         idx = _narrow(idx, tensor.ndim, fixed & ~cmask, vals,
                       len(trailing) - len(instr.targets) - len(instr.controls), trailing)
         if not plan.diagonal:
             support = _joined(support, fixed | cmask, vals & fixed | cvals)
-    return (tensor if idx is None else tensor[tuple(idx)]), support
+    return (tensor if idx is None else tensor[tuple(idx)]), support, half
 
 
 def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
@@ -803,18 +898,33 @@ def observe(state: StateVector) -> OutcomeDistribution:
     """Probability of each qubit bitstring conditioned on every hybit being
     observed in state 0. A state with zero observable mass yields an all-zero
     distribution rather than an error; a state whose squared magnitude is not
-    finite raises GuardError."""
+    finite raises GuardError.
+
+    A state that carries a support (the one `run` tracked, until the state
+    is written) is read over its cubes alone, split into disjoint ones: the
+    probabilities and the mass are those of the whole-tensor read bit for
+    bit, and the mass per hybit pattern, which feeds only the finite check
+    and the negligible-mass warning, sums the same squares in another
+    order."""
     layout = state.layout
     hybits = layout.positions(BitKind.HYBIT)
-    idx = [slice(None)] * layout.num_bits
-    for p in hybits:
-        idx[p] = 0
-    # squared straight into register index order, whatever the frame
-    visible = np.empty((2,) * layout.num_qubits)
-    _square(state.tensor[(*idx, ...)], visible)
+    tensor, support = state.read()
+    cubes = None if support is None else _disjoint(support)
+    if cubes is None:
+        idx = [slice(None)] * layout.num_bits
+        for p in hybits:
+            idx[p] = 0
+        # squared straight into register index order, whatever the frame
+        visible = np.empty((2,) * layout.num_qubits)
+        _square(tensor[(*idx, ...)], visible)
+        per_pattern = pattern_masses(state)
+    else:
+        visible, per_pattern = _square_cubes(layout, tensor, cubes)
     visible = visible.reshape(-1)
     mass = float(visible.sum())
-    per_pattern = pattern_masses(state)
+    if cubes is not None:
+        # the visible squares are the mass of the pattern of every hybit at 0
+        per_pattern[0] += mass
     total = float(per_pattern.sum())
     if not np.isfinite(total):
         raise GuardError(f"the state's total squared magnitude is {total}, not finite")
@@ -833,6 +943,64 @@ def observe(state: StateVector) -> OutcomeDistribution:
         )
     visible /= mass
     return OutcomeDistribution(visible, mass)
+
+
+def _disjoint(cubes: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """Disjoint cubes whose union is that of `cubes`: each cube less those
+    before it, cut along the bits they fix and it leaves free; None past
+    OBSERVE_CUBES_MAX of them."""
+    pieces: list[tuple[int, int]] = []
+    for i, cube in enumerate(cubes):
+        rest = [cube]
+        for m, v in cubes[:i]:
+            cut = []
+            for pm, pv in rest:
+                if (pv ^ v) & pm & m:
+                    cut.append((pm, pv))
+                    continue
+                # each bit (m, v) fixes and the piece leaves free cuts off
+                # the part at the other value; what is left lies in (m, v)
+                free = m & ~pm
+                while free:
+                    low = free & -free
+                    free ^= low
+                    cut.append((pm | low, pv | low & ~v))
+                    pm, pv = pm | low, pv | low & v
+            rest = cut
+        pieces += rest
+        if len(pieces) > OBSERVE_CUBES_MAX:
+            return None
+    return pieces
+
+
+def _square_cubes(layout: RegisterLayout, tensor: np.ndarray,
+                  cubes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The visible squares of `observe`, and the mass per hybit pattern of
+    the squares that are not visible, read from the disjoint `cubes` outside
+    which every amplitude of `tensor` is zero. Each cube that fixes no hybit
+    at 1 is squared, its hybits at 0, into its block of a zeroed output; the
+    `pattern_masses` of each cube that fixes a hybit at 1 or leaves one free
+    are added to the patterns it fixes, less its visible squares."""
+    hybits = layout.positions(BitKind.HYBIT)
+    qubits = layout.positions(BitKind.QUBIT)
+    visible = np.zeros((2,) * len(qubits))
+    masses = np.zeros((2,) * len(hybits))
+    for mask, vals in cubes:
+        idx = [vals >> p & 1 if mask >> p & 1 else _ALL for p in range(layout.num_bits)]
+        at = tuple(idx[p] for p in hybits)
+        seen = 1 not in at
+        if _ALL in at or not seen:
+            free = RegisterLayout(tuple(k for k, i in zip(layout.kinds, idx) if i is _ALL))
+            part = pattern_masses(StateVector(free, tensor[(*idx, ...)]))
+            part = part.reshape((2,) * free.num_hybits)
+            if seen:
+                part[(0,) * free.num_hybits] = 0.0
+            masses[at] += part
+        if seen:
+            for p in hybits:
+                idx[p] = 0
+            _square(tensor[(*idx, ...)], visible[(*(idx[p] for p in qubits), ...)])
+    return visible, masses.reshape(-1)
 
 
 def _square(amps: np.ndarray, out: np.ndarray) -> None:

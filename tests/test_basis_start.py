@@ -735,3 +735,305 @@ def test_view_sizes_match_the_recorded_passes(monkeypatch):
         call()
         got[name] = list(sizes)
     assert got == PASS_SIZES
+
+
+# Half-zero passes. A dense single-target pass whose every cube met fixes
+# its target at one value v finds the other target slice of its view all
+# zero, and the slice update makes only the products of x_v that the full
+# update makes. These cases hold it to `reference_run` on bytes.
+
+def half_zero_case(seed, nbits, start):
+    """A circuit whose dense single-target gates often land on bits the
+    support still fixes: random DEFGATEs on a few bits first, so that the
+    amplitudes are not round numbers, then H, TAU, BOOST and DEFGATEs on
+    qubit and hybit targets in a random order, each with 0-2 controls of
+    random trigger values, some behind an uncontrolled X or Y on their
+    target that flips it in the Pauli frame. Its start is |0...0> or a
+    basis state with random bits."""
+    rng = np.random.default_rng(seed)
+    layout = RegisterLayout(tuple(rng.choice(["q", "h"], size=nbits)))
+
+    def dense(t, controls=()):
+        kind = layout.kinds[t].value
+        ctrl_state = tuple(int(v) for v in rng.integers(0, 2, size=len(controls)))
+        form = rng.choice(["builtin", "defgate"])
+        if form == "defgate":
+            return Instruction("U", (t,), controls, matrix=cartan_target(kind, rng),
+                               ctrl_state=ctrl_state)
+        name = "H" if kind == "q" else str(rng.choice(["TAU", "BOOST"]))
+        param = float(rng.uniform(-1.5, 1.5)) if name == "BOOST" else None
+        return Instruction(name, (t,), controls, param, ctrl_state=ctrl_state)
+
+    order = [int(p) for p in rng.permutation(nbits)]
+    instrs = [dense(t) for t in order[:int(rng.integers(0, 3))]]
+    for t in rng.permutation(nbits):
+        t = int(t)
+        if rng.random() < 0.4 and layout.kinds[t] is BitKind.QUBIT:
+            instrs.append(Instruction(str(rng.choice(["X", "Y"])), (t,)))
+        others = [p for p in range(nbits) if p != t]
+        controls = tuple(int(p) for p in rng.choice(others, size=min(int(rng.integers(0, 3)),
+                                                                      len(others)), replace=False))
+        instrs.append(dense(t, controls))
+    circuit = Circuit(layout, tuple(instrs))
+    if start == "zero":
+        return circuit, None
+    return circuit, basis_state(layout, rng.integers(0, 2, size=nbits).tolist())
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """The set of target values v at which half-zero slice updates ran."""
+    seen = set()
+    apply_pair = simulator._apply_pair
+
+    def spy(x0, x1, gate, blas, kernel, half=None):
+        if kernel[0] is simulator._mix and not blas and half is not None:
+            seen.add(int(half))
+        apply_pair(x0, x1, gate, blas, kernel, half)
+
+    monkeypatch.setattr(simulator, "_apply_pair", spy)
+    return seen
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("nbits", [1, 2, 3, 5, 8, 15])
+def test_half_zero_passes_match_the_reference(nbits, limit, halves, monkeypatch):
+    # one- and two-bit registers leave slices of one amplitude; at 15 bits
+    # the last gates' slices outgrow TILE and go through the iterator
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    for seed in range(nbits, nbits + (4 if nbits > 8 else 12)):
+        assert_matches_reference(*half_zero_case(seed, nbits, ("zero", "basis")[seed % 2]))
+    # the slice update takes both halves; the matmul, and the real limit
+    # below 14 bits, take none
+    sliced = limit == 0 or limit == LIMITS["real"] and nbits >= 14
+    assert halves == ({0, 1} if sliced else set())
+
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("text, half", [
+    # C order: q5 is the second-to-last memory axis and q6, already free,
+    # the last, so each target slice of the H on q5 is stretches of 2
+    # interleaved with the other slice's
+    ("qubits 7\nT q0\nT q1\nT q2\nT q3\nT q4\nH q6\nH q5\n", 0),
+    ("qubits 7\nT q0\nT q1\nT q2\nT q3\nT q4\nH q6\nX q5\nH q5\n", 1),
+    # a 0-control on a free bit, and a hybit target the frame has not flipped
+    ("qubits 3\nhybits 1\nH q0\nH q1\nCTRL !q0 : TAU h0\n", 0),
+    ("qubits 3\nhybits 1\nH q0\nH q2\nX q1\nCTRL !q2 : H q1\n", 1),
+])
+def test_half_zero_pass_layouts(text, half, limit, halves, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit = parse(text)
+    # randomize the amplitudes the dense gates start from, keeping the zeros
+    # the support records
+    rng = np.random.default_rng(len(text))
+    lines = [Instruction("U", i.targets, i.controls, matrix=cartan_target(
+        circuit.layout.kinds[i.targets[0]].value, rng), ctrl_state=i.ctrl_state)
+        if i.gate == "H" and i is not circuit.instructions[-1] else i for i in circuit.instructions]
+    for instrs in (circuit.instructions, lines):
+        case = Circuit(circuit.layout, tuple(instrs))
+        assert_matches_reference(case)
+        initial = basis_state(case.layout, [1] * case.layout.num_bits)
+        assert_matches_reference(case, initial)
+    assert halves == ({0, 1} if limit == 0 else set())
+    halves.clear()
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", 0)
+    run(circuit)
+    assert half in halves
+
+
+# `observe` over the support: a state `run` returns carries the support it
+# ended with, in the values of the view it returns, and `observe` reads only
+# its cubes until a caller can write the state.
+
+def observed_bytes(state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegligibleMassWarning)
+        dist = observe(state)
+    return dist.probs.tobytes(), dist.observable_mass
+
+
+def assert_support_read_as_whole(state):
+    """`observe` of a state that carries a support against `observe` of the
+    same tensor with none: probs and mass to the bit."""
+    tensor, support = state.read()
+    assert support is not None
+    assert observed_bytes(state) == observed_bytes(StateVector(state.layout, tensor))
+    # observing keeps the support
+    assert state.read()[1] is support
+
+
+@pytest.mark.parametrize("kinds", ["qqqqq", "hhh", "h", "q", "qhqqh"])
+@pytest.mark.parametrize("start", SUPPORT_STARTS)
+def test_observe_reads_the_support_of_small_states(kinds, start):
+    # framed circuits, on layouts with no hybit, no qubit, or both
+    rng = np.random.default_rng(len(kinds))
+    layout = RegisterLayout(tuple(kinds))
+    read = 0
+    for seed in range(40):
+        count = 1 + seed % 6
+        instrs = (framed_gates if layout.num_qubits else random_gates)(rng, layout, count)
+        initial = None
+        if start == "basis":
+            initial = basis_state(layout, rng.integers(0, 2, size=len(kinds)).tolist())
+        elif start == "framed" and layout.num_qubits:
+            flips = [Instruction("X", (p,)) for p in layout.positions(BitKind.QUBIT)]
+            initial = run(Circuit(layout, tuple(flips)))
+        state = run(Circuit(layout, tuple(instrs)), initial)
+        if state.read()[1] is not None:
+            read += 1
+            assert_support_read_as_whole(state)
+    assert read
+
+
+@pytest.mark.parametrize("start", SUPPORT_STARTS)
+@pytest.mark.parametrize("nbits", [12, 15])
+def test_observe_reads_the_support_of_oracle_states(nbits, start):
+    state = run(*oracle_case(nbits, nbits, start))
+    assert_support_read_as_whole(state)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+def test_search_states_carry_the_marked_cube(n):
+    # the (oracle 0, hybit 0) block of the H layer and the marked item's cube
+    state = run(search_circuit(n))
+    _, support = state.read()
+    marked = int("10" * (n // 2) + "1" * (n % 2), 2)
+    target = sum((marked >> (n - 1 - p) & 1) << p for p in range(n))
+    assert sorted(support) == sorted([(3 << n, 0), ((1 << n) - 1, target)])
+    assert_support_read_as_whole(state)
+
+
+def test_disjoint_cubes_keep_the_union():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        nbits = int(rng.integers(1, 7))
+        cubes = []
+        for _ in range(int(rng.integers(1, 6))):
+            mask = int(rng.integers(0, 1 << nbits))
+            cubes.append((mask, int(rng.integers(0, 1 << nbits)) & mask))
+        pieces = simulator._disjoint(cubes)
+        cover = np.zeros(1 << nbits, int)
+        union = np.zeros(1 << nbits, bool)
+        for j in range(1 << nbits):
+            cover[j] = sum(j & m == v for m, v in pieces)
+            union[j] = any(j & m == v for m, v in cubes)
+        assert np.array_equal(cover, union.astype(int))
+    # a cube of one fixed bit less one that fixes every bit splits into a
+    # piece per bit; past OBSERVE_CUBES_MAX pieces `observe` reads the whole
+    # state
+    for nbits in (simulator.OBSERVE_CUBES_MAX - 1, simulator.OBSERVE_CUBES_MAX):
+        pieces = simulator._disjoint([((1 << nbits) - 1, 0), (1 << nbits, 0)])
+        assert pieces is None if nbits == simulator.OBSERVE_CUBES_MAX else len(pieces) == nbits + 1
+
+
+def test_writes_outside_the_support_are_seen():
+    # the support holds only q0 = 0 after `H q1`: a write where q0 = 1 lies
+    # outside it, through `amps`, `tensor` or a new `amps`
+    circuit = parse("qubits 3\nhybits 1\nH q1\nX q2\n")
+    layout = circuit.layout
+    for write in ("amps", "tensor", "assign"):
+        state = run(circuit)
+        assert state.read()[1] is not None
+        if write == "amps":
+            state.amps[0b1000] = 2.0
+        elif write == "tensor":
+            state.tensor[1, 0, 0, 0] = 2.0
+        else:
+            amps = state.read()[0].copy()
+            amps[1, 0, 0, 0] = 2.0
+            state.amps = amps
+        assert state.read()[1] is None
+        probs, mass = observed_bytes(state)
+        assert mass == 5.0
+        assert (probs, mass) == observed_bytes(StateVector(layout, state.amps.copy()))
+
+
+def test_copies_and_built_states_carry_no_support():
+    state = run(parse("qubits 2\nhybits 1\nH q0\n"))
+    assert state.read()[1] is not None
+    assert state.copy().read()[1] is None
+    assert state.read()[1] is not None
+    assert StateVector(state.layout, state.read()[0]).read()[1] is None
+    assert basis_state(state.layout, [0, 1, 0]).read()[1] is None
+    # the tensor `read` hands out is read-only
+    with pytest.raises(ValueError):
+        state.read()[0][0, 0, 0] = 1.0
+
+
+def test_chained_runs_observe_as_one():
+    first = sim_shaped_circuit(11, 7, 2)
+    second = sim_shaped_circuit(12, 7, 2)
+    chained, whole = run(second, run(first)), run(first.concat(second))
+    assert observed_bytes(chained) == observed_bytes(whole)
+    assert (chained.amps + 0.0).tobytes() == (whole.amps + 0.0).tobytes()
+
+
+def test_hidden_overflow_in_a_cube_is_a_guard_error():
+    # a cube that fixes h0 at 1 holds an amplitude whose square overflows:
+    # nothing of it is visible, and the finite check still sees it
+    layout = RegisterLayout.of(2, 1)
+    amps = np.zeros((2, 2, 2), complex)
+    amps[:, :, 0] = 0.5
+    amps[1, 0, 1] = 1e200
+    support = [(0b100, 0), (0b111, 0b101)]
+    with pytest.raises(simulator.GuardError, match="not finite"):
+        observe(StateVector(layout, amps, support=support))
+
+
+def test_tiny_mass_over_the_cubes_warns():
+    # the visible cube holds 1e-16 of the mass; a cube with both hybits at 1
+    # holds positive mass that is not observed
+    layout = RegisterLayout.of(1, 2)
+    amps = np.zeros((2, 2, 2), complex)
+    amps[:, 0, 0] = 1e-8
+    amps[1, 1, 1] = 1.0
+    with pytest.warns(NegligibleMassWarning):
+        observe(StateVector(layout, amps, support=[(0b110, 0), (0b111, 0b111)]))
+
+
+# X pairs: a controlled builtin X followed by the same object or an equal
+# builtin X swaps the same slices twice, so `run` and `to_matrix` make
+# neither pass.
+
+def test_search_rounds_skip_their_oracle_pairs(passes):
+    n = 10
+    spec = SearchSpec(n, "1011001110", 0.5, choose_k(2**n, 0.5, 0.99))
+    run_search(spec)
+    rounds = passes[n:]
+    assert len(rounds) == spec.k + 2
+    assert [i.gate for i, _ in rounds] == ["X"] + ["BOOST"] * spec.k + ["X"]
+
+
+def test_controlled_x_pair_keeps_every_bit(passes):
+    layout = RegisterLayout.of(4, 1)
+    rng = np.random.default_rng(4)
+    amps = random_state_amps(rng, layout.dimension)
+    amps[3] = complex(np.nan, -0.0)
+    amps[7] = complex(-0.0, np.inf)
+    amps[21] = -0.0
+    marked = Instruction("X", (1,), (0, 4), ctrl_state=(1, 0))
+    state = run(Circuit(layout, (marked, marked)), StateVector(layout, amps))
+    assert passes == []
+    assert state.amps.tobytes() == amps.tobytes()
+
+
+@pytest.mark.parametrize("text, made", [
+    # equal builtin X lines parsed from text are two objects
+    ("CTRL q0 : X q1\nCTRL q0 : X q1\n", 0),
+    ("CTRL q0 !h0 : X q1\nCTRL q0 !h0 : X q1\nCTRL q0 !h0 : X q1\n", 1),
+    ("H q0\nCTRL q0 : X q1\nCTRL q0 : X q2\n", 3),
+    ("H q0\nCTRL q0 : X q1\nCTRL !q0 : X q1\n", 3),
+    ("H q0\nCTRL q0 : X q1\nX q1\nCTRL q0 : X q1\n", 3),
+    # Y, Z and CZ pairs multiply by -1 or +-i, and a DEFGATE is no builtin
+    ("H q0\nCTRL q0 : Y q1\nCTRL q0 : Y q1\n", 3),
+    ("H q0\nZ q0\nZ q0\n", 3),
+    ("H q0\nCTRL q0 : Z q1\nCTRL q0 : Z q1\n", 3),
+    ("H q0\nCZ q0 q1\nCZ q0 q1\n", 3),
+    ("H q0\nDEFGATE NX 1\n0,0 1,0\n1,0 0,0\nCTRL q0 : NX q1\nCTRL q0 : NX q1\n", 3),
+])
+def test_only_x_pairs_cancel(text, made, passes):
+    circuit = parse("qubits 3\nhybits 1\n" + text)
+    run(circuit, basis_state(circuit.layout, [1, 0, 0, 0]))
+    assert len(passes) == made
+    assert_matches_reference(circuit, basis_state(circuit.layout, [1, 0, 0, 0]))
+    assert_matrix_matches_frameless(circuit)

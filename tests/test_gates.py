@@ -35,6 +35,13 @@ class TestBuiltins:
         assert np.allclose(t, expected, atol=1e-15)
         assert np.allclose(t, np.diag([1.0, np.exp(-1j * np.pi / 4)]), atol=1e-15)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "T is built as e^{-i pi/8} diag(e^{i pi/8}, e^{-i pi/8}), whose (0, 0) entry rounds "
+        "to 1 - 2.2e-17j, so every T pass also scales its 0 slice; setting it to 1 moves the "
+        "printed bits of run and word_search, a change of its own (ROADMAP)"))
+    def test_t_gate_leaves_its_zero_slice_alone(self):
+        assert builtin("T")[0, 0] == 1
+
     def test_hadamard_from_paulis(self):
         sx, sz = builtin("X"), builtin("Z")
         assert np.allclose(builtin("H"), (sx + sz) / np.sqrt(2), atol=1e-15)
