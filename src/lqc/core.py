@@ -39,6 +39,7 @@ EPS_SMALL_ZETA = 1e-6  # the (+,+,-) four-matrix identity would divide by |zeta|
 EPS_WORD_TIE = 1e-15  # a later generator word replaces the best one only when better by this
 EPS_WORD_BOUND = 1e-5  # margin of the bound that skips generator words that cannot win (below)
 EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
+THREE_DIGIT_EXPONENT_BELOW = 1e-99  # `%.17g` of a smaller double has a 3-digit exponent
 
 # word_search neither scores nor, on its last level, keys a word B with
 # top(B) - top(A) >= best - EPS_WORD_TIE + EPS_WORD_BOUND * (1 + top(A) + top(B)),

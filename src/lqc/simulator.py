@@ -232,18 +232,20 @@ with GuardError.
 
 `format_distribution` and `format_counts` write the text forms to a stream
 one block of at most FORMAT_BLOCK lines at a time, so the whole text is
-never held. The text prints each nonzero probability at 17 significant
-digits, and a `%.17g` costs about 1 us. After an H layer, the 2^n
-probabilities often take only about a hundred distinct values. So when a
-distribution has at most DISTINCT_FORMAT_MAX distinct values per printed
-line, each distinct value (keyed on its exact float, never on rounded text)
-is formatted once and every line takes its text; otherwise each line's
-value is formatted. Both paths print the same bytes. One sort of the
-nonzero probabilities gives the distinct values and a binary search into
-them each line's text, the values and codes `np.unique` would give, without
-the second sort of `np.unique(..., return_inverse=True)` or its import of
-`numpy.ma`. Counts always take the per-line path: `%d` is cheap, and
-looking texts up measured slower.
+never held. A `%.17g` costs about 1 us, and after an H layer the 2^n
+probabilities often take only about a hundred distinct values. So each
+distinct value (keyed on its exact float, never on rounded text) is
+formatted once, into a line of fixed width: room for the bitstring digits,
+a tab, the text padded with spaces (which neither `%.17g` nor `%d` prints)
+and a newline. One sort of the values gives the distinct ones and a binary
+search into them each line's code, the values and codes `np.unique` would
+give, without the second sort of `np.unique(..., return_inverse=True)` or
+its import of `numpy.ma`. Each block is then a byte table built by numpy:
+one `take` of the lines by their codes, then the digits from a table of the
+8 ASCII digits of each byte value. When every value is distinct there is
+nothing to look up, and a block's lines are formatted in order instead. One
+`bytes.replace` squeezes the padding out of a block before it is decoded
+and written.
 """
 
 from __future__ import annotations
@@ -261,6 +263,7 @@ import numpy as np
 from .core import (
     EPS_PROB_SUM,
     NEGLIGIBLE_MASS_RATIO,
+    THREE_DIGIT_EXPONENT_BELOW,
     BitKind,
     GuardError,
     LqcError,
@@ -273,16 +276,16 @@ from .core import (
 if TYPE_CHECKING:
     from .circuit import Circuit, Instruction
 
-# output lines per %-format in format_distribution and format_counts
+# output lines per block that format_distribution and format_counts build
+# and write at once: the block bounds the buffers and the text held at once
 FORMAT_BLOCK = 1 << 14
-# format_distribution formats each distinct probability once, and gives
-# every line its text, when there are at most this many distinct values per
-# printed line; otherwise it formats each line's value. A `%.17g` costs about
-# 1 us, so few distinct values save most of the text cost: 0.30 s -> 0.06 s
-# on a 2^18-line `sim` distribution of 86 distinct values (medians of 21
-# calls). On 2^18 lines the distinct path costs as much as the per-line one
-# at 0.5 distinct values per line, and 1.4x as much at 1.0 (medians of 7).
-DISTINCT_FORMAT_MAX = 0.5
+# _DIGITS[b] is the 8 ASCII digits of the byte value b as one uint64, so one
+# take gives a line's bitstring digits 8 at a time
+_DIGITS = np.frombuffer("".join(format(b, "08b") for b in range(256)).encode("ascii"),
+                        dtype=np.uint64)
+# the longest `%.17g` text of a positive double below 1e100, as
+# 2.2250738585072014e-308; one that long has a 3-digit exponent
+G17_WIDTH = 23
 # Below this many amplitudes per target slice of the whole tensor, a dense
 # gate is one BLAS matmul, gate @ (2, k), on a contiguous copy of the two
 # slices made by one `np.array((x0, x1))` call, as multi-target gates are. At that size it
@@ -834,30 +837,57 @@ def _nonzero_items(values: np.ndarray) -> zip:
     return zip(_bitstrings(support, values.size), values[support].tolist())
 
 
-def _format_blocks(out: TextIO, tail: str, size: int, support: np.ndarray,
-                   args: np.ndarray, texts: np.ndarray | None = None) -> None:
-    """Write `bitstring + tail % arg` to `out` for each index in `support`
-    (ascending) into an array of `size` = 2^nq outcomes, where arg is the
-    index's entry of `args`, or texts[that entry] when `texts` is given.
-    Each block of lines is one %-format of a template that already holds its
-    bitstrings, written as ASCII digit rows by numpy rather than as one
-    string per line, and is written as soon as it is made; the block bounds
-    the temporary objects and the text held at once."""
+def _formatted(line: str, values: np.ndarray) -> np.ndarray:
+    """`line % value` for each value, as the rows of a byte table; `line`
+    pads every text to one width."""
+    text = line * values.size % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(values.size, -1)
+
+
+def _write_lines(out: TextIO, size: int, support: np.ndarray, values: np.ndarray,
+                 spec: str, width: int) -> None:
+    """Write `bitstring + "\t" + ("%" + spec) % value + "\n"` to `out` for each
+    index in `support` (ascending) into an array of `size` = 2^nq outcomes,
+    where value is the index's entry of `values` and no text is longer than
+    `width`. Each distinct value is formatted once, into a line of fixed
+    width: room for the digits, then its text padded with spaces. Each block
+    of lines is a byte table of such lines, given their digits, squeezed by
+    one `bytes.replace` and written as soon as it is made."""
+    if not support.size:
+        return
     nq = size.bit_length() - 1
-    # the digits are the low nq bits of each index's big-endian bytes, of
-    # which only the low ceil(nq / 8) are unpacked
+    # an index's bitstring is the last nq of the 8 digits of each of its low
+    # ceil(nq / 8) bytes, most significant byte first
     nbytes = -(-nq // 8)
-    tail_bytes = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
+    # the zeros hold the place of the digits
+    line = "0" * nq + f"\t%-{width}{spec}\n"
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    # with every value distinct there is nothing to look up, and each block
+    # formats its lines in order
+    table = None
+    if distinct.size < values.size:
+        # keyed on the exact value: floats one ulp apart print differently
+        table = _formatted(line, distinct)
+        # the padding columns that no text reaches go
+        width = int((table[:, nq + 1:-1] != ord(" ")).sum(axis=1).max())
+        table = np.delete(table, np.s_[nq + 1 + width:-1], axis=1)
+    rows = np.empty((min(FORMAT_BLOCK, support.size), nq + width + 2), dtype=np.uint8)
+    digits = np.empty((rows.shape[0], nbytes), dtype=np.uint64)
     for start in range(0, support.size, FORMAT_BLOCK):
         block = support[start:start + FORMAT_BLOCK]
-        line_args = args[start:start + FORMAT_BLOCK]
-        if texts is not None:
-            line_args = texts[line_args]
-        rows = np.empty((block.size, nq + tail_bytes.size), dtype=np.uint8)
-        low = block.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
-        np.add(np.unpackbits(low, axis=1)[:, 8 * nbytes - nq:], ord("0"), out=rows[:, :nq])
-        rows[:, nq:] = tail_bytes
-        out.write(rows.tobytes().decode("ascii") % tuple(line_args.tolist()))
+        n = block.size
+        if table is None:
+            rows[:n] = _formatted(line, values[start:start + n])
+        else:
+            # every value is in `distinct`, so no code is out of range; "clip"
+            # skips the bounds check and the buffered copy of "raise"
+            codes = np.searchsorted(distinct, values[start:start + n])
+            table.take(codes, axis=0, out=rows[:n], mode="clip")
+        for i in range(nbytes):
+            digits[:n, i] = _DIGITS.take((block >> 8 * (nbytes - 1 - i)) & 0xFF)
+        rows[:n, :nq] = digits[:n].view(np.uint8)[:, 8 * nbytes - nq:]
+        out.write(rows[:n].tobytes().replace(b" ", b"").decode("ascii"))
 
 
 @dataclass
@@ -1061,24 +1091,15 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleResult:
 def format_distribution(dist: OutcomeDistribution, out: TextIO) -> None:
     """Write the shared text form to `out`: observable-mass header, then
     bitstring/probability lines (tab separated, 17 significant digits,
-    sorted by bitstring) for the outcomes of nonzero probability. When there
-    are at most DISTINCT_FORMAT_MAX distinct values per line, each distinct
-    value goes through `%.17g` once and every line takes its text."""
+    sorted by bitstring) for the outcomes of nonzero probability. Each
+    distinct probability goes through `%.17g` once."""
     out.write(f"# observable_mass = {dist.observable_mass:.17g}\n")
     probs = dist.probs
     support = np.flatnonzero(probs)
     nonzero = probs[support]
-    # one sort gives the distinct values, as np.unique would; the nan put
-    # before the first value makes its difference nan, which keeps it
-    ordered = np.sort(nonzero)
-    distinct = ordered[np.diff(ordered, prepend=np.nan) != 0]
-    if distinct.size > DISTINCT_FORMAT_MAX * support.size:
-        _format_blocks(out, "\t%.17g\n", probs.size, support, nonzero)
-        return
-    # keyed on the exact float: values one ulp apart print differently
-    texts = ("%.17g\n" * distinct.size % tuple(distinct.tolist())).splitlines()
-    _format_blocks(out, "\t%s\n", probs.size, support, np.searchsorted(distinct, nonzero),
-                   np.array(texts, dtype=object))
+    # one column less to squeeze when no exponent has 3 digits
+    width = G17_WIDTH if nonzero.min(initial=1.0) < THREE_DIGIT_EXPONENT_BELOW else G17_WIDTH - 1
+    _write_lines(out, probs.size, support, nonzero, ".17g", width)
 
 
 def format_counts(result: SampleResult, out: TextIO) -> None:
@@ -1086,4 +1107,4 @@ def format_counts(result: SampleResult, out: TextIO) -> None:
     `out` for the outcomes drawn at least once."""
     hist = result.histogram
     support = np.flatnonzero(hist)
-    _format_blocks(out, "\t%d\n", hist.size, support, hist[support])
+    _write_lines(out, hist.size, support, hist[support], "d", len(str(hist.max())))

@@ -1,6 +1,7 @@
 """Shared helpers: random layouts, random valid circuits, circuits shaped
 like the benchmark's sim circuits, the whole-tensor run, a spy on the
-kernel's passes, the dense matrix
+kernel's passes, the per-line text of a distribution or a histogram, the
+dense matrix
 of a two-level factor, a controlled lift, the matrix file writer, the
 product of a generator word, the node-by-node word search that the
 stacked one is checked against, the benchmark's own modules, and seeded
@@ -113,6 +114,17 @@ def sim_shaped_circuit(seed, nq, nh, lines=40):
             gate = rng.choice(["TAU", "T", "Z"] if target[0] == "h" else ["X", "Y", "T", "Z"])
             out.append(f"CTRL {' '.join(refs)} : {gate} {target}")
     return parse("\n".join(out) + "\n")
+
+
+def reference_lines(values, spec):
+    """The lines `lqc run` (spec "%.17g") or `lqc sample` (spec "%d") prints
+    for `values` over 2^nq qubit indices, each its own `%`-format: the
+    bitstring, a tab and the value, for every nonzero entry in index order."""
+    nq = len(values).bit_length() - 1
+    line = "%s\t" + spec + "\n"
+    # no qubits: the one outcome has the empty bitstring
+    return [line % (format(j, f"0{nq}b") if nq else "", v)
+            for j, v in enumerate(np.asarray(values).tolist()) if v]
 
 
 def cartan_target(kind, rng):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cartan_target, format_matrix_text, perfbench_modules
+from conftest import cartan_target, format_matrix_text, perfbench_modules, reference_lines
 from lqc.circuit import parse
 from lqc.cli import main
 from lqc.core import RegisterLayout, metric_vector
@@ -86,7 +86,7 @@ class TestRun:
         code, out, _ = cli(capsys, "run", f)
         assert code == 0
         want = ["# observable_mass = %.17g\n" % dist.observable_mass]
-        want += ["%s\t%.17g\n" % (format(j, "015b"), p) for j, p in enumerate(dist.probs) if p]
+        want += reference_lines(dist.probs, "%.17g")
         assert out.splitlines(keepends=True) == want
 
     def test_init_flag(self, tmp_path, capsys):

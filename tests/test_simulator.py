@@ -2,13 +2,16 @@ import io
 import tracemalloc
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
-    random_circuit, random_layout, random_state_amps, random_unitary, reference_run,
-    sim_shaped_circuit,
+    random_circuit, random_layout, random_state_amps, random_unitary, reference_lines,
+    reference_run, sim_shaped_circuit,
 )
 from lqc import cli, simulator
 from lqc.circuit import Circuit, Instruction, parse, serialize, to_matrix
@@ -687,13 +690,12 @@ class TestDistributionFormat:
         probs = rng.random(1 << 15)
         probs[rng.random(1 << 15) < 0.3] = 0.0
         probs /= probs.sum()
-        lines = ["# observable_mass = 2.5"]
-        lines += [f"{j:015b}\t{p:.17g}" for j, p in enumerate(probs) if p]
+        want = "# observable_mass = 2.5\n" + "".join(reference_lines(probs, "%.17g"))
         text = written(format_distribution, OutcomeDistribution(probs, 2.5))
-        assert text == "\n".join(lines) + "\n"
+        assert text == want
 
         hist = rng.integers(0, 3, 1 << 15)
-        want = "".join(f"{j:015b}\t{n}\n" for j, n in enumerate(hist) if n)
+        want = "".join(reference_lines(hist, "%d"))
         assert written(format_counts, SampleResult(hist, int(hist.sum()), 0)) == want
 
     @pytest.mark.parametrize("nq", [0, 1, 6])
@@ -709,14 +711,10 @@ class TestDistributionFormat:
             probs, hist = probs * keep, hist * keep
         probs /= probs.sum()
 
-        def bits(j):
-            # no qubits: the one outcome has the empty bitstring
-            return format(j, f"0{nq}b") if nq else ""
-
-        want = "".join("%s\t%.17g\n" % (bits(j), p) for j, p in enumerate(probs) if p)
+        want = "".join(reference_lines(probs, "%.17g"))
         text = written(format_distribution, OutcomeDistribution(probs, 0.75))
         assert text == "# observable_mass = 0.75\n" + want
-        want = "".join("%s\t%d\n" % (bits(j), n) for j, n in enumerate(hist) if n)
+        want = "".join(reference_lines(hist, "%d"))
         assert written(format_counts, SampleResult(hist, int(hist.sum()), 0)) == want
 
     @staticmethod
@@ -761,19 +759,17 @@ class TestDistributionFormat:
             # pairs one ulp apart, which print differently at 17 digits
             probs[1::2] = np.nextafter(probs[1::2], 1.0)
             assert len(set("%.17g" % p for p in probs)) == 6
-        nq = probs.size.bit_length() - 1
-        bits = [format(j, f"0{nq}b") if nq else "" for j in range(probs.size)]
 
         # compared as lists of lines: a failing diff of long strings is slow
         want = ["# observable_mass = 0.75\n"]
-        want += ["%s\t%.17g\n" % (bits[j], p) for j, p in enumerate(probs) if p]
+        want += reference_lines(probs, "%.17g")
         text = written(format_distribution, OutcomeDistribution(probs, 0.75))
         assert text.splitlines(keepends=True) == want
 
         # a histogram with the same pattern of repeats
         hist = np.unique(w, return_inverse=True)[1] * (w != 0)
         hist += w != 0
-        want = ["%s\t%d\n" % (bits[j], n) for j, n in enumerate(hist) if n]
+        want = reference_lines(hist, "%d")
         text = written(format_counts, SampleResult(hist, int(hist.sum()), 0))
         assert text.splitlines(keepends=True) == want
 
@@ -795,9 +791,9 @@ class TestDistributionFormat:
 
     @pytest.mark.parametrize("nq", [0, 1, 9, 24])
     def test_digits_match_the_shift_form(self, nq):
-        # each index's digits, unpacked from its low big-endian bytes,
-        # against the bits shifted out of it one by one; at 24 bits (the
-        # register guard) over more lines than one block
+        # each index's digits, looked up by its bytes, against the bits
+        # shifted out of it one by one; at 24 bits (the register guard) over
+        # more lines than one block
         rng = np.random.default_rng(nq)
         if nq < 24:
             support = np.arange(1 << nq)
@@ -808,8 +804,96 @@ class TestDistributionFormat:
         digits = (support[:, None] >> np.arange(nq - 1, -1, -1)) & 1
         want = "".join("".join(map(str, row)) + "\t%d\n" % a for row, a in zip(digits.tolist(), args))
         out = io.StringIO()
-        simulator._format_blocks(out, "\t%d\n", 1 << nq, support, args)
+        simulator._write_lines(out, 1 << nq, support, args, "d", 3)
         assert out.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
+
+    @staticmethod
+    def _lines_case(data):
+        """A support over 2^nq outcomes (every index, or a random subset)
+        and a generator that draws its values."""
+        nq = data.draw(st.sampled_from(range(13)), label="nq")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="full"):
+            support = np.arange(1 << nq)
+        else:
+            support = np.flatnonzero(rng.random(1 << nq) < data.draw(st.floats(0, 1), label="density"))
+        return nq, support, rng
+
+    # the shortest and the longest `%.17g` texts of positive doubles, and the
+    # smallest double whose exponent has 2 digits beside the one below it
+    G17_EXTREMES = (1.0, 0.5, 2.2250738585072014e-308, 4.9406564584124654e-324,
+                    1e-99, 9.9999999999999982e-100)
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_probability_lines_match_per_line_reference(self, data):
+        nq, support, rng = self._lines_case(data)
+        if data.draw(st.booleans(), label="distinct"):
+            # magnitudes from 10^low to 1, every value its own line
+            low = data.draw(st.sampled_from([-320, -99, -5]), label="low")
+            values = rng.random(support.size) * 10.0 ** rng.integers(low, 1, support.size)
+            assume(np.unique(values).size == support.size and values.all())
+        else:
+            positive = st.floats(5e-324, 1.0) | st.sampled_from(self.G17_EXTREMES)
+            pool = data.draw(st.lists(positive, min_size=1, max_size=8), label="pool")
+            if data.draw(st.booleans(), label="ulp"):
+                # each value beside its neighbour one ulp up, which prints differently
+                pool += np.nextafter(pool, 2.0).tolist()
+            values = np.array(pool)[rng.integers(len(pool), size=support.size)]
+        probs = np.zeros(1 << nq)
+        probs[support] = values
+        # format_distribution reads only these two fields, so values that
+        # do not sum to 1 can reach it
+        dist = SimpleNamespace(probs=probs, observable_mass=0.5)
+        text = written(format_distribution, dist)
+        assert text.splitlines(keepends=True) == ["# observable_mass = 0.5\n"] + reference_lines(
+            probs, "%.17g")
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_count_lines_match_per_line_reference(self, data):
+        nq, support, rng = self._lines_case(data)
+        if data.draw(st.booleans(), label="distinct"):
+            values = rng.choice(1 << 24, size=support.size, replace=False) + 1
+        else:
+            # 1 to 8 digits: up to the counts of 2^24 shots
+            count = st.integers(1, 1 << 24) | st.sampled_from([1, 9, 10, 1 << 24])
+            pool = data.draw(st.lists(count, min_size=1, max_size=8), label="pool")
+            values = np.array(pool)[rng.integers(len(pool), size=support.size)]
+        hist = np.zeros(1 << nq, dtype=np.int64)
+        hist[support] = values
+        text = written(format_counts, SampleResult(hist, int(hist.sum()), 0))
+        assert text.splitlines(keepends=True) == reference_lines(hist, "%d")
+
+    @pytest.mark.parametrize("repeats", [True, False])
+    def test_no_write_holds_more_than_one_block(self, repeats):
+        # the whole text is never held: each write is at most one block of
+        # lines, whether the values repeat or are all distinct
+        lines = 3 * FORMAT_BLOCK + 5
+        rng = np.random.default_rng(6)
+        support = np.sort(rng.choice(1 << 16, size=lines, replace=False))
+        probs = np.zeros(1 << 16)
+        hist = np.zeros(1 << 16, dtype=np.int64)
+        if repeats:
+            probs[support] = np.resize([1.0, 2.0, 3.0], lines)
+            hist[support] = np.resize([4, 5, 6], lines)
+        else:
+            probs[support] = rng.random(lines) + 0.5
+            hist[support] = rng.permutation(lines) + 1
+        probs /= probs.sum()
+
+        class Writes(list):
+            write = list.append
+
+        for write, value, header in [
+            (format_distribution, OutcomeDistribution(probs, 1.0), 1),
+            (format_counts, SampleResult(hist, int(hist.sum()), 0), 0),
+        ]:
+            out = Writes()
+            write(value, out)
+            per_write = [text.count("\n") for text in out]
+            assert sum(per_write) == lines + header
+            assert max(per_write) <= FORMAT_BLOCK
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probabilities_rejected(self, bad):
