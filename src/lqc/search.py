@@ -37,9 +37,10 @@ MAX_K_CHI = 300.0
 # Intel Xeon, one BLAS thread): from |0...0> a round's passes touch 4, 8 and
 # 4 amplitudes whatever n, and from the second round on each pass makes only
 # its kernel's numpy calls, about 6 us; building the circuit takes 5 ms. The
-# oracle pairs between rounds make no pass (`simulator`'s X pairs), so a
-# round is one pass and those times bound it from above. Only chi below
-# about 1e-4, where a round barely moves the state, needs more
+# oracle pairs between rounds make no pass (`simulator`'s X pairs), and the
+# opening H layer is one fill, so a search of k rounds makes k + 2 passes
+# and those times bound it from above. Only chi below about 1e-4, where a
+# round barely moves the state, needs more
 MAX_ROUNDS = 10**5
 
 
@@ -111,21 +112,13 @@ def run_search(spec: SearchSpec) -> OutcomeDistribution:
     The circuit is validated in two stacked metric checks, one for the H
     layer and one for the round.
 
-    The H layer runs from q_{n-1} down to q0. Every search qubit carries
-    the same weight in `run`'s memory order, whose ties go by position, so
-    q_{n-1} lies on the unit-stride axis and q0 on the leading search axis:
-    from q_{n-1} each H widens one trailing stretch of the support, where
-    from q0 the H on q_k would update 2^k amplitudes spread over the state.
-    The amplitudes are the same bit for bit in either order, and so is the
-    memory order, since the weights do not depend on instruction order.
-
-    The circuit holds n + 3k instructions but makes n + k + 2 passes: each
-    H of the layer meets its target fixed at 0 and updates only the nonzero
-    half of its view, and the oracles that meet between rounds form k - 1
-    X pairs, which make no pass (`simulator`'s module docstring). `observe`
-    then reads the (oracle 0, hybit 0) block and the marked item's cube."""
+    The circuit holds n + 3k instructions but makes k + 2 passes: `run`
+    fills the opening H layer on |0...0> in one assignment, and the oracles
+    that meet between rounds form k - 1 X pairs, which make no pass
+    (`simulator`'s module docstring). `observe` then reads the (oracle 0,
+    hybit 0) block and the marked item's cube."""
     layout = search_layout(spec.n)
-    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in reversed(range(spec.n))))
+    prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in range(spec.n)))
     full = observe(run(prep.concat(q_circuit(spec), times=spec.k)))
     # the oracle qubit is the last qubit, so the least significant index bit
     return OutcomeDistribution(full.probs[0::2] + full.probs[1::2], full.observable_mass)

@@ -107,17 +107,40 @@ the controls. Only amplitudes in that cube with the targets free and the
 controls fixed can come out nonzero, so that cube joins the support,
 unless one already listed holds it, and the cubes inside it leave. A
 diagonal single-target pass turns no zero into a nonzero, so it leaves the
-support as it is, its target fixed where it was.
+support as it is, its target fixed where it was; when every cube it meets
+fixes its target at one value, it scales only the target slice at that
+value (in the frame below), the other slice of its view being all zero.
 Past SUPPORT_CUBES_MAX cubes the list merges into its bounding cube, and
 once a cube covers the whole register the tracking stops. So a search
 round, whose oracle X leaves the marked item's cube beside the cube of the
 rest, touches a few amplitudes per pass instead of half the register, and
-an H layer on |0...0> touches one block of the state per gate. Where the
+an H layer on bits still at 0 touches one block of the state per gate. Where the
 view must leave fixed axes free (below), it frees those of the trailing
 memory axes first, so that a small view lies in one stretch of memory
 where the layout allows: a round's BOOST at n = 14 walks one stretch of 4
 amplitudes per slice where it walked 4 amplitudes 64 KiB apart, and a
 round took 23 us where it took 47.
+
+Opening layer. A search, and every `sim` circuit of the benchmark, opens
+with H on qubits that the start holds at 0. From a basis state whose one
+nonzero amplitude a is finite, `run` takes the circuit's leading run of
+uncontrolled builtin H on distinct bits that the start holds at 0 and
+makes no pass for it: one assignment sets the cube those m bits span, with
+every other bit at its start value, to a times h rounded once per gate,
+componentwise (h = 1/sqrt(2), the real (0, 0) entry of H): m times
+v <- complex(v.real * h, v.imag * h). That is what each half-zero pass of
+the layer (below) computes, and what the matmul branch computes, since
+the products with the zero slice add zeros. The support then starts as
+that cube, and the tracking stops when the layer frees every bit; the
+pass loop runs the other instructions from it. The first line that is not
+such an H ends the layer: an H on a bit the layer already took or that
+the start holds at 1, a controlled H, a DEFGATE, any other gate (an
+uncontrolled X too, which makes no pass either). A non-finite a has no
+layer: the passes' complex products spread an inf or nan into both parts
+of an amplitude, which the fill would not. The memory order still weighs
+the whole circuit, layer included. Filling the layer in place of its 14
+passes took `run_search` at n = 14 from 1.05 to 0.85 ms (medians of 30
+in-process calls, one BLAS thread, 2-core Intel Xeon).
 
 Half-zero passes. When every cube a single-target pass meets fixes its
 target at one value v (in the frame below), the view's target slice at
@@ -130,14 +153,15 @@ terms it drops multiply zeros, so only the sign of a zero can differ. The
 product is not written straight into x_{1-v}: on slices of stretches of 2
 its range interleaves with x_v's, which numpy multiplies without SIMD and
 rounds otherwise. The matmul branch keeps its matmul, which rounds
-otherwise than these products. Every H of a search's layer takes this
-path, as does the first dense gate on each still-fixed bit of any run from
-a basis state (the H layer of a `sim` circuit, and its first TAU or BOOST
-on each hybit).
+otherwise than these products. The first dense gate on each still-fixed
+bit of any run from a basis state takes this path, unless the opening
+layer (above) fills it: the first TAU or BOOST on each hybit of a `sim`
+circuit, and an H that comes after the opening layer.
 
 The result is bit-identical to passes over the whole tensor, apart from
 the sign of zero amplitudes outside the view (a whole-tensor Z turns them
-into -0.0, which no probability sees) and of zeros a half-zero pass leaves.
+into -0.0, which no probability sees) and of zeros that a half-zero pass
+leaves or a diagonal pass does not scale.
 Two rules hold for every pass: the kernel picks the dense branch by the
 size of a target slice of the whole tensor, not of the view, so narrowing
 never switches a branch; and a view leaves two axes of each target slice
@@ -190,8 +214,9 @@ the gate. `apply_to_tensor` finds the plan of the running call; called on
 its own, it works one out. A plan also keeps the support and frame its
 last pass started from, with the view and the support they gave, and the
 target slices it last cut from that view, so a pass of the same plan from
-the same state reuses them. A search circuit of 3k + n instructions holds
-n + 2 distinct objects, and from the second round on the state repeats:
+the same state reuses them. The k rounds of a search circuit, which come
+after its opening layer, hold 2 distinct objects, and from the second
+round on the state repeats:
 a round's passes make only the kernel's ufunc calls. A round at n = 14
 took 14-18 us, against 91-96 us when every pass worked its instruction
 out afresh (one BLAS thread, 2-core Intel Xeon). A plan for an
@@ -474,16 +499,17 @@ def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
     t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
     when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
     slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`. With
-    `half` = v, the slice at 1 - v is zero, and a dense slice update makes
-    only the products of x_v that `_mix` makes (`_spread`)."""
+    `half` = v, the slice at 1 - v is zero: a diagonal gate leaves it as it
+    is, and a dense slice update makes only the products of x_v that `_mix`
+    makes (`_spread`)."""
     update, coeffs, ntemps = kernel
     if update is None:
         # one op per slice, each already a single pass over that slice
         a, d = coeffs
         x0, x1, order = _loop_order(x0, x1)
-        if a != 1:
+        if a != 1 and half != 1:
             np.multiply(x0, a, out=x0, order=order)
-        if d != 1:
+        if d != 1 and half != 0:
             np.multiply(x1, d, out=x1, order=order)
     elif update is _mix and blas:
         pair = gate @ np.array((x0, x1)).reshape(2, -1)
@@ -586,23 +612,29 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     initial state is left as it is.
 
     From a basis state (the default, or an initial state with exactly one
-    nonzero amplitude) the run tracks the support of the module docstring,
-    the cubes outside which every amplitude is zero; from any other state
-    it tracks none. A pass whose control block meets no cube is skipped;
-    any other runs on the view of the tensor narrowed to the bounding cube
-    of the cubes it meets, keeping the circuit's bit positions, and every
-    amplitude outside the view is zero and stays zero. By the rules of the
-    module docstring, the result is bit-identical to applying every
-    instruction to the whole tensor, except that a zero amplitude outside
-    the view keeps +0.0 where a whole-tensor pass may leave -0.0. The state
-    returned carries the support the run ended with, which `observe` reads
-    until the state's `tensor` or `amps` is read or assigned.
+    nonzero amplitude) whose amplitude is finite, the circuit's opening H
+    layer, its leading uncontrolled builtin H on distinct bits that the
+    start holds at 0, is one assignment to the cube those bits span and
+    makes no pass (the module docstring's "Opening layer"). From a basis
+    state the run then tracks the support of the module docstring, the
+    cubes outside which every amplitude is zero, starting from that cube;
+    from any other state it tracks none. A pass whose control block meets
+    no cube is skipped; any other runs on the view of the tensor narrowed
+    to the bounding cube of the cubes it meets, keeping the circuit's bit
+    positions, and every amplitude outside the view is zero and stays zero.
+    By the rules of the module docstring, the result is bit-identical to
+    applying every instruction to the whole tensor, except that a zero
+    amplitude that a pass leaves alone keeps +0.0 where a whole-tensor pass
+    may leave -0.0. The state returned carries the support the run ended
+    with, which `observe` reads until the state's `tensor` or `amps` is
+    read or assigned.
 
     Uncontrolled X and Y go to the Pauli frame of the module docstring, so
     the returned `tensor` may have reversed axes, those of the bits left
     flipped; it is still the state in register order, read through a view."""
     layout = circuit.layout
-    order = _memory_order(layout, circuit.instructions)
+    instructions = circuit.instructions
+    order = _memory_order(layout, instructions)
     tensor = np.zeros((2,) * layout.num_bits, dtype=np.complex128).transpose(np.argsort(order))
     if initial is None:
         start = [0] * layout.num_bits
@@ -613,8 +645,43 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
         amps, _ = initial.read()
         tensor[...] = amps
         start = _basis_bits(amps)
-    state, support = apply_all(layout, tensor, circuit.instructions, start)
+    support = None
+    if start is not None:
+        layer, support = _fill_opening_layer(tensor, instructions, start)
+        instructions = instructions[layer:]
+    state, support = apply_all(layout, tensor, instructions, support)
     return StateVector(layout, state, support=support)
+
+
+def _fill_opening_layer(tensor: np.ndarray, instructions,
+                        start: list[int]) -> tuple[int, list[tuple[int, int]] | None]:
+    """Apply the opening H layer of the module docstring to `tensor`, which
+    holds the basis state `start`, as one assignment: the layer is the
+    leading run of uncontrolled builtin H on distinct bits that `start`
+    holds at 0. Returns the layer's length and the support after it, the
+    cube of its targets free and every other bit at its start value; None
+    once the layer frees every bit. A start amplitude that is not finite
+    has no layer: the passes' complex products spread its inf or nan into
+    both parts of every amplitude, where the fill would keep them apart."""
+    a = complex(tensor[tuple(start)])
+    free = layer = 0
+    for instr in instructions if np.isfinite(a) else ():
+        if instr.gate != "H" or instr.matrix is not None or instr.controls:
+            break
+        (t,) = instr.targets
+        if free >> t & 1 or start[t]:
+            break
+        free |= 1 << t
+        layer += 1
+    if layer:
+        h = instructions[0].gate_matrix()[0, 0].real
+        for _ in range(layer):
+            a = complex(a.real * h, a.imag * h)
+        tensor[tuple(_ALL if free >> p & 1 else v for p, v in enumerate(start))] = a
+    fixed = (1 << len(start)) - 1 & ~free
+    if layer and not fixed:
+        return layer, None
+    return layer, [(fixed, sum(v << p for p, v in enumerate(start)))]
 
 
 def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
@@ -642,12 +709,13 @@ def _basis_bits(tensor: np.ndarray) -> list[int] | None:
 
 
 def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
-              start: list[int] | None = None) -> tuple[np.ndarray, list[tuple[int, int]] | None]:
+              support: list[tuple[int, int]] | None = None,
+              ) -> tuple[np.ndarray, list[tuple[int, int]] | None]:
     """apply_to_tensor for each instruction: the one loop of `run` and
-    `circuit.to_matrix`. When the tensor held the basis state `start` before
-    the first one, the loop tracks the support of the module docstring and
-    skips each pass or narrows its view, as `run` describes; with no
-    `start`, every pass covers the whole tensor. The loop
+    `circuit.to_matrix`. Given the `support` of the tensor before the first
+    one (cubes in register values, as in the module docstring), the loop
+    tracks it and skips each pass or narrows its view, as `run` describes;
+    with none, every pass covers the whole tensor. The loop
     keeps uncontrolled X and Y in the Pauli frame of the module docstring,
     skips the X pairs it describes, and returns the state and its support:
     the tensor with the axes of the bits left flipped reversed, a view, and
@@ -662,10 +730,6 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
     no flipped bit gets the tensor itself."""
     nbits = layout.num_bits
     instructions = _without_x_pairs(instructions)
-    # cubes of (mask of fixed bits, their stored values) as in the docstring
-    support = None
-    if start is not None:
-        support = [((1 << nbits) - 1, sum(v << p for p, v in enumerate(start)))]
     # the Pauli frame: the mask of the flipped bits
     flipped = 0
     trailing = [1 << p for p in sorted(range(nbits), key=lambda p: abs(tensor.strides[p]))]

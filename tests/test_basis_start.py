@@ -143,28 +143,77 @@ def test_zeros_outside_the_view_differ_at_most_in_sign():
     got, want = run(circuit).amps, reference_run(circuit).amps
     assert got.tobytes() != want.tobytes()
     assert_matches_reference(circuit)
+    # Z on h0, which the support fixes at 0, scales only the slice at 0, so
+    # the zeros at h0 = 1 inside its view stay +0.0 too
+    circuit = parse("qubits 2\nhybits 1\nH q0\nZ h0\n")
+    got, want = run(circuit).amps, reference_run(circuit).amps
+    assert np.signbit(want.real).any() and not np.signbit(got.real).any()
+    assert_matches_reference(circuit)
+
+
+# The opening H layer: from a basis state, `run` fills the leading run of
+# uncontrolled builtin H on distinct bits that the start holds at 0, and
+# makes passes from the first line that ends it.
+
+@pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
+@pytest.mark.parametrize("text, bits, scale, made", [
+    # a repeated target ends the layer: its second H and the H after it pass
+    ("qubits 3\nhybits 1\nH q0\nH q1\nH q0\nH q2\n", None, 1, 2),
+    # so does a controlled H
+    ("qubits 3\nhybits 1\nH q0\nCTRL q0 : H q1\nH q2\n", None, 1, 2),
+    # and an H whose start bit is 1
+    ("qubits 3\nhybits 1\nH q0\nH q1\nH q2\n", [0, 1, 0, 0], 1, 2),
+    # a leading X makes no pass, and leaves no opening layer
+    ("qubits 3\nhybits 1\nX q0\nH q0\nH q1\n", None, 1, 2),
+    # a layer over every bit of a qubit-only register ends the tracking
+    ("qubits 4\nH q0\nH q1\nH q2\nH q3\nT q1\nCTRL q0 : H q2\n", None, 1, 2),
+    # a start amplitude that is not 1
+    ("qubits 3\nhybits 1\nH q0\nH q1\nBOOST 0.3 h0\nH q2\n", [0, 0, 1, 0], 0.6 - 0.8j, 2),
+    # one that is not finite takes the passes, which spread its inf into
+    # both parts of each amplitude
+    ("qubits 2\nH q0\nH q1\n", [0, 0], np.inf, 2),
+    # T and Z on the untouched h0 scale only its slice at 0
+    ("qubits 2\nhybits 2\nH q0\nH q1\nT h0\nZ h0\nTAU h1\nZ h1\n", None, 1, 4),
+])
+def test_opening_layer_edges(text, bits, scale, made, limit, passes, monkeypatch):
+    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
+    circuit = parse(text)
+    initial = None
+    if bits is not None:
+        initial = basis_state(circuit.layout, bits)
+        initial.amps[initial.amps != 0] = scale
+    run(circuit, initial)
+    assert len(passes) == made
+    assert_matches_reference(circuit, initial)
 
 
 def test_h_layer_passes_see_narrowed_views(passes):
-    # 16 qubits: H on q0 fixes all other bits but two, which are left free so
-    # that each target slice holds 4 amplitudes, and H on q1 all but q0 and
-    # one more; H on q<k> then sees the k bits before it free, until the last
-    # sees the whole register
+    # 16 qubits: an opening H layer is one fill and makes no pass; behind an
+    # X, which makes none either but ends the opening layer, H on q0 fixes
+    # all other bits but two, which are left free so that each target slice
+    # holds 4 amplitudes, and H on q1 all but q0 and one more; H on q<k> then
+    # sees the k bits before it free, until the last sees the whole register
     layout = RegisterLayout.of(16, 0)
-    run(Circuit(layout, tuple(Instruction("H", (p,)) for p in range(16))))
+    layer = tuple(Instruction("H", (p,)) for p in range(16))
+    run(Circuit(layout, layer))
+    assert passes == []
+    run(Circuit(layout, (Instruction("X", (0,)), *layer)))
+    assert [instr.gate for instr, _ in passes] == ["H"] * 16
     assert [size for _, size in passes] == [8, 8] + [2 << k for k in range(2, 16)]
 
 
 def test_multi_target_passes_see_narrowed_views(passes):
-    # 14 qubits, H on q0-q3: the CZ and the 2-target DEFGATE see the four
-    # free bits, the other ten fixed, as a single-target pass would
+    # 14 qubits, an opening H layer on q0-q3, which makes no pass: the CZ and
+    # the 2-target DEFGATE see the four free bits, the other ten fixed, as a
+    # single-target pass would
     rng = np.random.default_rng(14)
     gate = np.kron(cartan_target("q", rng), cartan_target("q", rng))
     circuit = Circuit(RegisterLayout.of(14, 0), (
         *(Instruction("H", (p,)) for p in range(4)),
         Instruction("CZ", (0, 1)), Instruction("G", (2, 3), matrix=gate)))
     run(circuit)
-    assert [size for _, size in passes[4:]] == [16, 16]
+    assert [instr.gate for instr, _ in passes] == ["CZ", "G"]
+    assert [size for _, size in passes] == [16, 16]
     assert_matches_reference(circuit)
 
 
@@ -179,10 +228,10 @@ def test_untriggerable_control_is_skipped(passes):
 
 def search_circuit(n, layer=None):
     """The circuit `run_search` runs for n search qubits, its H layer from
-    q_{n-1} down to q0; `layer` gives the layer's qubits in another order."""
+    q0 up to q_{n-1}; `layer` gives the layer's qubits in another order."""
     spec = SearchSpec(n, "10" * (n // 2) + "1" * (n % 2), 0.5, choose_k(2**n, 0.5, 0.99))
     layout = search_layout(n)
-    order = reversed(range(n)) if layer is None else layer
+    order = range(n) if layer is None else layer
     prep = Circuit(layout, tuple(Instruction("H", (i,)) for i in order))
     return prep.concat(q_circuit(spec), times=spec.k)
 
@@ -212,10 +261,10 @@ def test_search_circuits_in_memory_order(n, limit, monkeypatch):
 @pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
 @pytest.mark.parametrize("n", range(1, 13))
 def test_search_h_layer_order_keeps_every_bit(n, limit, monkeypatch):
-    # the layer from q0 up and from q_{n-1} down, as `run_search` runs it:
+    # the layer from q0 up, as `run_search` runs it, and from q_{n-1} down:
     # the same memory order and the same bytes
     monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
-    forward, reversed_ = search_circuit(n, range(n)), search_circuit(n)
+    forward, reversed_ = search_circuit(n), search_circuit(n, reversed(range(n)))
     assert memory_order(forward) == memory_order(reversed_)
     assert run(forward).amps.tobytes() == run(reversed_).amps.tobytes()
 
@@ -390,11 +439,13 @@ def test_search_rounds_touch_the_marked_item(n, limit, passes, monkeypatch):
 
 def test_diagonal_gate_leaves_its_untouched_bit_fixed(passes):
     # T on the untouched h0 scales the slice where h0 holds 0 and leaves h0
-    # fixed, so the H after it sees both hybits fixed, a quarter of the state
+    # fixed, so the H after it sees both hybits fixed, a quarter of the state;
+    # the opening H layer makes no pass
     circuit = parse("qubits 14\nhybits 2\n" + "".join(f"H q{p}\n" for p in range(14))
                     + "T h0\nSZ h1\nH q5\n")
     run(circuit)
-    assert [size for _, size in passes[14:]] == [1 << 15, 1 << 15, 1 << 14]
+    assert [instr.gate for instr, _ in passes] == ["T", "SZ", "H"]
+    assert [size for _, size in passes] == [1 << 15, 1 << 15, 1 << 14]
     assert_matches_reference(circuit)
 
 
@@ -505,16 +556,22 @@ def test_observe_reads_framed_sim_states(seed, nq, nh):
 
 
 def test_uncontrolled_x_makes_no_pass(passes):
-    # the pass-count guard: n H passes and m X gates cost `run` n passes,
-    # and `to_matrix`, which keeps the same frame, n
+    # the pass-count guard: m X gates and then n H passes cost `run` n
+    # passes, and `to_matrix`, which keeps the same frame, n; as an opening
+    # layer before the X gates, the H gates make no pass of `run`
     n, m = 5, 7
+    layout = RegisterLayout.of(n, 0)
     layer = tuple(Instruction("H", (p,)) for p in range(n))
-    circuit = Circuit(RegisterLayout.of(n, 0), layer + tuple(Instruction("X", (p % n,)) for p in range(m)))
+    flips = tuple(Instruction("X", (p % n,)) for p in range(m))
+    circuit = Circuit(layout, flips + layer)
     run(circuit)
     assert len(passes) == n
     passes.clear()
     to_matrix(circuit)
     assert len(passes) == n
+    passes.clear()
+    run(Circuit(layout, layer + flips))
+    assert passes == []
 
 
 def frameless_matrix(circuit):
@@ -716,15 +773,16 @@ PASS_SIZES = json.loads((Path(__file__).parent / "data" / "pass_sizes.json").rea
 
 
 def test_view_sizes_match_the_recorded_passes(monkeypatch):
-    sizes = []
+    sizes, gates = [], []
     apply = simulator.apply_to_tensor
 
     def spy(layout, tensor, instr):
         sizes.append(tensor.size)
+        gates.append(instr.gate)
         apply(layout, tensor, instr)
 
     monkeypatch.setattr(simulator, "apply_to_tensor", spy)
-    got = {}
+    got, made = {}, {}
     for name, call in (
         ("run_search", lambda: run_search(SearchSpec(10, "1011001110", 0.5,
                                                      choose_k(2**10, 0.5, 0.99)))),
@@ -732,9 +790,14 @@ def test_view_sizes_match_the_recorded_passes(monkeypatch):
         ("to_matrix", lambda: to_matrix(sim_shaped_circuit(6, 6, 2))),
     ):
         sizes.clear()
+        gates.clear()
         call()
-        got[name] = list(sizes)
+        got[name], made[name] = list(sizes), set(gates)
     assert got == PASS_SIZES
+    # `run` fills the opening H layer, the only H of these circuits, and
+    # makes no pass of it; `to_matrix` makes every pass
+    assert "H" not in made["run_search"] | made["run"]
+    assert "H" in made["to_matrix"]
 
 
 # Half-zero passes. A dense single-target pass whose every cube met fixes
@@ -999,9 +1062,9 @@ def test_search_rounds_skip_their_oracle_pairs(passes):
     n = 10
     spec = SearchSpec(n, "1011001110", 0.5, choose_k(2**n, 0.5, 0.99))
     run_search(spec)
-    rounds = passes[n:]
-    assert len(rounds) == spec.k + 2
-    assert [i.gate for i, _ in rounds] == ["X"] + ["BOOST"] * spec.k + ["X"]
+    # the opening H layer makes no pass, and the rounds k + 2
+    assert len(passes) == spec.k + 2
+    assert [i.gate for i, _ in passes] == ["X"] + ["BOOST"] * spec.k + ["X"]
 
 
 def test_controlled_x_pair_keeps_every_bit(passes):

@@ -109,20 +109,23 @@ def test_validation_is_traced(spans):
     assert tracer.calls("synthesis.compile") == 1
 
 
-# 12 qubits + 2 hybits: an H layer, then gates of every kernel class. h1 is
+# 12 qubits + 2 hybits: an H layer, then gates of every kernel class. The
+# opening layer, H on q0-q10, is one fill of `run` and makes no pass; H q11
+# comes after the first lines, so it makes the one H pass. h1 is
 # untouched until its BOOST, so the first CTRL on it never triggers; the
 # second keeps its control, which the kernel fixes at h1's start value 0,
 # and is traced as a controlled pass. The uncontrolled X and Y join the
 # Pauli frame of `run`: the X makes no pass, and the Y makes one diagonal
 # pass, diag(i, -i), so no perm pass is left. A run that swapped X or Y
 # slices again would show perm passes here.
+TRACED_LAYER = 11
 TRACED_RUN = (
     "qubits 12\nhybits 2\n"
-    + "".join(f"H q{i}\n" for i in range(12))
-    + "CTRL h1 : TAU h0\nCTRL !h1 : TAU h0\nT q3\nZ h0\nX q5\nY q7\nBOOST 0.4 h1\n"
+    + "".join(f"H q{i}\n" for i in range(TRACED_LAYER))
+    + "CTRL h1 : TAU h0\nCTRL !h1 : TAU h0\nH q11\nT q3\nZ h0\nX q5\nY q7\nBOOST 0.4 h1\n"
     "CTRL q0 !q2 : X q4\nCTRL h0 : T q1\nCZ q1 h1\n"
 )
-TRACED_CLASSES = {"dense": 12 + 1, "diag": 3 + 1, "perm": 0, "ctrl": 3}
+TRACED_CLASSES = {"dense": 1 + 1, "diag": 3 + 1, "perm": 0, "ctrl": 3}
 
 
 def test_run_traces_each_acting_gate_by_its_class(spans):
@@ -138,8 +141,9 @@ def test_run_traces_each_acting_gate_by_its_class(spans):
         simulator.run(circuit)
     got = {cls: tracer.calls(f"simulator.apply.{cls}") for cls in spans.GATE_CLASSES}
     assert got == TRACED_CLASSES
-    # every line makes one pass but the CTRL that never triggers and the X
-    assert sum(got.values()) == len(circuit.instructions) - 2
+    # every line makes one pass but the opening layer, the CTRL that never
+    # triggers and the X
+    assert sum(got.values()) == len(circuit.instructions) - TRACED_LAYER - 2
 
 
 def test_run_writes_its_text_inside_the_format_span(spans, tmp_path, monkeypatch):
