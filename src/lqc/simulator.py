@@ -107,19 +107,19 @@ the controls. Only amplitudes in that cube with the targets free and the
 controls fixed can come out nonzero, so that cube joins the support,
 unless one already listed holds it, and the cubes inside it leave. A
 diagonal single-target pass turns no zero into a nonzero, so it leaves the
-support as it is, its target fixed where it was; when every cube it meets
-fixes its target at one value, it scales only the target slice at that
-value (in the frame below), the other slice of its view being all zero.
-Past SUPPORT_CUBES_MAX cubes the list merges into its bounding cube, and
-once a cube covers the whole register the tracking stops. So a search
+support as it is, its target fixed where it was. The support picks only
+whether a pass runs and on which view: the pass takes the kernel it takes
+on the whole tensor and updates both target slices of its view, zero or
+not. Past SUPPORT_CUBES_MAX cubes the list merges into its bounding cube,
+and once a cube covers the whole register the tracking stops. So a search
 round, whose oracle X leaves the marked item's cube beside the cube of the
 rest, touches a few amplitudes per pass instead of half the register, and
-an H layer on bits still at 0 touches one block of the state per gate. Where the
-view must leave fixed axes free (below), it frees those of the trailing
-memory axes first, so that a small view lies in one stretch of memory
-where the layout allows: a round's BOOST at n = 14 walks one stretch of 4
-amplitudes per slice where it walked 4 amplitudes 64 KiB apart, and a
-round took 23 us where it took 47.
+an H layer on bits still at 0 touches one block of the state per gate.
+Where the view must leave fixed axes free (below), it frees those of the
+trailing memory axes first, so that a small view lies in one stretch of
+memory where the layout allows: a round's BOOST at n = 14 walks one
+stretch of 4 amplitudes per slice where it walked 4 amplitudes 64 KiB
+apart, and a round took 23 us where it took 47.
 
 Opening layer. A search, and every `sim` circuit of the benchmark, opens
 with H on qubits that the start holds at 0. From a basis state whose one
@@ -128,46 +128,30 @@ uncontrolled builtin H on distinct bits that the start holds at 0 and
 makes no pass for it: one assignment sets the cube those m bits span, with
 every other bit at its start value, to a times h rounded once per gate,
 componentwise (h = 1/sqrt(2), the real (0, 0) entry of H): m times
-v <- complex(v.real * h, v.imag * h). That is what each half-zero pass of
-the layer (below) computes, and what the matmul branch computes, since
-the products with the zero slice add zeros. The support then starts as
-that cube, and the tracking stops when the layer frees every bit; the
-pass loop runs the other instructions from it. The first line that is not
-such an H ends the layer: an H on a bit the layer already took or that
-the start holds at 1, a controlled H, a DEFGATE, any other gate (an
-uncontrolled X too, which makes no pass either). A non-finite a has no
-layer: the passes' complex products spread an inf or nan into both parts
-of an amplitude, which the fill would not. The memory order still weighs
-the whole circuit, layer included. Filling the layer in place of its 14
-passes took `run_search` at n = 14 from 1.05 to 0.85 ms (medians of 30
-in-process calls, one BLAS thread, 2-core Intel Xeon).
-
-Half-zero passes. When every cube a single-target pass meets fixes its
-target at one value v (in the frame below), the view's target slice at
-1 - v is all zero. A dense pass that takes the slice update then makes
-only the products of x_v: x_{1-v} <- m[1-v][v] x_v into a chunk
-temporary, x_v <- m[v][v] x_v in place (skipped for a factor of exactly
-1), and a copy of the temporary into x_{1-v}, three ufunc calls and one
-temporary per chunk where the full update makes six and two. Those are the very products the full update makes; the
-terms it drops multiply zeros, so only the sign of a zero can differ. The
-product is not written straight into x_{1-v}: on slices of stretches of 2
-its range interleaves with x_v's, which numpy multiplies without SIMD and
-rounds otherwise. The matmul branch keeps its matmul, which rounds
-otherwise than these products. The first dense gate on each still-fixed
-bit of any run from a basis state takes this path, unless the opening
-layer (above) fills it: the first TAU or BOOST on each hybit of a `sim`
-circuit, and an H that comes after the opening layer.
+v <- complex(v.real * h, v.imag * h). That is what each pass of the layer
+computes on its view, the slice update and the matmul alike, since the
+products with the zero slice add zeros, up to their sign where the value
+is zero. The support then starts as that cube, and the tracking stops when
+the layer frees every bit; the pass loop runs the other instructions from
+it. The first line that is not such an H ends the layer: an H on a bit the
+layer already took or that the start holds at 1, a controlled H, a
+DEFGATE, any other gate (an uncontrolled X too, which makes no pass
+either). A non-finite a has no layer: the passes' complex products spread
+an inf or nan into both parts of an amplitude, which the fill would not.
+The memory order still weighs the whole circuit, layer included. Filling
+the layer in place of its 14 passes took `run_search` at n = 14 from 1.05
+to 0.85 ms (medians of 30 in-process calls, one BLAS thread, 2-core Intel
+Xeon).
 
 The result is bit-identical to passes over the whole tensor, apart from
 the sign of zero amplitudes outside the view (a whole-tensor Z turns them
-into -0.0, which no probability sees) and of zeros that a half-zero pass
-leaves or a diagonal pass does not scale.
-Two rules hold for every pass: the kernel picks the dense branch by the
-size of a target slice of the whole tensor, not of the view, so narrowing
-never switches a branch; and a view leaves two axes of each target slice
-free, or all it has, so a product keeps a power of two of at least 4
-columns, each rounding as in the whole product (above), and no chunk is
-the one amplitude numpy rounds otherwise.
+into -0.0, which no probability sees) and of zero parts of the amplitudes
+the opening layer fills. Two rules hold for every pass: the kernel picks
+the dense branch by the size of a target slice of the whole tensor, not of
+the view, so narrowing never switches a branch; and a view leaves two axes
+of each target slice free, or all it has, so a product keeps a power of
+two of at least 4 columns, each rounding as in the whole product (above),
+and no chunk is the one amplitude numpy rounds otherwise.
 
 `run` hands the support it ends with to the `StateVector` it returns, in
 the values of the view it returns (stored value XOR frame flag), and
@@ -232,28 +216,28 @@ axes the frame left reversed. The visible squares are summed in register
 index order, so they and the mass keep their bits whatever the memory
 order, and are divided by the mass in place. The mass per hybit pattern,
 which feeds only the finite check and the negligible-mass warning, comes
-from `core.pattern_masses`: one einsum pass over the state in memory
-order, each amplitude's real and imaginary parts read together as float64
-pairs, with no temporary of the state's size. A state that carries a
-support is read over its cubes alone, first split into disjoint ones (at
-most OBSERVE_CUBES_MAX, else the whole state is read): each cube that
-fixes no hybit at 1 is squared, its hybits at 0, into its block of a
-zeroed output, whose entries outside the cubes are +0.0, as the squares of
-the zeros there are, so the probabilities and the mass keep their bits.
-The pattern of every hybit at 0 takes the visible mass, and each cube
-that fixes a hybit at 1 or leaves one free adds its other patterns' masses,
-a sum in another order than the whole state's. After a search of n = 16
-that reads a block of 2^16 amplitudes and a cube of 4, where the whole
-state squares 2^17 and sums 2^18. The distribution is then
-checked in two sweeps, its sum and its minimum. So `observe` holds the
-state, the visible probabilities and a chunk. `sample` takes the
-distribution, not the state, so `lqc sample` frees the state before it
-draws. The outcome distribution is an array over qubit indices, whose
-order is sorted-bitstring order; bitstrings are built only for output.
-Sampling draws by inverse CDF over that array, so the draws equal those
-of an inverse CDF over the sorted list of outcomes. A state whose total
-squared magnitude is not finite (its amplitudes overflowed) is refused
-with GuardError.
+from `core.pattern_masses`: one einsum pass in memory order, each
+amplitude's real and imaginary parts read together as float64 pairs, with
+no temporary of the state's size. Every state is read as a list of
+disjoint cubes: the support it carries, split into disjoint cubes, or the
+one cube (0, 0) of the whole register when it carries none or its support
+splits into more than OBSERVE_CUBES_MAX. Each cube that fixes no hybit at
+1 is squared, its hybits at 0, into its block of a zeroed output, whose
+entries outside the cubes are +0.0, as the squares of the zeros there are,
+so the probabilities and the mass keep their bits whatever the cubes. The
+pattern of every hybit at 0 takes the visible mass, and each cube that
+fixes a hybit at 1 or leaves one free adds its other patterns' masses.
+After a search of n = 16 that reads a block of 2^16 amplitudes and a cube
+of 4, where the whole register squares 2^17 and sums 2^18. The
+distribution is then checked in two sweeps, its sum and its minimum. So
+`observe` holds the state, the visible probabilities and a chunk. `sample`
+takes the distribution, not the state, so `lqc sample` frees the state
+before it draws. The outcome distribution is an array over qubit indices,
+whose order is sorted-bitstring order; bitstrings are built only for
+output. Sampling draws by inverse CDF over that array, so the draws equal
+those of an inverse CDF over the sorted list of outcomes. A state whose
+total squared magnitude is not finite (its amplitudes overflowed) is
+refused with GuardError.
 
 `format_distribution` and `format_counts` write the text forms to a stream
 one block of at most FORMAT_BLOCK lines at a time, so the whole text is
@@ -266,11 +250,12 @@ and a newline. One sort of the values gives the distinct ones and a binary
 search into them each line's code, the values and codes `np.unique` would
 give, without the second sort of `np.unique(..., return_inverse=True)` or
 its import of `numpy.ma`. Each block is then a byte table built by numpy:
-one `take` of the lines by their codes, then the digits from a table of the
-8 ASCII digits of each byte value. When every value is distinct there is
-nothing to look up, and a block's lines are formatted in order instead. One
-`bytes.replace` squeezes the padding out of a block before it is decoded
-and written.
+one `take` of the lines by their codes, then the digits from a table of
+the 8 ASCII digits of each byte value. When every value is distinct there
+is nothing to look up, and when more distinct values than FORMAT_BLOCK
+would make a table larger than a block: then a block's lines are formatted
+in order instead. One `bytes.replace` squeezes the padding out of a block
+before it is decoded and written.
 """
 
 from __future__ import annotations
@@ -333,7 +318,8 @@ TILE = 1 << 13
 # needs 2
 SUPPORT_CUBES_MAX = 8
 # `observe` reads a support split into at most this many disjoint cubes, one
-# pass over each; a support that splits into more is read whole instead
+# pass over each; a support that splits into more is read as the one cube
+# of the whole register
 OBSERVE_CUBES_MAX = 32
 # the diagonal half of Y = X diag(i, -i), which the Pauli frame applies as a
 # pass before it toggles the bit's flag
@@ -396,7 +382,7 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
         nbits = layout.num_bits
         whole = math.prod(tensor.shape[nbits:]) << nbits - 1 - len(instr.controls)
         blas = whole < BLAS_DENSE_MAX
-    _apply_pair(x0, x1, plan.gate, blas, plan.kernel, plan.half)
+    _apply_pair(x0, x1, plan.gate, blas, plan.kernel)
 
 
 class _Plan:
@@ -409,15 +395,13 @@ class _Plan:
     instruction, so the id it is kept under is not reused while it lives."""
 
     __slots__ = ("instr", "toggle", "phases", "gate", "kernel", "diagonal", "at0", "at1",
-                 "block", "moved", "front", "memo", "slices", "half")
+                 "block", "moved", "front", "memo", "slices")
 
     def __init__(self, instr: Instruction) -> None:
         self.instr = instr
-        # (support, frame, view, support after, half) of the last pass in
-        # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`;
-        # `half` is the target value whose slice of the running pass's view
-        # alone can hold a nonzero amplitude, or None
-        self.memo = self.slices = self.half = None
+        # (support, frame, view, support after) of the last pass in
+        # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`
+        self.memo = self.slices = None
         targets, controls = instr.targets, instr.controls
         # an uncontrolled builtin X or Y toggles its flag in the Pauli frame;
         # a Y first makes the pass of its diagonal half
@@ -494,33 +478,26 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
 
 
 def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
-                kernel: tuple, half: int | None = None) -> None:
+                kernel: tuple) -> None:
     """x0, x1 <- a x0 + b x1, c x0 + d x1 in place, for the target slices
     t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
     when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
-    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`. With
-    `half` = v, the slice at 1 - v is zero: a diagonal gate leaves it as it
-    is, and a dense slice update makes only the products of x_v that `_mix`
-    makes (`_spread`)."""
+    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`. The
+    update reads both slices whatever the support holds, so a slice that is
+    all zero is multiplied like any other."""
     update, coeffs, ntemps = kernel
     if update is None:
         # one op per slice, each already a single pass over that slice
         a, d = coeffs
         x0, x1, order = _loop_order(x0, x1)
-        if a != 1 and half != 1:
+        if a != 1:
             np.multiply(x0, a, out=x0, order=order)
-        if d != 1 and half != 0:
+        if d != 1:
             np.multiply(x1, d, out=x1, order=order)
     elif update is _mix and blas:
         pair = gate @ np.array((x0, x1)).reshape(2, -1)
         x0[...] = pair[0].reshape(x0.shape)
         x1[...] = pair[1].reshape(x1.shape)
-    elif update is _mix and half is not None:
-        a, b, c, d = coeffs
-        if half:
-            _tiled(_spread, (b, d), x1, x0, 1)
-        else:
-            _tiled(_spread, (c, a), x0, x1, 1)
     else:
         _tiled(update, coeffs, x0, x1, ntemps)
 
@@ -545,17 +522,6 @@ def _mix(a, b, c, d, x0, x1, tmp, prod) -> None:
     if d != 1:
         x1 *= d
     x1 += tmp
-
-
-def _spread(f, s, x, zero, tmp) -> None:
-    """zero, x <- f x, s x, where `zero` is all zero: the products `_mix`
-    makes of x, less the terms that multiply zeros. The product goes
-    through `tmp`: written straight into `zero`, whose range interleaves
-    with x's on slices of stretches of 2, numpy would round it otherwise."""
-    np.multiply(x, f, out=tmp)
-    if s != 1:
-        x *= s
-    zero[...] = tmp
 
 
 def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
@@ -754,7 +720,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                         continue
                     plan = plan.phases
                 if support is None and not flipped:
-                    view, plan.half = tensor, None
+                    view = tensor
                 else:
                     # a pass of the same plan from the same support and frame
                     # gets the same view, and leaves the same support
@@ -762,7 +728,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                     if memo is None or memo[0] is not support or memo[1] != flipped:
                         memo = plan.memo = (support, flipped,
                                             *_pass_view(tensor, plan, support, flipped, trailing))
-                    view, support, plan.half = memo[2:]
+                    view, support = memo[2:]
                 if view is not None:
                     apply_to_tensor(layout, view, plan.instr)
                     if counts[id(instr)] == 1:
@@ -793,12 +759,11 @@ def _without_x_pairs(instructions) -> list:
 
 def _pass_view(tensor: np.ndarray, plan: _Plan, support: list[tuple[int, int]] | None,
                flipped: int, trailing: list[int]) -> tuple:
-    """(view, support, half): the view of `tensor` a pass of `plan` runs on,
-    in the frame `flipped`, or None when its control block meets no cube of
-    `support`; the support after the pass; and, when every cube it meets
-    fixes a single target at one value, that value in the frame, the only
-    one at which the view's target slice can hold a nonzero amplitude, else
-    None. `trailing` holds a mask per register bit, by ascending stride."""
+    """(view, support): the view of `tensor` a pass of `plan` runs on, in
+    the frame `flipped`, or None when its control block meets no cube of
+    `support`; and the support after the pass. The support picks only the
+    view: the kernel the pass takes on it is the one it takes on the whole
+    tensor. `trailing` holds a mask per register bit, by ascending stride."""
     instr = plan.instr
     tmask = cmask = cvals = 0
     for t in instr.targets:
@@ -807,22 +772,20 @@ def _pass_view(tensor: np.ndarray, plan: _Plan, support: list[tuple[int, int]] |
         cmask |= 1 << c
         # a bit's logical value is its stored one XOR its flag
         cvals |= (v ^ (flipped >> c & 1)) << c
-    idx = half = None
+    idx = None
     if flipped & (tmask | cmask):
         idx = _reversing(tensor.ndim, flipped & (tmask | cmask))
     if support is not None:
         met = [(m, v) for m, v in support if not (v ^ cvals) & m & cmask]
         if not met:
-            return None, support, None
+            return None, support
         fixed, vals = _bounding(met)
-        if fixed & tmask and len(instr.targets) == 1:
-            half = (vals ^ flipped) & tmask != 0
         fixed &= ~tmask
         idx = _narrow(idx, tensor.ndim, fixed & ~cmask, vals,
                       len(trailing) - len(instr.targets) - len(instr.controls), trailing)
         if not plan.diagonal:
             support = _joined(support, fixed | cmask, vals & fixed | cvals)
-    return (tensor if idx is None else tensor[tuple(idx)]), support, half
+    return (tensor if idx is None else tensor[tuple(idx)]), support
 
 
 def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
@@ -927,10 +890,11 @@ def _write_lines(out: TextIO, size: int, support: np.ndarray, values: np.ndarray
     line = "0" * nq + f"\t%-{width}{spec}\n"
     ordered = np.sort(values)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    # with every value distinct there is nothing to look up, and each block
-    # formats its lines in order
+    # with every value distinct there is nothing to look up, and with more
+    # distinct values than a block holds the table would outgrow the blocks:
+    # either way each block formats its lines in order
     table = None
-    if distinct.size < values.size:
+    if distinct.size < values.size and distinct.size <= FORMAT_BLOCK:
         # keyed on the exact value: floats one ulp apart print differently
         table = _formatted(line, distinct)
         # the padding columns that no text reaches go
@@ -994,31 +958,23 @@ def observe(state: StateVector) -> OutcomeDistribution:
     distribution rather than an error; a state whose squared magnitude is not
     finite raises GuardError.
 
-    A state that carries a support (the one `run` tracked, until the state
-    is written) is read over its cubes alone, split into disjoint ones: the
-    probabilities and the mass are those of the whole-tensor read bit for
-    bit, and the mass per hybit pattern, which feeds only the finite check
-    and the negligible-mass warning, sums the same squares in another
-    order."""
+    Every state is read as a list of disjoint cubes: those of the support
+    it carries (the one `run` tracked, until the state is written), or the
+    one cube of the whole register when it carries none or its support
+    splits into more than OBSERVE_CUBES_MAX. The probabilities and the mass
+    are the squares of the hybit-0 slice in register index order and their
+    sum, bit for bit whatever the cubes; the mass per hybit pattern, which
+    feeds only the finite check and the negligible-mass warning, sums the
+    same squares in another order."""
     layout = state.layout
     hybits = layout.positions(BitKind.HYBIT)
     tensor, support = state.read()
     cubes = None if support is None else _disjoint(support)
-    if cubes is None:
-        idx = [slice(None)] * layout.num_bits
-        for p in hybits:
-            idx[p] = 0
-        # squared straight into register index order, whatever the frame
-        visible = np.empty((2,) * layout.num_qubits)
-        _square(tensor[(*idx, ...)], visible)
-        per_pattern = pattern_masses(state)
-    else:
-        visible, per_pattern = _square_cubes(layout, tensor, cubes)
+    visible, per_pattern = _square_cubes(layout, tensor, cubes or [(0, 0)])
     visible = visible.reshape(-1)
     mass = float(visible.sum())
-    if cubes is not None:
-        # the visible squares are the mass of the pattern of every hybit at 0
-        per_pattern[0] += mass
+    # the visible squares are the mass of the pattern of every hybit at 0
+    per_pattern[0] += mass
     total = float(per_pattern.sum())
     if not np.isfinite(total):
         raise GuardError(f"the state's total squared magnitude is {total}, not finite")
@@ -1071,7 +1027,8 @@ def _square_cubes(layout: RegisterLayout, tensor: np.ndarray,
                   cubes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """The visible squares of `observe`, and the mass per hybit pattern of
     the squares that are not visible, read from the disjoint `cubes` outside
-    which every amplitude of `tensor` is zero. Each cube that fixes no hybit
+    which every amplitude of `tensor` is zero; the cube (0, 0), which fixes
+    no bit, is the whole register. Each cube that fixes no hybit
     at 1 is squared, its hybits at 0, into its block of a zeroed output; the
     `pattern_masses` of each cube that fixes a hybit at 1 or leaves one free
     are added to the patterns it fixes, less its visible squares."""

@@ -1,11 +1,10 @@
 """Shared helpers: random layouts, random valid circuits, circuits shaped
-like the benchmark's sim circuits, the whole-tensor run, a spy on the
-kernel's passes, the per-line text of a distribution or a histogram, the
-dense matrix
-of a two-level factor, a controlled lift, the matrix file writer, the
-product of a generator word, the node-by-node word search that the
-stacked one is checked against, the benchmark's own modules, and seeded
-mutants of source text."""
+like the benchmark's sim circuits, the whole-tensor run, the plain numpy
+read of a distribution, a spy on the kernel's passes, the per-line text of
+a distribution or a histogram, the dense matrix of a two-level factor, a
+controlled lift, the matrix file writer, the product of a generator word,
+the node-by-node word search that the stacked one is checked against, the
+benchmark's own modules, and seeded mutants of source text."""
 
 import importlib
 import random
@@ -72,6 +71,19 @@ def reference_run(circuit, initial=None):
         for instr in circuit.instructions:
             apply_to_tensor(layout, tensor, instr)
     return state
+
+
+def reference_observe(state):
+    """`observe` in plain numpy, as (probs, mass): the hybit-0 slice of a C
+    copy of the amplitudes squared (re*re + im*im) in register index order,
+    summed, and divided by the sum unless it is 0. The state, and any
+    support it carries, is left as it is."""
+    layout = state.layout
+    amps = state.copy().amps.reshape((2,) * layout.num_bits)
+    visible = amps[tuple(0 if k is BitKind.HYBIT else slice(None) for k in layout.kinds)]
+    squares = (visible.real * visible.real + visible.imag * visible.imag).reshape(-1)
+    mass = float(squares.sum())
+    return (squares / mass if mass else squares), mass
 
 
 @pytest.fixture

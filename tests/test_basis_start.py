@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    HYBIT_GATES, QUBIT_GATES, cartan_target, random_state_amps, random_unitary, reference_run,
-    sim_shaped_circuit,
+    HYBIT_GATES, QUBIT_GATES, cartan_target, random_state_amps, random_unitary, reference_observe,
+    reference_run, sim_shaped_circuit,
 )
 from lqc import simulator
 from lqc.circuit import Circuit, Instruction, parse, to_matrix
@@ -143,12 +143,13 @@ def test_zeros_outside_the_view_differ_at_most_in_sign():
     got, want = run(circuit).amps, reference_run(circuit).amps
     assert got.tobytes() != want.tobytes()
     assert_matches_reference(circuit)
-    # Z on h0, which the support fixes at 0, scales only the slice at 0, so
-    # the zeros at h0 = 1 inside its view stay +0.0 too
+    # Z on h0 scales both slices of its view, which keeps two axes of each
+    # slice free and so is the whole tensor here: the zeros at h0 = 1 turn
+    # -0.0 as the whole-tensor Z turns them
     circuit = parse("qubits 2\nhybits 1\nH q0\nZ h0\n")
     got, want = run(circuit).amps, reference_run(circuit).amps
-    assert np.signbit(want.real).any() and not np.signbit(got.real).any()
-    assert_matches_reference(circuit)
+    assert np.signbit(want.real).any()
+    assert got.tobytes() == want.tobytes()
 
 
 # The opening H layer: from a basis state, `run` fills the leading run of
@@ -172,7 +173,7 @@ def test_zeros_outside_the_view_differ_at_most_in_sign():
     # one that is not finite takes the passes, which spread its inf into
     # both parts of each amplitude
     ("qubits 2\nH q0\nH q1\n", [0, 0], np.inf, 2),
-    # T and Z on the untouched h0 scale only its slice at 0
+    # T and Z on the untouched h0 and h1 pass, on views the support narrows
     ("qubits 2\nhybits 2\nH q0\nH q1\nT h0\nZ h0\nTAU h1\nZ h1\n", None, 1, 4),
 ])
 def test_opening_layer_edges(text, bits, scale, made, limit, passes, monkeypatch):
@@ -438,7 +439,7 @@ def test_search_rounds_touch_the_marked_item(n, limit, passes, monkeypatch):
 
 
 def test_diagonal_gate_leaves_its_untouched_bit_fixed(passes):
-    # T on the untouched h0 scales the slice where h0 holds 0 and leaves h0
+    # T on the untouched h0 scales both slices of its view and leaves h0
     # fixed, so the H after it sees both hybits fixed, a quarter of the state;
     # the opening H layer makes no pass
     circuit = parse("qubits 14\nhybits 2\n" + "".join(f"H q{p}\n" for p in range(14))
@@ -491,14 +492,10 @@ def framed_case(seed, nbits, count, start):
 
 
 def assert_observe_reads_the_amps(state):
-    """`observe` of a state `run` returned, against `observe` of its amps
-    laid out in register index order: probs and mass to the bit."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegligibleMassWarning)
-        got = observe(state)
-        want = observe(StateVector(state.layout, state.amps))
-    assert got.probs.tobytes() == want.probs.tobytes()
-    assert got.observable_mass == want.observable_mass
+    """`observe` of a state `run` returned, against the plain numpy read of
+    its amps laid out in register index order: probs and mass to the bit."""
+    probs, mass = reference_observe(state)
+    assert observed_bytes(state) == (probs.tobytes(), mass)
 
 
 @pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
@@ -800,12 +797,12 @@ def test_view_sizes_match_the_recorded_passes(monkeypatch):
     assert "H" in made["to_matrix"]
 
 
-# Half-zero passes. A dense single-target pass whose every cube met fixes
-# its target at one value v finds the other target slice of its view all
-# zero, and the slice update makes only the products of x_v that the full
-# update makes. These cases hold it to `reference_run` on bytes.
+# Dense passes on fixed bits. A dense single-target pass whose every cube
+# met fixes its target at one value finds the other target slice of its
+# view all zero, in or out of the Pauli frame, and updates both slices as
+# on the whole tensor. These cases hold it to `reference_run` on bytes.
 
-def half_zero_case(seed, nbits, start):
+def fixed_bit_case(seed, nbits, start):
     """A circuit whose dense single-target gates often land on bits the
     support still fixes: random DEFGATEs on a few bits first, so that the
     amplitudes are not round numbers, then H, TAU, BOOST and DEFGATEs on
@@ -843,47 +840,28 @@ def half_zero_case(seed, nbits, start):
     return circuit, basis_state(layout, rng.integers(0, 2, size=nbits).tolist())
 
 
-@pytest.fixture
-def halves(monkeypatch):
-    """The set of target values v at which half-zero slice updates ran."""
-    seen = set()
-    apply_pair = simulator._apply_pair
-
-    def spy(x0, x1, gate, blas, kernel, half=None):
-        if kernel[0] is simulator._mix and not blas and half is not None:
-            seen.add(int(half))
-        apply_pair(x0, x1, gate, blas, kernel, half)
-
-    monkeypatch.setattr(simulator, "_apply_pair", spy)
-    return seen
-
-
 @pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
 @pytest.mark.parametrize("nbits", [1, 2, 3, 5, 8, 15])
-def test_half_zero_passes_match_the_reference(nbits, limit, halves, monkeypatch):
+def test_dense_passes_on_fixed_bits_match_the_reference(nbits, limit, monkeypatch):
     # one- and two-bit registers leave slices of one amplitude; at 15 bits
     # the last gates' slices outgrow TILE and go through the iterator
     monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
     for seed in range(nbits, nbits + (4 if nbits > 8 else 12)):
-        assert_matches_reference(*half_zero_case(seed, nbits, ("zero", "basis")[seed % 2]))
-    # the slice update takes both halves; the matmul, and the real limit
-    # below 14 bits, take none
-    sliced = limit == 0 or limit == LIMITS["real"] and nbits >= 14
-    assert halves == ({0, 1} if sliced else set())
+        assert_matches_reference(*fixed_bit_case(seed, nbits, ("zero", "basis")[seed % 2]))
 
 
 @pytest.mark.parametrize("limit", LIMITS.values(), ids=LIMITS.keys())
-@pytest.mark.parametrize("text, half", [
+@pytest.mark.parametrize("text", [
     # C order: q5 is the second-to-last memory axis and q6, already free,
     # the last, so each target slice of the H on q5 is stretches of 2
-    # interleaved with the other slice's
-    ("qubits 7\nT q0\nT q1\nT q2\nT q3\nT q4\nH q6\nH q5\n", 0),
-    ("qubits 7\nT q0\nT q1\nT q2\nT q3\nT q4\nH q6\nX q5\nH q5\n", 1),
+    # interleaved with the other slice's, with q5 fixed at 0 or, flipped, 1
+    "qubits 7\nT q0\nT q1\nT q2\nT q3\nT q4\nH q6\nH q5\n",
+    "qubits 7\nT q0\nT q1\nT q2\nT q3\nT q4\nH q6\nX q5\nH q5\n",
     # a 0-control on a free bit, and a hybit target the frame has not flipped
-    ("qubits 3\nhybits 1\nH q0\nH q1\nCTRL !q0 : TAU h0\n", 0),
-    ("qubits 3\nhybits 1\nH q0\nH q2\nX q1\nCTRL !q2 : H q1\n", 1),
+    "qubits 3\nhybits 1\nH q0\nH q1\nCTRL !q0 : TAU h0\n",
+    "qubits 3\nhybits 1\nH q0\nH q2\nX q1\nCTRL !q2 : H q1\n",
 ])
-def test_half_zero_pass_layouts(text, half, limit, halves, monkeypatch):
+def test_dense_passes_on_fixed_bits_of_every_layout(text, limit, monkeypatch):
     monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", limit)
     circuit = parse(text)
     # randomize the amplitudes the dense gates start from, keeping the zeros
@@ -897,11 +875,6 @@ def test_half_zero_pass_layouts(text, half, limit, halves, monkeypatch):
         assert_matches_reference(case)
         initial = basis_state(case.layout, [1] * case.layout.num_bits)
         assert_matches_reference(case, initial)
-    assert halves == ({0, 1} if limit == 0 else set())
-    halves.clear()
-    monkeypatch.setattr(simulator, "BLAS_DENSE_MAX", 0)
-    run(circuit)
-    assert half in halves
 
 
 # `observe` over the support: a state `run` returns carries the support it
@@ -915,12 +888,13 @@ def observed_bytes(state):
     return dist.probs.tobytes(), dist.observable_mass
 
 
-def assert_support_read_as_whole(state):
-    """`observe` of a state that carries a support against `observe` of the
-    same tensor with none: probs and mass to the bit."""
-    tensor, support = state.read()
+def assert_support_read_as_reference(state):
+    """`observe` of a state that carries a support against the plain numpy
+    read of its amplitudes, `reference_observe`: probs and mass to the
+    bit."""
+    _, support = state.read()
     assert support is not None
-    assert observed_bytes(state) == observed_bytes(StateVector(state.layout, tensor))
+    assert_observe_reads_the_amps(state)
     # observing keeps the support
     assert state.read()[1] is support
 
@@ -944,7 +918,7 @@ def test_observe_reads_the_support_of_small_states(kinds, start):
         state = run(Circuit(layout, tuple(instrs)), initial)
         if state.read()[1] is not None:
             read += 1
-            assert_support_read_as_whole(state)
+            assert_support_read_as_reference(state)
     assert read
 
 
@@ -952,7 +926,7 @@ def test_observe_reads_the_support_of_small_states(kinds, start):
 @pytest.mark.parametrize("nbits", [12, 15])
 def test_observe_reads_the_support_of_oracle_states(nbits, start):
     state = run(*oracle_case(nbits, nbits, start))
-    assert_support_read_as_whole(state)
+    assert_support_read_as_reference(state)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
@@ -963,7 +937,14 @@ def test_search_states_carry_the_marked_cube(n):
     marked = int("10" * (n // 2) + "1" * (n % 2), 2)
     target = sum((marked >> (n - 1 - p) & 1) << p for p in range(n))
     assert sorted(support) == sorted([(3 << n, 0), ((1 << n) - 1, target)])
-    assert_support_read_as_whole(state)
+    assert_support_read_as_reference(state)
+
+
+def test_observe_reads_the_golden_state_as_the_reference():
+    # a state with no support, read as the one cube of the whole register
+    state = run(parse((Path(__file__).parent / "data" / "golden14.lqc").read_text()))
+    assert state.read()[1] is None
+    assert_observe_reads_the_amps(state)
 
 
 def test_disjoint_cubes_keep_the_union():

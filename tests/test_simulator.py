@@ -895,6 +895,28 @@ class TestDistributionFormat:
             assert sum(per_write) == lines + header
             assert max(per_write) <= FORMAT_BLOCK
 
+    def test_repeated_values_hold_no_more_than_distinct_ones(self):
+        # 2^18 probabilities, every one distinct or all but one repeat: a
+        # table of every distinct value's line would hold the whole text at
+        # once, where distinct values are formatted a block at a time
+        rng = np.random.default_rng(18)
+        distinct = rng.random(1 << 18) + 0.5
+        distinct /= distinct.sum()
+        repeat = distinct.copy()
+        repeat[1] = repeat[0]
+
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        peaks = []
+        for probs in (repeat, distinct):
+            dist = SimpleNamespace(probs=probs, observable_mass=0.5)
+            peaks.append(TestPeakMemory.peak(lambda: format_distribution(dist, Sink())))
+        assert peaks[0] <= 1.25 * peaks[1]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probabilities_rejected(self, bad):
         # nan - 1 compares False against any bound, so the sum check alone
