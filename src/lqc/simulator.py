@@ -159,14 +159,13 @@ the values of the view it returns (stored value XOR frame flag), and
 `tensor` or `amps` drops the support, since the caller may then write the
 state; `copy()`, `basis_state` and a state a caller builds carry none.
 
-Pauli frame. The pass loop of `run` and `to_matrix` applies no
-uncontrolled X to the state: it keeps the mask of flipped register
-positions, and a bit's value is its stored one XOR its flag. An
-uncontrolled X toggles the flag and makes no pass; the support holds
-stored values, so it stays.
-An uncontrolled Y = X diag(i, -i) is a diagonal pass of diag(i, -i), the
-two complex products the swap makes, then the toggle. Every other
-instruction runs on the view of the tensor in which only its flipped
+Pauli frame. The pass loop of `run` and `to_matrix` alone keeps the frame,
+the mask of flipped register positions; a bit's value is its stored one
+XOR its flag. An uncontrolled builtin X toggles its flag and has neither a
+pass nor a plan (below); the support holds stored values, so it stays. An
+uncontrolled builtin Y = X diag(i, -i) makes the pass of diag(i, -i) on
+its target, the two complex products the swap makes, then toggles. Every
+other instruction runs on the view of the tensor in which only its flipped
 targets and controls are reversed. The kernel indexes a single-target
 gate's target and every control away, so no slice it walks has a negative
 stride. A gate of two or more targets keeps its reversed targets, but each
@@ -191,21 +190,22 @@ Plans. The pass loop works out what the passes of an instruction need of
 it once per distinct instruction object in a call, as a plan kept by the
 object's id; the plan holds the object, so the id is not reused while it
 lives, and an instruction equal to another but for its matrix gets its
-own. A plan holds whether the frame takes the instruction, the index of
-its target slices (or of its control block) with each control at its
-trigger value, and its kernel and 2x2 coefficients from one `tolist()` of
-the gate. `apply_to_tensor` finds the plan of the running call; called on
-its own, it works one out. A plan also keeps the support and frame its
-last pass started from, with the view and the support they gave, and the
-target slices it last cut from that view, so a pass of the same plan from
-the same state reuses them. The k rounds of a search circuit, which come
-after its opening layer, hold 2 distinct objects, and from the second
-round on the state repeats:
-a round's passes make only the kernel's ufunc calls. A round at n = 14
-took 14-18 us, against 91-96 us when every pass worked its instruction
-out afresh (one BLAS thread, 2-core Intel Xeon). A plan for an
-instruction object that occurs once costs what that did, and it leaves
-after its pass, so the plans alive hold the circuit's repeated objects.
+own. A plan holds the index of its target slices (or of its control block)
+with each control at its trigger value, and its kernel and 2x2
+coefficients from one `tolist()` of the gate: what `apply_to_tensor` works
+out when called on its own, and finds when the loop runs. A Y's plan is
+that of its diagonal half, kept under both objects' ids. A plan also keeps
+the support and frame its last pass started from, with the view and the
+support they gave, and the target slices it last cut from that view, so a
+pass of the same plan from the same state reuses them. The k rounds of a
+search circuit, which come after its opening layer, hold 2 distinct
+objects, and from the second round on the state repeats: a round's passes
+make only the kernel's ufunc calls. A round at n = 14 took 14-18 us,
+against 91-96 us when every pass worked its instruction out afresh (one
+BLAS thread, 2-core Intel Xeon). A plan for an object that occurs once
+costs what that did. Every plan leaves after its object's last occurrence,
+whether that made a pass, was skipped or was taken by the frame, so only
+objects yet to come again keep theirs.
 
 Measurement keeps only amplitudes with every hybit in state 0 and
 renormalizes over that subspace, and it squares only those. Each hybit
@@ -388,14 +388,14 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
 class _Plan:
     """What the passes of one instruction object need of it, worked out once
     per `apply_all` call (or per pass, for an `apply_to_tensor` called on its
-    own): whether the Pauli frame takes it, the indices of its target slices
-    or of its control block, and its kernel from one `tolist()` of the gate.
-    It also keeps the last view `apply_all` worked out for it and the last
-    target slices `apply_to_tensor` cut from a view. It holds the
-    instruction, so the id it is kept under is not reused while it lives."""
+    own): the indices of its target slices or of its control block, and its
+    kernel from one `tolist()` of the gate. It also keeps the last view
+    `apply_all` worked out for it and the last target slices
+    `apply_to_tensor` cut from a view. It holds the instruction, so the id
+    it is kept under is not reused while it lives."""
 
-    __slots__ = ("instr", "toggle", "phases", "gate", "kernel", "diagonal", "at0", "at1",
-                 "block", "moved", "front", "memo", "slices")
+    __slots__ = ("instr", "gate", "kernel", "diagonal", "at0", "at1", "block", "moved", "front",
+                 "memo", "slices")
 
     def __init__(self, instr: Instruction) -> None:
         self.instr = instr
@@ -403,14 +403,6 @@ class _Plan:
         # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`
         self.memo = self.slices = None
         targets, controls = instr.targets, instr.controls
-        # an uncontrolled builtin X or Y toggles its flag in the Pauli frame;
-        # a Y first makes the pass of its diagonal half
-        self.toggle, self.phases = 0, None
-        if not controls and instr.matrix is None and instr.gate in ("X", "Y"):
-            self.toggle = 1 << targets[0]
-            if instr.gate == "Y":
-                # Instruction, which this module cannot import: circuit imports it
-                self.phases = _Plan(type(instr)("Y", targets, matrix=Y_PHASES))
         # an index over the axes up to the instruction's last bit, with each
         # control at its trigger value; a trailing Ellipsis takes the rest
         index = [_ALL] * (max(targets + controls) + 1)
@@ -688,37 +680,42 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
     the cubes in that view's values (None when none is tracked). Overflow is
     left to `observe` and `isometry_residual` to report.
 
-    Each distinct instruction object gets one plan (`_Plan`) per call, kept
-    by its id where `apply_to_tensor` finds it while the call runs; the
-    objects are counted first, so `instructions` is a sequence. A pass
-    from the support and frame its plan's last pass started from reuses
-    that pass's view and support, and a pass with no support to track and
-    no flipped bit gets the tensor itself."""
+    Each distinct instruction object but an uncontrolled X gets one plan
+    (`_Plan`) per call, kept by its id, where `apply_to_tensor` finds it,
+    until the object's last occurrence; those are found first, so
+    `instructions` is a sequence. A pass from the support and frame its
+    plan's last pass started from reuses that pass's view and support, and a
+    pass with no support to track and no flipped bit gets the tensor
+    itself."""
     nbits = layout.num_bits
     instructions = _without_x_pairs(instructions)
     # the Pauli frame: the mask of the flipped bits
     flipped = 0
     trailing = [1 << p for p in sorted(range(nbits), key=lambda p: abs(tensor.strides[p]))]
-    # the plans of an instruction object that occurs once leave after its
-    # pass (a Y's and its phase pass's), so plans and the views they keep
-    # add up for repeated objects only
-    counts = Counter(map(id, instructions))
+    # the last occurrence of each instruction object, after which its plan
+    # leaves, pass or none, so plans and the views they keep add up for
+    # repeated objects only
+    last = {id(instr): i for i, instr in enumerate(instructions)}
     outer = _running.plans
     _running.plans = plans = {}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for instr in instructions:
-                plan = plans.get(id(instr))
-                if plan is None:
-                    plan = plans[id(instr)] = _Plan(instr)
-                    if plan.phases is not None:
-                        plans[id(plan.phases.instr)] = plan.phases
-                toggle = plan.toggle
-                if toggle:
-                    if plan.phases is None:
+            for i, instr in enumerate(instructions):
+                # an uncontrolled builtin X toggles its bit's flag and has no
+                # plan; a Y toggles it after the pass of its diagonal half
+                toggle = 0
+                if not instr.controls and instr.matrix is None and instr.gate in ("X", "Y"):
+                    toggle = 1 << instr.targets[0]
+                    if instr.gate == "X":
                         flipped ^= toggle
                         continue
-                    plan = plan.phases
+                key = id(instr)
+                plan = plans.get(key)
+                if plan is None:
+                    # a Y's plan is its diagonal half's, kept under both ids for
+                    # `apply_to_tensor`; type(instr) is Instruction, which circuit imports
+                    made = type(instr)("Y", instr.targets, matrix=Y_PHASES) if toggle else instr
+                    plan = plans[key] = plans[id(made)] = _Plan(made)
                 if support is None and not flipped:
                     view = tensor
                 else:
@@ -731,9 +728,9 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                     view, support = memo[2:]
                 if view is not None:
                     apply_to_tensor(layout, view, plan.instr)
-                    if counts[id(instr)] == 1:
-                        del plans[id(instr)]
-                        plans.pop(id(plan.instr), None)
+                if last[key] == i:
+                    del plans[key]
+                    plans.pop(id(plan.instr), None)
                 flipped ^= toggle
     finally:
         _running.plans = outer

@@ -137,8 +137,10 @@ class TestExactMode:
 
 
 class TestSingleReconstruction:
-    """compile takes its "factorize" error from the one O(d^3) check in
-    two_level_factorize and rebuilds no dense product of its own."""
+    """compile calls two_level_factorize once and takes its "factorize"
+    error from that call's one rebuild of the factor product. (Its lower
+    stage's error and its residual read `to_matrix` of the emitted circuit,
+    which this test does not pin.)"""
 
     def test_compile_reuses_the_factorization_check(self, monkeypatch):
         checked = []

@@ -284,6 +284,57 @@ class TestPeakMemory:
         assert self.peak(lambda: run(circuit)) <= 256 * len(instrs)
 
 
+class TestPlanLifetime:
+    """The pass loop keeps a plan per instruction object only until that
+    object's last occurrence, whether the occurrence made a pass, was
+    skipped by the support or was taken by the Pauli frame; an uncontrolled
+    X has no plan, and a Y's plan is that of its diagonal half."""
+
+    @staticmethod
+    def plans_built(monkeypatch) -> list:
+        built = []
+        init = simulator._Plan.__init__
+
+        def spy(plan, instr):
+            built.append(instr)
+            init(plan, instr)
+
+        monkeypatch.setattr(simulator._Plan, "__init__", spy)
+        return built
+
+    def test_plans_leave_after_their_last_occurrence(self, monkeypatch):
+        # 300 framed X and 300 controlled Z that the support skips (h0 stays
+        # at 0) make no pass; the Y and the H make the only two
+        text = "qubits 4\nhybits 1\n" + "X q1\nCTRL h0 : Z q2\n" * 300 + "Y q0\nH q3\n"
+        alive = []
+        apply = simulator.apply_to_tensor
+
+        def spy(layout, tensor, instr):
+            alive.append(len(simulator._running.plans))
+            apply(layout, tensor, instr)
+
+        monkeypatch.setattr(simulator, "apply_to_tensor", spy)
+        run(parse(text))
+        assert len(alive) == 2
+        assert max(alive) <= 2
+
+    def test_uncontrolled_x_builds_no_plan(self, monkeypatch):
+        built = self.plans_built(monkeypatch)
+        state = run(parse("qubits 3\nhybits 1\n" + "X q0\nX q2\nX q1\nX q1\n" * 21))
+        assert built == []
+        assert np.array_equal(state.amps, basis_state(state.layout, [1, 0, 1, 0]).amps)
+
+    def test_one_y_object_used_twice_builds_one_plan(self, monkeypatch):
+        y = Instruction("Y", (0,))
+        circuit = Circuit(RegisterLayout.of(2, 0),
+                          (Instruction("H", (1,)), y, Instruction("H", (0,)), y))
+        expected = reference_run(circuit).amps
+        built = self.plans_built(monkeypatch)
+        state = run(circuit)
+        assert [instr.gate for instr in built].count("Y") == 1
+        assert np.array_equal(state.amps, expected)
+
+
 class TestObserve:
     def test_simplest_register_formula(self):
         layout = RegisterLayout.of(1, 1)
