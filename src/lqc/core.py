@@ -41,17 +41,20 @@ EPS_WORD_BOUND = 1e-5  # margin of the bound that skips generator words that can
 EPS_NO_PHASE_REF = 1e-15  # B^dag A is zero: projective_distance fits no global phase
 THREE_DIGIT_EXPONENT_BELOW = 1e-99  # `%.17g` of a smaller double has a 3-digit exponent
 
-# word_search neither scores nor, on its last level, keys a word B with
+# word_search does not score a word B with
 # top(B) - top(A) >= best - EPS_WORD_TIE + EPS_WORD_BOUND * (1 + top(A) + top(B)),
-# top being the largest entry magnitude and A the target. The absolute term
+# top being the largest entry magnitude and A the target, and neither keys
+# nor keeps a word whose continuations within the letters left all are
+# such words (synthesis/words.py has the argument). The absolute term
 # covers the dedup rounding (equal keys are within sqrt(2) * 1e-6), the
 # relative one a computed distance's float error, a few ulps of
 # top(A) + top(B); entries reach about 1e9 at MAX_WORD_DEPTH.
 
-# word_search refuses a longer word bound. A hybit search takes about 0.2 s
-# and 44 MB of peak RSS growth at depth 24, and each four levels more
-# multiply its time by about six and its memory by about five (0.04 s and
-# 9 MB at 20; one BLAS thread, 2-core Xeon); qubit searches cost less.
+# word_search refuses a longer word bound. A hybit search takes about
+# 0.06 s and 21 MB of peak RSS growth at depth 24, in a fresh process, and
+# each four levels more multiply its time by about six and its memory by
+# about five (0.01 s and 5 MB at 20; one BLAS thread, 2-core Xeon); qubit
+# searches cost less.
 MAX_WORD_DEPTH = 24
 
 # `parse` refuses a declared register of more bits: a basis index, and the

@@ -8,36 +8,58 @@ up to phase), so the frontier stays small even at depth 20.
 The search takes one level at a time. The frontier, the words of the last
 length kept, is one (n, 2, 2) stack, and one gemm per generator over its
 rows gives the next level's candidates: frontier-major, names in sorted
-order. Each candidate gets a key that is equal for matrices that agree up
-to a global phase after rounding, and a key seen on this or an earlier
-level drops it, so within a level the first occurrence in that order is
-the one kept. One stacked `projective_distance` then scores the kept
+order. Each candidate the rule below keeps in play gets a key that is
+equal for matrices that agree up to a global phase after rounding, and a
+key seen on this or an earlier level drops it, so within a level the
+first occurrence in that order is the one kept. One stacked `projective_distance` then scores the kept
 candidates that can still win, and the rule err < best - EPS_WORD_TIE is
 replayed over them in order: ties break toward the shorter, then the
 earlier, word.
 
-Most words cannot win, and their scores are skipped. Write top(M) for the
-largest entry magnitude of M. For every unit phase z, max|A - zB| >=
-|B_kl| - |A_kl| >= top(B) - top(A) at the entry kl where top(B) sits. Take
-margin = EPS_WORD_BOUND * (1 + top(A) + top(B)), far above the float error
-of a computed distance, a few ulps of top(A) + top(B). A word B with
+Most words cannot win, and most of those have no continuation that can:
+the first are not scored, the second neither keyed nor kept. Write top(M)
+for the largest entry magnitude of M. For every unit phase z, max|A - zB|
+>= |B_kl| - |A_kl| >= top(B) - top(A) at the entry kl where top(B) sits.
+Take margin = EPS_WORD_BOUND * (1 + top(A) + top(B)), far above the float
+error of a computed distance, a few ulps of top(A) + top(B). A word B with
 top(B) - top(A) >= best - EPS_WORD_TIE + margin then has a distance of at
-least best - EPS_WORD_TIE, and since the best only falls during a level,
-it cannot replace the best. Two rules follow; the tops come from the np.abs
+least best - EPS_WORD_TIE, and since the best only falls, it cannot
+replace the best; `_reach` solves this for top(B), so no word with top(B)
+>= reach can win.
+
+The bound carries through the letters still to come. F = (F g) g^-1 gives
+top(F g) >= top(F) / kappa, kappa the largest column sum of magnitudes of
+a generator's inverse: sqrt(2) for {H, T}, 1 + sqrt(2) for {TAU, T}. Each
+set is one involution (H, TAU) and one diagonal unitary (T), which leaves
+a top as it is, and two involutions in a row cancel, so m more letters
+equal a word of at most ceil(m/2) involutions, and every continuation Q
+of P within m letters has top(Q) >= top(P) / kappa^ceil(m/2). One rule
+follows, at every level: a product P with m = depth_max - depth letters
+left is keyed and kept only while top(P) < kappa^ceil(m/2) * reach, reach
+taken at the level's starting best, and of those kept only the ones with
+top < reach, the rule at m = 0, are scored. The tops come from the np.abs
 that the keys take their cutoff from, so they add no pass.
-- Every level keys, dedups and keeps every product, so the frontier and
-  `seen` are those of a search that scores every word, but only the kept
-  words that pass the bound against the level's starting best are scored.
-- The last level (depth_max) keys none of the products that fail the
-  bound. No level follows, so such a key could only have dropped a later
-  product of the same level with an equal key. Equal keys mean entries
-  within sqrt(2) * 10^-_DEDUP_DECIMALS after the phase fix, below the
-  margin's absolute term, so that product also fails the bound, by the
-  margin less that amount. It is kept and scored, and it cannot win.
-A word scored gets the distance bits it would get in the full stack, since
-each element's distance is that of the element alone (below), and the
-replay visits the scored words in enumeration order, so the result does
-not change.
+
+The result is that of a search that keys every product and scores every
+kept word. A word that wins there has a top at least the margin below
+reach, far more than the float error of its products, so each of its
+prefixes passes the rule here and it is formed, kept and scored. Leaving
+a product P unkeyed can only change what a later product Q with the key
+of P does: that search drops Q, this one may keep it. Equal keys mean
+entries within sqrt(2) * 10^-_DEDUP_DECIMALS after the phase fix, and Q
+has no more letters left than P, so Q is itself past the rule, less that
+amount; the margin's absolute term absorbs it, and neither Q nor any
+continuation of Q can win. The continuations of P are never formed here;
+a product whose key equals one of theirs by a relation of the group (the
+length-12 relations in the tests are such) equals that continuation up
+to phase, so its own continuations are those of P and cannot win either.
+A chance agreement to 10^-6 that is no relation is left to the tests:
+none turns up in the node-by-node comparisons. So the kept words that can
+win, their order, their parents and their scores are those of the full
+search: a word scored gets the distance bits it would get in the full
+stack, since each element's distance is that of the element alone
+(below), and the replay visits the scored words in enumeration order, so
+the result does not change.
 
 Every result is bit-identical to scoring one node at a time, which the
 tests check against such a search. Each array step is one BLAS call or one
@@ -58,7 +80,10 @@ form the single-matrix step uses. A scalar's abs() is the C library's
 hypot of the parts, but np.abs on a complex array runs numpy's own vector
 loop, which can differ in the last bit; with t / np.abs(t), some printed
 errors change in their last digits. So the phases are
-t / np.hypot(t.real, t.imag), an array formula with the scalar's bits.
+t / np.hypot(t.real, t.imag), an array formula with the scalar's bits,
+and each hypot serves twice: a distance's |t| for the degeneracy test and
+the phase, a key's magnitude of its reference entry for the cutoff test
+and the phase.
 """
 from __future__ import annotations
 
@@ -115,9 +140,13 @@ def projective_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     # np.trace sums more than 8 entries pairwise, not in order, so compile's
     # single d x d matrix keeps it; d = 2 spells out its one addition
     t = M[:, 0, 0] + M[:, 1, 1] if d == 2 else np.trace(M, axis1=1, axis2=2)
-    for i in np.flatnonzero(_scalar_abs(t) < EPS_DEGENERATE):
+    # |t| once, for the degeneracy test and the phase; again only where
+    # the fallback replaces t, by the scalar abs() that _scalar_abs matches
+    r = _scalar_abs(t)
+    for i in (r < EPS_DEGENERATE).nonzero()[0]:
         t[i] = _fallback_phase_ref(M[i])
-    D = np.abs(A - _phases(t)[:, None, None] * stack)
+        r[i] = abs(t[i])
+    D = np.abs(A - (t / r)[:, None, None] * stack)
     worst = _max4(D.reshape(m, 4)) if d == 2 else D.max(axis=(1, 2))
     return float(worst[0]) if single else worst
 
@@ -131,13 +160,9 @@ def _fallback_phase_ref(M: np.ndarray) -> complex:
 
 
 def _scalar_abs(z: np.ndarray) -> np.ndarray:
-    """abs() of each entry with the bits of abs() on a numpy complex scalar."""
+    """abs() of each entry with the bits of abs() on a numpy complex scalar:
+    z / _scalar_abs(z) has the bits of the numpy scalar division."""
     return np.hypot(z.real, z.imag)
-
-
-def _phases(z: np.ndarray) -> np.ndarray:
-    """z / abs(z) of each entry with the bits of the numpy scalar division."""
-    return z / _scalar_abs(z)
 
 
 def generator_matrices(bitkind: BitKind | str) -> dict[str, np.ndarray]:
@@ -161,16 +186,6 @@ def _max4(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(x[:, 0], x[:, 1]), np.maximum(x[:, 2], x[:, 3]))
 
 
-def _first_true(flags: np.ndarray) -> np.ndarray:
-    """Index of the first True in each row of a C-contiguous (n, 4) bool
-    array, and 0 in a row with none: np.argmax(flags, axis=1)."""
-    # each row as the bytes of one little-endian uint32 v: the lowest set
-    # bit of v is bit 8 * (index of the first True), v ^ (v - 1) sets that
-    # bit and every one below it, and a row with none sets all 32
-    v = flags.view("<u4")[:, 0]
-    return (np.bitwise_count(v ^ (v - np.uint32(1))) >> 3) & 3
-
-
 def _tops(stack: np.ndarray) -> np.ndarray:
     """Largest entry magnitude of each matrix of an (n, 2, 2) stack."""
     return _max4(np.abs(stack.reshape(len(stack), 4)))
@@ -179,12 +194,21 @@ def _tops(stack: np.ndarray) -> np.ndarray:
 def _canonical_keys(stack: np.ndarray, top: np.ndarray) -> list[bytes]:
     """One dedup key per matrix of an (n, 2, 2) stack whose _tops are top."""
     # fix the global phase by the first entry whose magnitude is at least
-    # half the largest, then round; +0.0 squashes negative zeros
+    # half the largest, then round; +0.0 squashes negative zeros. Each entry
+    # takes its magnitude only in the rows no earlier entry settled, and the
+    # entry that settles a row gives its phase that same magnitude
     flat = stack.reshape(len(stack), 4)
     cutoff = 0.5 * top
-    first = _first_true(_scalar_abs(flat) >= cutoff[:, None])
-    ref = flat.ravel().take(4 * np.arange(len(flat)) + first)
-    rounded = np.round(stack / _phases(ref)[:, None, None], _DEDUP_DECIMALS) + 0.0
+    ref = flat[:, 0].copy()
+    mag = _scalar_abs(ref)
+    rest = np.flatnonzero(mag < cutoff)
+    for k in (1, 2, 3):
+        if not len(rest):
+            break
+        ref[rest] = flat[rest, k]
+        mag[rest] = _scalar_abs(ref[rest])
+        rest = rest[mag[rest] < cutoff[rest]]
+    rounded = np.round(stack / (ref / mag)[:, None, None], _DEDUP_DECIMALS) + 0.0
     # the bytes of each rounded matrix, as rounded[i].tobytes() gives them
     return rounded.reshape(len(stack), 4).view(np.dtype((np.void, 64))).ravel().tolist()
 
@@ -196,10 +220,16 @@ def _reach(best_error: float, top_target: float) -> float:
     return slack / (1 - EPS_WORD_BOUND)
 
 
-def _rows(stack: np.ndarray, at: np.ndarray | None) -> np.ndarray:
-    """The rows at of stack, or stack as it is when at is None or takes
-    every row: no copy when nothing is pruned."""
-    return stack if at is None or len(at) == len(stack) else stack.take(at, 0)
+def _top_shrink(G: np.ndarray) -> float:
+    """kappa with top(F g) >= top(F) / kappa for every F and every g of an
+    (n, 2, 2) stack G: the largest column sum of magnitudes of a g^-1."""
+    return max(np.linalg.norm(np.linalg.inv(g), 1) for g in G)
+
+
+def _rows(stack: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The rows at of stack, or stack as it is when at takes every row: no
+    copy when nothing is pruned."""
+    return stack if len(at) == len(stack) else stack.take(at, 0)
 
 
 def word_search(
@@ -241,6 +271,7 @@ def word_search(
     best_error = float(projective_distance(target, frontier)[0])
     best_at = (0, 0)  # (length, index in its level) of the best word
     top_target = float(np.abs(target).max())
+    kappa = _top_shrink(G)
     seen = set(_canonical_keys(frontier, _tops(frontier)))
     add = seen.add  # returns None, so `not add(key)` records key and keeps it
     # per level, the index among its products of each kept word:
@@ -251,19 +282,19 @@ def word_search(
             break
         products = _level_products(frontier, G)
         top = _tops(products)
-        # only these can beat the level's starting best
-        can_win = top < _reach(best_error, top_target)
-        # no level follows the last, so a product there that cannot win needs no key
-        keyed = can_win.nonzero()[0] if depth == depth_max else None
+        # the one rule: keyed and kept only while a continuation of the
+        # letters left can beat the level's starting best, scored only
+        # while the product itself can
+        reach = _reach(best_error, top_target)
+        keyed = (top < kappa ** ((depth_max - depth + 1) // 2) * reach).nonzero()[0]
         keys = _canonical_keys(_rows(products, keyed), _rows(top, keyed))
-        keep = np.array([i for i, key in enumerate(keys) if key not in seen and not add(key)],
-                        dtype=np.intp)
-        if keyed is not None:
-            keep = keyed.take(keep)
+        keep = keyed.take(np.array(
+            [i for i, key in enumerate(keys) if key not in seen and not add(key)], dtype=np.intp
+        ))
         kept_at.append(keep)
         frontier = products.take(keep, 0)
         del products  # freed before the distances allocate theirs: peak RSS
-        live = can_win.take(keep).nonzero()[0]
+        live = (top.take(keep) < reach).nonzero()[0]
         if not len(live):
             continue
         scored = _rows(frontier, live)

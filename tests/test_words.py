@@ -154,7 +154,7 @@ class TestMatchesNodeByNodeSearch:
             assert_same_search(target, kind, 1e-3, depth)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", ["q", "h"])
     def test_cartan_targets_depth_20(self, kind, seed):
         assert_same_search(cartan_target(kind, np.random.default_rng(seed)), kind, 1e-3, 20)
@@ -180,14 +180,32 @@ class TestMatchesNodeByNodeSearch:
     def test_small_and_large_tol(self, kind, tol):
         assert_same_search(cartan_target(kind, np.random.default_rng(7)), kind, tol, 12)
 
-    @pytest.mark.parametrize("rapidity", [0.1, 3.0], ids=["small-entries", "large-entries"])
+    @pytest.mark.parametrize(
+        "rapidity", [0.1, 3.0, 1.0, 5.0],
+        ids=["small-entries", "large-entries", "rapidity-1", "rapidity-5"],
+    )
     def test_hybit_targets_the_last_level_skips_most_and_least_of(self, rapidity):
-        # at depth 16, the last level keys 76 of its 2,834 products for the
-        # first and 2,802 for the second: the small target's best error is
-        # soon below the top of most words, the large one's is not
+        # at depth 16, the search keys 3,132 of the 7,616 products a search
+        # keying all would form for rapidity 0.1, 4,397 for 1, 7,584 for 3
+        # and all of them for 5; the last level keys 76, 619, 2,802 and
+        # 2,834 of those 2,834: the small target's best error is soon below
+        # the top of most words, the large ones' are not
         target = np.diag(np.exp(1j * np.array([0.3, -1.1]))) @ builtin("BOOST", rapidity)
         for depth in range(17):
             assert_same_search(target, "h", 1e-3, depth)
+
+    @pytest.mark.parametrize("pair", [
+        ("T TAU T TAU T T T TAU T T T TAU", "TAU T T T TAU T T T TAU T TAU T"),
+        ("T T T TAU T T T TAU T TAU T TAU", "TAU T TAU T TAU T T T TAU T T T"),
+    ])
+    def test_the_length_12_relations_the_dedup_merges(self, pair):
+        # the two words are equal up to phase: the search keeps the first
+        # in enumeration order and drops the second by its key
+        first, second = (word_matrix(letters.split(), "h") for letters in pair)
+        assert projective_distance(first, second) < 1e-12
+        for target in (first, second):
+            for depth in range(12, 17):
+                assert_same_search(target, "h", 1e-9, depth)
 
 
 @functools.cache
@@ -285,7 +303,7 @@ class TestStackedHelpers:
         A = cartan_target("q", np.random.default_rng(1))
         t = np.trace(S.conj().swapaxes(1, 2) @ A, axis1=1, axis2=2)
         want = scalar_phases(t)
-        assert np.array_equal(words._phases(t), want)
+        assert np.array_equal(t / words._scalar_abs(t), want)
         differs = np.flatnonzero(t / np.abs(t) != want)
         if not len(differs):
             pytest.skip("np.abs and abs() agree here, so t / np.abs(t) is the scalar phase")
@@ -330,11 +348,61 @@ class TestWinBound:
         assert gap.min() < EPS_WORD_BOUND
 
 
+class TestContinuationBound:
+    """top(P g) >= top(P) / kappa for every product P and generator g, kappa
+    the largest column sum of magnitudes of a generator's inverse; and each
+    generator set is one involution and one diagonal unitary, so m letters
+    more divide a top by at most kappa^ceil(m/2): the rule by which
+    word_search neither keys nor keeps a word no continuation can make win."""
+
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_one_letter_divides_the_top_by_at_most_kappa(self, kind):
+        gens = generator_matrices(kind)
+        names = sorted(gens)
+        kappa = words._top_shrink(np.stack([gens[name] for name in names]))
+        P = searched_products(kind, 12)
+        top = words._tops(P)
+        for name in names:
+            assert np.all(words._tops(P @ gens[name]) * kappa >= top * (1 - 8 * np.finfo(float).eps))
+
+    @pytest.mark.parametrize("kind,kappa", [("q", np.sqrt(2)), ("h", 1 + np.sqrt(2))])
+    def test_kappa_comes_from_the_generators(self, kind, kappa):
+        gens = generator_matrices(kind)
+        assert words._top_shrink(np.stack(list(gens.values()))) == pytest.approx(kappa, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_one_involution_and_one_diagonal_unitary(self, kind):
+        I = np.eye(2)
+        roles = []
+        for g in generator_matrices(kind).values():
+            if g[0, 1] == 0 == g[1, 0] and np.allclose(np.abs(np.diag(g)), 1, rtol=0, atol=1e-15):
+                roles.append("diagonal unitary")
+            elif np.allclose(g @ g, I, rtol=0, atol=1e-15):
+                roles.append("involution")
+            else:
+                roles.append("other")
+        assert sorted(roles) == ["diagonal unitary", "involution"]
+
+    @pytest.mark.parametrize("kind", ["q", "h"])
+    def test_m_letters_divide_the_top_by_at_most_kappa_to_the_half(self, kind):
+        gens = generator_matrices(kind)
+        names = sorted(gens)
+        kappa = words._top_shrink(np.stack([gens[name] for name in names]))
+        P = searched_products(kind, 8)
+        top = words._tops(P)
+        for m in range(1, 6):
+            for letters in itertools.product(names, repeat=m):
+                Q = P @ word_matrix(letters, kind)
+                bound = top / kappa ** ((m + 1) // 2)
+                assert np.all(words._tops(Q) >= bound * (1 - 32 * np.finfo(float).eps)), letters
+
+
 class TestSearchMemory:
     """The tracemalloc peak of the deepest search MAX_WORD_DEPTH allows, a
-    hybit one, where the keys and the `seen` set are most of the memory.
-    Keying every product of the last level, the ones that cannot win
-    included, peaks at 67 MB; leaving those out, at about 42 MB."""
+    hybit one, where the keys and the `seen` set are most of the memory. It
+    peaks at about 20 MB: a word no continuation can make win is neither
+    keyed nor kept, at any level. Keying every product peaked at 67 MB, and
+    keying all but the last level's hopeless ones at about 42 MB."""
 
     def test_deepest_hybit_search(self):
         target = cartan_target("h", np.random.default_rng(0))
@@ -344,7 +412,7 @@ class TestSearchMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50e6
+        assert peak < 30e6
 
 
 class TestLevelForms:
@@ -353,10 +421,6 @@ class TestLevelForms:
     bits of its own 2x2 product is a property of the BLAS kernel, which
     numpy does not promise; these cases cover the kernel's row tails. The
     reductions over axes of length 4 are elementwise passes."""
-
-    def test_first_true_is_argmax(self):
-        flags = np.array(list(itertools.product([False, True], repeat=4)))
-        assert np.array_equal(words._first_true(flags), np.argmax(flags, axis=1))
 
     @pytest.mark.parametrize("n", [*range(1, 10), 17, 33, 1000])
     @pytest.mark.parametrize("kind", ["q", "h"])
@@ -432,3 +496,11 @@ class TestOneCallPerLevel:
             for A, stack in distances for B in stack
         )
         assert 0 < len(fallbacks) == degenerate < nodes
+
+    def test_keys_only_the_words_a_continuation_can_make_win(self, monkeypatch):
+        # the identity and 22,390 of the 31,980 products formed; keying
+        # every product kept a frontier that formed 48,502, all of them keyed
+        # but 15,786 of the last level's 17,928
+        keys = self.spy(monkeypatch, "_canonical_keys")
+        word_search(cartan_target("h", np.random.default_rng(0)), "h", 1e-3, 20)
+        assert sum(len(S) for S, _ in keys) <= 22_391
