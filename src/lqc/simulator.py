@@ -1,261 +1,85 @@
 """State-vector simulation with hyper-postselected measurement.
 
-Gates touch amplitudes through axis views of the state tensor, so one
-instruction costs O(2^N * 2^arity) regardless of register size; the full
-register matrix is never materialized. Each control fixes its axis at its
-trigger value (1, or 0 for a "!" control), so only the control block where
-every control holds its value is touched; a 0-control costs what a
-1-control costs.
+Gates act on axis views of the state tensor, so one instruction costs
+O(2^N * 2^arity) and the register matrix is never built. Each control fixes
+its axis at its trigger value (1, or 0 for a "!" control), so a pass
+touches only its control block. This docstring states the rules the tests
+pin; README's "Numerical conventions" gives the design, and its table
+"Simulator mechanisms and their measured figures" what each mechanism
+measured.
 
-`run` lays its tensor out in the order the circuit works on it: each
-instruction adds 2^-(its control count), the share of the state its pass
-touches, to the weight of each of its targets and controls, and the bits
-go on memory axes by descending weight (ties by position), so the most
-worked bits lead. The instructions see the register-order view of that
-tensor (axis p is register bit p), so they, the narrowed views below and
-every copy the kernel makes keep register order; only the memory
-behind them moves. A gate on a leading memory axis walks long contiguous
-stretches; on a trailing one, stretches of a few amplitudes. The state is
-never copied back: `StateVector` keeps the view, and `observe` reads it.
+Identity. `run` returns, bit for bit, the amplitudes of every instruction
+applied to the whole tensor in register order, but for the sign of zeros:
+a zero outside a pass's view keeps +0.0 where a whole-tensor Z leaves -0.0,
+and a zero part of an amplitude the opening fill sets may differ in sign.
 
-A single-target gate [[a, b], [c, d]] updates the two target slices x0
-(target bit 0) and x1 (target bit 1) of the control block in place,
-without copying the state. The slices are walked with their axes in memory
-order (by decreasing stride). Its 2x2 entries pick the kernel:
+Memory order. `run` puts the most worked bits on the leading memory axes
+and every pass sees the register-order view of that memory, so bit
+positions, views and the kernel's copies are those of a C-ordered state.
 
-* diagonal (T, Z, SZ, SZD, PHASE): scale each slice in one op, skipping a
-  factor of exactly 1
-* anti-diagonal (X, Y): swap the slices through a temporary; `run` leaves
-  an uncontrolled X or Y to its Pauli frame (below) instead
-* dense (H, TAU, BOOST, general U): x0, x1 <- a x0 + b x1, c x0 + d x1
-  through two temporaries; below BLAS_DENSE_MAX amplitudes per target
-  slice of the whole tensor (of the view too, when `run` narrows it), as
-  one matmul on a contiguous (2, k) copy of the two slices instead, whose
-  rows are copied back; the copy is in the register order of the slices
-  whatever the memory order, so BLAS sees the same columns
+Kernels. A single-target gate [[a, b], [c, d]] updates the target slices x0
+and x1 of its control block in place, by its entries: diagonal, a scaling
+per slice that skips a factor of exactly 1; anti-diagonal, a swap; dense,
+x0, x1 <- a x0 + b x1, c x0 + d x1, or one matmul on a contiguous (2, k)
+copy of the slices when a target slice of the whole tensor has fewer than
+BLAS_DENSE_MAX amplitudes. The swap and the dense update run over chunks of
+at most TILE amplitudes per slice, cut by numpy's buffered iterator, or as
+the slice lies when it is the one chunk the iterator would hand over. Each
+chunk takes the ops and factors of the whole slice, so the result is that
+of the update without chunks: at a power-of-two TILE no chunk is the one
+amplitude whose in-place product numpy rounds otherwise.
 
-A diagonal gate is one op per slice, already a single pass over it. The
-swap and the dense update take several ops per slice, so they run over
-chunks of at most TILE amplitudes of each slice, and every op of a chunk
-works on data in cache: a pass reads and writes each touched amplitude
-once. numpy's buffered iterator (`np.nditer`) cuts the chunks. A chunk is
-a piece of the slice itself, or a contiguous buffer that the iterator fills
-from the slice and writes back, where the slice's amplitudes lie too
-scattered to walk in one stride (a target near the end of the register
-leaves stretches of a few adjacent amplitudes). A slice of at most TILE
-amplitudes that walks in one stride (one axis, or contiguous) is the one
-chunk the iterator would hand over as it lies, so it is updated in place
-without the iterator: each op runs on the very array the chunk would be,
-and so takes the same numpy loop. On a 16-bit state that took 0.4-0.8x the
-time of the iterator from 2 to 8192 amplitudes (one BLAS thread, 2-core
-Intel Xeon). Other slices keep the iterator. Updated in place, a dense
-gate on scattered amplitudes took 1.1-1.8x as long from 8 amplitudes, and
-numpy multiplies without SIMD, rounding otherwise, where a product's input
-and output ranges interleave, as the swap's product of x1 into x0 does on
-slices of stretches of 2 that the iterator would buffer.
+Tiles. A gate of two or more targets multiplies its control block one tile
+of columns at a time, each copied to a contiguous buffer and back, with as
+many columns as keep a product at 4 * TILE multiply-adds. Column rule: the
+OpenBLAS of numpy 2.4.6 rounds a column alike in every product of a
+multiple of 4 columns, and the last w mod 4 columns of a w-column product
+otherwise; so a tile's columns round as in the whole block's product, and
+tiles of 1 or 2 columns (7 or more targets) as any tile of their width.
 
-Each chunk goes through the same ops, with the same scalar factors, as the
-whole slice would: the arithmetic of every element is unchanged, only the
-order in which elements are visited differs, so the result is
-bit-identical to the update without chunks. (One exception: numpy rounds
-an in-place complex product on a one-amplitude array differently. A
-one-amplitude chunk of a longer slice needs a stretch of amplitudes one
-longer than a multiple of TILE; the stretches of a state vector or of
-`to_matrix` are powers of two long, so at a power-of-two TILE it cannot
-occur.)
+Support. From a basis state `run` tracks cubes, each a pair of bit masks
+(the fixed bits, their stored values), outside whose union every amplitude
+is zero. A pass whose control block meets no cube is skipped; any other
+runs on the view narrowed to the bounding cube of the cubes it meets, fixed
+axes sliced to length 1, and that cube, targets free and controls fixed,
+joins the support while the cubes inside it leave. A diagonal single-target
+pass leaves the support as it is. Past SUPPORT_CUBES_MAX cubes the list
+merges into its bounding cube; once a cube covers the register, tracking
+stops. The support picks only whether a pass runs and on which view, never
+its kernel: the dense branch follows the target slice of the whole tensor,
+and a view leaves two axes of each target slice free, or all it has,
+freeing trailing memory axes first, so every product keeps a power of two
+of at least 4 columns and no chunk is one amplitude.
 
-Where the adjacent amplitudes of a slice come in stretches of exactly 2
-(the second-to-last memory axis is not an axis of the slice, being its
-target, a control or a bit a narrowed view fixes, while the last one is), the
-swap, the dense update and the diagonal scaling iterate with that stretch
-axis moved to the front, in C order: inner loops then run along the long
-strided axes instead of over pairs. With the target on the second-to-last
-axis of a 20-bit C-ordered state that about halved a dense pass and cut a
-diagonal one to a third; at stretches of 4 the same reorder measured
-slower, so it is kept to stretches of 2.
+Opening fill. From a basis state whose amplitude a is finite, the leading
+run of uncontrolled builtin H on distinct bits the start holds at 0 makes
+no pass: one assignment sets the cube they span to a times h once per gate,
+componentwise (h = 1/sqrt(2), H's real (0, 0) entry), as each pass would.
 
-Gates with two or more targets (CZ, multi-target DEFGATEs) move their
-target axes to the front and multiply the control block by the gate
-matrix, one tile of columns at a time: the other axes are taken in memory
-order and the leading ones fixed, and each tile is copied to a contiguous
-buffer, multiplied into a second one and written back. A pass so holds two
-tiles beside the state, not a copy of the block and its product; on a
-22-bit state it ran 1.6-3.6x faster than the whole-block product (one BLAS
-thread, 2-core Intel Xeon). A tile has as many columns as keep its product
-at 4 * TILE multiply-adds, TILE amplitudes for two targets: the OpenBLAS of
-numpy 2.4.6 ran products of 2^15 multiply-adds on one thread and handed
-those of 2^16 to a second, which took about 8 ms a call while the other
-core was busy. When only the last memory axis is left and it is wider
-than a tile (the batch axis of `to_matrix`, 4096 columns at 12 bits), it
-is cut into slices of a tile's width. A block no larger than a tile is one
-tile: one copy and one product. The OpenBLAS of numpy 2.4.6 rounds a
-column alike in every product of a multiple of 4 columns, but the last
-w mod 4 columns of a w-column product otherwise: a tile's columns round as
-in the whole block's product, and tiles of 1 or 2 columns (7 or more
-targets) as in any other tile of their width. tests/test_kernels.py pins it.
+Pauli frame. The pass loop keeps the mask of flipped bits, each bit's value
+its stored one XOR its flag. An uncontrolled builtin X toggles its flag,
+with no pass and no plan; an uncontrolled Y makes the pass of diag(i, -i),
+then toggles. Any other pass runs on the view with its flipped targets and
+controls reversed; single targets and controls are indexed away and tiles
+copied before their product, so BLAS multiplies the rows it would without
+a frame. The loop returns the tensor with the flipped axes reversed.
 
-`run` from a basis state (|0...0> or any state with one nonzero amplitude)
-tracks its support: a list of cubes, each fixing some bits at stored
-values, outside whose union every amplitude is zero. It starts as the one
-cube of the start, which fixes every bit; a cube is a pair of bit masks,
-the fixed bits and their values. A pass whose control block meets no cube
-is skipped, since every amplitude it would touch is zero. Any other pass
-runs on the view narrowed to the bounding cube of the cubes it meets: the
-axes that cube fixes, other than the pass's targets and controls, are
-sliced to length 1 at their values (no renumbering), and the kernel fixes
-the controls. Only amplitudes in that cube with the targets free and the
-controls fixed can come out nonzero, so that cube joins the support,
-unless one already listed holds it, and the cubes inside it leave. A
-diagonal single-target pass turns no zero into a nonzero, so it leaves the
-support as it is, its target fixed where it was. The support picks only
-whether a pass runs and on which view: the pass takes the kernel it takes
-on the whole tensor and updates both target slices of its view, zero or
-not. Past SUPPORT_CUBES_MAX cubes the list merges into its bounding cube,
-and once a cube covers the whole register the tracking stops. So a search
-round, whose oracle X leaves the marked item's cube beside the cube of the
-rest, touches a few amplitudes per pass instead of half the register, and
-an H layer on bits still at 0 touches one block of the state per gate.
-Where the view must leave fixed axes free (below), it frees those of the
-trailing memory axes first, so that a small view lies in one stretch of
-memory where the layout allows: a round's BOOST at n = 14 walks one
-stretch of 4 amplitudes per slice where it walked 4 amplitudes 64 KiB
-apart, and a round took 23 us where it took 47.
+X pairs. A controlled builtin X followed by the same object or an equal
+builtin X makes neither pass: swaps are exact copies, so the second
+restores every bit, NaNs and signed zeros included. Pairs are taken from
+the left; pairs of Z, Y, CZ or DEFGATEs make their passes.
 
-Opening layer. A search, and every `sim` circuit of the benchmark, opens
-with H on qubits that the start holds at 0. From a basis state whose one
-nonzero amplitude a is finite, `run` takes the circuit's leading run of
-uncontrolled builtin H on distinct bits that the start holds at 0 and
-makes no pass for it: one assignment sets the cube those m bits span, with
-every other bit at its start value, to a times h rounded once per gate,
-componentwise (h = 1/sqrt(2), the real (0, 0) entry of H): m times
-v <- complex(v.real * h, v.imag * h). That is what each pass of the layer
-computes on its view, the slice update and the matmul alike, since the
-products with the zero slice add zeros, up to their sign where the value
-is zero. The support then starts as that cube, and the tracking stops when
-the layer frees every bit; the pass loop runs the other instructions from
-it. The first line that is not such an H ends the layer: an H on a bit the
-layer already took or that the start holds at 1, a controlled H, a
-DEFGATE, any other gate (an uncontrolled X too, which makes no pass
-either). A non-finite a has no layer: the passes' complex products spread
-an inf or nan into both parts of an amplitude, which the fill would not.
-The memory order still weighs the whole circuit, layer included. Filling
-the layer in place of its 14 passes took `run_search` at n = 14 from 1.05
-to 0.85 ms (medians of 30 in-process calls, one BLAS thread, 2-core Intel
-Xeon).
+Plans. The loop works out an instruction object's plan (slice indices,
+kernel, 2x2 coefficients) once per call, keeps it by the object's id and
+drops it after the object's last occurrence, pass or none; the plan holds
+the object, so its id is not reused meanwhile. A plan keeps its last view
+with the support and frame that gave it, and the slices cut from it.
 
-The result is bit-identical to passes over the whole tensor, apart from
-the sign of zero amplitudes outside the view (a whole-tensor Z turns them
-into -0.0, which no probability sees) and of zero parts of the amplitudes
-the opening layer fills. Two rules hold for every pass: the kernel picks
-the dense branch by the size of a target slice of the whole tensor, not of
-the view, so narrowing never switches a branch; and a view leaves two axes
-of each target slice free, or all it has, so a product keeps a power of
-two of at least 4 columns, each rounding as in the whole product (above),
-and no chunk is the one amplitude numpy rounds otherwise.
-
-`run` hands the support it ends with to the `StateVector` it returns, in
-the values of the view it returns (stored value XOR frame flag), and
-`observe` reads only its cubes (below). Reading or assigning the state's
-`tensor` or `amps` drops the support, since the caller may then write the
-state; `copy()`, `basis_state` and a state a caller builds carry none.
-
-Pauli frame. The pass loop of `run` and `to_matrix` alone keeps the frame,
-the mask of flipped register positions; a bit's value is its stored one
-XOR its flag. An uncontrolled builtin X toggles its flag and has neither a
-pass nor a plan (below); the support holds stored values, so it stays. An
-uncontrolled builtin Y = X diag(i, -i) makes the pass of diag(i, -i) on
-its target, the two complex products the swap makes, then toggles. Every
-other instruction runs on the view of the tensor in which only its flipped
-targets and controls are reversed. The kernel indexes a single-target
-gate's target and every control away, so no slice it walks has a negative
-stride. A gate of two or more targets keeps its reversed targets, but each
-tile is copied to the contiguous buffer before the product, so BLAS
-multiplies the same logical rows as without a frame. A control compares
-its trigger with a cube's stored value XOR the flag. The loop returns the
-tensor with its flipped axes reversed, without a copy. The amplitudes are
-those of the passes without a frame, bit for bit, up to the sign of zeros.
-
-X pairs. A pass of a builtin X that the frame does not take (a controlled
-X) swaps the slices of its control block by copies, which are exact. When
-the same instruction object, or an equal builtin X, comes right after it,
-the second swap restores every bit, NaNs and signed zeros included, so the
-loop makes neither pass, and the support from before the pair still holds;
-pairs are taken from the left, and one that closes brings the instructions
-around it together. A search's Q^k holds k - 1 such pairs of its oracle, so
-its rounds make k + 2 passes where they made 3k. A pair of Z, Y or CZ
-multiplies by -1 or +-i, which need not restore the sign of a zero, and a
-DEFGATE is not matched against X; those pairs make their passes.
-
-Plans. The pass loop works out what the passes of an instruction need of
-it once per distinct instruction object in a call, as a plan kept by the
-object's id; the plan holds the object, so the id is not reused while it
-lives, and an instruction equal to another but for its matrix gets its
-own. A plan holds the index of its target slices (or of its control block)
-with each control at its trigger value, and its kernel and 2x2
-coefficients from one `tolist()` of the gate: what `apply_to_tensor` works
-out when called on its own, and finds when the loop runs. A Y's plan is
-that of its diagonal half, kept under both objects' ids. A plan also keeps
-the support and frame its last pass started from, with the view and the
-support they gave, and the target slices it last cut from that view, so a
-pass of the same plan from the same state reuses them. The k rounds of a
-search circuit, which come after its opening layer, hold 2 distinct
-objects, and from the second round on the state repeats: a round's passes
-make only the kernel's ufunc calls. A round at n = 14 took 14-18 us,
-against 91-96 us when every pass worked its instruction out afresh (one
-BLAS thread, 2-core Intel Xeon). A plan for an object that occurs once
-costs what that did. Every plan leaves after its object's last occurrence,
-whether that made a pass, was skipped or was taken by the frame, so only
-objects yet to come again keep theirs.
-
-Measurement keeps only amplitudes with every hybit in state 0 and
-renormalizes over that subspace, and it squares only those. Each hybit
-axis is fixed at 0 and the slice is squared (re*re + im*im) straight into
-the float output, in register index order, in chunks of at most TILE
-amplitudes that numpy's buffered iterator cuts in memory order, whatever
-axes the frame left reversed. The visible squares are summed in register
-index order, so they and the mass keep their bits whatever the memory
-order, and are divided by the mass in place. The mass per hybit pattern,
-which feeds only the finite check and the negligible-mass warning, comes
-from `core.pattern_masses`: one einsum pass in memory order, each
-amplitude's real and imaginary parts read together as float64 pairs, with
-no temporary of the state's size. Every state is read as a list of
-disjoint cubes: the support it carries, split into disjoint cubes, or the
-one cube (0, 0) of the whole register when it carries none or its support
-splits into more than OBSERVE_CUBES_MAX. Each cube that fixes no hybit at
-1 is squared, its hybits at 0, into its block of a zeroed output, whose
-entries outside the cubes are +0.0, as the squares of the zeros there are,
-so the probabilities and the mass keep their bits whatever the cubes. The
-pattern of every hybit at 0 takes the visible mass, and each cube that
-fixes a hybit at 1 or leaves one free adds its other patterns' masses.
-After a search of n = 16 that reads a block of 2^16 amplitudes and a cube
-of 4, where the whole register squares 2^17 and sums 2^18. The
-distribution is then checked in two sweeps, its sum and its minimum. So
-`observe` holds the state, the visible probabilities and a chunk. `sample`
-takes the distribution, not the state, so `lqc sample` frees the state
-before it draws. The outcome distribution is an array over qubit indices,
-whose order is sorted-bitstring order; bitstrings are built only for
-output. Sampling draws by inverse CDF over that array, so the draws equal
-those of an inverse CDF over the sorted list of outcomes. A state whose
-total squared magnitude is not finite (its amplitudes overflowed) is
-refused with GuardError.
-
-`format_distribution` and `format_counts` write the text forms to a stream
-one block of at most FORMAT_BLOCK lines at a time, so the whole text is
-never held. A `%.17g` costs about 1 us, and after an H layer the 2^n
-probabilities often take only about a hundred distinct values. So each
-distinct value (keyed on its exact float, never on rounded text) is
-formatted once, into a line of fixed width: room for the bitstring digits,
-a tab, the text padded with spaces (which neither `%.17g` nor `%d` prints)
-and a newline. One sort of the values gives the distinct ones and a binary
-search into them each line's code, the values and codes `np.unique` would
-give, without the second sort of `np.unique(..., return_inverse=True)` or
-its import of `numpy.ma`. Each block is then a byte table built by numpy:
-one `take` of the lines by their codes, then the digits from a table of
-the 8 ASCII digits of each byte value. When every value is distinct there
-is nothing to look up, and when more distinct values than FORMAT_BLOCK
-would make a table larger than a block: then a block's lines are formatted
-in order instead. One `bytes.replace` squeezes the padding out of a block
-before it is decoded and written.
+Measurement squares the amplitudes with every hybit at 0 in register index
+order, in chunks of at most TILE, and divides by their sum. A state is read
+as disjoint cubes, its support split, or the whole register when it has
+none or past OBSERVE_CUBES_MAX; the probabilities and the mass keep their
+bits whatever the cubes.
 """
 
 from __future__ import annotations
@@ -286,48 +110,32 @@ from .core import (
 if TYPE_CHECKING:
     from .circuit import Circuit, Instruction
 
-# output lines per block that format_distribution and format_counts build
-# and write at once: the block bounds the buffers and the text held at once
+# output lines per block that the text writers build and write at once
 FORMAT_BLOCK = 1 << 14
-# _DIGITS[b] is the 8 ASCII digits of the byte value b as one uint64, so one
-# take gives a line's bitstring digits 8 at a time
+# _DIGITS[b] is the 8 ASCII digits of the byte value b as one uint64
 _DIGITS = np.frombuffer("".join(format(b, "08b") for b in range(256)).encode("ascii"),
                         dtype=np.uint64)
 # the longest `%.17g` text of a positive double below 1e100, as
 # 2.2250738585072014e-308; one that long has a 3-digit exponent
 G17_WIDTH = 23
-# Below this many amplitudes per target slice of the whole tensor, a dense
-# gate is one BLAS matmul, gate @ (2, k), on a contiguous copy of the two
-# slices made by one `np.array((x0, x1))` call, as multi-target gates are. At that size it
-# costs about what the slice update costs, and it rounds more tightly:
-# with the slice update, the metric residual of `to_matrix` on synthesized
-# circuits, which `lqc verify` compares with EPS_ISO, is about 1.3x larger
-# and flips some results near EPS_ISO. Above this size the chunked slice
-# update is 2-5x faster than copying the pair. The branch follows the whole
-# slice even when `run` narrows the view, and a view keeps at least 4
-# columns, so a narrowed matmul rounds each column as the whole one does.
+# below this many amplitudes per target slice of the whole tensor a dense
+# gate is one matmul on a copy of its slices: that rounds more tightly, which
+# keeps `to_matrix` residuals near EPS_ISO, and above it the update is faster
 BLAS_DENSE_MAX = 1 << 13
-# Amplitudes per target slice in one chunk of the slice update: the buffer
-# size of the iterator. A dense chunk holds x0 and x1 buffers and two
-# temporaries, 4 x 128 KiB, well inside L2. On a 20-bit state, 2^15 measured
-# slower on every target bit (spills from L2) and 2^12 slower on dense
-# passes (more calls per pass).
+# amplitudes per target slice in one chunk of the slice update: a dense
+# chunk's four arrays stay inside L2, and a smaller tile makes more calls
 TILE = 1 << 13
-# `run` tracks at most this many cubes of its support, and merges them into
-# their bounding cube past it: every pass scans the list, and a search round
-# needs 2
+# the most cubes of its support `run` tracks before it merges them into their
+# bounding cube: every pass scans the list, and a search round needs 2
 SUPPORT_CUBES_MAX = 8
-# `observe` reads a support split into at most this many disjoint cubes, one
-# pass over each; a support that splits into more is read as the one cube
-# of the whole register
+# the most disjoint cubes `observe` reads a support as, one pass each; past
+# it, it reads the whole register
 OBSERVE_CUBES_MAX = 32
-# the diagonal half of Y = X diag(i, -i), which the Pauli frame applies as a
-# pass before it toggles the bit's flag
+# the diagonal half of Y = X diag(i, -i), the pass the Pauli frame makes
 Y_PHASES = np.diag([1j, -1j])
 Y_PHASES.setflags(write=False)
-# the index of an axis a pass keeps whole, of one it reverses, and the two
-# pinned slices that fix an axis of a narrowed view at 0 or 1 as a length-1
-# axis; shared by every pass
+# the index of an axis a pass keeps whole, of one it reverses, and the
+# length-1 slices that pin an axis of a narrowed view at 0 or 1
 _ALL = slice(None)
 _REVERSED = slice(None, None, -1)
 _PINNED = (slice(0, 1), slice(1, 2))
@@ -352,21 +160,11 @@ _running = _Running()
 
 
 def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instruction) -> None:
-    """Apply one instruction in place to a state tensor of shape [2]*num_bits
-    (optionally with trailing batch axes), or to a view of one with some
-    axes sliced to length 1. Each control fixes its axis at its trigger
-    value, so only the control block where every control holds its value is
-    touched. One target updates its two slices in place, with length-1 axes
-    squeezed out; the dense update picks its branch by the amplitudes of a
-    target slice of the whole tensor, worked out from the layout, the
-    control count and the batch axes, so a view takes the branch the whole
-    tensor would. More targets move to the front for a matmul in tiles of
-    columns. A batch axis wider than a tile must be a power of two long, as
-    `to_matrix`'s 2^n columns are, so that tiles cut it evenly. Inside
-    `apply_all` the instruction's plan is looked up, not worked out again,
-    and a view the pass's plan saw last gives the same target slices."""
-    # the running call's plans hold their instructions, so an id found there
-    # is this instruction's
+    """Apply one instruction in place, by the module's kernels, to a state
+    tensor of shape [2]*num_bits, with optional trailing batch axes (one
+    wider than a tile must be a power of two long), or to a view of one with
+    some axes sliced to length 1. Inside `apply_all` its plan is looked up."""
+    # the running call's plans hold their instructions, so an id found there is this one's
     plan = _running.plans.get(id(instr)) or _Plan(instr)
     if plan.kernel is None:
         _multiply_tiles(plan.gate, np.moveaxis(tensor[plan.block], plan.moved, plan.front),
@@ -386,13 +184,10 @@ def apply_to_tensor(layout: RegisterLayout, tensor: np.ndarray, instr: Instructi
 
 
 class _Plan:
-    """What the passes of one instruction object need of it, worked out once
-    per `apply_all` call (or per pass, for an `apply_to_tensor` called on its
-    own): the indices of its target slices or of its control block, and its
-    kernel from one `tolist()` of the gate. It also keeps the last view
-    `apply_all` worked out for it and the last target slices
-    `apply_to_tensor` cut from a view. It holds the instruction, so the id
-    it is kept under is not reused while it lives."""
+    """What the passes of one instruction object need of it: the indices of
+    its target slices or of its control block, and its kernel from one
+    `tolist()` of the gate; with the last view `apply_all` worked out for it
+    and the last target slices cut from a view (the module's "Plans")."""
 
     __slots__ = ("instr", "gate", "kernel", "diagonal", "at0", "at1", "block", "moved", "front",
                  "memo", "slices")
@@ -403,8 +198,7 @@ class _Plan:
         # `apply_all`, and (view, x0, x1) of the last in `apply_to_tensor`
         self.memo = self.slices = None
         targets, controls = instr.targets, instr.controls
-        # an index over the axes up to the instruction's last bit, with each
-        # control at its trigger value; a trailing Ellipsis takes the rest
+        # an index up to the last bit, each control at its trigger value
         index = [_ALL] * (max(targets + controls) + 1)
         for c, v in zip(controls, instr.ctrl_state):
             index[c] = v
@@ -440,16 +234,10 @@ def _pair_kernel(gate: np.ndarray) -> tuple:
 
 
 def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
-    """moved <- gate @ moved over its first k axes, a tile of at most
-    `width` columns at a time, so a tile's product makes at most 4 * TILE
-    multiply-adds, as a two-target tile of TILE amplitudes does. The other
-    axes are taken in memory order, and the leading ones are fixed until the
-    trailing ones hold at most `width` columns; if only the last axis is
-    left and it holds more (the batch axis of `to_matrix`), it is cut into
-    slices of `width`, which divides it. Each tile, reversed axes and all,
-    is copied to a contiguous buffer, multiplied into a second one and
-    written back. A block of at most
-    `width` columns is one tile: one copy and one product."""
+    """moved <- gate @ moved over its first k axes, in the module's tiles of
+    at most `width` columns: the other axes in memory order, the leading
+    ones fixed, and a last axis wider than `width` (the batch axis of
+    `to_matrix`) cut into slices of `width`, which divides it."""
     d = 1 << k
     width = max(4 * TILE // (d * d), 1)
     rest = sorted(range(k, moved.ndim), key=lambda a: -abs(moved.strides[a]))
@@ -471,12 +259,10 @@ def _multiply_tiles(gate: np.ndarray, moved: np.ndarray, k: int) -> None:
 
 def _apply_pair(x0: np.ndarray, x1: np.ndarray, gate: np.ndarray, blas: bool,
                 kernel: tuple) -> None:
-    """x0, x1 <- a x0 + b x1, c x0 + d x1 in place, for the target slices
-    t=0 / t=1 of a 2x2 gate [[a, b], [c, d]]; a dense gate takes the matmul
-    when `blas` is set. Factors of exactly 1 are skipped: X only swaps the
-    slices, and SZ scales only x1. `kernel` is `_pair_kernel(gate)`. The
-    update reads both slices whatever the support holds, so a slice that is
-    all zero is multiplied like any other."""
+    """x0, x1 <- a x0 + b x1, c x0 + d x1 in place for the target slices of
+    a 2x2 gate [[a, b], [c, d]], by `kernel`, `_pair_kernel(gate)`; a dense
+    gate takes the matmul when `blas` is set. Factors of exactly 1 are
+    skipped, and a slice that is all zero is multiplied like any other."""
     update, coeffs, ntemps = kernel
     if update is None:
         # one op per slice, each already a single pass over that slice
@@ -518,11 +304,9 @@ def _mix(a, b, c, d, x0, x1, tmp, prod) -> None:
 
 def _tiled(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> None:
     """update(*coeffs, c0, c1, *temps) over the chunks c0, c1 of at most TILE
-    amplitudes of each slice, with `ntemps` scratch arrays of the chunk's
-    size. A slice of at most TILE amplitudes that walks in one stride (one
-    axis, or contiguous) is the one chunk numpy's iterator would hand over
-    as it lies: it is updated in place without the iterator, with
-    temporaries of its shape. Any other slice goes through `_chunked`."""
+    amplitudes of each slice, with `ntemps` scratch arrays of a chunk's
+    size. A slice of at most TILE amplitudes that walks in one stride is the
+    one chunk the iterator would hand over, and is updated as it lies."""
     if x0.size <= TILE and (x0.ndim <= 1 or x0.flags.forc):
         update(*coeffs, x0, x1, *[np.empty_like(x0) for _ in range(ntemps)])
     else:
@@ -542,15 +326,11 @@ def _chunked(update, coeffs, x0: np.ndarray, x1: np.ndarray, ntemps: int) -> Non
 
 
 def _loop_order(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-    """The target slices and the order to iterate them in. Order "K" walks
-    their axes by decreasing stride, which is memory order whatever order
-    the axes are listed in. Where adjacent amplitudes come in stretches of
-    exactly 2 (the last memory axis is contiguous, of length 2, and the one
-    before it is not next to it), that axis moves to the front, the others
-    follow in memory order, and the iteration runs in C order, so inner
-    loops walk the long strided axes rather than pairs. A slice whose last
-    axis is a longer batch axis, as in `to_matrix`, is C-ordered with that
-    axis contiguous, so it is passed over at the first test."""
+    """The target slices and the order to iterate them in: "K", memory
+    order, unless adjacent amplitudes come in stretches of exactly 2 (the
+    unit-stride axis has length 2 and no axis has twice its stride). Then that
+    axis moves to the front, the others follow in memory order, and the
+    walk runs in C order, so inner loops run along the long strided axes."""
     strides, size = x0.strides, x0.itemsize
     if x0.ndim > 1 and x0.shape[-1] == 2 and size in strides and 2 * size not in strides:
         last = strides.index(size)
@@ -561,35 +341,12 @@ def _loop_order(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Run a circuit on a copy of the initial state (default |0...0>).
-
-    The copy is laid out in the memory order of the module docstring, the
-    most worked bits on the leading axes, and the state returned keeps it:
-    its `tensor` is the register-order view of that memory, and its `amps`
-    lays the amplitudes out in register index order on first access. The
-    initial state is left as it is.
-
-    From a basis state (the default, or an initial state with exactly one
-    nonzero amplitude) whose amplitude is finite, the circuit's opening H
-    layer, its leading uncontrolled builtin H on distinct bits that the
-    start holds at 0, is one assignment to the cube those bits span and
-    makes no pass (the module docstring's "Opening layer"). From a basis
-    state the run then tracks the support of the module docstring, the
-    cubes outside which every amplitude is zero, starting from that cube;
-    from any other state it tracks none. A pass whose control block meets
-    no cube is skipped; any other runs on the view of the tensor narrowed
-    to the bounding cube of the cubes it meets, keeping the circuit's bit
-    positions, and every amplitude outside the view is zero and stays zero.
-    By the rules of the module docstring, the result is bit-identical to
-    applying every instruction to the whole tensor, except that a zero
-    amplitude that a pass leaves alone keeps +0.0 where a whole-tensor pass
-    may leave -0.0. The state returned carries the support the run ended
-    with, which `observe` reads until the state's `tensor` or `amps` is
-    read or assigned.
-
-    Uncontrolled X and Y go to the Pauli frame of the module docstring, so
-    the returned `tensor` may have reversed axes, those of the bits left
-    flipped; it is still the state in register order, read through a view."""
+    """Run a circuit on a copy of the initial state (default |0...0>). The
+    state returned keeps the module's memory order: its `tensor` is a
+    register-order view, with the axes of the bits left flipped reversed.
+    From a basis state it makes the opening fill and carries the support it
+    ends with, which `observe` reads until its `tensor` or `amps` is read or
+    assigned."""
     layout = circuit.layout
     instructions = circuit.instructions
     order = _memory_order(layout, instructions)
@@ -613,14 +370,10 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
 
 def _fill_opening_layer(tensor: np.ndarray, instructions,
                         start: list[int]) -> tuple[int, list[tuple[int, int]] | None]:
-    """Apply the opening H layer of the module docstring to `tensor`, which
-    holds the basis state `start`, as one assignment: the layer is the
-    leading run of uncontrolled builtin H on distinct bits that `start`
-    holds at 0. Returns the layer's length and the support after it, the
-    cube of its targets free and every other bit at its start value; None
-    once the layer frees every bit. A start amplitude that is not finite
-    has no layer: the passes' complex products spread its inf or nan into
-    both parts of every amplitude, where the fill would keep them apart."""
+    """Make the module's opening fill on `tensor`, which holds the basis
+    state `start`: the layer's length and the support after it, None once
+    the layer frees every bit. A non-finite start has no layer, since the
+    passes spread its inf or nan into both parts, which the fill would not."""
     a = complex(tensor[tuple(start)])
     free = layer = 0
     for instr in instructions if np.isfinite(a) else ():
@@ -643,17 +396,15 @@ def _fill_opening_layer(tensor: np.ndarray, instructions,
 
 
 def _memory_order(layout: RegisterLayout, instructions) -> list[int]:
-    """Register positions in the memory order of `run`'s tensor, leading
-    axis first. Each instruction adds 2^-(its control count) to the weight
-    of each of its targets and controls, the share of the state its pass
-    touches; bits go by descending weight, ties by position. The weights
-    are counted in units of 2^-num_bits, exactly, once per distinct
-    instruction object times its count."""
+    """Register positions in the memory order of `run`'s tensor, leading axis
+    first. Each instruction adds 2^-(its control count), the share of the
+    state its pass touches, to each of its bits; bits go by descending
+    weight, ties by position. Weights count exactly, in units of 2^-num_bits,
+    so a repeated object weighs what as many equal ones do."""
     nbits = layout.num_bits
-    counts = Counter(map(id, instructions))
     weight = [0] * nbits
-    for instr in dict(zip(map(id, instructions), instructions)).values():
-        share = counts[id(instr)] << nbits - len(instr.controls)
+    for instr in instructions:
+        share = 1 << nbits - len(instr.controls)
         for p in (*instr.targets, *instr.controls):
             weight[p] += share
     return sorted(range(nbits), key=lambda p: -weight[p])
@@ -669,40 +420,24 @@ def _basis_bits(tensor: np.ndarray) -> list[int] | None:
 def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
               support: list[tuple[int, int]] | None = None,
               ) -> tuple[np.ndarray, list[tuple[int, int]] | None]:
-    """apply_to_tensor for each instruction: the one loop of `run` and
-    `circuit.to_matrix`. Given the `support` of the tensor before the first
-    one (cubes in register values, as in the module docstring), the loop
-    tracks it and skips each pass or narrows its view, as `run` describes;
-    with none, every pass covers the whole tensor. The loop
-    keeps uncontrolled X and Y in the Pauli frame of the module docstring,
-    skips the X pairs it describes, and returns the state and its support:
-    the tensor with the axes of the bits left flipped reversed, a view, and
-    the cubes in that view's values (None when none is tracked). Overflow is
-    left to `observe` and `isometry_residual` to report.
-
-    Each distinct instruction object but an uncontrolled X gets one plan
-    (`_Plan`) per call, kept by its id, where `apply_to_tensor` finds it,
-    until the object's last occurrence; those are found first, so
-    `instructions` is a sequence. A pass from the support and frame its
-    plan's last pass started from reuses that pass's view and support, and a
-    pass with no support to track and no flipped bit gets the tensor
-    itself."""
+    """apply_to_tensor for each instruction of a sequence, the one loop of
+    `run` and `to_matrix`, with the module's support (None: every pass
+    covers the whole tensor), Pauli frame, X pairs and plans. Returns the
+    tensor with the flipped axes reversed and its support in that view's
+    values. Overflow is left to `observe` and `isometry_residual`."""
     nbits = layout.num_bits
     instructions = _without_x_pairs(instructions)
     # the Pauli frame: the mask of the flipped bits
     flipped = 0
     trailing = [1 << p for p in sorted(range(nbits), key=lambda p: abs(tensor.strides[p]))]
-    # the last occurrence of each instruction object, after which its plan
-    # leaves, pass or none, so plans and the views they keep add up for
-    # repeated objects only
+    # the last occurrence of each instruction object, after which its plan leaves
     last = {id(instr): i for i, instr in enumerate(instructions)}
     outer = _running.plans
     _running.plans = plans = {}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for i, instr in enumerate(instructions):
-                # an uncontrolled builtin X toggles its bit's flag and has no
-                # plan; a Y toggles it after the pass of its diagonal half
+                # an uncontrolled builtin X only toggles; a Y toggles after its pass
                 toggle = 0
                 if not instr.controls and instr.matrix is None and instr.gate in ("X", "Y"):
                     toggle = 1 << instr.targets[0]
@@ -719,8 +454,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
                 if support is None and not flipped:
                     view = tensor
                 else:
-                    # a pass of the same plan from the same support and frame
-                    # gets the same view, and leaves the same support
+                    # the same plan from the same support and frame gets the same view
                     memo = plan.memo
                     if memo is None or memo[0] is not support or memo[1] != flipped:
                         memo = plan.memo = (support, flipped,
@@ -740,9 +474,7 @@ def apply_all(layout: RegisterLayout, tensor: np.ndarray, instructions,
 
 
 def _without_x_pairs(instructions) -> list:
-    """The instructions less the X pairs of the module docstring: an X the
-    Pauli frame does not take (a controlled builtin X) and, right after it
-    once earlier pairs are gone, the same object or an equal builtin X."""
+    """The instructions less the module's X pairs, taken from the left."""
     kept: list = []
     for instr in instructions:
         last = kept[-1] if kept else None
@@ -756,11 +488,10 @@ def _without_x_pairs(instructions) -> list:
 
 def _pass_view(tensor: np.ndarray, plan: _Plan, support: list[tuple[int, int]] | None,
                flipped: int, trailing: list[int]) -> tuple:
-    """(view, support): the view of `tensor` a pass of `plan` runs on, in
-    the frame `flipped`, or None when its control block meets no cube of
-    `support`; and the support after the pass. The support picks only the
-    view: the kernel the pass takes on it is the one it takes on the whole
-    tensor. `trailing` holds a mask per register bit, by ascending stride."""
+    """(view, support): the view of `tensor` a pass of `plan` runs on in the
+    frame `flipped`, or None when its control block meets no cube of
+    `support`; and the support after the pass. `trailing` holds a mask per
+    register bit, by ascending stride."""
     instr = plan.instr
     tmask = cmask = cvals = 0
     for t in instr.targets:
@@ -797,12 +528,10 @@ def _bounding(cubes: list[tuple[int, int]]) -> tuple[int, int]:
 def _narrow(idx: list | None, ndim: int, fix: int, vals: int, axes: int,
             trailing: list[int]) -> list | None:
     """`idx` (None: an index that keeps all `ndim` axes) with the axes of
-    the bits in `fix` sliced to length 1 at their values in `vals`. Bits are
-    freed, those of the trailing memory axes first (`trailing` lists one mask
-    per bit, by ascending stride), until two of the `axes` axes a target
-    slice spans are free, or all, so that each slice keeps 4 amplitudes or
-    more, as close together as the layout lets them lie. The slices are the
-    two shared pinned ones."""
+    the bits in `fix` pinned at their values in `vals`, less the bits the
+    two-free-axes rule frees: those of the trailing memory axes first
+    (`trailing`), until two of the `axes` axes a target slice spans are
+    free, or all."""
     extra = fix.bit_count() - max(axes - 2, 0)
     for bit in trailing:
         if extra <= 0:
@@ -873,10 +602,9 @@ def _write_lines(out: TextIO, size: int, support: np.ndarray, values: np.ndarray
     """Write `bitstring + "\t" + ("%" + spec) % value + "\n"` to `out` for each
     index in `support` (ascending) into an array of `size` = 2^nq outcomes,
     where value is the index's entry of `values` and no text is longer than
-    `width`. Each distinct value is formatted once, into a line of fixed
-    width: room for the digits, then its text padded with spaces. Each block
-    of lines is a byte table of such lines, given their digits, squeezed by
-    one `bytes.replace` and written as soon as it is made."""
+    `width`. Each distinct value is formatted once into a line of fixed
+    width, its text padded with spaces; each block of lines is a byte table
+    of such lines, squeezed by one `bytes.replace` and written at once."""
     if not support.size:
         return
     nq = size.bit_length() - 1
@@ -887,9 +615,7 @@ def _write_lines(out: TextIO, size: int, support: np.ndarray, values: np.ndarray
     line = "0" * nq + f"\t%-{width}{spec}\n"
     ordered = np.sort(values)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    # with every value distinct there is nothing to look up, and with more
-    # distinct values than a block holds the table would outgrow the blocks:
-    # either way each block formats its lines in order
+    # all distinct, or more distinct values than a block: no table to look up
     table = None
     if distinct.size < values.size and distinct.size <= FORMAT_BLOCK:
         # keyed on the exact value: floats one ulp apart print differently
@@ -929,9 +655,8 @@ class OutcomeDistribution:
         size = self.probs.size
         if self.probs.ndim != 1 or not size or size & (size - 1):
             raise LqcError("probabilities must be a vector over 2^n qubit indices")
-        # two sweeps, the sum and the minimum: a finite sum has only finite
-        # entries, so only a sum that is not (a non-finite entry, or finite
-        # ones that overflow) needs the elementwise check
+        # a finite sum has only finite entries; only another one needs the
+        # elementwise check
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(self.probs.sum())
         if not math.isfinite(total) and not np.isfinite(self.probs).all():
@@ -951,18 +676,10 @@ class OutcomeDistribution:
 
 def observe(state: StateVector) -> OutcomeDistribution:
     """Probability of each qubit bitstring conditioned on every hybit being
-    observed in state 0. A state with zero observable mass yields an all-zero
-    distribution rather than an error; a state whose squared magnitude is not
-    finite raises GuardError.
-
-    Every state is read as a list of disjoint cubes: those of the support
-    it carries (the one `run` tracked, until the state is written), or the
-    one cube of the whole register when it carries none or its support
-    splits into more than OBSERVE_CUBES_MAX. The probabilities and the mass
-    are the squares of the hybit-0 slice in register index order and their
-    sum, bit for bit whatever the cubes; the mass per hybit pattern, which
-    feeds only the finite check and the negligible-mass warning, sums the
-    same squares in another order."""
+    observed in state 0, read as the module's "Measurement" says. Zero
+    observable mass yields an all-zero distribution; a squared magnitude
+    that is not finite raises GuardError. The mass per hybit pattern feeds
+    only that check and the negligible-mass warning."""
     layout = state.layout
     hybits = layout.positions(BitKind.HYBIT)
     tensor, support = state.read()
@@ -1024,11 +741,10 @@ def _square_cubes(layout: RegisterLayout, tensor: np.ndarray,
                   cubes: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """The visible squares of `observe`, and the mass per hybit pattern of
     the squares that are not visible, read from the disjoint `cubes` outside
-    which every amplitude of `tensor` is zero; the cube (0, 0), which fixes
-    no bit, is the whole register. Each cube that fixes no hybit
-    at 1 is squared, its hybits at 0, into its block of a zeroed output; the
-    `pattern_masses` of each cube that fixes a hybit at 1 or leaves one free
-    are added to the patterns it fixes, less its visible squares."""
+    which every amplitude of `tensor` is zero; the cube (0, 0) is the whole
+    register. Each cube that fixes no hybit at 1 is squared, its hybits at 0,
+    into its block of a zeroed output; each cube that fixes a hybit at 1 or
+    leaves one free adds its other patterns' `pattern_masses`."""
     hybits = layout.positions(BitKind.HYBIT)
     qubits = layout.positions(BitKind.QUBIT)
     visible = np.zeros((2,) * len(qubits))
@@ -1099,8 +815,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> SampleResult:
     cdf[probs.size - 1 - int(np.argmax(probs[::-1] != 0)):] = 1.0
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(shots)
-    # sorted draws walk the CDF in order, which the search does far faster;
-    # the histogram does not depend on their order
+    # sorted draws make the search walk the CDF in order; the histogram does not change
     u.sort()
     draws = np.searchsorted(cdf, u, side="right")
     return SampleResult(np.bincount(draws, minlength=cdf.size), shots, seed)

@@ -9,6 +9,7 @@ real BLAS_DENSE_MAX and with it forced to either kernel, and count the
 amplitudes its passes touch."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -291,6 +292,28 @@ def test_memory_order_rule():
     # q0 and q2 weigh 1, the controls q1 and h0 a half each
     circuit = parse("qubits 3\nhybits 1\nH q2\nCTRL h0 : X q1\nH q0\n")
     assert memory_order(circuit) == [0, 2, 1, 3]
+    # three occurrences of a controlled Z weigh 3/2 on q0 and q2, against 1
+    # for q1 and h0, whether they are one object or three equal ones
+    layout = RegisterLayout(("q", "q", "q", "h"))
+    ctrl_z = Instruction("Z", (2,), (0,))
+    tail = (Instruction("H", (1,)), Instruction("BOOST", (3,), param=0.5))
+    repeated = Circuit(layout, (ctrl_z, ctrl_z, ctrl_z, *tail))
+    distinct = Circuit(layout, (*(Instruction("Z", (2,), (0,)) for _ in range(3)), *tail))
+    assert memory_order(repeated) == memory_order(distinct) == [0, 2, 1, 3]
+
+
+def test_memory_order_keeps_no_map_of_lines():
+    # the weights are summed line by line, so nothing grows with the
+    # circuit; a map keyed by every line would trace megabytes here
+    text = "qubits 4\nhybits 1\nH q0\n" + "CTRL q0 : Z q2\n" * 20_000
+    circuit = parse(text)
+    tracemalloc.start()
+    try:
+        assert memory_order(circuit) == [0, 2, 1, 3, 4]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000
 
 
 # The support: oracle-shaped circuits, whose many-controlled X leaves the
