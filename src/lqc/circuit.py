@@ -33,18 +33,24 @@ control projector is diagonal, so it commutes with the metric, and the
 controlled gate I + P_C (U - I) preserves the metric whenever U does on
 its targets, whatever the trigger values.
 
-Every instruction is checked once, where it enters a `Circuit`, by one
-pass over the list, `_failures`. Each instruction's form is checked on its
-own, by `validate_instruction`: it must be one the text can write back,
-with a gate matrix of its target count. The metric of the well-formed ones
-is checked in one stacked `isometry_residual` per target count: the gate
-matrix must preserve the metric of its target bits (the same DEFGATE may
-be legal on one bit-kind combination and illegal on another). The pass
-lists each failure by index, and `Circuit` raises the first, as if each
-instruction were checked in full in turn. `parse` runs it on every
-statement it read and reports each failure at its statement's gate token,
-in order of line with the faults of the text itself. `parse` and `concat`
-return circuits without a second check.
+Every instruction is checked once on its way into a `Circuit`: its form
+where it is built, its metric in one pass over the list, `_failures`. The
+form is that of an instruction the text can write back, with a gate matrix
+of its target count. The `Circuit` constructor checks it by
+`validate_instruction`. `parse` checks it by its grammar, to which it adds
+only the duplicate-bit rule, as a fault of the text at the gate token;
+`named_circuit` builds well-formed records but for a target among the
+controls, which it refuses, and makes its circuit by `formed_circuit`,
+which checks the metric alone. The metric of the well-formed
+instructions is checked in one stacked `isometry_residual` per target
+count: the gate matrix must preserve the metric of its target bits (the
+same DEFGATE may be legal on one bit-kind combination and illegal on
+another). The pass lists each failure by index, and `Circuit` raises the
+first, as if each instruction were checked in full in turn; `parse`
+reports each at its statement's gate token, in order of line with the
+faults of the text. `concat` returns circuits without a second check. An
+`Instruction` whose fields are already final (tuples, and a read-only
+complex matrix or none) keeps them as they are.
 
 A fault of the text is raised where it is found, as a private exception
 holding its token index and message. `parse`'s statement loop and
@@ -102,6 +108,12 @@ class Instruction:
         if self.param is not None and not isinstance(self.param, numbers.Real):
             raise LqcError(f"malformed instruction {self.gate!r}: "
                            f"parameter {self.param!r} is not a real number")
+        matrix = self.matrix
+        if type(self.targets) is type(self.controls) is type(self.ctrl_state) is tuple and (
+            matrix is None
+            or type(matrix) is np.ndarray and matrix.dtype == complex and not matrix.flags.writeable
+        ):
+            return  # every field is already final
         try:
             targets, controls = tuple(self.targets), tuple(self.controls)
             state = (1,) * len(controls) if self.ctrl_state is None else tuple(self.ctrl_state)
@@ -162,6 +174,16 @@ def _checked(layout: RegisterLayout, instructions) -> Circuit:
     return circuit
 
 
+def formed_circuit(layout: RegisterLayout, instructions) -> Circuit:
+    """Circuit(...) for instructions whose builder checked their form, as
+    `named_circuit` does: only their metric is checked, and the first
+    failure raised."""
+    failures = _failures(layout, instructions, formed=True)
+    if failures:
+        raise failures[0][1]
+    return _checked(layout, instructions)
+
+
 def _is_gate_name(name: str) -> bool:
     """Whether `parse` reads `name` back as itself: an upper-case identifier
     that is neither a keyword nor shaped like a bit reference."""
@@ -218,21 +240,24 @@ def _target_metric(kinds: str) -> np.ndarray:
     return eta
 
 
-def _failures(layout: RegisterLayout, instructions) -> list[tuple[int, LqcError]]:
+def _failures(layout: RegisterLayout, instructions,
+              formed: bool = False) -> list[tuple[int, LqcError]]:
     """(index, error) of each instruction that fails its check, in index
     order: the form error of an ill-formed one, the metric error of a
     well-formed one whose gate does not preserve the metric of its target
     bits. One stacked `isometry_residual` per target count covers the
-    metric of every well-formed instruction."""
+    metric of every well-formed instruction. `formed` instructions had
+    their form checked where they were built, and only their metric is."""
     kind_of = "".join(layout.kinds)
     failures: list[tuple[int, LqcError]] = []
     by_arity: dict[int, list[int]] = {}
     for n, instr in enumerate(instructions):
-        try:
-            validate_instruction(layout, instr)
-        except LqcError as exc:
-            failures.append((n, exc))
-            continue
+        if not formed:
+            try:
+                validate_instruction(layout, instr)
+            except LqcError as exc:
+                failures.append((n, exc))
+                continue
         by_arity.setdefault(len(instr.targets), []).append(n)
     for members in by_arity.values():
         kinds = ["".join(kind_of[p] for p in instructions[n].targets) for n in members]
@@ -425,8 +450,12 @@ def parse(text: str) -> Circuit:
         if len(toks) - first != arity:
             raise _Fault(first, f"gate {name} expects {arity} target(s), got {len(toks) - first}")
         targets = tuple(parse_bitref(toks, i, allow_bang=False)[0] for i in range(first, len(toks)))
+        positions = tuple(c for c, _ in controls)
+        # the one rule of `validate_instruction` the grammar leaves open
+        if len(set(positions + targets)) != len(positions) + len(targets):
+            raise _Fault(at, f"duplicate bit in instruction {name}")
         return Instruction(
-            gate=name, targets=targets, controls=tuple(c for c, _ in controls),
+            gate=name, targets=targets, controls=positions,
             param=param, matrix=matrix, ctrl_state=tuple(v for _, v in controls),
         )
 
@@ -503,7 +532,7 @@ def parse(text: str) -> Circuit:
             if keyword == "DEFGATE":
                 lines.skip_matrix_rows()
 
-    for n, exc in _failures(get_layout(), instructions):
+    for n, exc in _failures(get_layout(), instructions, formed=True):
         lineno, line, at = statements[n]
         errors += _placed(lineno, line, [(at, str(exc))])
     if errors:
@@ -594,16 +623,81 @@ def serialize(circuit: Circuit) -> str:
 
 def to_matrix(circuit: Circuit) -> np.ndarray:
     """Full-register matrix: ordered product with the first instruction
-    applied first (rightmost factor). Guarded to small registers."""
-    nbits = circuit.layout.num_bits
+    applied first (rightmost factor). Guarded to small registers.
+
+    When every instruction has one target and every other bit as a control,
+    as everything `lower` emits and every 1-bit circuit do, each gate is a
+    two-level matrix on rows r0 and r1 of the product: r0 holds the
+    controls' trigger values with the target bit 0 (register bit p is index
+    bit n-1-p), r1 the same with it 1. A gate's layer is one more than the
+    last layer that touched either of its rows, so the gates of a layer
+    touch disjoint rows. Per layer, the dense gates make one stacked matmul
+    of their 2x2 matrices with their gathered row pairs, which numpy runs
+    as one BLAS product per gate, the product the kernel's small-slice
+    branch makes; diagonal gates scale their rows and anti-diagonal ones
+    swap them, each skipping factors of exactly 1 as the kernel does. So
+    the bits are those of the `apply_all` product, which every other
+    circuit takes."""
+    layout = circuit.layout
+    nbits = layout.num_bits
     if nbits > TO_MATRIX_GUARD_BITS:
         raise GuardError(
             f"register of {nbits} bits exceeds the 2^{TO_MATRIX_GUARD_BITS} "
             "dense-elaboration guard"
         )
-    dim = circuit.layout.dimension
+    instructions = circuit.instructions
+    if all(len(instr.controls) == nbits - 1 and len(instr.targets) == 1
+           for instr in instructions):
+        return _layered_product(nbits, instructions)
+    dim = layout.dimension
     # columns are a batch of basis states; one kernel pass per instruction
     batch = np.eye(dim, dtype=complex).reshape([2] * nbits + [dim])
-    state, _ = apply_all(circuit.layout, batch, circuit.instructions)
+    state, _ = apply_all(layout, batch, instructions)
     # with every bit left flipped, the state reshapes to a negative-stride view
     return np.ascontiguousarray(state).reshape(dim, dim)
+
+
+def _layered_product(nbits: int, instructions) -> np.ndarray:
+    """`to_matrix` of instructions that each have one target and every other
+    bit as a control, layer by layer."""
+    product = np.eye(1 << nbits, dtype=complex)
+    if not instructions:
+        return product
+    top = nbits - 1
+    depth = [0] * len(product)  # the layer of the last gate on each row
+    pairs, layers = [], []
+    for instr in instructions:
+        r0 = 0
+        for c, v in zip(instr.controls, instr.ctrl_state):
+            r0 |= v << top - c
+        r1 = r0 | 1 << top - instr.targets[0]
+        depth[r0] = depth[r1] = layer = max(depth[r0], depth[r1]) + 1
+        pairs.append((r0, r1))
+        layers.append(layer)
+    gates = np.array([instr.gate_matrix() for instr in instructions])
+    a, b, c, d = gates.reshape(-1, 4).T
+    # the kernel's classes: diagonal, anti-diagonal, and dense for the rest;
+    # the first two move and scale rows alike, so a layer holds two groups
+    diagonal = (b == 0) & (c == 0)
+    monomial = diagonal | (a == 0) & (d == 0)
+    key = 2 * np.array(layers) + monomial
+    order = np.argsort(key, kind="stable")
+    gates, pairs, diagonal = gates[order], np.array(pairs)[order], diagonal[order]
+    # new row r0 is a * row r0 (diagonal) or b * row r1 (anti-diagonal), and
+    # new row r1 is d * row r1 or c * row r0
+    factors = np.where(diagonal[:, None], gates[:, (0, 1), (0, 1)], gates[:, (0, 1), (1, 0)])
+    sources = np.where(diagonal[:, None], pairs, pairs[:, ::-1])
+    scaled = factors != 1
+    monomial = monomial[order].tolist()
+    starts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip([0, *starts], [*starts, len(order)]):
+            rows = pairs[start:stop]
+            if not monomial[start]:
+                product[rows] = np.matmul(gates[start:stop], product[rows])
+                continue
+            moved = product[sources[start:stop]]
+            picked = scaled[start:stop]
+            moved[picked] *= factors[start:stop][picked, None]
+            product[rows] = moved
+    return product

@@ -29,7 +29,7 @@ from ..core import (
     metric_for_kinds,
 )
 from ..gates import builtin, isometry_residual
-from ..circuit import Circuit, Instruction
+from ..circuit import Circuit, Instruction, formed_circuit
 
 _I2 = np.eye(2, dtype=complex)
 _ETA_H = metric_for_kinds("h")
@@ -246,11 +246,14 @@ def named_circuit(layout: RegisterLayout, gates: list[tuple]) -> Circuit:
             if key not in by_key:
                 by_key[key] = (f"U{len(by_key)}", Ms[n])
             name, matrix = by_key[key]
+        # the records' one open rule of form; the rest holds by construction
+        if target in controls:
+            raise LqcError(f"duplicate bit in instruction {name}")
         instrs.append(Instruction(
             gate=name, targets=(target,), controls=controls,
             param=param, matrix=matrix, ctrl_state=state,
         ))
-    return Circuit(layout, tuple(instrs))
+    return formed_circuit(layout, instrs)
 
 
 def _lambda_rec(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -30,6 +31,7 @@ from lqc.core import (
     metric_for_kinds,
 )
 from lqc.gates import BUILTIN_ARITY, builtin, isometry_residual
+from lqc.simulator import apply_all
 
 class TestParse:
     def test_controlled_z(self):
@@ -494,6 +496,95 @@ class TestToMatrix:
             to_matrix(c)
 
 
+def apply_all_product(circuit):
+    """`to_matrix` as one `apply_all` pass loop over an identity batch, as
+    every circuit that is not layered takes it: the reference that the
+    layered product matches byte for byte."""
+    nbits, dim = circuit.layout.num_bits, circuit.layout.dimension
+    batch = np.eye(dim, dtype=complex).reshape([2] * nbits + [dim])
+    state, _ = apply_all(circuit.layout, batch, circuit.instructions)
+    return np.ascontiguousarray(state).reshape(dim, dim)
+
+
+# the one-target gates of test_kernels: every one-target builtin and the
+# diagonal, anti-diagonal and dense DEFGATEs
+ONE_TARGET = tuple(name for name in GATES if ARITY[name] == 1)
+
+
+def fully_controlled(rng, layout, n_instr, repeats=True):
+    """Random circuit whose every gate has one target and every other bit
+    as a control, each control triggering on a random value (so "!" ones
+    too). With `repeats`, some gates are the previous instruction object
+    again, which makes X pairs."""
+    nbits = layout.num_bits
+    instrs = []
+    for _ in range(n_instr):
+        if repeats and instrs and rng.random() < 0.1:
+            instrs.append(instrs[-1])
+            continue
+        target = int(rng.integers(nbits))
+        kind = layout.kinds[target].value
+        name = str(rng.choice([g for g in ONE_TARGET if ONLY_ON.get(g, kind) == kind]))
+        controls = [p for p in range(nbits) if p != target]
+        state = rng.integers(0, 2, size=len(controls)).tolist()
+        instrs.append(make_instruction(layout, name, [target], controls, state, rng.random(4)))
+    return Circuit(layout, tuple(instrs))
+
+
+@functools.lru_cache(maxsize=None)
+def layered_case(nbits, seed):
+    rng = np.random.default_rng([nbits, seed])
+    layout = RegisterLayout(tuple(rng.choice(["q", "h"], size=nbits)))
+    if nbits == 1 and seed % 2:
+        layout = RegisterLayout("q")  # uncontrolled X and Y: the Pauli frame
+    return fully_controlled(rng, layout, 60)
+
+
+class TestLayeredProduct:
+    """`to_matrix` of a circuit whose every gate has one target and every
+    other bit as a control is its layered product, which holds the bytes
+    of the `apply_all` product."""
+
+    @pytest.mark.parametrize("nbits", range(1, 7))
+    def test_bytes_of_the_pass_product(self, nbits):
+        for seed in range(8):
+            c = layered_case(nbits, seed)
+            assert to_matrix(c).tobytes() == apply_all_product(c).tobytes()
+
+    def test_cases_take_every_gate(self):
+        cases = [layered_case(n, seed) for n in range(1, 7) for seed in range(8)]
+        names = {i.gate for c in cases for i in c.instructions}
+        assert names == set(ONE_TARGET)
+        frame = {i.gate for c in cases if c.layout.num_bits == 1 for i in c.instructions
+                 if i.matrix is None and c.layout.kinds[0] is BitKind.QUBIT}
+        assert {"X", "Y"} <= frame
+        triggers = {v for c in cases for i in c.instructions for v in i.ctrl_state}
+        assert triggers == {0, 1}
+        assert any(a is b for c in cases for a, b in zip(c.instructions, c.instructions[1:])
+                   if a.gate == "X" and a.controls)
+
+    @pytest.mark.slow
+    def test_bytes_of_the_pass_product_on_wide_registers(self):
+        for nbits in (7, 8, 9):
+            c = fully_controlled(np.random.default_rng(nbits), RegisterLayout.of(nbits - 2, 2), 150)
+            assert to_matrix(c).tobytes() == apply_all_product(c).tobytes()
+
+    def test_layered_circuits_make_no_pass(self, passes):
+        for nbits in range(1, 7):
+            to_matrix(layered_case(nbits, 0))
+        assert passes == []
+
+    @pytest.mark.parametrize("extra", [
+        Instruction("H", (2,), (0,)),  # one control fewer
+        Instruction("CZ", (0, 2), (1,)),
+    ])
+    def test_other_circuits_make_every_pass(self, passes, extra):
+        c = fully_controlled(np.random.default_rng(7), RegisterLayout("qhq"), 20, repeats=False)
+        c = c.concat(Circuit(c.layout, (extra,))).concat(c)
+        to_matrix(c)
+        assert [instr for instr, _ in passes] == list(c.instructions)
+
+
 class TestInstructionValidation:
     def test_non_isometric_raises_isometry_error(self):
         with pytest.raises(IsometryError):
@@ -647,9 +738,12 @@ class TestStackedMetricCheck:
 
 
 class TestValidateOnce:
-    """Each instruction is checked once where it enters a Circuit: its form
-    by validate_instruction, its metric in the one stacked isometry_residual
-    call of its target count."""
+    """Each instruction is checked once on its way into a Circuit. Its form
+    is checked where it is built: by validate_instruction when the
+    constructor gets it, by the grammar and its duplicate-bit rule when
+    `parse` reads it, by the records' target rule when `named_circuit` names
+    it. Its metric is checked in the one stacked isometry_residual call of
+    its target count."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
@@ -669,8 +763,9 @@ class TestValidateOnce:
         return seen
 
     @staticmethod
-    def assert_checked_once(seen, instructions):
-        assert seen["form"] == list(instructions)
+    def assert_checked_once(seen, instructions, formed=False):
+        # a built instruction's form was checked where it was built
+        assert seen["form"] == ([] if formed else list(instructions))
         want: dict[int, list] = {}
         for instr in instructions:
             want.setdefault(len(instr.targets), []).append(instr.gate_matrix())
@@ -697,7 +792,14 @@ class TestValidateOnce:
         checked["metric"].clear()
         parsed = parse(serialize(c))
         assert parsed == c
-        self.assert_checked_once(checked, c.instructions)
+        self.assert_checked_once(checked, c.instructions, formed=True)
+        # the rule validate_instruction adds to the grammar, at the gate token
+        with pytest.raises(ParseError) as exc:
+            parse("qubits 2\nH q1\nCTRL q0 : Z q0\nCTRL q1 : X q1 q0\n")
+        assert str(exc.value) == "\n".join([
+            "line 3, col 11: duplicate bit in instruction Z",
+            "line 4, col 13: gate X expects 1 target(s), got 2",
+        ])
 
     def test_concat_checks_nothing(self, checked):
         layout = RegisterLayout("qhqh")
@@ -740,7 +842,7 @@ class TestValidateOnce:
         A = random_isometry_for_signs(metric_vector(layout), seed=2)
         result = compile(A, layout)
         assert len(result.circuit.instructions) > 0
-        self.assert_checked_once(checked, result.circuit.instructions)
+        self.assert_checked_once(checked, result.circuit.instructions, formed=True)
 
 
 class TestFrozen:

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import controlled, perfbench_modules
-from lqc.circuit import to_matrix
+from lqc.circuit import parse, parse_matrix_text, serialize, to_matrix
 from lqc.core import (
     EPS_ISO,
     EPS_RECON,
@@ -158,6 +159,45 @@ class TestSingleReconstruction:
         assert res.stages[0].gate_count == len(checked[0])
         assert res.stages[0].max_error == checked[0].error
         assert 0.0 < checked[0].error <= EPS_RECON
+
+
+DATA = Path(__file__).parent / "data"
+# stacked products that the layered `to_matrix` of the synthesized circuit
+# makes on each committed isometry, and that circuit's gates, each a pass of
+# the `apply_all` product
+LAYERED = {"qqqq": (37, 120), "qqhh": (83, 246), "qhhh": (185, 354),
+           "qqqqq": (96, 496), "qqqqh": (117, 496)}
+
+
+def committed(path):
+    """A committed matrix file's isometry and its layout, named by the file."""
+    A, _ = parse_matrix_text(path.read_text())
+    return A, RegisterLayout(path.stem)
+
+
+class TestCommittedIsometries:
+    @pytest.mark.parametrize("kinds", sorted(LAYERED))
+    def test_layer_counts(self, kinds, monkeypatch, passes):
+        circuit = compile(*committed(DATA / f"{kinds}.mat")).circuit
+        products = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            products.append(args)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        to_matrix(circuit)
+        assert (len(products), len(circuit.instructions)) == LAYERED[kinds]
+        assert passes == []
+
+    @pytest.mark.parametrize("path", sorted(DATA.rglob("*.mat")), ids=lambda p: p.stem)
+    def test_certificate_is_verifys_figure(self, path):
+        # `cmd_synth` certifies its circuit by `verify`'s own figure, bit for bit
+        A, layout = committed(path)
+        result = compile(A, layout)
+        read_back = to_matrix(parse(serialize(result.circuit)))
+        assert result.residual == isometry_residual(read_back, metric_vector(layout))
 
 
 class TestApproxMode:
